@@ -1,4 +1,4 @@
-"""StepEngine — one preallocated stepping core under all the solvers.
+"""StepEngine — the one preallocated stepping core under all the solvers.
 
 The paper attributes much of SaC's performance to compiler-managed
 memory reuse; the golden NumPy solver originally allocated ~10 fresh
@@ -11,25 +11,32 @@ whose in-place formulations perform the identical sequence of rounded
 floating-point operations as the allocating seed path — results are
 bit-for-bit equal, only the allocator traffic is gone.
 
-`EulerSolver1D`/`EulerSolver2D` drive one engine over the whole grid;
-:class:`~repro.par.solver.ParallelSolver2D` drives one engine per rank
-(each with its own workspace, so ranks share no scratch memory) through
-the lower-level :meth:`sweep_axis0`/:meth:`sweep_axis1`/:meth:`integrate`
-interface.
+There is one engine and it has two annotations, neither of which
+selects different code:
 
-Sweeps are cache-blocked (see :mod:`repro.euler.tiling`): each sweep is
-partitioned into strips of rows whose whole
-``reconstruct -> riemann -> difference`` working set fits the
-``tile_bytes`` budget, so every intermediate stays cache-resident
-instead of round-tripping DRAM once per ufunc.  ``compute_dt`` fuses
-the primitive conversion with the GetDT eigenvalue pass strip-by-strip,
-eliminating the dt phase's second full-grid traversal.  Both paths are
-bit-for-bit identical to the untiled behaviour (``tile_bytes=0``), which
-is the seed path the differential tests pin.
+* **the member axis.**  The state always carries a leading member axis,
+  ``(B, N, 3)`` in 1-D or ``(B, Nx, Ny, 4)`` in 2-D.  A solo run is a
+  batch of one: `EulerSolver1D`/`EulerSolver2D` hand the engine a
+  ``u[None]`` view, `EulerEnsemble2D` a stack of B scenarios, and
+  :class:`~repro.par.solver.ParallelSolver2D` drives one one-member
+  engine per rank (each with its own workspace, so ranks share no
+  scratch memory) through the lower-level
+  :meth:`sweep_axis0`/:meth:`sweep_axis1`/:meth:`integrate` interface.
+* **the strip plan.**  Every sweep and every dt pass runs over a
+  :class:`~repro.euler.tiling.TilePlan` whose strips keep the whole
+  ``reconstruct -> riemann -> difference`` (or ``convert -> eigenvalue``)
+  working set inside the ``tile_bytes`` budget, so intermediates stay
+  cache-resident instead of round-tripping DRAM once per ufunc.
+  ``tile_bytes=0`` means "no budget": the same code runs a plan of one
+  strip, which is the whole-grid reference the differential tests pin.
+
+Both are bit-for-bit neutral: every kernel in the chain is elementwise
+over its leading axes, so neither stacking members nor cutting strips
+changes the rounded operations any cell sees.
 
 The engine also keeps per-phase wall-clock counters (boundary fill,
 reconstruction, Riemann fluxes, flux differencing, Runge-Kutta combine,
-primitive conversion, dt reduction) plus conversion/step/tile counts and
+primitive conversion, dt reduction) plus conversion/step/strip counts and
 the scratch footprint in bytes; ``perf.scaling`` measured mode and
 ``benchmarks/test_steprate.py`` record them.
 """
@@ -44,22 +51,17 @@ import numpy as np
 from repro.errors import ConfigurationError, PhysicsError
 from repro.euler import state, tiling
 from repro.euler.reconstruction import (
+    get_scheme,
     reconstruct_characteristic,
     reconstruct_component,
 )
 from repro.euler.rk import get_integrator_into
 from repro.euler.riemann import get_riemann_solver
-from repro.euler.reconstruction import get_scheme
-from repro.euler.timestep import (
-    eigenvalues_into,
-    get_dt,
-    max_eigenvalue,
-    member_max_eigenvalues,
-)
+from repro.euler.timestep import max_eigenvalue, member_max_eigenvalues
 from repro.euler.workspace import Workspace
 import repro.jit as repro_jit
 
-__all__ = ["StepEngine", "BatchEngine", "PHASES"]
+__all__ = ["StepEngine", "PHASES"]
 
 #: Phase keys of the engine's wall-clock counters.
 PHASES = ("convert", "bc", "reconstruct", "riemann", "difference", "rk", "dt")
@@ -72,14 +74,44 @@ RhsInto = Callable[[np.ndarray, np.ndarray, bool], None]
 
 
 class StepEngine:
-    """Preallocated Godunov stepping core for one grid shape and config.
+    """Preallocated Godunov stepping core for B members of one grid shape.
 
-    ``grid_shape`` is the full state shape — ``(N, 3)`` in 1-D or
+    ``grid_shape`` is *one member's* state shape — ``(N, 3)`` in 1-D or
     ``(Nx, Ny, 4)`` in 2-D; ``spacing`` the matching cell sizes.
-    ``boundaries`` (a ``BoundarySet1D``/``BoundarySet2D``) is required
-    for the serial :meth:`rhs`/:meth:`step` interface and may be omitted
-    when the sweeps are driven externally (the parallel solver fills
-    exterior edges through windowed specs instead).
+    ``boundaries`` is a sequence of one ``BoundarySet1D``/``BoundarySet2D``
+    per member and fixes the batch size B; it is required for the
+    :meth:`rhs`/:meth:`step` interface and may be omitted (B = 1) when
+    the sweeps are driven externally (the parallel solver fills exterior
+    edges through windowed specs instead).  The attribute ``grid_shape``
+    is the full stack shape ``(B,) + member_shape``.
+
+    **Bit-identity contract.**  Every kernel call — conversion,
+    reconstruction, Riemann solve, flux differencing, Runge-Kutta
+    combine — processes the whole stack at once and is elementwise over
+    its leading axes (the same property the strip tiling relies on), so
+    member ``b`` of a batched step is bit-for-bit the state a one-member
+    step of that member produces, which in turn is bit-for-bit the
+    allocating seed path.  The only non-elementwise operations are the
+    reductions, and those are per member: :meth:`compute_dt` returns a
+    ``(B,)`` vector of per-member CFL steps (``max`` is exact, so each
+    entry equals the member's standalone dt — members advance on their
+    own clocks, there is *no* global ``min``), and state validation
+    attributes failures to a member via
+    :func:`repro.euler.state.validate_members`, raising a member-local
+    :class:`PhysicsError` carrying ``batch_index``.
+
+    **Layouts.**  Sweeps pad to ``(n + 2 ng, B, cross..., fields)`` —
+    the sweep axis out front, members next.  A member's slab
+    ``padded[:, b]`` therefore has exactly the one-member padded layout,
+    which is what lets per-member boundary sets (different geometry per
+    member, piecewise :class:`~repro.euler.boundary.EdgeSpec` segments
+    included) fill their ghost layers with the unmodified code.
+
+    **Tiling.**  The sweep strip planner sees the batch in its cross
+    size (``B × ny`` cells of work per sweep row), so strips shrink
+    automatically to keep the per-strip working set in cache; the fused
+    dt pass strips over *members* and reduces each strip's members
+    separately.
     """
 
     def __init__(
@@ -90,8 +122,9 @@ class StepEngine:
         boundaries=None,
         backend: Optional[str] = None,
     ):
-        self.grid_shape = tuple(int(extent) for extent in grid_shape)
-        nfields = self.grid_shape[-1]
+        #: Shape of one member's state; ``grid_shape`` is the full stack.
+        self.member_shape = tuple(int(extent) for extent in grid_shape)
+        nfields = self.member_shape[-1]
         if nfields == 3:
             self.ndim = 1
         elif nfields == 4:
@@ -100,9 +133,9 @@ class StepEngine:
             raise ConfigurationError(
                 f"state arrays must have 3 or 4 fields, got {nfields}"
             )
-        if len(self.grid_shape) != self.ndim + 1:
+        if len(self.member_shape) != self.ndim + 1:
             raise ConfigurationError(
-                f"grid shape {self.grid_shape} inconsistent with {self.ndim}-D state"
+                f"grid shape {self.member_shape} inconsistent with {self.ndim}-D state"
             )
         self.spacing = tuple(float(s) for s in spacing)
         if len(self.spacing) != self.ndim:
@@ -110,7 +143,23 @@ class StepEngine:
                 f"{self.ndim}-D engine needs {self.ndim} spacings, got {len(self.spacing)}"
             )
         self.config = config
-        self.boundaries = boundaries
+        self.boundaries = None if boundaries is None else list(boundaries)
+        self.batch = 1 if self.boundaries is None else len(self.boundaries)
+        if self.batch < 1:
+            raise ConfigurationError("an engine needs at least one member")
+        self.grid_shape = (self.batch,) + self.member_shape
+        self._where = f"{self.ndim}-D solver state"
+        #: Per sweep axis, the members' (low specs, high specs) — read
+        #: once here so rhs() rebuilds no per-member lists.
+        self._edge_specs = []
+        for axis in range(self.ndim if self.boundaries is not None else 0):
+            pairs = [
+                (bset.low, bset.high) if self.ndim == 1 else bset.for_axis(axis)
+                for bset in self.boundaries
+            ]
+            self._edge_specs.append(
+                ([low for low, _ in pairs], [high for _, high in pairs])
+            )
         self.scheme = get_scheme(config.reconstruction, config.limiter)
         self.riemann = get_riemann_solver(config.riemann)
         self.ghost_cells = self.scheme.ghost_cells
@@ -120,18 +169,17 @@ class StepEngine:
         self.steps_taken = 0
         self.rhs_evaluations = 0
         self.primitive_conversions = 0
-        #: Effective cache-blocking budget (0 = untiled seed behaviour).
+        #: Effective cache-blocking budget; 0 is "no budget": the planner
+        #: is handed an unbounded one, under which every plan is one strip.
         self.tile_bytes = tiling.resolve_tile_bytes(
             getattr(config, "tile_bytes", None)
         )
+        self._strip_budget = self.tile_bytes or tiling.UNBOUNDED_TILE_BYTES
         #: Strips processed, cumulative over sweeps and fused dt passes.
         self.tiles_processed = 0
-        #: Untiled GetDT reductions (standalone eigenvalue pass) vs fused
-        #: per-strip convert+eigenvalue passes — the benchmark asserts the
-        #: tiled path never runs the standalone pass.
-        self.dt_eigen_passes = 0
+        #: Strips of the fused convert+eigenvalue dt passes alone.
         self.dt_fused_strips = 0
-        self._tile_plans: Dict[Tuple, tiling.TilePlan] = {}
+        self._tile_plans: Dict[Tuple[int, ...], tiling.TilePlan] = {}
         self._fresh_primitive = False
         self._primitive_target: Optional[np.ndarray] = None
         #: Compiled-kernel backend (None = plain NumPy path).  Resolution
@@ -145,6 +193,15 @@ class StepEngine:
         if self.backend is not None:
             self.seconds["jit_sweep"] = 0.0
             self.seconds["jit_dt"] = 0.0
+        #: The dt pass partitions the *member* axis into strips whose
+        #: convert+eigenvalue working set fits the budget.
+        self._dt_plan = tiling.plan_tiles(
+            self.batch,
+            tiling.dt_row_bytes(
+                int(np.prod(self.member_shape[:-1], dtype=int)), nfields
+            ),
+            self._strip_budget,
+        )
 
     # -- counters -------------------------------------------------------
 
@@ -156,13 +213,13 @@ class StepEngine:
     def counters(self) -> Dict[str, object]:
         """Snapshot of all phase/operation counters (JSON-friendly)."""
         counters: Dict[str, object] = {
+            "batch": self.batch,
             "steps": self.steps_taken,
             "rhs_evaluations": self.rhs_evaluations,
             "primitive_conversions": self.primitive_conversions,
             "scratch_bytes": self.scratch_bytes,
             "tiles": self.tiles_processed,
             "tile_bytes": self.tile_bytes,
-            "dt_eigen_passes": self.dt_eigen_passes,
             "dt_fused_strips": self.dt_fused_strips,
             "seconds": dict(self.seconds),
             "backend": "numpy" if self.backend is None else self.backend.name,
@@ -173,17 +230,11 @@ class StepEngine:
 
     # -- tiling ---------------------------------------------------------
 
-    def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> Optional[tiling.TilePlan]:
-        """The strip plan for a sweep over ``padded_shape`` (None = untiled)."""
-        if self.tile_bytes == 0:
-            return None
-        key = ("sweep", padded_shape)
-        plan = self._tile_plans.get(key)
-        if plan is None:
+    def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> tiling.TilePlan:
+        """The (cached) strip plan for a sweep over ``padded_shape``."""
+        if padded_shape not in self._tile_plans:
             n_cells = padded_shape[0] - 2 * self.ghost_cells
-            cross = 1
-            for extent in padded_shape[1:-1]:
-                cross *= extent
+            cross = int(np.prod(padded_shape[1:-1], dtype=int))
             if self.backend is not None:
                 # The compiled sweep materialises no per-ufunc
                 # intermediates, so a strip's working set is far
@@ -195,23 +246,12 @@ class StepEngine:
                 row_bytes = tiling.sweep_row_bytes(
                     cross, padded_shape[-1], self.config, self.ghost_cells
                 )
-            plan = tiling.plan_tiles(n_cells, row_bytes, self.tile_bytes)
-            self._tile_plans[key] = plan
-        return plan
-
-    def _dt_plan(self, state_shape: Tuple[int, ...]) -> tiling.TilePlan:
-        """The strip plan for the fused convert+GetDT pass over ``state_shape``."""
-        key = ("dt", state_shape)
-        plan = self._tile_plans.get(key)
-        if plan is None:
-            row_bytes = tiling.dt_row_bytes(
-                int(np.prod(state_shape[1:-1], dtype=int)), state_shape[-1]
+            self._tile_plans[padded_shape] = tiling.plan_tiles(
+                n_cells, row_bytes, self._strip_budget
             )
-            plan = tiling.plan_tiles(state_shape[0], row_bytes, self.tile_bytes)
-            self._tile_plans[key] = plan
-        return plan
+        return self._tile_plans[padded_shape]
 
-    # -- primitive scratch ---------------------------------------------
+    # -- primitive scratch and dt ----------------------------------------
 
     def primitive_into(
         self, u: np.ndarray, target: Optional[np.ndarray] = None, reuse: bool = False
@@ -241,47 +281,36 @@ class StepEngine:
 
     def compute_dt(
         self, u: np.ndarray, target: Optional[np.ndarray] = None
-    ) -> float:
-        """CFL time step from ``u``; leaves the primitive scratch fresh.
+    ) -> np.ndarray:
+        """Per-member CFL steps as a ``(B,)`` vector (member clocks).
 
-        With tiling enabled the primitive conversion and the GetDT
-        eigenvalue pass run fused, strip by strip: each strip of ``u``
-        is converted into ``target`` and reduced to its max signal speed
-        while still cache-resident, so the dt phase makes no second
-        full-grid traversal.  ``max`` is exact and order-independent, so
-        the dt is bit-for-bit the untiled value; the converted
-        ``target`` is complete and stays fresh for the first RK stage
-        exactly like the untiled path.
+        The primitive conversion and the GetDT eigenvalue pass run
+        fused, strip of members by strip of members: each strip of ``u``
+        is converted into ``target`` and reduced to its members' max
+        signal speeds while still cache-resident.  ``max`` is exact and
+        order-independent, so entry ``b`` is bit-for-bit the seed path's
+        ``get_dt`` of member ``b`` whatever the plan; the converted
+        ``target`` is complete and stays fresh for the first RK stage.
+        A non-finite member raises a member-local :class:`PhysicsError`
+        with ``batch_index`` set (siblings' entries are unaffected),
+        naming the cells a whole-grid pass over that member names.
         """
-        if self.tile_bytes == 0:
-            primitive = self.primitive_into(u, target=target)
-            self._fresh_primitive = True
-            started = perf_counter()
-            dt = get_dt(
-                primitive,
-                self.spacing,
-                self.config.cfl,
-                self.config.gamma,
-                work=self.workspace,
-            )
-            self.seconds["dt"] += perf_counter() - started
-            self.dt_eigen_passes += 1
-            return dt
         cfl = self.config.cfl
         if cfl <= 0.0:
             raise ConfigurationError(f"CFL number must be positive, got {cfl}")
-        if target is None:
-            target = self.workspace.array("engine.primitive", self.grid_shape)
-        gamma = self.config.gamma
         ws = self.workspace
-        plan = self._dt_plan(u.shape)
-        strip_maxima = ws.array("engine.dt_strip_max", (len(plan.tiles),))
-        for index, tile in enumerate(plan.tiles):
+        gamma = self.config.gamma
+        backend = self.backend
+        if target is None:
+            target = ws.array("engine.primitive", self.grid_shape)
+        maxima = ws.array("engine.dt_member_max", (self.batch,))
+        for tile in self._dt_plan.tiles:
             rows = slice(tile.start, tile.stop)
-            if self.backend is not None and self.backend.dt_strip(
-                self, u[rows], target[rows], strip_maxima[index : index + 1]
+            # One group per member: the compiled reduction mirrors
+            # member_max_eigenvalues' per-member max exactly.
+            if backend is not None and backend.dt_strip(
+                self, u[rows], target[rows], maxima[rows]
             ):
-                self.tiles_processed += 1
                 continue
             started = perf_counter()
             state.primitive_from_conservative(
@@ -289,30 +318,30 @@ class StepEngine:
             )
             self.seconds["convert"] += perf_counter() - started
             started = perf_counter()
-            ev = eigenvalues_into(target[rows], self.spacing, gamma, work=ws)
-            strip_maxima[index] = ev.max()
+            member_max_eigenvalues(
+                target[rows], self.spacing, gamma, out=maxima[rows], work=ws
+            )
             self.seconds["dt"] += perf_counter() - started
-            self.tiles_processed += 1
-        self.dt_fused_strips += len(plan.tiles)
+        self.tiles_processed += len(self._dt_plan.tiles)
+        self.dt_fused_strips += len(self._dt_plan.tiles)
         self.primitive_conversions += 1
         self._primitive_target = target
         self._fresh_primitive = True
         started = perf_counter()
-        largest = float(strip_maxima.max())
-        if not np.isfinite(largest):
-            # Reproduce the untiled path's diagnostic exactly: a full-grid
-            # pass over the (complete) converted state names the offending
-            # cells.  max_eigenvalue always raises here since the global
-            # max is non-finite.
+        finite = np.isfinite(maxima)
+        if not finite.all():
+            index = int(np.argmin(finite))
             try:
-                max_eigenvalue(target, self.spacing, gamma, work=ws)
-            finally:
-                self.seconds["dt"] += perf_counter() - started
-            raise PhysicsError(  # pragma: no cover - defensive
-                f"GetDT: non-finite signal speed ({largest})", context="GetDT"
-            )
+                # Member-local diagnostic pass: always raises, naming the
+                # member's own offending cells.
+                max_eigenvalue(target[index], self.spacing, gamma)
+            except PhysicsError as error:
+                error.batch_index = index
+                raise
+        dt = ws.array("engine.dt_members", (self.batch,))
+        np.divide(cfl, maxima, out=dt)
         self.seconds["dt"] += perf_counter() - started
-        return cfl / largest
+        return dt
 
     # -- sweeps ---------------------------------------------------------
 
@@ -351,73 +380,96 @@ class StepEngine:
         self.seconds["riemann"] += perf_counter() - started
         return flux
 
-    def _fill_boundaries(self, padded: np.ndarray, low_spec, high_spec) -> None:
+    def _difference_into(
+        self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
+    ) -> None:
+        """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``:
+        the compiled kernel when it serves the strip, else the NumPy oracle."""
+        if self.backend is not None and self.backend.sweep(
+            self, padded_strip, spacing, target
+        ):
+            return
+        flux = self._face_fluxes(padded_strip)
+        started = perf_counter()
+        np.subtract(flux[1:], flux[:-1], out=target)
+        np.negative(target, out=target)
+        np.divide(target, spacing, out=target)
+        self.seconds["difference"] += perf_counter() - started
+
+    def _accumulate_axis1(self, contribution: np.ndarray, out: np.ndarray) -> None:
+        """Add oriented rows back in global layout, un-swapping velocities.
+
+        ``(rows, B, nx, 4)`` is viewed as ``(B, nx, rows, 4)``, matching
+        the global-layout ``out``.
+        """
+        started = perf_counter()
+        transposed = contribution.transpose(1, 2, 0, 3)
+        for field_out, field_src in _SWAP_FIELDS:
+            np.add(
+                out[..., field_out], transposed[..., field_src], out=out[..., field_out]
+            )
+        self.seconds["difference"] += perf_counter() - started
+
+    def _fill_boundaries(self, padded: np.ndarray, low_specs, high_specs) -> None:
+        """Fill ghost layers member by member.
+
+        ``padded[:, b]`` is exactly one member's own padded array, so
+        each member's boundary set (including piecewise EdgeSpec
+        segments, whose ranges address the along-edge axis) applies
+        unchanged.  Looping members here also keeps an EdgeSpec from
+        wrongly partitioning the member axis.  ``None`` entries (a
+        rank's interior edges) are skipped.
+        """
         ng = self.ghost_cells
         started = perf_counter()
-        if low_spec is not None:
-            low_spec.fill(padded, ng)
-        if high_spec is not None:
-            high_spec.fill(padded[::-1], ng)
+        for member, (low, high) in enumerate(zip(low_specs, high_specs)):
+            slab = padded[:, member]
+            if low is not None:
+                low.fill(slab, ng)
+            if high is not None:
+                high.fill(slab[::-1], ng)
         self.seconds["bc"] += perf_counter() - started
 
     def sweep_axis0(
         self,
         padded: np.ndarray,
-        low_spec,
-        high_spec,
+        low_specs,
+        high_specs,
         spacing: float,
         out: np.ndarray,
     ) -> None:
         """Axis-0 sweep: fill edges, flux, difference — *writes* ``out``.
 
-        With tiling enabled the whole reconstruct/riemann/difference
+        ``padded`` is ``(n + 2 ng, B, cross..., fields)``, ``out`` the
+        matching ``(n, B, ...)`` view, ``low_specs``/``high_specs`` one
+        edge spec per member.  The whole reconstruct/riemann/difference
         chain runs strip by strip: a strip owning output rows
         ``[start, stop)`` reads padded rows ``[start, stop + 2 ng)``
         and produces faces ``[start, stop + 1)``.  Every kernel in the
         chain is elementwise per face, so each strip's values are
-        bit-for-bit the rows a full-grid pass would produce (adjacent
+        bit-for-bit the rows a one-strip pass would produce (adjacent
         strips just recompute one shared face).
         """
-        self._fill_boundaries(padded, low_spec, high_spec)
+        self._fill_boundaries(padded, low_specs, high_specs)
         plan = self._sweep_plan(padded.shape)
-        backend = self.backend
-        if plan is None:
-            if backend is not None and backend.sweep(self, padded, spacing, out):
-                return
-            flux = self._face_fluxes(padded)
-            started = perf_counter()
-            np.subtract(flux[1:], flux[:-1], out=out)
-            np.negative(out, out=out)
-            np.divide(out, spacing, out=out)
-            self.seconds["difference"] += perf_counter() - started
-            return
-        ng = self.ghost_cells
-        if backend is not None and backend.sweep_tiled(
+        self.tiles_processed += len(plan.tiles)
+        if self.backend is not None and self.backend.sweep_tiled(
             self, padded, plan, spacing, out
         ):
-            self.tiles_processed += len(plan.tiles)
             return
+        ng = self.ghost_cells
         for tile in plan.tiles:
-            padded_strip = padded[tile.start : tile.stop + 2 * ng]
-            target = out[tile.start : tile.stop]
-            if backend is not None and backend.sweep(
-                self, padded_strip, spacing, target
-            ):
-                self.tiles_processed += 1
-                continue
-            flux = self._face_fluxes(padded_strip)
-            started = perf_counter()
-            np.subtract(flux[1:], flux[:-1], out=target)
-            np.negative(target, out=target)
-            np.divide(target, spacing, out=target)
-            self.seconds["difference"] += perf_counter() - started
-            self.tiles_processed += 1
+            self._difference_into(
+                padded[tile.start : tile.stop + 2 * ng],
+                spacing,
+                out[tile.start : tile.stop],
+            )
 
     def sweep_axis1(
         self,
         oriented_padded: np.ndarray,
-        low_spec,
-        high_spec,
+        low_specs,
+        high_specs,
         spacing: float,
         out: np.ndarray,
     ) -> None:
@@ -425,94 +477,59 @@ class StepEngine:
 
         ``oriented_padded`` is in sweep layout (axis 1 of the grid along
         its axis 0, velocity fields swapped, see :meth:`orient_into`);
-        the contribution is added back in global layout without
-        materialising the un-oriented copy the seed path makes.
+        the contribution is added back into the global-layout
+        ``(B, nx, ny, 4)`` ``out`` without materialising the un-oriented
+        copy the seed path makes.
 
         Tiled like :meth:`sweep_axis0`; a strip of oriented rows
         ``[start, stop)`` accumulates into the ``out`` *columns*
-        ``[:, start:stop]``.
+        ``[..., start:stop, :]``.
         """
-        self._fill_boundaries(oriented_padded, low_spec, high_spec)
+        self._fill_boundaries(oriented_padded, low_specs, high_specs)
         plan = self._sweep_plan(oriented_padded.shape)
-        ng = self.ghost_cells
-        backend = self.backend
-        if plan is not None and backend is not None:
-            contribution = self.workspace.array(
-                "engine.contribution_y_full",
-                (plan.n_cells,) + oriented_padded.shape[1:],
+        self.tiles_processed += len(plan.tiles)
+        ws = self.workspace
+        cross_shape = oriented_padded.shape[1:]
+        if self.backend is not None:
+            contribution = ws.array(
+                "engine.contribution_y_full", (plan.n_cells,) + cross_shape
             )
-            if backend.sweep_tiled(
+            if self.backend.sweep_tiled(
                 self, oriented_padded, plan, spacing, contribution
             ):
-                started = perf_counter()
                 # One full-buffer accumulate: each output element still
                 # receives exactly one add, so this is bitwise the
                 # per-strip accumulation below.
-                transposed = np.moveaxis(contribution, 0, -2)
-                for field_out, field_src in _SWAP_FIELDS:
-                    np.add(
-                        out[..., field_out],
-                        transposed[..., field_src],
-                        out=out[..., field_out],
-                    )
-                self.seconds["difference"] += perf_counter() - started
-                self.tiles_processed += len(plan.tiles)
+                self._accumulate_axis1(contribution, out)
                 return
-        if plan is None:
-            strips = ((None, oriented_padded),)
-        else:
-            strips = (
-                (tile, oriented_padded[tile.start : tile.stop + 2 * ng])
-                for tile in plan.tiles
+        ng = self.ghost_cells
+        for tile in plan.tiles:
+            contribution = ws.array(
+                "engine.contribution_y", (tile.cells,) + cross_shape
             )
-        for tile, padded_strip in strips:
-            contribution = self.workspace.array(
-                "engine.contribution_y",
-                (padded_strip.shape[0] - 2 * ng,) + padded_strip.shape[1:],
+            self._difference_into(
+                oriented_padded[tile.start : tile.stop + 2 * ng], spacing, contribution
             )
-            if backend is None or not backend.sweep(
-                self, padded_strip, spacing, contribution
-            ):
-                flux = self._face_fluxes(padded_strip)
-                started = perf_counter()
-                np.subtract(flux[1:], flux[:-1], out=contribution)
-                np.negative(contribution, out=contribution)
-                np.divide(contribution, spacing, out=contribution)
-                self.seconds["difference"] += perf_counter() - started
-            started = perf_counter()
-            # moveaxis generalizes the (rows, nx, 4) -> (nx, rows, 4)
-            # transpose to any leading batch axes: (rows, B, nx, 4)
-            # becomes (B, nx, rows, 4), matching the global-layout view.
-            transposed = np.moveaxis(contribution, 0, -2)
-            view = out if tile is None else out[..., tile.start : tile.stop, :]
-            for field_out, field_src in _SWAP_FIELDS:
-                np.add(
-                    view[..., field_out],
-                    transposed[..., field_src],
-                    out=view[..., field_out],
-                )
-            self.seconds["difference"] += perf_counter() - started
-            if tile is not None:
-                self.tiles_processed += 1
+            self._accumulate_axis1(contribution, out[..., tile.start : tile.stop, :])
 
     @staticmethod
     def orient_into(window: np.ndarray, target: np.ndarray) -> None:
-        """``target[j, i, f] = window[i, j, swap(f)]`` — the y-sweep layout.
+        """``target[j, b, i, f] = window[b, i, j, swap(f)]`` — the y-sweep layout.
 
-        Rank-generic: leading batch axes ride along, so a ``(B, nx, ny, 4)``
-        window orients into a ``(ny, B, nx, 4)`` target (grid axis 1 out
-        front, exactly what the batched y-sweep pads).
+        A ``(B, nx, ny, 4)`` window orients into a ``(ny, B, nx, 4)``
+        target (grid axis 1 out front, exactly what the y-sweep pads).
         """
-        transposed = np.moveaxis(window, -2, 0)
+        transposed = window.transpose(2, 0, 1, 3)
         for field_out, field_src in _SWAP_FIELDS:
             np.copyto(target[..., field_out], transposed[..., field_src])
 
-    # -- serial driver interface ---------------------------------------
+    # -- driver interface -------------------------------------------------
 
     def rhs(
         self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
     ) -> np.ndarray:
-        """Spatial operator L(U) into ``out`` (needs ``boundaries``)."""
+        """Spatial operator L(U) over the whole stack, into ``out``
+        (needs ``boundaries``)."""
         if self.boundaries is None:
             raise ConfigurationError("engine built without boundaries cannot run rhs()")
         self.rhs_evaluations += 1
@@ -520,40 +537,37 @@ class StepEngine:
         ng = self.ghost_cells
         primitive = self.primitive_into(u, reuse=use_cached_primitive)
         started = perf_counter()
-        state.validate_state(primitive, f"{self.ndim}-D solver state", work=ws)
+        state.validate_members(primitive, self._where, work=ws)
         self.seconds["convert"] += perf_counter() - started
-        if self.ndim == 1:
-            n = primitive.shape[0]
-            padded = ws.array("engine.padded_x", (n + 2 * ng,) + primitive.shape[1:])
+        nx = self.member_shape[0]
+        padded = ws.array(
+            "engine.padded_x", (nx + 2 * ng, self.batch) + self.member_shape[1:]
+        )
+        started = perf_counter()
+        padded[ng : ng + nx] = primitive.swapaxes(0, 1)
+        self.seconds["bc"] += perf_counter() - started
+        low_specs, high_specs = self._edge_specs[0]
+        self.sweep_axis0(
+            padded, low_specs, high_specs, self.spacing[0], out.swapaxes(0, 1)
+        )
+        if self.ndim == 2:
+            ny = self.member_shape[1]
+            padded_y = ws.array("engine.padded_y", (ny + 2 * ng, self.batch, nx, 4))
             started = perf_counter()
-            padded[ng : ng + n] = primitive
+            self.orient_into(primitive, padded_y[ng : ng + ny])
             self.seconds["bc"] += perf_counter() - started
-            self.sweep_axis0(
-                padded, self.boundaries.low, self.boundaries.high, self.spacing[0], out
-            )
-            return out
-        nx, ny = primitive.shape[:2]
-        padded = ws.array("engine.padded_x", (nx + 2 * ng, ny, 4))
-        started = perf_counter()
-        padded[ng : ng + nx] = primitive
-        self.seconds["bc"] += perf_counter() - started
-        low_spec, high_spec = self.boundaries.for_axis(0)
-        self.sweep_axis0(padded, low_spec, high_spec, self.spacing[0], out)
-        padded_y = ws.array("engine.padded_y", (ny + 2 * ng, nx, 4))
-        started = perf_counter()
-        self.orient_into(primitive, padded_y[ng : ng + ny])
-        self.seconds["bc"] += perf_counter() - started
-        low_spec, high_spec = self.boundaries.for_axis(1)
-        self.sweep_axis1(padded_y, low_spec, high_spec, self.spacing[1], out)
+            low_specs, high_specs = self._edge_specs[1]
+            self.sweep_axis1(padded_y, low_specs, high_specs, self.spacing[1], out)
         return out
 
-    def integrate(self, u: np.ndarray, dt: float, rhs_into: RhsInto) -> np.ndarray:
+    def integrate(self, u: np.ndarray, dt, rhs_into: RhsInto) -> np.ndarray:
         """Advance ``u`` in place by one Runge-Kutta step.
 
-        ``rhs_into(v, out, first_stage)`` must write L(v) into ``out``;
-        ``first_stage`` is True exactly once so drivers can reuse the
-        dt-fresh primitive conversion.  Time not spent inside the other
-        counted phases is booked as the Runge-Kutta combine ("rk").
+        ``dt`` is a scalar or a :meth:`dt_column`; ``rhs_into(v, out,
+        first_stage)`` must write L(v) into ``out``; ``first_stage`` is
+        True exactly once so drivers can reuse the dt-fresh primitive
+        conversion.  Time not spent inside the other counted phases is
+        booked as the Runge-Kutta combine ("rk").
         """
         stage_flag = [True]
 
@@ -571,101 +585,29 @@ class StepEngine:
         self._fresh_primitive = False
         return u
 
-    def step(self, u: np.ndarray, dt: Optional[float] = None) -> float:
-        """One serial time step, in place on ``u``; returns the dt used."""
+    def step(self, u: np.ndarray, dt=None):
+        """One lockstep time step in place on the stack.
+
+        Every member advances by its *own* dt — the ``(B,)`` vector
+        given, or :meth:`compute_dt`'s when none is; returns the dts
+        used.  A failing member leaves ``u`` untouched (the integrators
+        write it only after their last rhs evaluation).
+        """
         if dt is None:
             dt = self.compute_dt(u)
-        self.integrate(
-            u,
-            dt,
-            lambda v, out, first: self.rhs(v, out, use_cached_primitive=first),
-        )
+        self.integrate(u, self.dt_column(dt), self.rhs)
         return dt
 
-    def _inner_seconds(self) -> float:
-        seconds = self.seconds
-        return (
-            seconds["convert"]
-            + seconds["bc"]
-            + seconds["reconstruct"]
-            + seconds["riemann"]
-            + seconds["difference"]
-            + seconds.get("jit_sweep", 0.0)
-            + seconds.get("jit_dt", 0.0)
+    def dt_column(self, dt) -> np.ndarray:
+        """Reshape a ``(B,)`` dt vector to broadcast over member states.
+
+        The integrators' ``np.multiply(k, dt, out=k)`` then scales each
+        member's stage by its own clock — identical rounding to the
+        seed path's scalar multiply.
+        """
+        return np.asarray(dt, dtype=float).reshape(
+            (self.batch,) + (1,) * len(self.member_shape)
         )
-
-
-class BatchEngine(StepEngine):
-    """A :class:`StepEngine` over a ``(B, ...)`` stack of member states.
-
-    One engine step advances ``batch`` independent problems in lockstep:
-    the state is ``(B, N, 3)`` in 1-D or ``(B, Nx, Ny, 4)`` in 2-D, and
-    every kernel call — conversion, reconstruction, Riemann solve, flux
-    differencing, Runge-Kutta combine — processes the whole stack at
-    once, paying the Python/ufunc dispatch overhead once per B members
-    instead of once per member.
-
-    **Bit-identity contract.**  Every kernel in the chain is elementwise
-    over its leading axes (the same property the strip tiling relies
-    on), so member ``b`` of a batched step is bit-for-bit the state a
-    standalone :class:`StepEngine` step of that member produces.  The
-    only non-elementwise operations are the reductions, and those are
-    made per-member here: :meth:`compute_dt` returns a ``(B,)`` vector
-    of per-member CFL steps (``max`` is exact, so each entry equals the
-    member's standalone dt — members advance on their own clocks, there
-    is *no* global ``min``), and state validation attributes failures to
-    a member via :func:`repro.euler.state.validate_members`, raising a
-    member-local :class:`PhysicsError` carrying ``batch_index``.
-
-    **Layouts.**  Sweeps pad to ``(n + 2 ng, B, cross..., fields)`` —
-    the sweep axis out front as always, members next.  A member's slab
-    ``padded[:, b]`` therefore has exactly the standalone padded layout,
-    which is what lets per-member boundary sets (different geometry per
-    member, piecewise :class:`~repro.euler.boundary.EdgeSpec` segments
-    included) fill their ghost layers with the unmodified 1-member code.
-
-    **Tiling.**  The sweep strip planner sees the batch in its cross
-    size (``B × ny`` rows of work per sweep row), so strips shrink
-    automatically to keep the per-strip working set in cache; the fused
-    dt pass strips over *members* (axis 0 of the state stack) and
-    reduces each strip's members separately.
-
-    ``member_boundaries`` is one boundary set per member (required for
-    :meth:`rhs`/:meth:`step`, optional for externally-driven sweeps).
-    """
-
-    def __init__(
-        self,
-        batch: int,
-        member_shape: Sequence[int],
-        spacing: Sequence[float],
-        config,
-        member_boundaries=None,
-        backend: Optional[str] = None,
-    ):
-        batch = int(batch)
-        if batch < 1:
-            raise ConfigurationError(f"batch size must be >= 1, got {batch}")
-        super().__init__(
-            member_shape, spacing, config, boundaries=None, backend=backend
-        )
-        self.batch = batch
-        #: Shape of one member's state; ``grid_shape`` is the full stack.
-        self.member_shape = self.grid_shape
-        self.grid_shape = (batch,) + self.member_shape
-        if member_boundaries is not None:
-            member_boundaries = list(member_boundaries)
-            if len(member_boundaries) != batch:
-                raise ConfigurationError(
-                    f"need one boundary set per member:"
-                    f" got {len(member_boundaries)} for batch {batch}"
-                )
-        self.member_boundaries = member_boundaries
-
-    def counters(self) -> Dict[str, object]:
-        counters = super().counters()
-        counters["batch"] = self.batch
-        return counters
 
     def placeholder_member(self) -> np.ndarray:
         """A benign uniform conservative member state (rho=1, v=0, p=1).
@@ -680,197 +622,14 @@ class BatchEngine(StepEngine):
         primitive[..., -1] = 1.0
         return state.conservative_from_primitive(primitive, self.config.gamma)
 
-    def dt_column(self, dt: np.ndarray) -> np.ndarray:
-        """Reshape a ``(B,)`` dt vector to broadcast over member states.
-
-        The integrators' ``np.multiply(k, dt, out=k)`` then scales each
-        member's stage by its own clock — identical rounding to the
-        standalone scalar multiply.
-        """
-        return np.asarray(dt, dtype=float).reshape(
-            (self.batch,) + (1,) * len(self.member_shape)
+    def _inner_seconds(self) -> float:
+        seconds = self.seconds
+        return (
+            seconds["convert"]
+            + seconds["bc"]
+            + seconds["reconstruct"]
+            + seconds["riemann"]
+            + seconds["difference"]
+            + seconds.get("jit_sweep", 0.0)
+            + seconds.get("jit_dt", 0.0)
         )
-
-    # -- per-member dt ---------------------------------------------------
-
-    def compute_dt(
-        self, u: np.ndarray, target: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Per-member CFL steps as a ``(B,)`` vector (member clocks).
-
-        Entry ``b`` is bit-for-bit the standalone ``compute_dt`` of
-        member ``b``.  Tiled mode strips over *members* and fuses the
-        conversion with the eigenvalue pass per strip; either way the
-        converted primitive stack stays fresh for the first RK stage.
-        A non-finite member raises a member-local :class:`PhysicsError`
-        with ``batch_index`` set (siblings' entries are unaffected).
-        """
-        cfl = self.config.cfl
-        if cfl <= 0.0:
-            raise ConfigurationError(f"CFL number must be positive, got {cfl}")
-        ws = self.workspace
-        gamma = self.config.gamma
-        if target is None:
-            target = ws.array("engine.primitive", self.grid_shape)
-        maxima = ws.array("engine.dt_member_max", (self.batch,))
-        if self.tile_bytes == 0:
-            started = perf_counter()
-            state.primitive_from_conservative(u, gamma, out=target, work=ws)
-            self.seconds["convert"] += perf_counter() - started
-            started = perf_counter()
-            member_max_eigenvalues(
-                target, self.spacing, gamma, out=maxima, work=ws
-            )
-            self.seconds["dt"] += perf_counter() - started
-            self.dt_eigen_passes += 1
-        else:
-            # _dt_plan partitions axis 0 — the *member* axis here — into
-            # strips whose convert+eigenvalue working set fits the budget.
-            plan = self._dt_plan(u.shape)
-            for tile in plan.tiles:
-                rows = slice(tile.start, tile.stop)
-                # One group per member: the compiled reduction mirrors
-                # member_max_eigenvalues' per-member max exactly.
-                if self.backend is not None and self.backend.dt_strip(
-                    self, u[rows], target[rows], maxima[rows]
-                ):
-                    self.tiles_processed += 1
-                    continue
-                started = perf_counter()
-                state.primitive_from_conservative(
-                    u[rows], gamma, out=target[rows], work=ws
-                )
-                self.seconds["convert"] += perf_counter() - started
-                started = perf_counter()
-                member_max_eigenvalues(
-                    target[rows], self.spacing, gamma, out=maxima[rows], work=ws
-                )
-                self.seconds["dt"] += perf_counter() - started
-                self.tiles_processed += 1
-            self.dt_fused_strips += len(plan.tiles)
-        self.primitive_conversions += 1
-        self._primitive_target = target
-        self._fresh_primitive = True
-        started = perf_counter()
-        finite = np.isfinite(maxima)
-        if not np.all(finite):
-            index = int(np.argmin(finite))
-            try:
-                # Member-local diagnostic pass: always raises, naming the
-                # member's own offending cells.
-                max_eigenvalue(target[index], self.spacing, gamma)
-            except PhysicsError as error:
-                error.batch_index = index
-                self.seconds["dt"] += perf_counter() - started
-                raise
-            raise PhysicsError(  # pragma: no cover - defensive
-                "GetDT: non-finite signal speed",
-                context="GetDT",
-                batch_index=index,
-            )
-        self.seconds["dt"] += perf_counter() - started
-        dt = ws.array("engine.dt_members", (self.batch,))
-        np.divide(cfl, maxima, out=dt)
-        return dt
-
-    # -- batched rhs -----------------------------------------------------
-
-    def _fill_boundaries(self, padded: np.ndarray, low_specs, high_specs) -> None:
-        """Fill ghost layers member by member.
-
-        ``padded[:, b]`` is exactly one member's standalone padded array,
-        so each member's own boundary set (including piecewise EdgeSpec
-        segments, whose ranges address the along-edge axis) applies
-        unchanged.  Looping members here also keeps an EdgeSpec from
-        wrongly partitioning the batch axis.
-        """
-        ng = self.ghost_cells
-        started = perf_counter()
-        for member in range(self.batch):
-            slab = padded[:, member]
-            low = low_specs[member]
-            high = high_specs[member]
-            if low is not None:
-                low.fill(slab, ng)
-            if high is not None:
-                high.fill(slab[::-1], ng)
-        self.seconds["bc"] += perf_counter() - started
-
-    def rhs(
-        self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
-    ) -> np.ndarray:
-        """Spatial operator L(U) over the whole stack, into ``out``."""
-        if self.member_boundaries is None:
-            raise ConfigurationError(
-                "batch engine built without member boundaries cannot run rhs()"
-            )
-        self.rhs_evaluations += 1
-        ws = self.workspace
-        ng = self.ghost_cells
-        batch = self.batch
-        primitive = self.primitive_into(u, reuse=use_cached_primitive)
-        started = perf_counter()
-        state.validate_members(
-            primitive, f"batched {self.ndim}-D solver state", work=ws
-        )
-        self.seconds["convert"] += perf_counter() - started
-        if self.ndim == 1:
-            n = self.member_shape[0]
-            padded = ws.array(
-                "engine.padded_x", (n + 2 * ng, batch) + self.member_shape[1:]
-            )
-            started = perf_counter()
-            padded[ng : ng + n] = np.moveaxis(primitive, 1, 0)
-            self.seconds["bc"] += perf_counter() - started
-            self.sweep_axis0(
-                padded,
-                [bset.low for bset in self.member_boundaries],
-                [bset.high for bset in self.member_boundaries],
-                self.spacing[0],
-                np.moveaxis(out, 1, 0),
-            )
-            return out
-        nx, ny = self.member_shape[:2]
-        padded = ws.array("engine.padded_x", (nx + 2 * ng, batch, ny, 4))
-        started = perf_counter()
-        padded[ng : ng + nx] = np.moveaxis(primitive, 1, 0)
-        self.seconds["bc"] += perf_counter() - started
-        specs = [bset.for_axis(0) for bset in self.member_boundaries]
-        self.sweep_axis0(
-            padded,
-            [spec[0] for spec in specs],
-            [spec[1] for spec in specs],
-            self.spacing[0],
-            np.moveaxis(out, 1, 0),
-        )
-        padded_y = ws.array("engine.padded_y", (ny + 2 * ng, batch, nx, 4))
-        started = perf_counter()
-        self.orient_into(primitive, padded_y[ng : ng + ny])
-        self.seconds["bc"] += perf_counter() - started
-        specs = [bset.for_axis(1) for bset in self.member_boundaries]
-        self.sweep_axis1(
-            padded_y,
-            [spec[0] for spec in specs],
-            [spec[1] for spec in specs],
-            self.spacing[1],
-            out,
-        )
-        return out
-
-    def step(self, u: np.ndarray, dt: Optional[np.ndarray] = None) -> np.ndarray:
-        """One lockstep time step in place on the stack.
-
-        Every member advances by its *own* dt (computed here when not
-        supplied); returns the ``(B,)`` dt vector used.  Drivers that
-        need per-member clamping or failure isolation (see
-        ``EnsembleSolver2D``) call :meth:`compute_dt`/:meth:`integrate`
-        directly instead.
-        """
-        if dt is None:
-            dt = self.compute_dt(u)
-        self.integrate(
-            u,
-            self.dt_column(dt),
-            lambda v, out, first: self.rhs(v, out, use_cached_primitive=first),
-        )
-        return dt

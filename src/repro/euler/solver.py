@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import ConfigurationError, PhysicsError
 from repro.euler.constants import DEFAULT_CFL, GAMMA
 from repro.euler import state
-from repro.euler.engine import BatchEngine, StepEngine
+from repro.euler.engine import StepEngine
 from repro.euler.boundary import (
     BoundarySet1D,
     BoundarySet2D,
@@ -54,9 +54,10 @@ class SolverConfig:
     ``tile_bytes`` is the engine's cache-blocking budget (see
     :mod:`repro.euler.tiling`): ``None`` defers to the
     ``REPRO_TILE_BYTES`` environment variable and then the built-in
-    default, ``0`` disables blocking (the untiled seed behaviour), any
-    positive value is the per-strip working-set target in bytes.  The
-    tiled and untiled paths are bit-for-bit identical.
+    default, ``0`` means no budget (every sweep is a plan of one strip,
+    the whole-grid reference), any positive value is the per-strip
+    working-set target in bytes.  Results are bit-for-bit independent
+    of the strip plan.
     """
 
     reconstruction: str = "weno3"
@@ -201,16 +202,109 @@ class RunResult:
     dt_history: List[float] = field(default_factory=list)
 
 
-class EulerSolver1D:
+def _solo(engine_method, *args):
+    """Call an engine method for a solo solver: the run is a batch of one
+    inside the engine only, so its failures leave without ``batch_index``."""
+    try:
+        return engine_method(*args)
+    except PhysicsError as error:
+        error.batch_index = None
+        raise
+
+
+class _GodunovSolver:
+    """What :class:`EulerSolver1D` and :class:`EulerSolver2D` share.
+
+    With ``use_engine=True`` (the default) stepping runs through a
+    preallocated :class:`~repro.euler.engine.StepEngine` as a batch of
+    one: the engine sees the ``u[None]`` view and the solver reads entry
+    0 of its per-member dt vector.  The results are bit-for-bit
+    identical to the allocating seed path (``_seed_rhs`` and the
+    allocating integrator), which ``use_engine=False`` keeps available
+    as the reference every equality test compares against.
+    """
+
+    def __init__(self, primitive, spacing, boundaries, config, use_engine, watch):
+        self.config = config or SolverConfig()
+        self.spacing = tuple(float(s) for s in spacing)
+        self.boundaries = boundaries
+        self.kernel = _SweepKernel(self.config)
+        self.integrator = get_integrator(self.config.rk_order)
+        self.u = state.conservative_from_primitive(
+            np.asarray(primitive, dtype=float), self.config.gamma
+        )
+        self.engine: Optional[StepEngine] = (
+            StepEngine(self.u.shape, self.spacing, self.config, [boundaries])
+            if use_engine
+            else None
+        )
+        self.time = 0.0
+        self.steps = 0
+        #: optional :class:`repro.obs.trace.StepTrace` recording each step
+        self.watch = watch
+
+    @property
+    def primitive(self) -> np.ndarray:
+        """Current primitive state per cell."""
+        return state.primitive_from_conservative(self.u, self.config.gamma)
+
+    @property
+    def phase_seconds(self):
+        """Cumulative per-phase seconds from the engine (None without one)."""
+        return dict(self.engine.seconds) if self.engine is not None else None
+
+    @property
+    def tiles(self) -> int:
+        """Cumulative sweep/dt strips processed by the engine."""
+        return self.engine.tiles_processed if self.engine is not None else 0
+
+    @property
+    def tile_bytes(self) -> int:
+        """The engine's effective cache-blocking budget (0 = one-strip plans)."""
+        return self.engine.tile_bytes if self.engine is not None else 0
+
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """Spatial operator L(U) (unsplit: the sweeps' differences summed)."""
+        if self.engine is not None:
+            return _solo(self.engine.rhs, u[None], np.empty_like(u)[None])[0]
+        return self._seed_rhs(u)
+
+    def compute_dt(self) -> float:
+        if self.engine is not None:
+            return float(_solo(self.engine.compute_dt, self.u[None])[0])
+        return get_dt(self.primitive, self.spacing, self.config.cfl, self.config.gamma)
+
+    def step(self, dt: Optional[float] = None) -> float:
+        """Advance one time step; returns the dt used."""
+        if dt is None:
+            dt = self.compute_dt()
+        if self.engine is not None:
+            _solo(self.engine.step, self.u[None], dt)
+        else:
+            self.u = self.integrator(self.u, dt, self.rhs)
+        self.time += dt
+        self.steps += 1
+        if self.watch is not None:
+            self.watch.record_step(self, dt)
+        return dt
+
+    def run(
+        self,
+        t_end: Optional[float] = None,
+        max_steps: Optional[int] = None,
+        callback: Optional[Callable] = None,
+        watch=None,
+    ) -> RunResult:
+        """Advance until ``t_end`` and/or for ``max_steps`` steps."""
+        return _run_loop(self, t_end, max_steps, callback, watch=watch)
+
+
+class EulerSolver1D(_GodunovSolver):
     """Method-of-lines Euler solver on a uniform 1-D grid.
 
     ``primitive`` is the initial condition as an ``(N, 3)`` array of
     (rho, u, p); the solver advances the conservative state in place.
-
-    With ``use_engine=True`` (the default) stepping runs through a
-    preallocated :class:`~repro.euler.engine.StepEngine`; the results
-    are bit-for-bit identical to the allocating seed path, which
-    ``use_engine=False`` keeps available as the benchmark reference.
+    See :class:`_GodunovSolver` for ``use_engine``.
     """
 
     def __init__(
@@ -226,43 +320,8 @@ class EulerSolver1D:
             raise ConfigurationError("1-D initial condition must have shape (N, 3)")
         if dx <= 0:
             raise ConfigurationError(f"dx must be positive, got {dx}")
-        self.config = config or SolverConfig()
         self.dx = float(dx)
-        self.boundaries = boundaries
-        self.kernel = _SweepKernel(self.config)
-        self.integrator = get_integrator(self.config.rk_order)
-        self.u = state.conservative_from_primitive(
-            np.asarray(primitive, dtype=float), self.config.gamma
-        )
-        self.engine: Optional[StepEngine] = (
-            StepEngine(self.u.shape, (self.dx,), self.config, self.boundaries)
-            if use_engine
-            else None
-        )
-        self.time = 0.0
-        self.steps = 0
-        #: optional :class:`repro.obs.trace.StepTrace` recording each step
-        self.watch = watch
-
-    @property
-    def primitive(self) -> np.ndarray:
-        """Current primitive state (rho, u, p) per cell."""
-        return state.primitive_from_conservative(self.u, self.config.gamma)
-
-    @property
-    def phase_seconds(self):
-        """Cumulative per-phase seconds from the engine (None without one)."""
-        return dict(self.engine.seconds) if self.engine is not None else None
-
-    @property
-    def tiles(self) -> int:
-        """Cumulative sweep/dt strips processed by the engine."""
-        return self.engine.tiles_processed if self.engine is not None else 0
-
-    @property
-    def tile_bytes(self) -> int:
-        """The engine's effective cache-blocking budget (0 = untiled)."""
-        return self.engine.tile_bytes if self.engine is not None else 0
+        super().__init__(primitive, (dx,), boundaries, config, use_engine, watch)
 
     def _pad(self, primitive: np.ndarray) -> np.ndarray:
         ng = self.kernel.ghost_cells
@@ -273,56 +332,21 @@ class EulerSolver1D:
         self.boundaries.high.fill(padded[::-1], ng)
         return padded
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        """Spatial operator L(U) = -dF/dx."""
-        if self.engine is not None:
-            return self.engine.rhs(u, np.empty_like(u))
+    def _seed_rhs(self, u: np.ndarray) -> np.ndarray:
+        """L(U) = -dF/dx, allocating."""
         primitive = state.primitive_from_conservative(u, self.config.gamma)
         state.validate_state(primitive, "1-D solver state")
         padded = self._pad(primitive)
         flux = self.kernel.face_fluxes(padded)
         return -(flux[1:] - flux[:-1]) / self.dx
 
-    def compute_dt(self) -> float:
-        if self.engine is not None:
-            return self.engine.compute_dt(self.u)
-        return get_dt(self.primitive, [self.dx], self.config.cfl, self.config.gamma)
 
-    def step(self, dt: Optional[float] = None) -> float:
-        """Advance one time step; returns the dt used."""
-        if self.engine is not None:
-            dt = self.engine.step(self.u, dt)
-        else:
-            if dt is None:
-                dt = self.compute_dt()
-            self.u = self.integrator(self.u, dt, self.rhs)
-        self.time += dt
-        self.steps += 1
-        if self.watch is not None:
-            self.watch.record_step(self, dt)
-        return dt
-
-    def run(
-        self,
-        t_end: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        callback: Optional[Callable[["EulerSolver1D"], None]] = None,
-        watch=None,
-    ) -> RunResult:
-        """Advance until ``t_end`` and/or for ``max_steps`` steps."""
-        return _run_loop(self, t_end, max_steps, callback, watch=watch)
-
-
-class EulerSolver2D:
+class EulerSolver2D(_GodunovSolver):
     """Method-of-lines Euler solver on a uniform 2-D grid.
 
     ``primitive`` is ``(Nx, Ny, 4)`` of (rho, u, v, p); index ``[i, j]``
     is the cell at ``x = (i + 1/2) dx, y = (j + 1/2) dy``.
-
-    With ``use_engine=True`` (the default) stepping runs through a
-    preallocated :class:`~repro.euler.engine.StepEngine`; the results
-    are bit-for-bit identical to the allocating seed path, which
-    ``use_engine=False`` keeps available as the benchmark reference.
+    See :class:`_GodunovSolver` for ``use_engine``.
     """
 
     def __init__(
@@ -339,44 +363,9 @@ class EulerSolver2D:
             raise ConfigurationError("2-D initial condition must have shape (Nx, Ny, 4)")
         if dx <= 0 or dy <= 0:
             raise ConfigurationError(f"dx and dy must be positive, got {dx}, {dy}")
-        self.config = config or SolverConfig()
         self.dx = float(dx)
         self.dy = float(dy)
-        self.boundaries = boundaries
-        self.kernel = _SweepKernel(self.config)
-        self.integrator = get_integrator(self.config.rk_order)
-        self.u = state.conservative_from_primitive(
-            np.asarray(primitive, dtype=float), self.config.gamma
-        )
-        self.engine: Optional[StepEngine] = (
-            StepEngine(self.u.shape, (self.dx, self.dy), self.config, self.boundaries)
-            if use_engine
-            else None
-        )
-        self.time = 0.0
-        self.steps = 0
-        #: optional :class:`repro.obs.trace.StepTrace` recording each step
-        self.watch = watch
-
-    @property
-    def primitive(self) -> np.ndarray:
-        """Current primitive state (rho, u, v, p) per cell."""
-        return state.primitive_from_conservative(self.u, self.config.gamma)
-
-    @property
-    def phase_seconds(self):
-        """Cumulative per-phase seconds from the engine (None without one)."""
-        return dict(self.engine.seconds) if self.engine is not None else None
-
-    @property
-    def tiles(self) -> int:
-        """Cumulative sweep/dt strips processed by the engine."""
-        return self.engine.tiles_processed if self.engine is not None else 0
-
-    @property
-    def tile_bytes(self) -> int:
-        """The engine's effective cache-blocking budget (0 = untiled)."""
-        return self.engine.tile_bytes if self.engine is not None else 0
+        super().__init__(primitive, (dx, dy), boundaries, config, use_engine, watch)
 
     def _sweep(self, primitive: np.ndarray, axis: int) -> np.ndarray:
         """Flux-difference contribution of one sweep, in global layout."""
@@ -401,44 +390,36 @@ class EulerSolver2D:
             )
         return contribution
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        """Spatial operator L(U) = -dF/dx - dG/dy (unsplit)."""
-        if self.engine is not None:
-            return self.engine.rhs(u, np.empty_like(u))
+    def _seed_rhs(self, u: np.ndarray) -> np.ndarray:
+        """L(U) = -dF/dx - dG/dy (unsplit), allocating."""
         primitive = state.primitive_from_conservative(u, self.config.gamma)
         state.validate_state(primitive, "2-D solver state")
         return self._sweep(primitive, 0) + self._sweep(primitive, 1)
 
-    def compute_dt(self) -> float:
-        if self.engine is not None:
-            return self.engine.compute_dt(self.u)
-        return get_dt(
-            self.primitive, [self.dx, self.dy], self.config.cfl, self.config.gamma
+
+def _reached(time: float, steps: int, t_end, max_steps) -> bool:
+    """The one stop rule of every run loop (solo, parallel, per member).
+
+    The ``t_end`` tolerance scales with ``t_end``: an absolute 1e-14
+    epsilon is meaningless for large end times (t_end = 1000 sits ~1e-13
+    ulp apart) and overly strict for tiny ones.
+    """
+    if max_steps is not None and steps >= max_steps:
+        return True
+    return t_end is not None and t_end - time <= 1e-12 * abs(t_end)
+
+
+def _clamped_dt(dt, time: float, t_end, batch_index: Optional[int] = None) -> float:
+    """``dt`` as a plain float, clamped so the clock lands on ``t_end``;
+    a collapsed or non-finite step is a :class:`PhysicsError`."""
+    dt = float(dt)
+    if t_end is not None:
+        dt = min(dt, t_end - time)
+    if dt <= 0.0 or not np.isfinite(dt):
+        raise PhysicsError(
+            f"non-positive or non-finite time step {dt}", batch_index=batch_index
         )
-
-    def step(self, dt: Optional[float] = None) -> float:
-        """Advance one time step; returns the dt used."""
-        if self.engine is not None:
-            dt = self.engine.step(self.u, dt)
-        else:
-            if dt is None:
-                dt = self.compute_dt()
-            self.u = self.integrator(self.u, dt, self.rhs)
-        self.time += dt
-        self.steps += 1
-        if self.watch is not None:
-            self.watch.record_step(self, dt)
-        return dt
-
-    def run(
-        self,
-        t_end: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        callback: Optional[Callable[["EulerSolver2D"], None]] = None,
-        watch=None,
-    ) -> RunResult:
-        """Advance until ``t_end`` and/or for ``max_steps`` steps."""
-        return _run_loop(self, t_end, max_steps, callback, watch=watch)
+    return dt
 
 
 def _run_loop(solver, t_end, max_steps, callback, watch=None) -> RunResult:
@@ -457,19 +438,8 @@ def _run_loop(solver, t_end, max_steps, callback, watch=None) -> RunResult:
         solver.watch = watch
     history: List[float] = []
     try:
-        while True:
-            if max_steps is not None and solver.steps >= max_steps:
-                break
-            # Stop tolerance scales with t_end: an absolute 1e-14 epsilon is
-            # meaningless for large end times (t_end = 1000 sits ~1e-13 ulp
-            # apart) and overly strict for tiny ones.
-            if t_end is not None and t_end - solver.time <= 1e-12 * abs(t_end):
-                break
-            dt = solver.compute_dt()
-            if t_end is not None:
-                dt = min(dt, t_end - solver.time)
-            if dt <= 0.0 or not np.isfinite(dt):
-                raise PhysicsError(f"non-positive or non-finite time step {dt}")
+        while not _reached(solver.time, solver.steps, t_end, max_steps):
+            dt = _clamped_dt(solver.compute_dt(), solver.time, t_end)
             solver.step(dt)
             history.append(dt)
             if callback is not None:
@@ -572,10 +542,10 @@ class EulerEnsemble2D:
     """B independent 2-D Euler problems advanced in lockstep.
 
     The member states are stacked into one ``(B, Nx, Ny, 4)``
-    conservative array and stepped through a
-    :class:`~repro.euler.engine.BatchEngine`, so the per-step Python
-    and dispatch overhead is paid once per batch instead of once per
-    scenario.  Every kernel in the pipeline is elementwise over the
+    conservative array and stepped through the same
+    :class:`~repro.euler.engine.StepEngine` the solo solvers use with
+    B = 1, so the per-step Python and dispatch overhead is paid once
+    per batch instead of once per scenario.  Every kernel in the pipeline is elementwise over the
     leading batch axis (boundaries are filled per member slab), which
     gives the load-bearing guarantee: **member b's state is bit-for-bit
     the state of running that member alone**.
@@ -633,12 +603,11 @@ class EulerEnsemble2D:
             self.u = np.stack(stack)
         else:
             self.u = np.ascontiguousarray(_conservative, dtype=float)
-        self.engine = BatchEngine(
-            self.batch,
+        self.engine = StepEngine(
             self.u.shape[1:],
             (self.dx, self.dy),
             self.config,
-            member_boundaries=[member.boundaries for member in members],
+            [member.boundaries for member in members],
         )
         #: per-member clocks and step counters (lists, not arrays, so the
         #: accumulation arithmetic is plain Python floats exactly as in
@@ -792,26 +761,14 @@ class EulerEnsemble2D:
                 return []
             try:
                 raw = engine.compute_dt(self.u)
-                dts = np.zeros(self.batch)
+                dts = [0.0] * self.batch
                 for index in active:
-                    dt = float(raw[index])
-                    if t_end is not None:
-                        dt = min(dt, t_end - self.times[index])
-                    if dt <= 0.0 or not np.isfinite(dt):
-                        # The standalone run loop raises exactly this
-                        # message; here it costs one member, not the run.
-                        raise PhysicsError(
-                            f"non-positive or non-finite time step {dt}",
-                            batch_index=index,
-                        )
-                    dts[index] = dt
-                engine.integrate(
-                    self.u,
-                    engine.dt_column(dts),
-                    lambda v, out, first: engine.rhs(
-                        v, out, use_cached_primitive=first
-                    ),
-                )
+                    # The solo run loop's clamp and rejection; here a
+                    # collapsed dt costs one member, not the run.
+                    dts[index] = _clamped_dt(
+                        raw[index], self.times[index], t_end, batch_index=index
+                    )
+                engine.step(self.u, dts)
             except PhysicsError as error:
                 if getattr(error, "batch_index", None) is None:
                     raise
@@ -833,22 +790,17 @@ class EulerEnsemble2D:
     ) -> EnsembleResult:
         """Advance every member until its own time/step bound.
 
-        Per-member termination replicates the standalone run loop: the
-        same relative stop tolerance on ``t_end``, the same ``dt``
-        clamp, the same ``max_steps`` check — so a member's trajectory
-        (every dt, every state) matches its solo run bit for bit.
+        Per-member termination is the solo run loop's: the same stop
+        rule (:func:`_reached`) and the same dt clamp
+        (:func:`_clamped_dt`) — so a member's trajectory (every dt,
+        every state) matches its solo run bit for bit.
         """
         if t_end is None and max_steps is None:
             raise ConfigurationError("run() needs t_end and/or max_steps")
         while True:
             for index in range(self.batch):
-                if not self.live(index):
-                    continue
-                if max_steps is not None and self.steps[index] >= max_steps:
-                    self._finish(index)
-                elif (
-                    t_end is not None
-                    and t_end - self.times[index] <= 1e-12 * abs(t_end)
+                if self.live(index) and _reached(
+                    self.times[index], self.steps[index], t_end, max_steps
                 ):
                     self._finish(index)
             if not any(self.live(index) for index in range(self.batch)):

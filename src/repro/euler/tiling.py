@@ -1,4 +1,4 @@
-"""Cache-blocking plans for the StepEngine's sweep pipeline.
+"""Strip plans for the StepEngine's sweep and dt passes.
 
 The paper attributes much of SaC's performance to *with-loop folding* —
 fusing producer/consumer array operations so intermediates never travel
@@ -13,17 +13,19 @@ engine's step rate was going.
 A :class:`TilePlan` is geometry only — which output rows each strip
 owns.  Because every kernel in the pipeline is elementwise per face (or
 per cell), running it strip-by-strip performs the *identical rounded
-operations* on each element as one full-grid pass: the tiled path is
-bit-for-bit equal to the untiled path, which the differential tests
-enforce.  A strip of output cells ``[start, stop)`` reads padded cells
-``[start, stop + 2*ghost_cells)`` and produces faces
+operations* on each element as one full-grid pass: a plan of many
+strips is bit-for-bit equal to a plan of one, which the differential
+tests enforce.  A strip of output cells ``[start, stop)`` reads padded
+cells ``[start, stop + 2*ghost_cells)`` and produces faces
 ``[start, stop + 1)``; adjacent strips recompute one shared face each,
 the only redundant work.
 
 ``tile_bytes`` selects the cache budget: ``SolverConfig.tile_bytes``
 wins, then the ``REPRO_TILE_BYTES`` environment variable, then
-:data:`DEFAULT_TILE_BYTES`.  ``0`` disables blocking entirely and keeps
-the seed's one-pass-per-ufunc behaviour.
+:data:`DEFAULT_TILE_BYTES`.  ``0`` means "no budget": the engine plans
+with :data:`UNBOUNDED_TILE_BYTES`, so the same code runs a plan of one
+strip — the seed's one-pass-per-ufunc behaviour, and the whole-grid
+reference of the differential tests.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_TILE_BYTES",
+    "UNBOUNDED_TILE_BYTES",
     "TILE_BYTES_ENV",
     "TileSpec",
     "TilePlan",
@@ -54,6 +57,10 @@ __all__ = [
 #: sides (too-small strips pay Python dispatch per ufunc call, too-large
 #: strips spill the working set back to DRAM).
 DEFAULT_TILE_BYTES = 1 << 22
+
+#: The budget the engine plans with when ``tile_bytes`` is 0: larger than
+#: any working set, so every plan is a single strip.
+UNBOUNDED_TILE_BYTES = 1 << 62
 
 #: Environment override consulted when ``SolverConfig.tile_bytes`` is None.
 TILE_BYTES_ENV = "REPRO_TILE_BYTES"
@@ -112,7 +119,7 @@ def plan_tiles(n_cells: int, row_bytes: int, tile_bytes: int) -> TilePlan:
     if tile_bytes < 1:
         raise ConfigurationError(
             f"plan_tiles needs a positive tile_bytes, got {tile_bytes}"
-            " (0 disables tiling upstream)"
+            " (the engine maps 0 to UNBOUNDED_TILE_BYTES)"
         )
     strip_rows = max(1, min(n_cells, tile_bytes // row_bytes))
     tiles = tuple(

@@ -97,7 +97,7 @@ def member_max_eigenvalues(
     ``b`` is exactly ``max_eigenvalue(primitive[b], ...)`` — ``max`` is
     exact and order-independent, so each member's value is bit-for-bit
     its standalone one.  Non-finite entries are *returned*, not raised;
-    the caller owns member attribution (see ``BatchEngine.compute_dt``).
+    the caller owns member attribution (see ``StepEngine.compute_dt``).
     """
     members = primitive.shape[0]
     ev = eigenvalues_into(primitive, spacing, gamma, work=work)

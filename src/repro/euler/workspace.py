@@ -44,7 +44,7 @@ class Workspace:
 
     def array(self, name: str, shape: Sequence[int], dtype=float) -> np.ndarray:
         """The buffer registered under ``(name, shape, dtype)``, allocating once."""
-        key = (name, tuple(int(extent) for extent in shape), np.dtype(dtype).str)
+        key = (name, tuple(map(int, shape)), np.dtype(dtype).str)
         buffer = self._arrays.get(key)
         if buffer is None:
             buffer = np.empty(key[1], dtype=dtype)

@@ -11,7 +11,7 @@ How it works
 ------------
 
 * A *specialization* is the tuple ``(riemann, reconstruction, limiter,
-  variables, dtype, ndim)`` — exactly the method menu the engine's
+  variables, ndim)`` over float64 — exactly the method menu the engine's
   NumPy path dispatches on (:data:`repro.euler.riemann.RIEMANN_SOLVERS`
   and friends).  :mod:`repro.jit.kernels` assembles, per
   specialization, a straight-line SSA kernel IR (:mod:`repro.jit.ir`)

@@ -232,7 +232,7 @@ class JitBackend:
         unexpected dtype/geometry) return False silently and take the
         ordinary serial path with its own accounting.
         """
-        if self.threads < 2 or plan is None or len(plan.tiles) < 2:
+        if self.threads < 2 or len(plan.tiles) < 2:
             return False
         kernel = self._ensure_kernel()
         if kernel is None or self._flux_ir is None:
@@ -306,8 +306,7 @@ class JitBackend:
 
         Writes the primitive conversion into ``prim_strip`` (kept fresh
         for RK stage 1, exactly like the NumPy path) and one max per
-        group into ``maxima_out`` — one group for a solo engine strip,
-        one per member for a batch strip.
+        group into ``maxima_out`` — one group per member of the strip.
         """
         kernel = self._ensure_kernel()
         if kernel is None:

@@ -9,10 +9,12 @@ the full specialization (every constant as a hex float), so the hash
 turns "compile on first use" into a single ``dlopen``.
 
 The cache directory is ``REPRO_JIT_CACHE`` or
-``~/.cache/repro-jit``.  Failures (no compiler, cc errors, unwritable
-cache) raise :class:`CompileError`; the backend catches it, counts the
-reason, and keeps the NumPy oracle — compilation problems can never
-change results, only speed.
+``~/.cache/repro-jit``.  A cached entry that will not load is unlinked
+and rebuilt once, so a torn file cannot outlive the process that finds
+it.  Failures (no compiler, cc errors, unwritable cache) raise
+:class:`CompileError`; the backend catches it, counts the reason, and
+keeps the NumPy oracle — compilation problems can never change results,
+only speed.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def load_kernel(source: str, ndim: int) -> CompiledKernel:
             f"cannot create jit cache directory {directory}: {error}"
         ) from error
 
-    if shared_object.exists():
+    cached = shared_object.exists()
+    if cached:
         _STATS["cache_hits"] += 1
     else:
         _STATS["cache_misses"] += 1
@@ -148,9 +151,23 @@ def load_kernel(source: str, ndim: int) -> CompiledKernel:
     try:
         library = ctypes.CDLL(str(shared_object))
     except OSError as error:
-        raise CompileError(
-            f"cannot load compiled kernel {shared_object}: {error}"
-        ) from error
+        if not cached:
+            raise CompileError(
+                f"cannot load compiled kernel {shared_object}: {error}"
+            ) from error
+        # A pre-existing entry that will not load (truncated, corrupt,
+        # another architecture's) would otherwise disable this
+        # specialization in every later process: drop it, rebuild once.
+        _STATS["cache_misses"] += 1
+        try:
+            shared_object.unlink()
+            _build(source, digest, directory, shared_object)
+            library = ctypes.CDLL(str(shared_object))
+        except OSError as retry_error:
+            raise CompileError(
+                f"cannot replace unloadable cached kernel {shared_object}:"
+                f" {retry_error}"
+            ) from retry_error
     kernel = CompiledKernel(library, shared_object, ndim)
     _LOADED[digest] = kernel
     return kernel

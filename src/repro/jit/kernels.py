@@ -1,10 +1,10 @@
 """Kernel specializations and their IR assembly.
 
 A :class:`KernelSpec` is the method tuple the engine's NumPy path
-dispatches on — ``(riemann, reconstruction, limiter, variables, dtype,
-ndim)``.  For a supported spec this module assembles two straight-line
-SSA kernels from the emitter functions that live next to the NumPy
-kernels they mirror:
+dispatches on — ``(riemann, reconstruction, limiter, variables,
+ndim)``; the element type is always float64.  For a supported spec this
+module assembles two straight-line SSA kernels from the emitter
+functions that live next to the NumPy kernels they mirror:
 
 * the **flux kernel** — the whole per-face ``reconstruct -> riemann``
   chain from one stencil of primitive cells to one numerical flux
@@ -20,8 +20,7 @@ engine keeps the NumPy oracle for them:
 * ``characteristic`` variables with a multi-cell stencil (the
   eigenvector projection is not lowered; with ``pc``'s one-cell
   stencil the projection is skipped by the NumPy path itself, so the
-  spec normalises to the bit-identical ``primitive`` kernel);
-* any dtype but float64.
+  spec normalises to the bit-identical ``primitive`` kernel).
 """
 
 from __future__ import annotations
@@ -43,13 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One compiled specialization (the cache key modulo dtype/rank)."""
+    """One compiled specialization (float64 throughout)."""
 
     riemann: str
     reconstruction: str
     limiter: str
     variables: str
-    dtype: str
     ndim: int
 
     @property
@@ -64,7 +62,7 @@ class KernelSpec:
         """Human-readable name used in diagnostics and obs counters."""
         return (
             f"{self.riemann}/{self.reconstruction}/{self.limiter}/"
-            f"{self.variables}/{self.dtype}/{self.ndim}d"
+            f"{self.variables}/float64/{self.ndim}d"
         )
 
     def symbol(self) -> str:
@@ -99,7 +97,6 @@ def spec_from_config(config, ndim: int):
         reconstruction=config.reconstruction,
         limiter=config.limiter,
         variables=variables,
-        dtype="float64",
         ndim=int(ndim),
     )
     return spec, None

@@ -62,7 +62,7 @@ class TraceRecord:
     barrier_wait_seconds: float = 0.0
     workers: int = 1
     #: Cache-blocking strips processed this step and the engine's budget
-    #: (0 = untiled); see :mod:`repro.euler.tiling`.
+    #: (0 = one-strip plans); see :mod:`repro.euler.tiling`.
     tiles: int = 0
     tile_bytes: int = 0
     #: Kernel backend in use ("numpy" or "jit") and the process-wide

@@ -112,39 +112,41 @@ class ParallelSolver2D:
         )
         self._team = self.pool.team_barrier()
         self._dt_slots = SlotReduction(self.decomposition.workers)
-        # Physical edge specs pre-windowed per subdomain (None on interior edges).
+        # Physical edge specs pre-windowed per subdomain (None on interior
+        # edges), each as the one-member list the engine's sweeps take.
+        def windowed(neighbour, spec, low, high):
+            if neighbour is not None:
+                return [None]
+            return [halo_mod.restrict_edge_spec(spec, low, high)]
+
         self._edge_specs = [
             {
-                "left": None if sd.left is not None else halo_mod.restrict_edge_spec(
-                    boundaries.left, sd.y0, sd.y1
-                ),
-                "right": None if sd.right is not None else halo_mod.restrict_edge_spec(
-                    boundaries.right, sd.y0, sd.y1
-                ),
-                "bottom": None if sd.bottom is not None else halo_mod.restrict_edge_spec(
-                    boundaries.bottom, sd.x0, sd.x1
-                ),
-                "top": None if sd.top is not None else halo_mod.restrict_edge_spec(
-                    boundaries.top, sd.x0, sd.x1
-                ),
+                "left": windowed(sd.left, boundaries.left, sd.y0, sd.y1),
+                "right": windowed(sd.right, boundaries.right, sd.y0, sd.y1),
+                "bottom": windowed(sd.bottom, boundaries.bottom, sd.x0, sd.x1),
+                "top": windowed(sd.top, boundaries.top, sd.x0, sd.x1),
             }
             for sd in self.decomposition.subdomains
         ]
         # One StepEngine (thus one workspace) per rank: workers share no
-        # scratch memory.  The engines run without physical boundaries —
-        # exterior edges are filled through the windowed specs above.
+        # scratch memory.  Each is a batch of one run without physical
+        # boundaries — exterior edges are filled through the windowed
+        # specs above.
         h = self.halo
         self._engines: List[StepEngine] = [
             StepEngine(block.shape, (self.dx, self.dy), self.config)
             for block in self._locals
         ]
-        # Interior windows of the halo buffers, precomputed once so the
+        # Interior windows of the halo buffers and the one-member views
+        # the engines take, all precomputed once so the
         # primitive-freshness check in StepEngine.primitive_into (an
         # ``is`` identity on the target array) holds across calls.
         self._interiors: List[np.ndarray] = [
             buffer[h : h + sd.nx, h : h + sd.ny]
             for sd, buffer in zip(self.decomposition.subdomains, self._buffers)
         ]
+        self._local_stacks = [block[None] for block in self._locals]
+        self._interior_stacks = [interior[None] for interior in self._interiors]
 
     @classmethod
     def from_serial(
@@ -278,8 +280,8 @@ class ParallelSolver2D:
                 self._dt_slots.deposit(
                     rank,
                     self._engines[rank].compute_dt(
-                        self._locals[rank], target=self._interiors[rank]
-                    ),
+                        self._local_stacks[rank], target=self._interior_stacks[rank]
+                    )[0],
                 )
 
         self.pool.run(deposit_local_dt)
@@ -292,7 +294,7 @@ class ParallelSolver2D:
 
         def advance(rank: int) -> None:
             self._engines[rank].integrate(
-                self._locals[rank],
+                self._local_stacks[rank],
                 dt,
                 lambda v, out, first: self._local_rhs_into(rank, v, out, first),
             )
@@ -335,11 +337,13 @@ class ParallelSolver2D:
 
         Validation inside a subdomain reports cells in block coordinates;
         without the ``(x0, y0)`` offset the "offending cell" would point
-        at the wrong place on every rank but 0.
+        at the wrong place on every rank but 0.  A rank engine is a batch
+        of one, which is not the caller's business: ``batch_index`` goes.
         """
         try:
             yield
         except PhysicsError as error:
+            error.batch_index = None
             if not error.details.get("global_cells"):
                 sd = self.decomposition.subdomains[rank]
                 error.cells = [
@@ -372,19 +376,24 @@ class ParallelSolver2D:
         The primitive conversion lands directly in the interior window
         of this rank's halo buffer (no staging copy); on the first stage
         after :meth:`compute_dt` the conversion already there is reused.
+        ``u_block`` and ``out`` are the engine's one-member stacks
+        ``(1, nx, ny, 4)``; the padded sweep arrays get the member axis
+        second, as views.
         """
         sd = self.decomposition.subdomains[rank]
         engine = self._engines[rank]
         h = self.halo
         ng = engine.ghost_cells
         engine.rhs_evaluations += 1
-        block = engine.primitive_into(
-            u_block, target=self._interiors[rank], reuse=first_stage
+        engine.primitive_into(
+            u_block, target=self._interior_stacks[rank], reuse=first_stage
         )
         started = perf_counter()
         with self._global_cells(rank):
             state.validate_state(
-                block, f"parallel solver subdomain {rank}", work=engine.workspace
+                self._interiors[rank],
+                f"parallel solver subdomain {rank}",
+                work=engine.workspace,
             )
         engine.seconds["convert"] += perf_counter() - started
         self._team.wait()
@@ -393,11 +402,13 @@ class ParallelSolver2D:
 
         buffer = self._buffers[rank]
         specs = self._edge_specs[rank]
-        padded_x = buffer[h - ng : h + sd.nx + ng, h : h + sd.ny]
-        engine.sweep_axis0(padded_x, specs["left"], specs["right"], self.dx, out)
-        window = buffer[h : h + sd.nx, h - ng : h + sd.ny + ng]
+        padded_x = buffer[h - ng : h + sd.nx + ng, None, h : h + sd.ny]
+        engine.sweep_axis0(
+            padded_x, specs["left"], specs["right"], self.dx, out.swapaxes(0, 1)
+        )
+        window = buffer[None, h : h + sd.nx, h - ng : h + sd.ny + ng]
         padded_y = engine.workspace.array(
-            "engine.padded_y", (sd.ny + 2 * ng, sd.nx, window.shape[-1])
+            "engine.padded_y", (sd.ny + 2 * ng, 1, sd.nx, window.shape[-1])
         )
         started = perf_counter()
         engine.orient_into(window, padded_y)

@@ -215,7 +215,7 @@ class MeasuredPoint:
     halo_bytes: int = 0
     barrier_wait_seconds: float = 0.0
     #: Cache-blocking telemetry: strips processed over the run and the
-    #: engines' tile budget (0 = untiled; see repro.euler.tiling).
+    #: engines' tile budget (0 = one-strip plans; see repro.euler.tiling).
     tiles: int = 0
     tile_bytes: int = 0
     #: Per-step trace records in JSON form (see repro.obs.trace), kept

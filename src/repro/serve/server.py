@@ -225,7 +225,7 @@ class SimulationService:
                 # Drain shape-compatible siblings of this job into one
                 # batched dispatch — same batch key means same grid
                 # shape/spacing, config and stopping criterion, which is
-                # exactly what one BatchEngine step can advance together.
+                # exactly what one StepEngine step can advance together.
                 key = record.spec.batch_key()
                 if key is not None:
                     batch += self.queue.drain(

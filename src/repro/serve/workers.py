@@ -643,7 +643,7 @@ class ShardPool:
 
         ``jobs`` is a list of ``(job_id, attempt, spec)``.  The worker
         advances them in lockstep through one
-        :class:`~repro.euler.engine.BatchEngine` and emits an
+        :class:`~repro.euler.engine.StepEngine` and emits an
         independent terminal event per job.  The cancel flag is
         batch-granular: :meth:`cancel` stops every job in the batch.
         """

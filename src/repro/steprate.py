@@ -1,7 +1,8 @@
 """Step-rate measurement without pytest: ``python -m repro.steprate``.
 
 Runs the two-channel benchmark workload through the cache-blocked
-engine, the untiled engine (``tile_bytes=0``) and optionally the
+engine, the same engine on one-strip plans (``tile_bytes=0``, reported
+as "untiled") and optionally the
 allocating seed path, and reports steps/s, the tiled speedup, the
 per-phase second split and the bit-for-bit check — the same quantities
 ``benchmarks/test_steprate.py`` gates on, minus the pytest harness, so
@@ -19,7 +20,7 @@ resolves via ``REPRO_JIT``/compiler availability.
 
 ``--batch B`` switches to the batched-ensemble measurement: B Mach
 variants of the workload advance in lockstep through one
-:class:`~repro.euler.engine.BatchEngine` and the figure of merit is
+:class:`~repro.euler.engine.StepEngine` and the figure of merit is
 *aggregate member-steps per second* versus the same engine at B = 1
 (``benchmarks/test_batch.py`` gates on the same quantity).
 """

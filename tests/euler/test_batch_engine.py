@@ -1,7 +1,7 @@
 """Bit-identity of the batched engine across the numerical-option sweep.
 
 The batching contract (ISSUE 7) is absolute: member ``b`` of an
-ensemble stepped through :class:`~repro.euler.engine.BatchEngine` must
+ensemble stepped through :class:`~repro.euler.engine.StepEngine` must
 produce **bit-for-bit** the state, dt history and clock of running that
 member alone through a standalone :class:`EulerSolver2D`.  Every kernel
 in the pipeline is elementwise over the leading batch axis, so this

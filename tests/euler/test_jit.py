@@ -17,6 +17,7 @@ compiled-path assertions.
 """
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -393,6 +394,32 @@ class TestCompileLayer:
         after = jit_compile.compile_stats()
         assert after["compiles"] == before["compiles"] + 1
         assert after["cache_hits"] >= before["cache_hits"] + 1
+
+    @needs_cc
+    def test_corrupt_cache_entry_is_rebuilt(self, rng, monkeypatch, tmp_path):
+        """Garbage under a specialization's cache name must not disable
+        the compiled path: the process that finds it unlinks, rebuilds
+        and serves.  (The entry is planted, never loaded here first: a
+        second dlopen of a loaded path would not read the file at all.)"""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(cache))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        config = SolverConfig(reconstruction="pc", variables="primitive")
+        spec, _ = spec_from_config(config, 2)
+        source = generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
+        digest = hashlib.sha256(source.encode()).hexdigest()
+        cached = cache / f"{digest}.so"
+        cached.write_bytes(b"not an ELF object")
+        before = jit_compile.compile_stats()
+        jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)
+        for _ in range(2):
+            assert jit.step() == oracle.step()
+        assert np.max(np.abs(jit.u - oracle.u)) == 0.0
+        stats = _jit_stats(jit)
+        assert stats["compiled"] and stats["fallbacks"] == {}
+        assert stats["compiles"] == before["compiles"] + 1
+        assert cached.stat().st_size > 1024  # a real shared object again
 
     @needs_cc
     def test_source_embeds_spec_and_hex_constants(self):

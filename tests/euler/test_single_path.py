@@ -1,0 +1,253 @@
+"""One engine, one path: generated coverage and error parity.
+
+There is a single :class:`~repro.euler.engine.StepEngine`; the member
+count B and the strip plan are annotations on it, not code paths.  The
+property test draws the method menu, B, the strip budget and ragged
+grid shapes and holds every member to the allocating seed path
+(``use_engine=False``) at 0.0.  The parity tests pin what a failure
+looks like from each driver: a solo blow-up reads exactly as it always
+did (no ``batch_index``), an ensemble blow-up stays member-local, and
+:class:`~repro.par.solver.ParallelSolver2D` still names global cells.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import PhysicsError
+from repro.euler import problems
+from repro.euler.boundary import (
+    BoundarySet1D,
+    BoundarySet2D,
+    EdgeSpec,
+    ReflectiveWall,
+    Transmissive,
+)
+from repro.euler.engine import StepEngine
+from repro.euler.solver import (
+    EulerEnsemble2D,
+    EulerSolver1D,
+    EulerSolver2D,
+    SolverConfig,
+)
+from repro.par.solver import ParallelSolver2D
+
+#: A one-byte budget floors every plan at one-row (one-member) strips.
+ONE_ROW_TILE_BYTES = 1
+
+EDGES = {"open": Transmissive, "wall": ReflectiveWall}
+
+
+def _smooth_random(rng, shape):
+    """A smooth-ish random primitive state of ``shape + (ndim + 2,)``."""
+    primitive = np.empty(shape + (len(shape) + 2,))
+    primitive[..., 0] = rng.uniform(1.0, 1.4, shape)
+    primitive[..., 1:-1] = rng.normal(0.0, 0.3, shape + (len(shape),))
+    primitive[..., -1] = rng.uniform(1.0, 1.4, shape)
+    return primitive
+
+
+def _boundaries(ndim, kinds):
+    if ndim == 1:
+        return BoundarySet1D(low=EDGES[kinds[0]](), high=EDGES[kinds[1]]())
+    return BoundarySet2D(*(EdgeSpec.uniform(EDGES[kind]()) for kind in kinds))
+
+
+def _seed_solver(primitive, spacing, boundaries, config):
+    cls = EulerSolver1D if len(spacing) == 1 else EulerSolver2D
+    return cls(primitive, *spacing, boundaries, config, use_engine=False)
+
+
+configs = st.builds(
+    SolverConfig,
+    riemann=st.sampled_from(("rusanov", "hll", "hllc", "roe")),
+    reconstruction=st.sampled_from(("pc", "tvd2", "tvd3", "weno3")),
+    limiter=st.sampled_from(("minmod", "superbee", "vanleer", "mc")),
+    variables=st.sampled_from(("characteristic", "primitive", "conservative")),
+    rk_order=st.sampled_from((1, 2, 3)),
+    tile_bytes=st.sampled_from((0, ONE_ROW_TILE_BYTES, None)),
+)
+shapes = st.one_of(
+    st.tuples(st.integers(5, 19)),
+    st.tuples(st.integers(5, 11), st.integers(5, 11)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=configs,
+    shape=shapes,
+    batch=st.sampled_from((1, 2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_every_member_equals_the_seed_path(config, shape, batch, seed, data):
+    """riemann x reconstruction x limiter x variables x rk_order x B x
+    strip budget x ragged 1-D/2-D shapes: two engine steps of the whole
+    stack leave member b on the bits (and the dts) of the allocating
+    seed solver run on member b alone, boundaries differing per member."""
+    rng = np.random.default_rng(seed)
+    ndim = len(shape)
+    spacing = (0.01, 0.012)[:ndim]
+    kinds = [
+        data.draw(st.tuples(*[st.sampled_from(sorted(EDGES))] * (2 * ndim)))
+        for _ in range(batch)
+    ]
+    seeds = [
+        _seed_solver(
+            _smooth_random(rng, shape), spacing, _boundaries(ndim, kinds[b]), config
+        )
+        for b in range(batch)
+    ]
+    engine = StepEngine(
+        shape + (ndim + 2,),
+        spacing,
+        config,
+        [_boundaries(ndim, kinds[b]) for b in range(batch)],
+    )
+    u = np.stack([solver.u for solver in seeds])
+    assert engine.grid_shape == u.shape
+    for _ in range(2):
+        dts = engine.step(u).copy()
+        for b, solver in enumerate(seeds):
+            assert dts[b] == solver.step()
+    for b, solver in enumerate(seeds):
+        assert np.max(np.abs(u[b] - solver.u)) == 0.0, f"member {b} of {batch}"
+    counters = engine.counters()
+    assert counters["batch"] == batch
+    if config.tile_bytes == 0:  # a plan of one strip per sweep and dt pass
+        assert counters["tiles"] == 2 * (1 + config.rk_order * ndim)
+
+
+# -- error parity ------------------------------------------------------------
+
+BAD_CELL = (7, 3)
+GETDT_MESSAGE = "GetDT: non-finite signal speed at cell (7, 3) (1 cells affected)"
+STATE_MESSAGE = (
+    "2-D solver state: non-positive pressure"
+    " (min -4.000e-01 at cell (7, 3), 1 cells affected)"
+)
+
+
+def _poisoned_sod_2d():
+    """12x10 Sod problem with one cell's energy negative (p < 0 there)."""
+    solver, _ = problems.sod_2d(nx=12, ny=10)
+    solver.u[BAD_CELL + (-1,)] = -1.0
+    return solver
+
+
+def _seed_twin(solver):
+    twin = EulerSolver2D(
+        solver.primitive, solver.dx, solver.dy, solver.boundaries, solver.config,
+        use_engine=False,
+    )
+    twin.u[...] = solver.u
+    return twin
+
+
+def _blow_up(action):
+    with pytest.raises(PhysicsError) as excinfo:
+        action()
+    return excinfo.value
+
+
+class TestSoloErrorsUnchanged:
+    """The literals are what the parent commit's two engines raised."""
+
+    def test_getdt_failure_reads_as_before(self):
+        solver = _poisoned_sod_2d()
+        error = _blow_up(lambda: solver.run(max_steps=2))
+        seed_error = _blow_up(lambda: _seed_twin(solver).run(max_steps=2))
+        for found in (error, seed_error):
+            assert str(found) == GETDT_MESSAGE
+            assert found.context == "GetDT"
+            assert found.cells == [BAD_CELL]
+            assert found.batch_index is None
+            report = found.forensics
+            assert report.cells == [BAD_CELL]
+            assert report.batch_index is None and report.member is None
+            assert report.step == 0 and report.time == 0.0
+            assert report.neighbourhood.origin == (5, 1)
+        assert np.array_equal(
+            error.forensics.neighbourhood.values,
+            seed_error.forensics.neighbourhood.values,
+            equal_nan=True,
+        )
+
+    def test_state_validation_failure_reads_as_before(self):
+        solver = _poisoned_sod_2d()
+        # an explicit dt skips GetDT, so the RK stage's validation trips
+        error = _blow_up(lambda: solver.step(dt=1e-4))
+        seed_error = _blow_up(lambda: _seed_twin(solver).step(dt=1e-4))
+        for found in (error, seed_error):
+            assert str(found) == STATE_MESSAGE
+            assert found.context == "2-D solver state"
+            assert found.cells == [BAD_CELL]
+            assert found.details == {"what": "non-positive pressure"}
+            assert found.batch_index is None
+            assert found.neighbourhood.origin == (5, 1)
+        assert np.array_equal(
+            error.neighbourhood.values, seed_error.neighbourhood.values
+        )
+
+    def test_failed_step_leaves_the_state_untouched(self):
+        solver = _poisoned_sod_2d()
+        before = solver.u.copy()
+        _blow_up(lambda: solver.step(dt=1e-4))
+        assert np.array_equal(solver.u, before)
+        assert solver.steps == 0 and solver.time == 0.0
+
+
+class TestEnsembleErrorsStayMemberLocal:
+    def _ensemble(self):
+        solvers = [problems.sod_2d(nx=12, ny=10)[0] for _ in range(3)]
+        solvers[1].u[BAD_CELL + (-1,)] = -1.0
+        return EulerEnsemble2D.from_solvers(solvers), solvers
+
+    def test_retired_member_carries_index_and_member_local_cells(self):
+        ensemble, solvers = self._ensemble()
+        assert ensemble.step() == [0, 2]
+        error = ensemble.errors[1]
+        assert error.batch_index == 1
+        assert error.member["index"] == 1
+        # exactly what that member's solo run raises, plus its index
+        assert str(error) == GETDT_MESSAGE
+        assert error.cells == [BAD_CELL]
+        assert error.forensics.batch_index == 1
+        assert error.forensics.cells == [BAD_CELL]
+        for index in (0, 2):
+            solvers[index].step()
+            assert np.array_equal(ensemble.member_u(index), solvers[index].u)
+            assert ensemble.times[index] == solvers[index].time
+            assert type(ensemble.times[index]) is float
+            assert type(ensemble.dt_history[index][0]) is float
+
+    def test_ensemble_of_one_still_attributes_its_member(self):
+        solver = _poisoned_sod_2d()
+        ensemble = EulerEnsemble2D.from_solvers([solver])
+        assert ensemble.step() == []
+        assert ensemble.errors[0].batch_index == 0
+        assert ensemble.errors[0].cells == [BAD_CELL]
+
+
+class TestParallelErrorsStayGlobal:
+    @pytest.mark.parametrize("explicit_dt", [None, 1e-4])
+    def test_global_cells_and_no_batch_index(self, explicit_dt):
+        """The bad cell sits in rank 1's block (rows 6..11 of 12): the
+        error must name grid cell (7, 3), not block cell (1, 3), on the
+        GetDT path and on the RK-stage validation path alike."""
+        serial = _poisoned_sod_2d()
+        with ParallelSolver2D.from_serial(
+            serial, workers=2, px=2, py=1, barrier="forkjoin"
+        ) as parallel:
+            assert parallel.decomposition.subdomains[1].x0 == 6
+            error = _blow_up(lambda: parallel.step(explicit_dt))
+        serial_error = _blow_up(lambda: serial.step(explicit_dt))
+        assert error.cells == serial_error.cells == [BAD_CELL]
+        assert error.batch_index is None
+        assert error.details["rank"] == 1
+        if explicit_dt is not None:
+            # validation failures carry a window: the rank's own (clipped
+            # at its block edge, row 6), rebased to grid coordinates
+            assert error.neighbourhood.origin == (6, 1)

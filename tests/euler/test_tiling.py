@@ -203,27 +203,32 @@ class TestTiledBitForBitSweep:
             for _ in range(2):
                 assert tiled.step() == untiled.step()
             assert np.max(np.abs(tiled.u - untiled.u)) == 0.0, f"2-D {label}"
-            assert tiled.tiles > 0
-            assert untiled.tiles == 0
+            # tile_bytes=0 is a plan of one strip: per RK3 step one dt
+            # pass and 3 stages x 2 sweeps; the tiny budget cuts many.
+            assert untiled.tiles == 2 * (1 + 3 * 2)
+            assert tiled.tiles > untiled.tiles
 
 
 class TestTiledCounters:
-    def test_fused_dt_replaces_eigen_passes(self, rng):
+    def test_zero_budget_is_a_plan_of_one_strip(self, rng):
+        """``tile_bytes=0`` selects no other code: exactly one strip per
+        sweep and per dt pass; a tiny budget cuts many; same bits."""
         tiled, untiled = _twin_2d(smooth_random_2d(rng, 9, 13), SolverConfig())
-        tiled.step()
-        untiled.step()
+        assert tiled.step() == untiled.step()
+        assert np.max(np.abs(tiled.u - untiled.u)) == 0.0
         t, u = tiled.engine.counters(), untiled.engine.counters()
-        assert t["dt_eigen_passes"] == 0
-        assert t["dt_fused_strips"] > 0
-        assert t["tiles"] > 0
         assert t["tile_bytes"] == TINY_TILE_BYTES
-        assert u["dt_eigen_passes"] == 1
-        assert u["dt_fused_strips"] == 0
-        assert u["tiles"] == 0
         assert u["tile_bytes"] == 0
-        # fusion must not change the conversion accounting: one
+        # one RK3 step: one dt pass, 3 stages x (x-sweep + y-sweep)
+        assert u["dt_fused_strips"] == 1
+        assert u["tiles"] == 1 + 3 * 2
+        # the dt pass strips over members (one here); the sweeps over rows
+        assert t["dt_fused_strips"] == 1
+        assert t["tiles"] > u["tiles"]
+        assert t["batch"] == u["batch"] == 1
+        # the plan must not change the conversion accounting: one
         # conversion per GetDT pass, one per RK stage minus the stage-1
-        # reuse — three per RK3 step on either path.
+        # reuse — three per RK3 step on either plan.
         assert t["primitive_conversions"] == u["primitive_conversions"] == 3
 
     def test_explicit_dt_skips_fusion(self, rng):
