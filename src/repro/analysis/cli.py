@@ -20,7 +20,11 @@ variables × ndim specialization is lowered to kernel IR, verified
 dependence prover (:mod:`repro.analysis.deps` — footprint vs. ghost
 width, strip write-disjointness) ahead of time, so a specialization
 that could not be compiled or threaded is caught in CI rather than at
-first engine use.
+first engine use.  It also builds, verifies and schedules every
+*standalone* kernel IR (one Riemann solver, scheme, conversion or
+eigenvalue sum — the in-place NumPy path, :func:`repro.jit.numpy_eval
+.numpy_program`), so an emitter only the NumPy path reaches is checked
+ahead of time too.
 
 Output is a human-readable report, or JSONL (``--json``, one
 ``"kind": "diagnostic"`` object per line — the
@@ -48,6 +52,7 @@ __all__ = [
     "lint_sac_source",
     "lint_f90_source",
     "lint_jit_kernels",
+    "lint_numpy_kernels",
     "builtin_targets",
 ]
 
@@ -193,6 +198,22 @@ def lint_jit_kernels(
     return len(specs), unsupported
 
 
+def lint_numpy_kernels(engine: DiagnosticEngine) -> int:
+    """Build, verify and schedule every standalone kernel IR — the
+    programs behind the ``out=``/``work=`` NumPy entry points.  Findings
+    land in ``engine``; returns the number of kernels checked."""
+    from repro.jit.kernels import standalone_kernels
+    from repro.jit.numpy_eval import numpy_program
+
+    kernels = standalone_kernels()
+    for kernel in kernels:
+        try:
+            numpy_program.__wrapped__(*kernel)  # past the per-process cache
+        except AnalysisError as error:
+            engine.extend(error.diagnostics)
+    return len(kernels)
+
+
 def _lint_target(
     name: str,
     kind: str,
@@ -307,6 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         before = len(engine)
         try:
             verified, unsupported = lint_jit_kernels(engine)
+            matrix_findings = len(engine) - before
+            standalone = lint_numpy_kernels(engine)
         except ReproError as error:
             engine.error(
                 "LINT-FAIL",
@@ -318,7 +341,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             checked.append(
                 f"jit kernel matrix: {verified} spec(s) verified, "
                 f"{len(unsupported)} unsupported (NumPy-only), "
-                f"{len(engine) - before} finding(s)"
+                f"{matrix_findings} finding(s)"
+            )
+            checked.append(
+                f"numpy kernel programs: {standalone} standalone IR(s) verified, "
+                f"{len(engine) - before - matrix_findings} finding(s)"
             )
 
     stream = open(arguments.output, "w") if arguments.output else sys.stdout

@@ -7,9 +7,10 @@ buffers, face fluxes, primitive round trips).  :class:`StepEngine`
 owns, per (grid shape, :class:`~repro.euler.solver.SolverConfig`), a
 :class:`~repro.euler.workspace.Workspace` of preallocated buffers and
 advances the conservative state through ``out=``-parameterised kernels
-whose in-place formulations perform the identical sequence of rounded
-floating-point operations as the allocating seed path — results are
-bit-for-bit equal, only the allocator traffic is gone.
+— each the kernel's ``emit_*`` IR definition run as a NumPy program
+(:mod:`repro.jit.numpy_eval`) — which perform the identical sequence of
+rounded floating-point operations as the allocating seed path: results
+are bit-for-bit equal, only the allocator traffic is gone.
 
 There is one engine and it has two annotations, neither of which
 selects different code:
@@ -186,7 +187,7 @@ class StepEngine:
         #: order: the ``backend=`` argument, then any
         #: :func:`repro.jit.backend_override`, then ``REPRO_JIT``, then
         #: auto-detection — see :mod:`repro.jit`.  The backend serves
-        #: whole strips and falls back to the NumPy oracle per strip for
+        #: whole strips and falls back to the NumPy path per strip for
         #: anything it cannot compile, so results are bit-for-bit
         #: identical either way.
         self.backend = repro_jit.create_backend(config, self.ndim, backend)
@@ -384,7 +385,7 @@ class StepEngine:
         self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
     ) -> None:
         """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``:
-        the compiled kernel when it serves the strip, else the NumPy oracle."""
+        the compiled kernel when it serves the strip, else the NumPy programs."""
         if self.backend is not None and self.backend.sweep(
             self, padded_strip, spacing, target
         ):

@@ -4,11 +4,10 @@ The paper closes the Euler system with a perfect gas law (its Eq. 3):
 
     p = (gamma - 1) * (E - rho * (u^2 + v^2) / 2)
 
-All functions here are elementwise and accept scalars or NumPy arrays.
-The hot-path functions additionally take ``out=`` (and, where an
-intermediate is needed, ``scratch=``) buffers; the in-place formulations
-perform the *same rounded operations in the same order* as the
-allocating expressions, so results are bit-for-bit identical.
+All functions here are elementwise and accept scalars or NumPy arrays;
+they are the allocating reference.  The ``emit_*`` functions below define
+the same formulas, one IR op per rounded operation in the same order, for
+the in-place NumPy programs and the compiled kernels (:mod:`repro.jit`).
 """
 
 from __future__ import annotations
@@ -18,43 +17,25 @@ import numpy as np
 from repro.euler.constants import GAMMA
 
 
-def pressure(rho, kinetic_energy_density, total_energy, gamma: float = GAMMA, out=None):
+def pressure(rho, kinetic_energy_density, total_energy, gamma: float = GAMMA):
     """Pressure from total energy density.
 
     ``kinetic_energy_density`` is ``rho * |velocity|^2 / 2``.
     """
-    if out is None:
-        return (gamma - 1.0) * (total_energy - kinetic_energy_density)
-    np.subtract(total_energy, kinetic_energy_density, out=out)
-    np.multiply(out, gamma - 1.0, out=out)
-    return out
+    return (gamma - 1.0) * (total_energy - kinetic_energy_density)
 
 
-def total_energy(rho, velocity_squared, p, gamma: float = GAMMA, out=None, scratch=None):
+def total_energy(rho, velocity_squared, p, gamma: float = GAMMA):
     """Total energy density E from primitive variables.
 
     ``velocity_squared`` is ``u^2`` in 1-D or ``u^2 + v^2`` in 2-D.
-    ``scratch`` must not alias ``velocity_squared``.
     """
-    if out is None:
-        return p / (gamma - 1.0) + 0.5 * rho * velocity_squared
-    if scratch is None:
-        scratch = np.empty_like(out)
-    np.divide(p, gamma - 1.0, out=out)
-    np.multiply(rho, 0.5, out=scratch)
-    np.multiply(scratch, velocity_squared, out=scratch)
-    np.add(out, scratch, out=out)
-    return out
+    return p / (gamma - 1.0) + 0.5 * rho * velocity_squared
 
 
-def sound_speed(rho, p, gamma: float = GAMMA, out=None):
+def sound_speed(rho, p, gamma: float = GAMMA):
     """Speed of sound ``c = sqrt(gamma * p / rho)`` (the paper's ``C``)."""
-    if out is None:
-        return np.sqrt(gamma * p / rho)
-    np.multiply(p, gamma, out=out)
-    np.divide(out, rho, out=out)
-    np.sqrt(out, out=out)
-    return out
+    return np.sqrt(gamma * p / rho)
 
 
 def enthalpy(rho, velocity_squared, p, gamma: float = GAMMA):
@@ -73,25 +54,23 @@ def entropy(rho, p, gamma: float = GAMMA):
     return p / rho**gamma
 
 
-# -- kernel-IR emitters (repro.jit) -------------------------------------
+# -- kernel-IR definitions (repro.jit) ----------------------------------
 #
-# Scalar mirrors of the in-place (`out=`) formulations above, one IR op
-# per ufunc application in the same order, so the compiled kernels stay
-# bit-for-bit with the NumPy path.  ``b`` is a
-# :class:`repro.jit.ir.IRBuilder`; arguments and returns are SSA values.
-# ``gm1`` is the prebuilt ``gamma - 1.0`` value (the NumPy path folds it
-# as a Python scalar once per call; the kernels compute it once per
-# kernel).
+# One IR op per rounded operation of the expressions above, in their
+# evaluation order.  ``b`` is a :class:`repro.jit.ir.IRBuilder`;
+# arguments and returns are SSA values.  ``gm1`` is the prebuilt
+# ``gamma - 1.0`` value (a folded float in a NumPy program, computed
+# once per kernel in C).
 
 
 def emit_pressure(b, kinetic, total_energy_value, gm1):
-    """IR mirror of :func:`pressure` (the ``out=`` branch)."""
+    """IR definition of :func:`pressure`."""
     out = b.sub(total_energy_value, kinetic)
     return b.mul(out, gm1)
 
 
 def emit_total_energy(b, rho, velocity_squared, p, gm1):
-    """IR mirror of :func:`total_energy` (the ``out=`` branch)."""
+    """IR definition of :func:`total_energy`."""
     out = b.div(p, gm1)
     scratch = b.mul(rho, 0.5)
     scratch = b.mul(scratch, velocity_squared)
@@ -99,7 +78,7 @@ def emit_total_energy(b, rho, velocity_squared, p, gm1):
 
 
 def emit_sound_speed(b, rho, p, gamma):
-    """IR mirror of :func:`sound_speed` (the ``out=`` branch)."""
+    """IR definition of :func:`sound_speed`."""
     out = b.mul(p, gamma)
     out = b.div(out, rho)
     return b.sqrt(out)

@@ -47,104 +47,16 @@ def mc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return minmod3(0.5 * (a + b), 2.0 * a, 2.0 * b)
 
 
-def minmod_into(a, b, out, work):
-    """In-place :func:`minmod`; bit-for-bit with the allocating version."""
-    signs = work.like("lim.signs", out)
-    mags = work.like("lim.mags", out)
-    scratch = work.like("lim.scratch", out)
-    np.sign(a, out=signs)
-    np.sign(b, out=scratch)
-    np.add(signs, scratch, out=signs)
-    np.multiply(signs, 0.5, out=signs)
-    np.abs(a, out=mags)
-    np.abs(b, out=scratch)
-    np.minimum(mags, scratch, out=mags)
-    np.multiply(signs, mags, out=out)
-    return out
-
-
-def minmod3_into(a, b, c, out, work):
-    """In-place :func:`minmod3`."""
-    signs = work.like("lim3.signs", out)
-    scratch = work.like("lim3.scratch", out)
-    mags = work.like("lim3.mags", out)
-    agree = work.array("lim3.agree", out.shape, np.bool_)
-    mask = work.array("lim3.mask", out.shape, np.bool_)
-    np.sign(a, out=signs)
-    np.sign(b, out=scratch)
-    np.equal(scratch, signs, out=agree)
-    np.sign(c, out=scratch)
-    np.equal(scratch, signs, out=mask)
-    np.logical_and(agree, mask, out=agree)
-    np.abs(b, out=mags)
-    np.abs(c, out=scratch)
-    np.minimum(mags, scratch, out=mags)
-    np.abs(a, out=scratch)
-    np.minimum(scratch, mags, out=mags)
-    np.multiply(signs, mags, out=mags)
-    out.fill(0.0)
-    np.copyto(out, mags, where=agree)
-    return out
-
-
-def superbee_into(a, b, out, work):
-    """In-place :func:`superbee`."""
-    doubled = work.like("sb.doubled", out)
-    s1 = work.like("sb.s1", out)
-    s2 = work.like("sb.s2", out)
-    mag1 = work.like("sb.mag1", out)
-    mask = work.array("sb.mask", out.shape, np.bool_)
-    np.multiply(a, 2.0, out=doubled)
-    minmod_into(doubled, b, s1, work)
-    np.multiply(b, 2.0, out=doubled)
-    minmod_into(a, doubled, s2, work)
-    np.abs(s1, out=mag1)
-    np.abs(s2, out=doubled)
-    np.greater(mag1, doubled, out=mask)
-    np.copyto(out, s2)
-    np.copyto(out, s1, where=mask)
-    return out
-
-
-def van_leer_into(a, b, out, work):
-    """In-place :func:`van_leer`."""
-    product = work.like("vl.product", out)
-    safe = work.like("vl.safe", out)
-    mask = work.array("vl.mask", out.shape, np.bool_)
-    np.multiply(a, b, out=product)
-    np.add(a, b, out=safe)
-    np.equal(safe, 0.0, out=mask)
-    np.copyto(safe, 1.0, where=mask)
-    ratio = work.like("vl.ratio", out)
-    np.multiply(product, 2.0, out=ratio)
-    np.divide(ratio, safe, out=ratio)
-    np.greater(product, 0.0, out=mask)
-    out.fill(0.0)
-    np.copyto(out, ratio, where=mask)
-    return out
-
-
-def mc_into(a, b, out, work):
-    """In-place :func:`mc`."""
-    central = work.like("mc.central", out)
-    twice_a = work.like("mc.twice_a", out)
-    twice_b = work.like("mc.twice_b", out)
-    np.add(a, b, out=central)
-    np.multiply(central, 0.5, out=central)
-    np.multiply(a, 2.0, out=twice_a)
-    np.multiply(b, 2.0, out=twice_b)
-    return minmod3_into(central, twice_a, twice_b, out, work)
-
-
-# -- kernel-IR emitters (repro.jit) -------------------------------------
+# -- kernel-IR definitions (repro.jit) ----------------------------------
 #
-# Scalar mirrors of the ``*_into`` paths above, one IR op per ufunc in
-# the same order; masked copyto becomes ``select``.  ``b_`` names avoid
-# shadowing the forward-difference argument ``b``.
+# One IR op per rounded operation of the limiters above; ``np.where``
+# becomes ``select``.  The in-place NumPy schemes and the compiled
+# kernels are both derived from these.  ``b_`` names avoid shadowing the
+# forward-difference argument ``b``.
 
 
 def emit_minmod(b_, a, b):
-    """IR mirror of :func:`minmod_into`."""
+    """IR definition of :func:`minmod`."""
     signs = b_.sign(a)
     scratch = b_.sign(b)
     signs = b_.add(signs, scratch)
@@ -156,7 +68,7 @@ def emit_minmod(b_, a, b):
 
 
 def emit_minmod3(b_, a, b, c):
-    """IR mirror of :func:`minmod3_into`."""
+    """IR definition of :func:`minmod3`."""
     signs = b_.sign(a)
     scratch = b_.sign(b)
     agree = b_.eq(scratch, signs)
@@ -173,7 +85,7 @@ def emit_minmod3(b_, a, b, c):
 
 
 def emit_superbee(b_, a, b):
-    """IR mirror of :func:`superbee_into`."""
+    """IR definition of :func:`superbee`."""
     doubled = b_.mul(a, 2.0)
     s1 = emit_minmod(b_, doubled, b)
     doubled = b_.mul(b, 2.0)
@@ -185,7 +97,7 @@ def emit_superbee(b_, a, b):
 
 
 def emit_van_leer(b_, a, b):
-    """IR mirror of :func:`van_leer_into`."""
+    """IR definition of :func:`van_leer`."""
     product = b_.mul(a, b)
     safe = b_.add(a, b)
     mask = b_.eq(safe, 0.0)
@@ -197,7 +109,7 @@ def emit_van_leer(b_, a, b):
 
 
 def emit_mc(b_, a, b):
-    """IR mirror of :func:`mc_into`."""
+    """IR definition of :func:`mc`."""
     central = b_.add(a, b)
     central = b_.mul(central, 0.5)
     twice_a = b_.mul(a, 2.0)
@@ -212,20 +124,12 @@ LIMITERS = {
     "mc": mc,
 }
 
-#: IR emitters, same keys as :data:`LIMITERS` — the jit specializer
-#: dispatches on the identical table the NumPy path uses.
+#: IR emitters, same keys as :data:`LIMITERS`.
 LIMITER_EMITTERS = {
     "minmod": emit_minmod,
     "superbee": emit_superbee,
     "vanleer": emit_van_leer,
     "mc": emit_mc,
-}
-
-LIMITERS_INTO = {
-    "minmod": minmod_into,
-    "superbee": superbee_into,
-    "vanleer": van_leer_into,
-    "mc": mc_into,
 }
 
 

@@ -11,9 +11,11 @@
 All schemes are in stencil form (see ``reconstruction.base``) and are
 returned by :func:`get_scheme` as callables carrying a ``ghost_cells``
 attribute.  Each accepts optional ``out=(left, right)`` and ``work=``
-(a :class:`~repro.euler.workspace.Workspace`) parameters; the in-place
-paths perform the same rounded operations in the same order as the
-allocating expressions, so results are bit-for-bit identical.
+(a :class:`~repro.euler.workspace.Workspace`) parameters, which select
+the scheme's ``emit_*`` definition run as a NumPy program
+(:mod:`repro.jit.numpy_eval`): the same rounded operations in the same
+order as the allocating expressions, so results are bit-for-bit
+identical.
 """
 
 from __future__ import annotations
@@ -24,19 +26,27 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.euler.reconstruction import limiters as _limiters
+from repro.jit.numpy_eval import numpy_program
 
 #: Small number keeping WENO weights finite on perfectly flat data.
 WENO_EPSILON = 1e-6
+
+
+def _in_place(reconstruction: str, limiter: str, cells, out, work):
+    """Run a scheme's IR program into ``out=(left, right)``.
+
+    The programs are per element, hence field-agnostic: one run covers
+    whole multi-field arrays.
+    """
+    numpy_program("scheme", reconstruction, limiter).run(cells, out, work)
+    return out
 
 
 def piecewise_constant(cells: Sequence[np.ndarray], out=None, work=None):
     """First-order reconstruction: the face states are the cell averages."""
     if out is None:
         return cells[0].copy(), cells[1].copy()
-    left, right = out
-    np.copyto(left, cells[0])
-    np.copyto(right, cells[1])
-    return left, right
+    return _in_place("pc", "minmod", cells, out, work)
 
 
 piecewise_constant.ghost_cells = 1
@@ -52,37 +62,16 @@ def _muscl_states(cells, limiter):
     return left_cell + 0.5 * slope_left, right_cell - 0.5 * slope_right
 
 
-def _muscl_states_into(cells, limiter_into, out, work):
-    """In-place MUSCL; same operation order as :func:`_muscl_states`."""
-    ng = len(cells) // 2
-    left_cell = cells[ng - 1]
-    right_cell = cells[ng]
-    left, right = out
-    backward = work.like("muscl.backward", left)
-    central = work.like("muscl.central", left)
-    np.subtract(left_cell, cells[ng - 2], out=backward)
-    np.subtract(right_cell, left_cell, out=central)
-    limiter_into(backward, central, left, work)
-    np.multiply(left, 0.5, out=left)
-    np.add(left_cell, left, out=left)
-    np.subtract(cells[ng + 1], right_cell, out=backward)
-    limiter_into(central, backward, right, work)
-    np.multiply(right, 0.5, out=right)
-    np.subtract(right_cell, right, out=right)
-    return left, right
-
-
 def make_tvd2(limiter_name: str = "minmod"):
     """Build a 2nd-order MUSCL scheme with the named slope limiter."""
     limiter = _limiters.get_limiter(limiter_name)
-    limiter_into = _limiters.LIMITERS_INTO[limiter_name]
 
     def tvd2(
         cells: Sequence[np.ndarray], out=None, work=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         if out is None:
             return _muscl_states(cells, limiter)
-        return _muscl_states_into(cells, limiter_into, out, work)
+        return _in_place("tvd2", limiter_name, cells, out, work)
 
     tvd2.ghost_cells = 2
     tvd2.__name__ = f"tvd2_{limiter_name}"
@@ -105,57 +94,27 @@ def tvd3(
 
     and the mirrored expression for the cell right of the face.
     """
+    if out is not None:
+        return _in_place("tvd3", "minmod", cells, out, work)
     kappa = _TVD3_KAPPA
     b = _TVD3_B
     ng = len(cells) // 2
     left_cell = cells[ng - 1]
     right_cell = cells[ng]
+    minmod = _limiters.minmod
+    dm_left = left_cell - cells[ng - 2]
+    dp_left = right_cell - left_cell
+    left = left_cell + 0.25 * (
+        (1.0 - kappa) * minmod(dm_left, b * dp_left)
+        + (1.0 + kappa) * minmod(dp_left, b * dm_left)
+    )
 
-    if out is None:
-        minmod = _limiters.minmod
-        dm_left = left_cell - cells[ng - 2]
-        dp_left = right_cell - left_cell
-        left = left_cell + 0.25 * (
-            (1.0 - kappa) * minmod(dm_left, b * dp_left)
-            + (1.0 + kappa) * minmod(dp_left, b * dm_left)
-        )
-
-        dm_right = right_cell - left_cell
-        dp_right = cells[ng + 1] - right_cell
-        right = right_cell - 0.25 * (
-            (1.0 - kappa) * minmod(dp_right, b * dm_right)
-            + (1.0 + kappa) * minmod(dm_right, b * dp_right)
-        )
-        return left, right
-
-    left, right = out
-    backward = work.like("tvd3.backward", left)
-    central = work.like("tvd3.central", left)
-    scaled = work.like("tvd3.scaled", left)
-    slope = work.like("tvd3.slope", left)
-    np.subtract(left_cell, cells[ng - 2], out=backward)   # dm_left
-    np.subtract(right_cell, left_cell, out=central)       # dp_left
-    np.multiply(central, b, out=scaled)
-    _limiters.minmod_into(backward, scaled, left, work)
-    np.multiply(left, 1.0 - kappa, out=left)
-    np.multiply(backward, b, out=scaled)
-    _limiters.minmod_into(central, scaled, slope, work)
-    np.multiply(slope, 1.0 + kappa, out=slope)
-    np.add(left, slope, out=left)
-    np.multiply(left, 0.25, out=left)
-    np.add(left_cell, left, out=left)
-
-    # dm_right is bitwise equal to dp_left, already held by `central`
-    np.subtract(cells[ng + 1], right_cell, out=backward)  # dp_right
-    np.multiply(central, b, out=scaled)
-    _limiters.minmod_into(backward, scaled, right, work)
-    np.multiply(right, 1.0 - kappa, out=right)
-    np.multiply(backward, b, out=scaled)
-    _limiters.minmod_into(central, scaled, slope, work)
-    np.multiply(slope, 1.0 + kappa, out=slope)
-    np.add(right, slope, out=right)
-    np.multiply(right, 0.25, out=right)
-    np.subtract(right_cell, right, out=right)
+    dm_right = right_cell - left_cell
+    dp_right = cells[ng + 1] - right_cell
+    right = right_cell - 0.25 * (
+        (1.0 - kappa) * minmod(dp_right, b * dm_right)
+        + (1.0 + kappa) * minmod(dm_right, b * dp_right)
+    )
     return left, right
 
 
@@ -171,6 +130,8 @@ def weno3(
     crossing a discontinuity gets a huge indicator and hence (as the
     paper puts it) "automatically ... zero weight".
     """
+    if out is not None:
+        return _in_place("weno3", "minmod", cells, out, work)
     ng = len(cells) // 2
     far_left, left_cell, right_cell, far_right = (
         cells[ng - 2],
@@ -178,14 +139,8 @@ def weno3(
         cells[ng],
         cells[ng + 1],
     )
-
-    if out is None:
-        left = _weno3_one_side(far_left, left_cell, right_cell)
-        right = _weno3_one_side(far_right, right_cell, left_cell)
-        return left, right
-    left, right = out
-    _weno3_one_side_into(far_left, left_cell, right_cell, left, work)
-    _weno3_one_side_into(far_right, right_cell, left_cell, right, work)
+    left = _weno3_one_side(far_left, left_cell, right_cell)
+    right = _weno3_one_side(far_right, right_cell, left_cell)
     return left, right
 
 
@@ -205,53 +160,22 @@ def _weno3_one_side(upwind, centre, downwind):
     return weight0 * candidate0 + weight1 * candidate1
 
 
-def _weno3_one_side_into(upwind, centre, downwind, out, work):
-    """In-place :func:`_weno3_one_side`; identical operation order."""
-    weight0 = work.like("weno.weight0", out)
-    weight1 = work.like("weno.weight1", out)
-    candidate = work.like("weno.candidate", out)
-    scratch = work.like("weno.scratch", out)
-    np.subtract(centre, upwind, out=weight0)
-    np.power(weight0, 2, out=weight0)                      # beta0
-    np.subtract(downwind, centre, out=weight1)
-    np.power(weight1, 2, out=weight1)                      # beta1
-    np.add(weight0, WENO_EPSILON, out=weight0)
-    np.power(weight0, 2, out=weight0)
-    np.divide(1.0 / 3.0, weight0, out=weight0)             # alpha0
-    np.add(weight1, WENO_EPSILON, out=weight1)
-    np.power(weight1, 2, out=weight1)
-    np.divide(2.0 / 3.0, weight1, out=weight1)             # alpha1
-    np.add(weight0, weight1, out=scratch)
-    np.divide(weight0, scratch, out=weight0)               # weight0
-    np.subtract(1.0, weight0, out=weight1)                 # weight1
-    np.multiply(centre, 1.5, out=candidate)
-    np.multiply(upwind, 0.5, out=scratch)
-    np.subtract(candidate, scratch, out=candidate)         # candidate0
-    np.multiply(weight0, candidate, out=out)
-    np.multiply(centre, 0.5, out=candidate)
-    np.multiply(downwind, 0.5, out=scratch)
-    np.add(candidate, scratch, out=candidate)              # candidate1
-    np.multiply(weight1, candidate, out=candidate)
-    np.add(out, candidate, out=out)
-    return out
-
-
-# -- kernel-IR emitters (repro.jit) -------------------------------------
+# -- kernel-IR definitions (repro.jit) ----------------------------------
 #
-# Scalar mirrors of the ``out=`` paths above for one field at one face:
-# ``cells`` is the list of 2*ghost_cells stencil values (SSA names),
-# ordered like the stencil views; each emitter returns ``(left, right)``.
-# One IR op per ufunc application, same order, so the compiled kernels
-# stay bit-for-bit with NumPy.
+# The schemes above for one field at one face: ``cells`` is the list of
+# 2*ghost_cells stencil values (SSA names), ordered like the stencil
+# views; each emitter returns ``(left, right)``.  One IR op per rounded
+# operation of the allocating expressions, in their evaluation order;
+# the ``out=`` paths and the compiled kernels are both derived from these.
 
 
 def emit_piecewise_constant(b, cells):
-    """IR mirror of :func:`piecewise_constant` (a pure copy)."""
+    """IR definition of :func:`piecewise_constant` (a pure copy)."""
     return cells[0], cells[1]
 
 
 def _emit_muscl_states(b, cells, limiter_emit):
-    """IR mirror of :func:`_muscl_states_into`."""
+    """IR definition of :func:`_muscl_states`."""
     ng = len(cells) // 2
     left_cell = cells[ng - 1]
     right_cell = cells[ng]
@@ -268,7 +192,7 @@ def _emit_muscl_states(b, cells, limiter_emit):
 
 
 def make_emit_tvd2(limiter_name: str = "minmod"):
-    """IR mirror of :func:`make_tvd2`: bind the named limiter's emitter."""
+    """IR definition of :func:`make_tvd2`: bind the named limiter's emitter."""
     limiter_emit = _limiters.LIMITER_EMITTERS[limiter_name]
 
     def emit_tvd2(b, cells):
@@ -278,7 +202,8 @@ def make_emit_tvd2(limiter_name: str = "minmod"):
 
 
 def emit_tvd3(b, cells):
-    """IR mirror of the ``out=`` branch of :func:`tvd3`."""
+    """IR definition of :func:`tvd3` (``dm_right`` is bitwise ``dp_left``,
+    so ``central`` serves both sides)."""
     kappa = _TVD3_KAPPA
     compression = _TVD3_B
     ng = len(cells) // 2
@@ -310,8 +235,8 @@ def emit_tvd3(b, cells):
 
 
 def _emit_weno3_one_side(b, upwind, centre, downwind):
-    """IR mirror of :func:`_weno3_one_side_into` (``np.power(x, 2)`` is
-    NumPy's ``x * x`` fast path, mirrored as a multiply)."""
+    """IR definition of :func:`_weno3_one_side` (``x ** 2`` is NumPy's
+    ``x * x`` fast path, hence a multiply)."""
     weight0 = b.sub(centre, upwind)
     weight0 = b.mul(weight0, weight0)            # beta0
     weight1 = b.sub(downwind, centre)
@@ -337,7 +262,7 @@ def _emit_weno3_one_side(b, upwind, centre, downwind):
 
 
 def emit_weno3(b, cells):
-    """IR mirror of the ``out=`` branch of :func:`weno3`."""
+    """IR definition of :func:`weno3`."""
     ng = len(cells) // 2
     far_left, left_cell, right_cell, far_right = (
         cells[ng - 2],
@@ -351,8 +276,8 @@ def emit_weno3(b, cells):
 
 
 def get_scheme_emitter(name: str, limiter: str = "minmod"):
-    """IR-emitter twin of :func:`get_scheme` — same names, same limiter
-    rule (only ``tvd2`` consults it)."""
+    """The IR definition of the scheme :func:`get_scheme` returns — same
+    names, same limiter rule (only ``tvd2`` consults it)."""
     if name == "pc":
         return emit_piecewise_constant
     if name == "tvd2":

@@ -29,8 +29,8 @@ RIEMANN_SOLVERS = {
     "roe": roe_flux,
 }
 
-# Kernel-IR emitters for repro.jit, keyed by the same names as the
-# NumPy solvers so a compiled specialization always shadows an oracle.
+# Kernel-IR definitions, keyed by the same names: the ``out=`` path of
+# each solver and the compiled kernels are both derived from these.
 RIEMANN_EMITTERS = {
     "rusanov": emit_rusanov,
     "hll": emit_hll,

@@ -1,79 +1,46 @@
-"""Fused single-pass signal-speed kernel.
+"""What the four solvers share: signal speeds and the in-place binding.
 
 Rusanov needs ``smax = max(|uL| + cL, |uR| + cR)`` and HLL/HLLC need the
 Davis estimates ``sL = min(uL - cL, uR - cR)``, ``sR = max(uL + cL,
-uR + cR)``; both start from the same two sound speeds.  This kernel
-computes ``cL``/``cR`` exactly once and derives whichever outputs the
-caller asks for while the sound speeds are still cache-resident —
-inside a cache-blocked strip that turns four full passes over the face
-states into one.
+uR + cR)``; both start from the same two sound speeds.
+:func:`emit_signal_speeds` computes ``cL``/``cR`` exactly once and
+derives whichever outputs the caller asks for, in the rounded sequence
+of the solvers' allocating formulations, so fluxes stay bit-for-bit
+identical.
 
-Every operation matches the rounded sequence of the solvers' original
-separate formulations (the same ufuncs in the same order per element),
-so fluxes stay bit-for-bit identical.  The per-cell speeds are also the
-building blocks of GetDT's ``|u| + c`` integrand — the engine's fused
-``compute_dt`` shares the same strip-max machinery through
-:func:`repro.euler.timestep.eigenvalues_into`.
+:func:`flux_into` is the one ``out=``/``work=`` implementation of all
+four solvers: it runs the named solver's ``emit_*`` definition as a
+NumPy program (:mod:`repro.jit.numpy_eval`) over per-field views.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from repro.euler.constants import GAMMA
 from repro.euler import eos
+from repro.jit.numpy_eval import field_views, numpy_program
 
-__all__ = ["signal_speeds"]
+__all__ = ["flux_into", "emit_signal_speeds"]
 
 
-def signal_speeds(
-    left: np.ndarray,
-    right: np.ndarray,
-    gamma: float = GAMMA,
-    *,
-    davis: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    smax: Optional[np.ndarray] = None,
-    work=None,
-):
-    """Compute the requested signal-speed estimates in one pass.
-
-    ``davis=(s_left, s_right)`` receives the two-wave Davis estimates;
-    ``smax`` receives the Rusanov bound.  Either or both may be given;
-    the two sound speeds are computed once regardless.
-    """
-    if davis is None and smax is None:
-        raise ValueError("signal_speeds needs davis= and/or smax= outputs")
-    c_left = work.cell_like("sig.cl", left)
-    c_right = work.cell_like("sig.cr", right)
-    scratch = work.cell_like("sig.tmp", left)
-    eos.sound_speed(left[..., 0], left[..., -1], gamma, out=c_left)
-    eos.sound_speed(right[..., 0], right[..., -1], gamma, out=c_right)
-    if davis is not None:
-        s_left, s_right = davis
-        np.subtract(left[..., 1], c_left, out=s_left)
-        np.subtract(right[..., 1], c_right, out=scratch)
-        np.minimum(s_left, scratch, out=s_left)
-        np.add(left[..., 1], c_left, out=s_right)
-        np.add(right[..., 1], c_right, out=scratch)
-        np.maximum(s_right, scratch, out=s_right)
-    if smax is not None:
-        np.abs(left[..., 1], out=smax)
-        np.add(smax, c_left, out=smax)
-        np.abs(right[..., 1], out=scratch)
-        np.add(scratch, c_right, out=scratch)
-        np.maximum(smax, scratch, out=smax)
-    return davis, smax
+def flux_into(
+    name: str, left: np.ndarray, right: np.ndarray, gamma: float, out: np.ndarray, work
+) -> np.ndarray:
+    """Solver ``name``'s flux of primitive ``left``/``right`` into ``out``."""
+    program = numpy_program("riemann", name, left.shape[-1])
+    program.run(
+        field_views(left) + field_views(right) + [gamma], field_views(out), work
+    )
+    return out
 
 
 def emit_signal_speeds(b, left, right, gamma, *, davis=False, smax=False):
-    """Kernel-IR mirror of :func:`signal_speeds` (repro.jit).
+    """Kernel-IR definition of the signal-speed estimates (repro.jit).
 
     ``left``/``right`` are lists of primitive field SSA values; returns
     ``(s_left, s_right)``, ``smax_value`` or ``((s_left, s_right),
-    smax_value)`` depending on what was requested — same one-pass sound
-    speeds, same op order.
+    smax_value)`` depending on what was requested, from one pair of
+    sound speeds.
     """
     if not davis and not smax:
         raise ValueError("emit_signal_speeds needs davis and/or smax")

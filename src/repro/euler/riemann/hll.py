@@ -13,23 +13,15 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
-from repro.euler.riemann.fused import signal_speeds
+from repro.euler.riemann.fused import emit_signal_speeds, flux_into
 
 
-def wave_speed_estimates(left, right, gamma: float = GAMMA, out=None, work=None):
-    """Davis estimates (sL, sR) for the outermost wave speeds.
-
-    ``out=(s_left, s_right)``/``work`` select the in-place path
-    (bit-for-bit with the allocating expressions).
-    """
-    if out is None:
-        c_left = eos.sound_speed(left[..., 0], left[..., -1], gamma)
-        c_right = eos.sound_speed(right[..., 0], right[..., -1], gamma)
-        s_left = np.minimum(left[..., 1] - c_left, right[..., 1] - c_right)
-        s_right = np.maximum(left[..., 1] + c_left, right[..., 1] + c_right)
-        return s_left, s_right
-    s_left, s_right = out
-    signal_speeds(left, right, gamma, davis=(s_left, s_right), work=work)
+def wave_speed_estimates(left, right, gamma: float = GAMMA):
+    """Davis estimates (sL, sR) for the outermost wave speeds."""
+    c_left = eos.sound_speed(left[..., 0], left[..., -1], gamma)
+    c_right = eos.sound_speed(right[..., 0], right[..., -1], gamma)
+    s_left = np.minimum(left[..., 1] - c_left, right[..., 1] - c_right)
+    s_right = np.maximum(left[..., 1] + c_left, right[..., 1] + c_right)
     return s_left, s_right
 
 
@@ -40,7 +32,8 @@ def hll_flux(
     out: np.ndarray = None,
     work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout."""
+    """Numerical flux from primitive left/right states in sweep layout;
+    with ``out``/``work``, :func:`emit_hll` run as a NumPy program."""
     if out is None:
         flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
         flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
@@ -57,46 +50,11 @@ def hll_flux(
         flux = np.where(sr <= 0.0, flux_right, flux)
         return flux
 
-    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma,
-                                    out=work.like("hll.fl", left), work=work)
-    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma,
-                                     out=work.like("hll.fr", right), work=work)
-    u_left = state.conservative_from_primitive(left, gamma,
-                                               out=work.like("hll.ul", left), work=work)
-    u_right = state.conservative_from_primitive(right, gamma,
-                                                out=work.like("hll.ur", right), work=work)
-    s_left = work.cell_like("hll.sl", left)
-    s_right = work.cell_like("hll.sr", right)
-    wave_speed_estimates(left, right, gamma, out=(s_left, s_right), work=work)
-
-    denominator = work.cell_like("hll.den", left)
-    mask = work.cell_like("hll.mask", left, dtype=np.bool_)
-    np.subtract(s_right, s_left, out=denominator)
-    np.equal(denominator, 0.0, out=mask)
-    np.copyto(denominator, 1.0, where=mask)
-
-    hll = work.like("hll.avg", left)
-    np.multiply(s_right[..., None], flux_left, out=hll)
-    scaled = work.like("hll.scaled", left)
-    np.multiply(s_left[..., None], flux_right, out=scaled)
-    np.subtract(hll, scaled, out=hll)
-    slsr = work.cell_like("hll.slsr", left)
-    np.multiply(s_left, s_right, out=slsr)
-    np.subtract(u_right, u_left, out=u_right)
-    np.multiply(slsr[..., None], u_right, out=u_right)
-    np.add(hll, u_right, out=hll)
-    np.divide(hll, denominator[..., None], out=hll)
-
-    np.copyto(out, hll)
-    np.greater_equal(s_left, 0.0, out=mask)
-    np.copyto(out, flux_left, where=mask[..., None])
-    np.less_equal(s_right, 0.0, out=mask)
-    np.copyto(out, flux_right, where=mask[..., None])
-    return out
+    return flux_into("hll", left, right, gamma, out, work)
 
 
 def emit_hll(b, left, right, gamma, gm1):
-    """Kernel-IR mirror of the in-place :func:`hll_flux` (repro.jit)."""
+    """Kernel-IR definition of :func:`hll_flux` (repro.jit)."""
     flux_left = state.emit_physical_flux(b, left, gm1)
     flux_right = state.emit_physical_flux(b, right, gm1)
     u_left = state.emit_conservative_from_primitive(b, left, gm1)
@@ -123,8 +81,5 @@ def emit_hll(b, left, right, gamma, gm1):
 
 
 def emit_davis(b, left, right, gamma):
-    """Kernel-IR mirror of :func:`wave_speed_estimates` (the in-place
-    path delegates to the fused signal-speed kernel)."""
-    from repro.euler.riemann.fused import emit_signal_speeds
-
+    """Kernel-IR definition of :func:`wave_speed_estimates`."""
     return emit_signal_speeds(b, left, right, gamma, davis=True)

@@ -13,59 +13,31 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import state
-from repro.euler.riemann.hll import wave_speed_estimates
+from repro.euler.riemann.fused import flux_into
+from repro.euler.riemann.hll import emit_davis, wave_speed_estimates
 
 
-def _star_state(prim, u_cons, s_wave, s_star, gamma, out=None, work=None):
+def _star_state(prim, u_cons, s_wave, s_star, gamma):
     """Conservative star-region state on one side (Toro eq. 10.39)."""
     rho = prim[..., 0]
     vn = prim[..., 1]
     p = prim[..., -1]
     nfields = prim.shape[-1]
 
-    if out is None:
-        relative = s_wave - vn
-        gap = s_wave - s_star
-        factor = rho * relative / np.where(gap == 0.0, 1.0, gap)
-        star = np.empty_like(u_cons)
-        star[..., 0] = factor
-        star[..., 1] = factor * s_star
-        if nfields == 4:
-            star[..., 2] = factor * prim[..., 2]
-        energy = u_cons[..., -1]
-        star[..., -1] = factor * (
-            energy / rho
-            + (s_star - vn) * (s_star + p / (rho * np.where(relative == 0.0, 1.0, relative)))
-        )
-        return star
-
-    relative = work.cell_like("star.relative", prim)   # s_wave - vn
-    factor = work.cell_like("star.factor", prim)
-    scratch = work.cell_like("star.scratch", prim)
-    mask = work.cell_like("star.mask", prim, dtype=np.bool_)
-    np.subtract(s_wave, vn, out=relative)
-    np.multiply(rho, relative, out=factor)
-    np.subtract(s_wave, s_star, out=scratch)
-    np.equal(scratch, 0.0, out=mask)
-    np.copyto(scratch, 1.0, where=mask)
-    np.divide(factor, scratch, out=factor)
-    np.copyto(out[..., 0], factor)
-    np.multiply(factor, s_star, out=out[..., 1])
+    relative = s_wave - vn
+    gap = s_wave - s_star
+    factor = rho * relative / np.where(gap == 0.0, 1.0, gap)
+    star = np.empty_like(u_cons)
+    star[..., 0] = factor
+    star[..., 1] = factor * s_star
     if nfields == 4:
-        np.multiply(factor, prim[..., 2], out=out[..., 2])
+        star[..., 2] = factor * prim[..., 2]
     energy = u_cons[..., -1]
-    term = work.cell_like("star.term", prim)
-    np.divide(energy, rho, out=term)                   # energy / rho
-    np.equal(relative, 0.0, out=mask)
-    np.copyto(relative, 1.0, where=mask)               # where-fixed (s_wave - vn)
-    np.multiply(rho, relative, out=relative)
-    np.divide(p, relative, out=relative)               # p / (rho * fixed)
-    np.add(s_star, relative, out=relative)
-    np.subtract(s_star, vn, out=scratch)
-    np.multiply(scratch, relative, out=relative)       # (s*-vn)*(s*+p/(rho*fixed))
-    np.add(term, relative, out=term)
-    np.multiply(factor, term, out=out[..., -1])
-    return out
+    star[..., -1] = factor * (
+        energy / rho
+        + (s_star - vn) * (s_star + p / (rho * np.where(relative == 0.0, 1.0, relative)))
+    )
+    return star
 
 
 def hllc_flux(
@@ -75,7 +47,8 @@ def hllc_flux(
     out: np.ndarray = None,
     work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout."""
+    """Numerical flux from primitive left/right states in sweep layout;
+    with ``out``/``work``, :func:`emit_hllc` run as a NumPy program."""
     if out is None:
         flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
         flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
@@ -106,67 +79,11 @@ def hllc_flux(
         flux = np.where(sr <= 0.0, flux_right, flux)
         return flux
 
-    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma,
-                                    out=work.like("hllc.fl", left), work=work)
-    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma,
-                                     out=work.like("hllc.fr", right), work=work)
-    u_left = state.conservative_from_primitive(left, gamma,
-                                               out=work.like("hllc.ul", left), work=work)
-    u_right = state.conservative_from_primitive(right, gamma,
-                                                out=work.like("hllc.ur", right), work=work)
-    s_left = work.cell_like("hllc.sl", left)
-    s_right = work.cell_like("hllc.sr", right)
-    wave_speed_estimates(left, right, gamma, out=(s_left, s_right), work=work)
-
-    rho_l, vn_l, p_l = left[..., 0], left[..., 1], left[..., -1]
-    rho_r, vn_r, p_r = right[..., 0], right[..., 1], right[..., -1]
-
-    rel_l = work.cell_like("hllc.rel_l", left)     # s_left - vn_l
-    rel_r = work.cell_like("hllc.rel_r", right)    # s_right - vn_r
-    numerator = work.cell_like("hllc.num", left)
-    scratch = work.cell_like("hllc.tmp", left)
-    mask = work.cell_like("hllc.mask", left, dtype=np.bool_)
-    np.subtract(s_left, vn_l, out=rel_l)
-    np.subtract(s_right, vn_r, out=rel_r)
-    np.subtract(p_r, p_l, out=numerator)
-    np.multiply(rho_l, vn_l, out=scratch)
-    np.multiply(scratch, rel_l, out=scratch)
-    np.add(numerator, scratch, out=numerator)
-    np.multiply(rho_r, vn_r, out=scratch)
-    np.multiply(scratch, rel_r, out=scratch)
-    np.subtract(numerator, scratch, out=numerator)
-    np.multiply(rho_l, rel_l, out=rel_l)
-    np.multiply(rho_r, rel_r, out=rel_r)
-    np.subtract(rel_l, rel_r, out=rel_l)           # denominator
-    np.equal(rel_l, 0.0, out=mask)
-    np.copyto(rel_l, 1.0, where=mask)
-    s_star = work.cell_like("hllc.sstar", left)
-    np.divide(numerator, rel_l, out=s_star)
-
-    star_left = _star_state(left, u_left, s_left, s_star, gamma,
-                            out=work.like("hllc.star_l", left), work=work)
-    star_right = _star_state(right, u_right, s_right, s_star, gamma,
-                             out=work.like("hllc.star_r", right), work=work)
-
-    np.subtract(star_left, u_left, out=star_left)
-    np.multiply(s_left[..., None], star_left, out=star_left)
-    np.add(flux_left, star_left, out=star_left)    # flux_star_left
-    np.subtract(star_right, u_right, out=star_right)
-    np.multiply(s_right[..., None], star_right, out=star_right)
-    np.add(flux_right, star_right, out=star_right)  # flux_star_right
-
-    np.copyto(out, star_right)
-    np.greater_equal(s_star, 0.0, out=mask)
-    np.copyto(out, star_left, where=mask[..., None])
-    np.greater_equal(s_left, 0.0, out=mask)
-    np.copyto(out, flux_left, where=mask[..., None])
-    np.less_equal(s_right, 0.0, out=mask)
-    np.copyto(out, flux_right, where=mask[..., None])
-    return out
+    return flux_into("hllc", left, right, gamma, out, work)
 
 
 def _emit_star_state(b, prim, u_cons, s_wave, s_star):
-    """Kernel-IR mirror of the in-place :func:`_star_state` (repro.jit)."""
+    """Kernel-IR definition of :func:`_star_state` (repro.jit)."""
     rho = prim[0]
     vn = prim[1]
     p = prim[-1]
@@ -193,9 +110,7 @@ def _emit_star_state(b, prim, u_cons, s_wave, s_star):
 
 
 def emit_hllc(b, left, right, gamma, gm1):
-    """Kernel-IR mirror of the in-place :func:`hllc_flux` (repro.jit)."""
-    from repro.euler.riemann.hll import emit_davis
-
+    """Kernel-IR definition of :func:`hllc_flux` (repro.jit)."""
     flux_left = state.emit_physical_flux(b, left, gm1)
     flux_right = state.emit_physical_flux(b, right, gm1)
     u_left = state.emit_conservative_from_primitive(b, left, gm1)

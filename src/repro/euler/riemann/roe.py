@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
+from repro.euler.riemann.fused import flux_into
 
 
 def roe_average(left: np.ndarray, right: np.ndarray, gamma: float = GAMMA):
@@ -41,118 +42,12 @@ def roe_average(left: np.ndarray, right: np.ndarray, gamma: float = GAMMA):
     return velocities, enthalpy, sound
 
 
-def _side_enthalpy_into(prim, gamma, out, scratch):
-    """:func:`eos.enthalpy` of one primitive side, mirrored op-for-op.
-
-    ``out`` receives H; ``scratch`` must not alias ``out``.  The
-    velocity-squared sum uses ``multiply(v, v)`` — the allocating
-    ``left[..., f] ** 2`` fast-paths to ``np.square``, whose loop is the
-    same ``v * v`` — so the roundings match.
-    """
-    nfields = prim.shape[-1]
-    rho = prim[..., 0]
-    p = prim[..., -1]
-    q2 = out  # built in place, then consumed by total_energy's mirror
-    np.multiply(prim[..., 1], prim[..., 1], out=q2)
-    if nfields == 4:
-        np.multiply(prim[..., 2], prim[..., 2], out=scratch)
-        np.add(q2, scratch, out=q2)
-    # total_energy: p/(g-1) + (0.5*rho)*q2   (scratch carries each term)
-    np.multiply(rho, 0.5, out=scratch)
-    np.multiply(scratch, q2, out=scratch)
-    np.divide(p, gamma - 1.0, out=out)
-    np.add(out, scratch, out=out)
-    # enthalpy: (E + p)/rho
-    np.add(out, p, out=out)
-    np.divide(out, rho, out=out)
-    return out
-
-
-def _roe_average_into(left, right, gamma, work):
-    """Workspace form of :func:`roe_average`; bit-for-bit identical.
-
-    Returns ``(velocities, enthalpy, sound, q2)`` — ``q2`` is the
-    Roe-averaged velocity-squared sum the caller would otherwise
-    recompute from the velocities (same bits either way).
-    """
-    nfields = left.shape[-1]
-    sqrt_l = work.cell_like("roe.sqrt_l", left)
-    sqrt_r = work.cell_like("roe.sqrt_r", left)
-    weight = work.cell_like("roe.weight", left)
-    scratch = work.cell_like("roe.avg_tmp", left)
-    np.sqrt(left[..., 0], out=sqrt_l)
-    np.sqrt(right[..., 0], out=sqrt_r)
-    np.add(sqrt_l, sqrt_r, out=weight)
-    np.divide(1.0, weight, out=weight)
-
-    velocities = []
-    for field in range(1, nfields - 1):
-        v = work.cell_like(f"roe.vel{field}", left)
-        np.multiply(sqrt_l, left[..., field], out=v)
-        np.multiply(sqrt_r, right[..., field], out=scratch)
-        np.add(v, scratch, out=v)
-        np.multiply(v, weight, out=v)
-        velocities.append(v)
-
-    enthalpy = work.cell_like("roe.enthalpy", left)
-    h_side = work.cell_like("roe.h_side", left)
-    _side_enthalpy_into(left, gamma, h_side, scratch)
-    np.multiply(sqrt_l, h_side, out=enthalpy)
-    _side_enthalpy_into(right, gamma, h_side, scratch)
-    np.multiply(sqrt_r, h_side, out=h_side)
-    np.add(enthalpy, h_side, out=enthalpy)
-    np.multiply(enthalpy, weight, out=enthalpy)
-
-    q2 = work.cell_like("roe.q2", left)
-    np.multiply(velocities[0], velocities[0], out=q2)
-    if len(velocities) == 2:
-        np.multiply(velocities[1], velocities[1], out=scratch)
-        np.add(q2, scratch, out=q2)
-    sound = work.cell_like("roe.sound", left)
-    np.multiply(q2, 0.5, out=sound)
-    np.subtract(enthalpy, sound, out=sound)
-    np.multiply(sound, gamma - 1.0, out=sound)
-    np.maximum(sound, 1e-14, out=sound)
-    np.sqrt(sound, out=sound)
-    return velocities, enthalpy, sound, q2
-
-
 def _entropy_fix(eigenvalue: np.ndarray, sound: np.ndarray) -> np.ndarray:
     """Harten's fix: |lambda| below delta is replaced by a smooth parabola."""
     delta = 0.1 * sound
     magnitude = np.abs(eigenvalue)
     fixed = 0.5 * (eigenvalue * eigenvalue / delta + delta)
     return np.where(magnitude < delta, fixed, magnitude)
-
-
-def _entropy_fix_into(eigenvalue, sound, out, work):
-    """:func:`_entropy_fix` into ``out`` (must not alias ``eigenvalue``)."""
-    delta = work.like("roe.fix_delta", out)
-    fixed = work.like("roe.fix_fixed", out)
-    mask = work.array("roe.fix_mask", out.shape, np.bool_)
-    np.multiply(sound, 0.1, out=delta)
-    np.multiply(eigenvalue, eigenvalue, out=fixed)
-    np.divide(fixed, delta, out=fixed)
-    np.add(fixed, delta, out=fixed)
-    np.multiply(fixed, 0.5, out=fixed)
-    np.abs(eigenvalue, out=out)
-    np.less(out, delta, out=mask)
-    np.copyto(out, fixed, where=mask)
-    return out
-
-
-def _add_wave(dissipation, magnitude, strength, components, scale, term):
-    """Accumulate one wave: ``dissipation[..., f] += |lambda| alpha r_f``.
-
-    ``components`` may mix per-face arrays with the scalars 1.0/0.0
-    standing in for the allocating path's ``ones``/``zeros`` eigenvector
-    entries — ``x * 1.0`` and ``x * 0.0`` are bitwise identical to the
-    elementwise array products.
-    """
-    np.multiply(magnitude, strength, out=scale)
-    for field, component in enumerate(components):
-        np.multiply(scale, component, out=term)
-        np.add(dissipation[..., field], term, out=dissipation[..., field])
 
 
 def roe_flux(
@@ -164,11 +59,11 @@ def roe_flux(
 ) -> np.ndarray:
     """Numerical flux from primitive left/right states in sweep layout.
 
-    With ``out``/``work`` *everything* — physical fluxes, conservative
-    states, Roe averages, wave strengths, the entropy fix and the
-    dissipation accumulator — lives on workspace buffers; the rounded
-    operations match the allocating expressions below exactly, so the
-    two paths are bit-for-bit identical.
+    With ``out``/``work`` the flux is :func:`emit_roe` run as a NumPy
+    program: everything — physical fluxes, conservative states, Roe
+    averages, wave strengths, the entropy fix and the dissipation
+    accumulator — lives on workspace scratch, and the rounded operations
+    match the allocating expressions below exactly.
     """
     nfields = left.shape[-1]
     if out is None:
@@ -225,107 +120,19 @@ def roe_flux(
 
         return 0.5 * (flux_left + flux_right) - 0.5 * dissipation
 
-    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma,
-                                    out=work.like("roe.fl", left), work=work)
-    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma,
-                                     out=work.like("roe.fr", right), work=work)
-    u_left = state.conservative_from_primitive(left, gamma,
-                                               out=work.like("roe.ul", left), work=work)
-    u_right = state.conservative_from_primitive(right, gamma,
-                                                out=work.like("roe.ur", right), work=work)
-    du = np.subtract(u_right, u_left, out=u_right)
-    dissipation = work.like("roe.diss", du)
-    dissipation.fill(0.0)
-
-    velocities, enthalpy, sound, q2 = _roe_average_into(left, right, gamma, work)
-    u_hat = velocities[0]
-
-    # Wave-strength algebra, op-for-op against the allocating branch:
-    # numerator/denominator temporaries cycle through two scratch strips.
-    coeff = work.cell_like("roe.coeff", left)      # (g-1)/c^2
-    alpha1 = work.cell_like("roe.alpha1", left)
-    alpha2 = work.cell_like("roe.alpha2", left)
-    alpha_last = work.cell_like("roe.alpha_last", left)
-    um = work.cell_like("roe.um", left)            # u - c
-    up = work.cell_like("roe.up", left)            # u + c
-    hm = work.cell_like("roe.hm", left)            # H - u c
-    hp = work.cell_like("roe.hp", left)            # H + u c
-    halfq2 = work.cell_like("roe.halfq2", left)
-    t = work.cell_like("roe.t1", left)
-    s = work.cell_like("roe.t2", left)
-
-    np.multiply(sound, sound, out=coeff)  # sound**2 fast-paths to square
-    np.divide(gamma - 1.0, coeff, out=coeff)
-    np.subtract(u_hat, sound, out=um)
-    np.add(u_hat, sound, out=up)
-    np.multiply(u_hat, sound, out=t)
-    np.subtract(enthalpy, t, out=hm)
-    np.add(enthalpy, t, out=hp)
-    np.multiply(q2, 0.5, out=halfq2)
-
-    if nfields == 4:
-        v_hat = velocities[1]
-        alpha_shear = work.cell_like("roe.alpha_shear", left)
-        du4_bar = work.cell_like("roe.du4_bar", left)
-        np.multiply(v_hat, du[..., 0], out=t)
-        np.subtract(du[..., 2], t, out=alpha_shear)
-        np.multiply(alpha_shear, v_hat, out=t)
-        np.subtract(du[..., 3], t, out=du4_bar)
-        last_delta = du4_bar
-    else:
-        last_delta = du[..., 2]
-
-    # alpha2 = coeff * (du0 (H - u^2) + u du1 - last_delta)
-    np.multiply(u_hat, u_hat, out=t)
-    np.subtract(enthalpy, t, out=t)
-    np.multiply(du[..., 0], t, out=t)
-    np.multiply(u_hat, du[..., 1], out=s)
-    np.add(t, s, out=t)
-    np.subtract(t, last_delta, out=t)
-    np.multiply(coeff, t, out=alpha2)
-    # alpha1 = (du0 (u + c) - du1 - c alpha2) / (2 c)
-    np.multiply(du[..., 0], up, out=t)
-    np.subtract(t, du[..., 1], out=t)
-    np.multiply(sound, alpha2, out=s)
-    np.subtract(t, s, out=t)
-    np.multiply(sound, 2.0, out=s)
-    np.divide(t, s, out=alpha1)
-    # alpha3/alpha4 = du0 - (alpha1 + alpha2)
-    np.add(alpha1, alpha2, out=t)
-    np.subtract(du[..., 0], t, out=alpha_last)
-
-    magnitude = work.cell_like("roe.mag", left)
-    scale = work.cell_like("roe.scale", left)
-    term = work.cell_like("roe.term", left)
-    if nfields == 3:
-        _entropy_fix_into(um, sound, magnitude, work)
-        _add_wave(dissipation, magnitude, alpha1, [1.0, um, hm], scale, term)
-        np.abs(u_hat, out=magnitude)
-        _add_wave(dissipation, magnitude, alpha2, [1.0, u_hat, halfq2], scale, term)
-        _entropy_fix_into(up, sound, magnitude, work)
-        _add_wave(dissipation, magnitude, alpha_last, [1.0, up, hp], scale, term)
-    else:
-        _entropy_fix_into(um, sound, magnitude, work)
-        _add_wave(dissipation, magnitude, alpha1, [1.0, um, v_hat, hm], scale, term)
-        np.abs(u_hat, out=magnitude)
-        _add_wave(dissipation, magnitude, alpha2, [1.0, u_hat, v_hat, halfq2], scale, term)
-        np.abs(u_hat, out=magnitude)
-        _add_wave(dissipation, magnitude, alpha_shear, [0.0, 0.0, 1.0, v_hat], scale, term)
-        _entropy_fix_into(up, sound, magnitude, work)
-        _add_wave(dissipation, magnitude, alpha_last, [1.0, up, v_hat, hp], scale, term)
-
-    np.add(flux_left, flux_right, out=out)
-    np.multiply(out, 0.5, out=out)
-    np.multiply(dissipation, 0.5, out=dissipation)
-    np.subtract(out, dissipation, out=out)
-    return out
+    return flux_into("roe", left, right, gamma, out, work)
 
 
-# -- kernel-IR emitters (repro.jit) -------------------------------------
+# -- kernel-IR definition (repro.jit) -----------------------------------
+#
+# One IR op per rounded operation of the allocating branch above, in its
+# evaluation order.  ``x ** 2`` is ``x * x`` (NumPy's own fast path);
+# the eigenvector entries ``ones``/``zeros`` are the scalars 1.0/0.0 —
+# ``x * 1.0`` and ``x * 0.0`` are bitwise the elementwise array products.
 
 
 def _emit_side_enthalpy(b, prim, gm1):
-    """Kernel-IR mirror of :func:`_side_enthalpy_into`."""
+    """Kernel-IR definition of :func:`eos.enthalpy` of one primitive side."""
     rho = prim[0]
     p = prim[-1]
     q2 = b.mul(prim[1], prim[1])
@@ -341,7 +148,8 @@ def _emit_side_enthalpy(b, prim, gm1):
 
 
 def _emit_roe_average(b, left, right, gm1):
-    """Kernel-IR mirror of :func:`_roe_average_into`."""
+    """Kernel-IR definition of :func:`roe_average`; also returns ``q2``,
+    the Roe-averaged velocity-squared sum the caller needs again."""
     nfields = len(left)
     sqrt_l = b.sqrt(left[0])
     sqrt_r = b.sqrt(right[0])
@@ -375,7 +183,7 @@ def _emit_roe_average(b, left, right, gm1):
 
 
 def _emit_entropy_fix(b, eigenvalue, sound):
-    """Kernel-IR mirror of :func:`_entropy_fix_into`."""
+    """Kernel-IR definition of :func:`_entropy_fix`."""
     delta = b.mul(sound, 0.1)
     fixed = b.mul(eigenvalue, eigenvalue)
     fixed = b.div(fixed, delta)
@@ -387,8 +195,8 @@ def _emit_entropy_fix(b, eigenvalue, sound):
 
 
 def _emit_add_wave(b, dissipation, magnitude, strength, components):
-    """Kernel-IR mirror of :func:`_add_wave` — scalar eigenvector entries
-    (1.0/0.0) keep their multiply, exactly like the array path."""
+    """Accumulate one wave, ``dissipation[f] += |lambda| alpha r_f`` —
+    scalar eigenvector entries (1.0/0.0) keep their multiply."""
     scale = b.mul(magnitude, strength)
     for field, component in enumerate(components):
         term = b.mul(scale, component)
@@ -396,7 +204,7 @@ def _emit_add_wave(b, dissipation, magnitude, strength, components):
 
 
 def emit_roe(b, left, right, gamma, gm1):
-    """Kernel-IR mirror of the in-place :func:`roe_flux` (repro.jit)."""
+    """Kernel-IR definition of :func:`roe_flux` (repro.jit)."""
     nfields = len(left)
     flux_left = state.emit_physical_flux(b, left, gm1)
     flux_right = state.emit_physical_flux(b, right, gm1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
-from repro.euler.riemann.fused import signal_speeds
+from repro.euler.riemann.fused import emit_signal_speeds, flux_into
 
 
 def rusanov_flux(
@@ -27,8 +27,8 @@ def rusanov_flux(
 ) -> np.ndarray:
     """Numerical flux from primitive left/right states in sweep layout.
 
-    ``out``/``work`` select the preallocated in-place path, which is
-    bit-for-bit identical to the allocating expression below.
+    ``out``/``work`` select the in-place path — :func:`emit_rusanov` run
+    as a NumPy program — bit-for-bit the allocating expression below.
     """
     if out is None:
         flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
@@ -43,34 +43,15 @@ def rusanov_flux(
         )
         return 0.5 * (flux_left + flux_right) - 0.5 * smax[..., None] * (u_right - u_left)
 
-    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma,
-                                    out=work.like("rus.fl", left), work=work)
-    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma,
-                                     out=work.like("rus.fr", right), work=work)
-    u_left = state.conservative_from_primitive(left, gamma,
-                                               out=work.like("rus.ul", left), work=work)
-    u_right = state.conservative_from_primitive(right, gamma,
-                                                out=work.like("rus.ur", right), work=work)
-    smax = work.cell_like("rus.smax", left)
-    signal_speeds(left, right, gamma, smax=smax, work=work)
-
-    np.add(flux_left, flux_right, out=out)
-    np.multiply(out, 0.5, out=out)
-    np.multiply(smax, 0.5, out=smax)
-    np.subtract(u_right, u_left, out=u_right)
-    np.multiply(smax[..., None], u_right, out=u_right)
-    np.subtract(out, u_right, out=out)
-    return out
+    return flux_into("rusanov", left, right, gamma, out, work)
 
 
 def emit_rusanov(b, left, right, gamma, gm1):
-    """Kernel-IR mirror of the in-place :func:`rusanov_flux` (repro.jit).
+    """Kernel-IR definition of :func:`rusanov_flux` (repro.jit).
 
     ``left``/``right`` are lists of primitive field SSA values; returns
-    the flux field values, one IR op per ufunc in the same order.
+    the flux field values, one IR op per rounded operation.
     """
-    from repro.euler.riemann.fused import emit_signal_speeds
-
     flux_left = state.emit_physical_flux(b, left, gm1)
     flux_right = state.emit_physical_flux(b, right, gm1)
     u_left = state.emit_conservative_from_primitive(b, left, gm1)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.errors import Neighbourhood, PhysicsError
 from repro.euler.constants import FLOOR, GAMMA
 from repro.euler import eos
+from repro.jit.numpy_eval import field_views, numpy_program
 
 #: At most this many offending cells are listed in a PhysicsError.
 MAX_REPORTED_CELLS = 8
@@ -45,49 +46,29 @@ def primitive_from_conservative(
 ) -> np.ndarray:
     """Convert conservative ``(rho, rho*u[, rho*v], E)`` to primitive ``(rho, u[, v], p)``.
 
-    With ``out``/``work`` the conversion runs in preallocated buffers,
-    performing the identical sequence of rounded operations (bit-for-bit
-    with the allocating path).  ``out`` must not alias ``u``.
+    With ``out`` (which must not alias ``u``) the conversion is the
+    NumPy program of :func:`emit_primitive_from_conservative`, scratch
+    from ``work`` — the same rounded operations, bit-for-bit.
     """
     ndim = ndim_of(u)
+    if out is not None:
+        return _convert_into("primitive", u, gamma, out, work)
     rho = u[..., 0]
-    if out is None:
-        p_out = np.empty_like(u)
-        p_out[..., 0] = rho
-        if ndim == 1:
-            vel = u[..., 1] / rho
-            kinetic = 0.5 * rho * vel * vel
-            p_out[..., 1] = vel
-            p_out[..., 2] = eos.pressure(rho, kinetic, u[..., 2], gamma)
-        else:
-            vx = u[..., 1] / rho
-            vy = u[..., 2] / rho
-            kinetic = 0.5 * rho * (vx * vx + vy * vy)
-            p_out[..., 1] = vx
-            p_out[..., 2] = vy
-            p_out[..., 3] = eos.pressure(rho, kinetic, u[..., 3], gamma)
-        return p_out
-    kinetic = _cell_scratch(work, "state.kinetic", u)
+    p_out = np.empty_like(u)
+    p_out[..., 0] = rho
     if ndim == 1:
-        np.divide(u[..., 1], rho, out=out[..., 1])
-        # kinetic = ((0.5 * rho) * vel) * vel, matching the expression's
-        # left-to-right association
-        np.multiply(rho, 0.5, out=kinetic)
-        np.multiply(kinetic, out[..., 1], out=kinetic)
-        np.multiply(kinetic, out[..., 1], out=kinetic)
-        eos.pressure(rho, kinetic, u[..., 2], gamma, out=out[..., 2])
+        vel = u[..., 1] / rho
+        kinetic = 0.5 * rho * vel * vel
+        p_out[..., 1] = vel
+        p_out[..., 2] = eos.pressure(rho, kinetic, u[..., 2], gamma)
     else:
-        np.divide(u[..., 1], rho, out=out[..., 1])
-        np.divide(u[..., 2], rho, out=out[..., 2])
-        v2 = _cell_scratch(work, "state.v2", u)
-        np.multiply(out[..., 1], out[..., 1], out=v2)
-        np.multiply(out[..., 2], out[..., 2], out=kinetic)
-        np.add(v2, kinetic, out=v2)
-        np.multiply(rho, 0.5, out=kinetic)
-        np.multiply(kinetic, v2, out=kinetic)
-        eos.pressure(rho, kinetic, u[..., 3], gamma, out=out[..., 3])
-    np.copyto(out[..., 0], rho)
-    return out
+        vx = u[..., 1] / rho
+        vy = u[..., 2] / rho
+        kinetic = 0.5 * rho * (vx * vx + vy * vy)
+        p_out[..., 1] = vx
+        p_out[..., 2] = vy
+        p_out[..., 3] = eos.pressure(rho, kinetic, u[..., 3], gamma)
+    return p_out
 
 
 def conservative_from_primitive(
@@ -95,120 +76,81 @@ def conservative_from_primitive(
 ) -> np.ndarray:
     """Convert primitive ``(rho, u[, v], p)`` to conservative ``(rho, rho*u[, rho*v], E)``.
 
-    ``out`` (bit-for-bit in-place variant) must not alias ``p``.
+    With ``out`` (which must not alias ``p``): the NumPy program of
+    :func:`emit_conservative_from_primitive`, bit-for-bit.
     """
     ndim = ndim_of(p)
+    if out is not None:
+        return _convert_into("conservative", p, gamma, out, work)
     rho = p[..., 0]
-    if out is None:
-        u_out = np.empty_like(p)
-        u_out[..., 0] = rho
-        if ndim == 1:
-            vel = p[..., 1]
-            u_out[..., 1] = rho * vel
-            u_out[..., 2] = eos.total_energy(rho, vel * vel, p[..., 2], gamma)
-        else:
-            vx = p[..., 1]
-            vy = p[..., 2]
-            u_out[..., 1] = rho * vx
-            u_out[..., 2] = rho * vy
-            u_out[..., 3] = eos.total_energy(rho, vx * vx + vy * vy, p[..., 3], gamma)
-        return u_out
-    v2 = _cell_scratch(work, "state.v2", p)
-    scratch = _cell_scratch(work, "state.kinetic", p)
+    u_out = np.empty_like(p)
+    u_out[..., 0] = rho
     if ndim == 1:
-        np.multiply(rho, p[..., 1], out=out[..., 1])
-        np.multiply(p[..., 1], p[..., 1], out=v2)
-        eos.total_energy(rho, v2, p[..., 2], gamma, out=out[..., 2], scratch=scratch)
+        vel = p[..., 1]
+        u_out[..., 1] = rho * vel
+        u_out[..., 2] = eos.total_energy(rho, vel * vel, p[..., 2], gamma)
     else:
-        np.multiply(rho, p[..., 1], out=out[..., 1])
-        np.multiply(rho, p[..., 2], out=out[..., 2])
-        np.multiply(p[..., 1], p[..., 1], out=v2)
-        np.multiply(p[..., 2], p[..., 2], out=scratch)
-        np.add(v2, scratch, out=v2)
-        eos.total_energy(rho, v2, p[..., 3], gamma, out=out[..., 3], scratch=scratch)
-    np.copyto(out[..., 0], rho)
+        vx = p[..., 1]
+        vy = p[..., 2]
+        u_out[..., 1] = rho * vx
+        u_out[..., 2] = rho * vy
+        u_out[..., 3] = eos.total_energy(rho, vx * vx + vy * vy, p[..., 3], gamma)
+    return u_out
+
+
+def _convert_into(target: str, source: np.ndarray, gamma: float, out: np.ndarray, work):
+    """Run the ``target`` conversion's IR program over field views."""
+    program = numpy_program("convert", target, source.shape[-1])
+    program.run(field_views(source) + [gamma], field_views(out), work)
     return out
 
 
 def physical_flux(
-    p: np.ndarray,
-    axis_field: int = 1,
-    gamma: float = GAMMA,
-    out: np.ndarray = None,
-    work=None,
+    p: np.ndarray, axis_field: int = 1, gamma: float = GAMMA
 ) -> np.ndarray:
     """Physical flux of the Euler equations through faces normal to one axis.
 
     ``axis_field`` selects the normal velocity field in the primitive
     array: 1 for the x-flux ``F``, 2 for the y-flux ``G`` (2-D only),
-    matching the paper's Eq. 2.  ``out`` must not alias ``p``.
+    matching the paper's Eq. 2.
     """
     ndim = ndim_of(p)
     rho = p[..., 0]
     pressure = p[..., -1]
-    if out is None:
-        flux = np.empty_like(p)
-        if ndim == 1:
-            vel = p[..., 1]
-            energy = eos.total_energy(rho, vel * vel, pressure, gamma)
-            flux[..., 0] = rho * vel
-            flux[..., 1] = rho * vel * vel + pressure
-            flux[..., 2] = vel * (energy + pressure)
-            return flux
-        if axis_field not in (1, 2):
-            raise PhysicsError(f"axis_field must be 1 (x) or 2 (y), got {axis_field}")
-        vx = p[..., 1]
-        vy = p[..., 2]
-        vn = p[..., axis_field]
-        energy = eos.total_energy(rho, vx * vx + vy * vy, pressure, gamma)
-        flux[..., 0] = rho * vn
-        flux[..., 1] = rho * vn * vx
-        flux[..., 2] = rho * vn * vy
-        flux[..., axis_field] += pressure
-        flux[..., 3] = vn * (energy + pressure)
-        return flux
-    v2 = _cell_scratch(work, "flux.v2", p)
-    energy = _cell_scratch(work, "flux.energy", p)
-    scratch = _cell_scratch(work, "flux.tmp", p)
+    flux = np.empty_like(p)
     if ndim == 1:
         vel = p[..., 1]
-        np.multiply(vel, vel, out=v2)
-        eos.total_energy(rho, v2, pressure, gamma, out=energy, scratch=scratch)
-        np.multiply(rho, vel, out=out[..., 0])
-        # rho*vel*vel associates left-to-right, so flux 0 already holds rho*vel
-        np.multiply(out[..., 0], vel, out=out[..., 1])
-        np.add(out[..., 1], pressure, out=out[..., 1])
-        np.add(energy, pressure, out=scratch)
-        np.multiply(vel, scratch, out=out[..., 2])
-        return out
+        energy = eos.total_energy(rho, vel * vel, pressure, gamma)
+        flux[..., 0] = rho * vel
+        flux[..., 1] = rho * vel * vel + pressure
+        flux[..., 2] = vel * (energy + pressure)
+        return flux
     if axis_field not in (1, 2):
         raise PhysicsError(f"axis_field must be 1 (x) or 2 (y), got {axis_field}")
     vx = p[..., 1]
     vy = p[..., 2]
     vn = p[..., axis_field]
-    np.multiply(vx, vx, out=v2)
-    np.multiply(vy, vy, out=scratch)
-    np.add(v2, scratch, out=v2)
-    eos.total_energy(rho, v2, pressure, gamma, out=energy, scratch=scratch)
-    np.multiply(rho, vn, out=out[..., 0])
-    np.multiply(out[..., 0], vx, out=out[..., 1])
-    np.multiply(out[..., 0], vy, out=out[..., 2])
-    np.add(out[..., axis_field], pressure, out=out[..., axis_field])
-    np.add(energy, pressure, out=scratch)
-    np.multiply(vn, scratch, out=out[..., 3])
-    return out
+    energy = eos.total_energy(rho, vx * vx + vy * vy, pressure, gamma)
+    flux[..., 0] = rho * vn
+    flux[..., 1] = rho * vn * vx
+    flux[..., 2] = rho * vn * vy
+    flux[..., axis_field] += pressure
+    flux[..., 3] = vn * (energy + pressure)
+    return flux
 
 
-# -- kernel-IR emitters (repro.jit) -------------------------------------
+# -- kernel-IR definitions (repro.jit) ----------------------------------
 #
-# Scalar mirrors of the in-place (`out=`) conversion/flux paths above:
-# one IR op per ufunc application, same order, so compiled kernels stay
-# bit-for-bit with NumPy.  Each takes/returns lists of SSA field values
-# (length 3 in 1-D, 4 in 2-D); ``gm1`` is the prebuilt ``gamma - 1.0``.
+# One IR op per rounded operation of the functions above, in their
+# evaluation order; the in-place NumPy programs and the compiled kernels
+# are both derived from these.  Each takes/returns lists of SSA field
+# values (length 3 in 1-D, 4 in 2-D); ``gm1`` is the prebuilt
+# ``gamma - 1.0``.
 
 
 def emit_primitive_from_conservative(b, u, gm1):
-    """IR mirror of :func:`primitive_from_conservative` (``out=`` branch)."""
+    """IR definition of :func:`primitive_from_conservative`; the kinetic
+    energy associates left to right, ``((0.5 * rho) * vel) * vel``."""
     rho = u[0]
     if len(u) == 3:
         vel = b.div(u[1], rho)
@@ -229,7 +171,7 @@ def emit_primitive_from_conservative(b, u, gm1):
 
 
 def emit_conservative_from_primitive(b, p, gm1):
-    """IR mirror of :func:`conservative_from_primitive` (``out=`` branch)."""
+    """IR definition of :func:`conservative_from_primitive`."""
     rho = p[0]
     if len(p) == 3:
         momentum = b.mul(rho, p[1])
@@ -246,9 +188,9 @@ def emit_conservative_from_primitive(b, p, gm1):
 
 
 def emit_physical_flux(b, p, gm1):
-    """IR mirror of :func:`physical_flux` with ``axis_field=1`` (``out=``
-    branch) — the sweeps always orient the state so field 1 is the
-    normal velocity."""
+    """IR definition of :func:`physical_flux` with ``axis_field=1`` — the
+    sweeps always orient the state so field 1 is the normal velocity;
+    ``rho*vn*v`` associates left to right, so ``f0`` feeds ``f1``/``f2``."""
     rho = p[0]
     pressure_value = p[-1]
     if len(p) == 3:
@@ -274,13 +216,6 @@ def emit_physical_flux(b, p, gm1):
     scratch = b.add(energy, pressure_value)
     f3 = b.mul(vx, scratch)
     return [f0, f1, f2, f3]
-
-
-def _cell_scratch(work, name: str, reference: np.ndarray) -> np.ndarray:
-    """Per-cell scratch from a workspace, or a fresh array without one."""
-    if work is None:
-        return np.empty(reference.shape[:-1], dtype=reference.dtype)
-    return work.array(name, reference.shape[:-1], reference.dtype)
 
 
 def bad_cells(cell_mask: np.ndarray, limit: int = MAX_REPORTED_CELLS):

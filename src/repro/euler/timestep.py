@@ -19,13 +19,15 @@ import numpy as np
 from repro.errors import ConfigurationError, PhysicsError
 from repro.euler.constants import DEFAULT_CFL, GAMMA
 from repro.euler import eos, state
+from repro.jit.numpy_eval import field_views, numpy_program
 
 
 def eigenvalues_into(
     primitive: np.ndarray, spacing: Sequence[float], gamma: float = GAMMA, work=None
 ) -> np.ndarray:
     """Per-cell sum of directional signal speeds over cell sizes (the
-    GetDT integrand), written into workspace scratch.
+    GetDT integrand), written into workspace scratch: the NumPy program
+    of :func:`emit_eigenvalue_sum`.
 
     Every operation is elementwise per cell, so calling this on a strip
     of rows produces bit-for-bit the values a full-grid pass would — the
@@ -36,17 +38,25 @@ def eigenvalues_into(
         raise ConfigurationError(
             f"{ndim}-D state needs {ndim} spacings, got {len(spacing)}"
         )
-    sound = work.cell_like("dt.sound", primitive)
     ev = work.cell_like("dt.ev", primitive)
-    scratch = work.cell_like("dt.scratch", primitive)
     with np.errstate(invalid="ignore", divide="ignore"):
-        eos.sound_speed(primitive[..., 0], primitive[..., -1], gamma, out=sound)
-        ev.fill(0.0)
-        for axis in range(ndim):
-            np.abs(primitive[..., 1 + axis], out=scratch)
-            np.add(scratch, sound, out=scratch)
-            np.divide(scratch, spacing[axis], out=scratch)
-            np.add(ev, scratch, out=ev)
+        numpy_program("eigenvalues", ndim).run(
+            field_views(primitive) + [gamma, *spacing], [ev], work
+        )
+    return ev
+
+
+def emit_eigenvalue_sum(b, prim, gamma, spacings):
+    """IR definition of the GetDT integrand ``sum_axis (|u_axis| + c) /
+    d_axis`` over primitive field values — shared by the in-place NumPy
+    program and the compiled dt kernel."""
+    sound = eos.emit_sound_speed(b, prim[0], prim[-1], gamma)
+    ev = b.const(0.0)
+    for axis, spacing in enumerate(spacings):
+        scratch = b.abs_(prim[1 + axis])
+        scratch = b.add(scratch, sound)
+        scratch = b.div(scratch, spacing)
+        ev = b.add(ev, scratch)
     return ev
 
 

@@ -5,9 +5,10 @@ performance ("liberates the programmer from ... space management",
 Section 2); ``sac/opt/memreuse.py`` reproduces that statically for the
 SaC pipeline.  :class:`Workspace` is the same idea for the golden NumPy
 solver: every kernel that accepts ``out=``/``work=`` parameters draws
-its temporaries from a workspace keyed by ``(name, shape, dtype)``, so
-the first step of a solver allocates everything and subsequent steps
-allocate nothing.
+its temporaries from a workspace keyed by ``(name, shape, dtype)`` — a
+kernel's NumPy program (:mod:`repro.jit.numpy_eval`) takes all its
+scratch slots as one named block per shape — so the first step of a
+solver allocates everything and subsequent steps allocate nothing.
 
 A workspace is owned by exactly one :class:`~repro.euler.engine.StepEngine`
 (one per solver, or one per rank in the parallel solver); buffers are
@@ -32,9 +33,9 @@ class Workspace:
     ``array(name, shape, dtype)`` returns the same buffer for the same
     key on every call; contents are *not* cleared between requests, so
     callers must fully overwrite a buffer before reading it.  Names are
-    namespaced by convention (``"rus.fl"``, ``"rk.k"``, ...) so two
-    kernels sharing a workspace never collide unless they share a
-    buffer on purpose.
+    namespaced by convention (``"engine.flux"``, ``"rk.k"``, a program's
+    ``"riemann_hllc_4.f64"``, ...) so two kernels sharing a workspace
+    never collide unless they share a buffer on purpose.
     """
 
     __slots__ = ("_arrays",)

@@ -16,12 +16,14 @@ How it works
   and friends).  :mod:`repro.jit.kernels` assembles, per
   specialization, a straight-line SSA kernel IR (:mod:`repro.jit.ir`)
   for the fused per-face flux computation and the fused per-cell
-  convert+eigenvalue dt pass, using *emitter* functions that live next
-  to the NumPy kernels they mirror (``emit_*`` in
+  convert+eigenvalue dt pass, using the *emitter* functions that live
+  next to the allocating reference functions they define (``emit_*`` in
   :mod:`repro.euler.riemann`, :mod:`repro.euler.reconstruction`,
-  :mod:`repro.euler.state`, :mod:`repro.euler.eos`).
-* Every emitted op mirrors one NumPy ufunc application — same operation,
-  same order, no algebraic rewrites (``np.power(x, 2)`` becomes
+  :mod:`repro.euler.state`, :mod:`repro.euler.eos`).  The same emitters,
+  one kernel at a time, are the NumPy engine's in-place path
+  (:mod:`repro.jit.numpy_eval`): both backends are derived from one text.
+* Every emitted op is one rounded operation of the reference — same
+  operation, same order, no algebraic rewrites (``x ** 2`` becomes
   ``x * x`` because that is NumPy's own fast path; ``np.minimum``'s
   NaN propagation is reproduced with an explicit helper, not ``fmin``).
   The IR is checked by :func:`repro.analysis.jit_verify.verify_kernel`
@@ -39,7 +41,7 @@ How it works
   strip-wise, so :mod:`repro.euler.tiling` still governs the working
   set.  Anything the compiled path does not support (characteristic
   projection with wide stencils, missing compiler, non-float64 state)
-  falls back to the NumPy oracle per strip, counted and attributed.
+  falls back to the NumPy path per strip, counted and attributed.
 
 Backend selection
 -----------------

@@ -11,7 +11,7 @@ specialization and serves two strip-level operations:
 
 Both return ``False`` when they cannot serve the call — unsupported
 specialization, no compiler, unexpected dtype/layout — and the engine
-runs its NumPy oracle for exactly that strip.  Every fallback is
+runs its NumPy programs for exactly that strip.  Every fallback is
 counted by reason (:attr:`fallbacks`), so "silently slower" is at
 least never "silently unexplained".  An IR verification failure is
 *not* a fallback: it means an emitter produced malformed IR (a bug),
@@ -72,7 +72,7 @@ class JitBackend:
         self.spec, self.unsupported_reason = spec_from_config(config, ndim)
         self.sweep_calls = 0
         self.dt_calls = 0
-        #: Fallback reason -> count of strip calls the NumPy oracle served.
+        #: Fallback reason -> count of strip calls the NumPy path served.
         self.fallbacks: Dict[str, int] = {}
         #: Worker threads for :meth:`sweep_tiled` (``REPRO_JIT_THREADS``).
         self.threads = repro_jit.resolve_jit_threads()
@@ -126,6 +126,25 @@ class JitBackend:
 
     # -- strip operations -----------------------------------------------
 
+    def _strip_geometry(self, padded: np.ndarray, out: np.ndarray):
+        """``(cells, cross)`` of a padded strip the compiled sweep can
+        serve into ``out``, or the reason (a string) it cannot."""
+        cells = padded.shape[0] - 2 * self.spec.ghost_cells
+        if padded.dtype != np.float64 or out.dtype != np.float64:
+            return "non-float64 state"
+        if not padded.flags.c_contiguous:
+            return "non-contiguous padded strip"
+        if (
+            padded.shape[-1] != self.spec.nfields
+            or cells < 1
+            or out.shape != (cells,) + padded.shape[1:]
+        ):
+            return "unexpected strip geometry"
+        cross = 1
+        for extent in padded.shape[1:-1]:
+            cross *= extent
+        return cells, cross
+
     def sweep(self, engine, padded: np.ndarray, spacing: float, out: np.ndarray) -> bool:
         """Fused sweep over one padded strip into ``out``; False = use NumPy.
 
@@ -137,21 +156,11 @@ class JitBackend:
         kernel = self._ensure_kernel()
         if kernel is None:
             return self._fallback(self._unavailable_reason())
+        geometry = self._strip_geometry(padded, out)
+        if isinstance(geometry, str):
+            return self._fallback(geometry)
+        cells, cross = geometry
         nfields = self.spec.nfields
-        cells = padded.shape[0] - 2 * self.spec.ghost_cells
-        if padded.dtype != np.float64 or out.dtype != np.float64:
-            return self._fallback("non-float64 state")
-        if not padded.flags.c_contiguous:
-            return self._fallback("non-contiguous padded strip")
-        if (
-            padded.shape[-1] != nfields
-            or cells < 1
-            or out.shape != (cells,) + padded.shape[1:]
-        ):
-            return self._fallback("unexpected strip geometry")
-        cross = 1
-        for extent in padded.shape[1:-1]:
-            cross *= extent
 
         started = perf_counter()
         workspace = engine.workspace
@@ -237,26 +246,16 @@ class JitBackend:
         kernel = self._ensure_kernel()
         if kernel is None or self._flux_ir is None:
             return False
+        geometry = self._strip_geometry(padded, out)
+        if isinstance(geometry, str) or geometry[0] != plan.n_cells:
+            return False
+        cells, cross = geometry
         ng = self.spec.ghost_cells
         nfields = self.spec.nfields
-        cells = padded.shape[0] - 2 * ng
-        if padded.dtype != np.float64 or out.dtype != np.float64:
-            return False
-        if not padded.flags.c_contiguous:
-            return False
-        if (
-            padded.shape[-1] != nfields
-            or cells != plan.n_cells
-            or out.shape != (cells,) + padded.shape[1:]
-        ):
-            return False
         proof = self._strip_proof(plan)
         if not proof.licensed:
             reason = proof.reason or "DEP004: proof unavailable"
             return self._serialize(reason, len(plan.tiles))
-        cross = 1
-        for extent in padded.shape[1:-1]:
-            cross *= extent
 
         started = perf_counter()
         workspace = engine.workspace

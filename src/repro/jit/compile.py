@@ -11,9 +11,12 @@ turns "compile on first use" into a single ``dlopen``.
 The cache directory is ``REPRO_JIT_CACHE`` or
 ``~/.cache/repro-jit``.  A cached entry that will not load is unlinked
 and rebuilt once, so a torn file cannot outlive the process that finds
-it.  Failures (no compiler, cc errors, unwritable cache) raise
+it.  The directory is bounded: after every build the least recently
+used entries beyond :data:`MAX_CACHE_ENTRIES` are unlinked (a disk hit
+refreshes an entry's mtime).  Failures (no compiler, cc errors,
+unwritable cache) raise
 :class:`CompileError`; the backend catches it, counts the reason, and
-keeps the NumPy oracle — compilation problems can never change results,
+keeps the NumPy path — compilation problems can never change results,
 only speed.
 """
 
@@ -47,6 +50,10 @@ CACHE_ENV = "REPRO_JIT_CACHE"
 
 _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
 
+#: Most ``<sha>.so`` + ``<sha>.c`` pairs kept on disk — over 3x the
+#: 160-spec method matrix, so only stale generations are ever evicted.
+MAX_CACHE_ENTRIES = 512
+
 #: Process-wide compile/cache counters (exposed via engine counters and
 #: the step trace).
 _STATS = {
@@ -54,6 +61,7 @@ _STATS = {
     "compile_seconds": 0.0,
     "cache_hits": 0,
     "cache_misses": 0,
+    "evictions": 0,
 }
 
 #: In-process kernel cache: source hash -> loaded CompiledKernel.
@@ -144,6 +152,10 @@ def load_kernel(source: str, ndim: int) -> CompiledKernel:
     cached = shared_object.exists()
     if cached:
         _STATS["cache_hits"] += 1
+        try:
+            os.utime(shared_object)  # eviction is least-recently-*used*
+        except OSError:
+            pass
     else:
         _STATS["cache_misses"] += 1
         _build(source, digest, directory, shared_object)
@@ -211,3 +223,24 @@ def _build(
                 pass
         _STATS["compiles"] += 1
         _STATS["compile_seconds"] += perf_counter() - started
+    _evict(directory, keep=shared_object)
+
+
+def _evict(directory: Path, keep: Path) -> None:
+    """Unlink the oldest-mtime entries beyond :data:`MAX_CACHE_ENTRIES`,
+    never ``keep`` (the one just published).  Other processes evict the
+    same directory, so a file vanishing underfoot is not an error."""
+
+    def mtime(path: Path) -> float:
+        try:
+            return path.stat().st_mtime
+        except OSError:
+            return 0.0
+
+    # [!.]: another build's unpublished temp is a dotfile
+    entries = sorted(directory.glob("[!.]*.so"), key=mtime)
+    for path in entries[: max(0, len(entries) - MAX_CACHE_ENTRIES)]:
+        if path != keep:
+            path.unlink(missing_ok=True)
+            path.with_suffix(".c").unlink(missing_ok=True)
+            _STATS["evictions"] += 1

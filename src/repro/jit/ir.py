@@ -4,14 +4,14 @@ A kernel body is a list of :class:`Op` in SSA form: every op defines one
 new value, consumes previously defined values (or float immediates,
 which the builder materialises as ``const`` ops), and carries a dtype of
 ``"f64"`` or ``"bool"``.  There is deliberately no control flow — the
-kernels this package compiles are the per-face flux function and the
-per-cell dt function, both of which the NumPy path expresses as pure
-elementwise ufunc chains; masks become ``select`` ops, mirroring
-``np.copyto(..., where=)``.
+kernels are pure elementwise chains (a Riemann solver, a reconstruction
+scheme, a conversion, the per-face flux and per-cell dt compositions);
+masks become ``select`` ops.  Two backends read this IR: the C code
+generator (:mod:`repro.jit.codegen`) and the NumPy evaluator
+(:mod:`repro.jit.numpy_eval`), one ufunc per op.
 
-The opcodes are exactly the ufuncs the NumPy kernels use.  Semantics
-the C backend must honour (and :mod:`repro.analysis.jit_verify` checks
-structurally):
+The opcodes are exactly NumPy ufuncs.  Semantics the C backend must
+honour (and :mod:`repro.analysis.jit_verify` checks structurally):
 
 ``minimum``/``maximum``
     NumPy NaN-propagating semantics — ``(a < b || isnan(a)) ? a : b`` —
@@ -19,7 +19,7 @@ structurally):
 ``sign``
     ``+1``/``-1`` for nonzero, ``0`` for zero, NaN propagates.
 ``select(cond, a, b)``
-    ``cond ? a : b`` — the elementwise mirror of
+    ``cond ? a : b`` — elementwise
     ``out[...] = b; np.copyto(out, a, where=cond)``.
 ``and_``
     logical AND of two bool values (mirrors ``np.logical_and`` /
@@ -94,7 +94,7 @@ class KernelIR:
 
 
 class IRBuilder:
-    """Builds :class:`KernelIR` one mirrored ufunc at a time.
+    """Builds :class:`KernelIR` one ufunc application at a time.
 
     Arithmetic methods accept SSA value names or Python floats; floats
     are materialised as (deduplicated) ``const`` ops, mirroring NumPy
@@ -148,7 +148,7 @@ class IRBuilder:
     def finish(self) -> KernelIR:
         return self.ir
 
-    # -- mirrored ufuncs -------------------------------------------------
+    # -- ufuncs ----------------------------------------------------------
 
     def add(self, a, b) -> Value:
         return self._emit("add", (a, b), F64)

@@ -3,8 +3,8 @@
 A :class:`KernelSpec` is the method tuple the engine's NumPy path
 dispatches on — ``(riemann, reconstruction, limiter, variables,
 ndim)``; the element type is always float64.  For a supported spec this
-module assembles two straight-line SSA kernels from the emitter
-functions that live next to the NumPy kernels they mirror:
+module assembles two straight-line SSA kernels from the ``emit_*``
+definitions that live next to the allocating reference functions:
 
 * the **flux kernel** — the whole per-face ``reconstruct -> riemann``
   chain from one stencil of primitive cells to one numerical flux
@@ -15,21 +15,32 @@ functions that live next to the NumPy kernels they mirror:
   fresh for the first Runge-Kutta stage.
 
 Unsupported corners return a reason string instead of a spec and the
-engine keeps the NumPy oracle for them:
+engine keeps the NumPy path for them:
 
 * ``characteristic`` variables with a multi-cell stencil (the
   eigenvector projection is not lowered; with ``pc``'s one-cell
   stencil the projection is skipped by the NumPy path itself, so the
   spec normalises to the bit-identical ``primitive`` kernel).
+
+The same emitters also make the **standalone kernels** — one Riemann
+solver, one reconstruction scheme, one state conversion, the GetDT
+eigenvalue sum — whose :class:`~repro.jit.numpy_eval.NumpyProgram` *is*
+the ``out=``/``work=`` path of the corresponding :mod:`repro.euler`
+function (:func:`repro.jit.numpy_eval.numpy_program`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.euler import eos, state
-from repro.euler.reconstruction import get_scheme, get_scheme_emitter
-from repro.euler.riemann import get_riemann_emitter
+from repro.euler import state, timestep
+from repro.euler.reconstruction import (
+    LIMITER_EMITTERS,
+    get_scheme,
+    get_scheme_emitter,
+)
+from repro.euler.riemann import RIEMANN_EMITTERS, get_riemann_emitter
 from repro.jit.ir import IRBuilder, KernelIR
 
 __all__ = [
@@ -37,6 +48,9 @@ __all__ = [
     "spec_from_config",
     "build_flux_ir",
     "build_dt_ir",
+    "SCALAR_PARAMS",
+    "standalone_kernels",
+    "build_standalone_ir",
 ]
 
 
@@ -108,8 +122,8 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
     Inputs are the ``2 * ghost_cells`` stencil cells of *primitive*
     fields (``c{k}_{f}``, ordered like
     :func:`~repro.euler.reconstruction.base.stencil_views`) plus
-    ``gamma``; outputs are ``flux0..flux{F-1}``.  The emitters replay
-    the exact ufunc sequence of the engine's
+    ``gamma``; outputs are ``flux0..flux{F-1}``.  The emitters state
+    the exact operation sequence of the engine's
     ``reconstruct -> riemann`` chain for one face.
     """
     nfields = spec.nfields
@@ -125,7 +139,7 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
     if spec.variables == "primitive":
         left, right = _reconstruct_fields(b, scheme_emit, cells, nfields)
     elif spec.variables == "conservative":
-        # Mirror of the engine's conservative branch: convert the whole
+        # The engine's conservative branch: convert the whole
         # padded stencil, reconstruct componentwise in conservative
         # space, convert the face states back.  The scalar conversion of
         # a stencil cell produces the same bits every time it is
@@ -171,9 +185,9 @@ def build_dt_ir(spec: KernelSpec) -> KernelIR:
     Inputs are the conservative fields ``u0..u{F-1}``, ``gamma`` and the
     spacings ``sp0``/``sp1``; outputs the primitive fields
     ``prim0..prim{F-1}`` (the engine keeps the converted strip fresh for
-    RK stage 1) and the eigenvalue integrand ``ev`` — mirrors of
-    :func:`repro.euler.state.primitive_from_conservative` and
-    :func:`repro.euler.timestep.eigenvalues_into`.
+    RK stage 1) and the eigenvalue integrand ``ev`` —
+    :func:`repro.euler.state.emit_primitive_from_conservative` followed
+    by :func:`repro.euler.timestep.emit_eigenvalue_sum`.
     """
     nfields = spec.nfields
     b = IRBuilder(f"dt_{spec.symbol()}")
@@ -183,15 +197,75 @@ def build_dt_ir(spec: KernelSpec) -> KernelIR:
     gm1 = b.sub(gamma, 1.0)
 
     prim = state.emit_primitive_from_conservative(b, u, gm1)
-    sound = eos.emit_sound_speed(b, prim[0], prim[-1], gamma)
-    ev = b.const(0.0)
-    for axis in range(spec.ndim):
-        scratch = b.abs_(prim[1 + axis])
-        scratch = b.add(scratch, sound)
-        scratch = b.div(scratch, spacings[axis])
-        ev = b.add(ev, scratch)
+    ev = timestep.emit_eigenvalue_sum(b, prim, gamma, spacings)
 
     for field, value in enumerate(prim):
         b.output(f"prim{field}", value)
     b.output("ev", ev)
+    return b.finish()
+
+
+# -- standalone kernels: the in-place NumPy path -------------------------
+
+#: Parameters a standalone program's caller binds to floats, not arrays.
+SCALAR_PARAMS = ("gamma", "sp0", "sp1")
+
+_CONVERSIONS = {
+    "primitive": state.emit_primitive_from_conservative,
+    "conservative": state.emit_conservative_from_primitive,
+}
+
+
+def standalone_kernels() -> List[Tuple]:
+    """Every ``(kind, *key)`` :func:`build_standalone_ir` builds: Riemann solver
+    × field count, scheme × limiter (where the scheme consults it),
+    conversion × field count, eigenvalue sum × dimension."""
+    limiters = {"tvd2": tuple(LIMITER_EMITTERS)}
+    return (
+        [("riemann", name, nfields) for name in RIEMANN_EMITTERS for nfields in (3, 4)]
+        + [
+            ("scheme", name, limiter)
+            for name in ("pc", "tvd2", "tvd3", "weno3")
+            for limiter in limiters.get(name, ("minmod",))
+        ]
+        + [("convert", target, nfields) for target in _CONVERSIONS for nfields in (3, 4)]
+        + [("eigenvalues", ndim) for ndim in (1, 2)]
+    )
+
+
+def build_standalone_ir(kind: str, *key) -> KernelIR:
+    """The IR of one standalone kernel, named ``kind_key...``; outputs
+    are ``out0..`` in the emitter's order.
+
+    ``riemann``: primitive ``l*``/``r*`` fields and ``gamma`` in, the
+    flux out.  ``scheme``: one field's ``2 * ghost_cells`` stencil cells
+    in, (left, right) out.  ``convert``: ``q*`` fields and ``gamma`` in,
+    the converted fields out.  ``eigenvalues``: ``prim*`` fields,
+    ``gamma`` and the spacings ``sp*`` in, the GetDT integrand out.
+    """
+    b = IRBuilder("_".join(str(part) for part in (kind,) + key))
+
+    def params(prefix, count):
+        return [b.param(f"{prefix}{i}") for i in range(count)]
+
+    if kind == "scheme":
+        name, limiter = key
+        cells = params("c", 2 * get_scheme(name, limiter).ghost_cells)
+        results = get_scheme_emitter(name, limiter)(b, cells)
+    elif kind == "eigenvalues":
+        (ndim,) = key
+        prim, gamma = params("prim", ndim + 2), b.param("gamma")
+        results = [timestep.emit_eigenvalue_sum(b, prim, gamma, params("sp", ndim))]
+    elif kind == "riemann":
+        name, nfields = key
+        left, right, gamma = params("l", nfields), params("r", nfields), b.param("gamma")
+        results = get_riemann_emitter(name)(b, left, right, gamma, b.sub(gamma, 1.0))
+    elif kind == "convert":
+        target, nfields = key
+        fields = params("q", nfields)
+        results = _CONVERSIONS[target](b, fields, b.sub(b.param("gamma"), 1.0))
+    else:
+        raise ValueError(f"unknown standalone kernel kind {kind!r}")
+    for position, value in enumerate(results):
+        b.output(f"out{position}", value)
     return b.finish()

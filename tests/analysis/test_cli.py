@@ -204,3 +204,25 @@ class TestJitMatrixLint:
         engine = DiagnosticEngine()
         lint_jit_kernels(engine)
         assert "DEP001" in engine.codes()
+
+    def test_standalone_numpy_kernels_are_linted(self, capsys, monkeypatch):
+        """``--jit`` also verifies the standalone IRs behind the in-place
+        NumPy entry points: clean today, and a broken emitter that only
+        that path reaches is named ahead of time."""
+        from repro.analysis.cli import lint_numpy_kernels
+        from repro.analysis.diag import DiagnosticEngine
+        from repro.jit import kernels
+
+        assert main(["--jit"]) == 0
+        out = capsys.readouterr().out
+        count = len(kernels.standalone_kernels())
+        assert f"numpy kernel programs: {count} standalone IR(s) verified, 0 finding(s)" in out
+
+        def broken(b, fields, gm1):
+            return [b.add(fields[0], "v_undefined")] * len(fields)
+
+        monkeypatch.setitem(kernels._CONVERSIONS, "primitive", broken)
+        engine = DiagnosticEngine()
+        assert lint_numpy_kernels(engine) == count
+        assert set(engine.codes()) == {"JIT-IR001"}
+        assert any("convert_primitive_3 [numpy]" in d.format() for d in engine)

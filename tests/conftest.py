@@ -5,8 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.euler.solver import SolverConfig
+
+# Property tests that leave ``max_examples`` to the profile run hypothesis'
+# stock 100 examples by default and ten times that under
+# ``--hypothesis-profile=ci`` (hypothesis' own pytest flag).
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ compiled-path assertions.
 import dataclasses
 import hashlib
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -420,6 +421,45 @@ class TestCompileLayer:
         assert stats["compiled"] and stats["fallbacks"] == {}
         assert stats["compiles"] == before["compiles"] + 1
         assert cached.stat().st_size > 1024  # a real shared object again
+
+    @needs_cc
+    def test_disk_cache_is_bounded_and_lru(self, monkeypatch, tmp_path):
+        """A cache directory past the cap shrinks to the cap on the next
+        build — oldest mtime first, the fresh kernel never — and a disk
+        hit refreshes an entry's mtime, so eviction is LRU, not FIFO."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(cache))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        cap = jit_compile.MAX_CACHE_ENTRIES
+        for index in range(cap + 8):
+            for suffix in (".so", ".c"):
+                dummy = cache / f"{index:064x}{suffix}"
+                dummy.write_bytes(b"stale")
+                os.utime(dummy, (1_000_000 + index, 1_000_000 + index))
+        config = SolverConfig(
+            reconstruction="pc", riemann="rusanov", variables="primitive"
+        )
+        spec, _ = spec_from_config(config, 1)
+        source = generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
+        before = jit_compile.compile_stats()
+        kernel = jit_compile.load_kernel(source, spec.ndim)
+        after = jit_compile.compile_stats()
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["evictions"] == before["evictions"] + 9
+        assert kernel.path.exists() and kernel.path.stat().st_size > 1024
+        assert len(list(cache.glob("*.so"))) == cap
+        assert len(list(cache.glob("*.c"))) == cap
+        # the nine oldest went, as pairs; the youngest dummies stayed
+        assert not (cache / f"{8:064x}.so").exists()
+        assert not (cache / f"{8:064x}.c").exists()
+        assert (cache / f"{9:064x}.so").exists()
+
+        os.utime(kernel.path, (1_000, 1_000))  # now the oldest entry...
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        jit_compile.load_kernel(source, spec.ndim)  # ...until a disk hit
+        assert jit_compile.compile_stats()["compiles"] == after["compiles"]
+        assert kernel.path.stat().st_mtime > 1_000_000 + cap + 8
 
     @needs_cc
     def test_source_embeds_spec_and_hex_constants(self):

@@ -1,0 +1,357 @@
+"""One kernel text: the in-place NumPy programs against their references.
+
+Every ``out=``/``work=`` kernel entry point runs its ``emit_*``
+definition through :class:`repro.jit.numpy_eval.NumpyProgram`.  These
+tests hold each of them, kernel by kernel, to the allocating function
+beside it — the independent reference — at 0.0, and hold the engine's
+NumPy sweep and dt pass to the compiled C of the same emitters, on drawn
+states the whole-engine tests never see: near-vacuum, strong jumps,
+exact zeros in every guarded denominator (``s_right - s_left``,
+``s_wave - s_star``, ``a + b`` of van Leer, flat data under
+``WENO_EPSILON``), ragged shapes down to one face, non-contiguous field
+views and one NaN cell.  Two unit tests pin the evaluator's own rules:
+slot liveness over every cached program, and thread safety of a shared
+program on separate workspaces.
+
+Example counts come from the hypothesis profile (``tests/conftest.py``):
+``--hypothesis-profile=ci`` runs ten times the default.
+"""
+
+import sys
+import threading
+from collections import namedtuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.jit
+from repro.errors import PhysicsError
+from repro.euler import state
+from repro.euler.engine import StepEngine
+from repro.euler.reconstruction import get_scheme, reconstruct_component
+from repro.euler.riemann import RIEMANN_SOLVERS
+from repro.euler.solver import SolverConfig
+from repro.euler.timestep import eigenvalues_into, max_eigenvalue
+from repro.euler.workspace import Workspace
+from repro.jit.kernels import standalone_kernels
+from repro.jit.numpy_eval import numpy_program
+
+GAMMA = 1.4
+LIMITERS = ("minmod", "superbee", "vanleer", "mc")
+SCHEMES = (
+    [("pc", "minmod"), ("tvd3", "minmod"), ("weno3", "minmod")]
+    + [("tvd2", limiter) for limiter in LIMITERS]
+)
+#: Composed specs whose compiled kernels the NumPy programs are held to:
+#: every solver in 1-D and 2-D, every scheme/limiter once, one
+#: conservative-variables chain.
+COMPOSED = (
+    [(riemann, "pc", "minmod", "primitive", ndim) for riemann in sorted(RIEMANN_SOLVERS) for ndim in (1, 2)]
+    + [("hllc", scheme, limiter, "primitive", 2) for scheme, limiter in SCHEMES[1:]]
+    + [("roe", "tvd2", "minmod", "conservative", 1)]
+)
+
+needs_cc = pytest.mark.skipif(not repro.jit.available(), reason="no C compiler on PATH")
+
+#: Shared on purpose: every example meets scratch left dirty by the last.
+WORK = Workspace()
+
+Case = namedtuple("Case", "seed shape layout features")
+
+
+def cases(*features):
+    """Leading shape (down to one cell), memory layout, and which nasty
+    features to plant; the values themselves come from ``seed``."""
+    shapes = st.one_of(
+        st.tuples(st.integers(1, 9)),
+        st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+    )
+    return st.builds(
+        Case,
+        seed=st.integers(0, 2**32 - 1),
+        shape=shapes,
+        layout=st.sampled_from(("contiguous", "strided", "fieldmajor")),
+        features=st.sets(st.sampled_from(features)),
+    )
+
+
+def carve(shape, nfields, layout):
+    """A NaN-filled ``shape + (nfields,)`` array in the drawn layout."""
+    if layout == "strided":  # every other cell of a wider block
+        block = np.full(shape[:-1] + (2 * shape[-1] + 1, nfields), np.nan)
+        return block[..., 1::2, :]
+    if layout == "fieldmajor":  # each field plane contiguous
+        return np.moveaxis(np.full((nfields,) + shape, np.nan), 0, -1)
+    return np.full(shape + (nfields,), np.nan)
+
+
+def primitive(rng, shape, nfields, layout):
+    p = carve(shape, nfields, layout)
+    p[..., 0] = rng.uniform(0.1, 3.0, shape)
+    p[..., 1:-1] = rng.normal(0.0, 1.0, shape + (nfields - 2,))
+    p[..., -1] = rng.uniform(0.1, 3.0, shape)
+    return p
+
+
+def plant(rng, features, *arrays):
+    """Plant each drawn feature at one cell, the same cell in every array."""
+    shape = arrays[0].shape[:-1]
+
+    def cell():
+        return tuple(int(rng.integers(0, extent)) for extent in shape)
+
+    if "flat" in features:  # zero differences: WENO under its epsilon
+        for array in arrays:
+            array[...] = array[cell()].copy()
+    if "peak" in features and shape[0] >= 3:  # a == -b exactly (van Leer's a + b)
+        row = int(rng.integers(1, shape[0] - 1))
+        level = float(rng.integers(-3, 4))
+        for array in arrays:
+            array[row - 1 : row + 2] = level
+            array[row] = level + 1.0
+    if "vacuum" in features:
+        at = cell()
+        for array in arrays:
+            array[at + (0,)] = array[at + (-1,)] = 1e-13
+    if "jump" in features:
+        at = cell()
+        arrays[-1][at + (0,)] *= 1e3
+        arrays[-1][at + (-1,)] *= 1e6
+    if "still" in features:  # c == 0 and u == 0: every guarded denominator is 0
+        at = cell()
+        for array in arrays:
+            array[at + (slice(1, None),)] = 0.0
+    if "nan" in features:
+        arrays[0][cell() + (int(rng.integers(0, arrays[0].shape[-1])),)] = np.nan
+
+
+def assert_same_bits(actual, expected):
+    """Equal at 0.0: NaN where NaN, else the same 64 bits (signed zeros too)."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def outcome(call):
+    """A call's value, or what its :class:`PhysicsError` says."""
+    try:
+        with np.errstate(all="ignore"):
+            return "value", call()
+    except PhysicsError as error:
+        return "error", error.cells, error.batch_index, str(error)
+
+
+# -- in place == allocating, kernel by kernel ---------------------------
+
+
+@pytest.mark.parametrize("nfields", (3, 4))
+@pytest.mark.parametrize("name", sorted(RIEMANN_SOLVERS))
+@settings(deadline=None)
+@given(case=cases("vacuum", "jump", "still", "nan"))
+def test_riemann_in_place_equals_allocating(name, nfields, case):
+    rng = np.random.default_rng(case.seed)
+    left = primitive(rng, case.shape, nfields, case.layout)
+    right = primitive(rng, case.shape, nfields, case.layout)
+    plant(rng, case.features, left, right)
+    solver = RIEMANN_SOLVERS[name]
+    out = carve(case.shape, nfields, case.layout)
+    with np.errstate(all="ignore"):
+        reference = solver(left, right, GAMMA)
+        assert solver(left, right, GAMMA, out=out, work=WORK) is out
+    assert_same_bits(out, reference)
+
+
+@pytest.mark.parametrize("nfields", (1, 3, 4))
+@pytest.mark.parametrize("reconstruction,limiter", SCHEMES)
+@settings(deadline=None)
+@given(case=cases("flat", "peak", "still", "jump", "nan"))
+def test_scheme_in_place_equals_allocating(reconstruction, limiter, nfields, case):
+    rng = np.random.default_rng(case.seed)
+    scheme = get_scheme(reconstruction, limiter)
+    ghost = scheme.ghost_cells
+    cells, cross = case.shape[0], case.shape[1:]  # one cell: two faces
+    padded = carve((cells + 2 * ghost,) + cross, nfields, case.layout)
+    padded[...] = rng.normal(0.0, 1.0, padded.shape)
+    plant(rng, case.features, padded)
+    out = tuple(carve((cells + 1,) + cross, nfields, case.layout) for _ in range(2))
+    with np.errstate(all="ignore"):
+        reference = reconstruct_component(scheme, padded, ghost)
+        reconstruct_component(scheme, padded, ghost, out=out, work=WORK)
+    assert_same_bits(out[0], reference[0])
+    assert_same_bits(out[1], reference[1])
+
+
+@pytest.mark.parametrize("nfields", (3, 4))
+@settings(deadline=None)
+@given(case=cases("vacuum", "jump", "still", "nan"))
+def test_conversions_in_place_equal_allocating(nfields, case):
+    rng = np.random.default_rng(case.seed)
+    p = primitive(rng, case.shape, nfields, case.layout)
+    plant(rng, case.features, p)
+    with np.errstate(all="ignore"):
+        u = state.conservative_from_primitive(p, GAMMA)
+        u_out = carve(case.shape, nfields, case.layout)
+        state.conservative_from_primitive(p, GAMMA, out=u_out, work=WORK)
+        assert_same_bits(u_out, u)
+        back = state.primitive_from_conservative(u_out, GAMMA)
+        p_out = carve(case.shape, nfields, case.layout)
+        state.primitive_from_conservative(u_out, GAMMA, out=p_out, work=WORK)
+        assert_same_bits(p_out, back)
+
+
+@pytest.mark.parametrize("ndim", (1, 2))
+@settings(deadline=None)
+@given(case=cases("vacuum", "jump", "still", "nan"), spacing=st.tuples(*[st.floats(1e-3, 2.0)] * 2))
+def test_eigenvalue_sum_in_place_equals_allocating(ndim, case, spacing):
+    rng = np.random.default_rng(case.seed)
+    p = primitive(rng, case.shape, ndim + 2, case.layout)
+    plant(rng, case.features, p)
+    spacing = spacing[:ndim]
+    ev = eigenvalues_into(p, spacing, GAMMA, work=WORK)
+    # The allocating integrand is only visible through its maximum, so
+    # it is taken one cell at a time.
+    for cell in np.ndindex(*case.shape):
+        kind, *rest = outcome(lambda: max_eigenvalue(p[cell][None], spacing, GAMMA))
+        if kind == "value":
+            assert_same_bits(ev[cell], np.float64(rest[0]))
+        else:
+            assert not np.isfinite(ev[cell])
+    assert outcome(lambda: max_eigenvalue(p, spacing, GAMMA, work=WORK)) == outcome(
+        lambda: max_eigenvalue(p, spacing, GAMMA)
+    )
+
+
+# -- NumPy programs == compiled C of the same emitters ------------------
+
+
+def engine_pair(config, member_shape, spacing):
+    return [
+        StepEngine(member_shape, spacing, config, backend=backend)
+        for backend in ("numpy", "jit")
+    ]
+
+
+@needs_cc
+@pytest.mark.parametrize("riemann,reconstruction,limiter,variables,ndim", COMPOSED)
+@settings(deadline=None)
+@given(case=cases("vacuum", "jump", "still", "nan"), spacing=st.floats(1e-3, 2.0))
+def test_numpy_sweep_equals_compiled_sweep(
+    riemann, reconstruction, limiter, variables, ndim, case, spacing
+):
+    """One padded strip through ``reconstruct -> riemann -> difference``:
+    the engine's NumPy programs against the fused C kernel."""
+    config = SolverConfig(
+        riemann=riemann, reconstruction=reconstruction, limiter=limiter, variables=variables
+    )
+    nfields = ndim + 2
+    rng = np.random.default_rng(case.seed)
+    cross = case.shape[1 : 1 + ndim]  # members, then the non-sweep extent
+    cross = cross + (1,) * (ndim - len(cross))
+    ghost = get_scheme(reconstruction, limiter).ghost_cells
+    cells = case.shape[0]
+    padded = primitive(rng, (cells + 2 * ghost,) + cross, nfields, "contiguous")
+    plant(rng, case.features, padded)
+    numpy_engine, jit_engine = engine_pair(config, (cells,) + cross[1:] + (nfields,), (spacing,) * ndim)
+    results = []
+    for engine in (numpy_engine, jit_engine):
+        target = np.full((cells,) + cross + (nfields,), np.nan)
+        with np.errstate(all="ignore"):
+            engine._difference_into(padded, spacing, target)
+        results.append(target)
+    assert jit_engine.backend.sweep_calls == 1 and jit_engine.backend.fallbacks == {}
+    assert_same_bits(results[0], results[1])
+
+
+@needs_cc
+@pytest.mark.parametrize("ndim", (1, 2))
+@settings(deadline=None)
+@given(case=cases("vacuum", "jump", "still", "nan"), spacing=st.tuples(*[st.floats(1e-3, 2.0)] * 2))
+def test_numpy_dt_pass_equals_compiled_dt_pass(ndim, case, spacing):
+    """``compute_dt``: conversion program + eigenvalue program against the
+    fused C dt kernel — the same dts and primitives, or the same error."""
+    config = SolverConfig(reconstruction="pc", riemann="rusanov")
+    rng = np.random.default_rng(case.seed)
+    member = (case.shape + (1, 1))[:ndim]
+    p = primitive(rng, (1,) + member, ndim + 2, "contiguous")
+    plant(rng, case.features, p)
+    with np.errstate(all="ignore"):
+        u = state.conservative_from_primitive(p, GAMMA)
+    numpy_engine, jit_engine = engine_pair(config, member + (ndim + 2,), spacing[:ndim])
+    results = [outcome(lambda: engine.compute_dt(u).copy()) for engine in (numpy_engine, jit_engine)]
+    assert jit_engine.backend.dt_calls == 1 and jit_engine.backend.fallbacks == {}
+    assert results[0][0] == results[1][0]
+    if results[0][0] == "value":
+        assert_same_bits(results[0][1], results[1][1])
+    else:
+        assert results[0] == results[1]
+    assert_same_bits(
+        numpy_engine.workspace.array("engine.primitive", u.shape),
+        jit_engine.workspace.array("engine.primitive", u.shape),
+    )
+
+
+# -- the evaluator's own rules ------------------------------------------
+
+
+def test_no_slot_is_read_after_reassignment():
+    """Replay every cached program's register schedule: each read finds
+    the value it names still in place, outputs survive to the end, and a
+    ``select`` never writes over its condition or its then-operand."""
+    for kernel in standalone_kernels():
+        program = numpy_program(*kernel)
+        register = program.registers
+        holder = {}
+        for op in program.ir.ops:
+            for arg in op.args:
+                assert holder[register[arg]] == arg, (kernel, op)
+            if op.opcode == "select":
+                cond, then, _ = op.args
+                assert register[op.name] not in (register[cond], register[then]), (kernel, op)
+            holder[register[op.name]] = op.name
+        # an output no op computes in place is copied at the end: its
+        # source must have survived until then
+        for _, value in program.ir.outputs:
+            assert holder[register[value]] == value, (kernel, value)
+
+
+def test_threads_share_a_program_but_no_scratch():
+    """Two threads run one cached program on two workspaces: serial bits
+    on both, and no buffer of one workspace overlaps one of the other."""
+    rng = np.random.default_rng(7)
+    shape, nfields, rounds = (40, 30), 4, 25
+    left = primitive(rng, shape, nfields, "contiguous")
+    right = primitive(rng, shape, nfields, "contiguous")
+    solver = RIEMANN_SOLVERS["hllc"]
+    serial = solver(left, right, GAMMA, out=np.empty_like(left), work=Workspace())
+    workspaces = [Workspace(), Workspace()]
+    outputs = [np.empty_like(left), np.empty_like(left)]
+    mismatches = [0, 0]
+
+    def worker(index):
+        for _ in range(rounds):
+            outputs[index].fill(np.nan)
+            solver(left, right, GAMMA, out=outputs[index], work=workspaces[index])
+            if not np.array_equal(outputs[index], serial):
+                mismatches[index] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [0, 0]
+    assert len(workspaces[0]) and len(workspaces[0]) == len(workspaces[1])
+    for mine in workspaces[0].buffers():
+        for theirs in workspaces[1].buffers():
+            assert not np.shares_memory(mine, theirs)
