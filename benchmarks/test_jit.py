@@ -13,6 +13,11 @@ method) and enforces the ISSUE 8 acceptance gates:
   (the ROADMAP target to report toward is 5x; the measured number
   lands in ``BENCH_jit.json`` either way).
 
+Beside the paper-method row the record carries a ``default_config`` row —
+the same problem under ``SolverConfig()`` (weno3 on characteristic
+variables, the flow-picture method), held to the same two identity
+gates: exactly 0.0, and served with no fallback.
+
 Grid and steps shrink for CI smoke via ``REPRO_JIT_BENCH_GRID`` /
 ``REPRO_JIT_BENCH_STEPS``.  Skips cleanly when no C compiler is on
 PATH — the NumPy oracle is always available, so the absence of ``cc``
@@ -27,7 +32,7 @@ import pytest
 
 import repro.jit
 from repro.euler import problems
-from repro.euler.solver import paper_benchmark_config
+from repro.euler.solver import SolverConfig, paper_benchmark_config
 
 from conftest import write_bench_json
 
@@ -43,10 +48,10 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _solver(backend):
+def _solver(backend, config):
     with repro.jit.backend_override(backend):
         solver, _ = problems.two_channel(
-            n_cells=GRID, h=GRID / 2.0, config=paper_benchmark_config()
+            n_cells=GRID, h=GRID / 2.0, config=config
         )
     return solver
 
@@ -61,10 +66,9 @@ def _timed_steps(solver, steps):
     return steps / (time.perf_counter() - start)
 
 
-@pytest.fixture(scope="module")
-def jit_rates():
-    numpy_solver = _solver("numpy")
-    jit_solver = _solver("jit")
+def _measure(config):
+    numpy_solver = _solver("numpy", config)
+    jit_solver = _solver("jit", config)
     numpy_rate = _timed_steps(numpy_solver, STEPS)
     jit_rate = _timed_steps(jit_solver, STEPS)
     stats = jit_solver.engine.counters()["jit"]
@@ -88,21 +92,29 @@ def jit_rates():
     }
 
 
+@pytest.fixture(scope="module")
+def jit_rates():
+    rates = _measure(paper_benchmark_config())
+    rates["default_config"] = _measure(SolverConfig())
+    return rates
+
+
 def test_jit_json(benchmark, jit_rates):
     """Emit the cross-PR record; benchmark one jit step for the harness."""
-    solver = _solver("jit")
+    solver = _solver("jit", paper_benchmark_config())
     solver.step()
     benchmark.pedantic(solver.step, rounds=1, iterations=max(1, STEPS // 2))
     print()
-    print(
-        f"jit {GRID}x{GRID} ({jit_rates['spec']}):"
-        f" jit {jit_rates['jit_steps_per_second']:.2f} steps/s, numpy"
-        f" {jit_rates['numpy_steps_per_second']:.2f}"
-        f" ({jit_rates['jit_speedup']:.2f}x); compile"
-        f" {jit_rates['compile_seconds']:.2f}s,"
-        f" cache {jit_rates['cache_hits']}h/{jit_rates['cache_misses']}m;"
-        f" max|jit-numpy| = {jit_rates['max_abs_difference']}"
-    )
+    for row in (jit_rates, jit_rates["default_config"]):
+        print(
+            f"jit {GRID}x{GRID} ({row['spec']}):"
+            f" jit {row['jit_steps_per_second']:.2f} steps/s, numpy"
+            f" {row['numpy_steps_per_second']:.2f}"
+            f" ({row['jit_speedup']:.2f}x); compile"
+            f" {row['compile_seconds']:.2f}s,"
+            f" cache {row['cache_hits']}h/{row['cache_misses']}m;"
+            f" max|jit-numpy| = {row['max_abs_difference']}"
+        )
     path = write_bench_json("jit", jit_rates)
     print(f"wrote {path}")
     benchmark.extra_info["jit_speedup"] = jit_rates["jit_speedup"]
@@ -111,15 +123,17 @@ def test_jit_json(benchmark, jit_rates):
 def test_jit_is_bit_for_bit_with_numpy(jit_rates):
     """The non-negotiable gate, enforced at every grid size."""
     assert jit_rates["max_abs_difference"] == 0.0
+    assert jit_rates["default_config"]["max_abs_difference"] == 0.0
 
 
 def test_jit_kernels_actually_served(jit_rates):
     """The measurement must be of the compiled path, not a silent
     full-fallback run dressed up as one."""
-    assert jit_rates["compiled"]
-    assert jit_rates["sweep_calls"] > 0
-    assert jit_rates["dt_calls"] > 0
-    assert not jit_rates["fallbacks"]
+    for row in (jit_rates, jit_rates["default_config"]):
+        assert row["compiled"]
+        assert row["sweep_calls"] > 0
+        assert row["dt_calls"] > 0
+        assert not row["fallbacks"]
 
 
 def test_jit_speedup_gate(jit_rates):

@@ -115,9 +115,7 @@ def lint_f90_source(
     return engine
 
 
-def lint_jit_kernels(
-    engine: Optional[DiagnosticEngine] = None,
-) -> Tuple[int, List[Tuple[str, str]]]:
+def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
     """Lower + verify + dependence-prove the whole KernelSpec matrix.
 
     Every registered riemann × reconstruction × limiter × variables ×
@@ -127,10 +125,8 @@ def lint_jit_kernels(
     and its access maps run through :func:`repro.analysis.deps
     .prove_strips` (sweep, against a representative two-strip plan and
     the declared ghost width) and :func:`~repro.analysis.deps
-    .prove_footprint` (dt).  Findings land in ``engine``; returns
-    ``(verified_spec_count, [(label, reason), ...])`` for the
-    combinations the compiled path does not support (NumPy-only, by
-    design — reported, not an error).
+    .prove_footprint` (dt).  Findings land in ``engine``; returns the
+    number of distinct specs checked.
     """
     import itertools
 
@@ -147,9 +143,7 @@ def lint_jit_kernels(
     variables = ("primitive", "conservative", "characteristic")
     limited = ("tvd2", "tvd3")
 
-    specs = []
-    seen = set()
-    unsupported: List[Tuple[str, str]] = []
+    specs = {}  # insertion-ordered set: limiter choices collapse for some specs
     for riemann, reconstruction, variant, ndim in itertools.product(
         RIEMANN_SOLVERS, reconstructions, variables, (1, 2)
     ):
@@ -161,15 +155,7 @@ def lint_jit_kernels(
                 limiter=limiter,
                 variables=variant,
             )
-            spec, reason = spec_from_config(config, ndim)
-            if spec is None:
-                label = f"{riemann}/{reconstruction}/{limiter}/{variant}/{ndim}d"
-                unsupported.append((label, str(reason)))
-                continue
-            if spec in seen:
-                continue
-            seen.add(spec)
-            specs.append(spec)
+            specs[spec_from_config(config, ndim)] = None
 
     for spec in specs:
         label = spec.label()
@@ -195,7 +181,7 @@ def lint_jit_kernels(
         deps.prove_footprint(
             codegen.dt_access_map(spec, dt_ir), engine=engine, where=label
         )
-    return len(specs), unsupported
+    return len(specs)
 
 
 def lint_numpy_kernels(engine: DiagnosticEngine) -> int:
@@ -327,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if arguments.jit:
         before = len(engine)
         try:
-            verified, unsupported = lint_jit_kernels(engine)
+            verified = lint_jit_kernels(engine)
             matrix_findings = len(engine) - before
             standalone = lint_numpy_kernels(engine)
         except ReproError as error:
@@ -340,7 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             checked.append(
                 f"jit kernel matrix: {verified} spec(s) verified, "
-                f"{len(unsupported)} unsupported (NumPy-only), "
                 f"{matrix_findings} finding(s)"
             )
             checked.append(

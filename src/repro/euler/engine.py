@@ -236,10 +236,12 @@ class StepEngine:
         if padded_shape not in self._tile_plans:
             n_cells = padded_shape[0] - 2 * self.ghost_cells
             cross = int(np.prod(padded_shape[1:-1], dtype=int))
-            if self.backend is not None:
+            if self.backend is not None and self.backend.ready():
                 # The compiled sweep materialises no per-ufunc
                 # intermediates, so a strip's working set is far
-                # smaller; strips grow to fill the same budget.
+                # smaller; strips grow to fill the same budget.  A
+                # backend whose kernel failed to build serves no strip:
+                # the NumPy programs run, so their row size plans.
                 row_bytes = tiling.jit_sweep_row_bytes(
                     cross, padded_shape[-1], self.ghost_cells
                 )

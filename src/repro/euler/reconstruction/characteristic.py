@@ -21,7 +21,8 @@ import numpy as np
 from repro.euler.constants import FLOOR, GAMMA
 from repro.euler import state
 from repro.euler.reconstruction.base import StencilScheme, stencil_views
-from repro.euler.riemann.roe import roe_average
+from repro.euler.riemann.roe import _emit_roe_average, roe_average
+from repro.jit.numpy_eval import field_views, numpy_program
 
 
 def eigen_matrices(
@@ -84,9 +85,21 @@ def eigen_matrices(
     return left, right
 
 
-def _project(matrix: np.ndarray, vector: np.ndarray, out=None) -> np.ndarray:
-    """Apply a per-face matrix to a per-face field vector."""
-    return np.einsum("...ij,...j->...i", matrix, vector, out=out)
+def _project(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Apply a per-face matrix to a per-face field vector.
+
+    The row sum is stated, not left to the library: products 0 and 2,
+    then 1 (and 3), then the two halves — ``(p0 + p2) + (p1 + p3)``, or
+    ``(p0 + p2) + p1`` for three fields.  That is the order
+    ``np.einsum("...ij,...j->...i")`` happened to use on the NumPy build
+    this was written against (two SIMD lanes); :func:`_emit_matvec` is
+    the same order in IR, so every backend sums alike on any build.
+    """
+    products = matrix * vector[..., None, :]
+    total = products[..., 0] + products[..., 2]
+    if vector.shape[-1] == 3:
+        return total + products[..., 1]
+    return total + (products[..., 1] + products[..., 3])
 
 
 def reconstruct_characteristic(
@@ -100,10 +113,11 @@ def reconstruct_characteristic(
 
     ``padded_primitive`` holds N + 2*ghost_cells cells along axis 0 in
     primitive sweep layout; the result is primitive left/right states
-    at the N + 1 interior faces.  ``out=(left, right)``/``work`` reuse
-    preallocated buffers for the stencil projections and the results
-    (the eigensystem assembly itself still allocates); either way the
-    rounded operations are identical.
+    at the N + 1 interior faces.  With ``out=(left, right)``/``work``
+    the projection and the back-projection are the NumPy programs of
+    :func:`emit_project_stencil` and :func:`emit_unproject_faces` around
+    one run of the scheme's own program over whole multi-field arrays;
+    either way the rounded operations are identical.
     """
     ghost_cells = scheme.ghost_cells
     views = stencil_views(padded_primitive, ghost_cells)
@@ -116,8 +130,8 @@ def reconstruct_characteristic(
             return scheme(views)
         return scheme(views, out=out, work=work)
 
-    left_matrix, right_matrix = eigen_matrices(adjacent_left, adjacent_right, gamma)
     if out is None:
+        left_matrix, right_matrix = eigen_matrices(adjacent_left, adjacent_right, gamma)
         conservative = [state.conservative_from_primitive(v, gamma) for v in views]
         characteristic = [_project(left_matrix, u) for u in conservative]
 
@@ -131,24 +145,28 @@ def reconstruct_characteristic(
         prim_right = _fallback_unphysical(prim_right, adjacent_right)
         return prim_left, prim_right
 
-    prim_left, prim_right = out
-    cons_scratch = work.like("char.cons", adjacent_left)
-    characteristic = []
-    for index, view in enumerate(views):
-        state.conservative_from_primitive(view, gamma, out=cons_scratch, work=work)
-        characteristic.append(
-            _project(left_matrix, cons_scratch, out=work.like(f"char.w{index}", view))
-        )
+    nfields = padded_primitive.shape[-1]
+    characteristic = [
+        work.like(f"char.w{index}", view) for index, view in enumerate(views)
+    ]
+    numpy_program("project", ghost_cells, nfields).run(
+        [plane for view in views for plane in field_views(view)] + [gamma],
+        [plane for w in characteristic for plane in field_views(w)],
+        work,
+    )
     char_left = work.like("char.left", adjacent_left)
     char_right = work.like("char.right", adjacent_right)
     scheme(characteristic, out=(char_left, char_right), work=work)
-    cons_left = _project(right_matrix, char_left, out=work.like("char.cons_l", char_left))
-    cons_right = _project(right_matrix, char_right, out=work.like("char.cons_r", char_right))
-    state.primitive_from_conservative(cons_left, gamma, out=prim_left, work=work)
-    state.primitive_from_conservative(cons_right, gamma, out=prim_right, work=work)
-    _fallback_unphysical_into(prim_left, adjacent_left, work)
-    _fallback_unphysical_into(prim_right, adjacent_right, work)
-    return prim_left, prim_right
+    numpy_program("unproject", nfields).run(
+        field_views(adjacent_left)
+        + field_views(adjacent_right)
+        + field_views(char_left)
+        + field_views(char_right)
+        + [gamma],
+        field_views(out[0]) + field_views(out[1]),
+        work,
+    )
+    return out
 
 
 def _fallback_unphysical(reconstructed: np.ndarray, first_order: np.ndarray) -> np.ndarray:
@@ -163,17 +181,134 @@ def _fallback_unphysical(reconstructed: np.ndarray, first_order: np.ndarray) -> 
     return np.where(bad[..., None], first_order, reconstructed)
 
 
-def _fallback_unphysical_into(reconstructed: np.ndarray, first_order: np.ndarray, work) -> None:
-    """In-place :func:`_fallback_unphysical`; same selection semantics."""
-    bad = work.array("char.bad", reconstructed.shape[:-1], np.bool_)
-    scratch = work.array("char.badtmp", reconstructed.shape[:-1], np.bool_)
-    finite = work.array("char.finite", reconstructed.shape, np.bool_)
-    np.less_equal(reconstructed[..., 0], FLOOR, out=bad)
-    np.less_equal(reconstructed[..., -1], FLOOR, out=scratch)
-    np.logical_or(bad, scratch, out=bad)
-    np.isfinite(reconstructed, out=finite)
-    np.all(finite, axis=-1, out=scratch)
-    np.logical_not(scratch, out=scratch)
-    np.logical_or(bad, scratch, out=bad)
-    if np.any(bad):
-        np.copyto(reconstructed, first_order, where=bad[..., None])
+# -- kernel-IR definitions (repro.jit) ----------------------------------
+#
+# One IR op per rounded operation of the allocating branch above.  A
+# matrix is a list of rows of SSA values; the eigenvector entries
+# ``ones``/``zeros`` are the scalars 1.0/0.0 and keep their multiply in
+# the mat-vec — ``0.0 * inf`` must stay NaN, as in the array product.
+
+#: Largest finite double: ``abs(x) <= DBL_MAX`` is ``np.isfinite(x)``.
+_DBL_MAX = float(np.finfo(np.float64).max)
+
+
+def _emit_left_eigenvectors(b, velocities, sound, q2, gm1):
+    """The rows of ``L`` (:func:`eigen_matrices`' ``left_rows``)."""
+    u = velocities[0]
+    b2 = b.mul(sound, sound)
+    b2 = b.div(gm1, b2)
+    half_b2 = b.mul(b2, 0.5)
+    b1 = b.mul(half_b2, q2)
+    neg_b2 = b.neg(b2)
+    u_over_c = b.div(u, sound)
+    neg_b2_u = b.mul(neg_b2, u)
+    inverse_c = b.div(1.0, sound)
+    last = b.mul(half_b2, 1.0)
+
+    minus = [b.mul(b.add(b1, u_over_c), 0.5), b.mul(b.sub(neg_b2_u, inverse_c), 0.5)]
+    entropy = [b.sub(1.0, b1), b.mul(b2, u)]
+    plus = [b.mul(b.sub(b1, u_over_c), 0.5), b.mul(b.add(neg_b2_u, inverse_c), 0.5)]
+    if len(velocities) == 2:
+        v = velocities[1]
+        neg_b2_v = b.mul(neg_b2, v)
+        minus.append(b.mul(neg_b2_v, 0.5))
+        entropy.append(b.mul(b2, v))
+        plus.append(b.mul(neg_b2_v, 0.5))
+    minus.append(last)
+    entropy.append(b.mul(neg_b2, 1.0))
+    plus.append(last)
+    if len(velocities) == 1:
+        return [minus, entropy, plus]
+    return [minus, entropy, [b.neg(v), 0.0, 1.0, 0.0], plus]
+
+
+def _emit_right_eigenvectors(b, velocities, enthalpy, sound, q2):
+    """The rows of ``R`` (:func:`eigen_matrices`' ``right_rows``)."""
+    u = velocities[0]
+    u_c = b.mul(u, sound)
+    half_q2 = b.mul(q2, 0.5)
+    normal = [b.sub(u, sound), u, b.add(u, sound)]
+    energy = [b.sub(enthalpy, u_c), half_q2, b.add(enthalpy, u_c)]
+    if len(velocities) == 1:
+        return [[1.0, 1.0, 1.0], normal, energy]
+    v = velocities[1]
+    return [
+        [1.0, 1.0, 0.0, 1.0],
+        normal[:2] + [0.0] + normal[2:],
+        [v, v, 1.0, v],
+        energy[:2] + [v] + energy[2:],
+    ]
+
+
+def emit_eigen_matrices(b, left, right, gm1, sides="LR"):
+    """Kernel-IR definition of :func:`eigen_matrices`: the matrices named
+    in ``sides`` (``L``, ``R``), each a list of rows, off one Roe average."""
+    velocities, enthalpy, sound, q2 = _emit_roe_average(b, left, right, gm1)
+    return tuple(
+        _emit_left_eigenvectors(b, velocities, sound, q2, gm1)
+        if side == "L"
+        else _emit_right_eigenvectors(b, velocities, enthalpy, sound, q2)
+        for side in sides
+    )
+
+
+def _emit_matvec(b, rows, vector):
+    """Kernel-IR definition of :func:`_project`, in its stated order."""
+    result = []
+    for row in rows:
+        products = [b.mul(entry, value) for entry, value in zip(row, vector)]
+        total = b.add(products[0], products[2])
+        if len(products) == 3:
+            result.append(b.add(total, products[1]))
+        else:
+            result.append(b.add(total, b.add(products[1], products[3])))
+    return result
+
+
+def emit_project_stencil(b, left_matrix, cells, gm1):
+    """Every stencil cell's characteristic variables: ``L @ U(cell)``."""
+    return [
+        _emit_matvec(b, left_matrix, state.emit_conservative_from_primitive(b, cell, gm1))
+        for cell in cells
+    ]
+
+
+def _emit_fallback_unphysical(b, reconstructed, first_order):
+    """Kernel-IR definition of :func:`_fallback_unphysical`: the face keeps
+    the reconstructed state only where it is physical and finite."""
+    good = b.and_(b.gt(reconstructed[0], FLOOR), b.gt(reconstructed[-1], FLOOR))
+    for value in reconstructed:
+        good = b.and_(good, b.le(b.abs_(value), _DBL_MAX))
+    return [b.select(good, high, low) for high, low in zip(reconstructed, first_order)]
+
+
+def emit_unproject_faces(b, right_matrix, char_left, char_right, adjacent, gm1):
+    """Primitive face states from reconstructed characteristic ones:
+    ``R @ w``, the conversion, and the first-order fallback per side
+    (``adjacent`` is the face's (left, right) cell pair)."""
+    return tuple(
+        _emit_fallback_unphysical(
+            b,
+            state.emit_primitive_from_conservative(
+                b, _emit_matvec(b, right_matrix, characteristic), gm1
+            ),
+            first_order,
+        )
+        for characteristic, first_order in zip((char_left, char_right), adjacent)
+    )
+
+
+def emit_reconstruct_characteristic(b, scheme_emit, cells, gm1):
+    """Kernel-IR definition of :func:`reconstruct_characteristic` for one
+    face: ``cells`` are its ``2 * ghost_cells`` primitive stencil cells
+    (wide stencils only — a one-cell stencil skips the projection)."""
+    ghost_cells = len(cells) // 2
+    adjacent = cells[ghost_cells - 1], cells[ghost_cells]
+    left_matrix, right_matrix = emit_eigen_matrices(b, *adjacent, gm1)
+    characteristic = emit_project_stencil(b, left_matrix, cells, gm1)
+    sides = [
+        scheme_emit(b, [cell[field] for cell in characteristic])
+        for field in range(len(cells[0]))
+    ]
+    char_left, char_right = zip(*sides)
+    return emit_unproject_faces(b, right_matrix, char_left, char_right, adjacent, gm1)

@@ -204,8 +204,10 @@ def sweep_row_bytes(
         field_rows += 3
         cell_rows += 2
     elif config.variables == "characteristic" and ghost_cells > 1:
-        # Stencil projections (one per view) plus the eigen matrices,
-        # which are (nv x nv) per face and allocated out-of-workspace.
+        # Stencil projections (one per view) plus the eigen matrices
+        # ((nv x nv) per face), which live as cell planes of the
+        # projection programs' scratch — budgeted generously, like the
+        # tables above.
         field_rows += 2 * ghost_cells + 5
         cell_rows += 4 * nfields * nfields + 6
     return field_rows * field_row + cell_rows * cell_row

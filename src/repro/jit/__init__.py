@@ -39,9 +39,9 @@ How it works
 * :class:`repro.jit.backend.JitBackend` is the ``KernelBackend`` the
   :class:`~repro.euler.engine.StepEngine` dispatches through,
   strip-wise, so :mod:`repro.euler.tiling` still governs the working
-  set.  Anything the compiled path does not support (characteristic
-  projection with wide stencils, missing compiler, non-float64 state)
-  falls back to the NumPy path per strip, counted and attributed.
+  set.  Every method tuple has a kernel; a strip the compiled path
+  still cannot serve (missing compiler, non-float64 state) falls back
+  to the NumPy path, counted and attributed.
 
 Backend selection
 -----------------

@@ -9,8 +9,8 @@ specialization and serves two strip-level operations:
   over one strip, writing the primitive conversion and per-group
   maxima.
 
-Both return ``False`` when they cannot serve the call — unsupported
-specialization, no compiler, unexpected dtype/layout — and the engine
+Both return ``False`` when they cannot serve the call — no compiler,
+unexpected dtype/layout — and the engine
 runs its NumPy programs for exactly that strip.  Every fallback is
 counted by reason (:attr:`fallbacks`), so "silently slower" is at
 least never "silently unexplained".  An IR verification failure is
@@ -39,7 +39,6 @@ result is bit-for-bit the serial result; the bit-identity sweep in
 
 from __future__ import annotations
 
-import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, Optional, Tuple
@@ -54,11 +53,12 @@ from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
 
 __all__ = ["JitBackend"]
 
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
-
-def _ptr(array: np.ndarray):
-    return array.ctypes.data_as(_DOUBLE_P)
+def _ptr(array: np.ndarray) -> int:
+    """The buffer's address (the kernels take ``void*``).  Not
+    ``ctypes.data_as``: its ``cast`` leaves a reference cycle behind on
+    every call, i.e. collector work per strip."""
+    return array.ctypes.data
 
 
 class JitBackend:
@@ -69,7 +69,7 @@ class JitBackend:
     def __init__(self, config, ndim: int):
         self.config = config
         self.ndim = int(ndim)
-        self.spec, self.unsupported_reason = spec_from_config(config, ndim)
+        self.spec = spec_from_config(config, ndim)
         self.sweep_calls = 0
         self.dt_calls = 0
         #: Fallback reason -> count of strip calls the NumPy path served.
@@ -99,7 +99,7 @@ class JitBackend:
     def _ensure_kernel(self) -> Optional[jit_compile.CompiledKernel]:
         if self._kernel is not None:
             return self._kernel
-        if self.spec is None or self._compile_failure is not None:
+        if self._compile_failure is not None:
             return None
         spec = self.spec
         label = spec.label()
@@ -117,12 +117,11 @@ class JitBackend:
             return None
         return self._kernel
 
-    def _unavailable_reason(self) -> str:
-        if self.unsupported_reason is not None:
-            return self.unsupported_reason
-        if self._compile_failure is not None:
-            return self._compile_failure
-        return "kernel unavailable"  # pragma: no cover - defensive
+    def ready(self) -> bool:
+        """Whether strips will be served by the compiled kernel, building
+        it on the first ask; False once compilation has failed (the engine
+        then sizes its strips for the NumPy programs that run instead)."""
+        return self._ensure_kernel() is not None
 
     # -- strip operations -----------------------------------------------
 
@@ -155,7 +154,7 @@ class JitBackend:
         """
         kernel = self._ensure_kernel()
         if kernel is None:
-            return self._fallback(self._unavailable_reason())
+            return self._fallback(self._compile_failure)
         geometry = self._strip_geometry(padded, out)
         if isinstance(geometry, str):
             return self._fallback(geometry)
@@ -309,7 +308,7 @@ class JitBackend:
         """
         kernel = self._ensure_kernel()
         if kernel is None:
-            return self._fallback(self._unavailable_reason())
+            return self._fallback(self._compile_failure)
         nfields = self.spec.nfields
         if (
             u_strip.dtype != np.float64
@@ -352,7 +351,7 @@ class JitBackend:
     def stats(self) -> Dict[str, object]:
         """JSON-friendly counter snapshot (engine counters / step trace)."""
         snapshot: Dict[str, object] = {
-            "spec": self.spec.label() if self.spec is not None else None,
+            "spec": self.spec.label(),
             "compiled": self._kernel is not None,
             "sweep_calls": self.sweep_calls,
             "dt_calls": self.dt_calls,

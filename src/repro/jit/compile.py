@@ -50,8 +50,8 @@ CACHE_ENV = "REPRO_JIT_CACHE"
 
 _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
 
-#: Most ``<sha>.so`` + ``<sha>.c`` pairs kept on disk — over 3x the
-#: 160-spec method matrix, so only stale generations are ever evicted.
+#: Most ``<sha>.so`` + ``<sha>.c`` pairs kept on disk — over twice the
+#: 232-spec method matrix, so only stale generations are ever evicted.
 MAX_CACHE_ENTRIES = 512
 
 #: Process-wide compile/cache counters (exposed via engine counters and
@@ -108,7 +108,7 @@ class CompiledKernel:
     def __init__(self, library: ctypes.CDLL, path: Path, ndim: int):
         self.path = path
         self._library = library
-        double_p = ctypes.POINTER(ctypes.c_double)
+        double_p = ctypes.c_void_p  # addresses, see backend._ptr
         self.sweep = library.repro_jit_sweep
         self.sweep.restype = None
         self.sweep.argtypes = [

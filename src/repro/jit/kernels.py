@@ -14,17 +14,17 @@ definitions that live next to the allocating reference functions:
   GetDT integrand, including the primitive conversion the engine keeps
   fresh for the first Runge-Kutta stage.
 
-Unsupported corners return a reason string instead of a spec and the
-engine keeps the NumPy path for them:
-
-* ``characteristic`` variables with a multi-cell stencil (the
-  eigenvector projection is not lowered; with ``pc``'s one-cell
-  stencil the projection is skipped by the NumPy path itself, so the
-  spec normalises to the bit-identical ``primitive`` kernel).
+Every method tuple has a spec.  ``characteristic`` variables with
+``pc``'s one-cell stencil normalise to the bit-identical ``primitive``
+kernel (the NumPy path skips the projection there itself); with a wide
+stencil the flux kernel carries the whole eigenvector projection
+(:func:`repro.euler.reconstruction.characteristic.
+emit_reconstruct_characteristic`).
 
 The same emitters also make the **standalone kernels** — one Riemann
 solver, one reconstruction scheme, one state conversion, the GetDT
-eigenvalue sum — whose :class:`~repro.jit.numpy_eval.NumpyProgram` *is*
+eigenvalue sum, the characteristic projection and back-projection —
+whose :class:`~repro.jit.numpy_eval.NumpyProgram` *is*
 the ``out=``/``work=`` path of the corresponding :mod:`repro.euler`
 function (:func:`repro.jit.numpy_eval.numpy_program`).
 """
@@ -37,6 +37,7 @@ from typing import List, Tuple
 from repro.euler import state, timestep
 from repro.euler.reconstruction import (
     LIMITER_EMITTERS,
+    characteristic,
     get_scheme,
     get_scheme_emitter,
 )
@@ -87,8 +88,8 @@ class KernelSpec:
         )
 
 
-def spec_from_config(config, ndim: int):
-    """``(spec, None)`` for a supported config, else ``(None, reason)``.
+def spec_from_config(config, ndim: int) -> KernelSpec:
+    """The specialization serving ``config`` on an ``ndim``-D grid.
 
     ``variables="characteristic"`` with a one-cell stencil normalises to
     ``primitive``: :func:`~repro.euler.reconstruction.characteristic.
@@ -97,23 +98,18 @@ def spec_from_config(config, ndim: int):
     the primitive kernel is bit-for-bit the NumPy characteristic path.
     """
     variables = config.variables
-    scheme = get_scheme(config.reconstruction, config.limiter)
-    if variables == "characteristic":
-        if scheme.ghost_cells > 1:
-            return None, (
-                "characteristic projection is not lowered for "
-                f"{config.reconstruction} (ghost_cells="
-                f"{scheme.ghost_cells}); NumPy path retained"
-            )
+    if (
+        variables == "characteristic"
+        and get_scheme(config.reconstruction, config.limiter).ghost_cells == 1
+    ):
         variables = "primitive"
-    spec = KernelSpec(
+    return KernelSpec(
         riemann=config.riemann,
         reconstruction=config.reconstruction,
         limiter=config.limiter,
         variables=variables,
         ndim=int(ndim),
     )
-    return spec, None
 
 
 def build_flux_ir(spec: KernelSpec) -> KernelIR:
@@ -153,6 +149,10 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
         )
         left = state.emit_primitive_from_conservative(b, cons_left, gm1)
         right = state.emit_primitive_from_conservative(b, cons_right, gm1)
+    elif spec.variables == "characteristic":
+        left, right = characteristic.emit_reconstruct_characteristic(
+            b, scheme_emit, cells, gm1
+        )
     else:
         raise ValueError(
             f"unsupported variables mode {spec.variables!r} in {spec.label()}"
@@ -219,7 +219,9 @@ _CONVERSIONS = {
 def standalone_kernels() -> List[Tuple]:
     """Every ``(kind, *key)`` :func:`build_standalone_ir` builds: Riemann solver
     × field count, scheme × limiter (where the scheme consults it),
-    conversion × field count, eigenvalue sum × dimension."""
+    conversion × field count, eigenvalue sum × dimension, and the two
+    halves of the characteristic reconstruction (the wide schemes all
+    have two ghost cells) × field count."""
     limiters = {"tvd2": tuple(LIMITER_EMITTERS)}
     return (
         [("riemann", name, nfields) for name in RIEMANN_EMITTERS for nfields in (3, 4)]
@@ -230,6 +232,8 @@ def standalone_kernels() -> List[Tuple]:
         ]
         + [("convert", target, nfields) for target in _CONVERSIONS for nfields in (3, 4)]
         + [("eigenvalues", ndim) for ndim in (1, 2)]
+        + [("project", 2, nfields) for nfields in (3, 4)]
+        + [("unproject", nfields) for nfields in (3, 4)]
     )
 
 
@@ -242,6 +246,12 @@ def build_standalone_ir(kind: str, *key) -> KernelIR:
     in, (left, right) out.  ``convert``: ``q*`` fields and ``gamma`` in,
     the converted fields out.  ``eigenvalues``: ``prim*`` fields,
     ``gamma`` and the spacings ``sp*`` in, the GetDT integrand out.
+    ``project``: the ``2 * ghost_cells`` primitive stencil cells
+    ``c{k}_*`` and ``gamma`` in, each cell's characteristic variables
+    out, cell by cell.  ``unproject``: the face's adjacent primitive
+    cells ``l*``/``r*``, the reconstructed characteristic states
+    ``wl*``/``wr*`` and ``gamma`` in, the primitive left then right face
+    states out.
     """
     b = IRBuilder("_".join(str(part) for part in (kind,) + key))
 
@@ -264,6 +274,25 @@ def build_standalone_ir(kind: str, *key) -> KernelIR:
         target, nfields = key
         fields = params("q", nfields)
         results = _CONVERSIONS[target](b, fields, b.sub(b.param("gamma"), 1.0))
+    elif kind == "project":
+        ghost_cells, nfields = key
+        cells = [params(f"c{k}_", nfields) for k in range(2 * ghost_cells)]
+        gm1 = b.sub(b.param("gamma"), 1.0)
+        (matrix,) = characteristic.emit_eigen_matrices(
+            b, cells[ghost_cells - 1], cells[ghost_cells], gm1, sides="L"
+        )
+        projected = characteristic.emit_project_stencil(b, matrix, cells, gm1)
+        results = [value for cell in projected for value in cell]
+    elif kind == "unproject":
+        (nfields,) = key
+        adjacent = params("l", nfields), params("r", nfields)
+        char_left, char_right = params("wl", nfields), params("wr", nfields)
+        gm1 = b.sub(b.param("gamma"), 1.0)
+        (matrix,) = characteristic.emit_eigen_matrices(b, *adjacent, gm1, sides="R")
+        left, right = characteristic.emit_unproject_faces(
+            b, matrix, char_left, char_right, adjacent, gm1
+        )
+        results = left + right
     else:
         raise ValueError(f"unknown standalone kernel kind {kind!r}")
     for position, value in enumerate(results):

@@ -152,8 +152,7 @@ class TestJitMatrixLint:
         the ahead-of-time version of the first-engine-use gate."""
         assert main(["--jit"]) == 0
         out = capsys.readouterr().out
-        assert "jit kernel matrix:" in out
-        assert "unsupported (NumPy-only)" in out
+        assert "jit kernel matrix: 232 spec(s) verified, 0 finding(s)" in out
         assert "0 error(s)" in out
 
     def test_jit_matrix_covers_every_registered_method(self):
@@ -162,13 +161,12 @@ class TestJitMatrixLint:
         from repro.euler.riemann import RIEMANN_SOLVERS
 
         engine = DiagnosticEngine()
-        verified, unsupported = lint_jit_kernels(engine)
+        verified = lint_jit_kernels(engine)
         assert engine.codes() == []
-        # 4 riemann x (pc + 4*tvd2 + 4*tvd3 + weno3) x 2 variables x 2 ndim
-        assert verified == len(RIEMANN_SOLVERS) * 10 * 2 * 2
-        # characteristic + wide stencils stay NumPy-only, with reasons
-        assert unsupported
-        assert all("characteristic" in reason for _, reason in unsupported)
+        # 4 riemann x (pc + 4*tvd2 + 4*tvd3 + weno3) x 2 ndim under
+        # primitive and conservative variables, the 9 wide schemes again
+        # under characteristic (pc there is the primitive kernel)
+        assert verified == len(RIEMANN_SOLVERS) * (10 * 2 + 9) * 2
 
     def test_jit_matrix_catches_seeded_footprint_bug(self, monkeypatch):
         """Widen every sweep kernel's stencil by one row past the

@@ -26,9 +26,7 @@ def _spec(reconstruction="weno3", riemann="hllc", ndim=2):
     config = SolverConfig(
         reconstruction=reconstruction, riemann=riemann, variables="primitive"
     )
-    spec, reason = spec_from_config(config, ndim)
-    assert reason is None
-    return spec
+    return spec_from_config(config, ndim)
 
 
 def _sweep_map(spec):

@@ -5,11 +5,14 @@ import pytest
 
 from repro.euler import state
 from repro.euler.reconstruction import (
+    characteristic,
     eigen_matrices,
     get_scheme,
     reconstruct_characteristic,
     reconstruct_component,
 )
+from repro.jit.ir import IRBuilder
+from repro.jit.numpy_eval import NumpyProgram, field_views
 from tests.conftest import random_primitive_1d, random_primitive_2d
 
 
@@ -100,3 +103,71 @@ class TestCharacteristicReconstruction:
         char_l, _ = reconstruct_characteristic(scheme, prim)
         comp_l, _ = reconstruct_component(scheme, prim, 2)
         np.testing.assert_allclose(char_l, comp_l, atol=5e-3)
+
+
+class TestStatedOrder:
+    """The mat-vec row sum is part of this codebase, not of the NumPy
+    build: ``(p0 + p2) + (p1 + p3)``, three fields ``(p0 + p2) + p1``."""
+
+    @staticmethod
+    def _wide_range(rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+    @pytest.mark.parametrize("nfields", [3, 4])
+    def test_project_sums_in_the_stated_order(self, nfields, rng):
+        matrix = self._wide_range(rng, (40, nfields, nfields))
+        vector = self._wide_range(rng, (40, nfields))
+        projected = characteristic._project(matrix, vector)
+        for face in range(40):
+            for row in range(nfields):
+                p = [
+                    float(matrix[face, row, j]) * float(vector[face, j])
+                    for j in range(nfields)
+                ]
+                tail = p[1] + p[3] if nfields == 4 else p[1]
+                assert projected[face, row] == (p[0] + p[2]) + tail
+
+    @pytest.mark.parametrize("nfields", [3, 4])
+    def test_ir_matvec_is_project(self, nfields, rng):
+        matrix = self._wide_range(rng, (40, nfields, nfields))
+        vector = self._wide_range(rng, (40, nfields))
+        b = IRBuilder("matvec")
+        rows = [[b.param(f"m{i}{j}") for j in range(nfields)] for i in range(nfields)]
+        values = [b.param(f"x{j}") for j in range(nfields)]
+        for i, value in enumerate(characteristic._emit_matvec(b, rows, values)):
+            b.output(f"out{i}", value)
+        out = np.empty((40, nfields))
+        NumpyProgram(b.finish()).run(
+            [matrix[:, i, j] for i in range(nfields) for j in range(nfields)]
+            + field_views(vector),
+            field_views(out),
+        )
+        assert out.tobytes() == characteristic._project(matrix, vector).tobytes()
+
+    @pytest.mark.parametrize("nfields", [3, 4])
+    def test_ir_eigen_matrices_are_eigen_matrices(self, nfields, rng):
+        """Entry by entry, literal ones and zeros included."""
+        if nfields == 3:
+            left = random_primitive_1d(rng, 30)
+            right = random_primitive_1d(rng, 30, seed_offset=1)
+        else:
+            left = random_primitive_2d(rng, 5, 6).reshape(30, 4)
+            right = random_primitive_2d(rng, 5, 6, seed_offset=1).reshape(30, 4)
+        b = IRBuilder("eigen")
+        l = [b.param(f"l{f}") for f in range(nfields)]
+        r = [b.param(f"r{f}") for f in range(nfields)]
+        gamma = b.param("gamma")
+        matrices = characteristic.emit_eigen_matrices(b, l, r, b.sub(gamma, 1.0))
+        for which, matrix in zip("LR", matrices):
+            for i, row in enumerate(matrix):
+                for j, entry in enumerate(row):
+                    literal = isinstance(entry, float)  # the 1.0/0.0 entries
+                    b.output(f"{which}{i}{j}", b.const(entry) if literal else entry)
+        out = np.empty((2, 30, nfields, nfields))
+        NumpyProgram(b.finish(), ("gamma",)).run(
+            field_views(left) + field_views(right) + [1.4],
+            [out[m, :, i, j] for m in range(2) for i in range(nfields) for j in range(nfields)],
+        )
+        expected = eigen_matrices(left, right, 1.4)
+        assert out[0].tobytes() == expected[0].tobytes()
+        assert out[1].tobytes() == expected[1].tobytes()

@@ -75,8 +75,6 @@ class TestThreadedBitIdentity:
 
     Tiny grids (9x13) with a tiny tile budget force ragged multi-strip
     plans; two steps mean the second runs from threaded-produced state.
-    Characteristic variables with wide stencils stay NumPy-served
-    (counted fallback) and must still match exactly.
     """
 
     @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
@@ -104,24 +102,24 @@ class TestThreadedBitIdentity:
             ), f"threaded != serial for {label}"
 
     def test_threaded_strips_actually_threaded(self, rng, monkeypatch):
-        config = SolverConfig(
-            reconstruction="weno3",
-            riemann="hllc",
-            variables="primitive",
-            tile_bytes=TINY_TILE_BYTES,
-        )
-        threaded, serial = _twin_threaded_2d(
-            smooth_random_2d(rng, 24, 16), config, monkeypatch
-        )
-        for _ in range(2):
-            threaded.step()
-        stats = _jit_stats(threaded)
-        assert stats["threads"] == 2
-        assert stats["strips_threaded"] > 0
-        assert stats["serialized"] == {}
-        assert stats["fallbacks"] == {}
-        serial.step()
-        assert _jit_stats(serial)["strips_threaded"] == 0
+        prim = smooth_random_2d(rng, 24, 16)
+        for variables in ("primitive", "characteristic"):
+            config = SolverConfig(
+                reconstruction="weno3",
+                riemann="hllc",
+                variables=variables,
+                tile_bytes=TINY_TILE_BYTES,
+            )
+            threaded, serial = _twin_threaded_2d(prim, config, monkeypatch)
+            for _ in range(2):
+                assert threaded.step() == serial.step()
+            assert np.max(np.abs(threaded.u - serial.u)) == 0.0
+            stats = _jit_stats(threaded)
+            assert stats["threads"] == 2
+            assert stats["strips_threaded"] > 0
+            assert stats["serialized"] == {}
+            assert stats["fallbacks"] == {}
+            assert _jit_stats(serial)["strips_threaded"] == 0
 
     def test_batched_ensemble_threaded_exact(self, monkeypatch):
         """The batch engine hands the x-sweep a non-contiguous target;

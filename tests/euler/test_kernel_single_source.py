@@ -8,8 +8,10 @@ NumPy sweep and dt pass to the compiled C of the same emitters, on drawn
 states the whole-engine tests never see: near-vacuum, strong jumps,
 exact zeros in every guarded denominator (``s_right - s_left``,
 ``s_wave - s_star``, ``a + b`` of van Leer, flat data under
-``WENO_EPSILON``), ragged shapes down to one face, non-contiguous field
-views and one NaN cell.  Two unit tests pin the evaluator's own rules:
+``WENO_EPSILON``), a Roe sound speed at its clamp, thin cells whose
+characteristic reconstruction comes back unphysical on one side of a
+face only, ragged shapes down to one face, non-contiguous field views
+and one NaN or infinite cell.  Two unit tests pin the evaluator's own rules:
 slot liveness over every cached program, and thread safety of a shared
 program on separate workspaces.
 
@@ -30,7 +32,12 @@ import repro.jit
 from repro.errors import PhysicsError
 from repro.euler import state
 from repro.euler.engine import StepEngine
-from repro.euler.reconstruction import get_scheme, reconstruct_component
+from repro.euler.reconstruction import (
+    get_scheme,
+    reconstruct_characteristic,
+    reconstruct_component,
+    stencil_views,
+)
 from repro.euler.riemann import RIEMANN_SOLVERS
 from repro.euler.solver import SolverConfig
 from repro.euler.timestep import eigenvalues_into, max_eigenvalue
@@ -46,11 +53,14 @@ SCHEMES = (
 )
 #: Composed specs whose compiled kernels the NumPy programs are held to:
 #: every solver in 1-D and 2-D, every scheme/limiter once, one
-#: conservative-variables chain.
+#: conservative-variables chain, and the characteristic projection under
+#: every wide scheme in 2-D and every solver in 1-D.
 COMPOSED = (
     [(riemann, "pc", "minmod", "primitive", ndim) for riemann in sorted(RIEMANN_SOLVERS) for ndim in (1, 2)]
     + [("hllc", scheme, limiter, "primitive", 2) for scheme, limiter in SCHEMES[1:]]
     + [("roe", "tvd2", "minmod", "conservative", 1)]
+    + [("hllc", scheme, limiter, "characteristic", 2) for scheme, limiter in SCHEMES[1:]]
+    + [(riemann, "weno3", "minmod", "characteristic", 1) for riemann in sorted(RIEMANN_SOLVERS)]
 )
 
 needs_cc = pytest.mark.skipif(not repro.jit.available(), reason="no C compiler on PATH")
@@ -116,6 +126,14 @@ def plant(rng, features, *arrays):
         at = cell()
         for array in arrays:
             array[at + (0,)] = array[at + (-1,)] = 1e-13
+    if "thin" in features:  # physical, but overshot by its neighbours' slopes
+        at = cell()
+        arrays[0][at + (0,)] *= 1e-3
+        arrays[0][at + (-1,)] *= 1e-4
+    if "cold" in features:  # p == 0 on both sides of a face: H - q2/2 at the 1e-14 clamp
+        row = int(rng.integers(0, shape[0]))
+        for array in arrays:
+            array[row : row + 2, ..., -1] = 0.0
     if "jump" in features:
         at = cell()
         arrays[-1][at + (0,)] *= 1e3
@@ -124,8 +142,9 @@ def plant(rng, features, *arrays):
         at = cell()
         for array in arrays:
             array[at + (slice(1, None),)] = 0.0
-    if "nan" in features:
-        arrays[0][cell() + (int(rng.integers(0, arrays[0].shape[-1])),)] = np.nan
+    for feature, value in (("nan", np.nan), ("inf", np.inf)):
+        if feature in features:
+            arrays[0][cell() + (int(rng.integers(0, arrays[0].shape[-1])),)] = value
 
 
 def assert_same_bits(actual, expected):
@@ -187,6 +206,61 @@ def test_scheme_in_place_equals_allocating(reconstruction, limiter, nfields, cas
 
 
 @pytest.mark.parametrize("nfields", (3, 4))
+@pytest.mark.parametrize("reconstruction,limiter", SCHEMES[1:])
+@settings(deadline=None)
+@given(case=cases("vacuum", "thin", "cold", "jump", "still", "nan", "inf"))
+def test_characteristic_in_place_equals_allocating(reconstruction, limiter, nfields, case):
+    """Projection program -> scheme program -> back-projection program
+    against the allocating reference, fallback side by fallback side."""
+    rng = np.random.default_rng(case.seed)
+    scheme = get_scheme(reconstruction, limiter)
+    cells, cross = case.shape[0], case.shape[1:]
+    padded = primitive(rng, (cells + 4,) + cross, nfields, case.layout)
+    plant(rng, case.features, padded)
+    faces = (cells + 1,) + cross
+    out = tuple(carve(faces, nfields, case.layout) for _ in range(2))
+    reference = outcome(lambda: reconstruct_characteristic(scheme, padded, GAMMA))
+    in_place = outcome(
+        lambda: reconstruct_characteristic(scheme, padded, GAMMA, out=out, work=WORK)
+    )
+    assert reference[0] == in_place[0]
+    if reference[0] == "error":
+        assert reference == in_place
+        return
+    assert in_place[1][0] is out[0] and in_place[1][1] is out[1]
+    assert_same_bits(out[0], reference[1][0])
+    assert_same_bits(out[1], reference[1][1])
+
+
+@pytest.mark.parametrize("nfields", (3, 4))
+@pytest.mark.parametrize("reconstruction", ("tvd2", "tvd3", "weno3"))
+def test_characteristic_fallback_is_per_side(reconstruction, nfields):
+    """Next to a thin cell the back-projected state is often unphysical on
+    one side of a face only: that side, and only that side, is the
+    first-order cell value — in the reference and in the programs alike."""
+    rng = np.random.default_rng(20090707)
+    scheme = get_scheme(reconstruction)
+    padded = primitive(rng, (400, 3), nfields, "contiguous")
+    padded[::9, :, 0] *= 1e-3
+    padded[::9, :, -1] *= 1e-4
+    views = stencil_views(padded, 2)
+    first_order = views[1], views[2]
+    out = tuple(np.full_like(views[1], np.nan) for _ in range(2))
+    with np.errstate(all="ignore"):
+        reference = reconstruct_characteristic(scheme, padded, GAMMA)
+        reconstruct_characteristic(scheme, padded, GAMMA, out=out, work=WORK)
+    fell_back = [
+        np.all(side == cells, axis=-1) for side, cells in zip(reference, first_order)
+    ]
+    assert np.count_nonzero(fell_back[0] & ~fell_back[1]) > 0
+    assert np.count_nonzero(fell_back[1] & ~fell_back[0]) > 0
+    for side in range(2):
+        assert_same_bits(out[side], reference[side])
+        kept = reference[side][~fell_back[side]]
+        assert np.all(kept[..., 0] > 0.0) and np.all(kept[..., -1] > 0.0)
+
+
+@pytest.mark.parametrize("nfields", (3, 4))
 @settings(deadline=None)
 @given(case=cases("vacuum", "jump", "still", "nan"))
 def test_conversions_in_place_equal_allocating(nfields, case):
@@ -239,7 +313,7 @@ def engine_pair(config, member_shape, spacing):
 @needs_cc
 @pytest.mark.parametrize("riemann,reconstruction,limiter,variables,ndim", COMPOSED)
 @settings(deadline=None)
-@given(case=cases("vacuum", "jump", "still", "nan"), spacing=st.floats(1e-3, 2.0))
+@given(case=cases("vacuum", "thin", "cold", "jump", "still", "nan", "inf"), spacing=st.floats(1e-3, 2.0))
 def test_numpy_sweep_equals_compiled_sweep(
     riemann, reconstruction, limiter, variables, ndim, case, spacing
 ):
