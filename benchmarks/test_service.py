@@ -173,7 +173,6 @@ def test_service_load_and_cache():
                     key: stats["result_cache"][key]
                     for key in ("hits", "misses", "evictions", "entries")
                 },
-                "star_cache": stats["star_cache"],
                 "retries": stats["retries"],
             },
         }

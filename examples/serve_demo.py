@@ -8,8 +8,7 @@
    cache, bitwise identical to the cold run;
 4. submit a job that blows up (CFL = 10) and show the client receives
    the PhysicsError forensic report while the service keeps serving;
-5. print the service stats: queue counters, result-cache hit rate and
-   the per-shard exact-Riemann star-state memo.
+5. print the service stats: queue counters and result-cache hit rate.
 
 Run:  python examples/serve_demo.py
 """
@@ -20,7 +19,7 @@ from repro.serve.server import start_in_thread
 
 def main() -> None:
     print("=== 1. starting the service (2 shards) ===")
-    handle = start_in_thread(shards=2, star_cache_decimals=12)
+    handle = start_in_thread(shards=2)
     print(f"listening on 127.0.0.1:{handle.port}")
 
     spec = JobSpec(
@@ -78,7 +77,6 @@ def main() -> None:
               f" high_watermark={stats['queue']['high_watermark']}")
         print(f"  result cache: hits={stats['result_cache']['hits']}"
               f" misses={stats['result_cache']['misses']}")
-        print(f"  star cache: {stats['star_cache']}")
         client.shutdown()
 
     handle.stop()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,33 +196,365 @@ class _SweepKernel:
 
 @dataclass
 class RunResult:
-    """Summary of a :meth:`run` call."""
+    """One member's summary of a ``run()`` call.
+
+    A solo solver's ``run()`` returns one; an ensemble's returns one per
+    member inside an :class:`EnsembleResult`, carrying the member's
+    identity and, for a retired member, the
+    :class:`~repro.errors.PhysicsError` (forensics attached) that took
+    it out.  ``dt_history`` is the steps *this call* took; the driver's
+    own ``dt_history`` is cumulative over every call.
+    """
 
     steps: int
     time: float
     dt_history: List[float] = field(default_factory=list)
+    index: int = 0
+    name: str = ""
+    params: Dict[str, object] = field(default_factory=dict)
+    error: Optional[PhysicsError] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
-def _solo(engine_method, *args):
-    """Call an engine method for a solo solver: the run is a batch of one
-    inside the engine only, so its failures leave without ``batch_index``."""
-    try:
-        return engine_method(*args)
-    except PhysicsError as error:
+@dataclass
+class EnsembleResult:
+    """Summary of an ensemble ``run()`` call, one entry per member."""
+
+    members: List[RunResult]
+
+    @property
+    def finished(self) -> List[RunResult]:
+        return [member for member in self.members if not member.failed]
+
+    @property
+    def failed(self) -> List[RunResult]:
+        return [member for member in self.members if member.failed]
+
+
+def _reached(time: float, steps: int, t_end, max_steps) -> bool:
+    """The one stop rule, applied per member.
+
+    The ``t_end`` tolerance scales with ``t_end``: an absolute 1e-14
+    epsilon is meaningless for large end times (t_end = 1000 sits ~1e-13
+    ulp apart) and overly strict for tiny ones.
+    """
+    if max_steps is not None and steps >= max_steps:
+        return True
+    return t_end is not None and t_end - time <= 1e-12 * abs(t_end)
+
+
+def _clamped_dt(dt, time: float, t_end, batch_index: Optional[int] = None) -> float:
+    """``dt`` as a plain float, clamped so the clock lands on ``t_end``;
+    a collapsed or non-finite step is a :class:`PhysicsError`."""
+    dt = float(dt)
+    if t_end is not None:
+        dt = min(dt, t_end - time)
+    if dt <= 0.0 or not np.isfinite(dt):
+        raise PhysicsError(
+            f"non-positive or non-finite time step {dt}", batch_index=batch_index
+        )
+    return dt
+
+
+class _MemberDriver:
+    """The one run loop: B member clocks over any stepper.
+
+    What a run needs exists here once: per-member ``times`` /
+    ``step_counts`` / ``dt_history`` (plain lists, so the clock
+    arithmetic is Python floats whatever B is), the stop rule and dt
+    clamp (:func:`_reached`, :func:`_clamped_dt`), per-member
+    :class:`~repro.obs.trace.StepTrace` recording, retire-and-redo,
+    forensics and thaw-on-rerun.  It drives a *stepper* — the two calls
+    ``_compute_dts() -> (B,)`` and ``_advance(dts)`` — of which there
+    are three: the :class:`~repro.euler.engine.StepEngine` over the
+    member stack (B >= 1, the default below), the allocating seed
+    reference (``use_engine=False``, B = 1) and
+    :class:`~repro.par.solver.ParallelSolver2D`'s rank team (B = 1).
+
+    Members advance on their own clocks (dt is per member, never a
+    global minimum) and leave the lockstep one by one.  A member that
+    *fails* mid-step — non-finite signal speed, collapsed dt, unphysical
+    state in any RK stage — is retired: forensics are attached while its
+    slot still holds the last good state (the integrators write ``u``
+    only after their final rhs evaluation), the slot is parked, and the
+    step is redone for the survivors from the identical pre-step bits.
+    A member that *finishes* is parked only while a sibling is still
+    live, so a B = 1 stepper never parks, and is thawed by the next
+    ``run()``; a retired member stays retired.  Parking saves the state
+    and puts a benign placeholder in the member's slot of ``_stack``
+    (the state, member axis leading): every kernel is elementwise over
+    members, so no sibling can tell.
+    """
+
+    def _init_clocks(self, batch: int, watch=None, placeholder=None) -> None:
+        self.batch = batch
+        self.times: List[float] = [0.0] * batch
+        self.step_counts: List[int] = [0] * batch
+        self.dt_history: List[List[float]] = [[] for _ in range(batch)]
+        #: terminal PhysicsError per retired member index
+        self.errors: Dict[int, PhysicsError] = {}
+        self.finished: List[bool] = [False] * batch
+        #: saved state of every parked (retired or finished-early) member
+        self._frozen: Dict[int, np.ndarray] = {}
+        self._placeholder = placeholder
+        #: a :class:`~repro.obs.trace.StepTrace` (B = 1) or a sequence of
+        #: one per member (``None`` entries allowed), recording each step
+        self.watch = watch
+        #: ``t_end`` of the ``run()`` in progress: what a bare ``step()``
+        #: clamps to (``None`` outside a run)
+        self._t_end: Optional[float] = None
+
+    # -- the stepper: by default the engine over the member stack --------
+
+    @property
+    def _stack(self) -> np.ndarray:
+        return self.u
+
+    def _compute_dts(self):
+        return self.engine.compute_dt(self._stack)
+
+    def _advance(self, dts) -> None:
+        self.engine.step(self._stack, dts)
+
+    # -- member access ----------------------------------------------------
+
+    def live(self, index: int) -> bool:
+        """True while the member is still advancing (not retired/finished)."""
+        return index not in self.errors and not self.finished[index]
+
+    def member_u(self, index: int) -> np.ndarray:
+        """Member's conservative state: the saved one if it is parked,
+        its live stack slot otherwise (a copy either way)."""
+        frozen = self._frozen.get(index)
+        return (frozen if frozen is not None else self._stack[index]).copy()
+
+    def member_primitive(self, index: int) -> np.ndarray:
+        """Member's primitive state, parked-or-live."""
+        return state.primitive_from_conservative(
+            self.member_u(index), self.config.gamma
+        )
+
+    def _member(self, index: int):
+        """Member ``index`` as the solver-shaped object traces and
+        forensics read (``config``/``steps``/``time``/``u``)."""
+        return SimpleNamespace(
+            config=self.config,
+            engine=self.engine,
+            steps=self.step_counts[index],
+            time=self.times[index],
+            u=self._stack[index],
+        )
+
+    def _trace(self, index: int):
+        watch = self.watch
+        return watch[index] if isinstance(watch, (list, tuple)) else watch
+
+    # -- one step ---------------------------------------------------------
+
+    def _step_members(self, t_end=None, dts=None) -> List[int]:
+        """Advance every live member by its own CFL step clamped to
+        ``t_end`` (or by the ``dts`` given); returns who advanced."""
+        active = [index for index in range(self.batch) if self.live(index)]
+        if not active:
+            return active
+        try:
+            if dts is None:
+                raw = self._compute_dts()
+                dts = [0.0] * self.batch
+                for index in active:
+                    dts[index] = _clamped_dt(raw[index], self.times[index], t_end, index)
+            self._advance(dts)
+        except PhysicsError as error:
+            if not self._retire(error):
+                raise
+            return self._step_members(t_end)  # the redo, for the survivors
+        for index in active:
+            self.times[index] += dts[index]
+            self.step_counts[index] += 1
+            self.dt_history[index].append(dts[index])
+        if self.watch is not None:
+            for index in active:
+                trace = self._trace(index)
+                if trace is not None:
+                    trace.record_step(self._member(index), dts[index])
+        # dt = 0 holds a parked slot for one step but is not a bitwise
+        # freeze (the RK convex combinations re-round): pin it back.
+        for index in self._frozen:
+            self._stack[index] = self._placeholder
+        return active
+
+    def _identity(self, index: int) -> Dict[str, object]:
+        """What names member ``index`` in results and forensics."""
+        return {}
+
+    def _retire(self, error: PhysicsError) -> bool:
+        """Retire the member ``error`` names; False if it names none."""
+        index = error.batch_index
+        if index is None:
+            return False
+        error.member = {"index": index, **self._identity(index)}
+        self._report(error, index)
+        self.errors[index] = error
+        self._park(index)
+        return True
+
+    def _report(self, error: PhysicsError, index: int) -> None:
+        # obs is an optional layer above the solvers and this is the one
+        # cold path that needs it.
+        from repro.obs.forensics import attach_forensics
+
+        attach_forensics(error, solver=self._member(index), trace=self._trace(index))
+
+    def _park(self, index: int) -> None:
+        self._frozen[index] = self._stack[index].copy()
+        self._stack[index] = self._placeholder
+
+    # -- the loop ---------------------------------------------------------
+
+    def _still_running(self, t_end, max_steps) -> bool:
+        """Finish every live member that reached its bound; True while
+        another is still live (and then the finished ones are parked)."""
+        done = []
+        still_live = False
+        for index in range(self.batch):
+            if not self.live(index):
+                continue
+            if _reached(self.times[index], self.step_counts[index], t_end, max_steps):
+                self.finished[index] = True
+                done.append(index)
+            else:
+                still_live = True
+        if still_live:
+            for index in done:
+                self._park(index)
+        return still_live
+
+    def run(
+        self,
+        t_end: Optional[float] = None,
+        max_steps: Optional[int] = None,
+        callback: Optional[Callable] = None,
+        watch=None,
+    ):
+        """Advance every member until ``t_end`` and/or for ``max_steps``.
+
+        Each member stops on its own clock.  The loop advances through
+        the object's own ``step``; ``callback(self)`` runs after every
+        step in which a member advanced.  ``watch`` is installed for the
+        duration of the call.  A call continues where the last one
+        stopped: ``run(max_steps=3); run(max_steps=6)`` is
+        ``run(max_steps=6)`` bit for bit.
+        """
+        if t_end is None and max_steps is None:
+            raise ConfigurationError("run() needs t_end and/or max_steps")
+        for index in range(self.batch):
+            if self.finished[index]:  # thaw
+                self.finished[index] = False
+                if index in self._frozen:
+                    self._stack[index] = self._frozen.pop(index)
+        first = [len(history) for history in self.dt_history]
+        installed = self.watch
+        if watch is not None:
+            self.watch = watch
+        self._t_end = t_end
+        try:
+            while self._still_running(t_end, max_steps):
+                if self.step() and callback is not None:
+                    callback(self)
+        finally:
+            self._t_end = None
+            self.watch = installed
+        return self._result(first)
+
+    def _result(self, first: Sequence[int]) -> EnsembleResult:
+        """Per-member summaries, ``dt_history`` from entry ``first[b]`` on."""
+        return EnsembleResult(
+            members=[
+                RunResult(
+                    steps=self.step_counts[index],
+                    time=self.times[index],
+                    dt_history=self.dt_history[index][first[index]:],
+                    index=index,
+                    error=self.errors.get(index),
+                    **self._identity(index),
+                )
+                for index in range(self.batch)
+            ]
+        )
+
+
+class _SoleMember(_MemberDriver):
+    """The B = 1 view of the driver: what a solver *is*.
+
+    ``time``/``steps`` are the sole member's clock, ``step(dt=None)``
+    and ``run()`` its scalar forms, and its failure is not retired but
+    propagates, reading as a solo error always did (no ``batch_index``)
+    with forensics attached.  Subclasses provide ``u`` and ``config``.
+    """
+
+    @property
+    def time(self) -> float:
+        return self.times[0]
+
+    @time.setter
+    def time(self, value: float) -> None:
+        self.times[0] = value
+
+    @property
+    def steps(self) -> int:
+        return self.step_counts[0]
+
+    @steps.setter
+    def steps(self, value: int) -> None:
+        self.step_counts[0] = value
+
+    @property
+    def primitive(self) -> np.ndarray:
+        """Current primitive state per cell."""
+        return state.primitive_from_conservative(self.u, self.config.gamma)
+
+    @property
+    def _stack(self) -> np.ndarray:
+        return self.u[None]
+
+    def _member(self, index: int):
+        return self
+
+    def _retire(self, error: PhysicsError) -> bool:
         error.batch_index = None
-        raise
+        self._report(error, 0)
+        return False
+
+    def _result(self, first: Sequence[int]) -> RunResult:
+        return super()._result(first).members[0]
+
+    def compute_dt(self) -> float:
+        try:
+            return float(self._compute_dts()[0])
+        except PhysicsError as error:
+            error.batch_index = None
+            raise
+
+    def step(self, dt: Optional[float] = None) -> float:
+        """Advance one time step; returns the dt used."""
+        # a direct step is not bound by the stop rule of an earlier run()
+        self.finished[0] = False
+        self._step_members(self._t_end, None if dt is None else [dt])
+        return self.dt_history[0][-1]
 
 
-class _GodunovSolver:
+class _GodunovSolver(_SoleMember):
     """What :class:`EulerSolver1D` and :class:`EulerSolver2D` share.
 
-    With ``use_engine=True`` (the default) stepping runs through a
-    preallocated :class:`~repro.euler.engine.StepEngine` as a batch of
-    one: the engine sees the ``u[None]`` view and the solver reads entry
-    0 of its per-member dt vector.  The results are bit-for-bit
-    identical to the allocating seed path (``_seed_rhs`` and the
-    allocating integrator), which ``use_engine=False`` keeps available
-    as the reference every equality test compares against.
+    With ``use_engine=True`` (the default) the stepper is a preallocated
+    :class:`~repro.euler.engine.StepEngine` run as a batch of one on the
+    ``u[None]`` view.  The results are bit-for-bit identical to the
+    allocating seed stepper (``_seed_rhs`` and the allocating
+    integrator), which ``use_engine=False`` keeps available as the
+    reference every equality test compares against.
     """
 
     def __init__(self, primitive, spacing, boundaries, config, use_engine, watch):
@@ -238,15 +571,7 @@ class _GodunovSolver:
             if use_engine
             else None
         )
-        self.time = 0.0
-        self.steps = 0
-        #: optional :class:`repro.obs.trace.StepTrace` recording each step
-        self.watch = watch
-
-    @property
-    def primitive(self) -> np.ndarray:
-        """Current primitive state per cell."""
-        return state.primitive_from_conservative(self.u, self.config.gamma)
+        self._init_clocks(1, watch)
 
     @property
     def phase_seconds(self):
@@ -265,38 +590,24 @@ class _GodunovSolver:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """Spatial operator L(U) (unsplit: the sweeps' differences summed)."""
-        if self.engine is not None:
-            return _solo(self.engine.rhs, u[None], np.empty_like(u)[None])[0]
-        return self._seed_rhs(u)
+        if self.engine is None:
+            return self._seed_rhs(u)
+        try:
+            return self.engine.rhs(u[None], np.empty_like(u)[None])[0]
+        except PhysicsError as error:
+            error.batch_index = None
+            raise
 
-    def compute_dt(self) -> float:
+    def _compute_dts(self):
         if self.engine is not None:
-            return float(_solo(self.engine.compute_dt, self.u[None])[0])
-        return get_dt(self.primitive, self.spacing, self.config.cfl, self.config.gamma)
+            return super()._compute_dts()
+        return [get_dt(self.primitive, self.spacing, self.config.cfl, self.config.gamma)]
 
-    def step(self, dt: Optional[float] = None) -> float:
-        """Advance one time step; returns the dt used."""
-        if dt is None:
-            dt = self.compute_dt()
+    def _advance(self, dts) -> None:
         if self.engine is not None:
-            _solo(self.engine.step, self.u[None], dt)
+            super()._advance(dts)
         else:
-            self.u = self.integrator(self.u, dt, self.rhs)
-        self.time += dt
-        self.steps += 1
-        if self.watch is not None:
-            self.watch.record_step(self, dt)
-        return dt
-
-    def run(
-        self,
-        t_end: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        callback: Optional[Callable] = None,
-        watch=None,
-    ) -> RunResult:
-        """Advance until ``t_end`` and/or for ``max_steps`` steps."""
-        return _run_loop(self, t_end, max_steps, callback, watch=watch)
+            self.u = self.integrator(self.u, dts[0], self.rhs)
 
 
 class EulerSolver1D(_GodunovSolver):
@@ -397,66 +708,6 @@ class EulerSolver2D(_GodunovSolver):
         return self._sweep(primitive, 0) + self._sweep(primitive, 1)
 
 
-def _reached(time: float, steps: int, t_end, max_steps) -> bool:
-    """The one stop rule of every run loop (solo, parallel, per member).
-
-    The ``t_end`` tolerance scales with ``t_end``: an absolute 1e-14
-    epsilon is meaningless for large end times (t_end = 1000 sits ~1e-13
-    ulp apart) and overly strict for tiny ones.
-    """
-    if max_steps is not None and steps >= max_steps:
-        return True
-    return t_end is not None and t_end - time <= 1e-12 * abs(t_end)
-
-
-def _clamped_dt(dt, time: float, t_end, batch_index: Optional[int] = None) -> float:
-    """``dt`` as a plain float, clamped so the clock lands on ``t_end``;
-    a collapsed or non-finite step is a :class:`PhysicsError`."""
-    dt = float(dt)
-    if t_end is not None:
-        dt = min(dt, t_end - time)
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise PhysicsError(
-            f"non-positive or non-finite time step {dt}", batch_index=batch_index
-        )
-    return dt
-
-
-def _run_loop(solver, t_end, max_steps, callback, watch=None) -> RunResult:
-    """Shared driver: step until a time and/or step bound is reached.
-
-    ``watch`` (a :class:`repro.obs.trace.StepTrace`) is installed on the
-    solver for the duration of the run.  Any :class:`PhysicsError`
-    escaping the loop leaves with ``error.forensics`` populated — cells,
-    neighbourhood, config and the trace tail (see
-    :mod:`repro.obs.forensics`).
-    """
-    if t_end is None and max_steps is None:
-        raise ConfigurationError("run() needs t_end and/or max_steps")
-    previous_watch = getattr(solver, "watch", None)
-    if watch is not None:
-        solver.watch = watch
-    history: List[float] = []
-    try:
-        while not _reached(solver.time, solver.steps, t_end, max_steps):
-            dt = _clamped_dt(solver.compute_dt(), solver.time, t_end)
-            solver.step(dt)
-            history.append(dt)
-            if callback is not None:
-                callback(solver)
-    except PhysicsError as error:
-        # Imported here: obs is an optional layer above the solvers and
-        # this is the one cold path that needs it.
-        from repro.obs.forensics import attach_forensics
-
-        attach_forensics(error, solver=solver, trace=getattr(solver, "watch", None))
-        raise
-    finally:
-        if watch is not None:
-            solver.watch = previous_watch
-    return RunResult(steps=solver.steps, time=solver.time, dt_history=history)
-
-
 # ---------------------------------------------------------------------------
 # Batched ensembles
 # ---------------------------------------------------------------------------
@@ -482,81 +733,23 @@ class EnsembleMember:
     params: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
-class MemberResult:
-    """Per-member summary of an ensemble run: the batched counterpart
-    of :class:`RunResult` plus identity and, for retired members, the
-    :class:`~repro.errors.PhysicsError` (with forensics attached) that
-    took them out."""
-
-    index: int
-    name: str
-    params: Dict[str, object]
-    steps: int
-    time: float
-    dt_history: List[float] = field(default_factory=list)
-    error: Optional[PhysicsError] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-@dataclass
-class EnsembleResult:
-    """Summary of an :meth:`EnsembleSolver2D.run` call."""
-
-    members: List[MemberResult]
-
-    @property
-    def finished(self) -> List[MemberResult]:
-        return [member for member in self.members if not member.failed]
-
-    @property
-    def failed(self) -> List[MemberResult]:
-        return [member for member in self.members if member.failed]
-
-
-class _MemberView:
-    """Solver-shaped adapter presenting one batch member to forensics.
-
-    :func:`repro.obs.forensics.build_report` reads ``config``, ``steps``,
-    ``time`` and ``primitive`` off a solver; this shim serves the
-    member-local slice of the ensemble so the report describes the
-    member that blew up, not the whole stack.
-    """
-
-    def __init__(self, ensemble: "EnsembleSolver2D", index: int):
-        self.config = ensemble.config
-        self.steps = ensemble.steps[index]
-        self.time = ensemble.times[index]
-        self._u = ensemble.u[index]
-        self._gamma = ensemble.config.gamma
-
-    @property
-    def primitive(self) -> np.ndarray:
-        return state.primitive_from_conservative(self._u, self._gamma)
-
-
-class EulerEnsemble2D:
+class EulerEnsemble2D(_MemberDriver):
     """B independent 2-D Euler problems advanced in lockstep.
 
     The member states are stacked into one ``(B, Nx, Ny, 4)``
     conservative array and stepped through the same
     :class:`~repro.euler.engine.StepEngine` the solo solvers use with
     B = 1, so the per-step Python and dispatch overhead is paid once
-    per batch instead of once per scenario.  Every kernel in the pipeline is elementwise over the
-    leading batch axis (boundaries are filled per member slab), which
-    gives the load-bearing guarantee: **member b's state is bit-for-bit
-    the state of running that member alone**.
+    per batch instead of once per scenario.  Every kernel in the
+    pipeline is elementwise over the leading batch axis (boundaries are
+    filled per member slab), which gives the load-bearing guarantee:
+    **member b's state is bit-for-bit the state of running that member
+    alone**.
 
-    Members advance on their own clocks — ``compute_dt`` is a
-    per-member reduction, dt is *not* a global minimum — and retire
-    individually: a member that blows up (or whose dt collapses) is
-    frozen at its last good state, its :class:`PhysicsError` gets
-    forensics naming the batch index and member params, its slot in the
-    stack is parked on a benign placeholder state, and the remaining
-    members redo the interrupted step unperturbed.
+    Clocks, retirement and reruns are :class:`_MemberDriver`'s; a
+    retired member's :class:`PhysicsError` names its batch index, name
+    and params (B = 1 included — an ensemble of one still retires and
+    attributes its member).
 
     Members must share the grid shape, spacing and
     :class:`SolverConfig`; use :func:`build_ensembles` to group a
@@ -579,7 +772,6 @@ class EulerEnsemble2D:
             raise ConfigurationError(f"dx and dy must be positive, got {dx}, {dy}")
         self.config = config or SolverConfig()
         self.members = members
-        self.batch = len(members)
         self.dx = float(dx)
         self.dy = float(dy)
         if _conservative is None:
@@ -609,19 +801,7 @@ class EulerEnsemble2D:
             self.config,
             [member.boundaries for member in members],
         )
-        #: per-member clocks and step counters (lists, not arrays, so the
-        #: accumulation arithmetic is plain Python floats exactly as in
-        #: the standalone run loop)
-        self.times: List[float] = [0.0] * self.batch
-        self.steps: List[int] = [0] * self.batch
-        self.dt_history: List[List[float]] = [[] for _ in range(self.batch)]
-        #: terminal PhysicsError per retired member index
-        self.errors: Dict[int, PhysicsError] = {}
-        self.finished: List[bool] = [False] * self.batch
-        #: last good state of retired/finished members (their stack slot
-        #: holds a placeholder so batch-wide validation stays clean)
-        self._frozen: Dict[int, np.ndarray] = {}
-        self._placeholder = self.engine.placeholder_member()
+        self._init_clocks(len(members), placeholder=self.engine.placeholder_member())
 
     @classmethod
     def from_solvers(
@@ -672,142 +852,23 @@ class EulerEnsemble2D:
             _conservative=np.stack([solver.u for solver in solvers]),
         )
 
-    # -- member access --------------------------------------------------
-
-    def live(self, index: int) -> bool:
-        """True while the member is still advancing (not retired/finished)."""
-        return index not in self.errors and not self.finished[index]
-
-    def member_u(self, index: int) -> np.ndarray:
-        """Member's conservative state: frozen final state for
-        retired/finished members, the live stack slice otherwise."""
-        frozen = self._frozen.get(index)
-        source = frozen if frozen is not None else self.u[index]
-        return source.copy()
-
-    def member_primitive(self, index: int) -> np.ndarray:
-        """Member's primitive state (rho, u, v, p), frozen-or-live."""
-        return state.primitive_from_conservative(
-            self.member_u(index), self.config.gamma
-        )
-
-    def result(self) -> EnsembleResult:
-        """Per-member summaries at the current point of the run."""
-        return EnsembleResult(
-            members=[
-                MemberResult(
-                    index=index,
-                    name=member.name,
-                    params=dict(member.params),
-                    steps=self.steps[index],
-                    time=self.times[index],
-                    dt_history=list(self.dt_history[index]),
-                    error=self.errors.get(index),
-                )
-                for index, member in enumerate(self.members)
-            ]
-        )
-
-    # -- stepping -------------------------------------------------------
-
-    def _retire(self, index: int, error: PhysicsError) -> None:
-        """Freeze a blown-up member and park its stack slot.
-
-        Forensics are attached while the slot still holds the last good
-        state (the pre-step state: the RK integrators mutate ``u`` only
-        after their final rhs evaluation), so the report's neighbourhood
-        fallback sees real data.
-        """
-        from repro.obs.forensics import attach_forensics
-
-        member = self.members[index]
-        error.batch_index = index
-        error.member = {
-            "index": index,
-            "name": member.name,
-            "params": dict(member.params),
-        }
-        attach_forensics(error, solver=_MemberView(self, index))
-        self.errors[index] = error
-        self._frozen[index] = self.u[index].copy()
-        self.u[index] = self._placeholder
-
-    def _finish(self, index: int) -> None:
-        self.finished[index] = True
-        self._frozen[index] = self.u[index].copy()
-        self.u[index] = self._placeholder
-
-    def _reset_placeholders(self) -> None:
-        # dt = 0 parks a slot for one step but is not a bitwise freeze
-        # (the RK convex combinations re-round), so pin retired/finished
-        # slots back to the exact placeholder after every step.
-        for index in self._frozen:
-            self.u[index] = self._placeholder
+    @property
+    def steps(self) -> List[int]:
+        """Per-member step counters."""
+        return self.step_counts
 
     def step(self, t_end: Optional[float] = None) -> List[int]:
         """Advance every live member by its own CFL step (clamped to
-        ``t_end`` per member); returns the indices that advanced.
+        ``t_end`` per member); returns the indices that advanced."""
+        return self._step_members(self._t_end if t_end is None else t_end)
 
-        A member failing mid-step — non-finite signal speed, collapsed
-        dt, or unphysical state in any RK stage — is retired and the
-        step is redone for the survivors; because ``u`` is untouched
-        until an RK step completes, the redo starts from the identical
-        pre-step bits and the survivors cannot tell the difference.
-        """
-        engine = self.engine
-        while True:
-            active = [index for index in range(self.batch) if self.live(index)]
-            if not active:
-                return []
-            try:
-                raw = engine.compute_dt(self.u)
-                dts = [0.0] * self.batch
-                for index in active:
-                    # The solo run loop's clamp and rejection; here a
-                    # collapsed dt costs one member, not the run.
-                    dts[index] = _clamped_dt(
-                        raw[index], self.times[index], t_end, batch_index=index
-                    )
-                engine.step(self.u, dts)
-            except PhysicsError as error:
-                if getattr(error, "batch_index", None) is None:
-                    raise
-                self._retire(int(error.batch_index), error)
-                continue
-            break
-        for index in active:
-            self.times[index] += dts[index]
-            self.steps[index] += 1
-            self.dt_history[index].append(dts[index])
-        self._reset_placeholders()
-        return active
+    def result(self) -> EnsembleResult:
+        """Per-member summaries at the current point of the run."""
+        return self._result([0] * self.batch)
 
-    def run(
-        self,
-        t_end: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        callback: Optional[Callable[["EulerEnsemble2D"], None]] = None,
-    ) -> EnsembleResult:
-        """Advance every member until its own time/step bound.
-
-        Per-member termination is the solo run loop's: the same stop
-        rule (:func:`_reached`) and the same dt clamp
-        (:func:`_clamped_dt`) — so a member's trajectory (every dt,
-        every state) matches its solo run bit for bit.
-        """
-        if t_end is None and max_steps is None:
-            raise ConfigurationError("run() needs t_end and/or max_steps")
-        while True:
-            for index in range(self.batch):
-                if self.live(index) and _reached(
-                    self.times[index], self.steps[index], t_end, max_steps
-                ):
-                    self._finish(index)
-            if not any(self.live(index) for index in range(self.batch)):
-                break
-            if self.step(t_end) and callback is not None:
-                callback(self)
-        return self.result()
+    def _identity(self, index: int) -> Dict[str, object]:
+        member = self.members[index]
+        return {"name": member.name, "params": dict(member.params)}
 
 
 #: Public name mirroring ``EulerSolver2D`` (the issue calls the batched

@@ -13,8 +13,8 @@ possible:
   the ``watch=`` keyword; ``watch=None`` (the default) costs one
   attribute check per step and zero allocations.
 * :mod:`repro.obs.forensics` — on any
-  :class:`~repro.errors.PhysicsError` escaping a run loop, a
-  :class:`ForensicReport`: the offending cell indices, a
+  :class:`~repro.errors.PhysicsError` that fails a run or retires an
+  ensemble member, a :class:`ForensicReport`: the offending cell indices, a
   primitive-variable neighbourhood dump, the last N trace records and
   the active :class:`~repro.euler.solver.SolverConfig`.
 * :mod:`repro.obs.export` — JSONL round-trip of trace records for

@@ -9,9 +9,11 @@ this module combines those with the active
 the tail of the :class:`~repro.obs.trace.StepTrace` (when the run was
 watched) into one :class:`ForensicReport`.
 
-:func:`attach_forensics` is called by the solvers' shared run loop
-(`repro.euler.solver._run_loop`) on the way out, so any ``run()`` that
-dies of a :class:`PhysicsError` carries ``error.forensics`` for free.
+:func:`attach_forensics` is called in one place, by the member driver
+every solver is a view of (`repro.euler.solver._MemberDriver`), when a
+member fails mid-step — so a ``run()`` or ``step()`` that dies of a
+:class:`PhysicsError`, and every member an ensemble retires, carries
+``error.forensics`` for free.
 """
 
 from __future__ import annotations
@@ -88,10 +90,12 @@ def build_report(
 ) -> ForensicReport:
     """Assemble a :class:`ForensicReport` for ``error``.
 
-    ``solver`` (optional) contributes the active config, step count and
-    simulated time, and — when the error carries cell indices but no
-    neighbourhood — a primitive window reconstructed from the current
-    state.  ``trace`` contributes its last ``tail`` records.
+    ``solver`` (optional; anything with ``config``/``steps``/``time``/
+    ``u``, which is also what a trace reads) contributes the active
+    config, step count and simulated time, and — when the error carries
+    cell indices but no neighbourhood — a primitive window reconstructed
+    from the current state.  ``trace`` contributes its last ``tail``
+    records.
     """
     config = None
     step = None
@@ -107,9 +111,11 @@ def build_report(
         time = float(t) if t is not None else None
         if neighbourhood is None and error.cells:
             try:
-                primitive = solver.primitive
                 neighbourhood = state.neighbourhood_of(
-                    primitive, error.cells[0]
+                    state.primitive_from_conservative(
+                        solver.u, solver_config.gamma
+                    ),
+                    error.cells[0],
                 )
             except Exception:
                 # The state itself may be the thing that is broken;
@@ -138,9 +144,8 @@ def attach_forensics(
 ) -> PhysicsError:
     """Set ``error.forensics`` (once) and return the error.
 
-    Idempotent: the innermost run loop wins, so a parallel solver's
-    report is not overwritten by an outer driver catching the same
-    exception.
+    Idempotent: the first report wins, so an outer driver catching the
+    same exception does not overwrite it.
     """
     if getattr(error, "forensics", None) is None:
         error.forensics = build_report(error, solver=solver, trace=trace, tail=tail)

@@ -142,22 +142,15 @@ class StepTrace:
 
     def records(self) -> List[TraceRecord]:
         """Retained records, oldest first."""
-        # Strictly less-than: after exactly ``capacity`` appends the ring
-        # is full and ``_next`` has wrapped to 0, so the unwrapped slice
-        # would be empty.
-        if self.total_recorded < self.capacity:
-            return [r for r in self._ring[: self._next] if r is not None]
-        return [
-            r
-            for r in self._ring[self._next :] + self._ring[: self._next]
-            if r is not None
-        ]
+        return self.last(self.capacity)
 
     def last(self, n: int) -> List[TraceRecord]:
         """The most recent ``n`` retained records, oldest first."""
-        if n <= 0:
-            return []
-        return self.records()[-n:]
+        count = min(n, len(self))
+        return [
+            self._ring[(self._next - count + offset) % self.capacity]
+            for offset in range(count)
+        ]
 
     def clear(self) -> None:
         """Drop all records and reset the drift/counter baselines."""

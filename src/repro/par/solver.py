@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, PhysicsError
 from repro.euler import state
 from repro.euler.boundary import BoundarySet2D
 from repro.euler.engine import PHASES, StepEngine
-from repro.euler.solver import EulerSolver2D, RunResult, SolverConfig, _SweepKernel, _run_loop
+from repro.euler.solver import EulerSolver2D, RunResult, SolverConfig, _SoleMember, _SweepKernel
 from repro.par import halo as halo_mod
 from repro.par.partition import DEFAULT_HALO, decompose
 from repro.par.pool import BarrierAborted, WorkerPool
@@ -47,13 +47,17 @@ from repro.par.reduce import SlotReduction
 __all__ = ["ParallelSolver2D"]
 
 
-class ParallelSolver2D:
+class ParallelSolver2D(_SoleMember):
     """Domain-decomposed drop-in for :class:`EulerSolver2D`.
 
     Accepts the serial constructor signature plus the parallel knobs:
     ``workers`` (or an explicit ``px``/``py`` process grid), the halo
     width (default 2, must cover the reconstruction stencil), and the
-    ``barrier`` kind (``"spin"`` or ``"forkjoin"``).
+    ``barrier`` kind (``"spin"`` or ``"forkjoin"``).  Clock, watch,
+    ``step``/``run`` and forensics are the member driver's
+    (:class:`~repro.euler.solver._MemberDriver`, B = 1); this class is
+    the stepper it drives — the rank team's GetDT reduction and
+    Runge-Kutta step.
     """
 
     def __init__(
@@ -95,10 +99,7 @@ class ParallelSolver2D:
             nx, ny, workers=workers, px=px, py=py, halo=halo
         )
         self.halo = halo
-        self.time = 0.0
-        self.steps = 0
-        #: optional :class:`repro.obs.trace.StepTrace` recording each step
-        self.watch = watch
+        self._init_clocks(1, watch)
 
         u_global = state.conservative_from_primitive(primitive, self.config.gamma)
         self._locals: List[np.ndarray] = [
@@ -200,11 +201,6 @@ class ParallelSolver2D:
         return gathered
 
     @property
-    def primitive(self) -> np.ndarray:
-        """Current primitive state (rho, u, v, p) per cell."""
-        return state.primitive_from_conservative(self.u, self.config.gamma)
-
-    @property
     def halo_exchanges(self) -> int:
         """Neighbour strips copied since construction."""
         return self.exchanger.total_copies
@@ -266,13 +262,13 @@ class ParallelSolver2D:
 
     # -- the parallel step ---------------------------------------------
 
-    def compute_dt(self) -> float:
+    def _compute_dts(self) -> List[float]:
         """CFL time step via the parallel GetDT min-reduction.
 
         Each rank converts its block straight into the interior window
         of its halo buffer; the conversion stays fresh, so the first
-        Runge-Kutta stage of the following :meth:`step` reuses it
-        instead of converting again.
+        Runge-Kutta stage of the following step reuses it instead of
+        converting again.
         """
 
         def deposit_local_dt(rank: int) -> None:
@@ -285,26 +281,19 @@ class ParallelSolver2D:
                 )
 
         self.pool.run(deposit_local_dt)
-        return self._dt_slots.combine("min")
+        return [self._dt_slots.combine("min")]
 
-    def step(self, dt: Optional[float] = None) -> float:
-        """Advance one time step on the worker team; returns the dt used."""
-        if dt is None:
-            dt = self.compute_dt()
+    def _advance(self, dts) -> None:
+        """One Runge-Kutta step on the worker team."""
 
         def advance(rank: int) -> None:
             self._engines[rank].integrate(
                 self._local_stacks[rank],
-                dt,
+                dts[0],
                 lambda v, out, first: self._local_rhs_into(rank, v, out, first),
             )
 
         self.pool.run(advance)
-        self.time += dt
-        self.steps += 1
-        if self.watch is not None:
-            self.watch.record_step(self, dt)
-        return dt
 
     def run(
         self,
@@ -324,7 +313,7 @@ class ParallelSolver2D:
         recording), where the team is healthy but idle.
         """
         try:
-            return _run_loop(self, t_end, max_steps, callback, watch=watch)
+            return super().run(t_end, max_steps, callback, watch)
         except (KeyboardInterrupt, BarrierAborted):
             self.close()
             raise
@@ -337,13 +326,11 @@ class ParallelSolver2D:
 
         Validation inside a subdomain reports cells in block coordinates;
         without the ``(x0, y0)`` offset the "offending cell" would point
-        at the wrong place on every rank but 0.  A rank engine is a batch
-        of one, which is not the caller's business: ``batch_index`` goes.
+        at the wrong place on every rank but 0.
         """
         try:
             yield
         except PhysicsError as error:
-            error.batch_index = None
             if not error.details.get("global_cells"):
                 sd = self.decomposition.subdomains[rank]
                 error.cells = [

@@ -3,23 +3,23 @@
 Stdlib-only (asyncio + sockets + multiprocessing): an async priority
 job queue with backpressure, a pool of worker-process shards running
 jobs on the existing solvers, a result cache keyed on canonical job
-identity, the per-shard exact-Riemann star-state memo, and a TCP
-JSON-lines protocol (submit / status / stream / cancel / stats) with a
-blocking client and a ``python -m repro.serve`` CLI.
+identity, and a TCP JSON-lines protocol (submit / status / stream /
+cancel / stats) with a blocking client and a ``python -m repro.serve``
+CLI.
 
 Import surface::
 
     from repro.serve import (
         JobSpec, JobRecord, JobState,          # job model
         PriorityJobQueue, QueueFull,           # admission control
-        ResultCache, StarStateCache,           # the cache layers
+        ResultCache,                           # the result cache
         ShardPool,                             # worker processes
         SimulationService, ServiceServer,      # the service
         ServiceClient, start_in_thread,        # talking to it
     )
 """
 
-from repro.serve.cache import ResultCache, StarStateCache, merge_star_stats
+from repro.serve.cache import ResultCache
 from repro.serve.client import ServiceClient
 from repro.serve.jobs import (
     PROBLEM_NAMES,
@@ -51,8 +51,6 @@ __all__ = [
     "ServiceServer",
     "ShardPool",
     "SimulationService",
-    "StarStateCache",
-    "merge_star_stats",
     "serve",
     "start_in_thread",
     "state_digest",

@@ -1,21 +1,14 @@
-"""The service's two cache layers.
+"""The service's result cache.
 
-* :class:`ResultCache` — completed-run result payloads keyed on the
-  canonical :meth:`~repro.serve.jobs.JobSpec.cache_key` (problem +
-  args + ``SolverConfig.content_hash()`` + stopping criterion).  A hit
-  answers a submit without touching the queue or a shard, and returns
-  the *stored payload verbatim*, so a cached response is bitwise
-  identical to the cold run that populated it.
-* :class:`~repro.euler.exact_riemann.StarStateCache` — re-exported
-  here; the per-worker memo of exact-Riemann Newton solves, installed
-  in each shard process when the service enables it.  Workers report
-  its counters with every completed job; :func:`merge_star_stats`
-  aggregates the per-shard snapshots for the stats endpoint.
+:class:`ResultCache` holds completed-run result payloads keyed on the
+canonical :meth:`~repro.serve.jobs.JobSpec.cache_key` (problem + args +
+``SolverConfig.content_hash()`` + stopping criterion).  A hit answers a
+submit without touching the queue or a shard, and returns the *stored
+payload verbatim*, so a cached response is bitwise identical to the
+cold run that populated it.
 
-Both layers surface hit/miss/eviction counters as ``kind: "cache"``
-records — the same JSONL schema family as :mod:`repro.obs.export`, so
-they can be interleaved into spool files and read back with
-:class:`~repro.obs.export.JsonlTail`.
+Its hit/miss/eviction counters are a ``kind: "cache"`` record — the
+same JSONL schema family as :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -25,12 +18,11 @@ import os
 import re
 import tempfile
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.euler.exact_riemann import StarStateCache  # noqa: F401  (re-export)
 
-__all__ = ["ResultCache", "StarStateCache", "merge_star_stats"]
+__all__ = ["ResultCache"]
 
 _HEX_KEY = re.compile(r"^[0-9a-f]{8,128}$")
 
@@ -226,27 +218,3 @@ class ResultCache:
             "disk_evictions": self.disk_evictions,
             "max_spill_entries": self.max_spill_entries,
         }
-
-
-def merge_star_stats(
-    per_shard: List[Optional[Dict[str, object]]],
-) -> Optional[Dict[str, object]]:
-    """Sum per-shard star-cache counter snapshots into one record.
-
-    Each worker process owns an independent memo; the service-level
-    view is the sum of their counters.  Returns ``None`` when no shard
-    has reported (the memo is disabled or nothing ran yet).
-    """
-    reported = [stats for stats in per_shard if stats]
-    if not reported:
-        return None
-    merged: Dict[str, object] = {
-        "kind": "cache",
-        "cache": "star_state",
-        "shards_reporting": len(reported),
-    }
-    for key in ("entries", "hits", "misses", "evictions"):
-        merged[key] = sum(int(stats.get(key, 0)) for stats in reported)
-    lookups = merged["hits"] + merged["misses"]
-    merged["hit_rate"] = (merged["hits"] / lookups) if lookups else 0.0
-    return merged

@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, default=64)
     serve.add_argument("--result-cache", type=int, default=256)
     serve.add_argument(
-        "--no-star-cache", action="store_true",
-        help="disable the per-shard exact-Riemann star-state memo",
-    )
-    serve.add_argument(
         "--batch-max", type=int, default=1, metavar="B",
         help="drain up to B shape-compatible queued jobs into one"
         " batched-engine dispatch (1 disables batching)",
@@ -127,7 +123,6 @@ def _cmd_serve(options) -> int:
             shards=options.shards,
             queue_depth=options.queue_depth,
             result_cache_entries=options.result_cache,
-            star_cache_decimals=None if options.no_star_cache else 12,
             batch_max=options.batch_max,
             cache_dir=options.cache_dir,
         ))

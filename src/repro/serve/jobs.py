@@ -46,8 +46,7 @@ __all__ = [
 
 #: Problems a job may name.  ``sod``/``lax``/``toro123`` are the 1-D
 #: shock tubes, ``sod_2d``/``two_channel`` the 2-D setups, ``exact``
-#: an exact-Riemann profile request (no time stepping — the star-state
-#: cache's home turf).
+#: an exact-Riemann profile request (no time stepping).
 PROBLEM_NAMES = ("sod", "lax", "toro123", "sod_2d", "two_channel", "exact")
 
 

@@ -3,10 +3,11 @@
 :class:`SimulationService` ties the pieces together on one event loop:
 submits land in the :class:`~repro.serve.queue.PriorityJobQueue`
 (unless the :class:`~repro.serve.cache.ResultCache` answers first), a
-dispatcher pairs queued jobs with free shards of the
+dispatcher pairs queued jobs — one, or up to ``batch_max``
+shape-compatible ones — with free shards of the
 :class:`~repro.serve.workers.ShardPool`, and one supervisor coroutine
-per running job tails the worker's spool file with
-:class:`~repro.obs.export.JsonlTail` (progress events), enforces the
+per dispatch tails each job's spool file with
+:class:`~repro.obs.export.JsonlTail` (progress events), enforces its
 deadline, and applies the terminal policy: cache ``done`` results,
 retry once on a retryable (PhysicsError) failure, ship the forensic
 report to the client otherwise.
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ServiceError
 from repro.obs.export import JsonlTail
-from repro.serve.cache import ResultCache, merge_star_stats
+from repro.serve.cache import ResultCache
 from repro.serve.jobs import TRANSITIONS, JobRecord, JobSpec, JobState
 from repro.serve.queue import PriorityJobQueue, QueueFull
 
@@ -57,7 +58,6 @@ class SimulationService:
         shards: int = 2,
         queue_depth: int = 64,
         result_cache_entries: int = 256,
-        star_cache_decimals: Optional[int] = 12,
         start_method: Optional[str] = None,
         batch_max: int = 1,
         cache_dir: Optional[str] = None,
@@ -65,11 +65,7 @@ class SimulationService:
         if batch_max < 1:
             raise ServiceError(f"batch_max must be >= 1, got {batch_max}")
         self.pool = None  # a ShardPool once start() has run
-        self._pool_kwargs = dict(
-            shards=shards,
-            star_cache_decimals=star_cache_decimals,
-            start_method=start_method,
-        )
+        self._pool_kwargs = dict(shards=shards, start_method=start_method)
         #: With ``batch_max > 1`` the dispatcher drains up to this many
         #: shape-compatible queued jobs (same ``JobSpec.batch_key()``)
         #: into one batched-engine dispatch per shard.
@@ -87,7 +83,6 @@ class SimulationService:
         self._free_shards: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._supervisors: set = set()
-        self._star_stats: List[Optional[Dict[str, object]]] = [None] * shards
         self.started_at: Optional[float] = None
         self.retries = 0
         self.cache_hits_served = 0
@@ -149,43 +144,39 @@ class SimulationService:
         at depth — the caller decides whether that is an error response
         (TCP path) or a reason to wait (:meth:`submit_wait`).
         """
-        if self._closed:
-            raise ServiceError("service is shut down")
-        key = spec.cache_key()
-        cached = self.result_cache.get(key)
-        record = self._make_record(spec)
-        if cached is not None:
-            self._resolve_from_cache(record, key, cached)
-            return record
-        self.queue.put_nowait(record, priority=spec.priority)
-        self._publish(record, {
-            "kind": "job", "event": "queued",
-            "job_id": record.job_id, "priority": spec.priority,
-        })
+        record = self._admit(spec)
+        if not record.cached:
+            self.queue.put_nowait(record, priority=spec.priority)
+            self._publish_queued(record)
         return record
 
     async def submit_wait(self, spec: JobSpec) -> JobRecord:
         """Like :meth:`submit` but parks on a full queue (backpressure)."""
+        record = self._admit(spec)
+        if not record.cached:
+            await self.queue.put(record, priority=spec.priority)
+            self._publish_queued(record)
+        return record
+
+    def _admit(self, spec: JobSpec) -> JobRecord:
+        """A record for ``spec``, already DONE if the result cache holds
+        its answer; otherwise the caller queues it."""
         if self._closed:
             raise ServiceError("service is shut down")
         key = spec.cache_key()
         cached = self.result_cache.get(key)
-        record = self._make_record(spec)
-        if cached is not None:
-            self._resolve_from_cache(record, key, cached)
-            return record
-        await self.queue.put(record, priority=spec.priority)
-        self._publish(record, {
-            "kind": "job", "event": "queued",
-            "job_id": record.job_id, "priority": spec.priority,
-        })
-        return record
-
-    def _make_record(self, spec: JobSpec) -> JobRecord:
         record = JobRecord(job_id=f"j{next(self._ids)}", spec=spec)
         self.jobs[record.job_id] = record
         self._completion[record.job_id] = asyncio.Event()
+        if cached is not None:
+            self._resolve_from_cache(record, key, cached)
         return record
+
+    def _publish_queued(self, record: JobRecord) -> None:
+        self._publish(record, {
+            "kind": "job", "event": "queued",
+            "job_id": record.job_id, "priority": record.spec.priority,
+        })
 
     def _resolve_from_cache(self, record, key, payload) -> None:
         """A cache hit never enters the state machine: the record is
@@ -236,128 +227,44 @@ class SimulationService:
                 item.transition(JobState.RUNNING)
                 item.attempts += 1
                 item.shard = shard
-            if len(batch) == 1:
-                task = asyncio.create_task(
-                    self._supervise(record, shard),
-                    name=f"repro-serve-supervise-{record.job_id}",
-                )
-            else:
+            if len(batch) > 1:  # stats count batches, not dispatches of one
                 self.batches_formed += 1
                 self.batched_jobs += len(batch)
-                task = asyncio.create_task(
-                    self._supervise_batch(batch, shard),
-                    name=f"repro-serve-supervise-batch-{record.job_id}",
-                )
+            task = asyncio.create_task(
+                self._supervise(batch, shard),
+                name=f"repro-serve-supervise-{record.job_id}",
+            )
             self._supervisors.add(task)
             task.add_done_callback(self._supervisors.discard)
 
-    async def _supervise(self, record: JobRecord, shard: int) -> None:
-        """Shepherd one attempt on one shard to its terminal event.
+    async def _supervise(self, records: List[JobRecord], shard: int) -> None:
+        """Shepherd one dispatch — N >= 1 jobs on one shard — until every
+        job has its terminal event.
+
+        Each job keeps its own spool tail, deadline timer, terminal event
+        and retry policy; only the *execution* is shared.  (A dispatch of
+        several carries no deadlines — ``batch_key`` refuses them: the
+        shard's cancel flag is dispatch-granular, so one job's deadline
+        would cancel its mates; an explicit client cancel of any member
+        does stop the whole dispatch, the documented trade for amortized
+        stepping.  A retried member re-queues normally and may run alone
+        or in a new batch — either way its result is bit-identical.)
 
         Whatever happens in here — worker death, a bug in terminal
         handling, an exception mid-send — the shard slot is released (or
-        the shard respawned first) and the record never sticks in
-        RUNNING: unexpected exceptions fail the job instead of leaking.
-        """
-        spec = record.spec
-        attempt = record.attempts
-        shard_died = False
-        try:
-            self.pool.send_job(shard, record.job_id, attempt, spec)
-            self._publish(record, {
-                "kind": "job", "event": "started", "job_id": record.job_id,
-                "shard": shard, "attempt": attempt,
-            })
-            tail = JsonlTail(self.pool.spool_path(record.job_id, attempt))
-            events = self.pool.events(shard)
-            loop = asyncio.get_running_loop()
-            deadline_handle = None
-            if spec.deadline_s is not None:
-                deadline_handle = loop.call_later(
-                    spec.deadline_s, self._deadline_fire, record, shard
-                )
-            terminal = None
-            try:
-                while terminal is None:
-                    try:
-                        event = await asyncio.wait_for(
-                            events.get(), timeout=SPOOL_POLL_S
-                        )
-                    except asyncio.TimeoutError:
-                        for line in tail.poll():
-                            self._publish(record, line)
-                        continue
-                    if (
-                        event.get("kind") == "shard"
-                        and event.get("event") == "died"
-                    ):
-                        # The worker process is gone (OOM kill, segfault):
-                        # no terminal will ever arrive — synthesize one.
-                        shard_died = True
-                        terminal = {
-                            "kind": "job", "event": "failed",
-                            "job_id": record.job_id, "retryable": False,
-                            "error": {
-                                "type": "ShardDied",
-                                "message": (
-                                    f"shard {shard} died"
-                                    f" (exitcode {event.get('exitcode')})"
-                                    f" while running {record.job_id}"
-                                ),
-                            },
-                        }
-                    elif (
-                        event.get("kind") == "job"
-                        and event.get("job_id") == record.job_id
-                        and event.get("event") in ("done", "failed", "cancelled")
-                    ):
-                        terminal = event
-            finally:
-                if deadline_handle is not None:
-                    deadline_handle.cancel()
-            for line in tail.poll():  # drain spool written before the terminal
-                self._publish(record, line)
-            self._apply_terminal(record, terminal)
-            # The tail is fully drained into record.events; the attempt's
-            # spool file has served its purpose — reclaim the disk.
-            self.pool.remove_spool(record.job_id, attempt)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - supervisor must not leak
-            self._fail_on_supervision_error(record, error)
-        finally:
-            usable = True
-            if shard_died:
-                usable = await self._respawn_shard(shard)
-            if usable:
-                # Free the shard only after the terminal is fully
-                # processed, so a stale deadline/cancel flag can never
-                # leak onto the next job.  (A dead shard that could not
-                # be respawned is NOT freed — its slot is retired.)
-                self._free_shards.put_nowait(shard)
-        if record.state is JobState.QUEUED:  # the retry edge
-            await self.queue.put(record, priority=spec.priority)
-
-    async def _supervise_batch(self, records: List[JobRecord], shard: int) -> None:
-        """Shepherd a batched dispatch: N jobs, one shard, one engine.
-
-        Each job keeps its own spool tail, terminal event and retry
-        policy — only the *execution* is shared.  Batched jobs carry no
-        deadline (``batch_key`` refuses them: the shard's cancel flag is
-        batch-granular, so one job's deadline would cancel its mates);
-        an explicit client cancel of any member does stop the whole
-        batch, which is the documented trade for amortized stepping.
-        A retried member re-queues normally and may run solo or in a new
-        batch — either way its result is bit-identical.
+        the shard respawned first) and no record sticks in RUNNING:
+        unexpected exceptions fail the jobs instead of leaking.
         """
         pending = {record.job_id: record for record in records}
         tails: Dict[str, JsonlTail] = {}
+        timers = []
         shard_died = False
         try:
-            self.pool.send_batch(
+            self.pool.send(
                 shard,
                 [(record.job_id, record.attempts, record.spec) for record in records],
             )
+            loop = asyncio.get_running_loop()
             for record in records:
                 self._publish(record, {
                     "kind": "job", "event": "started", "job_id": record.job_id,
@@ -367,6 +274,10 @@ class SimulationService:
                 tails[record.job_id] = JsonlTail(
                     self.pool.spool_path(record.job_id, record.attempts)
                 )
+                if record.spec.deadline_s is not None:
+                    timers.append(loop.call_later(
+                        record.spec.deadline_s, self._deadline_fire, record, shard
+                    ))
             events = self.pool.events(shard)
             while pending:
                 try:
@@ -382,9 +293,11 @@ class SimulationService:
                     event.get("kind") == "shard"
                     and event.get("event") == "died"
                 ):
+                    # The worker process is gone (OOM kill, segfault):
+                    # no terminal will ever arrive — synthesize them.
                     shard_died = True
-                    for job_id, record in list(pending.items()):
-                        self._finish_batch_member(record, tails[job_id], {
+                    for job_id, record in pending.items():
+                        self._settle(record, tails[job_id], {
                             "kind": "job", "event": "failed",
                             "job_id": job_id, "retryable": False,
                             "error": {
@@ -392,7 +305,7 @@ class SimulationService:
                                 "message": (
                                     f"shard {shard} died"
                                     f" (exitcode {event.get('exitcode')})"
-                                    f" while running batched {job_id}"
+                                    f" while running {job_id}"
                                 ),
                             },
                         })
@@ -403,26 +316,33 @@ class SimulationService:
                     and event.get("event") in ("done", "failed", "cancelled")
                 ):
                     record = pending.pop(event["job_id"])
-                    self._finish_batch_member(record, tails[record.job_id], event)
+                    self._settle(record, tails[record.job_id], event)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - supervisor must not leak
             for record in records:
                 self._fail_on_supervision_error(record, error)
         finally:
+            for timer in timers:
+                timer.cancel()
             usable = True
             if shard_died:
                 usable = await self._respawn_shard(shard)
             if usable:
+                # Free the shard only after every terminal is fully
+                # processed, so a stale deadline/cancel flag can never
+                # leak onto the next dispatch.  (A dead shard that could
+                # not be respawned is NOT freed — its slot is retired.)
                 self._free_shards.put_nowait(shard)
         for record in records:
-            if record.state is JobState.QUEUED:  # the retry edge, per member
+            if record.state is JobState.QUEUED:  # the retry edge, per job
                 await self.queue.put(record, priority=record.spec.priority)
 
-    def _finish_batch_member(
+    def _settle(
         self, record: JobRecord, tail: JsonlTail, terminal: Dict[str, object]
     ) -> None:
-        """Drain one batched job's spool and apply its terminal event."""
+        """Drain the spool written before the terminal, apply it, and
+        reclaim the attempt's spool file."""
         for line in tail.poll():
             self._publish(record, line)
         self._apply_terminal(record, terminal)
@@ -462,8 +382,6 @@ class SimulationService:
         kind = event["event"]
         if kind == "done":
             payload = event["result"]
-            if record.shard is not None and payload.get("star_cache"):
-                self._star_stats[record.shard] = payload["star_cache"]
             record.result = payload
             record.transition(JobState.DONE)
             self.result_cache.put(record.spec.cache_key(), payload)
@@ -572,7 +490,6 @@ class SimulationService:
             },
             "queue": self.queue.stats(),
             "result_cache": self.result_cache.stats(),
-            "star_cache": merge_star_stats(self._star_stats),
             "shards": {
                 "count": self.pool.shards if self.pool else 0,
                 "alive": self.pool.alive() if self.pool else [],

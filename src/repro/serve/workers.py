@@ -2,12 +2,12 @@
 
 Each *shard* is one long-lived worker process (``multiprocessing``
 spawn context — immune to the parent's event loop and thread state).
-The parent sends job wire dicts down a per-shard queue; the worker runs
-them through the existing :class:`~repro.euler.engine.StepEngine`-backed
-solvers (or :class:`~repro.par.solver.ParallelSolver2D` when the job
-asks for intra-job workers), spooling per-step
-:class:`~repro.obs.trace.TraceRecord` JSONL to a per-attempt spool file
-— the stream the server tails with
+The parent sends *dispatches* — always a list of one or more job wire
+dicts — down a per-shard queue; the worker runs each through the
+existing :class:`~repro.euler.engine.StepEngine`-backed solvers (or
+:class:`~repro.par.solver.ParallelSolver2D` when the job asks for
+intra-job workers), spooling per-step records as JSONL to a
+per-attempt spool file — the stream the server tails with
 :class:`~repro.obs.export.JsonlTail` — and reports lifecycle events
 (``ready``/``started``/``done``/``failed``/``cancelled``) on a
 per-shard event queue.
@@ -34,6 +34,7 @@ import signal
 import tempfile
 import threading
 import traceback
+from contextlib import ExitStack
 from pathlib import Path
 from queue import Empty
 from time import monotonic, perf_counter, time
@@ -74,77 +75,205 @@ class _JobCancelled(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(shard, job_q, event_q, cancel_flag, spool_dir, star_decimals):
+def _worker_main(shard, job_q, event_q, cancel_flag, spool_dir):
     """Entry point of one shard process (top level: spawn-picklable)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    star_cache = None
-    if star_decimals:
-        from repro.euler.exact_riemann import StarStateCache, install_star_cache
-
-        star_cache = StarStateCache(decimals=star_decimals)
-        install_star_cache(star_cache)
     event_q.put({"kind": "shard", "event": "ready", "shard": shard, "pid": os.getpid()})
     while True:
-        wire = job_q.get()
-        if wire is None:
+        # The cancel flag is NOT cleared here: the parent clears it in
+        # send() *before* enqueuing, so a cancel that lands right after
+        # the send is never lost to a worker-side clear racing it.
+        jobs = job_q.get()
+        if jobs is None:
             break
-        if wire.get("batch"):
-            _run_batch(wire, event_q, shard, cancel_flag, Path(spool_dir), star_cache)
-            continue
-        # The flag is NOT cleared here: the parent clears it in send_job
-        # *before* enqueuing, so a cancel that lands right after the send
-        # is never lost to a worker-side clear racing it.
-        job_id = wire["job_id"]
-        base = {"kind": "job", "job_id": job_id, "shard": shard}
-        try:
-            result = _execute(wire, cancel_flag, Path(spool_dir), star_cache)
-        except _JobCancelled as stop:
-            event_q.put({**base, "event": "cancelled", "reason": stop.reason})
-        except PhysicsError as error:
-            forensics = getattr(error, "forensics", None)
-            event_q.put({
-                **base,
-                "event": "failed",
-                "retryable": True,
-                "error": {
-                    "type": "PhysicsError",
-                    "message": str(error),
-                    "context": error.context,
-                    "forensics": forensics.to_json() if forensics else None,
-                },
-            })
-        except BaseException as error:  # noqa: BLE001 - shard must survive any job
-            event_q.put({
-                **base,
-                "event": "failed",
-                "retryable": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                    "traceback": traceback.format_exc(),
-                },
-            })
-        else:
-            event_q.put({**base, "event": "done", "result": result})
+        _run_jobs(jobs, event_q, shard, cancel_flag, Path(spool_dir))
     event_q.put({"kind": "shard", "event": "stopped", "shard": shard})
 
 
-def _execute(wire, cancel_flag, spool_dir, star_cache) -> Dict[str, object]:
-    """Run one job; returns the ``done`` payload or raises."""
-    spec = JobSpec.from_dict(wire["spec"])
-    spool = spool_dir / _spool_name(wire["job_id"], wire.get("attempt", 1))
-    started = perf_counter()
-    if spec.problem == "exact":
-        payload = _execute_exact(spec, spool, star_cache)
+def _failed_event(error: BaseException) -> Dict[str, object]:
+    """An exception as a ``failed`` event: a PhysicsError is retryable
+    and ships its forensic report, anything else its traceback."""
+    if isinstance(error, PhysicsError):
+        forensics = getattr(error, "forensics", None)
+        info = {
+            "type": "PhysicsError",
+            "message": str(error),
+            "context": error.context,
+            "batch_index": error.batch_index,
+            "forensics": forensics.to_json() if forensics else None,
+        }
     else:
-        payload = _execute_stepping(spec, spool, cancel_flag, star_cache)
-    payload["wall_seconds"] = perf_counter() - started
-    return payload
+        info = {
+            "type": type(error).__name__,
+            "message": str(error),
+            "traceback": "".join(
+                traceback.format_exception(type(error), error, error.__traceback__)
+            ),
+        }
+    return {
+        "event": "failed",
+        "retryable": isinstance(error, PhysicsError),
+        "error": info,
+    }
 
 
-def _execute_exact(spec, spool, star_cache) -> Dict[str, object]:
-    """An exact-Riemann profile request — pure Newton solves + sampling,
-    the workload the star-state memo accelerates."""
+def _run_jobs(jobs, event_q, shard, cancel_flag, spool_dir) -> None:
+    """Run one dispatch (a list of N >= 1 jobs); guarantees a terminal
+    event for every job.
+
+    Anything escaping :func:`_execute` — the shared cancel flag, the
+    PhysicsError of a job running alone, a bug — terminal-izes every job
+    that has not already reported, so the supervisor never hangs on a
+    silent shard.
+    """
+    done = set()
+
+    def emit(job_id: str, event: Dict[str, object]) -> None:
+        done.add(job_id)
+        event_q.put({"kind": "job", "job_id": job_id, "shard": shard, **event})
+
+    try:
+        with ExitStack() as cleanup:  # spool files, intra-job worker teams
+            _execute(jobs, emit, cancel_flag, spool_dir, cleanup)
+        return
+    except _JobCancelled as stop:
+        # The cancel flag is dispatch-granular: every still-running job
+        # of the dispatch stops together.
+        terminal = {"event": "cancelled", "reason": stop.reason}
+    except BaseException as error:  # noqa: BLE001 - shard must survive any job
+        terminal = _failed_event(error)
+    for job in jobs:
+        if job["job_id"] not in done:
+            emit(job["job_id"], terminal)
+
+
+def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
+    """Advance a dispatch of N >= 1 jobs through one driver.
+
+    Each stepping job's solver comes from the unmodified builder.  A
+    job alone is run by that solver itself — every solver is a member
+    driver of one, so no second engine is built, and 1-D and
+    ``workers > 1`` jobs need no other code.  N > 1 jobs (which the
+    batch key only forms of shape-compatible 2-D jobs sharing one
+    stopping criterion and no deadline) are stacked via
+    :meth:`EulerEnsemble2D.from_solvers` — conservative states stacked
+    directly, so each member starts from exactly its solo bits.
+
+    Per-job outcomes are independent: a job whose builder rejects its
+    arguments fails alone before the driver forms; a member that blows
+    up mid-run is retired by the ensemble and reports its forensics
+    while its mates step on (alone, its error propagates to
+    :func:`_run_jobs`); survivors return payloads equal to their solo
+    runs on every key but ``wall_seconds`` and ``batched``, the member
+    count.  ``exact`` is its own branch: it does no stepping.
+
+    One difference is kept, selected by the member count: a job alone
+    streams full :class:`~repro.obs.trace.TraceRecord`s, a member of
+    N > 1 the reduced ``{step, time, dt, batched}`` record — recording
+    and serialising the full one costs ~107 us per 24x24 member against
+    ~3 us, which would add a third to a 16-member step.
+    """
+    from repro.euler.solver import EulerEnsemble2D
+    from repro.obs.trace import StepTrace
+
+    started = perf_counter()
+    members = []  # (job id, spec, solver, spool path) of the jobs to step
+    for job in jobs:
+        job_id = job["job_id"]
+        try:
+            spec = JobSpec.from_dict(job["spec"])
+            if spec.problem == "exact":
+                payload = _execute_exact(spec)
+                payload["wall_seconds"] = perf_counter() - started
+                emit(job_id, {"event": "done", "result": payload})
+                continue
+            solver, closer = _build_solver(spec)
+            if closer is not None:
+                cleanup.callback(closer)
+                if len(jobs) > 1:
+                    raise ConfigurationError("parallel-solver jobs are not batchable")
+        except Exception as error:  # noqa: BLE001 - fail this job only
+            emit(job_id, _failed_event(error))
+            continue
+        spool = spool_dir / _spool_name(job_id, job.get("attempt", 1))
+        members.append((job_id, spec, solver, spool))
+    if not members:
+        return
+    job_ids, specs, solvers, spool_paths = zip(*members)
+    if len(members) == 1:
+        driver = solvers[0]
+        trace = StepTrace()
+    else:
+        driver = EulerEnsemble2D.from_solvers(
+            solvers, names=job_ids, params=[{"job_id": job_id} for job_id in job_ids]
+        )
+        trace = None
+    lead = specs[0]  # the batch key pins the stopping criterion of a dispatch
+    deadline_at = (
+        monotonic() + lead.deadline_s if lead.deadline_s is not None else None
+    )
+    spools = [
+        cleanup.enter_context(path.open("w", encoding="utf-8"))
+        for path in spool_paths
+    ]
+
+    def progress(driver):
+        if cancel_flag.is_set():
+            raise _JobCancelled("cancelled")
+        if deadline_at is not None and monotonic() > deadline_at:
+            raise _JobCancelled("deadline")
+        for index, spec in enumerate(specs):
+            step = driver.step_counts[index]
+            if not driver.live(index) or step % spec.trace_every != 0:
+                continue
+            if trace is not None:
+                record = trace.last(1)[0].to_json()
+            else:
+                record = {
+                    "kind": "step",
+                    "step": step,
+                    "time": driver.times[index],
+                    "dt": driver.dt_history[index][-1],
+                    "batched": driver.batch,
+                }
+            spools[index].write(json.dumps(record))
+            spools[index].write("\n")
+            spools[index].flush()
+
+    driver.run(
+        t_end=lead.t_end, max_steps=lead.max_steps,
+        callback=progress, watch=trace,
+    )
+    wall = perf_counter() - started
+    for index, (job_id, spec) in enumerate(zip(job_ids, specs)):
+        error = driver.errors.get(index)
+        if error is not None:
+            emit(job_id, _failed_event(error))
+            continue
+        u = driver.member_u(index)
+        emit(job_id, {
+            "event": "done",
+            "result": {
+                "problem": spec.problem,
+                "steps": int(driver.step_counts[index]),
+                "time": float(driver.times[index]),
+                "shape": list(u.shape),
+                "state_sha256": state_digest(u),
+                "mass": float(u[..., 0].sum()),
+                "energy": float(u[..., -1].sum()),
+                "state": (
+                    driver.member_primitive(index).tolist()
+                    if spec.return_state
+                    else None
+                ),
+                "batched": len(members),
+                "wall_seconds": wall,
+            },
+        })
+
+
+def _execute_exact(spec) -> Dict[str, object]:
+    """An exact-Riemann profile request — a Newton solve + sampling."""
     from repro.euler.exact_riemann import solve
     from repro.euler.problems import RIEMANN_PROBLEMS
 
@@ -163,10 +292,6 @@ def _execute_exact(spec, spool, star_cache) -> Dict[str, object]:
         problem.left, problem.right, x, t=t,
         x_diaphragm=problem.x_diaphragm, gamma=spec.config.gamma,
     )
-    with spool.open("w", encoding="utf-8") as handle:
-        if star_cache is not None:
-            handle.write(json.dumps(star_cache.stats()))
-            handle.write("\n")
     return {
         "problem": "exact",
         "base": base,
@@ -177,235 +302,7 @@ def _execute_exact(spec, spool, star_cache) -> Dict[str, object]:
         "state": profile.tolist() if spec.return_state else None,
         "steps": 0,
         "time": t,
-        "star_cache": star_cache.stats() if star_cache is not None else None,
     }
-
-
-def _execute_stepping(spec, spool, cancel_flag, star_cache) -> Dict[str, object]:
-    """A time-stepping job with per-step spool records and cancel checks."""
-    from repro.obs.trace import StepTrace
-
-    solver, closer = _build_solver(spec)
-    trace = StepTrace()
-    deadline_at = (
-        monotonic() + spec.deadline_s if spec.deadline_s is not None else None
-    )
-    try:
-        with spool.open("w", encoding="utf-8") as handle:
-
-            def progress(s):
-                if cancel_flag.is_set():
-                    raise _JobCancelled("cancelled")
-                if deadline_at is not None and monotonic() > deadline_at:
-                    raise _JobCancelled("deadline")
-                if s.steps % spec.trace_every == 0:
-                    record = trace.last(1)[0]
-                    handle.write(json.dumps(record.to_json()))
-                    handle.write("\n")
-                    handle.flush()
-
-            run = solver.run(
-                t_end=spec.t_end, max_steps=spec.max_steps,
-                callback=progress, watch=trace,
-            )
-            if star_cache is not None:
-                handle.write(json.dumps(star_cache.stats()))
-                handle.write("\n")
-        u = solver.u
-        return {
-            "problem": spec.problem,
-            "steps": int(run.steps),
-            "time": float(run.time),
-            "shape": list(u.shape),
-            "state_sha256": state_digest(u),
-            "mass": float(u[..., 0].sum()),
-            "energy": float(u[..., -1].sum()),
-            "state": solver.primitive.tolist() if spec.return_state else None,
-            "star_cache": star_cache.stats() if star_cache is not None else None,
-        }
-    finally:
-        if closer is not None:
-            closer()
-
-
-def _run_batch(wire, event_q, shard, cancel_flag, spool_dir, star_cache) -> None:
-    """Run one batch wire; guarantees a terminal event for every job.
-
-    Anything escaping :func:`_execute_batch` — the shared cancel flag,
-    a bug — terminal-izes every job that has not already reported, so
-    the supervisors never hang on a silent batch.
-    """
-    done = set()
-
-    def emit(job_id: str, event: Dict[str, object]) -> None:
-        done.add(job_id)
-        event_q.put({"kind": "job", "job_id": job_id, "shard": shard, **event})
-
-    entries = wire["batch"]
-    try:
-        _execute_batch(entries, emit, cancel_flag, spool_dir, star_cache)
-    except _JobCancelled as stop:
-        # The cancel flag is batch-granular: every still-running job in
-        # the batch stops together.
-        for entry in entries:
-            if entry["job_id"] not in done:
-                emit(entry["job_id"], {"event": "cancelled", "reason": stop.reason})
-    except BaseException as error:  # noqa: BLE001 - shard must survive any batch
-        info = {
-            "type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-        }
-        for entry in entries:
-            if entry["job_id"] not in done:
-                emit(
-                    entry["job_id"],
-                    {"event": "failed", "retryable": False, "error": info},
-                )
-
-
-def _execute_batch(entries, emit, cancel_flag, spool_dir, star_cache) -> None:
-    """Advance up to B shape-compatible jobs through one batched engine.
-
-    Builds each job's solver with the unmodified solo builder, stacks
-    them via :meth:`EulerEnsemble2D.from_solvers` (conservative states
-    stacked directly — each member starts from exactly its solo bits),
-    and runs the shared stopping criterion the batch key guarantees.
-    Per-job outcomes are independent: a job whose builder rejects its
-    arguments fails alone before the batch forms; a member that blows
-    up mid-run is retired by the ensemble and reports its forensics
-    (batch index included) while its batch mates step on; surviving
-    jobs return payloads bit-for-bit identical to their solo runs (same
-    keys too, plus ``"batched"``).
-    """
-    from repro.euler.solver import EulerEnsemble2D
-
-    started = perf_counter()
-    batch_members = []  # (entry, spec) of jobs admitted to the ensemble
-    solvers = []
-    for entry in entries:
-        try:
-            spec = JobSpec.from_dict(entry["spec"])
-            solver, closer = _build_solver(spec)
-            if closer is not None:
-                closer()
-                raise ConfigurationError(
-                    "parallel-solver jobs are not batchable"
-                )
-        except PhysicsError as error:
-            forensics = getattr(error, "forensics", None)
-            emit(entry["job_id"], {
-                "event": "failed",
-                "retryable": True,
-                "error": {
-                    "type": "PhysicsError",
-                    "message": str(error),
-                    "context": error.context,
-                    "forensics": forensics.to_json() if forensics else None,
-                },
-            })
-            continue
-        except BaseException as error:  # noqa: BLE001 - fail this job only
-            emit(entry["job_id"], {
-                "event": "failed",
-                "retryable": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                    "traceback": traceback.format_exc(),
-                },
-            })
-            continue
-        batch_members.append((entry, spec))
-        solvers.append(solver)
-    if not batch_members:
-        return
-    ensemble = EulerEnsemble2D.from_solvers(
-        solvers,
-        names=[entry["job_id"] for entry, _ in batch_members],
-        params=[{"job_id": entry["job_id"]} for entry, _ in batch_members],
-    )
-    # The batch key pins the stopping criterion across the batch.
-    lead_spec = batch_members[0][1]
-    spools = [
-        (spool_dir / _spool_name(entry["job_id"], entry.get("attempt", 1))).open(
-            "w", encoding="utf-8"
-        )
-        for entry, _ in batch_members
-    ]
-    try:
-
-        def progress(ens):
-            if cancel_flag.is_set():
-                raise _JobCancelled("cancelled")
-            for index, (entry, spec) in enumerate(batch_members):
-                if not ens.live(index):
-                    continue
-                if ens.steps[index] % spec.trace_every != 0:
-                    continue
-                record = {
-                    "kind": "step",
-                    "step": ens.steps[index],
-                    "time": ens.times[index],
-                    "dt": ens.dt_history[index][-1],
-                    "batched": ens.batch,
-                }
-                spools[index].write(json.dumps(record))
-                spools[index].write("\n")
-                spools[index].flush()
-
-        result = ensemble.run(
-            t_end=lead_spec.t_end,
-            max_steps=lead_spec.max_steps,
-            callback=progress,
-        )
-        if star_cache is not None:
-            for handle in spools:
-                handle.write(json.dumps(star_cache.stats()))
-                handle.write("\n")
-    finally:
-        for handle in spools:
-            handle.close()
-    wall = perf_counter() - started
-    for index, (entry, spec) in enumerate(batch_members):
-        member = result.members[index]
-        if member.error is not None:
-            forensics = getattr(member.error, "forensics", None)
-            emit(entry["job_id"], {
-                "event": "failed",
-                "retryable": True,
-                "error": {
-                    "type": "PhysicsError",
-                    "message": str(member.error),
-                    "context": member.error.context,
-                    "batch_index": member.error.batch_index,
-                    "forensics": forensics.to_json() if forensics else None,
-                },
-            })
-            continue
-        u = ensemble.member_u(index)
-        emit(entry["job_id"], {
-            "event": "done",
-            "result": {
-                "problem": spec.problem,
-                "steps": int(member.steps),
-                "time": float(member.time),
-                "shape": list(u.shape),
-                "state_sha256": state_digest(u),
-                "mass": float(u[..., 0].sum()),
-                "energy": float(u[..., -1].sum()),
-                "state": (
-                    ensemble.member_primitive(index).tolist()
-                    if spec.return_state
-                    else None
-                ),
-                "star_cache": (
-                    star_cache.stats() if star_cache is not None else None
-                ),
-                "batched": len(batch_members),
-                "wall_seconds": wall,
-            },
-        })
 
 
 def _build_solver(spec: JobSpec):
@@ -476,7 +373,7 @@ class ShardPool:
     Lifecycle: ``start()`` (spawn + wait ready, blocking — call before
     or via an executor from the event loop), ``bind(loop)`` (start the
     pump threads that forward each shard's events into an
-    :class:`asyncio.Queue`), then ``send_job``/``cancel``/``events``;
+    :class:`asyncio.Queue`), then ``send``/``cancel``/``events``;
     ``shutdown()`` is idempotent and leaves no child process behind —
     sentinel first, ``terminate()`` for stragglers, ``kill()`` as the
     last resort.
@@ -486,13 +383,11 @@ class ShardPool:
         self,
         shards: int = 2,
         spool_dir: Optional[str] = None,
-        star_cache_decimals: Optional[int] = 12,
         start_method: Optional[str] = None,
     ):
         if shards < 1:
             raise ConfigurationError(f"need at least one shard, got {shards}")
         self.shards = shards
-        self.star_cache_decimals = star_cache_decimals
         self._ctx = mp.get_context(
             start_method or os.environ.get("REPRO_SVC_START_METHOD", "spawn")
         )
@@ -516,40 +411,43 @@ class ShardPool:
 
     # -- lifecycle ------------------------------------------------------
 
+    def _spawn(self, shard: int):
+        """Fresh queues, cancel flag and (started) worker process for ``shard``."""
+        job_q = self._ctx.Queue()
+        event_q = self._ctx.Queue()
+        cancel_flag = self._ctx.Event()
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(shard, job_q, event_q, cancel_flag, str(self.spool_dir)),
+            name=f"repro-serve-shard-{shard}",
+            daemon=True,
+        )
+        process.start()
+        return process, job_q, event_q, cancel_flag
+
+    def _await_ready(self, shard: int, timeout: float) -> None:
+        try:
+            event = self._event_queues[shard].get(timeout=timeout)
+        except Empty:
+            raise ServiceError(
+                f"shard {shard} did not report ready within {timeout}s"
+            ) from None
+        if event.get("event") != "ready":
+            raise ServiceError(f"shard {shard} sent {event!r} before ready")
+
     def start(self, wait_ready: bool = True, timeout: float = READY_TIMEOUT_S) -> None:
         """Spawn the shard processes (blocking; spawn re-imports numpy)."""
         if self._processes:
             raise ServiceError("shard pool already started")
         for shard in range(self.shards):
-            job_q = self._ctx.Queue()
-            event_q = self._ctx.Queue()
-            cancel_flag = self._ctx.Event()
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    shard, job_q, event_q, cancel_flag,
-                    str(self.spool_dir), self.star_cache_decimals,
-                ),
-                name=f"repro-serve-shard-{shard}",
-                daemon=True,
-            )
-            process.start()
+            process, job_q, event_q, cancel_flag = self._spawn(shard)
             self._processes.append(process)
             self._job_queues.append(job_q)
             self._event_queues.append(event_q)
             self._cancel_flags.append(cancel_flag)
         if wait_ready:
-            for shard, event_q in enumerate(self._event_queues):
-                try:
-                    event = event_q.get(timeout=timeout)
-                except Empty:
-                    raise ServiceError(
-                        f"shard {shard} did not report ready within {timeout}s"
-                    ) from None
-                if event.get("event") != "ready":
-                    raise ServiceError(
-                        f"shard {shard} sent {event!r} before ready"
-                    )
+            for shard in range(self.shards):
+                self._await_ready(shard, timeout)
 
     def bind(self, loop: asyncio.AbstractEventLoop) -> None:
         """Start one pump thread per shard, forwarding events to
@@ -631,34 +529,26 @@ class ShardPool:
                 f"no event from shard {shard} within {timeout}s"
             ) from None
 
-    def send_job(self, shard: int, job_id: str, attempt: int, spec: JobSpec) -> None:
-        self._cancel_flags[shard].clear()
-        self._job_queues[shard].put(
-            {"job_id": job_id, "attempt": attempt, "spec": spec.to_dict()}
-        )
-        self.jobs_dispatched[shard] += 1
+    def send(self, shard: int, jobs) -> None:
+        """Dispatch ``jobs`` — a list of one or more ``(job_id, attempt,
+        spec)`` — as one wire message, always a list.
 
-    def send_batch(self, shard: int, jobs) -> None:
-        """Dispatch several jobs as one batched-engine wire message.
-
-        ``jobs`` is a list of ``(job_id, attempt, spec)``.  The worker
-        advances them in lockstep through one
-        :class:`~repro.euler.engine.StepEngine` and emits an
+        The worker advances them through one driver (a job alone by its
+        own solver, several in lockstep through one
+        :class:`~repro.euler.engine.StepEngine`) and emits an
         independent terminal event per job.  The cancel flag is
-        batch-granular: :meth:`cancel` stops every job in the batch.
+        dispatch-granular: :meth:`cancel` stops every job of the dispatch.
         """
         self._cancel_flags[shard].clear()
-        self._job_queues[shard].put({
-            "batch": [
-                {"job_id": job_id, "attempt": attempt, "spec": spec.to_dict()}
-                for job_id, attempt, spec in jobs
-            ]
-        })
+        self._job_queues[shard].put([
+            {"job_id": job_id, "attempt": attempt, "spec": spec.to_dict()}
+            for job_id, attempt, spec in jobs
+        ])
         self.jobs_dispatched[shard] += len(jobs)
 
     def cancel(self, shard: int) -> None:
-        """Ask the shard's *current* job (or batch) to stop at its next
-        step; for a batched dispatch every job in the batch stops."""
+        """Ask the shard's *current* dispatch to stop at its next step
+        (every job of it stops)."""
         self._cancel_flags[shard].set()
 
     def spool_path(self, job_id: str, attempt: int) -> Path:
@@ -689,19 +579,7 @@ class ShardPool:
         if old.is_alive():
             raise ServiceError(f"shard {shard} is still alive; not respawning")
         old.join(timeout=1.0)
-        job_q = self._ctx.Queue()
-        event_q = self._ctx.Queue()
-        cancel_flag = self._ctx.Event()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                shard, job_q, event_q, cancel_flag,
-                str(self.spool_dir), self.star_cache_decimals,
-            ),
-            name=f"repro-serve-shard-{shard}",
-            daemon=True,
-        )
-        process.start()
+        process, job_q, event_q, cancel_flag = self._spawn(shard)
         for stale in (self._job_queues[shard], self._event_queues[shard]):
             stale.cancel_join_thread()
             stale.close()
@@ -710,16 +588,7 @@ class ShardPool:
         self._event_queues[shard] = event_q
         self._cancel_flags[shard] = cancel_flag
         self.respawns += 1
-        try:
-            event = event_q.get(timeout=timeout)
-        except Empty:
-            raise ServiceError(
-                f"respawned shard {shard} did not report ready within {timeout}s"
-            ) from None
-        if event.get("event") != "ready":
-            raise ServiceError(
-                f"respawned shard {shard} sent {event!r} before ready"
-            )
+        self._await_ready(shard, timeout)
         if self._loop is not None:
             pump = threading.Thread(
                 target=self._pump, args=(shard,),

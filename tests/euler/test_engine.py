@@ -22,9 +22,9 @@ from repro.euler.engine import PHASES, StepEngine
 from repro.euler.solver import (
     EulerSolver1D,
     EulerSolver2D,
-    RunResult,
     SolverConfig,
-    _run_loop,
+    _clamped_dt,
+    _reached,
     paper_benchmark_config,
 )
 from repro.euler.workspace import Workspace
@@ -261,39 +261,23 @@ class TestEngineValidation:
             engine.rhs(u, np.empty_like(u))
 
 
-class _FakeSolver:
-    """Just enough surface for ``_run_loop``."""
-
-    def __init__(self, time):
-        self.time = time
-        self.steps = 0
-
-    def compute_dt(self):
-        return 1.0
-
-    def step(self, dt):
-        self.time += dt
-        self.steps += 1
-        return dt
-
-
 class TestRunLoopStopEpsilon:
+    """The one stop rule (:func:`repro.euler.solver._reached`)."""
+
     def test_stop_tolerance_is_relative_to_t_end(self):
         """At t_end = 1000, a 1e-11 shortfall is below resolution — stop.
 
         The old absolute 1e-14 epsilon would have scheduled a final
         degenerate 1e-11 step here.
         """
-        solver = _FakeSolver(time=1000.0 - 1e-11)
-        result = _run_loop(solver, t_end=1000.0, max_steps=None, callback=None)
-        assert isinstance(result, RunResult)
-        assert result.steps == 0
+        assert _reached(1000.0 - 1e-11, 0, 1000.0, None)
+        assert not _reached(1000.0 - 1e-8, 0, 1000.0, None)
 
     def test_small_t_end_still_advances(self):
-        solver = _FakeSolver(time=0.0)
-        result = _run_loop(solver, t_end=1e-6, max_steps=None, callback=None)
-        assert result.steps == 1
-        assert solver.time == pytest.approx(1e-6)
+        assert not _reached(0.0, 0, 1e-6, None)
+        assert _clamped_dt(1.0, 0.0, 1e-6) == 1e-6  # one clamped step lands on it
+        assert _reached(1e-6, 1, 1e-6, None)
+        assert _reached(0.0, 3, None, 3)  # the step bound alone
 
 
 class TestWorkspace:

@@ -1,4 +1,4 @@
-"""One engine, one path: generated coverage and error parity.
+"""One engine, one run loop: generated coverage and error parity.
 
 There is a single :class:`~repro.euler.engine.StepEngine`; the member
 count B and the strip plan are annotations on it, not code paths.  The
@@ -8,7 +8,16 @@ grid shapes and holds every member to the allocating seed path
 looks like from each driver: a solo blow-up reads exactly as it always
 did (no ``batch_index``), an ensemble blow-up stays member-local, and
 :class:`~repro.par.solver.ParallelSolver2D` still names global cells.
+
+There is also a single run loop (``solver._MemberDriver``): a solver is
+an ensemble of one.  The one-loop tests run every stepper it drives —
+engine solo, ensemble of one, seed, rank team, member k of B = 3 — to
+the same clamped ``t_end`` and hold them to the same dts and bits, and
+check that any driver can be run again.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +39,10 @@ from repro.euler.solver import (
     EulerSolver1D,
     EulerSolver2D,
     SolverConfig,
+    _MemberDriver,
 )
 from repro.par.solver import ParallelSolver2D
+from repro.serve import state_digest
 
 #: A one-byte budget floors every plan at one-row (one-member) strips.
 ONE_ROW_TILE_BYTES = 1
@@ -251,3 +262,183 @@ class TestParallelErrorsStayGlobal:
             # validation failures carry a window: the rank's own (clipped
             # at its block edge, row 6), rebased to grid coordinates
             assert error.neighbourhood.origin == (6, 1)
+
+
+# -- one run loop --------------------------------------------------------------
+
+
+class _Members1D(_MemberDriver):
+    """The driver is dimension-generic: B 1-D members on one engine."""
+
+    def __init__(self, solvers):
+        self.config = solvers[0].config
+        self.u = np.stack([solver.u for solver in solvers])
+        self.engine = StepEngine(
+            self.u.shape[1:], solvers[0].spacing, self.config,
+            [solver.boundaries for solver in solvers],
+        )
+        self._init_clocks(len(solvers), placeholder=self.engine.placeholder_member())
+
+    def step(self):
+        return self._step_members(self._t_end)
+
+
+def _tubes():
+    """Three 1-D tubes on one grid whose clocks differ."""
+    return [
+        problems.riemann_problem_solver(problem, n_cells=48)[0]
+        for problem in (problems.SOD, problems.LAX, problems.TORO_123)
+    ]
+
+
+def _channels():
+    """Three 16x16 two-channel problems whose clocks differ."""
+    return [
+        problems.two_channel(n_cells=16, h=8.0, mach=mach)[0]
+        for mach in (2.2, 1.6, 3.0)
+    ]
+
+
+def _seed_of(solver):
+    args = (solver.boundaries, solver.config)
+    if solver.u.shape[-1] == 3:
+        return EulerSolver1D(solver.primitive, solver.dx, *args, use_engine=False)
+    return _seed_twin(solver)
+
+
+def _clamped_t_end(solver, steps=4):
+    """A ``t_end`` inside step ``steps + 1`` of ``solver``'s own run."""
+    result = solver.run(max_steps=steps + 1)
+    assert len(result.dt_history) == steps + 1
+    return result.time - 0.4 * result.dt_history[-1]
+
+
+def _solo_outcome(solver, t_end):
+    result = solver.run(t_end=t_end)
+    assert solver.time == t_end and result.time == t_end
+    assert result.dt_history[-1] < 0.9 * result.dt_history[-2]  # clamped
+    return result.dt_history, state_digest(solver.u)
+
+
+def _member_outcome(driver, index, t_end):
+    result = driver.run(t_end=t_end).members[index]
+    assert not result.failed and result.time == t_end
+    return result.dt_history, state_digest(driver.member_u(index))
+
+
+class TestOneRunLoop:
+    def test_1d_steppers_share_dts_and_bits(self):
+        t_end = _clamped_t_end(_tubes()[0])
+        reference = _solo_outcome(_tubes()[0], t_end)
+        assert _solo_outcome(_seed_of(_tubes()[0]), t_end) == reference
+        assert _member_outcome(_Members1D(_tubes()[:1]), 0, t_end) == reference
+        rotated = _tubes()[1:] + _tubes()[:1]  # sod is member 2 of B = 3
+        driver = _Members1D(rotated)
+        assert _member_outcome(driver, 2, t_end) == reference
+        # members stop on their own clocks: they took different step counts
+        assert len(set(driver.step_counts)) > 1
+        assert driver.times == [t_end] * 3
+
+    def test_2d_steppers_share_dts_and_bits(self):
+        t_end = _clamped_t_end(_channels()[0])
+        reference = _solo_outcome(_channels()[0], t_end)
+        assert _solo_outcome(_seed_of(_channels()[0]), t_end) == reference
+        for workers in (1, 2):
+            with ParallelSolver2D.from_serial(
+                _channels()[0], workers=workers, barrier="forkjoin"
+            ) as parallel:
+                assert _solo_outcome(parallel, t_end) == reference
+        one = EulerEnsemble2D.from_solvers(_channels()[:1])
+        assert _member_outcome(one, 0, t_end) == reference
+        rotated = _channels()[1:] + _channels()[:1]
+        three = EulerEnsemble2D.from_solvers(rotated)
+        assert _member_outcome(three, 2, t_end) == reference
+        assert len(set(three.steps)) > 1 and three.times == [t_end] * 3
+
+    @pytest.mark.parametrize("build", [_tubes, _channels], ids=["1d", "2d"])
+    def test_a_solver_can_be_run_again(self, build):
+        for make in (lambda: build()[0], lambda: _seed_of(build()[0])):
+            once, twice = make(), make()
+            whole = once.run(max_steps=6)
+            first = twice.run(max_steps=3)
+            second = twice.run(max_steps=6)
+            assert (second.steps, second.time) == (whole.steps, whole.time) == (6, once.time)
+            # the result holds this call's steps, the driver's history all of them
+            assert first.dt_history + second.dt_history == whole.dt_history
+            assert twice.dt_history == once.dt_history == [whole.dt_history]
+            assert np.array_equal(twice.u, once.u)
+
+    def test_a_parallel_solver_can_be_run_again(self):
+        serial = _channels()[0]
+        serial.run(max_steps=6)
+        with ParallelSolver2D.from_serial(
+            _channels()[0], workers=2, barrier="forkjoin"
+        ) as parallel:
+            assert parallel.run(max_steps=3).steps == 3
+            assert len(parallel.run(max_steps=6).dt_history) == 3
+            assert np.array_equal(parallel.u, serial.u)
+
+    @pytest.mark.parametrize("retire", [False, True], ids=["all-live", "one-retired"])
+    def test_an_ensemble_can_be_run_again(self, retire):
+        def ensemble():
+            solvers = _channels()
+            if retire:
+                solvers[1].u[BAD_CELL + (-1,)] = -1.0
+            return EulerEnsemble2D.from_solvers(solvers)
+
+        once, twice = ensemble(), ensemble()
+        whole = once.run(max_steps=6)
+        first = twice.run(max_steps=3)
+        second = twice.run(max_steps=6)
+        for index in range(3):
+            a, b, c = first.members[index], second.members[index], whole.members[index]
+            assert (c.steps, c.time) == (b.steps, b.time)
+            assert a.dt_history + b.dt_history == c.dt_history
+            assert np.array_equal(twice.member_u(index), once.member_u(index))
+            if retire and index == 1:  # retired in the first call: stays retired
+                assert a.failed and b.failed and b.error is a.error
+                assert b.steps == 0 and not twice.live(1)
+            else:
+                assert c.steps == 6 and not c.failed
+        assert twice.dt_history == once.dt_history
+
+    def test_members_parked_early_are_thawed_by_the_next_run(self):
+        """Under ``t_end`` the members finish at different steps, so the
+        early ones are parked on the placeholder; a second call thaws
+        them and every member does what its solo solver does."""
+        t_mid = _clamped_t_end(_channels()[0])
+        t_end = 1.7 * t_mid
+        ensemble = EulerEnsemble2D.from_solvers(_channels())
+        ensemble.run(t_end=t_mid)
+        placeholder = ensemble.engine.placeholder_member()
+        parked = [
+            index for index in range(3)
+            if np.array_equal(ensemble.u[index], placeholder)
+        ]
+        assert parked and len(parked) < 3  # the last to finish is not parked
+        result = ensemble.run(t_end=t_end)
+        for index, solo in enumerate(_channels()):
+            solo.run(t_end=t_mid)
+            again = solo.run(t_end=t_end)
+            assert result.members[index].dt_history == again.dt_history
+            assert np.array_equal(ensemble.member_u(index), solo.u)
+            assert ensemble.times[index] == solo.time == t_end
+
+    def test_a_direct_step_after_run_still_steps(self):
+        solver = _tubes()[0]
+        solver.run(max_steps=2)
+        assert solver.step() > 0.0 and solver.steps == 3
+
+    def test_one_stop_rule_and_one_forensics_call_site(self):
+        """Structural: under ``euler/`` and ``par/`` the stop rule and
+        the forensics hook are each *called* in exactly one place."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        text = "".join(
+            path.read_text(encoding="utf-8")
+            for package in ("euler", "par")
+            for path in sorted((root / package).rglob("*.py"))
+        )
+        for name in ("_reached", "attach_forensics"):
+            assert len(re.findall(rf"(?<!def ){name}\(", text)) == 1, name

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PhysicsError
 from repro.euler import problems
+from repro.euler.solver import EulerEnsemble2D, EulerSolver2D
 from repro.obs import StepTrace, attach_forensics, build_report, format_report
 from repro.par.solver import ParallelSolver2D
 
@@ -132,3 +133,55 @@ class TestParallelForensics:
             assert record.halo_bytes > 0
             assert record.barrier_wait_seconds >= 0.0
             assert record.phase_seconds is not None
+
+
+class TestEnsembleForensics:
+    """``watch=`` works on any driver: one trace per member."""
+
+    MAX_STEPS = 40
+
+    def _ensemble(self):
+        """Two healthy two-channel members around one that detonates a
+        few steps in (a near-vacuum pocket with opposing velocities)."""
+        def solo(mach):
+            return problems.two_channel(n_cells=24, h=12.0, mach=mach)[0]
+
+        template = solo(2.2)
+        primitive = template.primitive
+        primitive[8:16, 8:16, 1] = 6.0
+        primitive[8:16, 8:16, 2] = -6.0
+        primitive[8:16, 8:16, 3] = 0.01
+        detonator = EulerSolver2D(
+            primitive, template.dx, template.dy, template.boundaries,
+            config=template.config,
+        )
+        return EulerEnsemble2D.from_solvers([solo(1.8), detonator, solo(2.6)])
+
+    def test_retired_member_trace_tail_is_its_own_records(self):
+        ensemble = self._ensemble()
+        traces = [StepTrace() for _ in range(3)]
+        result = ensemble.run(max_steps=self.MAX_STEPS, watch=traces)
+        retired = result.members[1]
+        assert retired.failed and 0 < retired.steps < self.MAX_STEPS
+        tail = retired.error.forensics.trace_tail
+        assert tail and tail == traces[1].last(len(tail))
+        assert [record.step for record in tail][-1] == retired.steps
+        assert tail[-1].time == retired.time
+        assert [record.dt for record in tail] == retired.dt_history[-len(tail):]
+        # each trace watched one member: the survivors' ran to the end,
+        # the retired member's stopped with it
+        assert traces[1].total_recorded == retired.steps
+        assert traces[0].total_recorded == traces[2].total_recorded == self.MAX_STEPS
+        assert traces[0].records()[-1].time == result.members[0].time
+        assert ensemble.watch is None  # installed for the call only
+
+    def test_unwatched_ensemble_reports_without_a_tail(self):
+        result = self._ensemble().run(max_steps=self.MAX_STEPS)
+        report = result.members[1].error.forensics
+        assert report.cells and report.trace_tail == []
+
+    def test_partly_watched_ensemble(self):
+        trace = StepTrace()
+        result = self._ensemble().run(max_steps=5, watch=[None, None, trace])
+        assert [record.step for record in trace.records()] == [1, 2, 3, 4, 5]
+        assert trace.records()[-1].dt == result.members[2].dt_history[-1]

@@ -58,7 +58,7 @@ def test_interleaved_kind_discriminators(tmp_path):
     path = tmp_path / "spool.jsonl"
     lines = [
         {"kind": "step", "step": 1},
-        {"kind": "cache", "cache": "star_state", "hits": 3},
+        {"kind": "cache", "cache": "result", "hits": 3},
         {"kind": "step", "step": 2},
         {"kind": "diagnostic", "code": "SAC-IR001"},
         {"step": 3},  # no kind: defaults to "step" like read_jsonl

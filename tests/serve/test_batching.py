@@ -5,8 +5,8 @@ Four layers, tested bottom-up:
 * :meth:`JobSpec.batch_key` — which jobs may share a batched engine;
 * :meth:`PriorityJobQueue.drain` — pulling a batch's mates out of the
   queue in priority order;
-* :class:`ShardPool` batched wire dispatch — one ``send_batch`` must
-  produce, per job, results bitwise identical to ``send_job``;
+* :class:`ShardPool` dispatch — a job sent with mates must produce
+  the payload of the same job sent alone, bit for bit and key for key;
 * the async :class:`SimulationService` — batch formation in the
   dispatcher, a builder-failure costing only its own job, and the
   disk-spilled result cache surviving a service restart bitwise intact.
@@ -130,7 +130,7 @@ def test_drain_respects_limit_and_counts_as_dequeued():
 
 @pytest.fixture(scope="module")
 def pool():
-    pool = ShardPool(shards=1, star_cache_decimals=12)
+    pool = ShardPool(shards=1)
     pool.start()
     yield pool
     pool.shutdown()
@@ -149,34 +149,61 @@ def _await_terminal(pool, want):
 
 
 def test_send_batch_matches_send_job_bitwise(pool):
+    """One ``send``: a job sent alone == the same job sent with mates,
+    per-job payload equal on every key but ``wall_seconds`` and
+    ``batched`` (the member count, 1 included), same key set."""
     machs = (1.5, 2.2, 3.0)
     specs = [two_channel_spec(mach) for mach in machs]
 
     solo = {}
     for index, spec in enumerate(specs):
-        pool.send_job(0, f"solo-{index}", 1, spec)
+        pool.send(0, [(f"solo-{index}", 1, spec)])
         solo.update(_await_terminal(pool, [f"solo-{index}"]))
 
-    pool.send_batch(0, [(f"batch-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.send(0, [(f"batch-{i}", 1, s) for i, s in enumerate(specs)])
     batched = _await_terminal(pool, [f"batch-{i}" for i in range(len(specs))])
 
     for index in range(len(specs)):
         batch_event = batched[f"batch-{index}"]
         solo_event = solo[f"solo-{index}"]
-        assert batch_event["event"] == "done"
+        assert batch_event["event"] == solo_event["event"] == "done"
         result = batch_event["result"]
         reference = solo_event["result"]
+        assert set(result) == set(reference)
         assert result["batched"] == len(specs)
-        assert result["state_sha256"] == reference["state_sha256"]
-        assert result["state"] == reference["state"]  # bit-for-bit via repr
-        assert result["steps"] == reference["steps"]
-        assert result["time"] == reference["time"]
+        assert reference["batched"] == 1
+        for key in set(reference) - {"wall_seconds", "batched"}:
+            assert result[key] == reference[key], key  # state: bit-for-bit via repr
+
+
+def test_stream_record_follows_the_member_count(pool):
+    """The one kept difference: alone, a job spools full trace records;
+    with mates, the reduced ``{step, time, dt, batched}`` record."""
+    import json
+
+    specs = [two_channel_spec(mach, max_steps=2) for mach in (1.5, 3.0)]
+    pool.send(0, [("full", 1, specs[0])])
+    pool.send(0, [("reduced-0", 1, specs[0]), ("reduced-1", 1, specs[1])])
+    _await_terminal(pool, ["full", "reduced-0", "reduced-1"])
+
+    def spooled(job_id):
+        text = pool.spool_path(job_id, 1).read_text()
+        return [json.loads(line) for line in text.splitlines()]
+
+    full, reduced = spooled("full"), spooled("reduced-0")
+    assert [r["step"] for r in full] == [r["step"] for r in reduced] == [1, 2]
+    assert set(reduced[0]) == {"kind", "step", "time", "dt", "batched"}
+    assert reduced[0]["batched"] == 2
+    assert {"min_density", "mass_drift"} <= set(full[0])
+    for one, other in zip(full, reduced):  # the same trajectory either way
+        assert (one["time"], one["dt"]) == (other["time"], other["dt"])
 
 
 def test_batch_builder_failure_costs_only_its_job(pool):
-    """mach <= 1 fails in the problem builder; its batch mates run."""
+    """mach <= 1 fails in the problem builder; its batch mates run, and
+    the failed event has the shape it has when the job is sent alone."""
     specs = [two_channel_spec(1.5), two_channel_spec(0.5), two_channel_spec(3.0)]
-    pool.send_batch(0, [(f"mix-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.send(0, [(f"mix-{i}", 1, s) for i, s in enumerate(specs)])
     events = _await_terminal(pool, [f"mix-{i}" for i in range(3)])
     assert events["mix-0"]["event"] == "done"
     assert events["mix-2"]["event"] == "done"
@@ -184,6 +211,48 @@ def test_batch_builder_failure_costs_only_its_job(pool):
     assert failed["event"] == "failed"
     assert failed["error"]["type"] == "ConfigurationError"
     assert failed["retryable"] is False
+
+    pool.send(0, [("alone", 1, specs[1])])
+    alone = _await_terminal(pool, ["alone"])["alone"]
+    assert set(alone) == set(failed)
+    assert set(alone["error"]) == set(failed["error"])
+    for key in ("event", "retryable"):
+        assert alone[key] == failed[key]
+    for key in ("type", "message"):
+        assert alone["error"][key] == failed["error"][key]
+
+
+def test_member_blowup_has_the_solo_failure_shape(pool):
+    """A PhysicsError fails its job retryably with forensics, alone (it
+    propagates, ``batch_index`` None) or with a mate (it is retired,
+    ``batch_index`` its slot) — one event shape; the mate completes."""
+    from repro.euler.solver import SolverConfig
+
+    unstable = SolverConfig(cfl=10.0)
+    boom = two_channel_spec(2.2, config=unstable, max_steps=50)
+    mate = two_channel_spec(1.5, config=unstable, max_steps=1)
+    pool.send(0, [("boom-alone", 1, boom)])
+    alone = _await_terminal(pool, ["boom-alone"])["boom-alone"]
+    pool.send(0, [("mate", 1, mate), ("boom-mated", 1, boom)])
+    events = _await_terminal(pool, ["mate", "boom-mated"])
+    mated = events["boom-mated"]
+    for failed in (alone, mated):
+        assert failed["event"] == "failed" and failed["retryable"] is True
+        assert failed["error"]["type"] == "PhysicsError"
+        assert failed["error"]["forensics"]["cells"]
+    assert set(alone["error"]) == set(mated["error"])
+    assert alone["error"]["batch_index"] is None
+    assert mated["error"]["batch_index"] == 1
+    assert alone["error"]["message"] == mated["error"]["message"]
+
+
+def test_cancel_stops_every_job_of_a_dispatch(pool):
+    specs = [two_channel_spec(mach, max_steps=200_000, trace_every=1000)
+             for mach in (1.5, 3.0)]
+    pool.send(0, [(f"long-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.cancel(0)
+    events = _await_terminal(pool, ["long-0", "long-1"])
+    assert {e["event"] for e in events.values()} == {"cancelled"}
 
 
 # -- async service: batch formation ----------------------------------------
@@ -200,6 +269,9 @@ def test_service_forms_batches_and_isolates_bad_members():
             assert [r.state for r in done] == [JobState.DONE] * 4
             assert service.batches_formed == 1
             assert service.batched_jobs == 4
+            for record in done:  # the started event carries the member count
+                started = [e for e in record.events if e.get("event") == "started"]
+                assert [e["batched"] for e in started] == [4]
             reference = {m: r.result for m, r in zip(machs, done)}
 
             # second round: the bad member's builder failure is its own
@@ -237,8 +309,17 @@ def test_batched_service_results_match_unbatched_service():
             ]
             done = [await service.wait(r.job_id) for r in records]
             assert [r.state for r in done] == [JobState.DONE] * 3
+            if batch_max == 1:
+                # dispatches of one are not batches: the stats stay
+                # comparable with what they counted before
+                assert service.stats()["batching"]["batches_formed"] == 0
+                assert service.stats()["batching"]["batched_jobs"] == 0
+                assert all(
+                    e["batched"] == 1
+                    for r in done for e in r.events if e.get("event") == "started"
+                )
             return [
-                {k: v for k, v in r.result.items() if k not in ("wall_seconds", "batched", "star_cache")}
+                {k: v for k, v in r.result.items() if k not in ("wall_seconds", "batched")}
                 for r in done
             ]
         finally:

@@ -1,11 +1,11 @@
-"""ResultCache LRU behaviour and star-stats aggregation."""
+"""ResultCache LRU behaviour."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.cache import ResultCache, merge_star_stats
+from repro.serve.cache import ResultCache
 
 
 def test_bad_capacity_rejected():
@@ -120,22 +120,3 @@ def test_unserializable_payload_degrades_to_memory_only(tmp_path):
     cache.put(_hex(2), circular)
     assert cache.get(_hex(2)) is circular
     assert cache.disk_errors == 2
-
-
-def test_merge_star_stats_none_when_unreported():
-    assert merge_star_stats([]) is None
-    assert merge_star_stats([None, None]) is None
-
-
-def test_merge_star_stats_sums_counters():
-    merged = merge_star_stats([
-        {"entries": 2, "hits": 3, "misses": 1, "evictions": 0},
-        None,
-        {"entries": 1, "hits": 1, "misses": 3, "evictions": 2},
-    ])
-    assert merged["shards_reporting"] == 2
-    assert merged["entries"] == 3
-    assert merged["hits"] == 4
-    assert merged["misses"] == 4
-    assert merged["evictions"] == 2
-    assert merged["hit_rate"] == pytest.approx(0.5)

@@ -27,7 +27,7 @@ from repro.serve.server import start_in_thread
 
 @pytest.fixture(scope="module")
 def handle():
-    handle = start_in_thread(shards=2, queue_depth=8, star_cache_decimals=12)
+    handle = start_in_thread(shards=2, queue_depth=8)
     yield handle
     handle.stop()
 
@@ -98,6 +98,8 @@ def test_stream_replays_and_follows(client):
     kinds = [(event.get("kind"), event.get("event")) for event in events]
     assert kinds[0] == ("job", "queued")
     assert ("job", "started") in kinds
+    started = events[kinds.index(("job", "started"))]
+    assert started["batched"] == 1 and started["attempt"] == 1
     step_records = [event for event in events if event.get("kind") == "step"]
     assert [record["step"] for record in step_records] == [2, 4, 6, 8]
     assert kinds[-1] == ("job", "done")
@@ -250,6 +252,46 @@ def test_shard_death_fails_job_respawns_and_cleans_spool():
             assert service.stats()["shards"]["respawns"] == 1
             assert not service.pool.spool_path(follow.job_id, 1).exists()
             assert not service.pool.spool_path(record.job_id, 1).exists()
+        finally:
+            await service.close()
+
+    asyncio.run(scenario())
+
+
+def test_shard_death_fails_every_job_of_a_dispatch():
+    """One supervisor, N records: the worker dying mid-dispatch fails
+    all of them non-retryably (no retry edge taken) and the shard
+    respawns once."""
+
+    def long_2d(mach):
+        return JobSpec(
+            problem="two_channel",
+            problem_args={"n_cells": 24, "h": 12.0, "mach": mach},
+            max_steps=200_000, trace_every=1000,
+        )
+
+    async def scenario():
+        service = SimulationService(shards=1, queue_depth=4, batch_max=2)
+        await service.start()
+        try:
+            records = [service.submit(long_2d(mach)) for mach in (1.5, 3.0)]
+            deadline = time.monotonic() + 60.0
+            while any(r.state is not JobState.RUNNING for r in records):
+                assert time.monotonic() < deadline, "jobs never started"
+                await asyncio.sleep(0.01)
+            assert service.batches_formed == 1
+            service.pool._processes[0].terminate()
+            for record in records:
+                await asyncio.wait_for(service.wait(record.job_id), timeout=120.0)
+                assert record.state is JobState.FAILED
+                assert record.error["type"] == "ShardDied"
+                assert record.attempts == 1
+                assert not service.pool.spool_path(record.job_id, 1).exists()
+            assert service.retries == 0
+            follow = service.submit(sod_spec())
+            await asyncio.wait_for(service.wait(follow.job_id), timeout=120.0)
+            assert follow.state is JobState.DONE
+            assert service.stats()["shards"]["respawns"] == 1
         finally:
             await service.close()
 

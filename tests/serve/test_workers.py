@@ -1,8 +1,10 @@
 """ShardPool: job execution in worker processes, forensics, teardown.
 
-One spawn-context pool is shared by the whole module (spawning a
-Python worker costs ~a second); tests drive it synchronously via
-``next_event`` without binding an event loop.
+There is one way in — ``send(shard, [jobs])`` — and every test here
+sends a dispatch of one through it; ``test_batching.py`` sends the same
+jobs with mates.  One spawn-context pool is shared by the whole module
+(spawning a Python worker costs ~a second); tests drive it
+synchronously via ``next_event`` without binding an event loop.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.serve.workers import ShardPool, state_digest
 
 @pytest.fixture(scope="module")
 def pool():
-    pool = ShardPool(shards=1, star_cache_decimals=12)
+    pool = ShardPool(shards=1)
     pool.start()
     yield pool
     pool.shutdown()
@@ -30,7 +32,7 @@ def pool():
 
 def run_job(pool, spec, job_id="t1", attempt=1, timeout=120.0):
     """Send one job and read events until its terminal event."""
-    pool.send_job(0, job_id, attempt, spec)
+    pool.send(0, [(job_id, attempt, spec)])
     events = []
     while True:
         event = pool.next_event(0, timeout=timeout)
@@ -71,7 +73,9 @@ def test_spool_contains_step_records(pool):
     lines = [json.loads(line) for line in spool.read_text().splitlines()]
     steps = [line for line in lines if line.get("kind") == "step"]
     assert [record["step"] for record in steps] == [2, 4, 6]
-    assert lines[-1]["kind"] == "cache"  # the star-cache stats trailer
+    assert lines == steps  # nothing but step records
+    # a job alone streams full trace records
+    assert {"min_density", "mass_drift", "phase_seconds"} <= set(steps[0])
 
 
 def test_physics_blowup_reports_forensics_and_shard_survives(pool):
@@ -117,7 +121,7 @@ def test_cancel_flag_stops_running_job(pool):
         max_steps=200_000,
         trace_every=1000,
     )
-    pool.send_job(0, "slow", 1, spec)
+    pool.send(0, [("slow", 1, spec)])
     pool.cancel(0)
     event = pool.next_event(0, timeout=120.0)
     assert event["event"] == "cancelled"
@@ -137,14 +141,21 @@ def test_worker_side_deadline_cancels(pool):
     assert terminal["reason"] == "deadline"
 
 
-def test_exact_job_uses_star_cache_across_jobs(pool):
+def test_exact_job_completes_through_the_same_entry_point(pool):
+    from repro.euler.exact_riemann import solve
+
     spec = JobSpec(problem="exact", problem_args={"t": 0.25, "base": "toro123"})
     first = run_job(pool, spec, job_id="exact1")[-1]["result"]
     second = run_job(pool, spec, job_id="exact2", attempt=1)[-1]["result"]
     assert second["state_sha256"] == first["state_sha256"]
     assert second["state"] == first["state"]
-    # Same star-region inputs: the second job hits the worker's memo.
-    assert second["star_cache"]["hits"] > first["star_cache"]["hits"]
+    problem = RIEMANN_PROBLEMS["toro123"]
+    profile = solve(
+        problem.left, problem.right, np.linspace(0.0, 1.0, 201), t=0.25,
+        x_diaphragm=problem.x_diaphragm, gamma=spec.config.gamma,
+    )
+    assert first["state_sha256"] == state_digest(profile)
+    assert first["steps"] == 0 and first["time"] == 0.25
 
 
 def test_intra_job_parallel_solver_matches_serial(pool):
@@ -162,10 +173,15 @@ def test_intra_job_parallel_solver_matches_serial(pool):
         job_id="p2",
     )[-1]["result"]
     assert parallel["state_sha256"] == serial["state_sha256"]
+    # the same payload, key for key: which stepper ran is not visible
+    assert set(parallel) == set(serial)
+    for key in set(serial) - {"wall_seconds"}:
+        assert parallel[key] == serial[key], key
+    assert serial["batched"] == 1
 
 
 def test_shutdown_leaves_no_children_and_removes_spool():
-    pool = ShardPool(shards=1, star_cache_decimals=None)
+    pool = ShardPool(shards=1)
     pool.start()
     own_processes = list(pool._processes)
     spool_dir = pool.spool_dir
