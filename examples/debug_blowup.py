@@ -8,8 +8,9 @@
    :class:`~repro.errors.PhysicsError` carries — the offending cells,
    a primitive-variable neighbourhood dump, the last trace records,
    and the active solver configuration;
-3. repeat the blow-up on the 4-worker parallel solver and show the
-   report naming the *global* cell, not the rank-local one.
+3. repeat the blow-up on the 4-worker parallel solver and show that it
+   is the serial solver's report — same grid cell, same window — because
+   a worker team is an annotation on the same engine, not another one.
 
 Run:  python examples/debug_blowup.py
 """
@@ -58,25 +59,29 @@ def serial_blowup() -> None:
 
 
 def parallel_blowup() -> None:
-    print("\n=== 3. the parallel solver reports GLOBAL cell indices ===")
-    serial, _ = problems.sod_2d(nx=24, ny=24)
-    with ParallelSolver2D.from_serial(serial, workers=4) as parallel:
+    print("\n=== 3. the parallel solver raises the serial solver's error ===")
+    bad = (14, 15)
+    reports = []
+    for workers in (None, 4):
+        solver, _ = problems.sod_2d(nx=24, ny=24)
+        if workers is not None:
+            solver = ParallelSolver2D.from_serial(solver, workers=workers)
         for _ in range(2):
-            parallel.step()
-        rank = 3
-        subdomain = parallel.decomposition.subdomains[rank]
-        parallel._locals[rank][2, 3, -1] = -1.0  # poison one rank's block
+            solver.step()
+        solver.u[bad + (-1,)] = -1.0  # negative total energy: unphysical
         try:
-            parallel.run(max_steps=5)
+            solver.run(max_steps=5)
         except PhysicsError as error:
-            assert error.details.get("global_cells")
-            expected = (subdomain.x0 + 2, subdomain.y0 + 3)
-            assert expected in error.cells, (expected, error.cells)
-            print(f"rank {error.details['rank']} local cell (2, 3)"
-                  f" reported as global {expected}")
-            print(format_report(error.forensics))
+            assert error.cells == [bad], error.cells
+            assert "rank" not in error.details
+            reports.append(format_report(error.forensics))
         else:
-            raise SystemExit("poisoned parallel run did not raise")
+            raise SystemExit("poisoned run did not raise")
+        if workers is not None:
+            solver.close()
+    assert reports[0] == reports[1]
+    print(f"serial and 4-worker reports are identical, naming cell {bad}:")
+    print(reports[1])
 
 
 if __name__ == "__main__":

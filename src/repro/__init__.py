@@ -15,8 +15,9 @@ Subpackages
     Simulated shared-memory multicore machine and the scaling
     experiments behind the paper's Fig. 4.
 ``repro.par``
-    Shared-memory domain-decomposition runtime (worker pool, halo
-    exchange, parallel solver) behind the measured Fig. 4 mode.
+    The worker team (spin vs fork/join barriers) the engine runs its
+    sweep strips on, and the parallel solver behind the measured
+    Fig. 4 mode.
 ``repro.obs``
     Step telemetry (ring-buffer traces, JSONL export) and
     physics-failure forensics.

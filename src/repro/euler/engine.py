@@ -12,17 +12,14 @@ advances the conservative state through ``out=``-parameterised kernels
 rounded floating-point operations as the allocating seed path: results
 are bit-for-bit equal, only the allocator traffic is gone.
 
-There is one engine and it has two annotations, neither of which
+There is one engine and it has three annotations, none of which
 selects different code:
 
 * **the member axis.**  The state always carries a leading member axis,
   ``(B, N, 3)`` in 1-D or ``(B, Nx, Ny, 4)`` in 2-D.  A solo run is a
-  batch of one: `EulerSolver1D`/`EulerSolver2D` hand the engine a
-  ``u[None]`` view, `EulerEnsemble2D` a stack of B scenarios, and
-  :class:`~repro.par.solver.ParallelSolver2D` drives one one-member
-  engine per rank (each with its own workspace, so ranks share no
-  scratch memory) through the lower-level
-  :meth:`sweep_axis0`/:meth:`sweep_axis1`/:meth:`integrate` interface.
+  batch of one: `EulerSolver1D`/`EulerSolver2D` (and
+  :class:`~repro.par.solver.ParallelSolver2D`, which is one) hand the
+  engine a ``u[None]`` view, `EulerEnsemble2D` a stack of B scenarios.
 * **the strip plan.**  Every sweep and every dt pass runs over a
   :class:`~repro.euler.tiling.TilePlan` whose strips keep the whole
   ``reconstruct -> riemann -> difference`` (or ``convert -> eigenvalue``)
@@ -30,10 +27,17 @@ selects different code:
   cache-resident instead of round-tripping DRAM once per ufunc.
   ``tile_bytes=0`` means "no budget": the same code runs a plan of one
   strip, which is the whole-grid reference the differential tests pin.
+* **the team.**  The strip plan is also the only decomposition: with
+  ``workers >= 2`` the compiled backend runs a sweep plan's strips on
+  the process's worker team (:mod:`repro.par.pool`), licensed per plan
+  by the dependence prover.  Threads apply only where a compiled kernel
+  serves the strip; without one the same strips run serially here, with
+  a counted reason.
 
-Both are bit-for-bit neutral: every kernel in the chain is elementwise
+All are bit-for-bit neutral: every kernel in the chain is elementwise
 over its leading axes, so neither stacking members nor cutting strips
-changes the rounded operations any cell sees.
+nor running them side by side changes the rounded operations any cell
+sees.
 
 The engine also keeps per-phase wall-clock counters (boundary fill,
 reconstruction, Riemann fluxes, flux differencing, Runge-Kutta combine,
@@ -45,7 +49,7 @@ the scratch footprint in bytes; ``perf.scaling`` measured mode and
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +74,9 @@ PHASES = ("convert", "bc", "reconstruct", "riemann", "difference", "rk", "dt")
 #: Field permutation of ``swap_velocity_axes`` for 4-field states.
 _SWAP_FIELDS = ((0, 0), (1, 2), (2, 1), (3, 3))
 
-#: In-place spatial operator: ``rhs_into(u, out, first_stage)``.
-RhsInto = Callable[[np.ndarray, np.ndarray, bool], None]
+#: Why a multi-strip plan ran serially on an engine with a team but no
+#: backend (the backend counts its own reasons, see ``JitBackend``).
+NO_KERNEL = "no compiled kernel (NumPy backend)"
 
 
 class StepEngine:
@@ -80,11 +85,10 @@ class StepEngine:
     ``grid_shape`` is *one member's* state shape — ``(N, 3)`` in 1-D or
     ``(Nx, Ny, 4)`` in 2-D; ``spacing`` the matching cell sizes.
     ``boundaries`` is a sequence of one ``BoundarySet1D``/``BoundarySet2D``
-    per member and fixes the batch size B; it is required for the
-    :meth:`rhs`/:meth:`step` interface and may be omitted (B = 1) when
-    the sweeps are driven externally (the parallel solver fills exterior
-    edges through windowed specs instead).  The attribute ``grid_shape``
-    is the full stack shape ``(B,) + member_shape``.
+    per member and fixes the batch size B.  The attribute ``grid_shape``
+    is the full stack shape ``(B,) + member_shape``.  ``workers`` and
+    ``barrier`` size the team a compiled backend runs sweep strips on
+    (``workers=None`` reads ``REPRO_JIT_THREADS``, here, once).
 
     **Bit-identity contract.**  Every kernel call — conversion,
     reconstruction, Riemann solve, flux differencing, Runge-Kutta
@@ -120,8 +124,10 @@ class StepEngine:
         grid_shape: Sequence[int],
         spacing: Sequence[float],
         config,
-        boundaries=None,
+        boundaries,
         backend: Optional[str] = None,
+        workers: Optional[int] = None,
+        barrier: str = "forkjoin",
     ):
         #: Shape of one member's state; ``grid_shape`` is the full stack.
         self.member_shape = tuple(int(extent) for extent in grid_shape)
@@ -144,23 +150,21 @@ class StepEngine:
                 f"{self.ndim}-D engine needs {self.ndim} spacings, got {len(self.spacing)}"
             )
         self.config = config
-        self.boundaries = None if boundaries is None else list(boundaries)
-        self.batch = 1 if self.boundaries is None else len(self.boundaries)
+        self.boundaries = list(boundaries)
+        self.batch = len(self.boundaries)
         if self.batch < 1:
             raise ConfigurationError("an engine needs at least one member")
         self.grid_shape = (self.batch,) + self.member_shape
         self._where = f"{self.ndim}-D solver state"
-        #: Per sweep axis, the members' (low specs, high specs) — read
+        #: Per sweep axis, every member's (low spec, high spec) — read
         #: once here so rhs() rebuilds no per-member lists.
-        self._edge_specs = []
-        for axis in range(self.ndim if self.boundaries is not None else 0):
-            pairs = [
+        self._edge_specs = [
+            [
                 (bset.low, bset.high) if self.ndim == 1 else bset.for_axis(axis)
                 for bset in self.boundaries
             ]
-            self._edge_specs.append(
-                ([low for low, _ in pairs], [high for _, high in pairs])
-            )
+            for axis in range(self.ndim)
+        ]
         self.scheme = get_scheme(config.reconstruction, config.limiter)
         self.riemann = get_riemann_solver(config.riemann)
         self.ghost_cells = self.scheme.ghost_cells
@@ -182,7 +186,11 @@ class StepEngine:
         self.dt_fused_strips = 0
         self._tile_plans: Dict[Tuple[int, ...], tiling.TilePlan] = {}
         self._fresh_primitive = False
-        self._primitive_target: Optional[np.ndarray] = None
+        #: Team size and barrier kind, and — for an engine without a
+        #: backend — the strips its multi-strip plans ran serially.
+        self.workers = repro_jit.resolve_jit_threads(workers)
+        self.barrier = barrier
+        self.serialized: Dict[str, int] = {}
         #: Compiled-kernel backend (None = plain NumPy path).  Resolution
         #: order: the ``backend=`` argument, then any
         #: :func:`repro.jit.backend_override`, then ``REPRO_JIT``, then
@@ -190,7 +198,9 @@ class StepEngine:
         #: whole strips and falls back to the NumPy path per strip for
         #: anything it cannot compile, so results are bit-for-bit
         #: identical either way.
-        self.backend = repro_jit.create_backend(config, self.ndim, backend)
+        self.backend = repro_jit.create_backend(
+            config, self.ndim, backend, self.workers, barrier
+        )
         if self.backend is not None:
             self.seconds["jit_sweep"] = 0.0
             self.seconds["jit_dt"] = 0.0
@@ -224,6 +234,13 @@ class StepEngine:
             "dt_fused_strips": self.dt_fused_strips,
             "seconds": dict(self.seconds),
             "backend": "numpy" if self.backend is None else self.backend.name,
+            "team": {
+                "workers": self.workers,
+                "barrier": self.barrier,
+                "serialized": dict(
+                    self.serialized if self.backend is None else self.backend.serialized
+                ),
+            },
         }
         if self.backend is not None:
             counters["jit"] = self.backend.stats()
@@ -232,7 +249,8 @@ class StepEngine:
     # -- tiling ---------------------------------------------------------
 
     def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> tiling.TilePlan:
-        """The (cached) strip plan for a sweep over ``padded_shape``."""
+        """The (cached) strip plan for a sweep over ``padded_shape``,
+        counted as one sweep's worth of strips."""
         if padded_shape not in self._tile_plans:
             n_cells = padded_shape[0] - 2 * self.ghost_cells
             cross = int(np.prod(padded_shape[1:-1], dtype=int))
@@ -252,48 +270,48 @@ class StepEngine:
             self._tile_plans[padded_shape] = tiling.plan_tiles(
                 n_cells, row_bytes, self._strip_budget
             )
-        return self._tile_plans[padded_shape]
+        plan = self._tile_plans[padded_shape]
+        strips = len(plan.tiles)
+        self.tiles_processed += strips
+        if self.backend is None and self.workers >= 2 and strips >= 2:
+            # A team was asked for, but threads apply only to compiled
+            # strips: the plan runs serially, and says so.
+            self.serialized[NO_KERNEL] = self.serialized.get(NO_KERNEL, 0) + strips
+        return plan
 
     # -- primitive scratch and dt ----------------------------------------
 
-    def primitive_into(
-        self, u: np.ndarray, target: Optional[np.ndarray] = None, reuse: bool = False
-    ) -> np.ndarray:
-        """Convert ``u`` to primitive variables in a reusable buffer.
+    def primitive_into(self, u: np.ndarray, reuse: bool = False) -> np.ndarray:
+        """Convert ``u`` to primitive variables in the engine's buffer.
 
         With ``reuse=True`` a conversion freshly produced by
-        :meth:`compute_dt` into the *same* target buffer is consumed
-        instead of recomputed — the dt/stage-1 deduplication the
-        engine's conversion counter verifies (one conversion per RK
-        stage, not two).
+        :meth:`compute_dt` is consumed instead of recomputed — the
+        dt/stage-1 deduplication the engine's conversion counter
+        verifies (one conversion per RK stage, not two).
         """
-        if target is None:
-            target = self.workspace.array("engine.primitive", self.grid_shape)
-        if reuse and self._fresh_primitive and self._primitive_target is target:
-            self._fresh_primitive = False
+        target = self.workspace.array("engine.primitive", self.grid_shape)
+        fresh, self._fresh_primitive = self._fresh_primitive, False
+        if reuse and fresh:
             return target
-        self._fresh_primitive = False
         started = perf_counter()
         state.primitive_from_conservative(
             u, self.config.gamma, out=target, work=self.workspace
         )
         self.seconds["convert"] += perf_counter() - started
         self.primitive_conversions += 1
-        self._primitive_target = target
         return target
 
-    def compute_dt(
-        self, u: np.ndarray, target: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def compute_dt(self, u: np.ndarray) -> np.ndarray:
         """Per-member CFL steps as a ``(B,)`` vector (member clocks).
 
         The primitive conversion and the GetDT eigenvalue pass run
         fused, strip of members by strip of members: each strip of ``u``
-        is converted into ``target`` and reduced to its members' max
-        signal speeds while still cache-resident.  ``max`` is exact and
-        order-independent, so entry ``b`` is bit-for-bit the seed path's
-        ``get_dt`` of member ``b`` whatever the plan; the converted
-        ``target`` is complete and stays fresh for the first RK stage.
+        is converted into the engine's primitive buffer and reduced to
+        its members' max signal speeds while still cache-resident.
+        ``max`` is exact and order-independent, so entry ``b`` is
+        bit-for-bit the seed path's ``get_dt`` of member ``b`` whatever
+        the plan; the conversion is complete and stays fresh for the
+        first RK stage.
         A non-finite member raises a member-local :class:`PhysicsError`
         with ``batch_index`` set (siblings' entries are unaffected),
         naming the cells a whole-grid pass over that member names.
@@ -304,8 +322,7 @@ class StepEngine:
         ws = self.workspace
         gamma = self.config.gamma
         backend = self.backend
-        if target is None:
-            target = ws.array("engine.primitive", self.grid_shape)
+        target = ws.array("engine.primitive", self.grid_shape)
         maxima = ws.array("engine.dt_member_max", (self.batch,))
         for tile in self._dt_plan.tiles:
             rows = slice(tile.start, tile.stop)
@@ -328,7 +345,6 @@ class StepEngine:
         self.tiles_processed += len(self._dt_plan.tiles)
         self.dt_fused_strips += len(self._dt_plan.tiles)
         self.primitive_conversions += 1
-        self._primitive_target = target
         self._fresh_primitive = True
         started = perf_counter()
         finite = np.isfinite(maxima)
@@ -413,39 +429,28 @@ class StepEngine:
             )
         self.seconds["difference"] += perf_counter() - started
 
-    def _fill_boundaries(self, padded: np.ndarray, low_specs, high_specs) -> None:
-        """Fill ghost layers member by member.
+    def _fill_boundaries(self, padded: np.ndarray, axis: int) -> None:
+        """Fill the ghost layers of a sweep along ``axis``, member by member.
 
         ``padded[:, b]`` is exactly one member's own padded array, so
         each member's boundary set (including piecewise EdgeSpec
         segments, whose ranges address the along-edge axis) applies
         unchanged.  Looping members here also keeps an EdgeSpec from
-        wrongly partitioning the member axis.  ``None`` entries (a
-        rank's interior edges) are skipped.
+        wrongly partitioning the member axis.
         """
         ng = self.ghost_cells
         started = perf_counter()
-        for member, (low, high) in enumerate(zip(low_specs, high_specs)):
+        for member, (low, high) in enumerate(self._edge_specs[axis]):
             slab = padded[:, member]
-            if low is not None:
-                low.fill(slab, ng)
-            if high is not None:
-                high.fill(slab[::-1], ng)
+            low.fill(slab, ng)
+            high.fill(slab[::-1], ng)
         self.seconds["bc"] += perf_counter() - started
 
-    def sweep_axis0(
-        self,
-        padded: np.ndarray,
-        low_specs,
-        high_specs,
-        spacing: float,
-        out: np.ndarray,
-    ) -> None:
+    def sweep_axis0(self, padded: np.ndarray, out: np.ndarray) -> None:
         """Axis-0 sweep: fill edges, flux, difference — *writes* ``out``.
 
         ``padded`` is ``(n + 2 ng, B, cross..., fields)``, ``out`` the
-        matching ``(n, B, ...)`` view, ``low_specs``/``high_specs`` one
-        edge spec per member.  The whole reconstruct/riemann/difference
+        matching ``(n, B, ...)`` view.  The whole reconstruct/riemann/difference
         chain runs strip by strip: a strip owning output rows
         ``[start, stop)`` reads padded rows ``[start, stop + 2 ng)``
         and produces faces ``[start, stop + 1)``.  Every kernel in the
@@ -453,9 +458,9 @@ class StepEngine:
         bit-for-bit the rows a one-strip pass would produce (adjacent
         strips just recompute one shared face).
         """
-        self._fill_boundaries(padded, low_specs, high_specs)
+        self._fill_boundaries(padded, 0)
+        spacing = self.spacing[0]
         plan = self._sweep_plan(padded.shape)
-        self.tiles_processed += len(plan.tiles)
         if self.backend is not None and self.backend.sweep_tiled(
             self, padded, plan, spacing, out
         ):
@@ -468,14 +473,7 @@ class StepEngine:
                 out[tile.start : tile.stop],
             )
 
-    def sweep_axis1(
-        self,
-        oriented_padded: np.ndarray,
-        low_specs,
-        high_specs,
-        spacing: float,
-        out: np.ndarray,
-    ) -> None:
+    def sweep_axis1(self, oriented_padded: np.ndarray, out: np.ndarray) -> None:
         """Axis-1 sweep on an oriented padded array — *accumulates* into ``out``.
 
         ``oriented_padded`` is in sweep layout (axis 1 of the grid along
@@ -488,9 +486,9 @@ class StepEngine:
         ``[start, stop)`` accumulates into the ``out`` *columns*
         ``[..., start:stop, :]``.
         """
-        self._fill_boundaries(oriented_padded, low_specs, high_specs)
+        self._fill_boundaries(oriented_padded, 1)
+        spacing = self.spacing[1]
         plan = self._sweep_plan(oriented_padded.shape)
-        self.tiles_processed += len(plan.tiles)
         ws = self.workspace
         cross_shape = oriented_padded.shape[1:]
         if self.backend is not None:
@@ -531,10 +529,7 @@ class StepEngine:
     def rhs(
         self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
     ) -> np.ndarray:
-        """Spatial operator L(U) over the whole stack, into ``out``
-        (needs ``boundaries``)."""
-        if self.boundaries is None:
-            raise ConfigurationError("engine built without boundaries cannot run rhs()")
+        """Spatial operator L(U) over the whole stack, into ``out``."""
         self.rhs_evaluations += 1
         ws = self.workspace
         ng = self.ghost_cells
@@ -549,39 +544,32 @@ class StepEngine:
         started = perf_counter()
         padded[ng : ng + nx] = primitive.swapaxes(0, 1)
         self.seconds["bc"] += perf_counter() - started
-        low_specs, high_specs = self._edge_specs[0]
-        self.sweep_axis0(
-            padded, low_specs, high_specs, self.spacing[0], out.swapaxes(0, 1)
-        )
+        self.sweep_axis0(padded, out.swapaxes(0, 1))
         if self.ndim == 2:
             ny = self.member_shape[1]
             padded_y = ws.array("engine.padded_y", (ny + 2 * ng, self.batch, nx, 4))
             started = perf_counter()
             self.orient_into(primitive, padded_y[ng : ng + ny])
             self.seconds["bc"] += perf_counter() - started
-            low_specs, high_specs = self._edge_specs[1]
-            self.sweep_axis1(padded_y, low_specs, high_specs, self.spacing[1], out)
+            self.sweep_axis1(padded_y, out)
         return out
 
-    def integrate(self, u: np.ndarray, dt, rhs_into: RhsInto) -> np.ndarray:
-        """Advance ``u`` in place by one Runge-Kutta step.
+    def integrate(self, u: np.ndarray, dt) -> np.ndarray:
+        """Advance ``u`` in place by one Runge-Kutta step of :meth:`rhs`.
 
-        ``dt`` is a scalar or a :meth:`dt_column`; ``rhs_into(v, out,
-        first_stage)`` must write L(v) into ``out``; ``first_stage`` is
-        True exactly once so drivers can reuse the dt-fresh primitive
-        conversion.  Time not spent inside the other counted phases is
-        booked as the Runge-Kutta combine ("rk").
+        ``dt`` is a scalar or a :meth:`dt_column`.  Every stage asks for
+        the cached primitive conversion, but only the first can find
+        :meth:`compute_dt`'s still fresh (:meth:`primitive_into` spends
+        it).  Time not spent inside the other counted phases is booked
+        as the Runge-Kutta combine ("rk").
         """
-        stage_flag = [True]
 
-        def callback(v: np.ndarray, out: np.ndarray) -> None:
-            first = stage_flag[0]
-            stage_flag[0] = False
-            rhs_into(v, out, first)
+        def stage(v: np.ndarray, out: np.ndarray) -> None:
+            self.rhs(v, out, use_cached_primitive=True)
 
         inner_before = self._inner_seconds()
         started = perf_counter()
-        self.integrator_into(u, dt, callback, self.workspace)
+        self.integrator_into(u, dt, stage, self.workspace)
         elapsed = perf_counter() - started
         self.seconds["rk"] += elapsed - (self._inner_seconds() - inner_before)
         self.steps_taken += 1
@@ -598,7 +586,7 @@ class StepEngine:
         """
         if dt is None:
             dt = self.compute_dt(u)
-        self.integrate(u, self.dt_column(dt), self.rhs)
+        self.integrate(u, self.dt_column(dt))
         return dt
 
     def dt_column(self, dt) -> np.ndarray:

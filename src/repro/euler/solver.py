@@ -269,10 +269,9 @@ class _MemberDriver:
     :class:`~repro.obs.trace.StepTrace` recording, retire-and-redo,
     forensics and thaw-on-rerun.  It drives a *stepper* — the two calls
     ``_compute_dts() -> (B,)`` and ``_advance(dts)`` — of which there
-    are three: the :class:`~repro.euler.engine.StepEngine` over the
-    member stack (B >= 1, the default below), the allocating seed
-    reference (``use_engine=False``, B = 1) and
-    :class:`~repro.par.solver.ParallelSolver2D`'s rank team (B = 1).
+    are two: the :class:`~repro.euler.engine.StepEngine` over the
+    member stack (B >= 1, the default below) and the allocating seed
+    reference (``use_engine=False``, B = 1).
 
     Members advance on their own clocks (dt is per member, never a
     global minimum) and leave the lockstep one by one.  A member that
@@ -557,6 +556,11 @@ class _GodunovSolver(_SoleMember):
     reference every equality test compares against.
     """
 
+    #: ``workers=``/``barrier=`` of the engine's strip team; empty means
+    #: ``REPRO_JIT_THREADS`` workers on fork/join barriers.  Set by
+    #: :class:`~repro.par.solver.ParallelSolver2D` ahead of ``__init__``.
+    _team: Dict[str, object] = {}
+
     def __init__(self, primitive, spacing, boundaries, config, use_engine, watch):
         self.config = config or SolverConfig()
         self.spacing = tuple(float(s) for s in spacing)
@@ -567,7 +571,9 @@ class _GodunovSolver(_SoleMember):
             np.asarray(primitive, dtype=float), self.config.gamma
         )
         self.engine: Optional[StepEngine] = (
-            StepEngine(self.u.shape, self.spacing, self.config, [boundaries])
+            StepEngine(
+                self.u.shape, self.spacing, self.config, [boundaries], **self._team
+            )
             if use_engine
             else None
         )

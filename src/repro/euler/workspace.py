@@ -11,9 +11,10 @@ scratch slots as one named block per shape — so the first step of a
 solver allocates everything and subsequent steps allocate nothing.
 
 A workspace is owned by exactly one :class:`~repro.euler.engine.StepEngine`
-(one per solver, or one per rank in the parallel solver); buffers are
-never shared between workspaces, which keeps rank-local stepping free of
-false sharing and lets tests assert isolation.
+(one per solver) and is not thread-safe: buffers are never shared
+between workspaces, and an engine whose strips run on the worker team
+draws every strip's scratch on the calling thread, under distinct names,
+before the round starts.
 """
 
 from __future__ import annotations

@@ -78,11 +78,11 @@ __all__ = [
 #: "1"/"on"/"jit" requests it, unset means auto-detect.
 JIT_ENV = "REPRO_JIT"
 
-#: Worker-thread count for the proof-licensed threaded strip dispatch
-#: (see :meth:`repro.jit.backend.JitBackend.sweep_tiled`).  Unset or 1
-#: keeps the serial per-strip dispatch; >= 2 threads a sweep's strips
-#: over a pool of GIL-releasing ctypes calls *iff* the dependence
-#: prover licensed the plan.
+#: Worker count of the strip team when the solver names none (see
+#: :meth:`repro.jit.backend.JitBackend.sweep_tiled`).  Unset or 1 keeps
+#: the serial per-strip dispatch; >= 2 runs a sweep's strips on the
+#: process-wide worker team (:mod:`repro.par.pool`) as GIL-releasing
+#: ctypes calls *iff* the dependence prover licensed the plan.
 THREADS_ENV = "REPRO_JIT_THREADS"
 
 _NUMPY_WORDS = frozenset({"0", "off", "numpy", "false", "no"})
@@ -137,11 +137,12 @@ def resolve_backend_name(explicit: Optional[str] = None) -> str:
 
 
 def resolve_jit_threads(explicit: Optional[object] = None) -> int:
-    """Worker-thread count for the threaded strip dispatch (>= 1).
+    """Worker count of the strip team (>= 1).
 
-    ``explicit`` wins over the ``REPRO_JIT_THREADS`` environment
-    variable; unset means 1 (serial per-strip dispatch, the bitwise
-    baseline the threaded path must reproduce exactly).
+    ``explicit`` (a solver's ``workers=``) wins over the
+    ``REPRO_JIT_THREADS`` environment variable; unset means 1 (serial
+    per-strip dispatch, the bitwise baseline the team must reproduce
+    exactly).
     """
     raw = explicit if explicit is not None else os.environ.get(THREADS_ENV)
     if raw is None:
@@ -150,11 +151,11 @@ def resolve_jit_threads(explicit: Optional[object] = None) -> int:
         count = int(str(raw).strip())
     except ValueError:
         raise ConfigurationError(
-            f"{THREADS_ENV} must be a positive integer, got {raw!r}"
+            f"workers / {THREADS_ENV} must be a positive integer, got {raw!r}"
         ) from None
     if count < 1:
         raise ConfigurationError(
-            f"{THREADS_ENV} must be >= 1, got {count}"
+            f"workers / {THREADS_ENV} must be >= 1, got {count}"
         )
     return count
 
@@ -184,11 +185,12 @@ def backend_override(name: Optional[str]) -> Iterator[None]:
         _OVERRIDE = previous
 
 
-def create_backend(config, ndim: int, explicit: Optional[str] = None):
+def create_backend(config, ndim: int, explicit: Optional[str], threads: int, barrier: str):
     """The engine-side entry point: a :class:`~repro.jit.backend.JitBackend`
-    for this config/rank, or ``None`` for the plain NumPy path."""
+    for this config/rank whose strip team has ``threads`` workers of the
+    given barrier kind, or ``None`` for the plain NumPy path."""
     if resolve_backend_name(explicit) == "numpy":
         return None
     from repro.jit.backend import JitBackend
 
-    return JitBackend(config, ndim)
+    return JitBackend(config, ndim, threads, barrier)

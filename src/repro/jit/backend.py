@@ -22,34 +22,34 @@ Compilation happens lazily on the first served call and is cached
 across engines and processes (see :mod:`repro.jit.compile`); time spent
 is booked to the engine's ``jit_sweep``/``jit_dt`` phase counters.
 
-**Threaded strips.**  With ``REPRO_JIT_THREADS >= 2``, :meth:`sweep_tiled`
-dispatches a whole tile plan's strips over a thread pool — the compiled
+**Strips on the team.**  With two or more workers (``workers=`` of a
+:class:`~repro.par.solver.ParallelSolver2D`, else ``REPRO_JIT_THREADS``),
+:meth:`sweep_tiled` runs a whole tile plan's strips as one round of the
+process's worker team (:func:`repro.par.pool.shared_team`) — the compiled
 sweep is a pure C function called through :mod:`ctypes`, which releases
-the GIL, so strips genuinely run in parallel.  Threading is licensed
-*per plan* by the dependence prover (:mod:`repro.analysis.deps`): the
-kernel's access map must prove every strip in bounds for the declared
-ghost width and all strips' shared writes disjoint.  A failing or
-unavailable proof serializes the plan with a counted reason
-(:attr:`serialized`) — never silently — and the engine's ordinary
-per-strip loop runs instead.  Because each strip writes a disjoint row
-range of ``out`` and reads only its own padded window, the threaded
-result is bit-for-bit the serial result; the bit-identity sweep in
-``tests/euler/test_jit_threads.py`` enforces exactly that.
+the GIL, so strips genuinely run in parallel.  The plan is the
+decomposition and the dependence prover (:mod:`repro.analysis.deps`) its
+licence, *per plan*: the kernel's access map must prove every strip in
+bounds for the declared ghost width and all strips' shared writes
+disjoint.  A failing or unavailable proof, or no compiled kernel,
+serializes the plan with a counted reason (:attr:`serialized`) — never
+silently — and the engine's per-strip loop runs instead.  Each strip
+writes a disjoint row range of ``out`` from its own padded window, so
+the result is bit-for-bit serial (``tests/euler/test_jit_threads.py``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-import repro.jit as repro_jit
 from repro.analysis.jit_verify import verify_kernel
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
 from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
+from repro.par.pool import shared_team
 
 __all__ = ["JitBackend"]
 
@@ -66,7 +66,7 @@ class JitBackend:
 
     name = "jit"
 
-    def __init__(self, config, ndim: int):
+    def __init__(self, config, ndim: int, threads: int, barrier: str):
         self.config = config
         self.ndim = int(ndim)
         self.spec = spec_from_config(config, ndim)
@@ -74,12 +74,14 @@ class JitBackend:
         self.dt_calls = 0
         #: Fallback reason -> count of strip calls the NumPy path served.
         self.fallbacks: Dict[str, int] = {}
-        #: Worker threads for :meth:`sweep_tiled` (``REPRO_JIT_THREADS``).
-        self.threads = repro_jit.resolve_jit_threads()
-        #: Strips served by the threaded dispatcher.
+        #: Workers and barrier kind of the team :meth:`sweep_tiled` runs
+        #: on, seconds its rounds waited in barriers, strips it served.
+        self.threads = threads
+        self.barrier = barrier
+        self.barrier_wait_seconds = 0.0
         self.strips_threaded = 0
-        #: Serialization reason -> count of strips that ran serially
-        #: because the dependence proof failed or was unavailable.
+        #: Serialization reason -> count of strips that ran serially: the
+        #: dependence proof failed or was unavailable, or no kernel built.
         self.serialized: Dict[str, int] = {}
         self._kernel: Optional[jit_compile.CompiledKernel] = None
         self._compile_failure: Optional[str] = None
@@ -88,7 +90,6 @@ class JitBackend:
         #: kernel's access map and the strip boundaries, so one proof
         #: per tile plan layout suffices.
         self._strip_proofs: Dict[Tuple[Tuple[int, int], ...], object] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- kernel acquisition ---------------------------------------------
 
@@ -219,32 +220,28 @@ class JitBackend:
             self._strip_proofs[key] = proof
         return proof
 
-    def _workers(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-jit"
-            )
-        return self._pool
-
     def sweep_tiled(self, engine, padded, plan, spacing: float, out) -> bool:
-        """Serve a whole tile plan's sweep over the thread pool; False = serial.
+        """Serve a whole tile plan's sweep on the worker team; False = serial.
 
         Licensed *only* by a passing dependence proof over the plan's
         strip layout (DEP001/002/003 clean, proof available): each strip
         then writes a proven-disjoint row range of ``out`` from its own
         padded window through a GIL-releasing ctypes call, so the result
-        is bit-for-bit the serial per-strip dispatch.  A failing or
-        unavailable proof serializes with a per-strip counted reason in
-        :attr:`serialized`; configurations the threaded path simply does
-        not apply to (1 thread, single-strip plan, kernel unavailable,
-        unexpected dtype/geometry) return False silently and take the
-        ordinary serial path with its own accounting.
+        is bit-for-bit the serial per-strip dispatch.  The plan is one
+        :meth:`~repro.par.pool.WorkerPool.run` round: the caller is
+        worker 0, worker ``w`` takes strips ``w, w + workers, ...``.  A
+        failing or unavailable proof, or a kernel that failed to build,
+        serializes with a per-strip counted reason in :attr:`serialized`;
+        nothing to overlap (1 worker, one strip) or a dtype/geometry the
+        serial path counts itself is a silent False.
         """
-        if self.threads < 2 or len(plan.tiles) < 2:
+        tiles = plan.tiles
+        if self.threads < 2 or len(tiles) < 2:
             return False
         kernel = self._ensure_kernel()
-        if kernel is None or self._flux_ir is None:
-            return False
+        if kernel is None:
+            reason = f"no compiled kernel ({self._compile_failure})"
+            return self._serialize(reason, len(tiles))
         geometry = self._strip_geometry(padded, out)
         if isinstance(geometry, str) or geometry[0] != plan.n_cells:
             return False
@@ -254,7 +251,7 @@ class JitBackend:
         proof = self._strip_proof(plan)
         if not proof.licensed:
             reason = proof.reason or "DEP004: proof unavailable"
-            return self._serialize(reason, len(plan.tiles))
+            return self._serialize(reason, len(tiles))
 
         started = perf_counter()
         workspace = engine.workspace
@@ -267,30 +264,33 @@ class JitBackend:
         # flux scratch up front on this thread, under distinct keys.
         scratches = [
             workspace.array(f"jit.flux_rows.t{index}", (2, cross, nfields))
-            for index in range(len(plan.tiles))
+            for index in range(len(tiles))
         ]
         gamma = float(self.config.gamma)
         dx = float(spacing)
 
-        def run(index: int) -> None:
-            tile = plan.tiles[index]
-            kernel.sweep(
-                _ptr(padded[tile.start : tile.stop + 2 * ng]),
-                _ptr(target[tile.start : tile.stop]),
-                _ptr(scratches[index]),
-                tile.cells,
-                cross,
-                gamma,
-                dx,
-            )
+        def share(worker: int) -> None:
+            for index in range(worker, len(tiles), self.threads):
+                tile = tiles[index]
+                kernel.sweep(
+                    _ptr(padded[tile.start : tile.stop + 2 * ng]),
+                    _ptr(target[tile.start : tile.stop]),
+                    _ptr(scratches[index]),
+                    tile.cells,
+                    cross,
+                    gamma,
+                    dx,
+                )
 
-        # list() drains the iterator so worker exceptions surface here.
-        list(self._workers().map(run, range(len(plan.tiles))))
+        team = shared_team(self.threads, self.barrier)
+        waited = team.barrier_wait_seconds
+        team.run(share)
+        self.barrier_wait_seconds += team.barrier_wait_seconds - waited
         if target is not out:
             np.copyto(out, target.reshape(out.shape))
         engine.seconds["jit_sweep"] += perf_counter() - started
-        self.sweep_calls += len(plan.tiles)
-        self.strips_threaded += len(plan.tiles)
+        self.sweep_calls += len(tiles)
+        self.strips_threaded += len(tiles)
         return True
 
     def dt_strip(

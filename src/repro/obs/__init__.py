@@ -8,8 +8,8 @@ possible:
 * :mod:`repro.obs.trace` — :class:`StepTrace`, a ring-buffer recorder
   of per-step telemetry (dt, CFL, conservation totals and drift, min
   density/pressure, per-phase seconds from the
-  :class:`~repro.euler.engine.StepEngine` counters, halo-copy volume
-  and barrier-wait time from :mod:`repro.par`).  Solvers accept it via
+  :class:`~repro.euler.engine.StepEngine` counters, worker count and
+  barrier-wait time from :mod:`repro.par`).  Solvers accept it via
   the ``watch=`` keyword; ``watch=None`` (the default) costs one
   attribute check per step and zero allocations.
 * :mod:`repro.obs.forensics` — on any

@@ -14,8 +14,9 @@ calls :meth:`StepTrace.record_step`, which derives one
 * per-phase wall-clock second *deltas* from the
   :class:`~repro.euler.engine.StepEngine` counters (when the solver
   steps through an engine);
-* halo-copy counts/bytes and barrier-wait seconds (when the solver is
-  a :class:`~repro.par.solver.ParallelSolver2D`).
+* the worker count and the seconds its sweep rounds spent waiting in
+  the team's barriers (when the solver is a
+  :class:`~repro.par.solver.ParallelSolver2D`).
 
 Only the last ``capacity`` records are kept (a ring), so a 1000-step
 run can be watched with bounded memory; ``total_recorded`` keeps the
@@ -57,8 +58,6 @@ class TraceRecord:
     min_density: float
     min_pressure: float
     phase_seconds: Optional[Dict[str, float]] = None
-    halo_copies: int = 0
-    halo_bytes: int = 0
     barrier_wait_seconds: float = 0.0
     workers: int = 1
     #: Cache-blocking strips processed this step and the engine's budget
@@ -92,9 +91,14 @@ class TraceRecord:
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "TraceRecord":
-        """Inverse of :meth:`to_json` (unknown keys are rejected loudly)."""
+        """Inverse of :meth:`to_json` (unknown keys are rejected loudly).
+
+        Records written while ``repro.par`` still copied halos carry two
+        retired keys; exactly those are dropped, so old exports load.
+        """
         payload = dict(payload)
-        payload.pop("kind", None)
+        for retired in ("kind", "halo_copies", "halo_bytes"):
+            payload.pop(retired, None)
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(payload) - known
         if unknown:
@@ -124,8 +128,6 @@ class StepTrace:
         self._baseline_mass: Optional[float] = None
         self._baseline_energy: Optional[float] = None
         self._last_phases: Optional[Dict[str, float]] = None
-        self._last_halo_copies = 0
-        self._last_halo_bytes = 0
         self._last_barrier_wait = 0.0
         self._last_tiles = 0
 
@@ -163,8 +165,7 @@ class StepTrace:
 
         Works for any solver exposing ``u``/``steps``/``time``/``config``
         (both serial solvers and :class:`~repro.par.solver.ParallelSolver2D`);
-        the parallel extras (halo, barrier wait, workers) are read when
-        present.
+        the team extras (workers, barrier wait) are read when present.
         """
         u = solver.u
         gamma = solver.config.gamma
@@ -205,8 +206,8 @@ class StepTrace:
             workers=int(getattr(solver, "workers", 1)),
             tiles=self._tiles_delta(solver),
             tile_bytes=int(getattr(solver, "tile_bytes", 0)),
+            barrier_wait_seconds=self._barrier_wait_delta(solver),
             **self._backend_snapshot(solver),
-            **self._parallel_deltas(solver),
         )
         self.append(record)
         return record
@@ -248,19 +249,11 @@ class StepTrace:
         self._last_tiles = total
         return delta
 
-    def _parallel_deltas(self, solver) -> Dict[str, object]:
-        copies = int(getattr(solver, "halo_exchanges", 0))
-        nbytes = int(getattr(solver, "halo_bytes", 0))
-        wait = float(getattr(solver, "barrier_wait_seconds", 0.0))
-        deltas = {
-            "halo_copies": copies - self._last_halo_copies,
-            "halo_bytes": nbytes - self._last_halo_bytes,
-            "barrier_wait_seconds": wait - self._last_barrier_wait,
-        }
-        self._last_halo_copies = copies
-        self._last_halo_bytes = nbytes
-        self._last_barrier_wait = wait
-        return deltas
+    def _barrier_wait_delta(self, solver) -> float:
+        total = float(getattr(solver, "barrier_wait_seconds", 0.0))
+        delta = total - self._last_barrier_wait
+        self._last_barrier_wait = total
+        return delta
 
 
 def _relative_drift(value: float, baseline: Optional[float]) -> float:

@@ -1,42 +1,33 @@
-"""Shared-memory domain-decomposition runtime (measured parallelism).
+"""The worker team under the Euler sweeps (measured parallelism).
 
 ``repro.perf`` *models* the paper's 16-core Opteron; this package
-*executes* the 2-D Euler solver on real worker threads: block
-decomposition with ghost-cell halo exchange, a persistent worker pool
-with pluggable spin vs fork/join barriers, a parallel ``GetDT``
-reduction, and :class:`ParallelSolver2D`, a bit-for-bit drop-in for the
-serial golden reference.  See DESIGN.md §3 and the measured mode of
-``repro.perf.scaling``.
+*executes* the 2-D Euler solver on real worker threads: one persistent
+team per process with pluggable spin vs fork/join barriers
+(:mod:`repro.par.pool`), and :class:`ParallelSolver2D`, the serial
+solver whose engine runs each sweep's strip plan on that team.  See
+DESIGN.md §3 and the measured mode of ``repro.perf.scaling``.
 """
 
-from repro.par.partition import (
-    DEFAULT_HALO,
-    Decomposition,
-    Subdomain,
-    choose_process_grid,
-    decompose,
-    split_extent,
+from repro.par.pool import (
+    BARRIER_KINDS,
+    DEFAULT_BARRIER,
+    BarrierAborted,
+    CondBarrier,
+    WorkerPool,
+    close_team,
+    make_barrier,
+    shared_team,
 )
-from repro.par.halo import HaloExchanger, allocate_buffers, restrict_edge_spec
-from repro.par.pool import BARRIER_KINDS, BarrierAborted, CondBarrier, WorkerPool, make_barrier
-from repro.par.reduce import SlotReduction
 from repro.par.solver import ParallelSolver2D
 
 __all__ = [
-    "DEFAULT_HALO",
-    "Decomposition",
-    "Subdomain",
-    "choose_process_grid",
-    "decompose",
-    "split_extent",
-    "HaloExchanger",
-    "allocate_buffers",
-    "restrict_edge_spec",
     "BARRIER_KINDS",
+    "DEFAULT_BARRIER",
     "BarrierAborted",
     "CondBarrier",
     "WorkerPool",
+    "close_team",
     "make_barrier",
-    "SlotReduction",
+    "shared_team",
     "ParallelSolver2D",
 ]

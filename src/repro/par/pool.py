@@ -1,4 +1,4 @@
-"""Persistent worker pool with pluggable barrier synchronisation.
+"""The one worker team: a persistent pool with pluggable barriers.
 
 The paper's Fig. 4 asymmetry is a *synchronisation* story: SaC keeps a
 flat team of pthreads alive for the whole run and synchronises them by
@@ -7,24 +7,28 @@ kernel-assisted fork/join per parallel region.  ``repro.perf.machine``
 models that difference analytically; this module makes it *executable*:
 the same worker team can be driven by
 
-* ``"spin"`` — the existing :class:`repro.sac.runtime.spinlock.SpinBarrier`
-  (busy-wait on a generation counter, no kernel sleep), or
-* ``"forkjoin"`` (alias ``"condvar"``) — :class:`CondBarrier`, a
-  condition-variable barrier that puts waiters to sleep in the kernel
-  and wakes them on release, the fork/join idiom.
+* ``"forkjoin"`` (alias ``"condvar"``, the default) — :class:`CondBarrier`,
+  a condition-variable barrier that puts waiters to sleep in the kernel
+  and wakes them on release, the fork/join idiom, or
+* ``"spin"`` — :class:`repro.sac.runtime.spinlock.SpinBarrier` (busy-wait
+  on a generation counter, no kernel sleep).  A *Python* busy-wait holds
+  the GIL for its switch interval and so starves the thread doing the
+  step's serial part: selectable for the F4b experiment, nobody's default.
 
-NumPy kernels release the GIL, so the workers genuinely overlap on
-multicore hosts; the barrier flavour is a constructor toggle, which is
-what lets ``perf.scaling``'s measured mode put a spin curve and a
-fork/join curve side by side like the paper's Fig. 4 put SaC and
-Fortran.
+This is the only place that creates threads for Euler sweeps: the
+compiled strip kernels release the GIL, and ``JitBackend.sweep_tiled``
+runs a sweep plan's strips as one :meth:`WorkerPool.run` round.  Like
+SaC's runtime there is one team per process — :func:`shared_team`, one
+pool per ``(workers, barrier kind)`` — so solvers come and go without
+the thread count growing.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sac.runtime.spinlock import BarrierAborted, SpinBarrier
@@ -34,12 +38,15 @@ __all__ = [
     "CondBarrier",
     "WorkerPool",
     "make_barrier",
+    "shared_team",
+    "close_team",
     "BARRIER_KINDS",
+    "DEFAULT_BARRIER",
 ]
 
 #: Spin budget for pool barriers.  Generous: a worker may legitimately
-#: spin through a sibling's whole sweep; 10M (the scheduler default)
-#: can be exceeded on large subdomains or oversubscribed hosts.
+#: spin through a sibling's whole share of a sweep; 10M (the scheduler
+#: default) can be exceeded on large grids or oversubscribed hosts.
 POOL_MAX_SPINS = 200_000_000
 
 
@@ -107,6 +114,9 @@ class CondBarrier:
             self._cond.notify_all()
 
 
+#: What a team synchronises with unless told otherwise.
+DEFAULT_BARRIER = "forkjoin"
+
 #: Barrier factories by name; "forkjoin" and "condvar" are synonyms.
 BARRIER_KINDS = {
     "spin": lambda parties: SpinBarrier(parties, max_spins=POOL_MAX_SPINS),
@@ -134,18 +144,18 @@ class WorkerPool:
     callable receiving the worker index — releases the team through a
     start barrier, executes index 0 itself, and passes a completion
     barrier once every worker has finished.  Only ``workers - 1``
-    threads exist.  All barriers (including team barriers handed out via
-    :meth:`team_barrier` for use *inside* a task, e.g. around a halo
-    exchange) are of the configured kind, so a whole solver step
-    synchronises either entirely by spinning or entirely through the
-    kernel.
+    threads exist.  All barriers (including the one handed out via
+    :meth:`team_barrier` for use *inside* a task) are of the configured
+    kind, so a round synchronises either entirely by spinning or
+    entirely through the kernel.  Rounds take turns (one lock), so
+    callers on different threads may share a team.
 
     A worker that raises aborts all registered barriers so its siblings
     unwind instead of deadlocking; the first error is re-raised from
-    :meth:`run` and the pool is left unusable (``broken``).
+    :meth:`run` and the pool is left unusable (``broken``, ``closed``).
     """
 
-    def __init__(self, workers: int, barrier: str = "spin", name: str = "par"):
+    def __init__(self, workers: int, barrier: str = DEFAULT_BARRIER, name: str = "par"):
         if workers < 1:
             raise ConfigurationError(f"need at least one worker, got {workers}")
         self.workers = workers
@@ -157,6 +167,8 @@ class WorkerPool:
         self._task: Optional[Callable[[int], None]] = None
         self._errors: List[BaseException] = []
         self._error_lock = threading.Lock()
+        #: One round (or the shutdown handshake) at a time.
+        self._round_lock = threading.RLock()
         self._stop = False
         self.broken = False
         self.rounds = 0
@@ -178,6 +190,11 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
+    @property
+    def closed(self) -> bool:
+        """True once the team was shut down (a broken round does that)."""
+        return self._stop
+
     def shutdown(self) -> None:
         """Stop and join the team (idempotent).
 
@@ -186,21 +203,22 @@ class WorkerPool:
         barrier): the barriers are poisoned so the workers unwind, the
         threads are joined either way, and the interrupt propagates.
         """
-        if self._stop:
-            return
-        self._stop = True
-        try:
+        with self._round_lock:
+            if self._stop:
+                return
+            self._stop = True
             try:
-                self._start.wait()
-            except BarrierAborted:
-                pass
-            except BaseException:
-                self._abort_all()
-                raise
-        finally:
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-            self._threads = []
+                try:
+                    self._start.wait()
+                except BarrierAborted:
+                    pass
+                except BaseException:
+                    self._abort_all()
+                    raise
+            finally:
+                for thread in self._threads:
+                    thread.join(timeout=10.0)
+                self._threads = []
 
     # -- running tasks -------------------------------------------------
 
@@ -209,12 +227,10 @@ class WorkerPool:
 
         One reusable (generational) barrier is shared by every caller:
         all workers pass the same sequence of sync points per round, so
-        distinct call sites can share it safely, and the registry of
-        abortable barriers stays bounded no matter how many rounds or
-        callers there are (per-round callers used to leak one barrier
-        per call, growing ``_abort_all`` cost with run length).  It is
-        registered with the pool so a failing worker aborts it along
-        with the start/done pair.
+        distinct call sites can share it safely and the registry of
+        abortable barriers stays bounded.  It is registered with the
+        pool so a failing worker aborts it along with the start/done
+        pair.
         """
         if self._team is None:
             self._team = make_barrier(self.barrier_kind, self.workers)
@@ -237,27 +253,28 @@ class WorkerPool:
         The calling thread executes index 0 itself (SaC's master thread
         is a worker too), so a single-worker pool runs entirely inline.
         """
-        if self.broken:
-            raise ConfigurationError("worker pool is broken after a failed round")
-        if self._stop:
-            raise ConfigurationError("worker pool has been shut down")
-        self._task = task
-        self._errors = []
-        try:
-            self._start.wait()
-            task(0)
-            self._done.wait()
-        except BarrierAborted:
-            pass  # a sibling failed mid-round; fall through to re-raise below
-        except BaseException as error:  # noqa: BLE001 - master's own share failed
-            with self._error_lock:
-                self._errors.append(error)
-            self._abort_all()
-        self.rounds += 1
-        if self._errors:
-            self.broken = True
-            self.shutdown()
-            raise self._errors[0]
+        with self._round_lock:
+            if self.broken:
+                raise ConfigurationError("worker pool is broken after a failed round")
+            if self._stop:
+                raise ConfigurationError("worker pool has been shut down")
+            self._task = task
+            self._errors = []
+            try:
+                self._start.wait()
+                task(0)
+                self._done.wait()
+            except BarrierAborted:
+                pass  # a sibling failed mid-round; fall through to re-raise below
+            except BaseException as error:  # noqa: BLE001 - master's own share failed
+                with self._error_lock:
+                    self._errors.append(error)
+                self._abort_all()
+            self.rounds += 1
+            if self._errors:
+                self.broken = True
+                self.shutdown()
+                raise self._errors[0]
 
     def _abort_all(self) -> None:
         for barrier in self._team_barriers:
@@ -285,3 +302,33 @@ class WorkerPool:
                 self._done.wait()
             except BarrierAborted:
                 return
+
+
+#: The process-wide teams, one per ``(workers, barrier kind)``.
+_TEAMS: Dict[Tuple[int, str], WorkerPool] = {}
+_TEAMS_LOCK = threading.Lock()
+# A forked child inherits the registry but none of the threads.
+os.register_at_fork(after_in_child=_TEAMS.clear)
+
+
+def shared_team(workers: int, barrier: str = DEFAULT_BARRIER) -> WorkerPool:
+    """The process's one team of this size and barrier kind: at most
+    ``workers - 1`` threads per key, however many solvers use it.  A team
+    closed by :func:`close_team` or a failed round is replaced, never
+    reused — so ask per round instead of holding on to the result."""
+    key = (workers, barrier)
+    with _TEAMS_LOCK:
+        team = _TEAMS.get(key)
+        if team is None or team.closed:
+            team = _TEAMS[key] = WorkerPool(
+                workers, barrier, name=f"euler-team-{workers}-{barrier}"
+            )
+        return team
+
+
+def close_team(workers: int, barrier: str = DEFAULT_BARRIER) -> None:
+    """Shut down and forget the team of this key, if there is one."""
+    with _TEAMS_LOCK:
+        team = _TEAMS.pop((workers, barrier), None)
+    if team is not None:
+        team.shutdown()

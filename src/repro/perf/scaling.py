@@ -26,15 +26,15 @@ text (Fortran scales slightly to ~5 cores, then degrades).
 Measured mode (:func:`figure4_measured`)
 ----------------------------------------
 Since the :mod:`repro.par` runtime exists, the same workload can also be
-*run for real*: the two-channel problem on a block-decomposed grid with
-halo exchange, once per worker count and once per barrier flavour
+*run for real*: the two-channel problem with each sweep's strip plan on
+the worker team, once per worker count and once per barrier flavour
 (``spin`` — the SaC runtime style, vs ``forkjoin`` — the OpenMP style).
-Wall clock, step rate and halo-copy counts come from actual execution
-on the host, not from the machine model; results are validated against
-the serial golden reference before timing.  The numbers depend on the
-host's core count and the GIL (only the NumPy kernels overlap), so the
-*shape* is the reproducible part, exactly as with the paper's own
-hardware-bound figure.  ``to_scaling_result()`` maps the spin curve to
+Wall clock, step rate and threaded-strip counts come from actual
+execution on the host, not from the machine model; results are
+validated against the serial golden reference before timing.  The
+numbers depend on the host's core count and the GIL (only the compiled
+strip kernels overlap), so the *shape* is the reproducible part, exactly
+as with the paper's own hardware-bound figure.  ``to_scaling_result()`` maps the spin curve to
 the figure's SaC column and the fork/join curve to the Fortran column,
 so every modeled-mode renderer also accepts measured data.
 """
@@ -205,19 +205,20 @@ class MeasuredPoint:
     barrier: str
     seconds: float
     steps: int
-    halo_exchanges: int
     max_abs_error: float  # vs the serial golden reference
-    #: Per-phase engine seconds (bc/reconstruct/riemann/...), summed over
-    #: ranks; None when the run predates the StepEngine counters.
+    #: Per-phase engine seconds (bc/jit_sweep/rk/...) over the run.
     phase_seconds: Optional[Dict[str, float]] = None
-    #: Halo bytes copied and barrier-wait seconds over the whole run
-    #: (repro.obs telemetry; 0 when the run predates it).
-    halo_bytes: int = 0
+    #: Seconds the run's sweep rounds spent in the team's barriers.
     barrier_wait_seconds: float = 0.0
-    #: Cache-blocking telemetry: strips processed over the run and the
-    #: engines' tile budget (0 = one-strip plans; see repro.euler.tiling).
+    #: Strips processed over the run and the engine's tile budget (0 =
+    #: one-strip plans; see repro.euler.tiling) — and of those strips,
+    #: how many ran on the team, with the counted reasons for any that
+    #: did not (serialized plans, strips that fell back to NumPy).
     tiles: int = 0
     tile_bytes: int = 0
+    strips_threaded: int = 0
+    serialized: Dict[str, int] = field(default_factory=dict)
+    fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Per-step trace records in JSON form (see repro.obs.trace), kept
     #: only when the run was traced.
     trace: Optional[List[Dict[str, object]]] = None
@@ -273,7 +274,7 @@ class MeasuredScalingResult:
         spin = by_barrier.get("spin", {})
         forkjoin = by_barrier.get("forkjoin", by_barrier.get("condvar", {}))
         workers = sorted(set(spin) | set(forkjoin))
-        exchanges = {p.workers: p.halo_exchanges for p in self.points}
+        threaded = {p.workers: p.strips_threaded for p in self.points}
         points = [
             ScalingPoint(
                 cores=count,
@@ -283,7 +284,7 @@ class MeasuredScalingResult:
             for count in workers
         ]
         regions = (
-            exchanges[workers[-1]] / self.steps if workers and self.steps else 0.0
+            threaded[workers[-1]] / self.steps if workers and self.steps else 0.0
         )
         return ScalingResult(
             grid=self.grid,
@@ -318,18 +319,19 @@ def figure4_measured(
     """Run the Fig. 4 workload for real on the repro.par runtime.
 
     For each worker count and barrier flavour the two-channel problem is
-    advanced ``steps`` steps on a block-decomposed grid with halo
-    exchange, and the wall clock is measured on the host.  When
-    ``validate`` is set (the default) every parallel field is compared
-    against a serial reference run of the same length; the maximum
-    absolute difference is recorded per point (and is 0.0 in practice).
+    advanced ``steps`` steps with every sweep's strip plan on the worker
+    team, and the wall clock is measured on the host.  The plan is not
+    re-cut for the team: pass a ``config`` whose ``tile_bytes`` gives a
+    sweep at least as many strips as workers, or there is nothing to
+    overlap.  When ``validate`` is set (the default) every parallel
+    field is compared against a serial reference run of the same length;
+    the maximum absolute difference is recorded per point (and is 0.0).
 
     With ``traced`` (the default) each parallel run is watched by a
     :class:`repro.obs.trace.StepTrace` and the point carries the
-    per-step records plus the run's halo-byte volume and barrier-wait
-    seconds — the communication/synchronisation split the paper could
-    only speculate about.  Pass ``traced=False`` for a pristine timing
-    loop.
+    per-step records plus the run's barrier-wait seconds — the
+    synchronisation share the paper could only speculate about.  Pass
+    ``traced=False`` for a pristine timing loop.
     """
     from repro.obs.trace import StepTrace
     from repro.par.solver import ParallelSolver2D
@@ -363,19 +365,22 @@ def figure4_measured(
                     if reference_state is not None
                     else float("nan")
                 )
+                counters = parallel.engine.counters()
+                jit = counters.get("jit", {})
                 points.append(
                     MeasuredPoint(
                         workers=count,
                         barrier=barrier,
                         seconds=seconds,
                         steps=steps,
-                        halo_exchanges=parallel.halo_exchanges,
                         max_abs_error=error,
-                        phase_seconds=parallel.engine_seconds,
-                        halo_bytes=parallel.halo_bytes,
+                        phase_seconds=parallel.phase_seconds,
                         barrier_wait_seconds=parallel.barrier_wait_seconds,
                         tiles=parallel.tiles,
                         tile_bytes=parallel.tile_bytes,
+                        strips_threaded=jit.get("strips_threaded", 0),
+                        serialized=counters["team"]["serialized"],
+                        fallbacks=jit.get("fallbacks", {}),
                         trace=(
                             [r.to_json() for r in trace.records()]
                             if trace is not None
@@ -410,13 +415,14 @@ def format_measured_table(result: MeasuredScalingResult) -> str:
         f"measured wall clock (host seconds), {result.grid}x{result.grid} grid,"
         f" {result.steps} time steps, serial reference {result.serial_seconds:.3f}s",
         f"{'workers':>7}  {'barrier':>8}  {'seconds':>9}  {'steps/s':>9}"
-        f"  {'halo copies':>11}  {'max |err|':>9}",
+        f"  {'sweep (s)':>9}  {'strips threaded':>15}  {'max |err|':>9}",
     ]
     for point in result.points:
         lines.append(
             f"{point.workers:>7}  {point.barrier:>8}  {point.seconds:>9.3f}"
-            f"  {point.step_rate:>9.2f}  {point.halo_exchanges:>11}"
-            f"  {point.max_abs_error:>9.2e}"
+            f"  {point.step_rate:>9.2f}"
+            f"  {(point.phase_seconds or {}).get('jit_sweep', 0.0):>9.3f}"
+            f"  {point.strips_threaded:>15}  {point.max_abs_error:>9.2e}"
         )
     return "\n".join(lines)
 

@@ -43,15 +43,11 @@ Interval = Tuple[int, int]
 def split_extent(lower: int, upper: int, parts: int, min_size: int = 1) -> List[Interval]:
     """Static partition of the interval ``[lower, upper)`` into chunks.
 
-    The single chunking implementation shared by the with-loop scheduler
-    (axis-0 chunks, one per worker) and the domain-decomposition runtime
-    (:mod:`repro.par.partition`, which applies it per grid axis).  At
-    most ``parts`` contiguous chunks are produced, sizes differing by at
-    most one (the remainder goes to the leading chunks, like the SaC
-    static scheduler); no chunk is smaller than ``min_size`` (the
-    partitioner passes the halo width here so every subdomain can feed
-    its neighbours' ghost cells).  A zero or negative extent yields no
-    chunks.
+    The chunking of the with-loop scheduler (axis-0 chunks, one per
+    worker).  At most ``parts`` contiguous chunks are produced, sizes
+    differing by at most one (the remainder goes to the leading chunks,
+    like the SaC static scheduler); no chunk is smaller than
+    ``min_size``.  A zero or negative extent yields no chunks.
     """
     extent = upper - lower
     if extent <= 0:

@@ -248,17 +248,19 @@ class TestCounters:
 class TestEngineValidation:
     def test_bad_field_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            StepEngine((10, 5), (0.1,), SolverConfig())
+            StepEngine((10, 5), (0.1,), SolverConfig(), [transmissive_1d()])
 
     def test_spacing_count_must_match(self):
         with pytest.raises(ConfigurationError):
-            StepEngine((10, 3), (0.1, 0.1), SolverConfig())
+            StepEngine((10, 3), (0.1, 0.1), SolverConfig(), [transmissive_1d()])
 
-    def test_rhs_without_boundaries_rejected(self, rng):
-        engine = StepEngine((8, 3), (0.1,), SolverConfig())
-        u = np.ones((8, 3))
-        with pytest.raises(ConfigurationError):
-            engine.rhs(u, np.empty_like(u))
+    def test_rhs_without_boundaries_rejected(self):
+        """There is no engine without boundaries to call ``rhs`` on: the
+        argument is required and an empty member list is refused."""
+        with pytest.raises(TypeError, match="boundaries"):
+            StepEngine((10, 3), (0.1,), SolverConfig())
+        with pytest.raises(ConfigurationError, match="at least one member"):
+            StepEngine((10, 3), (0.1,), SolverConfig(), [])
 
 
 class TestRunLoopStopEpsilon:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import repro.jit
 from repro.errors import PhysicsError
 from repro.euler import state
+from repro.euler.boundary import all_transmissive_2d, transmissive_1d
 from repro.euler.engine import StepEngine
 from repro.euler.reconstruction import (
     get_scheme,
@@ -304,8 +305,9 @@ def test_eigenvalue_sum_in_place_equals_allocating(ndim, case, spacing):
 
 
 def engine_pair(config, member_shape, spacing):
+    boundaries = [transmissive_1d() if len(spacing) == 1 else all_transmissive_2d()]
     return [
-        StepEngine(member_shape, spacing, config, backend=backend)
+        StepEngine(member_shape, spacing, config, boundaries, backend=backend)
         for backend in ("numpy", "jit")
     ]
 

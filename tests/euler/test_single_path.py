@@ -7,15 +7,16 @@ grid shapes and holds every member to the allocating seed path
 (``use_engine=False``) at 0.0.  The parity tests pin what a failure
 looks like from each driver: a solo blow-up reads exactly as it always
 did (no ``batch_index``), an ensemble blow-up stays member-local, and
-:class:`~repro.par.solver.ParallelSolver2D` still names global cells.
+:class:`~repro.par.solver.ParallelSolver2D` raises the serial solver's.
 
 There is also a single run loop (``solver._MemberDriver``): a solver is
 an ensemble of one.  The one-loop tests run every stepper it drives —
-engine solo, ensemble of one, seed, rank team, member k of B = 3 — to
+engine solo, ensemble of one, seed, engine on a team, member k of B = 3 — to
 the same clamped ``t_end`` and hold them to the same dts and bits, and
 check that any driver can be run again.
 """
 
+import itertools
 import re
 from pathlib import Path
 
@@ -141,9 +142,9 @@ STATE_MESSAGE = (
 )
 
 
-def _poisoned_sod_2d():
+def _poisoned_sod_2d(config=None):
     """12x10 Sod problem with one cell's energy negative (p < 0 there)."""
-    solver, _ = problems.sod_2d(nx=12, ny=10)
+    solver, _ = problems.sod_2d(nx=12, ny=10, config=config)
     solver.u[BAD_CELL + (-1,)] = -1.0
     return solver
 
@@ -245,23 +246,33 @@ class TestEnsembleErrorsStayMemberLocal:
 class TestParallelErrorsStayGlobal:
     @pytest.mark.parametrize("explicit_dt", [None, 1e-4])
     def test_global_cells_and_no_batch_index(self, explicit_dt):
-        """The bad cell sits in rank 1's block (rows 6..11 of 12): the
-        error must name grid cell (7, 3), not block cell (1, 3), on the
-        GetDT path and on the RK-stage validation path alike."""
-        serial = _poisoned_sod_2d()
-        with ParallelSolver2D.from_serial(
-            serial, workers=2, px=2, py=1, barrier="forkjoin"
-        ) as parallel:
-            assert parallel.decomposition.subdomains[1].x0 == 6
-            error = _blow_up(lambda: parallel.step(explicit_dt))
-        serial_error = _blow_up(lambda: serial.step(explicit_dt))
-        assert error.cells == serial_error.cells == [BAD_CELL]
-        assert error.batch_index is None
-        assert error.details["rank"] == 1
-        if explicit_dt is not None:
-            # validation failures carry a window: the rank's own (clipped
-            # at its block edge, row 6), rebased to grid coordinates
-            assert error.neighbourhood.origin == (6, 1)
+        """A team is an annotation on the serial solver's engine, so the
+        error is the serial solver's — message, grid cells, window, no
+        ``batch_index``, no rank detail — for 1/2/4 workers and both
+        barriers, on the GetDT path and on the RK-stage validation path
+        alike; it is raised off the team, which stays usable (one-row
+        strips, so the healed step does run on it)."""
+        serial_error = _blow_up(lambda: _poisoned_sod_2d().step(explicit_dt))
+        assert serial_error.cells == [BAD_CELL]
+        healthy = problems.sod_2d(nx=12, ny=10)[0].u
+        strips = SolverConfig(tile_bytes=ONE_ROW_TILE_BYTES)
+        for workers, barrier in itertools.product((1, 2, 4), ("forkjoin", "spin")):
+            with ParallelSolver2D.from_serial(
+                _poisoned_sod_2d(strips), workers=workers, barrier=barrier
+            ) as parallel:
+                error = _blow_up(lambda: parallel.step(explicit_dt))
+                assert str(error) == str(serial_error)
+                assert error.cells == serial_error.cells
+                assert sorted(error.details) == sorted(serial_error.details)  # no "rank"
+                assert error.batch_index is None
+                assert error.forensics.cells == [BAD_CELL]
+                if explicit_dt is not None:
+                    assert error.neighbourhood.origin == serial_error.neighbourhood.origin
+                    assert np.array_equal(
+                        error.neighbourhood.values, serial_error.neighbourhood.values
+                    )
+                parallel.u[...] = healthy
+                assert parallel.step() > 0.0 and parallel.steps == 1
 
 
 # -- one run loop --------------------------------------------------------------

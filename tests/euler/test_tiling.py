@@ -6,7 +6,7 @@ which rows a ufunc pass sees, never the arithmetic per element.  So the
 differential tests here assert exact equality (max-abs difference of
 0.0), across the full method menu, on odd/ragged grids whose strips do
 not divide evenly, and through :class:`~repro.par.solver.ParallelSolver2D`
-where tile boundaries land inside ranks.  The plan tests pin the
+where the strips are what the worker team splits.  The plan tests pin the
 geometry invariants (full disjoint coverage, ragged tail, clamping) and
 the config/env/default budget resolution.
 """
@@ -241,11 +241,10 @@ class TestTiledCounters:
 
 class TestTiledParallel:
     def test_parallel_tiled_matches_serial_untiled(self, rng):
-        """Two ranks, strips not aligned to the rank boundary, exact.
+        """Two workers on a ragged many-strip plan, exact.
 
-        The rank split of a 19-row grid is 10+9 interior rows; a
-        ~1-row strip budget tiles each rank's sweep independently, so
-        strip seams fall at different global rows than the halo seam.
+        A ~1-row strip budget cuts the 19- and 11-row sweeps into odd
+        strip counts, so the two workers' shares are uneven.
         """
         primitive = smooth_random_2d(rng, 19, 11)
         config = SolverConfig(

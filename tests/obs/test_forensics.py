@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PhysicsError
 from repro.euler import problems
-from repro.euler.solver import EulerEnsemble2D, EulerSolver2D
+from repro.euler.solver import EulerEnsemble2D, EulerSolver2D, SolverConfig
 from repro.obs import StepTrace, attach_forensics, build_report, format_report
 from repro.par.solver import ParallelSolver2D
 
@@ -88,50 +88,62 @@ class TestSerialForensics:
 
 
 class TestParallelForensics:
-    def test_parallel_blowup_names_global_cells(self):
-        serial, _ = problems.sod_2d(nx=24, ny=24)
-        with ParallelSolver2D.from_serial(
-            serial, workers=4, barrier="spin"
-        ) as parallel:
-            sd = parallel.decomposition.subdomains[3]
-            parallel._locals[3][2, 3, -1] = -1.0
+    """A team is an annotation on the serial engine, so the parallel
+    report is the serial report: same grid cells, same window."""
+
+    BAD = (14, 15)
+
+    def _reports(self):
+        """(serial, 4-worker) forensic reports of one poisoned run."""
+        found = []
+        for build in (
+            lambda s: s,
+            lambda s: ParallelSolver2D.from_serial(s, workers=4, barrier="spin"),
+        ):
+            serial, _ = problems.sod_2d(nx=24, ny=24)
+            serial.u[self.BAD + (-1,)] = -1.0
+            solver = build(serial)
             with pytest.raises(PhysicsError) as excinfo:
-                parallel.run(max_steps=3)
-            error = excinfo.value
-            assert (sd.x0 + 2, sd.y0 + 3) in error.cells
-            assert error.details.get("rank") == 3
-            assert error.forensics is not None
-            assert (sd.x0 + 2, sd.y0 + 3) in error.forensics.cells
+                solver.run(max_steps=3)
+            found.append(excinfo.value)
+            if solver is not serial:
+                solver.close()
+        return found
+
+    def test_parallel_blowup_names_global_cells(self):
+        serial_error, error = self._reports()
+        assert error.cells == serial_error.cells == [self.BAD]
+        assert "rank" not in error.details and error.batch_index is None
+        assert error.forensics.cells == serial_error.forensics.cells == [self.BAD]
 
     def test_parallel_neighbourhood_origin_is_global(self):
-        serial, _ = problems.sod_2d(nx=24, ny=24)
-        with ParallelSolver2D.from_serial(
-            serial, workers=4, barrier="spin"
-        ) as parallel:
-            sd = parallel.decomposition.subdomains[3]
-            parallel._locals[3][2, 3, -1] = -1.0
-            with pytest.raises(PhysicsError) as excinfo:
-                parallel.run(max_steps=3)
+        serial_error, error = self._reports()
         # GetDT failures carry cells but no window; the report rebuilds
-        # one from the gathered global state, so its origin is global.
-        hood = excinfo.value.forensics.neighbourhood
+        # one from the solver's (global) state.
+        hood = error.forensics.neighbourhood
         assert hood is not None
-        gx, gy = sd.x0 + 2, sd.y0 + 3
-        assert hood.origin[0] <= gx < hood.origin[0] + hood.values.shape[0]
-        assert hood.origin[1] <= gy < hood.origin[1] + hood.values.shape[1]
+        assert hood.origin == serial_error.forensics.neighbourhood.origin == (12, 13)
+        assert np.array_equal(
+            hood.values, serial_error.forensics.neighbourhood.values, equal_nan=True
+        )
 
-    def test_parallel_trace_records_halo_and_barrier_telemetry(self):
-        serial, _ = problems.sod_2d(nx=24, ny=24)
+    def test_parallel_trace_records_team_telemetry(self):
+        config = SolverConfig(tile_bytes=1)  # one-row strips: work for the team
+        serial, _ = problems.sod_2d(nx=24, ny=24, config=config)
         with ParallelSolver2D.from_serial(
-            serial, workers=4, barrier="spin"
+            serial, workers=4, barrier="forkjoin"
         ) as parallel:
             trace = StepTrace()
             parallel.run(max_steps=3, watch=trace)
             record = trace.records()[-1]
             assert record.workers == 4
-            assert record.halo_copies > 0
-            assert record.halo_bytes > 0
             assert record.barrier_wait_seconds >= 0.0
+            if record.jit_strips_threaded:
+                assert record.jit_threads == 4
+                assert sum(r.barrier_wait_seconds for r in trace.records()) == (
+                    pytest.approx(parallel.barrier_wait_seconds)
+                )
+                assert parallel.barrier_wait_seconds > 0.0
             assert record.phase_seconds is not None
 
 

@@ -85,7 +85,7 @@ class TestRecordedRun:
         assert first.phase_seconds is not None
         assert set(first.phase_seconds) >= {"riemann", "rk", "dt"}
         assert first.workers == 1
-        assert first.halo_copies == 0
+        assert first.barrier_wait_seconds == 0.0
 
     def test_conservation_drift_is_relative_to_first_record(self):
         solver, _ = problems.sod(n_cells=64)
@@ -155,6 +155,24 @@ class TestJsonl:
         payload = _record(0).to_json()
         payload["bogus"] = 1
         with pytest.raises(ConfigurationError, match="bogus"):
+            TraceRecord.from_json(payload)
+
+    def test_retired_halo_fields_still_load(self, tmp_path):
+        """Exports written while ``repro.par`` copied halos (old spool
+        files, the committed BENCH_steprate_trace.jsonl) read back as
+        the same records without the two retired keys."""
+        import json
+
+        payload = _record(3).to_json()
+        payload.update(halo_copies=24, halo_bytes=4096)
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        assert read_jsonl(path) == [_record(3)]
+
+    def test_only_the_retired_fields_are_let_through(self):
+        payload = _record(0).to_json()
+        payload.update(halo_copies=24, halo_bytes=4096, halo_strips=3)
+        with pytest.raises(ConfigurationError, match=r"\['halo_strips'\]"):
             TraceRecord.from_json(payload)
 
     def test_pre_backend_payloads_still_parse(self):

@@ -1,16 +1,18 @@
-"""Partitioning: the shared chunker and the 2-D block decomposition."""
+"""Static partitioning: the with-loop scheduler's chunker.
 
-import pytest
+(``repro.par`` no longer partitions anything — the engine's strip plan
+is the one decomposition — but the chunker these tests pin is still the
+SaC scheduler's.)
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.par.partition import choose_process_grid, decompose
 from repro.sac.eval.scheduler import split_bounds, split_extent
 
 
 class TestSplitExtent:
-    """Edge cases of the single shared chunking implementation."""
+    """Edge cases of the chunking implementation."""
 
     def test_parts_exceeding_extent_clamp_to_one_cell_chunks(self):
         assert split_extent(0, 3, 10) == [(0, 1), (1, 2), (2, 3)]
@@ -71,79 +73,3 @@ class TestSplitBoundsCompat:
 
     def test_rank_zero_box_passes_through(self):
         assert split_bounds((), (), 4) == [((), ())]
-
-
-class TestChooseProcessGrid:
-    def test_square_worker_counts(self):
-        assert choose_process_grid(4, 100, 100) == (2, 2)
-        assert choose_process_grid(16, 100, 100) == (4, 4)
-
-    def test_longer_axis_gets_larger_factor(self):
-        assert choose_process_grid(6, 300, 100) == (3, 2)
-        assert choose_process_grid(6, 100, 300) == (2, 3)
-
-    def test_primes_become_slabs(self):
-        assert choose_process_grid(7, 100, 50) == (7, 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            choose_process_grid(0, 10, 10)
-
-
-class TestDecompose:
-    @given(
-        nx=st.integers(4, 64),
-        ny=st.integers(4, 64),
-        workers=st.integers(1, 9),
-        halo=st.integers(1, 3),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_blocks_tile_the_grid_disjointly(self, nx, ny, workers, halo):
-        decomp = decompose(nx, ny, workers=workers, halo=halo)
-        seen = set()
-        for sd in decomp.subdomains:
-            for i in range(sd.x0, sd.x1):
-                for j in range(sd.y0, sd.y1):
-                    assert (i, j) not in seen
-                    seen.add((i, j))
-        assert len(seen) == nx * ny
-        # the halo floor keeps every cut block wide enough to feed a ghost strip
-        for sd in decomp.subdomains:
-            if decomp.px > 1:
-                assert sd.nx >= halo
-            if decomp.py > 1:
-                assert sd.ny >= halo
-
-    def test_neighbour_topology(self):
-        decomp = decompose(8, 8, px=2, py=2, halo=2)
-        by_coords = {sd.coords: sd for sd in decomp.subdomains}
-        corner = by_coords[(0, 0)]
-        assert corner.left is None and corner.bottom is None
-        assert decomp.subdomains[corner.right].coords == (1, 0)
-        assert decomp.subdomains[corner.top].coords == (0, 1)
-        # neighbour links are symmetric
-        for sd in decomp.subdomains:
-            if sd.right is not None:
-                assert decomp.subdomains[sd.right].left == sd.rank
-            if sd.top is not None:
-                assert decomp.subdomains[sd.top].bottom == sd.rank
-        assert decomp.neighbour_pairs() == 8
-
-    def test_single_worker_has_no_neighbours(self):
-        decomp = decompose(16, 16, workers=1)
-        (sd,) = decomp.subdomains
-        assert (sd.left, sd.right, sd.bottom, sd.top) == (None, None, None, None)
-        assert (sd.nx, sd.ny) == (16, 16)
-
-    def test_grid_too_small_for_cuts_degrades_gracefully(self):
-        # 4 cells with halo 2 admit at most 2 chunks per axis
-        decomp = decompose(4, 4, px=4, py=4, halo=2)
-        assert (decomp.px, decomp.py) == (2, 2)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            decompose(0, 8, workers=2)
-        with pytest.raises(ConfigurationError):
-            decompose(8, 8, workers=2, halo=0)
-        with pytest.raises(ConfigurationError):
-            decompose(8, 8)  # neither workers nor px/py

@@ -1,4 +1,4 @@
-"""Worker pool, barrier flavours, and the slot reduction."""
+"""Worker pool and barrier flavours."""
 
 import threading
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.par.pool import BarrierAborted, CondBarrier, WorkerPool, make_barrier
-from repro.par.reduce import SlotReduction
 from repro.sac.runtime.spinlock import SpinBarrier
 
 BARRIERS = ["spin", "forkjoin"]
@@ -193,44 +192,3 @@ class TestBarriers:
         # the injected abort still poisons *later* waits
         with pytest.raises(BarrierAborted):
             barrier.wait()
-
-
-class TestSlotReduction:
-    def test_min_max_sum(self):
-        slots = SlotReduction(3)
-        for index, value in enumerate([3.0, 1.0, 2.0]):
-            slots.deposit(index, value)
-        assert slots.combine("max") == 3.0
-        for index, value in enumerate([3.0, 1.0, 2.0]):
-            slots.deposit(index, value)
-        assert slots.combine("sum") == 6.0
-
-    def test_min_matches_serial_getdt_quotient(self):
-        # min over cfl/ev_k equals cfl/max(ev_k) bit for bit
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            evs = rng.uniform(0.1, 50.0, size=4)
-            cfl = rng.uniform(0.1, 1.0)
-            slots = SlotReduction(4)
-            for index, ev in enumerate(evs):
-                slots.deposit(index, cfl / ev)
-            assert slots.combine("min") == cfl / evs.max()
-
-    def test_missing_deposit_detected(self):
-        slots = SlotReduction(2)
-        slots.deposit(0, 1.0)
-        with pytest.raises(ConfigurationError, match=r"\[1\]"):
-            slots.combine("min")
-
-    def test_combine_resets_for_next_round(self):
-        slots = SlotReduction(1)
-        slots.deposit(0, 1.0)
-        slots.combine("min")
-        with pytest.raises(ConfigurationError):
-            slots.combine("min")
-
-    def test_unknown_op_rejected(self):
-        slots = SlotReduction(1)
-        slots.deposit(0, 1.0)
-        with pytest.raises(ConfigurationError):
-            slots.combine("mean")

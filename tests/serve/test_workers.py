@@ -159,20 +159,28 @@ def test_exact_job_completes_through_the_same_entry_point(pool):
 
 
 def test_intra_job_parallel_solver_matches_serial(pool):
+    """A ``workers=2`` job is its ``workers=1`` twin run on a fork/join
+    team (the default once was ``spin``: ~0.3x serial for every such
+    job); one-row strips give the team something to split."""
+    from repro.serve.workers import _build_solver
+
     base_args = {"nx": 32, "ny": 16}
+    config = SolverConfig(tile_bytes=1)
     serial = run_job(
         pool,
-        JobSpec(problem="sod_2d", problem_args=base_args, max_steps=5),
+        JobSpec(problem="sod_2d", problem_args=base_args, config=config, max_steps=5),
         job_id="p1",
     )[-1]["result"]
-    parallel = run_job(
-        pool,
-        JobSpec(
-            problem="sod_2d", problem_args={**base_args, "workers": 2}, max_steps=5
-        ),
-        job_id="p2",
-    )[-1]["result"]
+    spec = JobSpec(
+        problem="sod_2d", problem_args={**base_args, "workers": 2}, config=config,
+        max_steps=5,
+    )
+    parallel = run_job(pool, spec, job_id="p2")[-1]["result"]
     assert parallel["state_sha256"] == serial["state_sha256"]
+    solver, close = _build_solver(spec)
+    team = solver.engine.counters()["team"]
+    assert (team["workers"], team["barrier"]) == (2, "forkjoin")
+    close()
     # the same payload, key for key: which stepper ran is not visible
     assert set(parallel) == set(serial)
     for key in set(serial) - {"wall_seconds"}:
