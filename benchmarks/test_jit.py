@@ -83,6 +83,7 @@ def _measure(config):
         ),
         "spec": stats["spec"],
         "compiled": stats["compiled"],
+        "vector": stats["vector"],  # what cc reported for the two loops, bytes
         "sweep_calls": stats["sweep_calls"],
         "dt_calls": stats["dt_calls"],
         "fallbacks": stats["fallbacks"],

@@ -20,7 +20,12 @@ variables × ndim specialization is lowered to kernel IR, verified
 dependence prover (:mod:`repro.analysis.deps` — footprint vs. ghost
 width, strip write-disjointness) ahead of time, so a specialization
 that could not be compiled or threaded is caught in CI rather than at
-first engine use.  It also builds, verifies and schedules every
+first engine use.  Where a C compiler is available each specialization
+is also *built* (through the ordinary cache) and what the compiler
+reports for its two point loops is recorded per spec as ``vectorised``,
+``scalar`` or ``not-observed`` (``"kind": "jit-kernel"`` lines in the
+JSONL); ``scalar`` — a compiler that reports, and reports nothing for a
+loop — is error ``JIT-VEC001``.  It also builds, verifies and schedules every
 *standalone* kernel IR (one Riemann solver, scheme, conversion or
 eigenvalue sum — the in-place NumPy path, :func:`repro.jit.numpy_eval
 .numpy_program`), so an emitter only the NumPy path reaches is checked
@@ -115,7 +120,49 @@ def lint_f90_source(
     return engine
 
 
-def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
+def _observe_vector(
+    spec, flux_ir, dt_ir, engine: DiagnosticEngine, build: bool
+) -> Dict[str, object]:
+    """Build ``spec``'s kernel and classify what the compiler reported
+    for its sweep and dt loops (the ``jit-kernel`` JSONL record).  A
+    spec with findings is not built (``build=False``): not observed."""
+    import repro.jit
+    from repro.jit import codegen
+    from repro.jit import compile as jit_compile
+
+    label = spec.label()
+    vector: Dict[str, Optional[int]] = {"sweep": None, "dt": None}
+    if build and repro.jit.available():
+        try:
+            source = codegen.generate_source(spec, flux_ir, dt_ir)
+            vector = jit_compile.load_kernel(source, spec.ndim).vector
+        except jit_compile.CompileError as error:
+            engine.warning(
+                "JIT-VEC002",
+                f"{label}: kernel did not build, vectorisation not observed: {error}",
+                source="repro.lint",
+                where=label,
+            )
+    scalar = sorted(loop for loop, width in vector.items() if width == 0)
+    if scalar:
+        engine.error(
+            "JIT-VEC001",
+            f"{label}: the compiler reports no vectorised {' / '.join(scalar)} loop",
+            source="repro.lint",
+            where=label,
+        )
+        verdict = "scalar"
+    elif None in vector.values():
+        verdict = "not-observed"
+    else:
+        verdict = "vectorised"
+    return {"kind": "jit-kernel", "spec": label, "vector": verdict, **vector}
+
+
+def lint_jit_kernels(
+    engine: Optional[DiagnosticEngine] = None,
+    records: Optional[List[Dict[str, object]]] = None,
+) -> int:
     """Lower + verify + dependence-prove the whole KernelSpec matrix.
 
     Every registered riemann × reconstruction × limiter × variables ×
@@ -125,8 +172,10 @@ def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
     and its access maps run through :func:`repro.analysis.deps
     .prove_strips` (sweep, against a representative two-strip plan and
     the declared ghost width) and :func:`~repro.analysis.deps
-    .prove_footprint` (dt).  Findings land in ``engine``; returns the
-    number of distinct specs checked.
+    .prove_footprint` (dt).  Each spec that came through clean is then
+    built and its vector report classified (:func:`_observe_vector`;
+    one record per spec appended to ``records`` when given).  Findings
+    land in ``engine``; returns the number of distinct specs checked.
     """
     import itertools
 
@@ -157,8 +206,10 @@ def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
             )
             specs[spec_from_config(config, ndim)] = None
 
+    records = records if records is not None else []
     for spec in specs:
         label = spec.label()
+        errors_before = len(engine.errors)
         # verify_kernel raises as soon as *any* error is on its engine,
         # so each spec gets a private one; findings are merged after.
         local = DiagnosticEngine()
@@ -169,6 +220,7 @@ def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
             verify_kernel(dt_ir, label, engine=local)
         except AnalysisError:
             engine.extend(local.diagnostics)
+            records.append(_observe_vector(spec, None, None, engine, build=False))
             continue
         engine.extend(local.diagnostics)
         # Representative two-strip plan: enough to exercise every
@@ -181,6 +233,8 @@ def lint_jit_kernels(engine: Optional[DiagnosticEngine] = None) -> int:
         deps.prove_footprint(
             codegen.dt_access_map(spec, dt_ir), engine=engine, where=label
         )
+        clean = len(engine.errors) == errors_before
+        records.append(_observe_vector(spec, flux_ir, dt_ir, engine, build=clean))
     return len(specs)
 
 
@@ -310,10 +364,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         checked.append(f"{name}: {len(engine) - before} finding(s)")
 
+    kernel_records: List[Dict[str, object]] = []
     if arguments.jit:
         before = len(engine)
         try:
-            verified = lint_jit_kernels(engine)
+            verified = lint_jit_kernels(engine, kernel_records)
             matrix_findings = len(engine) - before
             standalone = lint_numpy_kernels(engine)
         except ReproError as error:
@@ -328,6 +383,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"jit kernel matrix: {verified} spec(s) verified, "
                 f"{matrix_findings} finding(s)"
             )
+            verdicts = [record["vector"] for record in kernel_records]
+            widths = sorted(
+                {
+                    f"{loop} {record[loop]} B"
+                    for record in kernel_records
+                    for loop in ("sweep", "dt")
+                    if record[loop]
+                }
+            )
+            checked.append(
+                "jit vector build: "
+                + ", ".join(
+                    f"{verdicts.count(verdict)} {verdict}"
+                    for verdict in ("vectorised", "scalar", "not-observed")
+                )
+                + (f" ({', '.join(widths)})" if widths else "")
+            )
             checked.append(
                 f"numpy kernel programs: {standalone} standalone IR(s) verified, "
                 f"{len(engine) - before - matrix_findings} finding(s)"
@@ -336,8 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     stream = open(arguments.output, "w") if arguments.output else sys.stdout
     try:
         if arguments.json:
-            for diagnostic in engine:
-                stream.write(json.dumps(diagnostic.to_dict()))
+            payloads = [diagnostic.to_dict() for diagnostic in engine]
+            for payload in payloads + kernel_records:
+                stream.write(json.dumps(payload))
                 stream.write("\n")
         else:
             for line in checked:

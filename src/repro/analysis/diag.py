@@ -34,11 +34,15 @@ DEP002     overlapping writes between strips or loop iterations
            (parallel execution would race)
 DEP003     read-after-write between strips (threading would reorder)
 DEP004     dependence proof unavailable — dispatcher must serialize
+JIT-VEC001 a built kernel's sweep or dt loop is scalar: the compiler
+           reports its vectorised loops and names neither
+JIT-VEC002 warning: a kernel did not build, so nothing was observed
 F90-RACE001 autopar marked a loop parallel that may race (hard error)
 F90-RACE002 checker proves a loop independent that autopar serialised
 ========== =============================================================
 
 ``SAC-*``/``F90-*`` come from the SaC/Fortran front-end checkers;
+``JIT-VEC*`` from ``repro.lint --jit`` building the kernel matrix;
 ``DEP*`` from the affine dependence prover (:mod:`repro.analysis.deps`)
 that licenses the threaded JIT strip dispatch and upgrades
 ``wl-check``'s symbolic-bounds verdicts.

@@ -30,12 +30,21 @@ How it works
   before any C is generated; diagnostics name the failing
   specialization.
 * :mod:`repro.jit.codegen` lowers the verified IR to C99 and
-  :mod:`repro.jit.compile` builds it with the system C compiler
-  (``-O2 -fPIC -shared -ffp-contract=off`` — contraction off so the
-  compiler cannot fuse a mirrored multiply+add into an FMA with
-  different rounding), caches the shared object by source hash, and
-  loads it through :mod:`ctypes`.  First use compiles; later engines —
-  and later processes — reuse the cached ``.so``.
+  :mod:`repro.jit.compile` builds it with the system C compiler under
+  one flag tuple, the *vector build* (:data:`repro.jit.codegen.CFLAGS`:
+  ``-O3 -march=native -fno-math-errno -fno-trapping-math -fPIC -shared
+  -ffp-contract=off``): the compiler runs the per-face and per-cell
+  loops in SIMD lanes, every lane the same IEEE operation on the same
+  operands — contraction off so no multiply+add becomes an FMA with
+  different rounding, and no value-changing flag admitted
+  (:func:`repro.jit.codegen.check_value_neutral`).  Whether the loops
+  of a given kernel were vectorised, and how wide, is read back from
+  the compiler and published (``stats()["vector"]``).  The shared
+  object is cached under ``sha256(source, compiler, flags, target)`` —
+  the object depends on who built it for which CPU, not on the source
+  alone — and loaded through :mod:`ctypes`.  First use compiles; later
+  engines — and later processes on the same kind of host — reuse the
+  cached ``.so``.
 * :class:`repro.jit.backend.JitBackend` is the ``KernelBackend`` the
   :class:`~repro.euler.engine.StepEngine` dispatches through,
   strip-wise, so :mod:`repro.euler.tiling` still governs the working

@@ -350,9 +350,13 @@ class JitBackend:
 
     def stats(self) -> Dict[str, object]:
         """JSON-friendly counter snapshot (engine counters / step trace)."""
+        kernel = self._kernel
         snapshot: Dict[str, object] = {
             "spec": self.spec.label(),
-            "compiled": self._kernel is not None,
+            "compiled": kernel is not None,
+            # What the compiler reported for this kernel's two point
+            # loops: bytes per vector, 0 = scalar, None = not reported.
+            "vector": None if kernel is None else dict(kernel.vector),
             "sweep_calls": self.sweep_calls,
             "dt_calls": self.dt_calls,
             "fallbacks": dict(self.fallbacks),

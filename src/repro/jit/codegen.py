@@ -12,14 +12,25 @@ One translation unit per specialization, containing:
 * ``dt_point`` + ``repro_jit_dt`` — the fused per-cell
   convert+eigenvalue GetDT pass with a per-group NaN-propagating max
   reduction (group = one strip for the solo engine, one member for the
-  batch engine).
+  batch engine), in chunks of :data:`DT_CHUNK` cells: ``dt_point`` fills
+  a stack buffer of eigenvalue sums (a loop with no carried value),
+  then the max runs over the buffer.
+
+The C is written so that the system compiler can run both point loops —
+the sweep's cross loop and the dt pass's cell loop — in SIMD lanes
+under :data:`CFLAGS` (the *vector build*; no intrinsics, one text):
+the array-of-structs ``padded[((j+k)*cross+i)*F+f]`` reads become
+interleaved load groups and every ``select``/``nmin``/``nmax``/``nsign``
+ternary a blend.  Whether that happened for a given kernel is read back
+from the compiler by :mod:`repro.jit.compile`, not assumed.
 
 Bit-identity ground rules baked in here:
 
 * every SSA op lowers to exactly one C double operation; the build
-  flags (:data:`CFLAGS`) disable floating-point contraction so the
-  compiler cannot fuse a mirrored multiply+add into an FMA with
-  different rounding;
+  flags (:data:`CFLAGS`, each with its value-neutrality argument beside
+  it) disable floating-point contraction so the compiler cannot fuse a
+  mirrored multiply+add into an FMA with different rounding, and
+  :func:`check_value_neutral` keeps every value-changing flag out;
 * ``minimum``/``maximum`` lower to helpers with NumPy's loop semantics
   (``(a < b || isnan(a)) ? a : b``) — *not* C ``fmin``/``fmax``, which
   silently drop NaNs;
@@ -27,9 +38,10 @@ Bit-identity ground rules baked in here:
   ``np.sign``;
 * constants are emitted as C99 hex-float literals, so the compiled
   value is the exact Python double the NumPy path multiplies by;
-* the max reduction runs left to right from the first element —
-  ``max`` is order-independent for the reduction NumPy performs
-  (``np.max`` over the strip), and NaNs poison it in any order.
+* the max reduction runs left to right from the first element, chunk
+  after chunk in cell order — ``max`` is order-independent for the
+  reduction NumPy performs (``np.max`` over the strip), and NaNs poison
+  it in any order.
 """
 
 from __future__ import annotations
@@ -42,16 +54,98 @@ from repro.jit.kernels import KernelSpec
 
 __all__ = [
     "CFLAGS",
+    "REFERENCE_CFLAGS",
+    "FORBIDDEN_CFLAGS",
+    "check_value_neutral",
+    "SWEEP_CROSS_LOOP",
+    "DT_CELL_LOOP",
     "LOWERED_OPCODES",
     "generate_source",
     "sweep_access_map",
     "dt_access_map",
 ]
 
-#: Compiler flags for the kernel shared objects.  ``-ffp-contract=off``
-#: is load-bearing: without it the compiler may fuse a*b+c into an FMA
-#: whose single rounding differs from NumPy's two.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: The one flag tuple every kernel is built with first — the *vector
+#: build*.  Each flag is value-neutral: every lane performs the same
+#: IEEE-754 operation on the same operands as the scalar code, so no
+#: result bit can move (``tests/euler/test_kernel_single_source.py``
+#: holds that lane by lane against :data:`REFERENCE_CFLAGS` and NumPy).
+CFLAGS = (
+    # The vectoriser with its real cost model (at -O2 gcc 12 only runs
+    # the "very-cheap" one, which refuses these loops).  Optimisation
+    # level alone never licenses a value-changing transformation.
+    "-O3",
+    # Lanes as wide as this host has.  Selects instructions, not
+    # arithmetic: vaddpd/vmulpd/vdivpd/vsqrtpd are correctly rounded,
+    # lane for lane what addsd/mulsd/divsd/sqrtsd compute.  The object
+    # only runs on this CPU family, which is why repro.jit.compile names
+    # cache entries by what "native" resolved to.
+    "-march=native",
+    # sqrt() need not write errno for a negative argument, so it becomes
+    # one (vector) instruction instead of a libm call on a branch.  The
+    # value returned — NaN — is the same; nothing here reads errno.
+    "-fno-math-errno",
+    # The compiler may evaluate an operation whose result is then not
+    # used, ignoring that it could raise an FP exception flag: that is
+    # what lets it turn the select/nmin/nmax/nsign ternaries into blends
+    # ("control flow in loop" otherwise).  The SSA IR has already
+    # evaluated both arms unconditionally, no trap is enabled, and no
+    # flag is read; the selected value is the same either way.
+    "-fno-trapping-math",
+    "-fPIC",
+    "-shared",
+    # Load-bearing for bit-identity: without it the compiler may fuse
+    # a*b+c into an FMA whose single rounding differs from NumPy's two
+    # (-march=native makes FMA instructions available, so it matters
+    # more than it did).
+    "-ffp-contract=off",
+)
+
+#: The scalar build the vector build is differentially tested against,
+#: and the one retry a compiler that rejects :data:`CFLAGS` gets
+#: (:func:`repro.jit.compile.load_kernel`).  Nothing else selects it.
+REFERENCE_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Flags that let a compiler change a result bit (reassociation,
+#: reciprocals, dropped NaN/inf/signed-zero handling, contraction).
+#: None may ever reach a kernel build: :func:`check_value_neutral` runs
+#: on import here and again on every compiler command line.
+FORBIDDEN_CFLAGS = (
+    "-ffast-math",
+    "-Ofast",
+    "-funsafe-math-optimizations",
+    "-fassociative-math",
+    "-freciprocal-math",
+    "-ffinite-math-only",
+    "-fno-signed-zeros",
+    "-ffp-contract=fast",
+)
+
+
+def check_value_neutral(flags) -> None:
+    """Raise ``ValueError`` if ``flags`` holds a value-changing flag or
+    leaves floating-point contraction on."""
+    bad = sorted(set(flags) & set(FORBIDDEN_CFLAGS))
+    if bad:
+        raise ValueError(f"value-changing compiler flag(s) {bad} in {tuple(flags)}")
+    if "-ffp-contract=off" not in flags:
+        raise ValueError(f"-ffp-contract=off missing from {tuple(flags)}")
+
+
+check_value_neutral(CFLAGS)
+check_value_neutral(REFERENCE_CFLAGS)
+
+#: The two loops the vector build is about, as emitted: the cross loop of
+#: the sweep (``flux_point`` per face) and the cell loop of the dt pass
+#: (``dt_point`` per cell of a chunk).  :mod:`repro.jit.compile` finds
+#: these lines in a source to read the compiler's vectorisation report
+#: for exactly them.
+SWEEP_CROSS_LOOP = "        for (long i = 0; i < cross; ++i) {"
+DT_CELL_LOOP = "            for (long c = 0; c < n; ++c) {  /* dt cells */"
+
+#: Cells per chunk of the dt pass: ``dt_point`` fills a stack buffer of
+#: this many eigenvalue sums (2 KiB), then the max runs over the buffer.
+DT_CHUNK = 256
 
 _PRELUDE = """\
 #include <math.h>
@@ -215,7 +309,9 @@ def dt_access_map(spec: KernelSpec, dt_ir: KernelIR):
     Groups are the unit: iteration ``g`` reads group ``g`` of ``u``,
     writes group ``g`` of ``prim`` and entry ``g`` of ``group_max`` —
     trivially injective, so the per-strip dt dispatch needs no further
-    geometry.
+    geometry.  The chunk buffer of eigenvalue sums (``evbuf``,
+    :data:`DT_CHUNK` doubles) is on the C function's own stack, private
+    to each call, so it is no access of this map.
     """
     from repro.analysis import deps
 
@@ -287,7 +383,7 @@ def generate_source(
         f"    double* fprev = scratch;",
         f"    double* fcur = scratch + cross * {nfields};",
         "    for (long j = 0; j <= cells; ++j) {",
-        "        for (long i = 0; i < cross; ++i) {",
+        SWEEP_CROSS_LOOP,
         f"            flux_point({face_args}, gamma, fcur + i * {nfields});",
         "        }",
         "        if (j > 0) {",
@@ -313,7 +409,7 @@ def generate_source(
 
     spacing_params = ", ".join(f"double sp{axis}" for axis in range(spec.ndim))
     cell_args = ", ".join(
-        f"ubase[c * {nfields} + {f}]" for f in range(nfields)
+        f"uchunk[c * {nfields} + {f}]" for f in range(nfields)
     )
     spacing_args = ", ".join(f"sp{axis}" for axis in range(spec.ndim))
     lines += [
@@ -324,15 +420,23 @@ def generate_source(
         "                  long groups, long cells_per_group,",
         f"                  double gamma, {spacing_params})",
         "{",
+        f"    double evbuf[{DT_CHUNK}];",
         "    for (long g = 0; g < groups; ++g) {",
         f"        const double* ubase = u + g * cells_per_group * {nfields};",
         f"        double* pbase = prim + g * cells_per_group * {nfields};",
         "        double m = 0.0;",
-        "        for (long c = 0; c < cells_per_group; ++c) {",
-        "            double ev;",
-        f"            dt_point({cell_args}, gamma, {spacing_args},",
-        f"                     pbase + c * {nfields}, &ev);",
-        "            m = c == 0 ? ev : nmax(m, ev);",
+        f"        for (long c0 = 0; c0 < cells_per_group; c0 += {DT_CHUNK}) {{",
+        "            const long rest = cells_per_group - c0;",
+        f"            const long n = rest < {DT_CHUNK} ? rest : {DT_CHUNK};",
+        f"            const double* uchunk = ubase + c0 * {nfields};",
+        f"            double* pchunk = pbase + c0 * {nfields};",
+        DT_CELL_LOOP,
+        f"                dt_point({cell_args}, gamma, {spacing_args},",
+        f"                         pchunk + c * {nfields}, evbuf + c);",
+        "            }",
+        "            for (long c = 0; c < n; ++c) {",
+        "                m = c0 + c == 0 ? evbuf[c] : nmax(m, evbuf[c]);",
+        "            }",
         "        }",
         "        group_max[g] = m;",
         "    }",

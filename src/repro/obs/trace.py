@@ -72,6 +72,10 @@ class TraceRecord:
     jit_compile_seconds: float = 0.0
     jit_cache_hits: int = 0
     jit_cache_misses: int = 0
+    #: What the compiler reported for the loaded kernel's sweep and dt
+    #: point loops, bytes per vector (``{"sweep": 64, "dt": 64}``; 0 =
+    #: scalar, None = this compiler does not say); None with no kernel.
+    jit_vector: Optional[Dict[str, Optional[int]]] = None
     #: Proof-licensed threaded strip dispatch (cumulative snapshots):
     #: worker threads, strips served threaded, and strips serialized
     #: because the dependence proof failed or was unavailable.
@@ -226,6 +230,7 @@ class StepTrace:
             "jit_compile_seconds": float(stats.get("compile_seconds", 0.0)),
             "jit_cache_hits": int(stats.get("cache_hits", 0)),
             "jit_cache_misses": int(stats.get("cache_misses", 0)),
+            "jit_vector": stats.get("vector"),
             "jit_threads": int(stats.get("threads", 1)),
             "jit_strips_threaded": int(stats.get("strips_threaded", 0)),
             "jit_strips_serialized": int(sum(serialized.values())),

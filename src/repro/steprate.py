@@ -182,10 +182,12 @@ def measure_batch_steprate(
 def _jit_summary(counters: Dict[str, object]) -> str:
     """Lines making a degraded jit run visible from the CLI.
 
-    Reports worker threads and threaded-strip counts, then every
-    *counted reason* the backend served strips outside the fast path:
-    per-strip NumPy fallbacks and proof-failure serializations.  Empty
-    string when the engine carries no jit backend.
+    Reports worker threads, threaded-strip counts and what the compiler
+    reported for the kernel's sweep / dt loops (bytes per vector,
+    ``scalar``, or ``not reported``), then every *counted reason* the
+    backend served strips outside the fast path: per-strip NumPy
+    fallbacks, proof-failure serializations and rejected compiler
+    flags.  Empty string when the engine carries no jit backend.
     """
     stats = counters.get("jit")
     if not isinstance(stats, dict):
@@ -195,12 +197,21 @@ def _jit_summary(counters: Dict[str, object]) -> str:
         f" sweep_calls={stats.get('sweep_calls', 0)}"
         f" strips_threaded={stats.get('strips_threaded', 0)}"
     ]
+    vector = stats.get("vector")
+    if vector is not None:
+        words = {None: "unreported", 0: "scalar"}
+        lines[0] += " vector: " + " ".join(
+            f"{loop}={words.get(width, f'{width}B')}"
+            for loop, width in sorted(vector.items())
+        )
     fallbacks = stats.get("fallbacks") or {}
     for reason, count in sorted(fallbacks.items()):
         lines.append(f"  jit fallback ({count} strip(s)): {reason}")
     serialized = stats.get("serialized") or {}
     for reason, count in sorted(serialized.items()):
         lines.append(f"  jit serialized ({count} strip(s)): {reason}")
+    for reason, count in sorted((stats.get("flag_fallbacks") or {}).items()):
+        lines.append(f"  jit {reason} ({count}x)")
     return "\n".join(lines)
 
 

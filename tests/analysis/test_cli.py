@@ -203,6 +203,62 @@ class TestJitMatrixLint:
         lint_jit_kernels(engine)
         assert "DEP001" in engine.codes()
 
+    def test_every_spec_reports_vectorised_loops(self, tmp_path):
+        """"Vectorised" as an observed fact over the whole matrix: on
+        gcc/x86-64 every spec's sweep and dt loop report a width; the
+        same verdicts are the ``jit-kernel`` lines of the JSONL."""
+        import platform
+
+        import repro.jit
+        from repro.jit import compile as jit_compile
+
+        report = tmp_path / "lint-jit.jsonl"
+        assert main(["--jit", "--json", "--output", str(report)]) == 0
+        lines = [json.loads(line) for line in report.read_text().splitlines()]
+        kernels = [line for line in lines if line["kind"] == "jit-kernel"]
+        assert len(kernels) == 232 and len({k["spec"] for k in kernels}) == 232
+        assert read_diagnostics_jsonl(report) == []  # mixed kinds still parse
+        if not repro.jit.available():
+            assert all(k["vector"] == "not-observed" for k in kernels)
+            assert all(k["sweep"] is None and k["dt"] is None for k in kernels)
+            pytest.skip("no C compiler: nothing was built, nothing observed")
+        chain = jit_compile.toolchain()
+        if chain.family is None:
+            assert all(k["vector"] == "not-observed" for k in kernels)
+            assert all(k["sweep"] is None and k["dt"] is None for k in kernels)
+            pytest.skip(f"{chain.version!r} has no vectorisation report to read")
+        if chain.family != "gcc" or platform.machine() != "x86_64":
+            assert all(isinstance(k["sweep"], int) and isinstance(k["dt"], int) for k in kernels)
+            pytest.skip(
+                f"{chain.family} on {platform.machine()}: observed"
+                " (lint exit 0: none scalar), widths pinned for gcc/x86-64 only"
+            )
+        assert chain.flags == jit_compile.CFLAGS  # not a compiler on the fallback
+        for kernel in kernels:
+            assert kernel["vector"] == "vectorised", kernel
+            assert kernel["sweep"] >= 16 and kernel["dt"] >= 16, kernel
+
+    def test_scalar_kernel_fails_the_lint(self, monkeypatch, capsys):
+        """Where the compiler reports and a loop is not in the report,
+        the matrix lint fails with JIT-VEC001 naming spec and loop."""
+        import repro.jit
+        from repro.analysis.cli import lint_jit_kernels
+        from repro.analysis.diag import DiagnosticEngine
+        from repro.jit import compile as jit_compile
+
+        class Scalar:
+            vector = {"sweep": 64, "dt": 0}
+
+        monkeypatch.setattr(repro.jit, "available", lambda: True)
+        monkeypatch.setattr(jit_compile, "load_kernel", lambda source, ndim: Scalar())
+        engine, records = DiagnosticEngine(), []
+        assert lint_jit_kernels(engine, records) == 232
+        assert engine.codes() == ["JIT-VEC001"] * 232 and engine.has_errors()
+        assert "reports no vectorised dt loop" in engine.diagnostics[0].message
+        assert {record["vector"] for record in records} == {"scalar"}
+        assert main(["--jit"]) == 1
+        assert "0 vectorised, 232 scalar, 0 not-observed" in capsys.readouterr().out
+
     def test_standalone_numpy_kernels_are_linted(self, capsys, monkeypatch):
         """``--jit`` also verifies the standalone IRs behind the in-place
         NumPy entry points: clean today, and a broken emitter that only

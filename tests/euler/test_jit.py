@@ -19,6 +19,7 @@ compiled-path assertions.
 import dataclasses
 import hashlib
 import itertools
+import json
 import os
 
 import numpy as np
@@ -86,6 +87,11 @@ def _twin_2d(primitive, config):
 
 def _jit_stats(solver):
     return solver.engine.counters()["jit"]
+
+
+def _source(config, ndim):
+    spec = spec_from_config(config, ndim)
+    return generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
 
 
 @needs_cc
@@ -422,11 +428,10 @@ class TestCompileLayer:
         monkeypatch.setenv(jit_compile.CACHE_ENV, str(cache))
         monkeypatch.setattr(jit_compile, "_LOADED", {})
         config = SolverConfig(reconstruction="pc", variables="primitive")
-        spec = spec_from_config(config, 2)
-        source = generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        cached = cache / f"{digest}.so"
+        source = _source(config, 2)
+        cached = cache / f"{jit_compile.toolchain().entry(source)}.so"
         cached.write_bytes(b"not an ELF object")
+        cached.with_suffix(".vec").write_text('{"sweep": 8, "dt": 8}')
         before = jit_compile.compile_stats()
         jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)
         for _ in range(2):
@@ -436,48 +441,241 @@ class TestCompileLayer:
         assert stats["compiled"] and stats["fallbacks"] == {}
         assert stats["compiles"] == before["compiles"] + 1
         assert cached.stat().st_size > 1024  # a real shared object again
+        assert stats["vector"] != {"sweep": 8, "dt": 8}  # and its own report
 
     @needs_cc
     def test_disk_cache_is_bounded_and_lru(self, monkeypatch, tmp_path):
         """A cache directory past the cap shrinks to the cap on the next
-        build — oldest mtime first, the fresh kernel never — and a disk
-        hit refreshes an entry's mtime, so eviction is LRU, not FIFO."""
+        build — oldest mtime first, the fresh kernel never, an entry's
+        three files together — and a disk hit refreshes an entry's
+        mtime, so eviction is LRU, not FIFO.  Entries named the old way
+        (``sha256(source)``, no sidecar) age out through the same bound."""
         cache = tmp_path / "cache"
         cache.mkdir()
         monkeypatch.setenv(jit_compile.CACHE_ENV, str(cache))
         monkeypatch.setattr(jit_compile, "_LOADED", {})
         cap = jit_compile.MAX_CACHE_ENTRIES
         for index in range(cap + 8):
-            for suffix in (".so", ".c"):
+            # every third dummy is an old-scheme pair without a sidecar
+            for suffix in (".so", ".c") + ((".vec",) if index % 3 else ()):
                 dummy = cache / f"{index:064x}{suffix}"
                 dummy.write_bytes(b"stale")
                 os.utime(dummy, (1_000_000 + index, 1_000_000 + index))
         config = SolverConfig(
             reconstruction="pc", riemann="rusanov", variables="primitive"
         )
-        spec = spec_from_config(config, 1)
-        source = generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
+        source = _source(config, 1)
         before = jit_compile.compile_stats()
-        kernel = jit_compile.load_kernel(source, spec.ndim)
+        kernel = jit_compile.load_kernel(source, 1)
         after = jit_compile.compile_stats()
         assert after["compiles"] == before["compiles"] + 1
         assert after["evictions"] == before["evictions"] + 9
         assert kernel.path.exists() and kernel.path.stat().st_size > 1024
         assert len(list(cache.glob("*.so"))) == cap
         assert len(list(cache.glob("*.c"))) == cap
-        # the nine oldest went, as pairs; the youngest dummies stayed
-        assert not (cache / f"{8:064x}.so").exists()
-        assert not (cache / f"{8:064x}.c").exists()
+        assert len(list(cache.glob("*.vec"))) == len(
+            [index for index in range(9, cap + 8) if index % 3]
+        ) + 1
+        # the nine oldest went, whole; the youngest dummies stayed
+        for suffix in (".so", ".c", ".vec"):
+            assert not (cache / f"{8:064x}{suffix}").exists()
         assert (cache / f"{9:064x}.so").exists()
 
         os.utime(kernel.path, (1_000, 1_000))  # now the oldest entry...
         monkeypatch.setattr(jit_compile, "_LOADED", {})
-        jit_compile.load_kernel(source, spec.ndim)  # ...until a disk hit
+        jit_compile.load_kernel(source, 1)  # ...until a disk hit
         assert jit_compile.compile_stats()["compiles"] == after["compiles"]
         assert kernel.path.stat().st_mtime > 1_000_000 + cap + 8
 
     @needs_cc
-    def test_source_embeds_spec_and_hex_constants(self):
+    def test_entry_name_covers_flags_compiler_and_target(self, monkeypatch, tmp_path):
+        """The stale-object bug: entries were named by source text alone,
+        so a cache warmed by another flag set, compiler or CPU kept
+        serving its objects.  Each of the three is now a different name."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(cache))
+        monkeypatch.delenv(jit_compile.CC_ENV, raising=False)
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        monkeypatch.setattr(jit_compile, "_TOOLCHAINS", {})
+        source = _source(SolverConfig(reconstruction="pc", riemann="rusanov"), 1)
+        compiles = lambda: jit_compile.compile_stats()["compiles"]  # noqa: E731
+        objects = lambda: sorted(path.name for path in cache.glob("*.so"))  # noqa: E731
+
+        # a cache warmed by the old scheme is not even looked at
+        old = cache / f"{hashlib.sha256(source.encode()).hexdigest()}.so"
+        cache.mkdir()
+        old.write_bytes(b"an -O2 object from before")
+        os.utime(old, (1_000, 1_000))
+
+        chain = jit_compile.toolchain()
+        start = compiles()
+        vector = jit_compile.load_kernel(source, 1)
+        assert compiles() == start + 1 and len(objects()) == 2
+        assert old.read_bytes() == b"an -O2 object from before"
+        assert old.stat().st_mtime == 1_000
+
+        # same source, other flag tuple: a second entry, not a hit
+        reference = jit_compile._load(source, 1, chain.reference())
+        assert compiles() == start + 2 and len(objects()) == 3
+        assert reference is not vector and reference.path != vector.path
+
+        # other compiler (same binary under another path): a miss
+        other = tmp_path / "othercc"
+        other.symlink_to(chain.compiler)
+        monkeypatch.setenv(jit_compile.CC_ENV, str(other))
+        assert jit_compile.toolchain().compiler == str(other)
+        jit_compile.load_kernel(source, 1)
+        assert compiles() == start + 3 and len(objects()) == 4
+        monkeypatch.delenv(jit_compile.CC_ENV)
+        assert jit_compile.toolchain() is chain  # memoised, not re-probed
+
+        # other CPU behind -march=native: a miss
+        moved = dataclasses.replace(chain, target="someothercpu-0123456789ab")
+        monkeypatch.setattr(jit_compile, "_TOOLCHAINS", {None: moved})
+        jit_compile.load_kernel(source, 1)
+        assert compiles() == start + 4 and len(objects()) == 5
+
+    @needs_cc
+    def test_toolchain_resolves_with_one_subprocess(self, monkeypatch, tmp_path):
+        """Compiler, version, flags and native target come from a single
+        driver call, memoised: loads after the first spawn nothing."""
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        monkeypatch.setattr(jit_compile, "_TOOLCHAINS", {})
+        source = _source(SolverConfig(reconstruction="pc", riemann="rusanov"), 1)
+        calls = []
+        real_run = jit_compile.subprocess.run
+
+        def counting_run(command, **kwargs):
+            calls.append(command)
+            return real_run(command, **kwargs)
+
+        monkeypatch.setattr(jit_compile.subprocess, "run", counting_run)
+        chain = jit_compile.toolchain()
+        assert len(calls) == 1 and "-###" in calls[0]
+        assert chain.flags == jit_compile.CFLAGS and chain.version != "unknown"
+        assert chain.target and chain.family in ("gcc", "clang")
+        jit_compile.load_kernel(source, 1)  # the build itself
+        assert len(calls) == 2
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        jit_compile.load_kernel(source, 1)  # disk hit
+        jit_compile.load_kernel(source, 1)  # in-process hit
+        assert len(calls) == 2
+
+    @needs_cc
+    def test_vector_report_survives_a_disk_hit(self, monkeypatch, tmp_path):
+        """The report is part of the entry: written beside the .so, read
+        back by a process that never compiled, and an entry that lost it
+        is rebuilt rather than served unobserved."""
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        source = _source(SolverConfig(reconstruction="pc", riemann="rusanov"), 2)
+        built = jit_compile.load_kernel(source, 2)
+        assert set(built.vector) == {"sweep", "dt"}
+        sidecar = built.path.with_suffix(".vec")
+        assert json.loads(sidecar.read_text()) == built.vector
+        if jit_compile.toolchain().family is None:
+            assert built.vector == {"sweep": None, "dt": None}
+        else:
+            assert all(isinstance(width, int) for width in built.vector.values())
+
+        compiles = jit_compile.compile_stats()["compiles"]
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        sidecar.write_text(json.dumps({"sweep": 48, "dt": 24}))  # what is on disk...
+        assert jit_compile.load_kernel(source, 2).vector == {"sweep": 48, "dt": 24}
+        assert jit_compile.compile_stats()["compiles"] == compiles  # ...is what is read
+
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        sidecar.unlink()
+        assert jit_compile.load_kernel(source, 2).vector == built.vector
+        assert jit_compile.compile_stats()["compiles"] == compiles + 1
+
+    @needs_cc
+    def test_scalar_kernel_is_reported_runs_and_is_exact(self, rng, monkeypatch, tmp_path):
+        """A kernel whose loops cannot vectorise (a volatile access in
+        each body) says so — 0, not a silent 2-3x — and is still served
+        and still bit-for-bit."""
+        if jit_compile.toolchain().family is None:
+            pytest.skip("this compiler has no vectorisation report to read")
+        from repro.jit import backend, codegen
+
+        def doctored(spec, flux_ir, dt_ir):
+            source = generate_source(spec, flux_ir, dt_ir)
+            for loop in (codegen.SWEEP_CROSS_LOOP, codegen.DT_CELL_LOOP):
+                assert loop in source.split("\n")
+                source = source.replace(
+                    loop, loop + "\n volatile double sink = 0.0; (void)sink;"
+                )
+            return source
+
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        monkeypatch.setattr(backend.codegen, "generate_source", doctored)
+        config = SolverConfig(tile_bytes=TINY_TILE_BYTES)
+        jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)
+        for _ in range(2):
+            assert jit.step() == oracle.step()
+        assert np.max(np.abs(jit.u - oracle.u)) == 0.0
+        stats = _jit_stats(jit)
+        assert stats["sweep_calls"] > 0 and stats["fallbacks"] == {}
+        assert stats["vector"] == {"sweep": 0, "dt": 0}
+
+    @needs_cc
+    def test_rejected_flags_get_one_retry_with_the_reference_tuple(
+        self, rng, monkeypatch, tmp_path
+    ):
+        """A compiler that does not know the vector flags still ends in a
+        loaded kernel: one retry with REFERENCE_CFLAGS, a counted reason,
+        and no second failing attempt for the next kernel."""
+        real = jit_compile.find_compiler()
+        fake = tmp_path / "fakecc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = "-march=native" ]; then\n'
+            '    echo "fakecc: error: unrecognized option -march=native" >&2; exit 1\n'
+            "  fi\n"
+            "done\n"
+            f'exec {real} "$@"\n'
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv(jit_compile.CC_ENV, str(fake))
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        monkeypatch.setattr(jit_compile, "_TOOLCHAINS", {})
+        monkeypatch.setitem(jit_compile._STATS, "flag_fallbacks", {})
+        commands = []
+        real_run = jit_compile.subprocess.run
+
+        def recording_run(command, **kwargs):
+            commands.append(command)
+            return real_run(command, **kwargs)
+
+        monkeypatch.setattr(jit_compile.subprocess, "run", recording_run)
+        config = SolverConfig(
+            reconstruction="pc", variables="primitive", tile_bytes=TINY_TILE_BYTES
+        )
+        jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)
+        for _ in range(2):
+            assert jit.step() == oracle.step()
+        assert np.max(np.abs(jit.u - oracle.u)) == 0.0
+        stats = _jit_stats(jit)
+        assert stats["compiled"] and stats["sweep_calls"] > 0 and stats["fallbacks"] == {}
+        (reason, count), = stats["flag_fallbacks"].items()
+        assert reason.startswith("flag fallback: ") and "-march=native" in reason
+        assert count == 1
+        assert jit_compile.toolchain().flags == jit_compile.REFERENCE_CFLAGS
+        builds = [command for command in commands if "-###" not in command]
+        assert ["-march=native" in command for command in builds] == [True, False]
+
+        # the next kernel of this process goes straight to the reference flags
+        jit_compile.load_kernel(_source(SolverConfig(reconstruction="pc"), 1), 1)
+        builds = [command for command in commands if "-###" not in command]
+        assert ["-march=native" in command for command in builds] == [True, False, False]
+        assert sum(jit_compile.compile_stats()["flag_fallbacks"].values()) == 1
+
+    @needs_cc
+    def test_source_embeds_spec_and_hex_constants(self, monkeypatch, tmp_path):
         config = SolverConfig(
             reconstruction="weno3", riemann="roe", variables="primitive"
         )
@@ -487,6 +685,29 @@ class TestCompileLayer:
         assert "-ffp-contract=off" in " ".join(jit_compile.CFLAGS)
         assert "0x1." in source  # hex-float literals, not decimal repr
         assert "fmin(" not in source and "fmax(" not in source
+
+        # no value-changing flag is in either tuple, or can be put there
+        from repro.jit import codegen
+
+        assert len(codegen.FORBIDDEN_CFLAGS) == 8
+        for flags in (codegen.CFLAGS, codegen.REFERENCE_CFLAGS):
+            assert isinstance(flags, tuple) and all(isinstance(f, str) for f in flags)
+            assert not set(flags) & set(codegen.FORBIDDEN_CFLAGS)
+            codegen.check_value_neutral(flags)
+        for flag in codegen.FORBIDDEN_CFLAGS:
+            with pytest.raises(ValueError, match="value-changing"):
+                codegen.check_value_neutral(codegen.CFLAGS + (flag,))
+        with pytest.raises(ValueError, match="-ffp-contract=off"):
+            codegen.check_value_neutral(("-O3", "-fPIC", "-shared"))
+        # ... not even past the import-time check: the build itself refuses
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(jit_compile, "_LOADED", {})
+        fast = dataclasses.replace(
+            jit_compile.toolchain(), flags=codegen.CFLAGS + ("-ffast-math",)
+        )
+        with pytest.raises(ValueError, match="-ffast-math"):
+            jit_compile._load(source, 2, fast)
+        assert not list((tmp_path / "cache").glob("*.so"))
 
 
 class TestJitStripPlanning:

@@ -11,7 +11,12 @@ exact zeros in every guarded denominator (``s_right - s_left``,
 ``WENO_EPSILON``), a Roe sound speed at its clamp, thin cells whose
 characteristic reconstruction comes back unphysical on one side of a
 face only, ragged shapes down to one face, non-contiguous field views
-and one NaN or infinite cell.  Two unit tests pin the evaluator's own rules:
+and one NaN or infinite cell.  The compiled C is the *vector build*, so a
+second pair of properties goes lane by lane: cross extents below one
+vector, exact multiples and body + remainder, chunk boundaries of the dt
+pass, NaN / +-inf / +-0 / denormal / rho = 0 / p < 0 on every lane index
+mod 8 — vector build == ``REFERENCE_CFLAGS`` build of the same source ==
+``numpy_eval``, three ways.  Two unit tests pin the evaluator's own rules:
 slot liveness over every cached program, and thread safety of a shared
 program on separate workspaces.
 
@@ -43,7 +48,9 @@ from repro.euler.riemann import RIEMANN_SOLVERS
 from repro.euler.solver import SolverConfig
 from repro.euler.timestep import eigenvalues_into, max_eigenvalue
 from repro.euler.workspace import Workspace
-from repro.jit.kernels import standalone_kernels
+from repro.jit import codegen
+from repro.jit import compile as jit_compile
+from repro.jit.kernels import build_dt_ir, build_flux_ir, standalone_kernels
 from repro.jit.numpy_eval import numpy_program
 
 GAMMA = 1.4
@@ -304,8 +311,9 @@ def test_eigenvalue_sum_in_place_equals_allocating(ndim, case, spacing):
 # -- NumPy programs == compiled C of the same emitters ------------------
 
 
-def engine_pair(config, member_shape, spacing):
-    boundaries = [transmissive_1d() if len(spacing) == 1 else all_transmissive_2d()]
+def engine_pair(config, member_shape, spacing, members=1):
+    boundary = transmissive_1d() if len(spacing) == 1 else all_transmissive_2d()
+    boundaries = [boundary] * members
     return [
         StepEngine(member_shape, spacing, config, boundaries, backend=backend)
         for backend in ("numpy", "jit")
@@ -369,6 +377,148 @@ def test_numpy_dt_pass_equals_compiled_dt_pass(ndim, case, spacing):
         numpy_engine.workspace.array("engine.primitive", u.shape),
         jit_engine.workspace.array("engine.primitive", u.shape),
     )
+
+
+# -- vector build == reference build == NumPy, lane by lane -------------
+
+#: Below one vector (2/4/8 doubles), exact multiples, body + remainder.
+LANE_EXTENTS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 33)
+#: ... and around the dt pass's chunk of ``codegen.DT_CHUNK`` cells.
+DT_EXTENTS = LANE_EXTENTS + (255, 256, 257, 600)
+NASTY = {
+    "nan": np.nan,
+    "+inf": np.inf,
+    "-inf": -np.inf,
+    "+0": 0.0,
+    "-0": -0.0,
+    "denormal": 5e-324,
+    "rho0": 0.0,  # field 0
+    "pneg": -1.0,  # last field: p (primitive) or E (conservative)
+}
+#: One specialization per reconstruction family, under every solver.
+LANE_SCHEMES = (
+    ("pc", "minmod", "primitive"),
+    ("tvd2", "minmod", "primitive"),
+    ("weno3", "minmod", "characteristic"),
+)
+
+Lanes = namedtuple("Lanes", "seed rows extent offset kinds")
+
+
+def lanes(extents):
+    """Rows of ``extent`` points; the k-th nasty kind goes to every point
+    whose index is ``offset + k`` mod 8 — each lane of an 8-wide vector
+    gets each value as ``offset`` runs over 0..7."""
+    return st.builds(
+        Lanes,
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3),
+        extent=st.sampled_from(extents),
+        offset=st.integers(0, 7),
+        kinds=st.sets(st.sampled_from(sorted(NASTY)), min_size=1),
+    )
+
+
+def plant_lanes(rng, case, array):
+    """``array`` is ``(rows, extent, fields)``; see :func:`lanes`."""
+    for k, kind in enumerate(sorted(NASTY)):
+        if kind not in case.kinds:
+            continue
+        field = {"rho0": 0, "pneg": -1}.get(kind, int(rng.integers(0, array.shape[-1])))
+        row = int(rng.integers(0, array.shape[0]))
+        array[row, (case.offset + k) % 8 :: 8, field] = NASTY[kind]
+
+
+def engine_triple(config, member_shape, spacing, members=1):
+    """NumPy engine, JIT engine (the vector build), and a JIT engine
+    whose kernel is the same source built with ``REFERENCE_CFLAGS``."""
+    numpy_engine, vector_engine = engine_pair(config, member_shape, spacing, members)
+    reference_engine = engine_pair(config, member_shape, spacing, members)[1]
+    backend = reference_engine.backend
+    assert backend.ready() and vector_engine.backend.ready()
+    spec = backend.spec
+    source = codegen.generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
+    chain = jit_compile.toolchain()
+    assert vector_engine.backend._kernel is jit_compile._load(source, spec.ndim, chain)
+    backend._kernel = jit_compile._load(source, spec.ndim, chain.reference())
+    if chain.flags != chain.reference().flags:  # else: a compiler on the fallback
+        assert backend._kernel is not vector_engine.backend._kernel
+    return numpy_engine, vector_engine, reference_engine
+
+
+@needs_cc
+@pytest.mark.parametrize("ndim", (1, 2))
+@pytest.mark.parametrize("reconstruction,limiter,variables", LANE_SCHEMES)
+@pytest.mark.parametrize("riemann", sorted(RIEMANN_SOLVERS))
+@settings(deadline=None)
+@given(case=lanes(LANE_EXTENTS), spacing=st.floats(1e-3, 2.0))
+def test_vector_sweep_equals_reference_sweep_equals_numpy(
+    riemann, reconstruction, limiter, variables, ndim, case, spacing
+):
+    """The sweep's cross loop in SIMD lanes: every lane, the remainder
+    loop and the nothing-to-vectorise extents give the scalar build's
+    and NumPy's bits (NaN where NaN, signed zeros included)."""
+    config = SolverConfig(
+        riemann=riemann, reconstruction=reconstruction, limiter=limiter, variables=variables
+    )
+    nfields = ndim + 2
+    rng = np.random.default_rng(case.seed)
+    ghost = get_scheme(reconstruction, limiter).ghost_cells
+    cells = case.rows
+    # 1-D: the cross extent is the member axis; 2-D: one member's rows
+    cross = (case.extent,) if ndim == 1 else (1, case.extent)
+    padded = primitive(rng, (cells + 2 * ghost,) + cross, nfields, "contiguous")
+    plant_lanes(rng, case, padded.reshape(-1, case.extent, nfields))
+    engines = engine_triple(config, (cells,) + cross[1:] + (nfields,), (spacing,) * ndim)
+    results = []
+    for engine in engines:
+        target = np.full((cells,) + cross + (nfields,), np.nan)
+        with np.errstate(all="ignore"):
+            engine._difference_into(padded, spacing, target)
+        results.append(target)
+    for engine in engines[1:]:
+        assert engine.backend.sweep_calls == 1 and engine.backend.fallbacks == {}
+    assert_same_bits(results[1], results[0])
+    assert_same_bits(results[2], results[1])
+
+
+@needs_cc
+@pytest.mark.parametrize("ndim", (1, 2))
+@settings(deadline=None)
+@given(
+    case=lanes(DT_EXTENTS),
+    spacing=st.tuples(*[st.floats(1e-3, 2.0)] * 2),
+)
+def test_vector_dt_pass_equals_reference_dt_pass_equals_numpy(ndim, case, spacing):
+    """The dt pass's chunked cell loop: the same primitives, the same
+    per-member maxima (NaN members included) and the same dts or error,
+    across chunk boundaries and on every lane."""
+    config = SolverConfig(reconstruction="pc", riemann="rusanov")
+    rng = np.random.default_rng(case.seed)
+    members, nfields = case.rows, ndim + 2
+    member = (case.extent, 1)[:ndim]
+    p = primitive(rng, (members,) + member, nfields, "contiguous")
+    with np.errstate(all="ignore"):
+        u = state.conservative_from_primitive(p, GAMMA)
+    plant_lanes(rng, case, u.reshape(members, case.extent, nfields))
+    engines = engine_triple(config, member + (nfields,), spacing[:ndim], members)
+    results = [outcome(lambda: engine.compute_dt(u).copy()) for engine in engines]
+    for engine in engines[1:]:
+        assert engine.backend.dt_calls == 1 and engine.backend.fallbacks == {}
+    for other in results[1:]:
+        assert other[0] == results[0][0]
+        if other[0] == "value":
+            assert_same_bits(other[1], results[0][1])
+        else:
+            assert other == results[0]
+    buffers = [
+        (engine.workspace.array("engine.primitive", u.shape),
+         engine.workspace.array("engine.dt_member_max", (members,)))
+        for engine in engines
+    ]
+    for other in buffers[1:]:
+        assert_same_bits(other[0], buffers[0][0])
+        assert_same_bits(other[1], buffers[0][1])
 
 
 # -- the evaluator's own rules ------------------------------------------

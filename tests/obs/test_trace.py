@@ -185,10 +185,11 @@ class TestJsonl:
             "jit_compile_seconds",
             "jit_cache_hits",
             "jit_cache_misses",
+            "jit_vector",
         ):
             payload.pop(key)
         record = TraceRecord.from_json(payload)
-        assert record.backend == "numpy"
+        assert record.backend == "numpy" and record.jit_vector is None
         assert record.jit_compile_seconds == 0.0
         assert record.jit_cache_hits == 0 and record.jit_cache_misses == 0
 
@@ -227,3 +228,8 @@ class TestBackendTelemetry:
         # cache) exactly once — either way one of the counters moved.
         assert record.jit_cache_hits + record.jit_cache_misses >= 1
         assert record.to_json()["backend"] == "jit"
+        # what the compiler said about this kernel's loops rides along,
+        # the same numbers the backend reports, and round-trips
+        vector = solver.engine.backend.stats()["vector"]
+        assert set(vector) == {"sweep", "dt"} and record.jit_vector == vector
+        assert TraceRecord.from_json(record.to_json()).jit_vector == vector
