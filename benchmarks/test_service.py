@@ -173,7 +173,6 @@ def test_service_load_and_cache():
                     key: stats["result_cache"][key]
                     for key in ("hits", "misses", "evictions", "entries")
                 },
-                "retries": stats["retries"],
             },
         }
         path = write_bench_json("service", payload)

@@ -7,7 +7,8 @@
 3. resubmit the identical job and show it answered from the result
    cache, bitwise identical to the cold run;
 4. submit a job that blows up (CFL = 10) and show the client receives
-   the PhysicsError forensic report while the service keeps serving;
+   the PhysicsError forensic report after one attempt — dispatched
+   once, never retried — while the service keeps serving;
 5. print the service stats: queue counters and result-cache hit rate.
 
 Run:  python examples/serve_demo.py
@@ -60,19 +61,25 @@ def main() -> None:
             "max_steps": 50,
             "config": {"cfl": 10.0},
         })
-        failed = client.run(unstable)["status"]
+        dispatched = sum(client.stats()["shards"]["dispatched"])
+        reply = client.run(unstable)
+        failed = reply["status"]
         assert failed["state"] == "failed"
-        assert failed["attempts"] == 2, "PhysicsError is retried once"
+        lifecycle = [event["event"] for event in client.stream(reply["job_id"])
+                     if event["kind"] == "job"]
+        assert lifecycle == ["queued", "started", "failed"], lifecycle
+        attempts = sum(client.stats()["shards"]["dispatched"]) - dispatched
+        assert attempts == 1, "a deterministic failure is not run again"
         forensics = failed["error"]["forensics"]
         assert forensics and forensics["cells"]
-        print(f"  failed after {failed['attempts']} attempts;"
+        print(f"  failed after {attempts} attempt;"
               f" first bad cell {forensics['cells'][0]}"
               f" ({failed['error']['message'][:60]}…)")
         assert client.run(spec)["status"]["state"] == "done"  # still serving
 
         print("\n=== 5. service stats ===")
         stats = client.stats()
-        print(f"  jobs: {stats['jobs']}  retries: {stats['retries']}")
+        print(f"  jobs: {stats['jobs']}  submitted: {stats['submitted']}")
         print(f"  queue: enqueued={stats['queue']['enqueued']}"
               f" high_watermark={stats['queue']['high_watermark']}")
         print(f"  result cache: hits={stats['result_cache']['hits']}"

@@ -29,7 +29,6 @@ from repro.obs.forensics import (
     format_report,
 )
 from repro.obs.export import (
-    JsonlTail,
     read_diagnostics_jsonl,
     read_jsonl,
     write_diagnostics_jsonl,
@@ -43,7 +42,6 @@ __all__ = [
     "attach_forensics",
     "build_report",
     "format_report",
-    "JsonlTail",
     "read_jsonl",
     "write_jsonl",
     "read_diagnostics_jsonl",

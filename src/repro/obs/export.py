@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, List, Union
 
 from repro.obs.trace import StepTrace, TraceRecord
 
@@ -25,7 +25,6 @@ __all__ = [
     "read_jsonl",
     "write_diagnostics_jsonl",
     "read_diagnostics_jsonl",
-    "JsonlTail",
 ]
 
 
@@ -59,64 +58,6 @@ def read_jsonl(path: Union[str, Path]) -> List[TraceRecord]:
                 continue
             records.append(TraceRecord.from_json(payload))
     return records
-
-
-class JsonlTail:
-    """Incremental (tail -f style) reader of a growing JSONL file.
-
-    The simulation service's workers append telemetry to per-job spool
-    files while the server streams them to clients; the reader on the
-    server side must cope with
-
-    * the file not existing yet (the worker has not opened it),
-    * a *partial last line* (the writer flushed mid-record), and
-    * interleaved ``kind`` discriminators (``step`` records, ``cache``
-      counter snapshots, ``diagnostic`` lines) in one file.
-
-    :meth:`poll` returns the payloads of every line *completed* since
-    the previous poll, oldest first.  A trailing partial line is
-    buffered — as raw bytes, so a flush landing inside a multi-byte
-    UTF-8 sequence is handled — and returned once its newline arrives.
-    ``kinds`` (optional) filters to a set of ``kind`` values; lines
-    without a ``kind`` default to ``"step"`` like :func:`read_jsonl`.
-    """
-
-    def __init__(self, path: Union[str, Path], kinds: Optional[Iterable[str]] = None):
-        self.path = Path(path)
-        self.kinds = None if kinds is None else frozenset(kinds)
-        self._offset = 0
-        self._partial = b""
-        #: Completed lines seen so far (telemetry for consumers/tests).
-        self.lines_read = 0
-
-    def poll(self) -> List[Dict[str, object]]:
-        """Payloads of lines completed since the last poll (may be [])."""
-        try:
-            with self.path.open("rb") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
-        except FileNotFoundError:
-            return []
-        if not chunk:
-            return []
-        self._offset += len(chunk)
-        pieces = (self._partial + chunk).split(b"\n")
-        self._partial = pieces.pop()  # b"" when the chunk ended on a newline
-        payloads: List[Dict[str, object]] = []
-        for raw in pieces:
-            line = raw.strip()
-            if not line:
-                continue
-            payload = json.loads(line.decode("utf-8"))
-            self.lines_read += 1
-            if self.kinds is None or payload.get("kind", "step") in self.kinds:
-                payloads.append(payload)
-        return payloads
-
-    @property
-    def pending_partial(self) -> bool:
-        """True when a flushed-but-unterminated line is buffered."""
-        return bool(self._partial)
 
 
 def write_diagnostics_jsonl(

@@ -2,11 +2,14 @@
 
 Splits a with-loop's index space along its outermost axis into one
 chunk per worker (static scheduling, like the SaC pthread backend) and
-executes the chunks on real Python threads joined by a
-:class:`SpinBarrier`.  NumPy kernels release the GIL, so large chunks
-do overlap; small loops are executed inline because parallelising them
-costs more than they are worth — the scheduler applies a minimum
-elements-per-thread threshold, again mirroring the real runtime.
+executes the chunks as one round of the process's persistent worker
+team (:func:`repro.par.pool.shared_team`) — the team the Euler strips
+run on, so no thread is created per with-loop.  NumPy kernels release
+the GIL, so large chunks do overlap; small loops are executed inline
+because parallelising them costs more than they are worth — the
+scheduler applies a minimum elements-per-thread threshold, again
+mirroring the real runtime.  The team is flat: a with-loop met while a
+round is in flight (a nested one, inside a chunk) runs inline.
 
 Fold with-loops are only parallelised when ``parallel_folds`` is
 enabled; the paper's benchmark passes ``-nofoldparallel``, so the
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SacRuntimeError
-from repro.sac.runtime.spinlock import SpinBarrier
 
 #: Below this many elements per worker a loop runs inline.
 MIN_ELEMENTS_PER_THREAD = 1024
@@ -87,6 +89,7 @@ class WithLoopScheduler:
 
     def __init__(self, options: Optional[SchedulerOptions] = None):
         self.options = options or SchedulerOptions()
+        self._round = threading.Lock()  # held while a team round runs
 
     def run(
         self,
@@ -116,35 +119,21 @@ class WithLoopScheduler:
             1, min(threads, elements // self.options.min_elements_per_thread)
         )
         chunks = split_bounds(lower, upper, max_workers)
-        if len(chunks) <= 1:
+        # One flat team: a with-loop nested in a running round is inline.
+        if len(chunks) <= 1 or not self._round.acquire(blocking=False):
             evaluate_chunk(lower, upper)
             return 1
+        # Imported here: par.pool takes its spin barrier from sac.runtime.
+        from repro.par.pool import shared_team
 
-        barrier = SpinBarrier(len(chunks))
-        errors: List[BaseException] = []
-        error_lock = threading.Lock()
-
-        def worker(chunk: Bounds) -> None:
-            try:
-                evaluate_chunk(chunk[0], chunk[1])
-            except BaseException as error:  # noqa: BLE001 - reported below
-                with error_lock:
-                    errors.append(error)
-            finally:
-                barrier.wait()
-
-        team = [
-            threading.Thread(target=worker, args=(chunk,), daemon=True)
-            for chunk in chunks[1:]
-        ]
-        for thread in team:
-            thread.start()
-        worker(chunks[0])
-        for thread in team:
-            thread.join()
-        if errors:
-            first = errors[0]
-            if isinstance(first, SacRuntimeError):
-                raise first
-            raise SacRuntimeError(f"worker failed: {first}") from first
+        try:
+            shared_team(len(chunks)).run(
+                lambda worker: evaluate_chunk(*chunks[worker])
+            )
+        except SacRuntimeError:
+            raise
+        except Exception as error:
+            raise SacRuntimeError(f"worker failed: {error}") from error
+        finally:
+            self._round.release()
         return len(chunks)

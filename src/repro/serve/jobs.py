@@ -4,24 +4,23 @@ A :class:`JobSpec` is the unit of work a client submits: a named
 problem (the setups of :mod:`repro.euler.problems`, plus ``exact`` for
 exact-Riemann profile requests), its parameters, a
 :class:`~repro.euler.solver.SolverConfig`, and a stopping criterion —
-plus scheduling attributes (priority, deadline, retry budget) that do
-*not* participate in the result-cache key, because they cannot change
-the answer.
+plus scheduling attributes (priority, deadline, stream granularity)
+that do *not* participate in the result-cache key, because they cannot
+change the answer.
 
 A :class:`JobRecord` is the server's view of one submitted job.  Its
 ``state`` walks the machine::
 
     QUEUED ──> RUNNING ──> DONE
-       │          │ ├────> FAILED
-       │          │ └────> CANCELLED
-       │          └──────> QUEUED     (retry, once, on PhysicsError)
+       │            ├────> FAILED
+       │            └────> CANCELLED
        └─────────────────> CANCELLED  (cancelled while queued)
 
 Transitions outside the arrows raise :class:`ServiceError`; terminal
-states are final.  The retry edge implements the service's
-retry-once-on-PhysicsError policy: a physics blow-up is the one
-failure class where a second attempt is cheap to offer and the
-forensic report of the *last* attempt is what the client receives.
+states are final.  There is no edge back to ``QUEUED``: a job gets one
+attempt, because every path through the solver stack is deterministic
+— a second run of a blown-up job can only reproduce the first, forensic
+report included.
 """
 
 from __future__ import annotations
@@ -65,12 +64,7 @@ class JobState(str, enum.Enum):
 #: The legal state machine; see the module docstring's diagram.
 TRANSITIONS = {
     JobState.QUEUED: {JobState.RUNNING, JobState.CANCELLED},
-    JobState.RUNNING: {
-        JobState.DONE,
-        JobState.FAILED,
-        JobState.CANCELLED,
-        JobState.QUEUED,  # the retry edge
-    },
+    JobState.RUNNING: {JobState.DONE, JobState.FAILED, JobState.CANCELLED},
     JobState.DONE: set(),
     JobState.FAILED: set(),
     JobState.CANCELLED: set(),
@@ -95,13 +89,11 @@ class JobSpec:
     max_steps: Optional[int] = None
     #: Lower runs sooner; ties run in submission order.
     priority: int = 0
-    #: Wall-clock budget for one attempt; exceeded => cancelled.
+    #: Wall-clock budget for the run; exceeded => cancelled.
     deadline_s: Optional[float] = None
-    #: Total attempts allowed (2 = the retry-once-on-PhysicsError policy).
-    max_attempts: int = 2
     #: Include the final primitive state in the result payload.
     return_state: bool = True
-    #: Spool a trace record every N steps (progress streaming granularity).
+    #: Stream a trace record every N steps (progress streaming granularity).
     trace_every: int = 1
 
     def __post_init__(self):
@@ -127,7 +119,6 @@ class JobSpec:
         self.deadline_s = self._coerce(
             float, "deadline_s", self.deadline_s, optional=True
         )
-        self.max_attempts = self._coerce(int, "max_attempts", self.max_attempts)
         self.trace_every = self._coerce(int, "trace_every", self.trace_every)
         self.return_state = bool(self.return_state)
         if self.problem == "exact":
@@ -139,10 +130,6 @@ class JobSpec:
         elif self.t_end is None and self.max_steps is None:
             raise ConfigurationError(
                 f"job for problem {self.problem!r} needs t_end and/or max_steps"
-            )
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         if self.trace_every < 1:
             raise ConfigurationError(
@@ -179,7 +166,6 @@ class JobSpec:
             "max_steps": None if self.max_steps is None else int(self.max_steps),
             "priority": int(self.priority),
             "deadline_s": None if self.deadline_s is None else float(self.deadline_s),
-            "max_attempts": int(self.max_attempts),
             "return_state": bool(self.return_state),
             "trace_every": int(self.trace_every),
         }
@@ -209,9 +195,9 @@ class JobSpec:
         Only result-affecting fields participate: the problem and its
         arguments, the solver configuration (via its content hash), the
         stopping criterion and ``return_state`` (it changes the payload
-        shape).  Priority, deadline, retry budget and trace granularity
-        are scheduling concerns — two specs differing only there are
-        the same simulation and share a cache entry.
+        shape).  Priority, deadline and trace granularity are scheduling
+        concerns — two specs differing only there are the same
+        simulation and share a cache entry.
         """
         identity = {
             "problem": self.problem,
@@ -287,7 +273,6 @@ class JobRecord:
     job_id: str
     spec: JobSpec
     state: JobState = JobState.QUEUED
-    attempts: int = 0
     created: float = field(default_factory=time.time)
     started: Optional[float] = None
     finished: Optional[float] = None
@@ -323,7 +308,6 @@ class JobRecord:
             "job_id": self.job_id,
             "state": self.state.value,
             "problem": self.spec.problem,
-            "attempts": self.attempts,
             "cached": self.cached,
             "shard": self.shard,
             "created": self.created,

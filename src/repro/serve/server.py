@@ -6,11 +6,13 @@ submits land in the :class:`~repro.serve.queue.PriorityJobQueue`
 dispatcher pairs queued jobs — one, or up to ``batch_max``
 shape-compatible ones — with free shards of the
 :class:`~repro.serve.workers.ShardPool`, and one supervisor coroutine
-per dispatch tails each job's spool file with
-:class:`~repro.obs.export.JsonlTail` (progress events), enforces its
-deadline, and applies the terminal policy: cache ``done`` results,
-retry once on a retryable (PhysicsError) failure, ship the forensic
-report to the client otherwise.
+per dispatch reads the shard's event queue — the only channel a worker
+has — publishing ``steps`` records as progress events, enforcing the
+deadline, and applying each terminal: cache a ``done`` result, ship a
+failure's forensic report to the client.  A job is dispatched once:
+every path is deterministic, so a second run could only reproduce the
+first.  The newest :data:`RETAINED_JOBS` finished jobs stay queryable;
+older ones are forgotten (their results live on in the result cache).
 
 :class:`ServiceServer` speaks newline-delimited JSON over TCP.  One
 request per line, one (or, for ``stream``, many) response lines back::
@@ -27,24 +29,24 @@ Everything is stdlib: asyncio, sockets, json, multiprocessing.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import threading
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ServiceError
-from repro.obs.export import JsonlTail
 from repro.serve.cache import ResultCache
-from repro.serve.jobs import TRANSITIONS, JobRecord, JobSpec, JobState
+from repro.serve.jobs import JobRecord, JobSpec, JobState
 from repro.serve.queue import PriorityJobQueue, QueueFull
 
 __all__ = ["SimulationService", "ServiceServer", "ServiceHandle", "start_in_thread"]
 
-#: How often a supervisor polls the spool file between worker events.
-SPOOL_POLL_S = 0.02
+#: How many *terminal* job records (event history and result payload
+#: included) the service keeps for ``status``/``stream``; an older id is
+#: answered like an unknown one.
+RETAINED_JOBS = 1024
 
 #: Sentinel queued to a subscriber when its stream is over.
 _STREAM_END = None
@@ -76,15 +78,17 @@ class SimulationService:
         self.result_cache = ResultCache(
             max_entries=result_cache_entries, spill_dir=cache_dir
         )
+        #: Every live job plus the newest RETAINED_JOBS terminal ones.
         self.jobs: Dict[str, JobRecord] = {}
-        self._ids = itertools.count(1)
-        self._completion: Dict[str, asyncio.Event] = {}
+        self.submitted = 0
+        self._retained: deque = deque()  # terminal job ids, oldest first
+        self._forgotten: Counter = Counter()  # final states of dropped records
+        self._completion: Dict[str, asyncio.Event] = {}  # live jobs only
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
         self._free_shards: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._supervisors: set = set()
         self.started_at: Optional[float] = None
-        self.retries = 0
         self.cache_hits_served = 0
         self.batches_formed = 0
         self.batched_jobs = 0
@@ -122,7 +126,7 @@ class SimulationService:
         for task in list(self._supervisors):
             task.cancel()
         await asyncio.gather(*self._supervisors, return_exceptions=True)
-        for record in self.jobs.values():
+        for record in list(self.jobs.values()):
             if not record.terminal:
                 record.cancel_reason = record.cancel_reason or "shutdown"
                 record.transition(JobState.CANCELLED)
@@ -165,7 +169,8 @@ class SimulationService:
             raise ServiceError("service is shut down")
         key = spec.cache_key()
         cached = self.result_cache.get(key)
-        record = JobRecord(job_id=f"j{next(self._ids)}", spec=spec)
+        self.submitted += 1
+        record = JobRecord(job_id=f"j{self.submitted}", spec=spec)
         self.jobs[record.job_id] = record
         self._completion[record.job_id] = asyncio.Event()
         if cached is not None:
@@ -225,7 +230,6 @@ class SimulationService:
                     )
             for item in batch:
                 item.transition(JobState.RUNNING)
-                item.attempts += 1
                 item.shard = shard
             if len(batch) > 1:  # stats count batches, not dispatches of one
                 self.batches_formed += 1
@@ -241,14 +245,17 @@ class SimulationService:
         """Shepherd one dispatch — N >= 1 jobs on one shard — until every
         job has its terminal event.
 
-        Each job keeps its own spool tail, deadline timer, terminal event
-        and retry policy; only the *execution* is shared.  (A dispatch of
+        Everything the worker says arrives on the shard's one queue, in
+        the order it was said: ``steps`` messages are published record
+        by record, a terminal ends its job.  Both are matched against
+        ``pending``, so a message naming a job that is already settled
+        reaches nobody.  Each job keeps its own deadline timer and
+        terminal; only the *execution* is shared.  (A dispatch of
         several carries no deadlines — ``batch_key`` refuses them: the
         shard's cancel flag is dispatch-granular, so one job's deadline
         would cancel its mates; an explicit client cancel of any member
         does stop the whole dispatch, the documented trade for amortized
-        stepping.  A retried member re-queues normally and may run alone
-        or in a new batch — either way its result is bit-identical.)
+        stepping.)
 
         Whatever happens in here — worker death, a bug in terminal
         handling, an exception mid-send — the shard slot is released (or
@@ -256,50 +263,37 @@ class SimulationService:
         unexpected exceptions fail the jobs instead of leaking.
         """
         pending = {record.job_id: record for record in records}
-        tails: Dict[str, JsonlTail] = {}
         timers = []
         shard_died = False
         try:
             self.pool.send(
-                shard,
-                [(record.job_id, record.attempts, record.spec) for record in records],
+                shard, [(record.job_id, record.spec) for record in records]
             )
             loop = asyncio.get_running_loop()
             for record in records:
                 self._publish(record, {
                     "kind": "job", "event": "started", "job_id": record.job_id,
-                    "shard": shard, "attempt": record.attempts,
-                    "batched": len(records),
+                    "shard": shard, "batched": len(records),
                 })
-                tails[record.job_id] = JsonlTail(
-                    self.pool.spool_path(record.job_id, record.attempts)
-                )
                 if record.spec.deadline_s is not None:
                     timers.append(loop.call_later(
                         record.spec.deadline_s, self._deadline_fire, record, shard
                     ))
             events = self.pool.events(shard)
             while pending:
-                try:
-                    event = await asyncio.wait_for(
-                        events.get(), timeout=SPOOL_POLL_S
-                    )
-                except asyncio.TimeoutError:
-                    for job_id, record in pending.items():
-                        for line in tails[job_id].poll():
-                            self._publish(record, line)
-                    continue
-                if (
-                    event.get("kind") == "shard"
-                    and event.get("event") == "died"
-                ):
+                event = await events.get()
+                kind = event.get("kind")
+                if kind == "steps":
+                    for job_id, step in event["records"]:
+                        if job_id in pending:
+                            self._publish(pending[job_id], step)
+                elif kind == "shard" and event.get("event") == "died":
                     # The worker process is gone (OOM kill, segfault):
                     # no terminal will ever arrive — synthesize them.
                     shard_died = True
                     for job_id, record in pending.items():
-                        self._settle(record, tails[job_id], {
-                            "kind": "job", "event": "failed",
-                            "job_id": job_id, "retryable": False,
+                        self._apply_terminal(record, {
+                            "event": "failed",
                             "error": {
                                 "type": "ShardDied",
                                 "message": (
@@ -311,12 +305,11 @@ class SimulationService:
                         })
                     pending.clear()
                 elif (
-                    event.get("kind") == "job"
+                    kind == "job"
                     and event.get("job_id") in pending
                     and event.get("event") in ("done", "failed", "cancelled")
                 ):
-                    record = pending.pop(event["job_id"])
-                    self._settle(record, tails[record.job_id], event)
+                    self._apply_terminal(pending.pop(event["job_id"]), event)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - supervisor must not leak
@@ -334,19 +327,6 @@ class SimulationService:
                 # leak onto the next dispatch.  (A dead shard that could
                 # not be respawned is NOT freed — its slot is retired.)
                 self._free_shards.put_nowait(shard)
-        for record in records:
-            if record.state is JobState.QUEUED:  # the retry edge, per job
-                await self.queue.put(record, priority=record.spec.priority)
-
-    def _settle(
-        self, record: JobRecord, tail: JsonlTail, terminal: Dict[str, object]
-    ) -> None:
-        """Drain the spool written before the terminal, apply it, and
-        reclaim the attempt's spool file."""
-        for line in tail.poll():
-            self._publish(record, line)
-        self._apply_terminal(record, terminal)
-        self.pool.remove_spool(record.job_id, record.attempts)
 
     def _fail_on_supervision_error(self, record: JobRecord, error: Exception) -> None:
         """Terminal-ize a record whose supervision blew up unexpectedly."""
@@ -357,15 +337,10 @@ class SimulationService:
             "message": str(error),
             "traceback": traceback.format_exc(),
         }
-        if JobState.FAILED in TRANSITIONS[record.state]:
-            record.transition(JobState.FAILED)
-        else:  # e.g. the retry edge already moved it back to QUEUED
-            record.state = JobState.FAILED
-            record.finished = time.time()
+        record.transition(JobState.FAILED)
         self._publish(record, {
             "kind": "job", "event": "failed",
             "job_id": record.job_id, "error": record.error,
-            "attempts": record.attempts,
         })
         self._finish(record)
 
@@ -391,23 +366,13 @@ class SimulationService:
             })
             self._finish(record)
         elif kind == "failed":
-            retryable = bool(event.get("retryable"))
-            if retryable and record.attempts < record.spec.max_attempts:
-                self.retries += 1
-                record.transition(JobState.QUEUED)
-                self._publish(record, {
-                    "kind": "job", "event": "retry", "job_id": record.job_id,
-                    "attempt": record.attempts, "error": event.get("error"),
-                })
-            else:
-                record.error = event.get("error")
-                record.transition(JobState.FAILED)
-                self._publish(record, {
-                    "kind": "job", "event": "failed",
-                    "job_id": record.job_id, "error": record.error,
-                    "attempts": record.attempts,
-                })
-                self._finish(record)
+            record.error = event.get("error")
+            record.transition(JobState.FAILED)
+            self._publish(record, {
+                "kind": "job", "event": "failed",
+                "job_id": record.job_id, "error": record.error,
+            })
+            self._finish(record)
         elif kind == "cancelled":
             record.cancel_reason = (
                 record.cancel_reason or event.get("reason") or "cancelled"
@@ -449,7 +414,7 @@ class SimulationService:
 
     def _get(self, job_id: str) -> JobRecord:
         record = self.jobs.get(job_id)
-        if record is None:
+        if record is None:  # never submitted, or finished and forgotten
             raise ServiceError(f"unknown job {job_id!r}")
         return record
 
@@ -459,7 +424,9 @@ class SimulationService:
     async def wait(self, job_id: str) -> JobRecord:
         """Block until the job reaches a terminal state."""
         record = self._get(job_id)
-        await self._completion[job_id].wait()
+        completion = self._completion.get(job_id)  # gone once terminal
+        if completion is not None:
+            await completion.wait()
         return record
 
     def subscribe(self, job_id: str) -> Tuple[List[dict], Optional[asyncio.Queue]]:
@@ -473,15 +440,16 @@ class SimulationService:
         return replay, queue
 
     def stats(self) -> Dict[str, object]:
-        by_state = Counter(record.state.value for record in self.jobs.values())
+        by_state = self._forgotten + Counter(
+            record.state.value for record in self.jobs.values()
+        )
         return {
             "kind": "stats",
             "uptime_s": (
                 time.time() - self.started_at if self.started_at else 0.0
             ),
             "jobs": dict(by_state),
-            "submitted": len(self.jobs),
-            "retries": self.retries,
+            "submitted": self.submitted,
             "cache_hits_served": self.cache_hits_served,
             "batching": {
                 "batch_max": self.batch_max,
@@ -506,10 +474,16 @@ class SimulationService:
             queue.put_nowait(event)
 
     def _finish(self, record: JobRecord) -> None:
-        """Mark the job terminal for waiters and end its streams."""
-        self._completion[record.job_id].set()
+        """Mark the job terminal for waiters, end its streams, and forget
+        the oldest terminal record beyond :data:`RETAINED_JOBS` (waiters
+        and streams hold the record itself, not its id)."""
+        self._completion.pop(record.job_id).set()
         for queue in self._subscribers.pop(record.job_id, ()):
             queue.put_nowait(_STREAM_END)
+        self._retained.append(record.job_id)
+        while len(self._retained) > RETAINED_JOBS:
+            forgotten = self.jobs.pop(self._retained.popleft())
+            self._forgotten[forgotten.state.value] += 1
 
 
 class ServiceServer:
@@ -641,6 +615,7 @@ class ServiceServer:
         after which the connection is back in request/response mode.
         """
         service = self.service
+        record = service._get(job_id)
         replay, live = service.subscribe(job_id)
         for event in replay:
             await self._send(writer, {"ok": True, "event": event})
@@ -650,7 +625,6 @@ class ServiceServer:
                 if event is _STREAM_END:
                     break
                 await self._send(writer, {"ok": True, "event": event})
-        record = service._get(job_id)
         await self._send(writer, {
             "ok": True, "end": True, "state": record.state.value,
         })

@@ -6,11 +6,15 @@ The parent sends *dispatches* — always a list of one or more job wire
 dicts — down a per-shard queue; the worker runs each through the
 existing :class:`~repro.euler.engine.StepEngine`-backed solvers (or
 :class:`~repro.par.solver.ParallelSolver2D` when the job asks for
-intra-job workers), spooling per-step records as JSONL to a
-per-attempt spool file — the stream the server tails with
-:class:`~repro.obs.export.JsonlTail` — and reports lifecycle events
-(``ready``/``started``/``done``/``failed``/``cancelled``) on a
-per-shard event queue.
+intra-job workers) and reports everything on the shard's one event
+queue: ``shard`` events (``ready``/``stopped``; ``died`` is the parent
+pump's, for a process that exited silently), ``steps`` messages
+(``records``: ``[[job_id, record], ...]``, at most one per
+:data:`STREAM_INTERVAL_S`) and one ``job`` terminal
+(``done``/``failed``/``cancelled``) per job.  The queue is FIFO and the
+worker flushes its unsent records ahead of every terminal, so "a job's
+steps precede its terminal" holds by construction; a killed worker
+loses what it had not sent — at most the last interval's records.
 
 Failure containment is the point of the process boundary: a job that
 blows up with a :class:`~repro.errors.PhysicsError` returns its
@@ -26,16 +30,12 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import multiprocessing as mp
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import traceback
 from contextlib import ExitStack
-from pathlib import Path
 from queue import Empty
 from time import monotonic, perf_counter, time
 from typing import Dict, List, Optional
@@ -49,6 +49,11 @@ __all__ = ["ShardPool", "state_digest"]
 
 #: How long ``start(wait_ready=True)`` waits for each spawned worker.
 READY_TIMEOUT_S = 120.0
+
+#: A worker sends at most one ``steps`` message per this many seconds
+#: (plus the flush ahead of a terminal): the supervisor, the TCP stream
+#: and the client wake per message, not per step.
+STREAM_INTERVAL_S = 0.02
 
 
 def state_digest(array: np.ndarray) -> str:
@@ -75,7 +80,7 @@ class _JobCancelled(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(shard, job_q, event_q, cancel_flag, spool_dir):
+def _worker_main(shard, job_q, event_q, cancel_flag):
     """Entry point of one shard process (top level: spawn-picklable)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     event_q.put({"kind": "shard", "event": "ready", "shard": shard, "pid": os.getpid()})
@@ -86,13 +91,13 @@ def _worker_main(shard, job_q, event_q, cancel_flag, spool_dir):
         jobs = job_q.get()
         if jobs is None:
             break
-        _run_jobs(jobs, event_q, shard, cancel_flag, Path(spool_dir))
+        _run_jobs(jobs, event_q, shard, cancel_flag)
     event_q.put({"kind": "shard", "event": "stopped", "shard": shard})
 
 
 def _failed_event(error: BaseException) -> Dict[str, object]:
-    """An exception as a ``failed`` event: a PhysicsError is retryable
-    and ships its forensic report, anything else its traceback."""
+    """An exception as a ``failed`` event: a PhysicsError ships its
+    forensic report, anything else its traceback."""
     if isinstance(error, PhysicsError):
         forensics = getattr(error, "forensics", None)
         info = {
@@ -110,16 +115,17 @@ def _failed_event(error: BaseException) -> Dict[str, object]:
                 traceback.format_exception(type(error), error, error.__traceback__)
             ),
         }
-    return {
-        "event": "failed",
-        "retryable": isinstance(error, PhysicsError),
-        "error": info,
-    }
+    return {"event": "failed", "error": info}
 
 
-def _run_jobs(jobs, event_q, shard, cancel_flag, spool_dir) -> None:
+def _run_jobs(jobs, event_q, shard, cancel_flag) -> None:
     """Run one dispatch (a list of N >= 1 jobs); guarantees a terminal
-    event for every job.
+    event for every job, behind every step record of that job.
+
+    Step records leave in ``steps`` messages paced to one per
+    :data:`STREAM_INTERVAL_S`, counted from the oldest record not yet
+    sent; ``emit`` flushes what is left before it puts a terminal, so
+    on the one FIFO queue no record can trail its job's terminal.
 
     Anything escaping :func:`_execute` — the shared cancel flag, the
     PhysicsError of a job running alone, a bug — terminal-izes every job
@@ -127,14 +133,32 @@ def _run_jobs(jobs, event_q, shard, cancel_flag, spool_dir) -> None:
     silent shard.
     """
     done = set()
+    unsent = []  # [job_id, record] pairs, oldest first
+    oldest = 0.0  # when the first of ``unsent`` was collected
+
+    def flush() -> None:
+        if unsent:  # a copy: the queue pickles it later, on its feeder thread
+            event_q.put({"kind": "steps", "shard": shard, "records": unsent[:]})
+            unsent.clear()
+
+    def stream(records) -> None:
+        """Take one driver step's records; send once the oldest is due."""
+        nonlocal oldest
+        now = monotonic()
+        if not unsent:
+            oldest = now
+        unsent.extend(records)
+        if now - oldest >= STREAM_INTERVAL_S:
+            flush()
 
     def emit(job_id: str, event: Dict[str, object]) -> None:
+        flush()
         done.add(job_id)
         event_q.put({"kind": "job", "job_id": job_id, "shard": shard, **event})
 
     try:
-        with ExitStack() as cleanup:  # spool files, intra-job worker teams
-            _execute(jobs, emit, cancel_flag, spool_dir, cleanup)
+        with ExitStack() as cleanup:  # intra-job worker teams
+            _execute(jobs, emit, stream, cancel_flag, cleanup)
         return
     except _JobCancelled as stop:
         # The cancel flag is dispatch-granular: every still-running job
@@ -147,7 +171,7 @@ def _run_jobs(jobs, event_q, shard, cancel_flag, spool_dir) -> None:
             emit(job["job_id"], terminal)
 
 
-def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
+def _execute(jobs, emit, stream, cancel_flag, cleanup) -> None:
     """Advance a dispatch of N >= 1 jobs through one driver.
 
     Each stepping job's solver comes from the unmodified builder.  A
@@ -177,7 +201,7 @@ def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
     from repro.obs.trace import StepTrace
 
     started = perf_counter()
-    members = []  # (job id, spec, solver, spool path) of the jobs to step
+    members = []  # (job id, spec, solver) of the jobs to step
     for job in jobs:
         job_id = job["job_id"]
         try:
@@ -195,11 +219,10 @@ def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
         except Exception as error:  # noqa: BLE001 - fail this job only
             emit(job_id, _failed_event(error))
             continue
-        spool = spool_dir / _spool_name(job_id, job.get("attempt", 1))
-        members.append((job_id, spec, solver, spool))
+        members.append((job_id, spec, solver))
     if not members:
         return
-    job_ids, specs, solvers, spool_paths = zip(*members)
+    job_ids, specs, solvers = zip(*members)
     if len(members) == 1:
         driver = solvers[0]
         trace = StepTrace()
@@ -212,16 +235,13 @@ def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
     deadline_at = (
         monotonic() + lead.deadline_s if lead.deadline_s is not None else None
     )
-    spools = [
-        cleanup.enter_context(path.open("w", encoding="utf-8"))
-        for path in spool_paths
-    ]
 
     def progress(driver):
         if cancel_flag.is_set():
             raise _JobCancelled("cancelled")
         if deadline_at is not None and monotonic() > deadline_at:
             raise _JobCancelled("deadline")
+        records = []
         for index, spec in enumerate(specs):
             step = driver.step_counts[index]
             if not driver.live(index) or step % spec.trace_every != 0:
@@ -236,9 +256,8 @@ def _execute(jobs, emit, cancel_flag, spool_dir, cleanup) -> None:
                     "dt": driver.dt_history[index][-1],
                     "batched": driver.batch,
                 }
-            spools[index].write(json.dumps(record))
-            spools[index].write("\n")
-            spools[index].flush()
+            records.append([job_ids[index], record])
+        stream(records)
 
     driver.run(
         t_end=lead.t_end, max_steps=lead.max_steps,
@@ -358,10 +377,6 @@ def _reject_unknown_args(problem: str, leftover: Dict[str, object]) -> None:
         )
 
 
-def _spool_name(job_id: str, attempt: int) -> str:
-    return f"{job_id}.a{attempt}.jsonl"
-
-
 # ---------------------------------------------------------------------------
 # Parent (server) side
 # ---------------------------------------------------------------------------
@@ -379,24 +394,13 @@ class ShardPool:
     last resort.
     """
 
-    def __init__(
-        self,
-        shards: int = 2,
-        spool_dir: Optional[str] = None,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, shards: int = 2, start_method: Optional[str] = None):
         if shards < 1:
             raise ConfigurationError(f"need at least one shard, got {shards}")
         self.shards = shards
         self._ctx = mp.get_context(
             start_method or os.environ.get("REPRO_SVC_START_METHOD", "spawn")
         )
-        self._owns_spool = spool_dir is None
-        self.spool_dir = Path(
-            spool_dir if spool_dir is not None
-            else tempfile.mkdtemp(prefix="repro-serve-spool-")
-        )
-        self.spool_dir.mkdir(parents=True, exist_ok=True)
         self._processes: List[mp.process.BaseProcess] = []
         self._job_queues = []
         self._event_queues = []
@@ -418,7 +422,7 @@ class ShardPool:
         cancel_flag = self._ctx.Event()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(shard, job_q, event_q, cancel_flag, str(self.spool_dir)),
+            args=(shard, job_q, event_q, cancel_flag),
             name=f"repro-serve-shard-{shard}",
             daemon=True,
         )
@@ -475,10 +479,10 @@ class ShardPool:
                 event = self._event_queues[shard].get(timeout=0.2)
             except Empty:
                 # Liveness watch: a worker killed mid-job (OOM, segfault)
-                # sends no terminal event; the supervisor would poll the
-                # spool forever.  Two consecutive empty polls with a dead
-                # process (grace for the queue's feeder thread to flush
-                # its last events) => synthesize a death notice and stop.
+                # sends no terminal event; the supervisor would wait on
+                # its queue forever.  Two consecutive empty polls with a
+                # dead process (grace for the queue's feeder thread to
+                # flush its last events) => synthesize a death notice.
                 process = self._processes[shard]
                 if not process.is_alive():
                     dead_polls += 1
@@ -530,8 +534,8 @@ class ShardPool:
             ) from None
 
     def send(self, shard: int, jobs) -> None:
-        """Dispatch ``jobs`` — a list of one or more ``(job_id, attempt,
-        spec)`` — as one wire message, always a list.
+        """Dispatch ``jobs`` — a list of one or more ``(job_id, spec)``
+        — as one wire message, always a list.
 
         The worker advances them through one driver (a job alone by its
         own solver, several in lockstep through one
@@ -541,8 +545,7 @@ class ShardPool:
         """
         self._cancel_flags[shard].clear()
         self._job_queues[shard].put([
-            {"job_id": job_id, "attempt": attempt, "spec": spec.to_dict()}
-            for job_id, attempt, spec in jobs
+            {"job_id": job_id, "spec": spec.to_dict()} for job_id, spec in jobs
         ])
         self.jobs_dispatched[shard] += len(jobs)
 
@@ -550,18 +553,6 @@ class ShardPool:
         """Ask the shard's *current* dispatch to stop at its next step
         (every job of it stops)."""
         self._cancel_flags[shard].set()
-
-    def spool_path(self, job_id: str, attempt: int) -> Path:
-        return self.spool_dir / _spool_name(job_id, attempt)
-
-    def remove_spool(self, job_id: str, attempt: int) -> None:
-        """Delete one attempt's spool file (missing is fine) — called by
-        the supervisor once the tail is fully drained, so a long-running
-        service does not grow disk without bound."""
-        try:
-            self.spool_path(job_id, attempt).unlink()
-        except OSError:
-            pass
 
     def alive(self) -> List[bool]:
         return [process.is_alive() for process in self._processes]
@@ -623,8 +614,6 @@ class ShardPool:
         for queue in (*self._job_queues, *self._event_queues):
             queue.cancel_join_thread()
             queue.close()
-        if self._owns_spool:
-            shutil.rmtree(self.spool_dir, ignore_errors=True)
 
     def __enter__(self) -> "ShardPool":
         return self

@@ -258,6 +258,43 @@ class TestScheduler:
         with pytest.raises(SacRuntimeError, match="kaboom"):
             scheduler.run((0,), (100,), boom)
 
+    def test_with_loops_share_one_persistent_team(self):
+        """Chunks are rounds of the process's team: 50 parallel
+        with-loops add no thread, and equal the 1-thread evaluation."""
+        import threading
+
+        source = """double[.,.] f(double[.,.] a) {
+            b = { [i,j] -> a[i,j] * 3.0 + 1.0 };
+            return( { [i,j] -> b[i,j] / 7.0 - a[i,j] } );
+        }"""
+        arg = np.random.default_rng(11).normal(0, 1, (64, 64))
+        serial = NumpyEvaluator(parse_module(source)).call("f", arg)
+        evaluator = NumpyEvaluator(
+            parse_module(source),
+            scheduler=SchedulerOptions(threads=3, min_elements_per_thread=16),
+        )
+        np.testing.assert_array_equal(evaluator.call("f", arg), serial)
+        threads = threading.active_count()
+        for _ in range(25):  # two with-loops a call
+            np.testing.assert_array_equal(evaluator.call("f", arg), serial)
+        assert threading.active_count() == threads
+        assert evaluator.scheduler.run((0,), (96,), lambda lo, hi: None) == 3
+
+    def test_nested_with_loop_runs_inline_in_its_worker(self):
+        """The team is flat: a with-loop met inside a chunk does not wait
+        for the round it is part of."""
+        scheduler = WithLoopScheduler(
+            SchedulerOptions(threads=2, min_elements_per_thread=1)
+        )
+        inner_workers = []
+
+        def chunk(lo, hi):
+            inner_workers.append(scheduler.run((0,), (8,), lambda lo, hi: None))
+
+        assert scheduler.run((0,), (8,), chunk) == 2
+        assert inner_workers == [1, 1]
+        assert scheduler.run((0,), (8,), lambda lo, hi: None) == 2
+
     def test_spin_barrier(self):
         import threading
 

@@ -56,7 +56,6 @@ def test_batch_key_scheduling_fields_do_not_split_batches():
     base = two_channel_spec(2.0)
     assert base.batch_key() == two_channel_spec(2.0, priority=7).batch_key()
     assert base.batch_key() == two_channel_spec(2.0, trace_every=5).batch_key()
-    assert base.batch_key() == two_channel_spec(2.0, max_attempts=1).batch_key()
 
 
 def test_batch_key_splits_on_result_affecting_fields():
@@ -157,10 +156,10 @@ def test_send_batch_matches_send_job_bitwise(pool):
 
     solo = {}
     for index, spec in enumerate(specs):
-        pool.send(0, [(f"solo-{index}", 1, spec)])
+        pool.send(0, [(f"solo-{index}", spec)])
         solo.update(_await_terminal(pool, [f"solo-{index}"]))
 
-    pool.send(0, [(f"batch-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.send(0, [(f"batch-{i}", s) for i, s in enumerate(specs)])
     batched = _await_terminal(pool, [f"batch-{i}" for i in range(len(specs))])
 
     for index in range(len(specs)):
@@ -177,20 +176,21 @@ def test_send_batch_matches_send_job_bitwise(pool):
 
 
 def test_stream_record_follows_the_member_count(pool):
-    """The one kept difference: alone, a job spools full trace records;
+    """The one kept difference: alone, a job streams full trace records;
     with mates, the reduced ``{step, time, dt, batched}`` record."""
-    import json
-
     specs = [two_channel_spec(mach, max_steps=2) for mach in (1.5, 3.0)]
-    pool.send(0, [("full", 1, specs[0])])
-    pool.send(0, [("reduced-0", 1, specs[0]), ("reduced-1", 1, specs[1])])
-    _await_terminal(pool, ["full", "reduced-0", "reduced-1"])
-
-    def spooled(job_id):
-        text = pool.spool_path(job_id, 1).read_text()
-        return [json.loads(line) for line in text.splitlines()]
-
-    full, reduced = spooled("full"), spooled("reduced-0")
+    pool.send(0, [("full", specs[0])])
+    pool.send(0, [("reduced-0", specs[0]), ("reduced-1", specs[1])])
+    streamed = {"full": [], "reduced-0": [], "reduced-1": []}
+    terminals = set()
+    while terminals < set(streamed):
+        event = pool.next_event(0, timeout=180)
+        if event["kind"] == "steps":
+            for job_id, record in event["records"]:
+                streamed[job_id].append(record)
+        else:
+            terminals.add(event["job_id"])
+    full, reduced = streamed["full"], streamed["reduced-0"]
     assert [r["step"] for r in full] == [r["step"] for r in reduced] == [1, 2]
     assert set(reduced[0]) == {"kind", "step", "time", "dt", "batched"}
     assert reduced[0]["batched"] == 2
@@ -203,27 +203,25 @@ def test_batch_builder_failure_costs_only_its_job(pool):
     """mach <= 1 fails in the problem builder; its batch mates run, and
     the failed event has the shape it has when the job is sent alone."""
     specs = [two_channel_spec(1.5), two_channel_spec(0.5), two_channel_spec(3.0)]
-    pool.send(0, [(f"mix-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.send(0, [(f"mix-{i}", s) for i, s in enumerate(specs)])
     events = _await_terminal(pool, [f"mix-{i}" for i in range(3)])
     assert events["mix-0"]["event"] == "done"
     assert events["mix-2"]["event"] == "done"
     failed = events["mix-1"]
     assert failed["event"] == "failed"
     assert failed["error"]["type"] == "ConfigurationError"
-    assert failed["retryable"] is False
 
-    pool.send(0, [("alone", 1, specs[1])])
+    pool.send(0, [("alone", specs[1])])
     alone = _await_terminal(pool, ["alone"])["alone"]
     assert set(alone) == set(failed)
     assert set(alone["error"]) == set(failed["error"])
-    for key in ("event", "retryable"):
-        assert alone[key] == failed[key]
+    assert alone["event"] == failed["event"]
     for key in ("type", "message"):
         assert alone["error"][key] == failed["error"][key]
 
 
 def test_member_blowup_has_the_solo_failure_shape(pool):
-    """A PhysicsError fails its job retryably with forensics, alone (it
+    """A PhysicsError fails its job with forensics, alone (it
     propagates, ``batch_index`` None) or with a mate (it is retired,
     ``batch_index`` its slot) — one event shape; the mate completes."""
     from repro.euler.solver import SolverConfig
@@ -231,13 +229,13 @@ def test_member_blowup_has_the_solo_failure_shape(pool):
     unstable = SolverConfig(cfl=10.0)
     boom = two_channel_spec(2.2, config=unstable, max_steps=50)
     mate = two_channel_spec(1.5, config=unstable, max_steps=1)
-    pool.send(0, [("boom-alone", 1, boom)])
+    pool.send(0, [("boom-alone", boom)])
     alone = _await_terminal(pool, ["boom-alone"])["boom-alone"]
-    pool.send(0, [("mate", 1, mate), ("boom-mated", 1, boom)])
+    pool.send(0, [("mate", mate), ("boom-mated", boom)])
     events = _await_terminal(pool, ["mate", "boom-mated"])
     mated = events["boom-mated"]
     for failed in (alone, mated):
-        assert failed["event"] == "failed" and failed["retryable"] is True
+        assert failed["event"] == "failed"
         assert failed["error"]["type"] == "PhysicsError"
         assert failed["error"]["forensics"]["cells"]
     assert set(alone["error"]) == set(mated["error"])
@@ -249,7 +247,7 @@ def test_member_blowup_has_the_solo_failure_shape(pool):
 def test_cancel_stops_every_job_of_a_dispatch(pool):
     specs = [two_channel_spec(mach, max_steps=200_000, trace_every=1000)
              for mach in (1.5, 3.0)]
-    pool.send(0, [(f"long-{i}", 1, s) for i, s in enumerate(specs)])
+    pool.send(0, [(f"long-{i}", s) for i, s in enumerate(specs)])
     pool.cancel(0)
     events = _await_terminal(pool, ["long-0", "long-1"])
     assert {e["event"] for e in events.values()} == {"cancelled"}

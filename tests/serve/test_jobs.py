@@ -38,7 +38,7 @@ def test_exact_needs_positive_t():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_attempts", 0), ("trace_every", 0), ("deadline_s", -1.0)],
+    [("trace_every", 0), ("deadline_s", -1.0)],
 )
 def test_bad_scheduling_attributes_rejected(field, value):
     with pytest.raises(ConfigurationError):
@@ -58,7 +58,7 @@ def test_config_must_be_solver_config():
         ("t_end", "soon"),
         ("max_steps", "many"),
         ("deadline_s", [1.0]),
-        ("max_attempts", "two"),
+        ("max_steps", [3]),
         ("trace_every", {}),
     ],
 )
@@ -127,7 +127,6 @@ def test_scheduling_fields_do_not_change_cache_key():
     for overrides in (
         {"priority": 9},
         {"deadline_s": 1.0},
-        {"max_attempts": 1},
         {"trace_every": 50},
     ):
         assert sod_spec(**overrides).cache_key() == base.cache_key(), overrides
@@ -158,13 +157,24 @@ def test_happy_path_transitions():
     assert record.terminal and record.finished is not None
 
 
-def test_retry_edge_running_back_to_queued():
+def test_running_back_to_queued_is_illegal():
+    """One attempt: nothing leads back into the queue."""
+    assert TRANSITIONS[JobState.RUNNING] == {
+        JobState.DONE, JobState.FAILED, JobState.CANCELLED,
+    }
     record = JobRecord(job_id="j1", spec=sod_spec())
     record.transition(JobState.RUNNING)
-    record.transition(JobState.QUEUED)  # the retry edge
-    record.transition(JobState.RUNNING)
+    with pytest.raises(ServiceError, match="illegal transition"):
+        record.transition(JobState.QUEUED)
     record.transition(JobState.FAILED)
     assert record.terminal
+
+
+def test_max_attempts_is_an_unknown_wire_key():
+    payload = sod_spec().to_dict()
+    assert len(payload) == 9 and "max_attempts" not in payload
+    with pytest.raises(ConfigurationError, match="max_attempts"):
+        JobSpec.from_dict({**payload, "max_attempts": 1})
 
 
 def test_queued_can_be_cancelled():
@@ -196,3 +206,4 @@ def test_status_payload_is_json_ready():
     record = JobRecord(job_id="j1", spec=sod_spec())
     text = json.dumps(record.status())
     assert '"state": "queued"' in text
+    assert "attempt" not in text

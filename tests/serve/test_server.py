@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import socket
 import time
 
@@ -21,6 +23,7 @@ from repro.serve import (
     ServiceClient,
     SimulationService,
 )
+from repro.serve import server as server_module
 from repro.serve.jobs import JobState
 from repro.serve.server import start_in_thread
 
@@ -99,7 +102,7 @@ def test_stream_replays_and_follows(client):
     assert kinds[0] == ("job", "queued")
     assert ("job", "started") in kinds
     started = events[kinds.index(("job", "started"))]
-    assert started["batched"] == 1 and started["attempt"] == 1
+    assert started["batched"] == 1 and "attempt" not in started
     step_records = [event for event in events if event.get("kind") == "step"]
     assert [record["step"] for record in step_records] == [2, 4, 6, 8]
     assert kinds[-1] == ("job", "done")
@@ -129,26 +132,34 @@ def test_deadline_cancels_on_server_side(client):
     assert response["status"]["cancel_reason"] == "deadline"
 
 
-def test_physics_blowup_retries_once_and_ships_forensics(client):
+def test_physics_blowup_fails_once_and_ships_forensics(client):
     spec = JobSpec.from_dict({
         "problem": "sod",
         "problem_args": {"n_cells": 32},
         "max_steps": 50,
         "config": {"cfl": 10.0},
     })
+    dispatched = sum(client.stats()["shards"]["dispatched"])
     response = client.run(spec)
     status = response["status"]
     assert status["state"] == "failed"
-    assert status["attempts"] == 2  # retry-once-on-PhysicsError
     error = status["error"]
     assert error["type"] == "PhysicsError"
     assert error["forensics"]["cells"]
     assert response["result"] is None
+    # One attempt: a second run could only reproduce the first.
+    events = [e for e in client.stream(response["job_id"]) if e["kind"] == "job"]
+    assert [event["event"] for event in events] == ["queued", "started", "failed"]
+    assert events[-1] == {
+        "kind": "job", "event": "failed",
+        "job_id": response["job_id"], "error": error,
+    }
+    stats = client.stats()
+    assert sum(stats["shards"]["dispatched"]) == dispatched + 1
+    assert "retries" not in stats
     # Containment: the service keeps serving after the blow-up.
     assert client.run(sod_spec())["status"]["state"] == "done"
-    stats = client.stats()
-    assert stats["retries"] >= 1
-    assert all(stats["shards"]["alive"])
+    assert all(client.stats()["shards"]["alive"])
 
 
 def test_stats_shape(client):
@@ -223,35 +234,36 @@ def test_cancel_queued_job_while_all_shards_busy(client):
     for job_id in busy:
         client.cancel(job_id)
         assert list(client.stream(job_id))[-1]["event"] == "cancelled"
-    assert client.status(queued)["attempts"] == 0  # never reached a shard
+    assert client.status(queued)["shard"] is None  # never reached a shard
 
 
-def test_shard_death_fails_job_respawns_and_cleans_spool():
-    """Killing a worker mid-job synthesizes a terminal failure instead of
-    leaving the job RUNNING forever, the shard respawns, and drained
-    spool files are reclaimed."""
+def test_shard_death_fails_job_and_respawns():
+    """SIGKILL mid-job: the supervisor synthesizes a terminal failure
+    instead of waiting for ever, the records delivered before the death
+    stay in the job's replay, and the shard respawns."""
 
     async def scenario():
         service = SimulationService(shards=1, queue_depth=4)
         await service.start()
         try:
-            record = service.submit(slow_spec())
-            deadline = time.monotonic() + 60.0
-            while record.state is not JobState.RUNNING:
-                assert time.monotonic() < deadline, "job never started"
-                await asyncio.sleep(0.01)
-            service.pool._processes[0].terminate()
+            record = service.submit(slow_spec(trace_every=10))
+            _, live = service.subscribe(record.job_id)
+            seen = 0
+            while seen < 3:  # the job is streaming
+                seen += (await asyncio.wait_for(live.get(), 60.0))["kind"] == "step"
+            os.kill(service.pool._processes[0].pid, signal.SIGKILL)
             await asyncio.wait_for(service.wait(record.job_id), timeout=120.0)
             assert record.state is JobState.FAILED
             assert record.error["type"] == "ShardDied"
+            steps = [e["step"] for e in record.events if e["kind"] == "step"]
+            assert len(steps) >= seen and steps == sorted(set(steps))
+            assert record.events[-1]["event"] == "failed"
             # The shard respawned: the service keeps serving on the slot.
             follow = service.submit(sod_spec())
             await asyncio.wait_for(service.wait(follow.job_id), timeout=120.0)
             assert follow.state is JobState.DONE
             assert service.pool.alive() == [True]
             assert service.stats()["shards"]["respawns"] == 1
-            assert not service.pool.spool_path(follow.job_id, 1).exists()
-            assert not service.pool.spool_path(record.job_id, 1).exists()
         finally:
             await service.close()
 
@@ -260,8 +272,7 @@ def test_shard_death_fails_job_respawns_and_cleans_spool():
 
 def test_shard_death_fails_every_job_of_a_dispatch():
     """One supervisor, N records: the worker dying mid-dispatch fails
-    all of them non-retryably (no retry edge taken) and the shard
-    respawns once."""
+    all of them and the shard respawns once."""
 
     def long_2d(mach):
         return JobSpec(
@@ -285,9 +296,7 @@ def test_shard_death_fails_every_job_of_a_dispatch():
                 await asyncio.wait_for(service.wait(record.job_id), timeout=120.0)
                 assert record.state is JobState.FAILED
                 assert record.error["type"] == "ShardDied"
-                assert record.attempts == 1
-                assert not service.pool.spool_path(record.job_id, 1).exists()
-            assert service.retries == 0
+            assert service.pool.jobs_dispatched == [2]
             follow = service.submit(sod_spec())
             await asyncio.wait_for(service.wait(follow.job_id), timeout=120.0)
             assert follow.state is JobState.DONE
@@ -326,5 +335,55 @@ def test_cancel_queued_job_via_tombstone():
         assert [event["event"] for event in record.events] == [
             "queued", "cancelled",
         ]
+
+    asyncio.run(scenario())
+
+
+def test_job_table_is_bounded(monkeypatch):
+    """Only the newest RETAINED_JOBS terminal records are kept; counts
+    go on counting the forgotten ones."""
+    monkeypatch.setattr(server_module, "RETAINED_JOBS", 3)
+
+    async def scenario():
+        service = SimulationService(shards=1, queue_depth=4)
+        await service.start()
+        try:
+            records = []
+            for steps in range(1, 11):
+                record = await service.submit_wait(sod_spec(t_end=None, max_steps=steps))
+                records.append(record)
+                assert len(service.jobs) <= 3 + 1  # the bound + in flight
+                await service.wait(record.job_id)
+            assert [r.state for r in records] == [JobState.DONE] * 10
+            assert list(service.jobs) == [r.job_id for r in records[-3:]]
+            assert not service._completion and not service._subscribers
+            for call in (service.status, service.subscribe, service.cancel):
+                with pytest.raises(ServiceError, match="unknown job 'j1'"):
+                    call("j1")
+            assert service.status("j10")["state"] == "done"
+            cached = service.submit(sod_spec(t_end=None, max_steps=1))
+            assert cached.cached  # the result outlived its job record
+            failed = service.submit(sod_spec(problem_args={"n_cellz": 64}))
+            await service.wait(failed.job_id)
+            stats = service.stats()
+            assert stats["submitted"] == 12
+            assert stats["jobs"] == {"done": 11, "failed": 1}
+
+            # Forgotten the moment it finishes: whoever holds the record
+            # (a waiter, a stream) still has all of it.
+            monkeypatch.setattr(server_module, "RETAINED_JOBS", 0)
+            record = service.submit(sod_spec(t_end=None, max_steps=11))
+            _, live = service.subscribe(record.job_id)
+            waited = await asyncio.wait_for(service.wait(record.job_id), 120.0)
+            assert waited is record and record.state is JobState.DONE
+            assert record.result["steps"] == 11
+            assert record.job_id not in service.jobs
+            events = []
+            while (event := await live.get()) is not None:
+                events.append(event)
+            assert events == record.events[1:]  # subscribed after "queued"
+            assert service.stats()["jobs"] == {"done": 12, "failed": 1}
+        finally:
+            await service.close()
 
     asyncio.run(scenario())

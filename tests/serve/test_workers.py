@@ -9,8 +9,9 @@ synchronously via ``next_event`` without binding an event loop.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ def pool():
     assert mp.active_children() == []
 
 
-def run_job(pool, spec, job_id="t1", attempt=1, timeout=120.0):
+def run_job(pool, spec, job_id="t1", timeout=120.0):
     """Send one job and read events until its terminal event."""
-    pool.send(0, [(job_id, attempt, spec)])
+    pool.send(0, [(job_id, spec)])
     events = []
     while True:
         event = pool.next_event(0, timeout=timeout)
@@ -64,16 +65,18 @@ def test_done_payload_matches_in_process_run(pool):
     assert payload["wall_seconds"] > 0.0
 
 
-def test_spool_contains_step_records(pool):
+def test_steps_messages_carry_step_records(pool):
     spec = JobSpec(
         problem="lax", problem_args={"n_cells": 64}, max_steps=6, trace_every=2
     )
-    run_job(pool, spec, job_id="spooled")
-    spool = pool.spool_path("spooled", 1)
-    lines = [json.loads(line) for line in spool.read_text().splitlines()]
-    steps = [line for line in lines if line.get("kind") == "step"]
+    *messages, terminal = run_job(pool, spec, job_id="streamed")
+    assert terminal["event"] == "done"
+    assert {message["kind"] for message in messages} == {"steps"}
+    records = [pair for message in messages for pair in message["records"]]
+    assert {job_id for job_id, _ in records} == {"streamed"}
+    steps = [record for _, record in records]
     assert [record["step"] for record in steps] == [2, 4, 6]
-    assert lines == steps  # nothing but step records
+    assert {record["kind"] for record in steps} == {"step"}
     # a job alone streams full trace records
     assert {"min_density", "mass_drift", "phase_seconds"} <= set(steps[0])
 
@@ -88,7 +91,7 @@ def test_physics_blowup_reports_forensics_and_shard_survives(pool):
     events = run_job(pool, spec, job_id="boom")
     terminal = events[-1]
     assert terminal["event"] == "failed"
-    assert terminal["retryable"] is True
+    assert set(terminal) == {"kind", "job_id", "shard", "event", "error"}
     error = terminal["error"]
     assert error["type"] == "PhysicsError"
     forensics = error["forensics"]
@@ -109,7 +112,7 @@ def test_unknown_problem_arg_fails_non_retryable(pool):
     )
     terminal = run_job(pool, spec, job_id="typo")[-1]
     assert terminal["event"] == "failed"
-    assert terminal["retryable"] is False
+    assert "retryable" not in terminal  # nothing is: a job gets one attempt
     assert terminal["error"]["type"] == "ConfigurationError"
     assert "n_cellz" in terminal["error"]["message"]
 
@@ -121,7 +124,7 @@ def test_cancel_flag_stops_running_job(pool):
         max_steps=200_000,
         trace_every=1000,
     )
-    pool.send(0, [("slow", 1, spec)])
+    pool.send(0, [("slow", spec)])
     pool.cancel(0)
     event = pool.next_event(0, timeout=120.0)
     assert event["event"] == "cancelled"
@@ -146,7 +149,7 @@ def test_exact_job_completes_through_the_same_entry_point(pool):
 
     spec = JobSpec(problem="exact", problem_args={"t": 0.25, "base": "toro123"})
     first = run_job(pool, spec, job_id="exact1")[-1]["result"]
-    second = run_job(pool, spec, job_id="exact2", attempt=1)[-1]["result"]
+    second = run_job(pool, spec, job_id="exact2")[-1]["result"]
     assert second["state_sha256"] == first["state_sha256"]
     assert second["state"] == first["state"]
     problem = RIEMANN_PROBLEMS["toro123"]
@@ -188,14 +191,16 @@ def test_intra_job_parallel_solver_matches_serial(pool):
     assert serial["batched"] == 1
 
 
-def test_shutdown_leaves_no_children_and_removes_spool():
+def test_shutdown_leaves_no_children_and_no_files():
+    """The event queue is the only channel: a pool's whole life creates
+    no directory and no file."""
+    before = sorted(os.listdir(tempfile.gettempdir()))
     pool = ShardPool(shards=1)
     pool.start()
     own_processes = list(pool._processes)
-    spool_dir = pool.spool_dir
     run_job(pool, JobSpec(problem="sod", problem_args={"n_cells": 32}, max_steps=2))
     pool.shutdown()
     pool.shutdown()  # idempotent
     assert all(not process.is_alive() for process in own_processes)
     assert not set(own_processes) & set(mp.active_children())
-    assert not spool_dir.exists()
+    assert sorted(os.listdir(tempfile.gettempdir())) == before

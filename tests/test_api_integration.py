@@ -1,11 +1,10 @@
 """Cross-cutting API and integration tests: error hierarchy, the SaC
-compile API surface, timing helpers, and example-level smoke tests."""
+compile API surface and example-level smoke tests."""
 
 import numpy as np
 import pytest
 
 from repro import errors
-from repro.perf.timing import Timing, compare, measure
 from repro.sac import CompilerOptions, SacProgram, compile_source
 
 
@@ -89,26 +88,6 @@ class TestSacApi:
         """
         with pytest.raises(errors.SacTypeError, match="shadow"):
             compile_source(source)
-
-
-class TestTiming:
-    def test_measure_runs_function(self):
-        calls = {"n": 0}
-
-        def fn():
-            calls["n"] += 1
-
-        timing = measure("thing", fn, repeats=2, warmup=1)
-        assert calls["n"] == 3
-        assert timing.seconds >= 0.0
-
-    def test_compare_orders_fastest_first(self):
-        report = compare(
-            [Timing("slow", 2.0, 1), Timing("fast", 1.0, 1)]
-        )
-        lines = report.splitlines()
-        assert "fast" in lines[1]
-        assert "2.0x" in lines[2]
 
 
 class TestExamplesSmoke:
