@@ -25,11 +25,12 @@ is also *built* (through the ordinary cache) and what the compiler
 reports for its two point loops is recorded per spec as ``vectorised``,
 ``scalar`` or ``not-observed`` (``"kind": "jit-kernel"`` lines in the
 JSONL); ``scalar`` — a compiler that reports, and reports nothing for a
-loop — is error ``JIT-VEC001``.  It also builds, verifies and schedules every
-*standalone* kernel IR (one Riemann solver, scheme, conversion or
-eigenvalue sum — the in-place NumPy path, :func:`repro.jit.numpy_eval
-.numpy_program`), so an emitter only the NumPy path reaches is checked
-ahead of time too.
+loop — is error ``JIT-VEC001``.  Those 232 specs are the NumPy path as
+well — the engine interprets the same IR pair the C is generated from —
+so nothing is checked for one executor only; ``--jit`` then builds,
+verifies and schedules the two *standalone* IRs that remain beside them
+(the primitive conversion per field count, :func:`repro.jit.numpy_eval
+.numpy_program`): 232 specs + 2 standalone IRs.
 
 Output is a human-readable report, or JSONL (``--json``, one
 ``"kind": "diagnostic"`` object per line — the
@@ -240,8 +241,9 @@ def lint_jit_kernels(
 
 def lint_numpy_kernels(engine: DiagnosticEngine) -> int:
     """Build, verify and schedule every standalone kernel IR — the
-    programs behind the ``out=``/``work=`` NumPy entry points.  Findings
-    land in ``engine``; returns the number of kernels checked."""
+    programs behind ``primitive_from_conservative(out=)``, the one
+    conversion the engine runs outside a fused program.  Findings land
+    in ``engine``; returns the number of kernels checked."""
     from repro.jit.kernels import standalone_kernels
     from repro.jit.numpy_eval import numpy_program
 

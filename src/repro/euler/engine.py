@@ -6,11 +6,17 @@ arrays per Runge-Kutta stage (integrator temporaries, padded sweep
 buffers, face fluxes, primitive round trips).  :class:`StepEngine`
 owns, per (grid shape, :class:`~repro.euler.solver.SolverConfig`), a
 :class:`~repro.euler.workspace.Workspace` of preallocated buffers and
-advances the conservative state through ``out=``-parameterised kernels
-— each the kernel's ``emit_*`` IR definition run as a NumPy program
-(:mod:`repro.jit.numpy_eval`) — which perform the identical sequence of
-rounded floating-point operations as the allocating seed path: results
-are bit-for-bit equal, only the allocator traffic is gone.
+advances the conservative state by running *one program per spec* —
+the folded ``reconstruct -> riemann`` flux IR and the fused
+``convert -> eigenvalue`` dt IR of its
+:class:`~repro.jit.kernels.KernelSpec`, assembled from the ``emit_*``
+definitions beside the allocating reference functions.  A strip is
+executed by one of two executors of that same pair: the compiled kernel
+(:class:`~repro.jit.backend.JitBackend`) or
+:class:`~repro.jit.numpy_eval.NumpyProgram` here.  Either performs the
+identical sequence of rounded floating-point operations as the
+allocating seed path: results are bit-for-bit equal, only the allocator
+traffic is gone.
 
 There is one engine and it has three annotations, none of which
 selects different code:
@@ -40,8 +46,9 @@ nor running them side by side changes the rounded operations any cell
 sees.
 
 The engine also keeps per-phase wall-clock counters (boundary fill,
-reconstruction, Riemann fluxes, flux differencing, Runge-Kutta combine,
-primitive conversion, dt reduction) plus conversion/step/strip counts and
+the folded face-flux program — booked as ``riemann`` — flux
+differencing, Runge-Kutta combine, primitive conversion, the fused dt
+program and its reduction) plus conversion/step/strip counts and
 the scratch footprint in bytes; ``perf.scaling`` measured mode and
 ``benchmarks/test_steprate.py`` record them.
 """
@@ -55,21 +62,17 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PhysicsError
 from repro.euler import state, tiling
-from repro.euler.reconstruction import (
-    get_scheme,
-    reconstruct_characteristic,
-    reconstruct_component,
-)
+from repro.euler.reconstruction import stencil_views
 from repro.euler.rk import get_integrator_into
-from repro.euler.riemann import get_riemann_solver
-from repro.euler.timestep import max_eigenvalue, member_max_eigenvalues
+from repro.euler.timestep import max_eigenvalue
 from repro.euler.workspace import Workspace
 import repro.jit as repro_jit
+from repro.jit.numpy_eval import field_views, kernel_programs
 
 __all__ = ["StepEngine", "PHASES"]
 
 #: Phase keys of the engine's wall-clock counters.
-PHASES = ("convert", "bc", "reconstruct", "riemann", "difference", "rk", "dt")
+PHASES = ("convert", "bc", "riemann", "difference", "rk", "dt")
 
 #: Field permutation of ``swap_velocity_axes`` for 4-field states.
 _SWAP_FIELDS = ((0, 0), (1, 2), (2, 1), (3, 3))
@@ -165,9 +168,12 @@ class StepEngine:
             ]
             for axis in range(self.ndim)
         ]
-        self.scheme = get_scheme(config.reconstruction, config.limiter)
-        self.riemann = get_riemann_solver(config.riemann)
-        self.ghost_cells = self.scheme.ghost_cells
+        # Deferred: repro.jit.kernels imports repro.euler for the emitters.
+        from repro.jit.kernels import spec_from_config
+
+        #: The specialization both executors run (see the module docstring).
+        self.spec = spec_from_config(config, self.ndim)
+        self.ghost_cells = self.spec.ghost_cells
         self.integrator_into = get_integrator_into(config.rk_order)
         self.workspace = Workspace()
         self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
@@ -259,13 +265,14 @@ class StepEngine:
                 # intermediates, so a strip's working set is far
                 # smaller; strips grow to fill the same budget.  A
                 # backend whose kernel failed to build serves no strip:
-                # the NumPy programs run, so their row size plans.
+                # the NumPy program runs, so its row size plans.
                 row_bytes = tiling.jit_sweep_row_bytes(
                     cross, padded_shape[-1], self.ghost_cells
                 )
             else:
+                flux_program, _ = kernel_programs(self.spec)
                 row_bytes = tiling.sweep_row_bytes(
-                    cross, padded_shape[-1], self.config, self.ghost_cells
+                    cross, padded_shape[-1], flux_program, self.ghost_cells
                 )
             self._tile_plans[padded_shape] = tiling.plan_tiles(
                 n_cells, row_bytes, self._strip_budget
@@ -305,9 +312,10 @@ class StepEngine:
         """Per-member CFL steps as a ``(B,)`` vector (member clocks).
 
         The primitive conversion and the GetDT eigenvalue pass run
-        fused, strip of members by strip of members: each strip of ``u``
-        is converted into the engine's primitive buffer and reduced to
-        its members' max signal speeds while still cache-resident.
+        fused — one dt program, compiled or interpreted — strip of
+        members by strip of members: each strip of ``u`` is converted
+        into the engine's primitive buffer and reduced to its members'
+        max signal speeds while still cache-resident.
         ``max`` is exact and order-independent, so entry ``b`` is
         bit-for-bit the seed path's ``get_dt`` of member ``b`` whatever
         the plan; the conversion is complete and stays fresh for the
@@ -326,21 +334,24 @@ class StepEngine:
         maxima = ws.array("engine.dt_member_max", (self.batch,))
         for tile in self._dt_plan.tiles:
             rows = slice(tile.start, tile.stop)
-            # One group per member: the compiled reduction mirrors
-            # member_max_eigenvalues' per-member max exactly.
+            # One group per member: the compiled reduction is the
+            # per-member np.max below, exactly.
             if backend is not None and backend.dt_strip(
                 self, u[rows], target[rows], maxima[rows]
             ):
                 continue
             started = perf_counter()
-            state.primitive_from_conservative(
-                u[rows], gamma, out=target[rows], work=ws
-            )
-            self.seconds["convert"] += perf_counter() - started
-            started = perf_counter()
-            member_max_eigenvalues(
-                target[rows], self.spacing, gamma, out=maxima[rows], work=ws
-            )
+            ev = ws.array("engine.ev", target[rows].shape[:-1])
+            # Non-finite members are reported below, by member: the
+            # program itself must not warn about them.
+            _, dt_program = kernel_programs(self.spec)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dt_program.run(
+                    field_views(u[rows]) + [gamma, *self.spacing],
+                    field_views(target[rows]) + [ev],
+                    ws,
+                )
+            np.max(ev.reshape(tile.cells, -1), axis=1, out=maxima[rows])
             self.seconds["dt"] += perf_counter() - started
         self.tiles_processed += len(self._dt_plan.tiles)
         self.dt_fused_strips += len(self._dt_plan.tiles)
@@ -364,38 +375,21 @@ class StepEngine:
 
     # -- sweeps ---------------------------------------------------------
 
-    def _face_fluxes(self, padded: np.ndarray) -> np.ndarray:
-        """Riemann fluxes at the interior faces of a padded sweep array."""
-        ws = self.workspace
+    def riemann(self, padded: np.ndarray) -> np.ndarray:
+        """Riemann fluxes at the interior faces of a padded strip: the
+        spec's folded flux program over the strip's stencil views."""
         ng = self.ghost_cells
-        faces_shape = (padded.shape[0] - 2 * ng + 1,) + padded.shape[1:]
-        flux = ws.array("engine.flux", faces_shape)
-        left = ws.array("engine.left", faces_shape)
-        right = ws.array("engine.right", faces_shape)
-        gamma = self.config.gamma
-        mode = self.config.variables
+        flux = self.workspace.array(
+            "engine.flux", (padded.shape[0] - 2 * ng + 1,) + padded.shape[1:]
+        )
+        flux_program, _ = kernel_programs(self.spec)
         started = perf_counter()
-        if mode == "characteristic":
-            reconstruct_characteristic(
-                self.scheme, padded, gamma, out=(left, right), work=ws
-            )
-        elif mode == "primitive":
-            reconstruct_component(
-                self.scheme, padded, ng, out=(left, right), work=ws
-            )
-        else:  # conservative
-            padded_cons = ws.array("engine.padded_cons", padded.shape)
-            state.conservative_from_primitive(padded, gamma, out=padded_cons, work=ws)
-            cons_left = ws.array("engine.cons_left", faces_shape)
-            cons_right = ws.array("engine.cons_right", faces_shape)
-            reconstruct_component(
-                self.scheme, padded_cons, ng, out=(cons_left, cons_right), work=ws
-            )
-            state.primitive_from_conservative(cons_left, gamma, out=left, work=ws)
-            state.primitive_from_conservative(cons_right, gamma, out=right, work=ws)
-        self.seconds["reconstruct"] += perf_counter() - started
-        started = perf_counter()
-        self.riemann(left, right, gamma, out=flux, work=ws)
+        flux_program.run(
+            [plane for view in stencil_views(padded, ng) for plane in field_views(view)]
+            + [self.config.gamma],
+            field_views(flux),
+            self.workspace,
+        )
         self.seconds["riemann"] += perf_counter() - started
         return flux
 
@@ -403,12 +397,13 @@ class StepEngine:
         self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
     ) -> None:
         """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``:
-        the compiled kernel when it serves the strip, else the NumPy programs."""
+        the compiled kernel when it serves the strip, else the flux
+        program interpreted (:meth:`riemann`) and three ufuncs."""
         if self.backend is not None and self.backend.sweep(
             self, padded_strip, spacing, target
         ):
             return
-        flux = self._face_fluxes(padded_strip)
+        flux = self.riemann(padded_strip)
         started = perf_counter()
         np.subtract(flux[1:], flux[:-1], out=target)
         np.negative(target, out=target)
@@ -618,7 +613,6 @@ class StepEngine:
         return (
             seconds["convert"]
             + seconds["bc"]
-            + seconds["reconstruct"]
             + seconds["riemann"]
             + seconds["difference"]
             + seconds.get("jit_sweep", 0.0)

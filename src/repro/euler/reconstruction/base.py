@@ -48,17 +48,7 @@ def stencil_views(padded: np.ndarray, ghost_cells: int) -> List[np.ndarray]:
 
 
 def reconstruct_component(
-    scheme: StencilScheme,
-    padded: np.ndarray,
-    ghost_cells: int,
-    out=None,
-    work=None,
+    scheme: StencilScheme, padded: np.ndarray, ghost_cells: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run a stencil scheme on raw (componentwise) values.
-
-    ``out=(left, right)``/``work`` select the scheme's preallocated
-    in-place path (bit-for-bit with the allocating one).
-    """
-    if out is None:
-        return scheme(stencil_views(padded, ghost_cells))
-    return scheme(stencil_views(padded, ghost_cells), out=out, work=work)
+    """Run a stencil scheme on raw (componentwise) values."""
+    return scheme(stencil_views(padded, ghost_cells))

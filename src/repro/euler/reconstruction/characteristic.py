@@ -22,7 +22,6 @@ from repro.euler.constants import FLOOR, GAMMA
 from repro.euler import state
 from repro.euler.reconstruction.base import StencilScheme, stencil_views
 from repro.euler.riemann.roe import _emit_roe_average, roe_average
-from repro.jit.numpy_eval import field_views, numpy_program
 
 
 def eigen_matrices(
@@ -103,21 +102,13 @@ def _project(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_characteristic(
-    scheme: StencilScheme,
-    padded_primitive: np.ndarray,
-    gamma: float = GAMMA,
-    out=None,
-    work=None,
+    scheme: StencilScheme, padded_primitive: np.ndarray, gamma: float = GAMMA
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run a stencil scheme on local characteristic variables.
 
     ``padded_primitive`` holds N + 2*ghost_cells cells along axis 0 in
     primitive sweep layout; the result is primitive left/right states
-    at the N + 1 interior faces.  With ``out=(left, right)``/``work``
-    the projection and the back-projection are the NumPy programs of
-    :func:`emit_project_stencil` and :func:`emit_unproject_faces` around
-    one run of the scheme's own program over whole multi-field arrays;
-    either way the rounded operations are identical.
+    at the N + 1 interior faces.
     """
     ghost_cells = scheme.ghost_cells
     views = stencil_views(padded_primitive, ghost_cells)
@@ -126,47 +117,21 @@ def reconstruct_characteristic(
 
     if ghost_cells == 1:
         # Piecewise-constant is basis-independent; skip the projection.
-        if out is None:
-            return scheme(views)
-        return scheme(views, out=out, work=work)
+        return scheme(views)
 
-    if out is None:
-        left_matrix, right_matrix = eigen_matrices(adjacent_left, adjacent_right, gamma)
-        conservative = [state.conservative_from_primitive(v, gamma) for v in views]
-        characteristic = [_project(left_matrix, u) for u in conservative]
+    left_matrix, right_matrix = eigen_matrices(adjacent_left, adjacent_right, gamma)
+    conservative = [state.conservative_from_primitive(v, gamma) for v in views]
+    characteristic = [_project(left_matrix, u) for u in conservative]
 
-        char_left, char_right = scheme(characteristic)
-        cons_left = _project(right_matrix, char_left)
-        cons_right = _project(right_matrix, char_right)
-        prim_left = state.primitive_from_conservative(cons_left, gamma)
-        prim_right = state.primitive_from_conservative(cons_right, gamma)
+    char_left, char_right = scheme(characteristic)
+    cons_left = _project(right_matrix, char_left)
+    cons_right = _project(right_matrix, char_right)
+    prim_left = state.primitive_from_conservative(cons_left, gamma)
+    prim_right = state.primitive_from_conservative(cons_right, gamma)
 
-        prim_left = _fallback_unphysical(prim_left, adjacent_left)
-        prim_right = _fallback_unphysical(prim_right, adjacent_right)
-        return prim_left, prim_right
-
-    nfields = padded_primitive.shape[-1]
-    characteristic = [
-        work.like(f"char.w{index}", view) for index, view in enumerate(views)
-    ]
-    numpy_program("project", ghost_cells, nfields).run(
-        [plane for view in views for plane in field_views(view)] + [gamma],
-        [plane for w in characteristic for plane in field_views(w)],
-        work,
-    )
-    char_left = work.like("char.left", adjacent_left)
-    char_right = work.like("char.right", adjacent_right)
-    scheme(characteristic, out=(char_left, char_right), work=work)
-    numpy_program("unproject", nfields).run(
-        field_views(adjacent_left)
-        + field_views(adjacent_right)
-        + field_views(char_left)
-        + field_views(char_right)
-        + [gamma],
-        field_views(out[0]) + field_views(out[1]),
-        work,
-    )
-    return out
+    prim_left = _fallback_unphysical(prim_left, adjacent_left)
+    prim_right = _fallback_unphysical(prim_right, adjacent_right)
+    return prim_left, prim_right
 
 
 def _fallback_unphysical(reconstructed: np.ndarray, first_order: np.ndarray) -> np.ndarray:
@@ -183,10 +148,10 @@ def _fallback_unphysical(reconstructed: np.ndarray, first_order: np.ndarray) -> 
 
 # -- kernel-IR definitions (repro.jit) ----------------------------------
 #
-# One IR op per rounded operation of the allocating branch above.  A
-# matrix is a list of rows of SSA values; the eigenvector entries
-# ``ones``/``zeros`` are the scalars 1.0/0.0 and keep their multiply in
-# the mat-vec — ``0.0 * inf`` must stay NaN, as in the array product.
+# One IR op per rounded operation of the functions above.  A matrix is a
+# list of rows of SSA values; the eigenvector entries ``ones``/``zeros``
+# are the scalars 1.0/0.0 and keep their multiply in the mat-vec —
+# ``0.0 * inf`` must stay NaN, as in the array product.
 
 #: Largest finite double: ``abs(x) <= DBL_MAX`` is ``np.isfinite(x)``.
 _DBL_MAX = float(np.finfo(np.float64).max)

@@ -10,12 +10,11 @@
 
 All schemes are in stencil form (see ``reconstruction.base``) and are
 returned by :func:`get_scheme` as callables carrying a ``ghost_cells``
-attribute.  Each accepts optional ``out=(left, right)`` and ``work=``
-(a :class:`~repro.euler.workspace.Workspace`) parameters, which select
-the scheme's ``emit_*`` definition run as a NumPy program
-(:mod:`repro.jit.numpy_eval`): the same rounded operations in the same
-order as the allocating expressions, so results are bit-for-bit
-identical.
+attribute.  These allocating functions are the references; what the
+engine runs is each scheme's ``emit_*`` definition below — the same
+rounded operations in the same order, folded into the flux program of
+the engine's spec (:func:`repro.jit.kernels.build_flux_ir`) and held to
+the reference at 0.0 by ``tests/euler/test_kernel_single_source.py``.
 """
 
 from __future__ import annotations
@@ -26,27 +25,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.euler.reconstruction import limiters as _limiters
-from repro.jit.numpy_eval import numpy_program
 
 #: Small number keeping WENO weights finite on perfectly flat data.
 WENO_EPSILON = 1e-6
 
 
-def _in_place(reconstruction: str, limiter: str, cells, out, work):
-    """Run a scheme's IR program into ``out=(left, right)``.
-
-    The programs are per element, hence field-agnostic: one run covers
-    whole multi-field arrays.
-    """
-    numpy_program("scheme", reconstruction, limiter).run(cells, out, work)
-    return out
-
-
-def piecewise_constant(cells: Sequence[np.ndarray], out=None, work=None):
+def piecewise_constant(cells: Sequence[np.ndarray]):
     """First-order reconstruction: the face states are the cell averages."""
-    if out is None:
-        return cells[0].copy(), cells[1].copy()
-    return _in_place("pc", "minmod", cells, out, work)
+    return cells[0].copy(), cells[1].copy()
 
 
 piecewise_constant.ghost_cells = 1
@@ -66,12 +52,8 @@ def make_tvd2(limiter_name: str = "minmod"):
     """Build a 2nd-order MUSCL scheme with the named slope limiter."""
     limiter = _limiters.get_limiter(limiter_name)
 
-    def tvd2(
-        cells: Sequence[np.ndarray], out=None, work=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if out is None:
-            return _muscl_states(cells, limiter)
-        return _in_place("tvd2", limiter_name, cells, out, work)
+    def tvd2(cells: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        return _muscl_states(cells, limiter)
 
     tvd2.ghost_cells = 2
     tvd2.__name__ = f"tvd2_{limiter_name}"
@@ -83,9 +65,7 @@ _TVD3_KAPPA = 1.0 / 3.0
 _TVD3_B = (3.0 - _TVD3_KAPPA) / (1.0 - _TVD3_KAPPA)
 
 
-def tvd3(
-    cells: Sequence[np.ndarray], out=None, work=None
-) -> Tuple[np.ndarray, np.ndarray]:
+def tvd3(cells: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """3rd-order limited kappa-scheme (kappa = 1/3, compression b = 4).
 
     For the cell left of the face (extrapolating rightwards):
@@ -94,8 +74,6 @@ def tvd3(
 
     and the mirrored expression for the cell right of the face.
     """
-    if out is not None:
-        return _in_place("tvd3", "minmod", cells, out, work)
     kappa = _TVD3_KAPPA
     b = _TVD3_B
     ng = len(cells) // 2
@@ -121,17 +99,13 @@ def tvd3(
 tvd3.ghost_cells = 2
 
 
-def weno3(
-    cells: Sequence[np.ndarray], out=None, work=None
-) -> Tuple[np.ndarray, np.ndarray]:
+def weno3(cells: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """3rd-order WENO reconstruction (two 2-point stencils per side).
 
     Smoothness indicators are squared one-sided differences; a stencil
     crossing a discontinuity gets a huge indicator and hence (as the
     paper puts it) "automatically ... zero weight".
     """
-    if out is not None:
-        return _in_place("weno3", "minmod", cells, out, work)
     ng = len(cells) // 2
     far_left, left_cell, right_cell, far_right = (
         cells[ng - 2],
@@ -166,7 +140,7 @@ def _weno3_one_side(upwind, centre, downwind):
 # 2*ghost_cells stencil values (SSA names), ordered like the stencil
 # views; each emitter returns ``(left, right)``.  One IR op per rounded
 # operation of the allocating expressions, in their evaluation order;
-# the ``out=`` paths and the compiled kernels are both derived from these.
+# the NumPy programs and the compiled kernels are both derived from these.
 
 
 def emit_piecewise_constant(b, cells):

@@ -29,8 +29,9 @@ RIEMANN_SOLVERS = {
     "roe": roe_flux,
 }
 
-# Kernel-IR definitions, keyed by the same names: the ``out=`` path of
-# each solver and the compiled kernels are both derived from these.
+# Kernel-IR definitions, keyed by the same names: what the engine runs —
+# interpreted by NumPy or compiled to C — is derived from these; the
+# functions above are the allocating references they are held to.
 RIEMANN_EMITTERS = {
     "rusanov": emit_rusanov,
     "hll": emit_hll,

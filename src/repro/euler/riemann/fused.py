@@ -1,4 +1,4 @@
-"""What the four solvers share: signal speeds and the in-place binding.
+"""What the solvers' IR definitions share: the signal speeds.
 
 Rusanov needs ``smax = max(|uL| + cL, |uR| + cR)`` and HLL/HLLC need the
 Davis estimates ``sL = min(uL - cL, uR - cR)``, ``sR = max(uL + cL,
@@ -6,32 +6,16 @@ uR + cR)``; both start from the same two sound speeds.
 :func:`emit_signal_speeds` computes ``cL``/``cR`` exactly once and
 derives whichever outputs the caller asks for, in the rounded sequence
 of the solvers' allocating formulations, so fluxes stay bit-for-bit
-identical.
-
-:func:`flux_into` is the one ``out=``/``work=`` implementation of all
-four solvers: it runs the named solver's ``emit_*`` definition as a
-NumPy program (:mod:`repro.jit.numpy_eval`) over per-field views.
+identical.  The solvers' ``emit_*`` definitions are never run alone:
+the engine runs them folded behind the reconstruction, as the flux
+program of its spec (:func:`repro.jit.kernels.build_flux_ir`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.euler import eos
-from repro.jit.numpy_eval import field_views, numpy_program
 
-__all__ = ["flux_into", "emit_signal_speeds"]
-
-
-def flux_into(
-    name: str, left: np.ndarray, right: np.ndarray, gamma: float, out: np.ndarray, work
-) -> np.ndarray:
-    """Solver ``name``'s flux of primitive ``left``/``right`` into ``out``."""
-    program = numpy_program("riemann", name, left.shape[-1])
-    program.run(
-        field_views(left) + field_views(right) + [gamma], field_views(out), work
-    )
-    return out
+__all__ = ["emit_signal_speeds"]
 
 
 def emit_signal_speeds(b, left, right, gamma, *, davis=False, smax=False):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
-from repro.euler.riemann.fused import emit_signal_speeds, flux_into
+from repro.euler.riemann.fused import emit_signal_speeds
 
 
 def wave_speed_estimates(left, right, gamma: float = GAMMA):
@@ -29,28 +29,22 @@ def hll_flux(
     left: np.ndarray,
     right: np.ndarray,
     gamma: float = GAMMA,
-    out: np.ndarray = None,
-    work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout;
-    with ``out``/``work``, :func:`emit_hll` run as a NumPy program."""
-    if out is None:
-        flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
-        flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
-        u_left = state.conservative_from_primitive(left, gamma)
-        u_right = state.conservative_from_primitive(right, gamma)
-        s_left, s_right = wave_speed_estimates(left, right, gamma)
+    """Numerical flux from primitive left/right states in sweep layout."""
+    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
+    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
+    u_left = state.conservative_from_primitive(left, gamma)
+    u_right = state.conservative_from_primitive(right, gamma)
+    s_left, s_right = wave_speed_estimates(left, right, gamma)
 
-        sl = s_left[..., None]
-        sr = s_right[..., None]
-        denominator = np.where(sr - sl == 0.0, 1.0, sr - sl)
-        hll = (sr * flux_left - sl * flux_right + sl * sr * (u_right - u_left)) / denominator
+    sl = s_left[..., None]
+    sr = s_right[..., None]
+    denominator = np.where(sr - sl == 0.0, 1.0, sr - sl)
+    hll = (sr * flux_left - sl * flux_right + sl * sr * (u_right - u_left)) / denominator
 
-        flux = np.where(sl >= 0.0, flux_left, hll)
-        flux = np.where(sr <= 0.0, flux_right, flux)
-        return flux
-
-    return flux_into("hll", left, right, gamma, out, work)
+    flux = np.where(sl >= 0.0, flux_left, hll)
+    flux = np.where(sr <= 0.0, flux_right, flux)
+    return flux
 
 
 def emit_hll(b, left, right, gamma, gm1):

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import state
-from repro.euler.riemann.fused import flux_into
 from repro.euler.riemann.hll import emit_davis, wave_speed_estimates
 
 
@@ -44,42 +43,36 @@ def hllc_flux(
     left: np.ndarray,
     right: np.ndarray,
     gamma: float = GAMMA,
-    out: np.ndarray = None,
-    work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout;
-    with ``out``/``work``, :func:`emit_hllc` run as a NumPy program."""
-    if out is None:
-        flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
-        flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
-        u_left = state.conservative_from_primitive(left, gamma)
-        u_right = state.conservative_from_primitive(right, gamma)
-        s_left, s_right = wave_speed_estimates(left, right, gamma)
+    """Numerical flux from primitive left/right states in sweep layout."""
+    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
+    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
+    u_left = state.conservative_from_primitive(left, gamma)
+    u_right = state.conservative_from_primitive(right, gamma)
+    s_left, s_right = wave_speed_estimates(left, right, gamma)
 
-        rho_l, vn_l, p_l = left[..., 0], left[..., 1], left[..., -1]
-        rho_r, vn_r, p_r = right[..., 0], right[..., 1], right[..., -1]
+    rho_l, vn_l, p_l = left[..., 0], left[..., 1], left[..., -1]
+    rho_r, vn_r, p_r = right[..., 0], right[..., 1], right[..., -1]
 
-        rel_l = s_left - vn_l
-        rel_r = s_right - vn_r
-        numerator = p_r - p_l + rho_l * vn_l * rel_l - rho_r * vn_r * rel_r
-        denominator = rho_l * rel_l - rho_r * rel_r
-        s_star = numerator / np.where(denominator == 0.0, 1.0, denominator)
+    rel_l = s_left - vn_l
+    rel_r = s_right - vn_r
+    numerator = p_r - p_l + rho_l * vn_l * rel_l - rho_r * vn_r * rel_r
+    denominator = rho_l * rel_l - rho_r * rel_r
+    s_star = numerator / np.where(denominator == 0.0, 1.0, denominator)
 
-        star_left = _star_state(left, u_left, s_left, s_star, gamma)
-        star_right = _star_state(right, u_right, s_right, s_star, gamma)
+    star_left = _star_state(left, u_left, s_left, s_star, gamma)
+    star_right = _star_state(right, u_right, s_right, s_star, gamma)
 
-        flux_star_left = flux_left + s_left[..., None] * (star_left - u_left)
-        flux_star_right = flux_right + s_right[..., None] * (star_right - u_right)
+    flux_star_left = flux_left + s_left[..., None] * (star_left - u_left)
+    flux_star_right = flux_right + s_right[..., None] * (star_right - u_right)
 
-        sl = s_left[..., None]
-        sr = s_right[..., None]
-        ss = s_star[..., None]
-        flux = np.where(ss >= 0.0, flux_star_left, flux_star_right)
-        flux = np.where(sl >= 0.0, flux_left, flux)
-        flux = np.where(sr <= 0.0, flux_right, flux)
-        return flux
-
-    return flux_into("hllc", left, right, gamma, out, work)
+    sl = s_left[..., None]
+    sr = s_right[..., None]
+    ss = s_star[..., None]
+    flux = np.where(ss >= 0.0, flux_star_left, flux_star_right)
+    flux = np.where(sl >= 0.0, flux_left, flux)
+    flux = np.where(sr <= 0.0, flux_right, flux)
+    return flux
 
 
 def _emit_star_state(b, prim, u_cons, s_wave, s_star):

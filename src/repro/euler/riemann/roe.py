@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
-from repro.euler.riemann.fused import flux_into
 
 
 def roe_average(left: np.ndarray, right: np.ndarray, gamma: float = GAMMA):
@@ -54,78 +53,66 @@ def roe_flux(
     left: np.ndarray,
     right: np.ndarray,
     gamma: float = GAMMA,
-    out: np.ndarray = None,
-    work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout.
-
-    With ``out``/``work`` the flux is :func:`emit_roe` run as a NumPy
-    program: everything — physical fluxes, conservative states, Roe
-    averages, wave strengths, the entropy fix and the dissipation
-    accumulator — lives on workspace scratch, and the rounded operations
-    match the allocating expressions below exactly.
-    """
+    """Numerical flux from primitive left/right states in sweep layout."""
     nfields = left.shape[-1]
-    if out is None:
-        flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
-        flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
-        u_left = state.conservative_from_primitive(left, gamma)
-        u_right = state.conservative_from_primitive(right, gamma)
-        du = u_right - u_left
-        dissipation = np.zeros_like(du)
+    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
+    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
+    u_left = state.conservative_from_primitive(left, gamma)
+    u_right = state.conservative_from_primitive(right, gamma)
+    du = u_right - u_left
+    dissipation = np.zeros_like(du)
 
-        velocities, enthalpy, sound = roe_average(left, right, gamma)
-        u_hat = velocities[0]
-        q2 = sum(v * v for v in velocities)
+    velocities, enthalpy, sound = roe_average(left, right, gamma)
+    u_hat = velocities[0]
+    q2 = sum(v * v for v in velocities)
 
-        # (eigenvalue, strength, eigenvector, genuinely_nonlinear); the Harten
-        # fix applies only to the acoustic (genuinely nonlinear) waves — the
-        # contact and shear waves are linearly degenerate and need none
-        if nfields == 3:
-            alpha2 = (gamma - 1.0) / sound**2 * (
-                du[..., 0] * (enthalpy - u_hat * u_hat) + u_hat * du[..., 1] - du[..., 2]
-            )
-            alpha1 = (du[..., 0] * (u_hat + sound) - du[..., 1] - sound * alpha2) / (2.0 * sound)
-            alpha3 = du[..., 0] - (alpha1 + alpha2)
+    # (eigenvalue, strength, eigenvector, genuinely_nonlinear); the Harten
+    # fix applies only to the acoustic (genuinely nonlinear) waves — the
+    # contact and shear waves are linearly degenerate and need none
+    if nfields == 3:
+        alpha2 = (gamma - 1.0) / sound**2 * (
+            du[..., 0] * (enthalpy - u_hat * u_hat) + u_hat * du[..., 1] - du[..., 2]
+        )
+        alpha1 = (du[..., 0] * (u_hat + sound) - du[..., 1] - sound * alpha2) / (2.0 * sound)
+        alpha3 = du[..., 0] - (alpha1 + alpha2)
 
-            waves = [
-                (u_hat - sound, alpha1, [np.ones_like(u_hat), u_hat - sound, enthalpy - u_hat * sound], True),
-                (u_hat, alpha2, [np.ones_like(u_hat), u_hat, 0.5 * q2], False),
-                (u_hat + sound, alpha3, [np.ones_like(u_hat), u_hat + sound, enthalpy + u_hat * sound], True),
-            ]
-        else:
-            v_hat = velocities[1]
-            alpha_shear = du[..., 2] - v_hat * du[..., 0]
-            du4_bar = du[..., 3] - alpha_shear * v_hat
-            alpha2 = (gamma - 1.0) / sound**2 * (
-                du[..., 0] * (enthalpy - u_hat * u_hat) + u_hat * du[..., 1] - du4_bar
-            )
-            alpha1 = (du[..., 0] * (u_hat + sound) - du[..., 1] - sound * alpha2) / (2.0 * sound)
-            alpha4 = du[..., 0] - (alpha1 + alpha2)
+        waves = [
+            (u_hat - sound, alpha1, [np.ones_like(u_hat), u_hat - sound, enthalpy - u_hat * sound], True),
+            (u_hat, alpha2, [np.ones_like(u_hat), u_hat, 0.5 * q2], False),
+            (u_hat + sound, alpha3, [np.ones_like(u_hat), u_hat + sound, enthalpy + u_hat * sound], True),
+        ]
+    else:
+        v_hat = velocities[1]
+        alpha_shear = du[..., 2] - v_hat * du[..., 0]
+        du4_bar = du[..., 3] - alpha_shear * v_hat
+        alpha2 = (gamma - 1.0) / sound**2 * (
+            du[..., 0] * (enthalpy - u_hat * u_hat) + u_hat * du[..., 1] - du4_bar
+        )
+        alpha1 = (du[..., 0] * (u_hat + sound) - du[..., 1] - sound * alpha2) / (2.0 * sound)
+        alpha4 = du[..., 0] - (alpha1 + alpha2)
 
-            ones = np.ones_like(u_hat)
-            zeros = np.zeros_like(u_hat)
-            waves = [
-                (u_hat - sound, alpha1, [ones, u_hat - sound, v_hat, enthalpy - u_hat * sound], True),
-                (u_hat, alpha2, [ones, u_hat, v_hat, 0.5 * q2], False),
-                (u_hat, alpha_shear, [zeros, zeros, ones, v_hat], False),
-                (u_hat + sound, alpha4, [ones, u_hat + sound, v_hat, enthalpy + u_hat * sound], True),
-            ]
+        ones = np.ones_like(u_hat)
+        zeros = np.zeros_like(u_hat)
+        waves = [
+            (u_hat - sound, alpha1, [ones, u_hat - sound, v_hat, enthalpy - u_hat * sound], True),
+            (u_hat, alpha2, [ones, u_hat, v_hat, 0.5 * q2], False),
+            (u_hat, alpha_shear, [zeros, zeros, ones, v_hat], False),
+            (u_hat + sound, alpha4, [ones, u_hat + sound, v_hat, enthalpy + u_hat * sound], True),
+        ]
 
-        for eigenvalue, strength, eigenvector, nonlinear in waves:
-            magnitude = _entropy_fix(eigenvalue, sound) if nonlinear else np.abs(eigenvalue)
-            scale = magnitude * strength
-            for field, component in enumerate(eigenvector):
-                dissipation[..., field] += scale * component
+    for eigenvalue, strength, eigenvector, nonlinear in waves:
+        magnitude = _entropy_fix(eigenvalue, sound) if nonlinear else np.abs(eigenvalue)
+        scale = magnitude * strength
+        for field, component in enumerate(eigenvector):
+            dissipation[..., field] += scale * component
 
-        return 0.5 * (flux_left + flux_right) - 0.5 * dissipation
-
-    return flux_into("roe", left, right, gamma, out, work)
+    return 0.5 * (flux_left + flux_right) - 0.5 * dissipation
 
 
 # -- kernel-IR definition (repro.jit) -----------------------------------
 #
-# One IR op per rounded operation of the allocating branch above, in its
+# One IR op per rounded operation of :func:`roe_flux` above, in its
 # evaluation order.  ``x ** 2`` is ``x * x`` (NumPy's own fast path);
 # the eigenvector entries ``ones``/``zeros`` are the scalars 1.0/0.0 —
 # ``x * 1.0`` and ``x * 0.0`` are bitwise the elementwise array products.

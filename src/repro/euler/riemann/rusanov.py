@@ -15,35 +15,26 @@ import numpy as np
 
 from repro.euler.constants import GAMMA
 from repro.euler import eos, state
-from repro.euler.riemann.fused import emit_signal_speeds, flux_into
+from repro.euler.riemann.fused import emit_signal_speeds
 
 
 def rusanov_flux(
     left: np.ndarray,
     right: np.ndarray,
     gamma: float = GAMMA,
-    out: np.ndarray = None,
-    work=None,
 ) -> np.ndarray:
-    """Numerical flux from primitive left/right states in sweep layout.
+    """Numerical flux from primitive left/right states in sweep layout."""
+    flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
+    flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
+    u_left = state.conservative_from_primitive(left, gamma)
+    u_right = state.conservative_from_primitive(right, gamma)
 
-    ``out``/``work`` select the in-place path — :func:`emit_rusanov` run
-    as a NumPy program — bit-for-bit the allocating expression below.
-    """
-    if out is None:
-        flux_left = state.physical_flux(left, axis_field=1, gamma=gamma)
-        flux_right = state.physical_flux(right, axis_field=1, gamma=gamma)
-        u_left = state.conservative_from_primitive(left, gamma)
-        u_right = state.conservative_from_primitive(right, gamma)
-
-        c_left = eos.sound_speed(left[..., 0], left[..., -1], gamma)
-        c_right = eos.sound_speed(right[..., 0], right[..., -1], gamma)
-        smax = np.maximum(
-            np.abs(left[..., 1]) + c_left, np.abs(right[..., 1]) + c_right
-        )
-        return 0.5 * (flux_left + flux_right) - 0.5 * smax[..., None] * (u_right - u_left)
-
-    return flux_into("rusanov", left, right, gamma, out, work)
+    c_left = eos.sound_speed(left[..., 0], left[..., -1], gamma)
+    c_right = eos.sound_speed(right[..., 0], right[..., -1], gamma)
+    smax = np.maximum(
+        np.abs(left[..., 1]) + c_left, np.abs(right[..., 1]) + c_right
+    )
+    return 0.5 * (flux_left + flux_right) - 0.5 * smax[..., None] * (u_right - u_left)
 
 
 def emit_rusanov(b, left, right, gamma, gm1):

@@ -48,11 +48,13 @@ def primitive_from_conservative(
 
     With ``out`` (which must not alias ``u``) the conversion is the
     NumPy program of :func:`emit_primitive_from_conservative`, scratch
-    from ``work`` — the same rounded operations, bit-for-bit.
+    from ``work`` — the same rounded operations, bit-for-bit.  (The one
+    kernel kept standalone: Runge-Kutta stages 2 and 3 convert without
+    a dt pass to fold it into.)
     """
     ndim = ndim_of(u)
     if out is not None:
-        return _convert_into("primitive", u, gamma, out, work)
+        return _convert_into(u, gamma, out, work)
     rho = u[..., 0]
     p_out = np.empty_like(u)
     p_out[..., 0] = rho
@@ -71,17 +73,9 @@ def primitive_from_conservative(
     return p_out
 
 
-def conservative_from_primitive(
-    p: np.ndarray, gamma: float = GAMMA, out: np.ndarray = None, work=None
-) -> np.ndarray:
-    """Convert primitive ``(rho, u[, v], p)`` to conservative ``(rho, rho*u[, rho*v], E)``.
-
-    With ``out`` (which must not alias ``p``): the NumPy program of
-    :func:`emit_conservative_from_primitive`, bit-for-bit.
-    """
+def conservative_from_primitive(p: np.ndarray, gamma: float = GAMMA) -> np.ndarray:
+    """Convert primitive ``(rho, u[, v], p)`` to conservative ``(rho, rho*u[, rho*v], E)``."""
     ndim = ndim_of(p)
-    if out is not None:
-        return _convert_into("conservative", p, gamma, out, work)
     rho = p[..., 0]
     u_out = np.empty_like(p)
     u_out[..., 0] = rho
@@ -98,10 +92,10 @@ def conservative_from_primitive(
     return u_out
 
 
-def _convert_into(target: str, source: np.ndarray, gamma: float, out: np.ndarray, work):
-    """Run the ``target`` conversion's IR program over field views."""
-    program = numpy_program("convert", target, source.shape[-1])
-    program.run(field_views(source) + [gamma], field_views(out), work)
+def _convert_into(u: np.ndarray, gamma: float, out: np.ndarray, work) -> np.ndarray:
+    """Run the primitive conversion's IR program over field views."""
+    program = numpy_program("convert", "primitive", u.shape[-1])
+    program.run(field_views(u) + [gamma], field_views(out), work)
     return out
 
 
@@ -142,8 +136,8 @@ def physical_flux(
 # -- kernel-IR definitions (repro.jit) ----------------------------------
 #
 # One IR op per rounded operation of the functions above, in their
-# evaluation order; the in-place NumPy programs and the compiled kernels
-# are both derived from these.  Each takes/returns lists of SSA field
+# evaluation order; the NumPy programs and the compiled kernels are both
+# derived from these.  Each takes/returns lists of SSA field
 # values (length 3 in 1-D, 4 in 2-D); ``gm1`` is the prebuilt
 # ``gamma - 1.0``.
 

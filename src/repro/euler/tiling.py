@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.jit.ir import BOOL, F64
 
 __all__ = [
     "DEFAULT_TILE_BYTES",
@@ -49,10 +50,10 @@ __all__ = [
     "dt_row_bytes",
 ]
 
-#: Default cache budget for one strip's working set.  The row estimates
-#: below deliberately over-count the live buffers, so a nominal 4 MiB
-#: budget keeps the actually-hot fraction of a strip around a ~2 MiB
-#: private L2; measured on the 400x400 benchmark the step rate is flat
+#: Default cache budget for one strip's working set.  The row sizes
+#: below count every buffer a strip holds, not only the ones an op is
+#: touching, so a nominal 4 MiB budget keeps the actually-hot fraction
+#: of a strip around a ~2 MiB private L2; measured on the 400x400 benchmark the step rate is flat
 #: within a few percent from 2x to 8x this value and falls off on both
 #: sides (too-small strips pay Python dispatch per ufunc call, too-large
 #: strips spill the working set back to DRAM).
@@ -159,58 +160,30 @@ def resolve_tile_bytes(configured: Optional[int]) -> int:
     return value
 
 
-#: (field-shaped, cell-shaped) scratch strips each Riemann solver keeps
-#: live per face row, *including* the conversion scratch inside
-#: physical_flux/conservative_from_primitive.  Deliberately generous —
-#: overestimating shrinks strips, which costs a little Python dispatch;
-#: underestimating spills the working set to DRAM.
-_RIEMANN_UNITS = {
-    "rusanov": (4, 8),
-    "hll": (6, 12),
-    "hllc": (6, 18),
-    "roe": (5, 30),
-}
-
-#: Extra field-shaped strips the stencil schemes keep live (limiter
-#: temporaries, smoothness indicators).
-_SCHEME_UNITS = {
-    "pc": 0,
-    "tvd2": 9,
-    "tvd3": 8,
-    "weno3": 10,
-}
-
-
 def sweep_row_bytes(
     cross_cells: int,
     nfields: int,
-    config,
+    program,
     ghost_cells: int,
     itemsize: int = 8,
 ) -> int:
-    """Estimated live working-set bytes per sweep row.
+    """Live working-set bytes per sweep row of the NumPy executor.
 
     ``cross_cells`` is the product of the non-sweep grid extents (the
-    row length); the total counts the padded input row, the output row,
-    the left/right/flux face rows, and the per-solver/per-scheme scratch
-    from the tables above.
+    row length) and ``program`` the spec's flux program
+    (:func:`repro.jit.numpy_eval.kernel_programs`).  A row holds what a
+    compiled row holds (:func:`jit_sweep_row_bytes`: the padded stencil,
+    the flux rows, the output row) plus one plane per scratch slot of
+    the program — the slot counts are read off the schedule the
+    evaluator runs, so the plan moves with the emitters.  A strip
+    computes one face row more than it owns cells; counting the whole
+    stencil against every row covers that row's planes from four rows
+    up.
     """
-    field_row = max(1, cross_cells) * nfields * itemsize
-    cell_row = max(1, cross_cells) * itemsize
-    riemann_fields, riemann_cells = _RIEMANN_UNITS.get(config.riemann, (6, 26))
-    field_rows = 5 + riemann_fields + _SCHEME_UNITS.get(config.reconstruction, 10)
-    cell_rows = 2 + riemann_cells
-    if config.variables == "conservative":
-        field_rows += 3
-        cell_rows += 2
-    elif config.variables == "characteristic" and ghost_cells > 1:
-        # Stencil projections (one per view) plus the eigen matrices
-        # ((nv x nv) per face), which live as cell planes of the
-        # projection programs' scratch — budgeted generously, like the
-        # tables above.
-        field_rows += 2 * ghost_cells + 5
-        cell_rows += 4 * nfields * nfields + 6
-    return field_rows * field_row + cell_rows * cell_row
+    planes = len(program.slots[F64]) * itemsize + len(program.slots[BOOL])
+    return planes * max(1, cross_cells) + jit_sweep_row_bytes(
+        cross_cells, nfields, ghost_cells, itemsize
+    )
 
 
 def jit_sweep_row_bytes(
@@ -225,7 +198,7 @@ def jit_sweep_row_bytes(
     ``reconstruct -> riemann -> difference`` chain into one pass per
     face, so the only live rows are the ``2 * ghost_cells + 1`` padded
     stencil rows, the streamed output row, and the two rolling flux-row
-    buffers — none of the NumPy path's per-ufunc intermediates exist.
+    buffers — none of the NumPy executor's per-op planes exist.
     Strips therefore grow to fill the same ``tile_bytes`` budget, and
     tiling still bounds the working set (results are independent of the
     strip decomposition either way; only locality changes).

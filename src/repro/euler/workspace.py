@@ -4,11 +4,12 @@ The paper credits SaC's compiler-managed memory reuse for much of its
 performance ("liberates the programmer from ... space management",
 Section 2); ``sac/opt/memreuse.py`` reproduces that statically for the
 SaC pipeline.  :class:`Workspace` is the same idea for the golden NumPy
-solver: every kernel that accepts ``out=``/``work=`` parameters draws
-its temporaries from a workspace keyed by ``(name, shape, dtype)`` — a
-kernel's NumPy program (:mod:`repro.jit.numpy_eval`) takes all its
-scratch slots as one named block per shape — so the first step of a
-solver allocates everything and subsequent steps allocate nothing.
+solver: the engine's buffers and its programs' temporaries are drawn
+from a workspace keyed by ``(name, shape, dtype)`` — a NumPy program
+(:mod:`repro.jit.numpy_eval`: the flux and dt programs of the engine's
+spec, the standalone conversion) takes all its scratch slots as one
+named block per shape — so the first step of a solver allocates
+everything and subsequent steps allocate nothing.
 
 A workspace is owned by exactly one :class:`~repro.euler.engine.StepEngine`
 (one per solver) and is not thread-safe: buffers are never shared
@@ -35,8 +36,9 @@ class Workspace:
     key on every call; contents are *not* cleared between requests, so
     callers must fully overwrite a buffer before reading it.  Names are
     namespaced by convention (``"engine.flux"``, ``"rk.k"``, a program's
-    ``"riemann_hllc_4.f64"``, ...) so two kernels sharing a workspace
-    never collide unless they share a buffer on purpose.
+    ``"flux_hllc_pc_minmod_primitive_2d.f64"``, ...) so two kernels
+    sharing a workspace never collide unless they share a buffer on
+    purpose.
     """
 
     __slots__ = ("_arrays",)

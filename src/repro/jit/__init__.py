@@ -2,26 +2,31 @@
 
 The paper credits SaC's with-loop folding for fusing the
 ``reconstruct -> riemann -> difference`` producer/consumer chains that
-dominate every Euler step; pure NumPy cannot fuse them (ROADMAP item 1,
-~82% of step time in ``riemann + difference`` at 400x400).  This package
-is the compile layer that closes that gap without giving up the repo's
-core contract: **bit-for-bit identity with the NumPy path**.
+dominate every Euler step; pure NumPy cannot fuse the loops, only the
+program (~82% of step time in ``riemann + difference`` at 400x400).
+This package holds the one program per method tuple and both of its
+executors — the NumPy interpreter and the compile layer that closes the
+gap — under the repo's core contract: **bit-for-bit identity** between
+them and with the allocating references.
 
 How it works
 ------------
 
 * A *specialization* is the tuple ``(riemann, reconstruction, limiter,
-  variables, ndim)`` over float64 — exactly the method menu the engine's
-  NumPy path dispatches on (:data:`repro.euler.riemann.RIEMANN_SOLVERS`
+  variables, ndim)`` over float64 — exactly the method menu of
+  :class:`~repro.euler.solver.SolverConfig`
+  (:data:`repro.euler.riemann.RIEMANN_SOLVERS`
   and friends).  :mod:`repro.jit.kernels` assembles, per
   specialization, a straight-line SSA kernel IR (:mod:`repro.jit.ir`)
   for the fused per-face flux computation and the fused per-cell
   convert+eigenvalue dt pass, using the *emitter* functions that live
   next to the allocating reference functions they define (``emit_*`` in
   :mod:`repro.euler.riemann`, :mod:`repro.euler.reconstruction`,
-  :mod:`repro.euler.state`, :mod:`repro.euler.eos`).  The same emitters,
-  one kernel at a time, are the NumPy engine's in-place path
-  (:mod:`repro.jit.numpy_eval`): both backends are derived from one text.
+  :mod:`repro.euler.state`, :mod:`repro.euler.eos`).  That verified IR
+  pair, acquired once per spec per process
+  (:func:`repro.jit.kernels.kernel_irs`), is also what the engine's
+  NumPy arm interprets (:func:`repro.jit.numpy_eval.kernel_programs`):
+  one program, two executors.
 * Every emitted op is one rounded operation of the reference — same
   operation, same order, no algebraic rewrites (``x ** 2`` becomes
   ``x * x`` because that is NumPy's own fast path; ``np.minimum``'s
@@ -50,7 +55,7 @@ How it works
   strip-wise, so :mod:`repro.euler.tiling` still governs the working
   set.  Every method tuple has a kernel; a strip the compiled path
   still cannot serve (missing compiler, non-float64 state) falls back
-  to the NumPy path, counted and attributed.
+  to the NumPy executor of the same IR, counted and attributed.
 
 Backend selection
 -----------------

@@ -10,17 +10,20 @@ specialization and serves two strip-level operations:
   maxima.
 
 Both return ``False`` when they cannot serve the call — no compiler,
-unexpected dtype/layout — and the engine
-runs its NumPy programs for exactly that strip.  Every fallback is
+unexpected dtype/layout — and the engine runs the same IR pair through
+:class:`~repro.jit.numpy_eval.NumpyProgram` for exactly that strip.  Every fallback is
 counted by reason (:attr:`fallbacks`), so "silently slower" is at
 least never "silently unexplained".  An IR verification failure is
 *not* a fallback: it means an emitter produced malformed IR (a bug),
 and the :class:`~repro.errors.AnalysisError` propagates with the
 specialization named.
 
-Compilation happens lazily on the first served call and is cached
-across engines and processes (see :mod:`repro.jit.compile`); time spent
-is booked to the engine's ``jit_sweep``/``jit_dt`` phase counters.
+The IR pair and its C text are acquired once per spec per process
+(:func:`repro.jit.kernels.kernel_irs`/:func:`~repro.jit.kernels.
+kernel_source`); compilation happens lazily on the first served call
+and is cached across engines and processes (see
+:mod:`repro.jit.compile`); time spent is booked to the engine's
+``jit_sweep``/``jit_dt`` phase counters.
 
 **Strips on the team.**  With two or more workers (``workers=`` of a
 :class:`~repro.par.solver.ParallelSolver2D`, else ``REPRO_JIT_THREADS``),
@@ -45,10 +48,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.jit_verify import verify_kernel
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
-from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
+from repro.jit.kernels import kernel_irs, kernel_source, spec_from_config
 from repro.par.pool import shared_team
 
 __all__ = ["JitBackend"]
@@ -85,7 +87,6 @@ class JitBackend:
         self.serialized: Dict[str, int] = {}
         self._kernel: Optional[jit_compile.CompiledKernel] = None
         self._compile_failure: Optional[str] = None
-        self._flux_ir = None
         #: Strip-layout key -> StripProof; proofs depend only on the
         #: kernel's access map and the strip boundaries, so one proof
         #: per tile plan layout suffices.
@@ -102,17 +103,10 @@ class JitBackend:
             return self._kernel
         if self._compile_failure is not None:
             return None
-        spec = self.spec
-        label = spec.label()
-        flux_ir = build_flux_ir(spec)
-        dt_ir = build_dt_ir(spec)
         # Emitter bugs surface here, by specialization — see module doc.
-        verify_kernel(flux_ir, label)
-        verify_kernel(dt_ir, label)
-        self._flux_ir = flux_ir
-        source = codegen.generate_source(spec, flux_ir, dt_ir)
+        source = kernel_source(self.spec)
         try:
-            self._kernel = jit_compile.load_kernel(source, spec.ndim)
+            self._kernel = jit_compile.load_kernel(source, self.spec.ndim)
         except jit_compile.CompileError as error:
             self._compile_failure = f"compile failed: {error}"
             return None
@@ -121,7 +115,7 @@ class JitBackend:
     def ready(self) -> bool:
         """Whether strips will be served by the compiled kernel, building
         it on the first ask; False once compilation has failed (the engine
-        then sizes its strips for the NumPy programs that run instead)."""
+        then sizes its strips for the NumPy program that runs instead)."""
         return self._ensure_kernel() is not None
 
     # -- strip operations -----------------------------------------------
@@ -206,7 +200,7 @@ class JitBackend:
             from repro.analysis import deps
 
             try:
-                amap = codegen.sweep_access_map(self.spec, self._flux_ir)
+                amap = codegen.sweep_access_map(self.spec, kernel_irs(self.spec)[0])
                 proof = deps.prove_strips(
                     amap,
                     key,

@@ -47,10 +47,12 @@ Bit-identity ground rules baked in here:
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.jit.ir import BOOL, KernelIR, Op
-from repro.jit.kernels import KernelSpec
+
+if TYPE_CHECKING:  # annotations only: repro.jit.kernels imports this module
+    from repro.jit.kernels import KernelSpec
 
 __all__ = [
     "CFLAGS",

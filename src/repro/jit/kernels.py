@@ -1,47 +1,47 @@
 """Kernel specializations and their IR assembly.
 
-A :class:`KernelSpec` is the method tuple the engine's NumPy path
-dispatches on — ``(riemann, reconstruction, limiter, variables,
-ndim)``; the element type is always float64.  For a supported spec this
-module assembles two straight-line SSA kernels from the ``emit_*``
-definitions that live next to the allocating reference functions:
+A :class:`KernelSpec` is the method tuple the engine dispatches on —
+``(riemann, reconstruction, limiter, variables, ndim)``; the element
+type is always float64.  For every spec this module assembles two
+straight-line SSA kernels from the ``emit_*`` definitions that live next
+to the allocating reference functions:
 
 * the **flux kernel** — the whole per-face ``reconstruct -> riemann``
   chain from one stencil of primitive cells to one numerical flux
-  vector (the difference step is applied by the codegen sweep
-  skeleton, see :mod:`repro.jit.codegen`);
+  vector (the difference step follows it: three ufuncs on the NumPy
+  executor, the sweep skeleton of :mod:`repro.jit.codegen` in C);
 * the **dt kernel** — the fused per-cell ``convert -> eigenvalue``
   GetDT integrand, including the primitive conversion the engine keeps
   fresh for the first Runge-Kutta stage.
 
-Every method tuple has a spec.  ``characteristic`` variables with
-``pc``'s one-cell stencil normalise to the bit-identical ``primitive``
-kernel (the NumPy path skips the projection there itself); with a wide
+That pair is the *one program per spec*: :func:`kernel_irs` builds and
+verifies it once per process, and a strip is executed either by the C
+generated from it (:func:`kernel_source`, :class:`~repro.jit.backend.
+JitBackend`) or by :class:`~repro.jit.numpy_eval.NumpyProgram` over the
+same two IRs (:func:`~repro.jit.numpy_eval.kernel_programs`, the
+engine's NumPy arm).  ``characteristic`` variables with ``pc``'s
+one-cell stencil normalise to the bit-identical ``primitive`` kernel,
+decided in :func:`spec_from_config` and nowhere else; with a wide
 stencil the flux kernel carries the whole eigenvector projection
 (:func:`repro.euler.reconstruction.characteristic.
 emit_reconstruct_characteristic`).
 
-The same emitters also make the **standalone kernels** — one Riemann
-solver, one reconstruction scheme, one state conversion, the GetDT
-eigenvalue sum, the characteristic projection and back-projection —
-whose :class:`~repro.jit.numpy_eval.NumpyProgram` *is*
-the ``out=``/``work=`` path of the corresponding :mod:`repro.euler`
-function (:func:`repro.jit.numpy_eval.numpy_program`).
+One **standalone kernel** remains beside the pair — the primitive
+conversion alone, which Runge-Kutta stages 2 and 3 run without a dt
+pass (:func:`repro.euler.state.primitive_from_conservative` with
+``out=``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.euler import state, timestep
-from repro.euler.reconstruction import (
-    LIMITER_EMITTERS,
-    characteristic,
-    get_scheme,
-    get_scheme_emitter,
-)
-from repro.euler.riemann import RIEMANN_EMITTERS, get_riemann_emitter
+from repro.euler.reconstruction import characteristic, get_scheme, get_scheme_emitter
+from repro.euler.riemann import get_riemann_emitter
+from repro.jit import codegen
 from repro.jit.ir import IRBuilder, KernelIR
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "spec_from_config",
     "build_flux_ir",
     "build_dt_ir",
+    "kernel_irs",
+    "kernel_source",
     "SCALAR_PARAMS",
     "standalone_kernels",
     "build_standalone_ir",
@@ -95,7 +97,8 @@ def spec_from_config(config, ndim: int) -> KernelSpec:
     ``primitive``: :func:`~repro.euler.reconstruction.characteristic.
     reconstruct_characteristic` skips the projection entirely for
     ``ghost_cells == 1`` (piecewise-constant is basis-independent), so
-    the primitive kernel is bit-for-bit the NumPy characteristic path.
+    the primitive kernel is bit-for-bit the characteristic reference.
+    Both executors take their spec from here, so the rule is stated once.
     """
     variables = config.variables
     if (
@@ -119,7 +122,7 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
     fields (``c{k}_{f}``, ordered like
     :func:`~repro.euler.reconstruction.base.stencil_views`) plus
     ``gamma``; outputs are ``flux0..flux{F-1}``.  The emitters state
-    the exact operation sequence of the engine's
+    the exact operation sequence of the allocating
     ``reconstruct -> riemann`` chain for one face.
     """
     nfields = spec.nfields
@@ -135,7 +138,7 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
     if spec.variables == "primitive":
         left, right = _reconstruct_fields(b, scheme_emit, cells, nfields)
     elif spec.variables == "conservative":
-        # The engine's conservative branch: convert the whole
+        # The reference's conservative branch: convert the whole
         # padded stencil, reconstruct componentwise in conservative
         # space, convert the face states back.  The scalar conversion of
         # a stencil cell produces the same bits every time it is
@@ -168,7 +171,7 @@ def build_flux_ir(spec: KernelSpec) -> KernelIR:
 def _reconstruct_fields(b, scheme_emit, cells, nfields):
     """Componentwise reconstruction: each field's stencil through the
     scheme independently (fields are elementwise-independent in the
-    NumPy path, so per-field order is irrelevant to bit identity)."""
+    reference, so per-field order is irrelevant to bit identity)."""
     left = []
     right = []
     for field in range(nfields):
@@ -205,96 +208,51 @@ def build_dt_ir(spec: KernelSpec) -> KernelIR:
     return b.finish()
 
 
-# -- standalone kernels: the in-place NumPy path -------------------------
+@lru_cache(maxsize=None)
+def kernel_irs(spec: KernelSpec) -> Tuple[KernelIR, KernelIR]:
+    """The verified ``(flux IR, dt IR)`` of ``spec``, built once per
+    process — the one program both executors run.  Verification happens
+    here, so a malformed emitter fails by specialization name whichever
+    executor asks first; the cache is bounded by the method menu.
+    (The verifier is imported on a miss only: :mod:`repro.analysis` pulls
+    in both language front ends.)"""
+    from repro.analysis.jit_verify import verify_kernel
 
-#: Parameters a standalone program's caller binds to floats, not arrays.
+    irs = build_flux_ir(spec), build_dt_ir(spec)
+    for ir in irs:
+        verify_kernel(ir, spec.label())
+    return irs
+
+
+@lru_cache(maxsize=None)
+def kernel_source(spec: KernelSpec) -> str:
+    """The C text generated from :func:`kernel_irs`, printed once per
+    process (:func:`repro.jit.compile.load_kernel` keys on it)."""
+    return codegen.generate_source(spec, *kernel_irs(spec))
+
+
+# -- the standalone kernel -----------------------------------------------
+
+#: Parameters a program's caller binds to floats, not arrays.
 SCALAR_PARAMS = ("gamma", "sp0", "sp1")
-
-_CONVERSIONS = {
-    "primitive": state.emit_primitive_from_conservative,
-    "conservative": state.emit_conservative_from_primitive,
-}
 
 
 def standalone_kernels() -> List[Tuple]:
-    """Every ``(kind, *key)`` :func:`build_standalone_ir` builds: Riemann solver
-    × field count, scheme × limiter (where the scheme consults it),
-    conversion × field count, eigenvalue sum × dimension, and the two
-    halves of the characteristic reconstruction (the wide schemes all
-    have two ghost cells) × field count."""
-    limiters = {"tvd2": tuple(LIMITER_EMITTERS)}
-    return (
-        [("riemann", name, nfields) for name in RIEMANN_EMITTERS for nfields in (3, 4)]
-        + [
-            ("scheme", name, limiter)
-            for name in ("pc", "tvd2", "tvd3", "weno3")
-            for limiter in limiters.get(name, ("minmod",))
-        ]
-        + [("convert", target, nfields) for target in _CONVERSIONS for nfields in (3, 4)]
-        + [("eigenvalues", ndim) for ndim in (1, 2)]
-        + [("project", 2, nfields) for nfields in (3, 4)]
-        + [("unproject", nfields) for nfields in (3, 4)]
-    )
+    """Every ``(kind, *key)`` :func:`build_standalone_ir` builds: the
+    primitive conversion per field count."""
+    return [("convert", "primitive", nfields) for nfields in (3, 4)]
 
 
-def build_standalone_ir(kind: str, *key) -> KernelIR:
-    """The IR of one standalone kernel, named ``kind_key...``; outputs
-    are ``out0..`` in the emitter's order.
-
-    ``riemann``: primitive ``l*``/``r*`` fields and ``gamma`` in, the
-    flux out.  ``scheme``: one field's ``2 * ghost_cells`` stencil cells
-    in, (left, right) out.  ``convert``: ``q*`` fields and ``gamma`` in,
-    the converted fields out.  ``eigenvalues``: ``prim*`` fields,
-    ``gamma`` and the spacings ``sp*`` in, the GetDT integrand out.
-    ``project``: the ``2 * ghost_cells`` primitive stencil cells
-    ``c{k}_*`` and ``gamma`` in, each cell's characteristic variables
-    out, cell by cell.  ``unproject``: the face's adjacent primitive
-    cells ``l*``/``r*``, the reconstructed characteristic states
-    ``wl*``/``wr*`` and ``gamma`` in, the primitive left then right face
-    states out.
-    """
-    b = IRBuilder("_".join(str(part) for part in (kind,) + key))
-
-    def params(prefix, count):
-        return [b.param(f"{prefix}{i}") for i in range(count)]
-
-    if kind == "scheme":
-        name, limiter = key
-        cells = params("c", 2 * get_scheme(name, limiter).ghost_cells)
-        results = get_scheme_emitter(name, limiter)(b, cells)
-    elif kind == "eigenvalues":
-        (ndim,) = key
-        prim, gamma = params("prim", ndim + 2), b.param("gamma")
-        results = [timestep.emit_eigenvalue_sum(b, prim, gamma, params("sp", ndim))]
-    elif kind == "riemann":
-        name, nfields = key
-        left, right, gamma = params("l", nfields), params("r", nfields), b.param("gamma")
-        results = get_riemann_emitter(name)(b, left, right, gamma, b.sub(gamma, 1.0))
-    elif kind == "convert":
-        target, nfields = key
-        fields = params("q", nfields)
-        results = _CONVERSIONS[target](b, fields, b.sub(b.param("gamma"), 1.0))
-    elif kind == "project":
-        ghost_cells, nfields = key
-        cells = [params(f"c{k}_", nfields) for k in range(2 * ghost_cells)]
-        gm1 = b.sub(b.param("gamma"), 1.0)
-        (matrix,) = characteristic.emit_eigen_matrices(
-            b, cells[ghost_cells - 1], cells[ghost_cells], gm1, sides="L"
-        )
-        projected = characteristic.emit_project_stencil(b, matrix, cells, gm1)
-        results = [value for cell in projected for value in cell]
-    elif kind == "unproject":
-        (nfields,) = key
-        adjacent = params("l", nfields), params("r", nfields)
-        char_left, char_right = params("wl", nfields), params("wr", nfields)
-        gm1 = b.sub(b.param("gamma"), 1.0)
-        (matrix,) = characteristic.emit_eigen_matrices(b, *adjacent, gm1, sides="R")
-        left, right = characteristic.emit_unproject_faces(
-            b, matrix, char_left, char_right, adjacent, gm1
-        )
-        results = left + right
-    else:
-        raise ValueError(f"unknown standalone kernel kind {kind!r}")
+def build_standalone_ir(kind: str, target: str, nfields: int) -> KernelIR:
+    """The IR of the standalone conversion, named ``convert_primitive_N``:
+    conservative ``q*`` fields and ``gamma`` in, the primitive fields
+    ``out0..`` out."""
+    if (kind, target) != ("convert", "primitive"):
+        raise ValueError(f"unknown standalone kernel {(kind, target, nfields)!r}")
+    b = IRBuilder(f"{kind}_{target}_{nfields}")
+    fields = [b.param(f"q{i}") for i in range(nfields)]
+    gm1 = b.sub(b.param("gamma"), 1.0)
+    results = state.emit_primitive_from_conservative(b, fields, gm1)
     for position, value in enumerate(results):
         b.output(f"out{position}", value)
     return b.finish()

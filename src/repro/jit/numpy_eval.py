@@ -1,9 +1,10 @@
-"""NumPy evaluator for :class:`~repro.jit.ir.KernelIR` — the in-place kernels.
+"""NumPy evaluator for :class:`~repro.jit.ir.KernelIR` — the second executor.
 
-Every ``out=``/``work=`` kernel entry point of :mod:`repro.euler` runs
-the IR its ``emit_*`` definition builds through :class:`NumpyProgram`;
-there is no hand-scheduled ``np.<ufunc>(..., out=...)`` text beside it
-(DESIGN.md, "Single-source kernels").  The contract:
+The engine's NumPy arm runs the IR pair the C path compiles
+(:func:`repro.jit.kernels.kernel_irs`: the folded face-flux program and
+the fused convert+eigenvalue dt program of its spec) through
+:class:`NumpyProgram`; there is no hand-kept composition of the unfolded
+chain beside it (DESIGN.md, "Single-source kernels").  The contract:
 
 * **one IEEE operation per IR op**, in IR order — one ufunc application
   each; ``select`` is a copy of the else-operand plus a masked ``copyto``
@@ -13,7 +14,9 @@ there is no hand-scheduled ``np.<ufunc>(..., out=...)`` text beside it
   handed on once its last reader has run (straight-line SSA: a last-use
   table).  An elementwise op may write the slot of an operand that dies
   there; a ``select`` may take over its else-operand's slot (no copy)
-  but never its then-operand's; masks have slots of their own;
+  but never its then-operand's; masks have slots of their own.  The
+  slot counts are what a strip of the program holds, and what the strip
+  planner budgets (:func:`repro.euler.tiling.sweep_row_bytes`);
 * **scratch from the caller** — one f64 and one bool block per (program,
   shape) from the caller's :class:`~repro.euler.workspace.Workspace`;
 * **scalar folding** — constants, scalar parameters and ops over scalars
@@ -26,13 +29,13 @@ on its own workspace.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.jit.ir import BOOL, F64, KernelIR
 
-__all__ = ["NumpyProgram", "numpy_program", "field_views"]
+__all__ = ["NumpyProgram", "kernel_programs", "numpy_program", "field_views"]
 
 _UFUNCS = {
     "add": np.add,
@@ -59,12 +62,24 @@ _SCALAR, _UNARY, _BINARY, _SELECT = range(4)
 
 
 @lru_cache(maxsize=None)
+def kernel_programs(spec) -> Tuple["NumpyProgram", "NumpyProgram"]:
+    """The process-wide ``(flux, dt)`` programs of a
+    :class:`~repro.jit.kernels.KernelSpec`, scheduled on first use from
+    the verified IR pair the compiled kernel is generated from.
+    (Imported on a miss only: :mod:`repro.euler` imports this module.)"""
+    from repro.jit.kernels import SCALAR_PARAMS, kernel_irs
+
+    flux_ir, dt_ir = kernel_irs(spec)
+    return NumpyProgram(flux_ir, SCALAR_PARAMS), NumpyProgram(dt_ir, SCALAR_PARAMS)
+
+
+@lru_cache(maxsize=None)
 def numpy_program(kind: str, *key) -> "NumpyProgram":
-    """The process-wide program of one standalone kernel
+    """The process-wide program of the standalone kernel
     (:func:`repro.jit.kernels.build_standalone_ir`), built on first use.
     The IR passes :func:`~repro.analysis.jit_verify.verify_kernel` first,
     so a malformed emitter fails by name here exactly as on the C path.
-    (Imported on a miss only: :mod:`repro.euler` imports this module.)"""
+    (Imported on a miss only, like :func:`kernel_programs`.)"""
     from repro.analysis.jit_verify import verify_kernel
     from repro.jit.kernels import SCALAR_PARAMS, build_standalone_ir
 

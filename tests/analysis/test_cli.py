@@ -260,9 +260,9 @@ class TestJitMatrixLint:
         assert "0 vectorised, 232 scalar, 0 not-observed" in capsys.readouterr().out
 
     def test_standalone_numpy_kernels_are_linted(self, capsys, monkeypatch):
-        """``--jit`` also verifies the standalone IRs behind the in-place
-        NumPy entry points: clean today, and a broken emitter that only
-        that path reaches is named ahead of time."""
+        """``--jit`` also verifies the standalone IRs that remain beside
+        the 232 fused specs (the primitive conversion per field count):
+        clean today, and a broken emitter is named ahead of time."""
         from repro.analysis.cli import lint_numpy_kernels
         from repro.analysis.diag import DiagnosticEngine
         from repro.jit import kernels
@@ -270,12 +270,14 @@ class TestJitMatrixLint:
         assert main(["--jit"]) == 0
         out = capsys.readouterr().out
         count = len(kernels.standalone_kernels())
-        assert f"numpy kernel programs: {count} standalone IR(s) verified, 0 finding(s)" in out
+        assert count == 2
+        assert "jit kernel matrix: 232 spec(s) verified, 0 finding(s)" in out
+        assert "numpy kernel programs: 2 standalone IR(s) verified, 0 finding(s)" in out
 
         def broken(b, fields, gm1):
             return [b.add(fields[0], "v_undefined")] * len(fields)
 
-        monkeypatch.setitem(kernels._CONVERSIONS, "primitive", broken)
+        monkeypatch.setattr(kernels.state, "emit_primitive_from_conservative", broken)
         engine = DiagnosticEngine()
         assert lint_numpy_kernels(engine) == count
         assert set(engine.codes()) == {"JIT-IR001"}

@@ -89,6 +89,15 @@ def _jit_stats(solver):
     return solver.engine.counters()["jit"]
 
 
+def _forget_acquired_kernels():
+    """Empty the per-process (IR pair, source, program pair) caches, so
+    the next engine of any spec builds and verifies again."""
+    from repro.jit import kernels, numpy_eval
+
+    for cache in (kernels.kernel_irs, kernels.kernel_source, numpy_eval.kernel_programs):
+        cache.cache_clear()
+
+
 def _source(config, ndim):
     spec = spec_from_config(config, ndim)
     return generate_source(spec, build_flux_ir(spec), build_dt_ir(spec))
@@ -360,6 +369,54 @@ class TestVerifier:
         with pytest.raises(AnalysisError, match="hllc/pc"):
             verify_kernel(ir, spec.label())
 
+        # ... and on either executor, at the one place both acquire it
+        prim = np.ones((6, 5, 4))
+        try:
+            for backend in ("numpy", "jit"):
+                _forget_acquired_kernels()
+                with repro.jit.backend_override(backend):
+                    solver = EulerSolver2D(prim, 0.1, 0.1, all_transmissive_2d(), config)
+                with pytest.raises(AnalysisError, match="hllc/pc"):
+                    solver.step()
+        finally:
+            _forget_acquired_kernels()
+
+
+class TestOneAcquisition:
+    def test_solvers_of_one_spec_build_its_kernel_once(self, monkeypatch):
+        """N solvers of one spec (different ``cfl``, as a service shard
+        sees them) share one built-and-verified IR pair, one printed
+        source and one scheduled program pair, whichever executor runs —
+        and what ``bench/layers.compiled_kernel`` regenerates is still
+        the very object the backend holds."""
+        from repro.jit import kernels
+
+        calls = []
+        build = kernels.build_flux_ir
+        monkeypatch.setattr(
+            kernels, "build_flux_ir", lambda spec: calls.append(spec) or build(spec)
+        )
+        _forget_acquired_kernels()
+        config = SolverConfig(reconstruction="pc", riemann="hllc")
+        spec = spec_from_config(config, 1)
+        backends = ("numpy", "jit") if repro.jit.available() else ("numpy",)
+        try:
+            for backend in backends:
+                for cfl in (0.3, 0.4, 0.5):
+                    with repro.jit.backend_override(backend):
+                        solver, _ = problems.sod(
+                            n_cells=24, config=dataclasses.replace(config, cfl=cfl)
+                        )
+                    solver.run(max_steps=2)
+                    assert solver.engine.spec == spec
+            assert calls == [spec]
+            if "jit" in backends:
+                source = generate_source(spec, build(spec), build_dt_ir(spec))
+                assert source == kernels.kernel_source(spec)
+                assert jit_compile.load_kernel(source, 1) is solver.engine.backend._kernel
+        finally:
+            _forget_acquired_kernels()
+
 
 class TestCompileLayer:
     def test_compile_failure_degrades_per_strip(self, rng, monkeypatch, tmp_path):
@@ -610,7 +667,10 @@ class TestCompileLayer:
 
         monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
         monkeypatch.setattr(jit_compile, "_LOADED", {})
-        monkeypatch.setattr(backend.codegen, "generate_source", doctored)
+        # past the per-process source cache, which must not keep the doctored text
+        monkeypatch.setattr(
+            backend, "kernel_source", lambda spec: doctored(spec, *backend.kernel_irs(spec))
+        )
         config = SolverConfig(tile_bytes=TINY_TILE_BYTES)
         jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)
         for _ in range(2):
@@ -714,9 +774,16 @@ class TestJitStripPlanning:
     def test_jit_rows_are_leaner_than_numpy_rows(self):
         from repro.euler import tiling
 
+        from repro.jit.ir import BOOL, F64
+        from repro.jit.numpy_eval import kernel_programs
+
         config = SolverConfig(reconstruction="weno3", riemann="roe")
-        numpy_row = tiling.sweep_row_bytes(128, 4, config, 2)
+        program, _ = kernel_programs(spec_from_config(config, 2))
+        numpy_row = tiling.sweep_row_bytes(128, 4, program, 2)
         jit_row = tiling.jit_sweep_row_bytes(128, 4, 2)
-        assert jit_row < numpy_row
         # 2*ng stencil rows + output + two rolling flux rows, 8B doubles
         assert jit_row == (2 * 2 + 1 + 1 + 2) * 128 * 4 * 8
+        # the NumPy executor's row is the compiled row plus one plane per
+        # scratch slot of the program that runs
+        held = len(program.slots[F64]) * 8 + len(program.slots[BOOL])
+        assert numpy_row == jit_row + held * 128 and held > 0

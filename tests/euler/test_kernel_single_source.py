@@ -1,11 +1,15 @@
-"""One kernel text: the in-place NumPy programs against their references.
+"""One kernel text: the ``emit_*`` IR definitions against their references.
 
-Every ``out=``/``work=`` kernel entry point runs its ``emit_*``
-definition through :class:`repro.jit.numpy_eval.NumpyProgram`.  These
-tests hold each of them, kernel by kernel, to the allocating function
-beside it — the independent reference — at 0.0, and hold the engine's
-NumPy sweep and dt pass to the compiled C of the same emitters, on drawn
-states the whole-engine tests never see: near-vacuum, strong jumps,
+The engine runs one folded program per spec, interpreted by
+:class:`repro.jit.numpy_eval.NumpyProgram` or compiled to C.  These
+tests take the fold apart again: each ``emit_*`` definition is built
+into a program of its own (:func:`standalone_ir`, test-local) and held,
+kernel by kernel, to the allocating function beside it — the
+independent reference — at 0.0; the engine's folded NumPy face fluxes
+are held to the allocating composition over the whole method menu; and
+the engine's NumPy sweep and dt pass are held to the compiled C of the
+same IR — all on drawn states the whole-engine tests never see:
+near-vacuum, strong jumps,
 exact zeros in every guarded denominator (``s_right - s_left``,
 ``s_wave - s_star``, ``a + b`` of van Leer, flat data under
 ``WENO_EPSILON``), a Roe sound speed at its clamp, thin cells whose
@@ -16,17 +20,20 @@ second pair of properties goes lane by lane: cross extents below one
 vector, exact multiples and body + remainder, chunk boundaries of the dt
 pass, NaN / +-inf / +-0 / denormal / rho = 0 / p < 0 on every lane index
 mod 8 — vector build == ``REFERENCE_CFLAGS`` build of the same source ==
-``numpy_eval``, three ways.  Two unit tests pin the evaluator's own rules:
-slot liveness over every cached program, and thread safety of a shared
-program on separate workspaces.
+``numpy_eval``, three ways.  Three unit tests pin the evaluator's own rules:
+slot liveness over the fused programs, thread safety of a shared program
+on separate workspaces, and the strip planner's row size against the
+bytes a strip actually holds.
 
 Example counts come from the hypothesis profile (``tests/conftest.py``):
 ``--hypothesis-profile=ci`` runs ten times the default.
 """
 
+import inspect
 import sys
 import threading
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -34,24 +41,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.jit
+from repro.analysis.jit_verify import verify_kernel
 from repro.errors import PhysicsError
-from repro.euler import state
+from repro.euler import state, tiling, timestep
 from repro.euler.boundary import all_transmissive_2d, transmissive_1d
 from repro.euler.engine import StepEngine
 from repro.euler.reconstruction import (
+    characteristic,
     get_scheme,
+    get_scheme_emitter,
     reconstruct_characteristic,
     reconstruct_component,
+    schemes,
     stencil_views,
 )
-from repro.euler.riemann import RIEMANN_SOLVERS
-from repro.euler.solver import SolverConfig
-from repro.euler.timestep import eigenvalues_into, max_eigenvalue
+from repro.euler.riemann import RIEMANN_SOLVERS, get_riemann_emitter
+from repro.euler.solver import SolverConfig, _SweepKernel
+from repro.euler.timestep import get_dt, max_eigenvalue
 from repro.euler.workspace import Workspace
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
-from repro.jit.kernels import build_dt_ir, build_flux_ir, standalone_kernels
-from repro.jit.numpy_eval import numpy_program
+from repro.jit.ir import IRBuilder
+from repro.jit.kernels import SCALAR_PARAMS, build_dt_ir, build_flux_ir, spec_from_config
+from repro.jit.numpy_eval import NumpyProgram, field_views, kernel_programs
 
 GAMMA = 1.4
 LIMITERS = ("minmod", "superbee", "vanleer", "mc")
@@ -173,6 +185,78 @@ def outcome(call):
         return "error", error.cells, error.batch_index, str(error)
 
 
+# -- one emitter, one program: the fold taken apart ----------------------
+
+
+def standalone_ir(kind, *key):
+    """The IR of one ``emit_*`` definition alone; outputs are ``out0..``
+    in the emitter's order.
+
+    ``riemann``: primitive ``l*``/``r*`` fields and ``gamma`` in, the
+    flux out.  ``scheme``: one field's ``2 * ghost_cells`` stencil cells
+    in, (left, right) out.  ``conservative``: primitive ``q*`` fields and
+    ``gamma`` in, the conservative fields out.  ``eigenvalues``:
+    ``prim*`` fields, ``gamma`` and the spacings ``sp*`` in, the GetDT
+    integrand out.  ``characteristic``: the four primitive stencil cells
+    ``c{k}_*`` and ``gamma`` in, the primitive left then right face
+    states out — projection, scheme and back-projection with its
+    per-side fallback.
+    """
+    b = IRBuilder("_".join(str(part) for part in (kind,) + key))
+
+    def params(prefix, count):
+        return [b.param(f"{prefix}{i}") for i in range(count)]
+
+    if kind == "scheme":
+        name, limiter = key
+        cells = params("c", 2 * get_scheme(name, limiter).ghost_cells)
+        results = get_scheme_emitter(name, limiter)(b, cells)
+    elif kind == "eigenvalues":
+        (ndim,) = key
+        prim, gamma = params("prim", ndim + 2), b.param("gamma")
+        results = [timestep.emit_eigenvalue_sum(b, prim, gamma, params("sp", ndim))]
+    elif kind == "riemann":
+        name, nfields = key
+        left, right, gamma = params("l", nfields), params("r", nfields), b.param("gamma")
+        results = get_riemann_emitter(name)(b, left, right, gamma, b.sub(gamma, 1.0))
+    elif kind == "conservative":
+        (nfields,) = key
+        fields = params("q", nfields)
+        results = state.emit_conservative_from_primitive(
+            b, fields, b.sub(b.param("gamma"), 1.0)
+        )
+    elif kind == "characteristic":
+        name, limiter, nfields = key
+        cells = [params(f"c{k}_", nfields) for k in range(4)]
+        left, right = characteristic.emit_reconstruct_characteristic(
+            b, get_scheme_emitter(name, limiter), cells, b.sub(b.param("gamma"), 1.0)
+        )
+        results = list(left) + list(right)
+    else:
+        raise ValueError(f"unknown standalone kernel kind {kind!r}")
+    for position, value in enumerate(results):
+        b.output(f"out{position}", value)
+    return b.finish()
+
+
+@lru_cache(maxsize=None)
+def program(kind, *key):
+    ir = standalone_ir(kind, *key)
+    verify_kernel(ir, "test")
+    return NumpyProgram(ir, SCALAR_PARAMS)
+
+
+def characteristic_into(reconstruction, limiter, padded, out):
+    """``emit_reconstruct_characteristic`` over a padded primitive array
+    into ``out=(left, right)``."""
+    program("characteristic", reconstruction, limiter, padded.shape[-1]).run(
+        [plane for view in stencil_views(padded, 2) for plane in field_views(view)]
+        + [GAMMA],
+        field_views(out[0]) + field_views(out[1]),
+        WORK,
+    )
+
+
 # -- in place == allocating, kernel by kernel ---------------------------
 
 
@@ -189,7 +273,9 @@ def test_riemann_in_place_equals_allocating(name, nfields, case):
     out = carve(case.shape, nfields, case.layout)
     with np.errstate(all="ignore"):
         reference = solver(left, right, GAMMA)
-        assert solver(left, right, GAMMA, out=out, work=WORK) is out
+        program("riemann", name, nfields).run(
+            field_views(left) + field_views(right) + [GAMMA], field_views(out), WORK
+        )
     assert_same_bits(out, reference)
 
 
@@ -208,7 +294,11 @@ def test_scheme_in_place_equals_allocating(reconstruction, limiter, nfields, cas
     out = tuple(carve((cells + 1,) + cross, nfields, case.layout) for _ in range(2))
     with np.errstate(all="ignore"):
         reference = reconstruct_component(scheme, padded, ghost)
-        reconstruct_component(scheme, padded, ghost, out=out, work=WORK)
+        # the scheme programs are per element, hence field-agnostic: one
+        # run covers whole multi-field arrays
+        program("scheme", reconstruction, limiter).run(
+            stencil_views(padded, ghost), out, WORK
+        )
     assert_same_bits(out[0], reference[0])
     assert_same_bits(out[1], reference[1])
 
@@ -218,8 +308,8 @@ def test_scheme_in_place_equals_allocating(reconstruction, limiter, nfields, cas
 @settings(deadline=None)
 @given(case=cases("vacuum", "thin", "cold", "jump", "still", "nan", "inf"))
 def test_characteristic_in_place_equals_allocating(reconstruction, limiter, nfields, case):
-    """Projection program -> scheme program -> back-projection program
-    against the allocating reference, fallback side by fallback side."""
+    """Projection -> scheme -> back-projection as one program against
+    the allocating reference, fallback side by fallback side."""
     rng = np.random.default_rng(case.seed)
     scheme = get_scheme(reconstruction, limiter)
     cells, cross = case.shape[0], case.shape[1:]
@@ -227,17 +317,11 @@ def test_characteristic_in_place_equals_allocating(reconstruction, limiter, nfie
     plant(rng, case.features, padded)
     faces = (cells + 1,) + cross
     out = tuple(carve(faces, nfields, case.layout) for _ in range(2))
-    reference = outcome(lambda: reconstruct_characteristic(scheme, padded, GAMMA))
-    in_place = outcome(
-        lambda: reconstruct_characteristic(scheme, padded, GAMMA, out=out, work=WORK)
-    )
-    assert reference[0] == in_place[0]
-    if reference[0] == "error":
-        assert reference == in_place
-        return
-    assert in_place[1][0] is out[0] and in_place[1][1] is out[1]
-    assert_same_bits(out[0], reference[1][0])
-    assert_same_bits(out[1], reference[1][1])
+    with np.errstate(all="ignore"):
+        reference = reconstruct_characteristic(scheme, padded, GAMMA)
+        characteristic_into(reconstruction, limiter, padded, out)
+    assert_same_bits(out[0], reference[0])
+    assert_same_bits(out[1], reference[1])
 
 
 @pytest.mark.parametrize("nfields", (3, 4))
@@ -245,7 +329,7 @@ def test_characteristic_in_place_equals_allocating(reconstruction, limiter, nfie
 def test_characteristic_fallback_is_per_side(reconstruction, nfields):
     """Next to a thin cell the back-projected state is often unphysical on
     one side of a face only: that side, and only that side, is the
-    first-order cell value — in the reference and in the programs alike."""
+    first-order cell value — in the reference and in the program alike."""
     rng = np.random.default_rng(20090707)
     scheme = get_scheme(reconstruction)
     padded = primitive(rng, (400, 3), nfields, "contiguous")
@@ -256,7 +340,7 @@ def test_characteristic_fallback_is_per_side(reconstruction, nfields):
     out = tuple(np.full_like(views[1], np.nan) for _ in range(2))
     with np.errstate(all="ignore"):
         reference = reconstruct_characteristic(scheme, padded, GAMMA)
-        reconstruct_characteristic(scheme, padded, GAMMA, out=out, work=WORK)
+        characteristic_into(reconstruction, "minmod", padded, out)
     fell_back = [
         np.all(side == cells, axis=-1) for side, cells in zip(reference, first_order)
     ]
@@ -278,7 +362,9 @@ def test_conversions_in_place_equal_allocating(nfields, case):
     with np.errstate(all="ignore"):
         u = state.conservative_from_primitive(p, GAMMA)
         u_out = carve(case.shape, nfields, case.layout)
-        state.conservative_from_primitive(p, GAMMA, out=u_out, work=WORK)
+        program("conservative", nfields).run(
+            field_views(p) + [GAMMA], field_views(u_out), WORK
+        )
         assert_same_bits(u_out, u)
         back = state.primitive_from_conservative(u_out, GAMMA)
         p_out = carve(case.shape, nfields, case.layout)
@@ -294,7 +380,9 @@ def test_eigenvalue_sum_in_place_equals_allocating(ndim, case, spacing):
     p = primitive(rng, case.shape, ndim + 2, case.layout)
     plant(rng, case.features, p)
     spacing = spacing[:ndim]
-    ev = eigenvalues_into(p, spacing, GAMMA, work=WORK)
+    ev = np.full(case.shape, np.nan)
+    with np.errstate(all="ignore"):
+        program("eigenvalues", ndim).run(field_views(p) + [GAMMA, *spacing], [ev], WORK)
     # The allocating integrand is only visible through its maximum, so
     # it is taken one cell at a time.
     for cell in np.ndindex(*case.shape):
@@ -303,9 +391,85 @@ def test_eigenvalue_sum_in_place_equals_allocating(ndim, case, spacing):
             assert_same_bits(ev[cell], np.float64(rest[0]))
         else:
             assert not np.isfinite(ev[cell])
-    assert outcome(lambda: max_eigenvalue(p, spacing, GAMMA, work=WORK)) == outcome(
-        lambda: max_eigenvalue(p, spacing, GAMMA)
+    kind, *rest = outcome(lambda: max_eigenvalue(p, spacing, GAMMA))
+    if kind == "value":
+        assert_same_bits(ev.max(), np.float64(rest[0]))
+    else:
+        assert not np.isfinite(ev.max())
+
+
+# -- the folded program == the allocating composition -------------------
+
+Method = namedtuple("Method", "riemann reconstruction limiter variables ndim members")
+
+methods = st.builds(
+    Method,
+    riemann=st.sampled_from(sorted(RIEMANN_SOLVERS)),
+    reconstruction=st.sampled_from(("pc", "tvd2", "tvd3", "weno3")),
+    limiter=st.sampled_from(LIMITERS),
+    variables=st.sampled_from(("primitive", "conservative", "characteristic")),
+    ndim=st.sampled_from((1, 2)),
+    members=st.sampled_from((1, 3)),
+)
+
+
+@settings(deadline=None)
+@given(
+    method=methods,
+    case=cases("vacuum", "thin", "cold", "jump", "still", "nan", "inf"),
+)
+def test_engine_numpy_face_fluxes_equal_allocating_composition(method, case):
+    """One padded strip through the engine's NumPy arm — stencil views,
+    field planes, the spec's folded flux program — against the seed
+    stepper's ``reconstruct -> riemann`` composition of the allocating
+    functions, over the whole method menu (``characteristic`` + ``pc``,
+    which normalises to the primitive program, included)."""
+    config = SolverConfig(
+        riemann=method.riemann,
+        reconstruction=method.reconstruction,
+        limiter=method.limiter,
+        variables=method.variables,
     )
+    nfields = method.ndim + 2
+    rng = np.random.default_rng(case.seed)
+    ghost = get_scheme(method.reconstruction, method.limiter).ghost_cells
+    cells = case.shape[0]
+    cross = (method.members,) + (case.shape[1:] + (1,))[: method.ndim - 1]
+    padded = primitive(rng, (cells + 2 * ghost,) + cross, nfields, case.layout)
+    plant(rng, case.features, padded)
+    boundary = transmissive_1d() if method.ndim == 1 else all_transmissive_2d()
+    engine = StepEngine(
+        (cells,) + cross[1:] + (nfields,),
+        (0.1,) * method.ndim,
+        config,
+        [boundary] * method.members,
+        backend="numpy",
+    )
+    with np.errstate(all="ignore"):
+        reference = _SweepKernel(config).face_fluxes(padded)
+        flux = engine.riemann(padded)
+    assert flux is engine.workspace.array("engine.flux", reference.shape)
+    assert_same_bits(flux, reference)
+
+
+def test_no_kernel_entry_point_takes_out_or_work():
+    """The references are allocating functions and nothing else: an
+    ``out=``/``work=`` parameter here would be a second way to run a
+    kernel beside the spec's program."""
+    entry_points = list(RIEMANN_SOLVERS.values()) + [
+        schemes.piecewise_constant,
+        schemes.make_tvd2("minmod"),
+        schemes.tvd3,
+        schemes.weno3,
+        reconstruct_component,
+        reconstruct_characteristic,
+        state.conservative_from_primitive,
+        max_eigenvalue,
+        get_dt,
+    ]
+    assert len(entry_points) == 13
+    for function in entry_points:
+        assert not {"out", "work"} & set(inspect.signature(function).parameters), function
 
 
 # -- NumPy programs == compiled C of the same emitters ------------------
@@ -524,36 +688,50 @@ def test_vector_dt_pass_equals_reference_dt_pass_equals_numpy(ndim, case, spacin
 # -- the evaluator's own rules ------------------------------------------
 
 
+def composed_programs():
+    for riemann, reconstruction, limiter, variables, ndim in COMPOSED:
+        config = SolverConfig(
+            riemann=riemann, reconstruction=reconstruction, limiter=limiter, variables=variables
+        )
+        spec = spec_from_config(config, ndim)
+        yield spec, kernel_programs(spec)
+
+
 def test_no_slot_is_read_after_reassignment():
-    """Replay every cached program's register schedule: each read finds
-    the value it names still in place, outputs survive to the end, and a
-    ``select`` never writes over its condition or its then-operand."""
-    for kernel in standalone_kernels():
-        program = numpy_program(*kernel)
-        register = program.registers
-        holder = {}
-        for op in program.ir.ops:
-            for arg in op.args:
-                assert holder[register[arg]] == arg, (kernel, op)
-            if op.opcode == "select":
-                cond, then, _ = op.args
-                assert register[op.name] not in (register[cond], register[then]), (kernel, op)
-            holder[register[op.name]] = op.name
-        # an output no op computes in place is copied at the end: its
-        # source must have survived until then
-        for _, value in program.ir.outputs:
-            assert holder[register[value]] == value, (kernel, value)
+    """Replay the register schedule of every fused program of COMPOSED
+    (the 683-op weno3/characteristic flux program among them): each read
+    finds the value it names still in place, outputs survive to the end,
+    and a ``select`` never writes over its condition or its then-operand."""
+    assert max(len(flux.ir.ops) for _, (flux, _) in composed_programs()) >= 683
+    for spec, programs in composed_programs():
+        for program in programs:
+            register = program.registers
+            holder = {}
+            for op in program.ir.ops:
+                for arg in op.args:
+                    assert holder[register[arg]] == arg, (spec, op)
+                if op.opcode == "select":
+                    cond, then, _ = op.args
+                    assert register[op.name] not in (register[cond], register[then]), (spec, op)
+                holder[register[op.name]] = op.name
+            # an output no op computes in place is copied at the end: its
+            # source must have survived until then
+            for _, value in program.ir.outputs:
+                assert holder[register[value]] == value, (spec, value)
 
 
 def test_threads_share_a_program_but_no_scratch():
-    """Two threads run one cached program on two workspaces: serial bits
-    on both, and no buffer of one workspace overlaps one of the other."""
+    """Two threads run one fused flux program on two workspaces: serial
+    bits on both, and no buffer of one workspace overlaps one of the other."""
     rng = np.random.default_rng(7)
     shape, nfields, rounds = (40, 30), 4, 25
     left = primitive(rng, shape, nfields, "contiguous")
     right = primitive(rng, shape, nfields, "contiguous")
-    solver = RIEMANN_SOLVERS["hllc"]
-    serial = solver(left, right, GAMMA, out=np.empty_like(left), work=Workspace())
+    flux_program, _ = kernel_programs(spec_from_config(SolverConfig(reconstruction="pc"), 2))
+    params = field_views(left) + field_views(right) + [GAMMA]
+    serial = np.empty_like(left)
+    flux_program.run(params, field_views(serial), Workspace())
+    assert_same_bits(serial, RIEMANN_SOLVERS["hllc"](left, right, GAMMA))
     workspaces = [Workspace(), Workspace()]
     outputs = [np.empty_like(left), np.empty_like(left)]
     mismatches = [0, 0]
@@ -561,7 +739,7 @@ def test_threads_share_a_program_but_no_scratch():
     def worker(index):
         for _ in range(rounds):
             outputs[index].fill(np.nan)
-            solver(left, right, GAMMA, out=outputs[index], work=workspaces[index])
+            flux_program.run(params, field_views(outputs[index]), workspaces[index])
             if not np.array_equal(outputs[index], serial):
                 mismatches[index] += 1
 
@@ -581,3 +759,45 @@ def test_threads_share_a_program_but_no_scratch():
     for mine in workspaces[0].buffers():
         for theirs in workspaces[1].buffers():
             assert not np.shares_memory(mine, theirs)
+
+
+@pytest.mark.parametrize("riemann,reconstruction,limiter,variables,ndim", COMPOSED)
+def test_planned_row_bytes_cover_what_a_strip_holds(
+    riemann, reconstruction, limiter, variables, ndim
+):
+    """After a one-strip NumPy sweep, everything the strip held — the
+    scratch the workspace handed the flux program, the flux rows, the
+    padded stencil and the output rows — fits ``row_bytes x rows`` of the
+    plan that sized it: the row size is read off the program that runs."""
+    config = SolverConfig(
+        riemann=riemann,
+        reconstruction=reconstruction,
+        limiter=limiter,
+        variables=variables,
+        tile_bytes=0,
+    )
+    rows, cross, nfields = 4, (2, 5)[:ndim], ndim + 2
+    boundary = transmissive_1d() if ndim == 1 else all_transmissive_2d()
+    engine = StepEngine(
+        (rows,) + cross[1:] + (nfields,), (0.1,) * ndim, config, [boundary] * 2,
+        backend="numpy",
+    )
+    ghost = engine.ghost_cells
+    padded = primitive(
+        np.random.default_rng(3), (rows + 2 * ghost,) + cross, nfields, "contiguous"
+    )
+    target = np.empty((rows,) + cross + (nfields,))
+    plan = engine._sweep_plan(padded.shape)
+    assert len(plan) == 1 and plan.strip_rows == rows
+    with np.errstate(all="ignore"):
+        engine._difference_into(padded, 0.1, target)
+    names = {key[0] for key in engine.workspace._arrays}
+    flux_program, _ = kernel_programs(engine.spec)
+    assert names == {"engine.flux"} | {
+        f"{flux_program.name}.{dtype}" for dtype, slots in flux_program.slots.items() if slots
+    }
+    held = engine.workspace.nbytes + padded.nbytes + target.nbytes
+    assert plan.row_bytes == tiling.sweep_row_bytes(
+        int(np.prod(cross)), nfields, flux_program, ghost
+    )
+    assert held <= plan.row_bytes * rows

@@ -7,8 +7,9 @@ differential tests here assert exact equality (max-abs difference of
 0.0), across the full method menu, on odd/ragged grids whose strips do
 not divide evenly, and through :class:`~repro.par.solver.ParallelSolver2D`
 where the strips are what the worker team splits.  The plan tests pin the
-geometry invariants (full disjoint coverage, ragged tail, clamping) and
-the config/env/default budget resolution.
+geometry invariants (full disjoint coverage, ragged tail, clamping), the
+config/env/default budget resolution, and the NumPy executor's row size
+on four method/grid pairs.
 """
 
 import itertools
@@ -237,6 +238,37 @@ class TestTiledCounters:
         counters = tiled.engine.counters()
         assert counters["dt_fused_strips"] == 0
         assert counters["tiles"] > 0  # the sweeps still tile
+
+
+class TestNumpyStripPlan:
+    """The NumPy executor's plan is sized by the program that runs.  An
+    emitter edit that changes a flux program's slot count moves these
+    pins; move them deliberately and list old -> new in CHANGES.md."""
+
+    #: (config, grid) -> (row bytes, strips per sweep) at the default
+    #: 4 MiB budget.
+    PINS = [
+        (SolverConfig(), 160, (87520, 4)),
+        (
+            SolverConfig(reconstruction="tvd2", variables="conservative", riemann="roe"),
+            160,
+            (74400, 3),
+        ),
+        (SolverConfig(reconstruction="pc"), 400, (164400, 16)),
+        (SolverConfig(), 400, (218800, 22)),
+    ]
+
+    @pytest.mark.parametrize("config, grid, pin", PINS)
+    def test_plan_follows_the_flux_program(self, config, grid, pin, monkeypatch):
+        from repro.euler.engine import StepEngine
+
+        monkeypatch.delenv(tiling.TILE_BYTES_ENV, raising=False)
+        engine = StepEngine(
+            (grid, grid, 4), (0.1, 0.1), config, [all_transmissive_2d()], backend="numpy"
+        )
+        plan = engine._sweep_plan((grid + 2 * engine.ghost_cells, 1, grid, 4))
+        assert (plan.row_bytes, len(plan)) == pin
+        assert plan.tile_bytes == tiling.DEFAULT_TILE_BYTES
 
 
 class TestTiledParallel:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.euler import eos
+from repro.euler import eos, state
+from repro.euler.boundary import all_transmissive_2d
+from repro.euler.engine import StepEngine
 from repro.euler.rk import (
     get_integrator,
     get_integrator_into,
@@ -12,6 +14,7 @@ from repro.euler.rk import (
     rk2_tvd_step,
     rk3_tvd_step,
 )
+from repro.euler.solver import SolverConfig
 from repro.euler.timestep import get_dt, max_eigenvalue
 from repro.euler.workspace import Workspace
 from tests.conftest import random_primitive_1d, random_primitive_2d
@@ -122,9 +125,15 @@ class TestRungeKutta:
             get_integrator_into(4)
 
     def test_get_dt_with_workspace_matches(self, rng):
-        prim = random_primitive_2d(rng, 6, 7)
-        plain = get_dt(prim, [0.5, 0.25], cfl=0.5)
-        pooled = get_dt(prim, [0.5, 0.25], cfl=0.5, work=Workspace())
+        """The pooled dt pass — the engine's fused dt program on its
+        workspace — gives ``get_dt``'s step, bit for bit."""
+        config = SolverConfig(cfl=0.5)
+        u = state.conservative_from_primitive(random_primitive_2d(rng, 6, 7), config.gamma)
+        plain = get_dt(state.primitive_from_conservative(u, config.gamma), [0.5, 0.25], cfl=0.5)
+        engine = StepEngine(
+            u.shape, [0.5, 0.25], config, [all_transmissive_2d()], backend="numpy"
+        )
+        (pooled,) = engine.compute_dt(u[None])
         assert plain == pooled
 
     def test_linearity(self, rng):
