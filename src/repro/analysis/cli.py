@@ -27,10 +27,16 @@ reports for its two point loops is recorded per spec as ``vectorised``,
 JSONL); ``scalar`` — a compiler that reports, and reports nothing for a
 loop — is error ``JIT-VEC001``.  Those 232 specs are the NumPy path as
 well — the engine interprets the same IR pair the C is generated from —
-so nothing is checked for one executor only; ``--jit`` then builds,
-verifies and schedules the two *standalone* IRs that remain beside them
-(the primitive conversion per field count, :func:`repro.jit.numpy_eval
-.numpy_program`): 232 specs + 2 standalone IRs.
+so nothing is checked for one executor only.  Per spec ``--jit`` also
+lints its *stage plan* (:mod:`repro.jit.plan`): the combine, convert and
+fill bodies the stage entry point is generated from are verified, and a
+representative plan — ragged three-strip layouts, every fill kind —
+goes through :func:`repro.analysis.deps.prove_phases`: every phase's
+access map in bounds and strip-independent, every cross-phase
+dependence behind one of the plan's barriers.  Last it builds, verifies
+and schedules the two *standalone* IRs (the primitive conversion per
+field count, :func:`repro.jit.numpy_eval.numpy_program`): 232 specs +
+232 stage plans + 2 standalone IRs.
 
 Output is a human-readable report, or JSONL (``--json``, one
 ``"kind": "diagnostic"`` object per line — the
@@ -58,6 +64,7 @@ __all__ = [
     "lint_sac_source",
     "lint_f90_source",
     "lint_jit_kernels",
+    "lint_stage_plan",
     "lint_numpy_kernels",
     "builtin_targets",
 ]
@@ -160,6 +167,36 @@ def _observe_vector(
     return {"kind": "jit-kernel", "spec": label, "vector": verdict, **vector}
 
 
+def matrix_specs() -> List:
+    """Every distinct :class:`~repro.jit.kernels.KernelSpec` the method
+    menu reaches (limiter choices collapse for unlimited schemes)."""
+    import itertools
+
+    from repro.euler.reconstruction import LIMITERS
+    from repro.euler.riemann import RIEMANN_SOLVERS
+    from repro.euler.solver import SolverConfig
+    from repro.jit.kernels import spec_from_config
+
+    reconstructions = ("pc", "tvd2", "tvd3", "weno3")
+    variables = ("primitive", "conservative", "characteristic")
+    limited = ("tvd2", "tvd3")
+
+    specs = {}  # insertion-ordered set
+    for riemann, reconstruction, variant, ndim in itertools.product(
+        RIEMANN_SOLVERS, reconstructions, variables, (1, 2)
+    ):
+        limiters = tuple(LIMITERS) if reconstruction in limited else ("minmod",)
+        for limiter in limiters:
+            config = SolverConfig(
+                riemann=riemann,
+                reconstruction=reconstruction,
+                limiter=limiter,
+                variables=variant,
+            )
+            specs[spec_from_config(config, ndim)] = None
+    return list(specs)
+
+
 def lint_jit_kernels(
     engine: Optional[DiagnosticEngine] = None,
     records: Optional[List[Dict[str, object]]] = None,
@@ -178,35 +215,13 @@ def lint_jit_kernels(
     one record per spec appended to ``records`` when given).  Findings
     land in ``engine``; returns the number of distinct specs checked.
     """
-    import itertools
-
     from repro.analysis import deps
     from repro.analysis.jit_verify import verify_kernel
-    from repro.euler.reconstruction import LIMITERS
-    from repro.euler.riemann import RIEMANN_SOLVERS
-    from repro.euler.solver import SolverConfig
     from repro.jit import codegen
-    from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
+    from repro.jit.kernels import build_dt_ir, build_flux_ir
 
     engine = engine if engine is not None else DiagnosticEngine()
-    reconstructions = ("pc", "tvd2", "tvd3", "weno3")
-    variables = ("primitive", "conservative", "characteristic")
-    limited = ("tvd2", "tvd3")
-
-    specs = {}  # insertion-ordered set: limiter choices collapse for some specs
-    for riemann, reconstruction, variant, ndim in itertools.product(
-        RIEMANN_SOLVERS, reconstructions, variables, (1, 2)
-    ):
-        limiters = tuple(LIMITERS) if reconstruction in limited else ("minmod",)
-        for limiter in limiters:
-            config = SolverConfig(
-                riemann=riemann,
-                reconstruction=reconstruction,
-                limiter=limiter,
-                variables=variant,
-            )
-            specs[spec_from_config(config, ndim)] = None
-
+    specs = matrix_specs()
     records = records if records is not None else []
     for spec in specs:
         label = spec.label()
@@ -237,6 +252,70 @@ def lint_jit_kernels(
         clean = len(engine.errors) == errors_before
         records.append(_observe_vector(spec, flux_ir, dt_ir, engine, build=clean))
     return len(specs)
+
+
+def lint_stage_plan(spec, engine: DiagnosticEngine, barriers=None) -> None:
+    """Lint the stage plan of ``spec``: verify the pointwise bodies the
+    stage entry point carries beside the spec's pair (the conversion,
+    every Runge-Kutta combine), build a representative plan — a ragged
+    9 x 7 member, two members, three strips per sweep, a piecewise edge
+    of all three fill kinds — and prove its phases
+    (:func:`repro.analysis.deps.prove_phases`) under ``barriers``
+    (default: the plan's own, :func:`repro.jit.plan.barriers`).
+    Findings land in ``engine``."""
+    from repro.analysis import deps
+    from repro.analysis.jit_verify import verify_kernel
+    from repro.euler import boundary, rk, tiling
+    from repro.jit import plan as stage_plan
+    from repro.jit.kernels import build_combine_ir, build_standalone_ir
+
+    label = f"{spec.label()} stage"
+    local = DiagnosticEngine()
+    try:
+        verify_kernel(build_standalone_ir("convert", "primitive", spec.nfields), label, engine=local)
+        for kind in rk.COMBINES:
+            verify_kernel(build_combine_ir(kind), label, engine=local)
+    except AnalysisError:
+        engine.extend(local.diagnostics)
+        return
+    engine.extend(local.diagnostics)
+    member_shape = ((9, 7) if spec.ndim == 2 else (9,)) + (spec.nfields,)
+    state = (1.0,) + (0.0,) * spec.ndim + (1.0,)
+    if spec.ndim == 2:
+        edge = boundary.EdgeSpec()
+        edge.add(0, 2, boundary.SupersonicInflow(state))
+        edge.add(2, 4, boundary.ReflectiveWall())
+        edge.add(4, None, boundary.Transmissive())
+        bset = boundary.BoundarySet2D(edge, edge, edge, edge)
+    else:
+        bset = boundary.BoundarySet1D(
+            boundary.ReflectiveWall(), boundary.SupersonicInflow(state)
+        )
+    fills, declined = stage_plan.fill_tables(spec, member_shape, [bset, bset])
+    if declined is not None:
+        engine.error(
+            "LINT-FAIL",
+            f"{label}: the compiled fill declines a plan of the three shipped"
+            f" boundary kinds: {declined}",
+            source="repro.lint",
+            where=label,
+        )
+    plans = [
+        tiling.plan_tiles(extent, 1, -(-extent // 3)) for extent in member_shape[:-1]
+    ]
+    plan = stage_plan.build_stage_plan(
+        spec, member_shape, 2, fills, declined, (0.1,) * spec.ndim, plans
+    )
+    maps = stage_plan.phase_access_maps(spec)
+    names = [name for name, _ in maps]
+    assert names == [phase.name for phase in plan.phases]
+    proof = deps.prove_phases(
+        [(name, amap, phase.layout) for (name, amap), phase in zip(maps, plan.phases)],
+        stage_plan.barriers(names) if barriers is None else barriers,
+        spec.ghost_cells,
+        where=label,
+    )
+    engine.extend(proof.diagnostics)
 
 
 def lint_numpy_kernels(engine: DiagnosticEngine) -> int:
@@ -372,6 +451,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             verified = lint_jit_kernels(engine, kernel_records)
             matrix_findings = len(engine) - before
+            for spec in matrix_specs():
+                lint_stage_plan(spec, engine)
+            stage_findings = len(engine) - before - matrix_findings
             standalone = lint_numpy_kernels(engine)
         except ReproError as error:
             engine.error(
@@ -403,8 +485,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 + (f" ({', '.join(widths)})" if widths else "")
             )
             checked.append(
+                f"jit stage plans: {verified} plan(s) proved (bodies, fills,"
+                f" phases, barriers), {stage_findings} finding(s)"
+            )
+            checked.append(
                 f"numpy kernel programs: {standalone} standalone IR(s) verified, "
-                f"{len(engine) - before - matrix_findings} finding(s)"
+                f"{len(engine) - before - matrix_findings - stage_findings} finding(s)"
+            )
+            checked.append(
+                f"jit total: {verified} specs + {verified} stage plans"
+                f" + {standalone} standalone IRs"
             )
 
     stream = open(arguments.output, "w") if arguments.output else sys.stdout

@@ -43,6 +43,11 @@ DEP004     proof unavailable — non-affine index, unknown symbol, or an
            opcode with unknown effects; the dispatcher must serialize
 ========== ============================================================
 
+Between the *phases* of a stage plan (:func:`prove_phases`) DEP002/003
+also name a dependence of one phase's strip on another phase's —
+written-then-read, read-then-written or written twice — that no declared
+barrier separates.
+
 DEP001–003 are error severity, DEP004 a warning: an unprovable kernel
 is not *wrong*, it just may not be threaded.
 """
@@ -65,6 +70,7 @@ __all__ = [
     "access_bounds",
     "prove_footprint",
     "prove_strips",
+    "prove_phases",
     "box_relation",
 ]
 
@@ -267,7 +273,10 @@ class AccessMap:
     beginning at the strip's global start row, ``"zero"`` arrays are
     passed whole (every strip addresses the same rows).  ``opcodes`` is
     the set of IR opcodes the kernel body executes, checked against
-    :data:`OPCODE_EFFECTS` before any proof is issued.
+    :data:`OPCODE_EFFECTS` before any proof is issued.  ``axes`` names,
+    for the phases of a stage plan, the grid axis an array's rows run
+    along when it is not axis 0 — rows of different axes of one array
+    always cross (:func:`prove_phases`).
     """
 
     kernel: str
@@ -275,6 +284,7 @@ class AccessMap:
     extents: Mapping[str, LinExpr]
     opcodes: frozenset
     strip_bases: Mapping[str, str] = field(default_factory=dict)
+    axes: Mapping[str, int] = field(default_factory=dict)
 
     def base_of(self, array: str) -> str:
         return self.strip_bases.get(array, "start")
@@ -287,6 +297,7 @@ class AccessMap:
             "extents": {k: str(v) for k, v in sorted(self.extents.items())},
             "opcodes": sorted(self.opcodes),
             "strip_bases": dict(sorted(self.strip_bases.items())),
+            **({"axes": dict(sorted(self.axes.items()))} if self.axes else {}),
         }
 
 
@@ -453,6 +464,58 @@ def _concrete_interval(
     return (lo + start, hi + start)
 
 
+def _strip_spans(
+    amap: AccessMap,
+    strips: Sequence[Tuple[int, int]],
+    engine: DiagnosticEngine,
+    where: str,
+) -> List[Dict[str, Dict[str, Tuple[int, int]]]]:
+    """Per strip, the concrete global row interval each shared array is
+    read and written over: ``spans[strip][mode][array] = (lo, hi)``.
+    DEP004 when an interval stays symbolic after binding the strip."""
+    spans: List[Dict[str, Dict[str, Tuple[int, int]]]] = []
+    unknown = False
+    for start, stop in strips:
+        cells = int(stop) - int(start)
+        per_strip: Dict[str, Dict[str, Tuple[int, int]]] = {
+            "read": {},
+            "write": {},
+        }
+        for access in amap.accesses:
+            if access.scope != "shared":
+                continue
+            base = int(start) if amap.base_of(access.array) == "start" else 0
+            interval = _concrete_interval(access, base, cells)
+            if interval is None:
+                unknown = True
+                continue
+            if interval[1] < interval[0]:
+                continue  # empty domain for this strip
+            table = per_strip[access.mode]
+            seen = table.get(access.array)
+            if seen is None:
+                table[access.array] = interval
+            else:
+                table[access.array] = (
+                    min(seen[0], interval[0]),
+                    max(seen[1], interval[1]),
+                )
+        spans.append(per_strip)
+    if unknown:
+        engine.warning(
+            "DEP004",
+            "strip intervals are not concrete after binding the strip "
+            "cell counts — cross-strip proof unavailable",
+            source=SOURCE,
+            where=where,
+        )
+    return spans
+
+
+def _overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+    return max(a[0], b[0]) <= min(a[1], b[1])
+
+
 def prove_strips(
     amap: AccessMap,
     strips: Sequence[Tuple[int, int]],
@@ -500,52 +563,13 @@ def prove_strips(
                     where=where,
                 )
 
-    # cross-strip: concrete global intervals per strip and array.
-    spans: List[Dict[str, Dict[str, Tuple[int, int]]]] = []
-    unknown = False
-    for start, stop in strips:
-        cells = int(stop) - int(start)
-        per_strip: Dict[str, Dict[str, Tuple[int, int]]] = {
-            "read": {},
-            "write": {},
-        }
-        for access in amap.accesses:
-            if access.scope != "shared":
-                continue
-            base = int(start) if amap.base_of(access.array) == "start" else 0
-            interval = _concrete_interval(access, base, cells)
-            if interval is None:
-                unknown = True
-                continue
-            if interval[1] < interval[0]:
-                continue  # empty domain for this strip
-            table = per_strip[access.mode]
-            seen = table.get(access.array)
-            if seen is None:
-                table[access.array] = interval
-            else:
-                table[access.array] = (
-                    min(seen[0], interval[0]),
-                    max(seen[1], interval[1]),
-                )
-        spans.append(per_strip)
-    if unknown:
-        engine.warning(
-            "DEP004",
-            "strip intervals are not concrete after binding the strip "
-            "cell counts — cross-strip proof unavailable",
-            source=SOURCE,
-            where=where,
-        )
-
-    def overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-        return max(a[0], b[0]) <= min(a[1], b[1])
+    spans = _strip_spans(amap, strips, engine, where)
 
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             for array, wi in spans[i]["write"].items():
                 wj = spans[j]["write"].get(array)
-                if wj is not None and overlap(wi, wj):
+                if wj is not None and _overlap(wi, wj):
                     engine.error(
                         "DEP002",
                         f"strips {strips[i]} and {strips[j]} both write "
@@ -556,7 +580,7 @@ def prove_strips(
             for first, second in ((i, j), (j, i)):
                 for array, w in spans[first]["write"].items():
                     r = spans[second]["read"].get(array)
-                    if r is not None and overlap(w, r):
+                    if r is not None and _overlap(w, r):
                         engine.error(
                             "DEP003",
                             f"strip {strips[second]} reads '{array}' rows "
@@ -567,12 +591,89 @@ def prove_strips(
                             where=where,
                         )
 
+    return _verdict(engine)
+
+
+def _verdict(engine: DiagnosticEngine) -> StripProof:
     diagnostics = tuple(engine.diagnostics)
     if diagnostics:
         head = diagnostics[0]
         reason = f"{head.code}: {head.message.splitlines()[0]}"
         return StripProof(False, reason, diagnostics)
     return StripProof(True, None, ())
+
+
+def prove_phases(
+    phases: Sequence[Tuple[str, AccessMap, Sequence[Tuple[int, int]]]],
+    barriers: Iterable[Tuple[str, str]],
+    ghost_cells: Optional[int] = None,
+    *,
+    where: str = "",
+) -> StripProof:
+    """Prove a sequence of phases safe to run one team round each.
+
+    ``phases`` are ``(name, access map, strips)`` in execution order: in
+    every phase worker ``w`` runs strips ``w, w + workers, ...`` of its
+    plan, and the workers meet only where ``barriers`` names a pair of
+    *adjacent* phases ``(earlier, later)`` — a barrier there separating
+    everything before it from everything after.  Licensed iff
+
+    * every phase's strips are independent (:func:`prove_strips`), and
+    * no two phases *without* a barrier between them have strips, other
+      than the same strip of the same layout (one worker, in order), of
+      which one writes rows of an array the other reads (DEP003) or
+      writes (DEP002).  Rows along different grid axes of one array
+      (:attr:`AccessMap.axes`) always cross.
+    """
+    engine = DiagnosticEngine()
+    barriers = set(barriers)
+    names = [name for name, _, _ in phases]
+    proofs = [
+        prove_strips(amap, strips, ghost_cells, where=f"{where or amap.kernel}: {name}")
+        for name, amap, strips in phases
+    ]
+    for proof in proofs:
+        if not proof.licensed and not proof.diagnostics:
+            return proof  # a verdict without findings (a denied proof) stands as it is
+        engine.extend(proof.diagnostics)
+    # (prove_strips has already reported a strip whose rows stay symbolic)
+    spans = [
+        _strip_spans(amap, strips, DiagnosticEngine(), where or amap.kernel)
+        for _, amap, strips in phases
+    ]
+    for first in range(len(phases)):
+        for second in range(first + 1, len(phases)):
+            if any((names[a], names[a + 1]) in barriers for a in range(first, second)):
+                continue
+            (_, early, early_strips), (_, late, late_strips) = phases[first], phases[second]
+            same_layout = tuple(early_strips) == tuple(late_strips)
+            for i, before in enumerate(spans[first]):
+                for j, after in enumerate(spans[second]):
+                    if same_layout and i == j:
+                        continue
+                    for mode_before, mode_after, code in (
+                        ("write", "read", "DEP003"),
+                        ("read", "write", "DEP003"),
+                        ("write", "write", "DEP002"),
+                    ):
+                        for array, rows in before[mode_before].items():
+                            other = after[mode_after].get(array)
+                            if other is None:
+                                continue
+                            crossing = early.axes.get(array, 0) != late.axes.get(array, 0)
+                            if crossing or _overlap(rows, other):
+                                engine.error(
+                                    code,
+                                    f"{names[second]} strip {tuple(late_strips[j])} "
+                                    f"{mode_after}s '{array}' rows {other} that "
+                                    f"{names[first]} strip {tuple(early_strips[i])} "
+                                    f"{mode_before}s (rows {rows}"
+                                    + (", along another axis" if crossing else "")
+                                    + ") with no barrier between the phases",
+                                    source=SOURCE,
+                                    where=where or late.kernel,
+                                )
+    return _verdict(engine)
 
 
 # --------------------------------------------------------------------------

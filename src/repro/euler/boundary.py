@@ -29,35 +29,78 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
+#: What a ghost fill can be, as data.  A position here is the id the
+#: compiled stage switches on (:mod:`repro.jit.codegen`).
+FILL_KINDS = ("copy", "mirror", "constant")
+
+
+def apply_fill(padded: np.ndarray, ghost_cells: int, kind: str, state=None) -> None:
+    """Fill the low-end ghost layers of ``padded`` as one fill record says
+    — the one interpreter of :data:`FILL_KINDS` on the NumPy side.
+
+    ``copy`` repeats the first interior layer (zero gradient), ``mirror``
+    reflects the interior and negates field 1 (the wall-normal velocity
+    in sweep layout), ``constant`` pins every layer to ``state``.
+    """
+    if kind == "copy":
+        for layer in range(ghost_cells):
+            padded[layer] = padded[ghost_cells]
+    elif kind == "mirror":
+        for layer in range(ghost_cells):
+            mirror = 2 * ghost_cells - 1 - layer
+            padded[layer] = padded[mirror]
+            padded[layer, ..., 1] = -padded[mirror, ..., 1]
+    elif kind == "constant":
+        padded[:ghost_cells] = state
+    else:
+        raise ConfigurationError(f"unknown fill kind {kind!r}; have {FILL_KINDS}")
+
+
 class BoundaryCondition:
     """Fills ghost layers on one edge of a padded primitive sweep array.
 
-    ``fill`` receives the padded array with axis 0 being the sweep
-    axis in *sweep layout* (field 1 normal to the edge) and must write
-    the ``ghost_cells`` layers at the low end; the solver orients the
-    array so every condition only ever fills the low end.
+    A condition *produces a fill record* — ``(kind, state)`` with ``kind``
+    in :data:`FILL_KINDS` — and :meth:`fill` applies it
+    (:func:`apply_fill`); the stage plan carries the same records into
+    the compiled ghost fill.  ``fill`` receives the padded array with
+    axis 0 being the sweep axis in *sweep layout* (field 1 normal to the
+    edge) and writes the ``ghost_cells`` layers at the low end; the
+    solver orients the array so every condition only ever fills the low
+    end.  A subclass may override ``fill`` instead of producing a record:
+    it then runs on the NumPy executor only (:func:`record_of`).
     """
 
+    def fill_record(self):
+        return None
+
     def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
-        raise NotImplementedError
+        record = self.fill_record()
+        if record is None:
+            raise NotImplementedError
+        apply_fill(padded, ghost_cells, *record)
+
+
+def record_of(condition: BoundaryCondition):
+    """``condition``'s fill record, or None when it has none to offer or
+    overrides :meth:`~BoundaryCondition.fill` (its own code is then the
+    only statement of what it does)."""
+    if type(condition).fill is not BoundaryCondition.fill:
+        return None
+    return condition.fill_record()
 
 
 class Transmissive(BoundaryCondition):
     """Zero-gradient (outflow/continuative) boundary."""
 
-    def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
-        for layer in range(ghost_cells):
-            padded[layer] = padded[ghost_cells]
+    def fill_record(self):
+        return ("copy", None)
 
 
 class ReflectiveWall(BoundaryCondition):
     """Solid wall: interior mirrored, normal velocity (field 1) negated."""
 
-    def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
-        for layer in range(ghost_cells):
-            mirror = 2 * ghost_cells - 1 - layer
-            padded[layer] = padded[mirror]
-            padded[layer, ..., 1] = -padded[mirror, ..., 1]
+    def fill_record(self):
+        return ("mirror", None)
 
 
 class SupersonicInflow(BoundaryCondition):
@@ -66,8 +109,8 @@ class SupersonicInflow(BoundaryCondition):
     def __init__(self, prim_state: Sequence[float]):
         self.state = np.asarray(prim_state, dtype=float)
 
-    def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
-        padded[:ghost_cells] = self.state
+    def fill_record(self):
+        return ("constant", self.state)
 
 
 class FixedState(SupersonicInflow):
@@ -97,15 +140,13 @@ class EdgeSpec:
         self.segments.append(EdgeSegment(start, stop, condition))
         return self
 
-    def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
-        """Fill the low-end ghost layers, segment by segment.
-
-        Axis 0 of ``padded`` is the sweep axis; axis 1 (when present)
-        runs along the edge and is what the segments partition.
-        """
+    def segments_over(self, extent: Optional[int]) -> List[Tuple[int, int, BoundaryCondition]]:
+        """``(start, stop, condition)`` per segment, clipped to an edge of
+        ``extent`` cells; ``extent=None`` is a 1-D sweep, which has no
+        along-edge axis and takes one uniform segment only."""
         if not self.segments:
             raise ConfigurationError("EdgeSpec has no segments")
-        if padded.ndim == 2:  # 1-D problem: (cells, fields) — no along-edge axis
+        if extent is None:
             # A piecewise spec cannot be honoured on a 1-D sweep; quietly
             # applying segments[0] to the whole edge would silently compute
             # the wrong physics.
@@ -117,11 +158,23 @@ class EdgeSpec:
                     f" {len(self.segments)} segment(s) to partition; use a"
                     " single uniform segment (EdgeSpec.uniform)"
                 )
-            only.condition.fill(padded, ghost_cells)
+            return [(0, 1, only.condition)]
+        return [
+            (*slice(segment.start, segment.stop).indices(extent)[:2], segment.condition)
+            for segment in self.segments
+        ]
+
+    def fill(self, padded: np.ndarray, ghost_cells: int) -> None:
+        """Fill the low-end ghost layers, segment by segment.
+
+        Axis 0 of ``padded`` is the sweep axis; axis 1 (when present)
+        runs along the edge and is what the segments partition.
+        """
+        if padded.ndim == 2:  # 1-D problem: (cells, fields)
+            self.segments_over(None)[0][2].fill(padded, ghost_cells)
             return
-        for segment in self.segments:
-            window = padded[:, segment.start : segment.stop]
-            segment.condition.fill(window, ghost_cells)
+        for start, stop, condition in self.segments_over(padded.shape[1]):
+            condition.fill(padded[:, start:stop], ghost_cells)
 
 
 @dataclass

@@ -6,17 +6,19 @@ arrays per Runge-Kutta stage (integrator temporaries, padded sweep
 buffers, face fluxes, primitive round trips).  :class:`StepEngine`
 owns, per (grid shape, :class:`~repro.euler.solver.SolverConfig`), a
 :class:`~repro.euler.workspace.Workspace` of preallocated buffers and
-advances the conservative state by running *one program per spec* —
-the folded ``reconstruct -> riemann`` flux IR and the fused
-``convert -> eigenvalue`` dt IR of its
-:class:`~repro.jit.kernels.KernelSpec`, assembled from the ``emit_*``
-definitions beside the allocating reference functions.  A strip is
-executed by one of two executors of that same pair: the compiled kernel
-(:class:`~repro.jit.backend.JitBackend`) or
-:class:`~repro.jit.numpy_eval.NumpyProgram` here.  Either performs the
-identical sequence of rounded floating-point operations as the
-allocating seed path: results are bit-for-bit equal, only the allocator
-traffic is gone.
+advances the conservative state by running *one program per RK stage* —
+its :class:`~repro.jit.plan.StagePlan`: conversion, both strip sweeps
+and the Runge-Kutta combine, whose pointwise bodies are the IR of its
+:class:`~repro.jit.kernels.KernelSpec` (the folded ``reconstruct ->
+riemann`` flux IR, the conversion, the combines), assembled from the
+``emit_*`` definitions beside the allocating reference functions, and
+whose ghost fill is the boundary conditions' fill records.  A stage is
+executed by one of two executors of that same plan: the compiled
+``repro_jit_stage`` (:class:`~repro.jit.backend.JitBackend`, one
+crossing per stage) or :func:`repro.jit.numpy_eval.run_stage`, whose
+phase handlers are the methods here.  Either performs the identical
+sequence of rounded floating-point operations as the allocating seed
+path: results are bit-for-bit equal, only the allocator traffic is gone.
 
 There is one engine and it has three annotations, none of which
 selects different code:
@@ -34,11 +36,11 @@ selects different code:
   ``tile_bytes=0`` means "no budget": the same code runs a plan of one
   strip, which is the whole-grid reference the differential tests pin.
 * **the team.**  The strip plan is also the only decomposition: with
-  ``workers >= 2`` the compiled backend runs a sweep plan's strips on
-  the process's worker team (:mod:`repro.par.pool`), licensed per plan
-  by the dependence prover.  Threads apply only where a compiled kernel
-  serves the strip; without one the same strips run serially here, with
-  a counted reason.
+  ``workers >= 2`` the compiled backend runs each phase's strips as a
+  round of the process's worker team (:mod:`repro.par.pool`), licensed
+  per plan by the dependence prover.  Threads apply only where the
+  compiled stage serves; without it the same strips run serially here,
+  with a counted reason.
 
 All are bit-for-bit neutral: every kernel in the chain is elementwise
 over its leading axes, so neither stacking members nor cutting strips
@@ -48,9 +50,8 @@ sees.
 The engine also keeps per-phase wall-clock counters (boundary fill,
 the folded face-flux program — booked as ``riemann`` — flux
 differencing, Runge-Kutta combine, primitive conversion, the fused dt
-program and its reduction) plus conversion/step/strip counts and
-the scratch footprint in bytes; ``perf.scaling`` measured mode and
-``benchmarks/test_steprate.py`` record them.
+program; the compiled stage reports its own per phase) plus
+conversion/step/strip counts and the scratch footprint in bytes.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, PhysicsError
-from repro.euler import state, tiling
+from repro.euler import rk, state, tiling
+from repro.euler.boundary import apply_fill
 from repro.euler.reconstruction import stencil_views
-from repro.euler.rk import get_integrator_into
 from repro.euler.timestep import max_eigenvalue
 from repro.euler.workspace import Workspace
 import repro.jit as repro_jit
-from repro.jit.numpy_eval import field_views, kernel_programs
+from repro.jit.numpy_eval import field_views, kernel_programs, numpy_program, run_stage
 
 __all__ = ["StepEngine", "PHASES"]
 
@@ -111,9 +112,9 @@ class StepEngine:
     **Layouts.**  Sweeps pad to ``(n + 2 ng, B, cross..., fields)`` —
     the sweep axis out front, members next.  A member's slab
     ``padded[:, b]`` therefore has exactly the one-member padded layout,
-    which is what lets per-member boundary sets (different geometry per
-    member, piecewise :class:`~repro.euler.boundary.EdgeSpec` segments
-    included) fill their ghost layers with the unmodified code.
+    so per-member boundary sets (different geometry per member,
+    piecewise :class:`~repro.euler.boundary.EdgeSpec` segments included)
+    are plain per-member fill records.
 
     **Tiling.**  The sweep strip planner sees the batch in its cross
     size (``B × ny`` cells of work per sweep row), so strips shrink
@@ -159,22 +160,18 @@ class StepEngine:
             raise ConfigurationError("an engine needs at least one member")
         self.grid_shape = (self.batch,) + self.member_shape
         self._where = f"{self.ndim}-D solver state"
-        #: Per sweep axis, every member's (low spec, high spec) — read
-        #: once here so rhs() rebuilds no per-member lists.
-        self._edge_specs = [
-            [
-                (bset.low, bset.high) if self.ndim == 1 else bset.for_axis(axis)
-                for bset in self.boundaries
-            ]
-            for axis in range(self.ndim)
-        ]
-        # Deferred: repro.jit.kernels imports repro.euler for the emitters.
+        # Deferred: repro.jit.kernels and .plan import repro.euler.
         from repro.jit.kernels import spec_from_config
+        from repro.jit.plan import fill_tables
 
         #: The specialization both executors run (see the module docstring).
         self.spec = spec_from_config(config, self.ndim)
         self.ghost_cells = self.spec.ghost_cells
-        self.integrator_into = get_integrator_into(config.rk_order)
+        #: Per sweep axis, every member's ghost fill as records, and why
+        #: the compiled stage cannot run them (None if it can).
+        self._fills, self._declined = fill_tables(
+            self.spec, self.member_shape, self.boundaries
+        )
         self.workspace = Workspace()
         self.seconds: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         self.steps_taken = 0
@@ -191,19 +188,17 @@ class StepEngine:
         #: Strips of the fused convert+eigenvalue dt passes alone.
         self.dt_fused_strips = 0
         self._tile_plans: Dict[Tuple[int, ...], tiling.TilePlan] = {}
+        self._plan = None
         self._fresh_primitive = False
         #: Team size and barrier kind, and — for an engine without a
         #: backend — the strips its multi-strip plans ran serially.
         self.workers = repro_jit.resolve_jit_threads(workers)
         self.barrier = barrier
         self.serialized: Dict[str, int] = {}
-        #: Compiled-kernel backend (None = plain NumPy path).  Resolution
-        #: order: the ``backend=`` argument, then any
-        #: :func:`repro.jit.backend_override`, then ``REPRO_JIT``, then
-        #: auto-detection — see :mod:`repro.jit`.  The backend serves
-        #: whole strips and falls back to the NumPy path per strip for
-        #: anything it cannot compile, so results are bit-for-bit
-        #: identical either way.
+        #: Compiled-kernel backend (None = plain NumPy path), resolved as
+        #: :mod:`repro.jit` documents.  It serves whole stages and
+        #: declines, counted, what it cannot — the NumPy interpreter then
+        #: runs the same plan, bit-for-bit identical either way.
         self.backend = repro_jit.create_backend(
             config, self.ndim, backend, self.workers, barrier
         )
@@ -252,20 +247,20 @@ class StepEngine:
             counters["jit"] = self.backend.stats()
         return counters
 
-    # -- tiling ---------------------------------------------------------
+    # -- the plan -------------------------------------------------------
 
     def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> tiling.TilePlan:
-        """The (cached) strip plan for a sweep over ``padded_shape``,
-        counted as one sweep's worth of strips."""
+        """The (cached) strip plan for a sweep over ``padded_shape``."""
         if padded_shape not in self._tile_plans:
             n_cells = padded_shape[0] - 2 * self.ghost_cells
             cross = int(np.prod(padded_shape[1:-1], dtype=int))
-            if self.backend is not None and self.backend.ready():
-                # The compiled sweep materialises no per-ufunc
-                # intermediates, so a strip's working set is far
-                # smaller; strips grow to fill the same budget.  A
-                # backend whose kernel failed to build serves no strip:
-                # the NumPy program runs, so its row size plans.
+            backend = self.backend
+            if backend is not None and self._declined is None and backend.ready():
+                # The compiled sweep holds no per-ufunc intermediates, so
+                # strips grow to fill the same budget.  A backend that
+                # will serve no stage (kernel failed to build, plan
+                # declined) must not size them: the NumPy program's row
+                # size plans what the NumPy program runs.
                 row_bytes = tiling.jit_sweep_row_bytes(
                     cross, padded_shape[-1], self.ghost_cells
                 )
@@ -277,25 +272,32 @@ class StepEngine:
             self._tile_plans[padded_shape] = tiling.plan_tiles(
                 n_cells, row_bytes, self._strip_budget
             )
-        plan = self._tile_plans[padded_shape]
-        strips = len(plan.tiles)
-        self.tiles_processed += strips
-        if self.backend is None and self.workers >= 2 and strips >= 2:
-            # A team was asked for, but threads apply only to compiled
-            # strips: the plan runs serially, and says so.
-            self.serialized[NO_KERNEL] = self.serialized.get(NO_KERNEL, 0) + strips
-        return plan
+        return self._tile_plans[padded_shape]
+
+    def stage_plan(self):
+        """The engine's :class:`~repro.jit.plan.StagePlan`, built on first
+        use: the phases of one RK stage over this engine's strip plans
+        and its members' boundary fill records."""
+        if self._plan is None:
+            from repro.jit.plan import build_stage_plan
+
+            shape, ng = self.member_shape, self.ghost_cells
+            padded = [(shape[0] + 2 * ng, self.batch) + shape[1:]]
+            if self.ndim == 2:
+                padded.append((shape[1] + 2 * ng, self.batch, shape[0], 4))
+            self._plan = build_stage_plan(
+                self.spec, shape, self.batch, self._fills, self._declined, self.spacing,
+                [self._sweep_plan(padded_shape) for padded_shape in padded],
+            )
+        return self._plan
 
     # -- primitive scratch and dt ----------------------------------------
 
     def primitive_into(self, u: np.ndarray, reuse: bool = False) -> np.ndarray:
         """Convert ``u`` to primitive variables in the engine's buffer.
-
         With ``reuse=True`` a conversion freshly produced by
-        :meth:`compute_dt` is consumed instead of recomputed — the
-        dt/stage-1 deduplication the engine's conversion counter
-        verifies (one conversion per RK stage, not two).
-        """
+        :meth:`compute_dt` is consumed instead of recomputed — one
+        conversion per RK stage, not two, as the counter verifies."""
         target = self.workspace.array("engine.primitive", self.grid_shape)
         fresh, self._fresh_primitive = self._fresh_primitive, False
         if reuse and fresh:
@@ -308,21 +310,25 @@ class StepEngine:
         self.primitive_conversions += 1
         return target
 
+    def validate(self, primitive: np.ndarray) -> None:
+        """Raise an inadmissible stack's member-local :class:`PhysicsError`."""
+        started = perf_counter()
+        state.validate_members(primitive, self._where, work=self.workspace)
+        self.seconds["convert"] += perf_counter() - started
+
     def compute_dt(self, u: np.ndarray) -> np.ndarray:
         """Per-member CFL steps as a ``(B,)`` vector (member clocks).
 
         The primitive conversion and the GetDT eigenvalue pass run
         fused — one dt program, compiled or interpreted — strip of
-        members by strip of members: each strip of ``u`` is converted
-        into the engine's primitive buffer and reduced to its members'
-        max signal speeds while still cache-resident.
-        ``max`` is exact and order-independent, so entry ``b`` is
-        bit-for-bit the seed path's ``get_dt`` of member ``b`` whatever
-        the plan; the conversion is complete and stays fresh for the
-        first RK stage.
-        A non-finite member raises a member-local :class:`PhysicsError`
-        with ``batch_index`` set (siblings' entries are unaffected),
-        naming the cells a whole-grid pass over that member names.
+        members by strip of members, each strip reduced to its members'
+        max signal speeds while still cache-resident.  ``max`` is exact
+        and order-independent, so entry ``b`` is bit-for-bit the seed
+        path's ``get_dt`` of member ``b`` whatever the plan; the
+        conversion stays fresh for the first RK stage.  A non-finite
+        member raises a member-local :class:`PhysicsError` with
+        ``batch_index`` set, naming the cells a whole-grid pass over
+        that member names.
         """
         cfl = self.config.cfl
         if cfl <= 0.0:
@@ -373,7 +379,7 @@ class StepEngine:
         self.seconds["dt"] += perf_counter() - started
         return dt
 
-    # -- sweeps ---------------------------------------------------------
+    # -- sweeps: the NumPy phase handlers ---------------------------------
 
     def riemann(self, padded: np.ndarray) -> np.ndarray:
         """Riemann fluxes at the interior faces of a padded strip: the
@@ -396,13 +402,8 @@ class StepEngine:
     def _difference_into(
         self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
     ) -> None:
-        """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``:
-        the compiled kernel when it serves the strip, else the flux
-        program interpreted (:meth:`riemann`) and three ufuncs."""
-        if self.backend is not None and self.backend.sweep(
-            self, padded_strip, spacing, target
-        ):
-            return
+        """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``: the
+        flux program interpreted (:meth:`riemann`) and three ufuncs."""
         flux = self.riemann(padded_strip)
         started = perf_counter()
         np.subtract(flux[1:], flux[:-1], out=target)
@@ -410,211 +411,208 @@ class StepEngine:
         np.divide(target, spacing, out=target)
         self.seconds["difference"] += perf_counter() - started
 
-    def _accumulate_axis1(self, contribution: np.ndarray, out: np.ndarray) -> None:
-        """Add oriented rows back in global layout, un-swapping velocities.
-
-        ``(rows, B, nx, 4)`` is viewed as ``(B, nx, rows, 4)``, matching
-        the global-layout ``out``.
-        """
-        started = perf_counter()
-        transposed = contribution.transpose(1, 2, 0, 3)
-        for field_out, field_src in _SWAP_FIELDS:
-            np.add(
-                out[..., field_out], transposed[..., field_src], out=out[..., field_out]
-            )
-        self.seconds["difference"] += perf_counter() - started
-
-    def _fill_boundaries(self, padded: np.ndarray, axis: int) -> None:
-        """Fill the ghost layers of a sweep along ``axis``, member by member.
-
-        ``padded[:, b]`` is exactly one member's own padded array, so
-        each member's boundary set (including piecewise EdgeSpec
-        segments, whose ranges address the along-edge axis) applies
-        unchanged.  Looping members here also keeps an EdgeSpec from
-        wrongly partitioning the member axis.
-        """
+    def _fill_ghosts(self, padded: np.ndarray, phase) -> None:
+        """Fill the ghost layers of a sweep from the phase's fill records:
+        ``padded[:, b]`` is one member's own padded array and its reverse
+        puts the high edge at the low end, so every record is one
+        :func:`~repro.euler.boundary.apply_fill` over its along-edge
+        segment; a foreign record runs its condition's own ``fill``."""
         ng = self.ghost_cells
-        started = perf_counter()
-        for member, (low, high) in enumerate(self._edge_specs[axis]):
-            slab = padded[:, member]
-            low.fill(slab, ng)
-            high.fill(slab[::-1], ng)
-        self.seconds["bc"] += perf_counter() - started
+        for record in phase.fills:
+            slab = padded[:, record.member]
+            if record.side:
+                slab = slab[::-1]
+            window = slab if slab.ndim == 2 else slab[:, record.start : record.stop]
+            if record.condition is not None:
+                record.condition.fill(window, ng)
+            else:
+                apply_fill(window, ng, record.kind, record.state)
 
-    def sweep_axis0(self, padded: np.ndarray, out: np.ndarray) -> None:
-        """Axis-0 sweep: fill edges, flux, difference — *writes* ``out``.
+    def sweep_axis0(self, phase, primitive: np.ndarray, out: np.ndarray) -> None:
+        """Axis-0 sweep phase: pad, fill edges, flux, difference — *writes*
+        ``out``.
 
-        ``padded`` is ``(n + 2 ng, B, cross..., fields)``, ``out`` the
-        matching ``(n, B, ...)`` view.  The whole reconstruct/riemann/difference
-        chain runs strip by strip: a strip owning output rows
-        ``[start, stop)`` reads padded rows ``[start, stop + 2 ng)``
-        and produces faces ``[start, stop + 1)``.  Every kernel in the
-        chain is elementwise per face, so each strip's values are
-        bit-for-bit the rows a one-strip pass would produce (adjacent
-        strips just recompute one shared face).
+        The whole reconstruct/riemann/difference chain runs strip by
+        strip: a strip owning output rows ``[start, stop)`` reads padded
+        rows ``[start, stop + 2 ng)`` — its window — and produces faces
+        ``[start, stop + 1)``.  Every kernel in the chain is elementwise
+        per face, so each strip's values are bit-for-bit the rows a
+        one-strip pass would produce (adjacent strips just recompute one
+        shared face).
         """
-        self._fill_boundaries(padded, 0)
-        spacing = self.spacing[0]
-        plan = self._sweep_plan(padded.shape)
-        if self.backend is not None and self.backend.sweep_tiled(
-            self, padded, plan, spacing, out
-        ):
-            return
-        ng = self.ghost_cells
-        for tile in plan.tiles:
-            self._difference_into(
-                padded[tile.start : tile.stop + 2 * ng],
-                spacing,
-                out[tile.start : tile.stop],
-            )
-
-    def sweep_axis1(self, oriented_padded: np.ndarray, out: np.ndarray) -> None:
-        """Axis-1 sweep on an oriented padded array — *accumulates* into ``out``.
-
-        ``oriented_padded`` is in sweep layout (axis 1 of the grid along
-        its axis 0, velocity fields swapped, see :meth:`orient_into`);
-        the contribution is added back into the global-layout
-        ``(B, nx, ny, 4)`` ``out`` without materialising the un-oriented
-        copy the seed path makes.
-
-        Tiled like :meth:`sweep_axis0`; a strip of oriented rows
-        ``[start, stop)`` accumulates into the ``out`` *columns*
-        ``[..., start:stop, :]``.
-        """
-        self._fill_boundaries(oriented_padded, 1)
-        spacing = self.spacing[1]
-        plan = self._sweep_plan(oriented_padded.shape)
-        ws = self.workspace
-        cross_shape = oriented_padded.shape[1:]
-        if self.backend is not None:
-            contribution = ws.array(
-                "engine.contribution_y_full", (plan.n_cells,) + cross_shape
-            )
-            if self.backend.sweep_tiled(
-                self, oriented_padded, plan, spacing, contribution
-            ):
-                # One full-buffer accumulate: each output element still
-                # receives exactly one add, so this is bitwise the
-                # per-strip accumulation below.
-                self._accumulate_axis1(contribution, out)
-                return
-        ng = self.ghost_cells
-        for tile in plan.tiles:
-            contribution = ws.array(
-                "engine.contribution_y", (tile.cells,) + cross_shape
-            )
-            self._difference_into(
-                oriented_padded[tile.start : tile.stop + 2 * ng], spacing, contribution
-            )
-            self._accumulate_axis1(contribution, out[..., tile.start : tile.stop, :])
-
-    @staticmethod
-    def orient_into(window: np.ndarray, target: np.ndarray) -> None:
-        """``target[j, b, i, f] = window[b, i, j, swap(f)]`` — the y-sweep layout.
-
-        A ``(B, nx, ny, 4)`` window orients into a ``(ny, B, nx, 4)``
-        target (grid axis 1 out front, exactly what the y-sweep pads).
-        """
-        transposed = window.transpose(2, 0, 1, 3)
-        for field_out, field_src in _SWAP_FIELDS:
-            np.copyto(target[..., field_out], transposed[..., field_src])
-
-    # -- driver interface -------------------------------------------------
-
-    def rhs(
-        self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
-    ) -> np.ndarray:
-        """Spatial operator L(U) over the whole stack, into ``out``."""
-        self.rhs_evaluations += 1
-        ws = self.workspace
-        ng = self.ghost_cells
-        primitive = self.primitive_into(u, reuse=use_cached_primitive)
-        started = perf_counter()
-        state.validate_members(primitive, self._where, work=ws)
-        self.seconds["convert"] += perf_counter() - started
-        nx = self.member_shape[0]
-        padded = ws.array(
+        ng, nx = self.ghost_cells, self.member_shape[0]
+        padded = self.workspace.array(
             "engine.padded_x", (nx + 2 * ng, self.batch) + self.member_shape[1:]
         )
         started = perf_counter()
         padded[ng : ng + nx] = primitive.swapaxes(0, 1)
+        self._fill_ghosts(padded, phase)
         self.seconds["bc"] += perf_counter() - started
-        self.sweep_axis0(padded, out.swapaxes(0, 1))
-        if self.ndim == 2:
-            ny = self.member_shape[1]
-            padded_y = ws.array("engine.padded_y", (ny + 2 * ng, self.batch, nx, 4))
+        target = out.swapaxes(0, 1)
+        for tile in phase.tiles.tiles:
+            self._difference_into(
+                padded[tile.start : tile.stop + 2 * ng],
+                phase.spacing,
+                target[tile.start : tile.stop],
+            )
+
+    def sweep_axis1(self, phase, primitive: np.ndarray, out: np.ndarray) -> None:
+        """Axis-1 sweep phase — *accumulates* into ``out``.
+
+        The padded array is in sweep layout (axis 1 of the grid along its
+        axis 0, velocity fields swapped, see :meth:`orient_into`); a strip
+        of oriented rows ``[start, stop)`` is added back into the
+        global-layout ``out`` *columns* ``[..., start:stop, :]`` with the
+        swap undone, without materialising the un-oriented copy the seed
+        path makes.
+        """
+        ng, (nx, ny) = self.ghost_cells, self.member_shape[:2]
+        ws = self.workspace
+        padded = ws.array("engine.padded_y", (ny + 2 * ng, self.batch, nx, 4))
+        started = perf_counter()
+        self.orient_into(primitive, padded[ng : ng + ny])
+        self._fill_ghosts(padded, phase)
+        self.seconds["bc"] += perf_counter() - started
+        for tile in phase.tiles.tiles:
+            contribution = ws.array(
+                "engine.contribution_y", (tile.cells,) + padded.shape[1:]
+            )
+            self._difference_into(
+                padded[tile.start : tile.stop + 2 * ng], phase.spacing, contribution
+            )
             started = perf_counter()
-            self.orient_into(primitive, padded_y[ng : ng + ny])
-            self.seconds["bc"] += perf_counter() - started
-            self.sweep_axis1(padded_y, out)
+            # (rows, B, nx, 4) viewed as (B, nx, rows, 4), like ``out``
+            transposed = contribution.transpose(1, 2, 0, 3)
+            columns = out[..., tile.start : tile.stop, :]
+            for field_out, field_src in _SWAP_FIELDS:
+                np.add(
+                    columns[..., field_out],
+                    transposed[..., field_src],
+                    out=columns[..., field_out],
+                )
+            self.seconds["difference"] += perf_counter() - started
+
+    @staticmethod
+    def orient_into(window: np.ndarray, target: np.ndarray) -> None:
+        """``target[j, b, i, f] = window[b, i, j, swap(f)]``: a ``(B, nx,
+        ny, 4)`` window in the y-sweep layout ``(ny, B, nx, 4)``."""
+        transposed = window.transpose(2, 0, 1, 3)
+        for field_out, field_src in _SWAP_FIELDS:
+            np.copyto(target[..., field_out], transposed[..., field_src])
+
+    def combine(self, phase, kind: str, u, v, k, dts, out) -> None:
+        """The stage's Runge-Kutta combine: the combine IR of ``kind``
+        interpreted strip by strip (elementwise, so the cut is free and
+        bounds the program's scratch), each member on its own ``dt``."""
+        program = numpy_program("combine", kind)
+        column = self.dt_column(dts)
+        for tile in phase.tiles.tiles:
+            rows = (slice(None), slice(tile.start, tile.stop))
+            program.run(
+                [u[rows], v[rows], k[rows], column], [out[rows]], self.workspace
+            )
+
+    # -- driver interface -------------------------------------------------
+
+    def stage(self, v, u, k, out=None, dts=None, kind=None, reuse=False) -> None:
+        """One Runge-Kutta stage of the plan: ``k = L(v)`` and, with a
+        combine ``kind`` (:data:`repro.euler.rk.COMBINES`), the stage
+        target ``out = combine(u, v, k, dts)``.
+
+        The compiled stage runs it in one crossing and returns the
+        primitive state's admissibility flags; the flags only detect —
+        the error raised is :func:`~repro.euler.state.validate_members`'
+        on the primitive buffer, the one the NumPy interpreter raises.
+        """
+        plan = self.stage_plan()
+        self.rhs_evaluations += 1
+        self.tiles_processed += plan.sweep_strips
+        backend = self.backend
+        if backend is not None:
+            convert = not (reuse and self._fresh_primitive)
+            flags = backend.stage(
+                self, plan, v, u, k, out, dts, convert,
+                rk.COMBINES.index(kind) + 1 if kind else 0,
+            )
+            if flags is not None:
+                self._fresh_primitive = False
+                self.primitive_conversions += convert
+                if flags:
+                    state.validate_members(
+                        self.workspace.array("engine.primitive", self.grid_shape),
+                        self._where,
+                    )
+                    raise PhysicsError(  # the sweeps did not run: never carry on
+                        f"{self._where}: compiled stage flagged ({flags}) a state"
+                        " that validation accepts"
+                    )
+                return
+        elif self.workers >= 2 and plan.team_strips:
+            # A team was asked for, but threads apply only to the
+            # compiled stage: the strips run serially, and say so.
+            self.serialized[NO_KERNEL] = (
+                self.serialized.get(NO_KERNEL, 0) + plan.team_strips
+            )
+        run_stage(plan, self, v, u, k, out, dts, kind, reuse)
+
+    def rhs(
+        self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
+    ) -> np.ndarray:
+        """Spatial operator L(U) over the stack, into ``out``: a bare stage."""
+        self.stage(u, u, out, reuse=use_cached_primitive)
         return out
 
     def integrate(self, u: np.ndarray, dt) -> np.ndarray:
-        """Advance ``u`` in place by one Runge-Kutta step of :meth:`rhs`.
+        """Advance ``u`` in place by one Runge-Kutta step: one
+        :meth:`stage` per entry of the order's schedule.
 
-        ``dt`` is a scalar or a :meth:`dt_column`.  Every stage asks for
-        the cached primitive conversion, but only the first can find
-        :meth:`compute_dt`'s still fresh (:meth:`primitive_into` spends
-        it).  Time not spent inside the other counted phases is booked
-        as the Runge-Kutta combine ("rk").
+        ``dt`` is a scalar or a ``(B,)`` vector (any shape of B
+        elements).  Every stage asks for the cached primitive
+        conversion, but only the first can find :meth:`compute_dt`'s
+        still fresh.  Time not booked by a phase is booked as the
+        Runge-Kutta combine ("rk").
         """
+        ws = self.workspace
+        dts = ws.array("engine.stage_dt", (self.batch,))
+        dts[...] = np.asarray(dt, dtype=float).reshape(-1)
+        k = ws.like("rk.k", u)
 
-        def stage(v: np.ndarray, out: np.ndarray) -> None:
-            self.rhs(v, out, use_cached_primitive=True)
+        def stage(kind: str, v: np.ndarray, out: np.ndarray) -> None:
+            self.stage(v, u, k, out, dts, kind, reuse=True)
 
-        inner_before = self._inner_seconds()
+        booked = sum(self.seconds.values())
         started = perf_counter()
-        self.integrator_into(u, dt, stage, self.workspace)
+        rk.run_schedule(self.config.rk_order, u, ws, stage)
         elapsed = perf_counter() - started
-        self.seconds["rk"] += elapsed - (self._inner_seconds() - inner_before)
+        self.seconds["rk"] += elapsed - (sum(self.seconds.values()) - booked)
         self.steps_taken += 1
         self._fresh_primitive = False
         return u
 
     def step(self, u: np.ndarray, dt=None):
-        """One lockstep time step in place on the stack.
-
-        Every member advances by its *own* dt — the ``(B,)`` vector
-        given, or :meth:`compute_dt`'s when none is; returns the dts
-        used.  A failing member leaves ``u`` untouched (the integrators
-        write it only after their last rhs evaluation).
-        """
+        """One lockstep time step in place on the stack: every member
+        advances by its *own* dt — the ``(B,)`` vector given, or
+        :meth:`compute_dt`'s; returns the dts used.  A failing member
+        leaves ``u`` untouched (only the last stage's combine writes it)."""
         if dt is None:
             dt = self.compute_dt(u)
-        self.integrate(u, self.dt_column(dt))
+        self.integrate(u, dt)
         return dt
 
     def dt_column(self, dt) -> np.ndarray:
-        """Reshape a ``(B,)`` dt vector to broadcast over member states.
-
-        The integrators' ``np.multiply(k, dt, out=k)`` then scales each
-        member's stage by its own clock — identical rounding to the
-        seed path's scalar multiply.
-        """
+        """Reshape a ``(B,)`` dt vector to broadcast over member states,
+        so a combine scales each member's stage by its own clock —
+        identical rounding to the seed path's scalar multiply."""
         return np.asarray(dt, dtype=float).reshape(
             (self.batch,) + (1,) * len(self.member_shape)
         )
 
     def placeholder_member(self) -> np.ndarray:
         """A benign uniform conservative member state (rho=1, v=0, p=1).
-
-        Retired and finished members are parked on this in the stack so
-        the lockstep step stays valid for them without affecting any
-        sibling (elementwise kernels never mix members); their real
-        states live in the driver's frozen store.
-        """
+        Retired and finished members are parked on it so the lockstep
+        step stays valid for them (elementwise kernels never mix
+        members); their real states live in the driver's frozen store."""
         primitive = np.zeros(self.member_shape)
         primitive[..., 0] = 1.0
         primitive[..., -1] = 1.0
         return state.conservative_from_primitive(primitive, self.config.gamma)
-
-    def _inner_seconds(self) -> float:
-        seconds = self.seconds
-        return (
-            seconds["convert"]
-            + seconds["bc"]
-            + seconds["riemann"]
-            + seconds["difference"]
-            + seconds.get("jit_sweep", 0.0)
-            + seconds.get("jit_dt", 0.0)
-        )

@@ -37,55 +37,66 @@ def rk3_tvd_step(u: np.ndarray, dt: float, rhs: RhsFunction) -> np.ndarray:
     return u / 3.0 + 2.0 / 3.0 * (stage2 + dt * rhs(stage2))
 
 
-#: In-place right-hand side: ``rhs(u, out)`` writes L(U) into ``out``.
-RhsIntoFunction = Callable[[np.ndarray, np.ndarray], None]
+# -- the in-place form: a schedule of stages and one combine IR per kind --
+#
+# Each order is a list of stages ``(combine kind, source, target)``: the
+# stage evaluates ``k = L(source)`` and writes ``combine(u, source, k, dt)``
+# into ``target``.  ``u`` itself is written only by the last stage, so a
+# failing stage leaves it untouched.  The combines are IR definitions
+# (one op per rounded operation of the allocating functions above, in
+# their order); :mod:`repro.jit` compiles them into the stage entry point
+# and :class:`~repro.jit.numpy_eval.NumpyProgram` interprets them.
+
+SCHEDULES = {
+    1: (("euler", "u", "u"),),
+    2: (("euler", "u", "stage1"), ("rk2_final", "stage1", "u")),
+    3: (
+        ("euler", "u", "stage1"),
+        ("rk3_mid", "stage1", "stage2"),
+        ("rk3_final", "stage2", "u"),
+    ),
+}
+
+#: Combine kinds in a fixed order: a kind's position + 1 is the id the
+#: compiled stage switches on (0 = no combine, a bare ``L(U)``).
+COMBINES = ("euler", "rk2_final", "rk3_mid", "rk3_final")
 
 
-def rk1_step_into(u: np.ndarray, dt: float, rhs: RhsIntoFunction, work) -> np.ndarray:
-    """In-place forward Euler; bit-for-bit with :func:`rk1_step`."""
-    k = work.like("rk.k", u)
-    rhs(u, k)
-    np.multiply(k, dt, out=k)
-    np.add(u, k, out=u)
-    return u
+def emit_combine(b, kind: str, u, v, k, dt):
+    """IR definition of one stage's convex combination: ``v + dt k`` is
+    the forward-Euler substep from the stage's source ``v``."""
+    substep = b.add(v, b.mul(k, dt))
+    if kind == "euler":
+        return substep
+    if kind == "rk2_final":
+        return b.add(b.mul(u, 0.5), b.mul(substep, 0.5))
+    if kind == "rk3_mid":
+        weighted = b.mul(substep, 0.25)
+        return b.add(b.mul(u, 0.75), weighted)
+    if kind == "rk3_final":
+        weighted = b.mul(substep, 2.0 / 3.0)
+        return b.add(b.div(u, 3.0), weighted)
+    raise ConfigurationError(f"unknown Runge-Kutta combine {kind!r}")
 
 
-def rk2_tvd_step_into(u: np.ndarray, dt: float, rhs: RhsIntoFunction, work) -> np.ndarray:
-    """In-place SSP-RK2 keeping the exact Shu-Osher convex-combination order."""
-    k = work.like("rk.k", u)
-    stage1 = work.like("rk.stage1", u)
-    rhs(u, k)
-    np.multiply(k, dt, out=k)
-    np.add(u, k, out=stage1)
-    rhs(stage1, k)
-    np.multiply(k, dt, out=k)
-    np.add(stage1, k, out=k)
-    np.multiply(k, 0.5, out=k)
-    np.multiply(u, 0.5, out=u)
-    np.add(u, k, out=u)
-    return u
+def schedule(order: int):
+    """The stage list of the requested order; ConfigurationError otherwise."""
+    try:
+        return SCHEDULES[order]
+    except KeyError:
+        raise ConfigurationError(
+            f"no TVD Runge-Kutta scheme of order {order} (have 1, 2, 3)"
+        ) from None
 
 
-def rk3_tvd_step_into(u: np.ndarray, dt: float, rhs: RhsIntoFunction, work) -> np.ndarray:
-    """In-place SSP-RK3 keeping the exact Shu-Osher convex-combination order."""
-    k = work.like("rk.k", u)
-    stage1 = work.like("rk.stage1", u)
-    stage2 = work.like("rk.stage2", u)
-    rhs(u, k)
-    np.multiply(k, dt, out=k)
-    np.add(u, k, out=stage1)
-    rhs(stage1, k)
-    np.multiply(k, dt, out=k)
-    np.add(stage1, k, out=k)
-    np.multiply(k, 0.25, out=k)
-    np.multiply(u, 0.75, out=stage2)
-    np.add(stage2, k, out=stage2)
-    rhs(stage2, k)
-    np.multiply(k, dt, out=k)
-    np.add(stage2, k, out=k)
-    np.multiply(k, 2.0 / 3.0, out=k)
-    np.divide(u, 3.0, out=u)
-    np.add(u, k, out=u)
+def run_schedule(order: int, u: np.ndarray, work, stage) -> np.ndarray:
+    """One in-place step: ``stage(kind, source, target)`` per stage of the
+    order's schedule, stage buffers from ``work``.  Mutates ``u``."""
+    buffers = {"u": u}
+    for kind, source, target in schedule(order):
+        if target not in buffers:
+            buffers[target] = work.like(f"rk.{target}", u)
+        stage(kind, buffers[source], buffers[target])
     return u
 
 
@@ -95,27 +106,11 @@ INTEGRATORS = {
     3: rk3_tvd_step,
 }
 
-INTEGRATORS_INTO = {
-    1: rk1_step_into,
-    2: rk2_tvd_step_into,
-    3: rk3_tvd_step_into,
-}
-
 
 def get_integrator(order: int):
     """Integrator of the requested order; raises ConfigurationError otherwise."""
     try:
         return INTEGRATORS[order]
-    except KeyError:
-        raise ConfigurationError(
-            f"no TVD Runge-Kutta scheme of order {order} (have 1, 2, 3)"
-        ) from None
-
-
-def get_integrator_into(order: int):
-    """In-place integrator of the requested order (mutates ``u``)."""
-    try:
-        return INTEGRATORS_INTO[order]
     except KeyError:
         raise ConfigurationError(
             f"no TVD Runge-Kutta scheme of order {order} (have 1, 2, 3)"

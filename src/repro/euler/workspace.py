@@ -7,15 +7,15 @@ SaC pipeline.  :class:`Workspace` is the same idea for the golden NumPy
 solver: the engine's buffers and its programs' temporaries are drawn
 from a workspace keyed by ``(name, shape, dtype)`` — a NumPy program
 (:mod:`repro.jit.numpy_eval`: the flux and dt programs of the engine's
-spec, the standalone conversion) takes all its scratch slots as one
+spec, the standalone conversion, the Runge-Kutta combines) takes all its scratch slots as one
 named block per shape — so the first step of a solver allocates
 everything and subsequent steps allocate nothing.
 
 A workspace is owned by exactly one :class:`~repro.euler.engine.StepEngine`
 (one per solver) and is not thread-safe: buffers are never shared
 between workspaces, and an engine whose strips run on the worker team
-draws every strip's scratch on the calling thread, under distinct names,
-before the round starts.
+draws one window set per *worker* on the calling thread before the first
+round starts.
 """
 
 from __future__ import annotations

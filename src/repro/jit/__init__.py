@@ -50,12 +50,20 @@ How it works
   alone — and loaded through :mod:`ctypes`.  First use compiles; later
   engines — and later processes on the same kind of host — reuse the
   cached ``.so``.
+* One level up, :mod:`repro.jit.plan` states what one Runge-Kutta
+  *stage* of an engine runs — conversion with admissibility flags, both
+  strip sweeps (window, ghost fill from the boundary conditions' fill
+  records, flux, difference, write or accumulate) and the RK combine —
+  and every translation unit carries a ``repro_jit_stage`` entry point
+  that runs that plan with the strip loop inside C: a stage is one
+  ctypes crossing, an RK3 step four with its dt pass.
 * :class:`repro.jit.backend.JitBackend` is the ``KernelBackend`` the
-  :class:`~repro.euler.engine.StepEngine` dispatches through,
-  strip-wise, so :mod:`repro.euler.tiling` still governs the working
-  set.  Every method tuple has a kernel; a strip the compiled path
-  still cannot serve (missing compiler, non-float64 state) falls back
-  to the NumPy executor of the same IR, counted and attributed.
+  :class:`~repro.euler.engine.StepEngine` dispatches through, stage by
+  stage; :mod:`repro.euler.tiling` still governs the working set, the
+  strips being the plan's.  Every method tuple has a kernel; a stage
+  the compiled path still cannot serve (missing compiler, non-float64
+  state, a boundary condition without a fill record) falls back to
+  the NumPy interpreter of the same plan, counted and attributed.
 
 Backend selection
 -----------------
@@ -66,7 +74,7 @@ Resolution order (first match wins):
 2. a :func:`backend_override` context (used by tests/benchmarks);
 3. the ``REPRO_JIT`` environment variable — ``0``/``off``/``numpy``
    forces NumPy, ``1``/``on``/``jit`` requests the compiled path
-   (still falling back per strip, counted, if compilation fails);
+   (still falling back, counted, if compilation fails);
 4. *auto*: use the compiled path when a C compiler is available.
 """
 
@@ -93,8 +101,8 @@ __all__ = [
 JIT_ENV = "REPRO_JIT"
 
 #: Worker count of the strip team when the solver names none (see
-#: :meth:`repro.jit.backend.JitBackend.sweep_tiled`).  Unset or 1 keeps
-#: the serial per-strip dispatch; >= 2 runs a sweep's strips on the
+#: :class:`repro.jit.backend.JitBackend`).  Unset or 1 keeps the one
+#: crossing per stage; >= 2 runs each phase's strips on the
 #: process-wide worker team (:mod:`repro.par.pool`) as GIL-releasing
 #: ctypes calls *iff* the dependence prover licensed the plan.
 THREADS_ENV = "REPRO_JIT_THREADS"
@@ -154,8 +162,8 @@ def resolve_jit_threads(explicit: Optional[object] = None) -> int:
     """Worker count of the strip team (>= 1).
 
     ``explicit`` (a solver's ``workers=``) wins over the
-    ``REPRO_JIT_THREADS`` environment variable; unset means 1 (serial
-    per-strip dispatch, the bitwise baseline the team must reproduce
+    ``REPRO_JIT_THREADS`` environment variable; unset means 1 (the
+    serial stage, the bitwise baseline the team must reproduce
     exactly).
     """
     raw = explicit if explicit is not None else os.environ.get(THREADS_ENV)

@@ -284,12 +284,15 @@ def toolchain() -> Toolchain:
 
 
 class CompiledKernel:
-    """A loaded specialization: the sweep and dt entry points.
+    """A loaded specialization: the stage, sweep and dt entry points.
 
-    ``sweep(padded, out, scratch, cells, cross, gamma, dx)`` and
-    ``dt(u, prim, group_max, groups, cells_per_group, gamma, *spacing)``
-    take C-contiguous float64 arrays; argument marshalling lives in
-    :mod:`repro.jit.backend`.  :attr:`vector` is what the compiler
+    ``stage(plan, phases, worker, workers, seconds)`` runs the phases of
+    one Runge-Kutta stage from a ``repro_stage`` struct
+    (:data:`repro.jit.codegen.STAGE_FIELDS`) and returns the
+    admissibility flags; ``sweep(padded, out, scratch, cells, cross,
+    gamma, dx)`` and ``dt(u, prim, group_max, groups, cells_per_group,
+    gamma, *spacing)`` take C-contiguous float64 arrays; argument
+    marshalling lives in :mod:`repro.jit.backend`.  :attr:`vector` is what the compiler
     reported for this object's two point loops, in bytes per vector:
     ``{"sweep": 64, "dt": 64}``; 0 = scalar, None = not reported.
     """
@@ -305,6 +308,15 @@ class CompiledKernel:
         self.vector = vector
         self._library = library
         double_p = ctypes.c_void_p  # addresses, see backend._ptr
+        self.stage = library.repro_jit_stage
+        self.stage.restype = ctypes.c_long
+        self.stage.argtypes = [
+            double_p,
+            ctypes.c_long,
+            ctypes.c_long,
+            ctypes.c_long,
+            double_p,
+        ]
         self.sweep = library.repro_jit_sweep
         self.sweep.restype = None
         self.sweep.argtypes = [

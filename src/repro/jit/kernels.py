@@ -26,10 +26,13 @@ stencil the flux kernel carries the whole eigenvector projection
 (:func:`repro.euler.reconstruction.characteristic.
 emit_reconstruct_characteristic`).
 
-One **standalone kernel** remains beside the pair — the primitive
-conversion alone, which Runge-Kutta stages 2 and 3 run without a dt
-pass (:func:`repro.euler.state.primitive_from_conservative` with
-``out=``).
+Beside the pair stand the two other pointwise bodies of a stage
+(:mod:`repro.jit.plan`): the **standalone conversion**, which
+Runge-Kutta stages 2 and 3 run without a dt pass
+(:func:`repro.euler.state.primitive_from_conservative` with ``out=``),
+and the **combines** of the TVD-RK schedules
+(:func:`repro.euler.rk.emit_combine`).  Both are spec-independent; every
+translation unit carries them next to its flux and dt kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
-from repro.euler import state, timestep
+from repro.euler import rk, state, timestep
 from repro.euler.reconstruction import characteristic, get_scheme, get_scheme_emitter
 from repro.euler.riemann import get_riemann_emitter
 from repro.jit import codegen
@@ -54,6 +57,7 @@ __all__ = [
     "SCALAR_PARAMS",
     "standalone_kernels",
     "build_standalone_ir",
+    "build_combine_ir",
 ]
 
 
@@ -243,16 +247,34 @@ def standalone_kernels() -> List[Tuple]:
     return [("convert", "primitive", nfields) for nfields in (3, 4)]
 
 
-def build_standalone_ir(kind: str, target: str, nfields: int) -> KernelIR:
-    """The IR of the standalone conversion, named ``convert_primitive_N``:
-    conservative ``q*`` fields and ``gamma`` in, the primitive fields
-    ``out0..`` out."""
-    if (kind, target) != ("convert", "primitive"):
-        raise ValueError(f"unknown standalone kernel {(kind, target, nfields)!r}")
-    b = IRBuilder(f"{kind}_{target}_{nfields}")
+def build_standalone_ir(kind: str, *key) -> KernelIR:
+    """The IR of a stage body that no spec's pair contains: the
+    conversion ``("convert", "primitive", nfields)``, named
+    ``convert_primitive_N`` — conservative ``q*`` fields and ``gamma`` in,
+    the primitive fields ``out0..`` out — or ``("combine", kind)``."""
+    if kind == "combine":
+        return build_combine_ir(*key)
+    if kind != "convert" or len(key) != 2 or key[0] != "primitive":
+        raise ValueError(f"unknown standalone kernel {(kind, *key)!r}")
+    nfields = key[1]
+    b = IRBuilder(f"convert_primitive_{nfields}")
     fields = [b.param(f"q{i}") for i in range(nfields)]
     gm1 = b.sub(b.param("gamma"), 1.0)
     results = state.emit_primitive_from_conservative(b, fields, gm1)
     for position, value in enumerate(results):
         b.output(f"out{position}", value)
     return b.finish()
+
+
+def build_combine_ir(kind: str) -> KernelIR:
+    """The IR of one Runge-Kutta combine (:data:`repro.euler.rk.COMBINES`):
+    per element, ``u``, the stage source ``v``, ``k = L(v)`` and the
+    member's ``dt`` in, the stage target ``out`` out.  The output is the
+    last op, so a target that aliases ``u`` is written only after every
+    read of it."""
+    b = IRBuilder(f"combine_{kind}")
+    u, v, k, dt = (b.param(name) for name in ("u", "v", "k", "dt"))
+    b.output("out", rk.emit_combine(b, kind, u, v, k, dt))
+    ir = b.finish()
+    assert ir.ops[-1].name == ir.outputs[0][1]
+    return ir

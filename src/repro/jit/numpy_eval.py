@@ -24,6 +24,10 @@ chain beside it (DESIGN.md, "Single-source kernels").  The contract:
 
 A program is immutable once built: threads may share it, each running
 on its own workspace.
+
+:func:`run_stage` is the same executor one level up: it interprets a
+:class:`~repro.jit.plan.StagePlan` — the plan the compiled
+``repro_jit_stage`` runs inside C — phase by phase.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ import numpy as np
 
 from repro.jit.ir import BOOL, F64, KernelIR
 
-__all__ = ["NumpyProgram", "kernel_programs", "numpy_program", "field_views"]
+__all__ = [
+    "NumpyProgram",
+    "kernel_programs",
+    "numpy_program",
+    "field_views",
+    "run_stage",
+]
 
 _UFUNCS = {
     "add": np.add,
@@ -86,6 +96,30 @@ def numpy_program(kind: str, *key) -> "NumpyProgram":
     ir = build_standalone_ir(kind, *key)
     verify_kernel(ir, "numpy")
     return NumpyProgram(ir, SCALAR_PARAMS)
+
+
+def run_stage(plan, handlers, v, u, k, out, dts, combine, reuse) -> None:
+    """Interpret one Runge-Kutta stage of ``plan``, phase by phase.
+
+    ``handlers`` (the engine) supplies one method per phase kind:
+    ``primitive_into`` + ``validate`` for the conversion and its
+    admissibility check, ``sweep_axis0``/``sweep_axis1`` for the strip
+    sweeps into ``k`` and ``combine`` for the stage's target ``out``
+    (``combine`` is a kind of :data:`repro.euler.rk.COMBINES`, or None
+    for a bare ``k = L(v)``; ``reuse`` lets the conversion consume one the
+    dt pass left fresh).  The phase order, the strips and the fill
+    records are the plan's — what the compiled stage reads.
+    """
+    primitive = None
+    for phase in plan.phases:
+        if phase.kind == "convert":
+            primitive = handlers.primitive_into(v, reuse=reuse)
+            handlers.validate(primitive)
+        elif phase.kind == "sweep":
+            sweep = handlers.sweep_axis1 if phase.axis else handlers.sweep_axis0
+            sweep(phase, primitive, k)
+        elif combine is not None:
+            handlers.combine(phase, combine, u, v, k, dts, out)
 
 
 def field_views(array: np.ndarray) -> List[np.ndarray]:
@@ -178,8 +212,10 @@ class NumpyProgram:
     def run(self, params: Sequence, outputs: Sequence[np.ndarray], work=None) -> None:
         """Evaluate into ``outputs`` (IR output order) from ``params`` (IR
         parameter order); scratch comes from ``work``, or is allocated
-        for this call when there is none.  Outputs must not overlap
-        array parameters."""
+        for this call when there is none.  An output may be an array
+        parameter itself (the same elements, as the Runge-Kutta combines'
+        target is ``u``) only when the op computing it comes last;
+        partial overlap is never allowed."""
         n_params = len(self.ir.params)
         if len(params) != n_params or len(outputs) != len(self.ir.outputs):
             raise ValueError(

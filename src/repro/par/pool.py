@@ -15,9 +15,10 @@ the same worker team can be driven by
   the GIL for its switch interval and so starves the thread doing the
   step's serial part: selectable for the F4b experiment, nobody's default.
 
-This is the only place that creates threads for Euler sweeps: the
-compiled strip kernels release the GIL, and ``JitBackend.sweep_tiled``
-runs a sweep plan's strips as one :meth:`WorkerPool.run` round.  Like
+This is the only place that creates threads for Euler steps: the
+compiled stage releases the GIL, and ``JitBackend`` runs each phase of a
+stage plan — its strips shared out over the workers — as one
+:meth:`WorkerPool.run` round, the round's end being the phase barrier.  Like
 SaC's runtime there is one team per process — :func:`shared_team`, one
 pool per ``(workers, barrier kind)`` — so solvers come and go without
 the thread count growing.

@@ -182,18 +182,22 @@ def measure_batch_steprate(
 def _jit_summary(counters: Dict[str, object]) -> str:
     """Lines making a degraded jit run visible from the CLI.
 
-    Reports worker threads, threaded-strip counts and what the compiler
-    reported for the kernel's sweep / dt loops (bytes per vector,
-    ``scalar``, or ``not reported``), then every *counted reason* the
-    backend served strips outside the fast path: per-strip NumPy
+    Reports worker threads, compiled crossings per step (stage + dt
+    calls; 4 for a serial RK3 step) next to the strips those served,
+    threaded-strip counts and what the compiler reported for the
+    kernel's sweep / dt loops (bytes per vector, ``scalar``, or ``not
+    reported``), then every *counted reason* the
+    backend served strips outside the fast path: NumPy
     fallbacks, proof-failure serializations and rejected compiler
     flags.  Empty string when the engine carries no jit backend.
     """
     stats = counters.get("jit")
     if not isinstance(stats, dict):
         return ""
+    crossings = stats.get("stage_calls", 0) + stats.get("dt_calls", 0)
     lines = [
         f"  jit: threads={stats.get('threads', 1)}"
+        f" crossings/step={crossings / max(1, counters.get('steps', 0)):.1f}"
         f" sweep_calls={stats.get('sweep_calls', 0)}"
         f" strips_threaded={stats.get('strips_threaded', 0)}"
     ]

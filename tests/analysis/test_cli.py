@@ -153,7 +153,38 @@ class TestJitMatrixLint:
         assert main(["--jit"]) == 0
         out = capsys.readouterr().out
         assert "jit kernel matrix: 232 spec(s) verified, 0 finding(s)" in out
+        assert "jit stage plans: 232 plan(s) proved" in out and "barriers), 0 finding(s)" in out
+        assert "jit total: 232 specs + 232 stage plans + 2 standalone IRs" in out
         assert "0 error(s)" in out
+
+    def test_stage_plan_lint_demands_every_phase_barrier(self):
+        """Seeded bug: a plan without the convert -> sweep0 barrier lets a
+        sweep strip read primitive rows a neighbouring strip's conversion
+        is still writing.  The prover must say so (DEP003), per phase
+        boundary: every barrier of a 2-D plan is load-bearing.  (In 1-D
+        the sweep's strips write exactly the ``k`` rows the same strips'
+        combine reads, so that one boundary proves out without.)"""
+        from repro.analysis.cli import lint_stage_plan, matrix_specs
+        from repro.analysis.diag import DiagnosticEngine
+        from repro.jit import plan
+
+        for spec in (matrix_specs()[0], matrix_specs()[-1]):  # 1-D pc, 2-D weno3
+            names = [name for name, _ in plan.phase_access_maps(spec)]
+            assert names[:2] == ["convert", "sweep0"] and names[-1] == "combine"
+            clean = DiagnosticEngine()
+            lint_stage_plan(spec, clean)
+            assert clean.codes() == []
+            for dropped in plan.barriers(names):
+                engine = DiagnosticEngine()
+                lint_stage_plan(spec, engine, barriers=plan.barriers(names) - {dropped})
+                if dropped == ("sweep0", "combine"):
+                    assert spec.ndim == 1 and engine.codes() == []
+                    continue
+                assert "DEP003" in engine.codes(), dropped
+                assert all(code in ("DEP002", "DEP003") for code in engine.codes())
+                first = next(d for d in engine if d.code == "DEP003")
+                assert f"{dropped[1]} strip" in first.message and f"{dropped[0]} strip" in first.message
+                assert "no barrier" in first.message
 
     def test_jit_matrix_covers_every_registered_method(self):
         from repro.analysis.cli import lint_jit_kernels

@@ -654,7 +654,7 @@ class TestCompileLayer:
         and still bit-for-bit."""
         if jit_compile.toolchain().family is None:
             pytest.skip("this compiler has no vectorisation report to read")
-        from repro.jit import backend, codegen
+        from repro.jit import backend, codegen, kernels
 
         def doctored(spec, flux_ir, dt_ir):
             source = generate_source(spec, flux_ir, dt_ir)
@@ -669,7 +669,7 @@ class TestCompileLayer:
         monkeypatch.setattr(jit_compile, "_LOADED", {})
         # past the per-process source cache, which must not keep the doctored text
         monkeypatch.setattr(
-            backend, "kernel_source", lambda spec: doctored(spec, *backend.kernel_irs(spec))
+            backend, "kernel_source", lambda spec: doctored(spec, *kernels.kernel_irs(spec))
         )
         config = SolverConfig(tile_bytes=TINY_TILE_BYTES)
         jit, oracle = _twin_2d(smooth_random_2d(rng, 9, 13), config)

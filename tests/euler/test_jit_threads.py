@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError
 from repro.euler import problems
 from repro.euler.boundary import all_transmissive_2d
 from repro.euler.solver import EulerSolver2D, SolverConfig
+from repro.jit.plan import prove_stage
 
 from tests.euler.test_jit import (
     LIMITED_SCHEMES,
@@ -153,6 +154,14 @@ class TestThreadedBitIdentity:
 class TestProofLicensing:
     """Threading happens only behind a passing proof; anything else
     serializes with a counted reason — never silently."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_proofs(self):
+        """Proofs are cached per (spec, strip layouts) process-wide: a
+        seeded prover must be asked, and must not be remembered."""
+        prove_stage.cache_clear()
+        yield
+        prove_stage.cache_clear()
 
     def _threaded_solver(self, rng, monkeypatch):
         config = SolverConfig(

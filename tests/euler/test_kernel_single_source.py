@@ -475,6 +475,16 @@ def test_no_kernel_entry_point_takes_out_or_work():
 # -- NumPy programs == compiled C of the same emitters ------------------
 
 
+def difference_into(engine, padded, spacing, target):
+    """One padded strip through ``flux -> difference`` on the engine's
+    executor: the compiled sweep kernel (the ``flux_row`` skeleton the
+    stage runs on its windows) or the interpreted flux program."""
+    if engine.backend is not None:
+        assert engine.backend.sweep(engine, padded, spacing, target)
+    else:
+        engine._difference_into(padded, spacing, target)
+
+
 def engine_pair(config, member_shape, spacing, members=1):
     boundary = transmissive_1d() if len(spacing) == 1 else all_transmissive_2d()
     boundaries = [boundary] * members
@@ -509,7 +519,7 @@ def test_numpy_sweep_equals_compiled_sweep(
     for engine in (numpy_engine, jit_engine):
         target = np.full((cells,) + cross + (nfields,), np.nan)
         with np.errstate(all="ignore"):
-            engine._difference_into(padded, spacing, target)
+            difference_into(engine, padded, spacing, target)
         results.append(target)
     assert jit_engine.backend.sweep_calls == 1 and jit_engine.backend.fallbacks == {}
     assert_same_bits(results[0], results[1])
@@ -638,7 +648,7 @@ def test_vector_sweep_equals_reference_sweep_equals_numpy(
     for engine in engines:
         target = np.full((cells,) + cross + (nfields,), np.nan)
         with np.errstate(all="ignore"):
-            engine._difference_into(padded, spacing, target)
+            difference_into(engine, padded, spacing, target)
         results.append(target)
     for engine in engines[1:]:
         assert engine.backend.sweep_calls == 1 and engine.backend.fallbacks == {}

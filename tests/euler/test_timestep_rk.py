@@ -9,14 +9,16 @@ from repro.euler.boundary import all_transmissive_2d
 from repro.euler.engine import StepEngine
 from repro.euler.rk import (
     get_integrator,
-    get_integrator_into,
     rk1_step,
     rk2_tvd_step,
     rk3_tvd_step,
+    run_schedule,
+    schedule,
 )
 from repro.euler.solver import SolverConfig
 from repro.euler.timestep import get_dt, max_eigenvalue
 from repro.euler.workspace import Workspace
+from repro.jit.numpy_eval import numpy_program
 from tests.conftest import random_primitive_1d, random_primitive_2d
 
 
@@ -104,25 +106,32 @@ class TestRungeKutta:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_in_place_integrator_is_bit_for_bit(self, order, rng):
-        """The ``_into`` variants reproduce the allocating ones exactly."""
+        """The order's schedule of stages, each ``k = L(source)`` and the
+        combine IR of its kind, reproduces the allocating step exactly —
+        the last stage writing ``u`` in place."""
         matrix = rng.normal(0, 0.2, (5, 5))
         u0 = rng.normal(0, 1, (7, 5))
 
         def rhs(y):
             return y @ matrix
 
-        def rhs_into(y, out):
-            np.matmul(y, matrix, out=out)
-
         expected = get_integrator(order)(u0.copy(), 0.07, rhs)
         u = u0.copy()
-        result = get_integrator_into(order)(u, 0.07, rhs_into, Workspace())
+        work = Workspace()
+        k = work.like("k", u)
+        dt = np.full((7, 1), 0.07)  # one clock per row, as the engine's members have
+
+        def stage(kind, source, target):
+            np.matmul(source, matrix, out=k)
+            numpy_program("combine", kind).run([u, source, k, dt], [target], work)
+
+        result = run_schedule(order, u, work, stage)
         assert result is u  # mutates in place
         assert np.max(np.abs(u - expected)) == 0.0
 
     def test_into_registry_rejects_unknown_order(self):
         with pytest.raises(ConfigurationError):
-            get_integrator_into(4)
+            schedule(4)
 
     def test_get_dt_with_workspace_matches(self, rng):
         """The pooled dt pass — the engine's fused dt program on its

@@ -75,8 +75,11 @@ def test_jit_summary_surfaces_fallbacks_and_serializations():
     from repro.steprate import _jit_summary
 
     counters = {
+        "steps": 2,
         "jit": {
             "threads": 2,
+            "stage_calls": 6,
+            "dt_calls": 2,
             "sweep_calls": 10,
             "strips_threaded": 6,
             "vector": {"sweep": 64, "dt": 0},
@@ -87,6 +90,7 @@ def test_jit_summary_surfaces_fallbacks_and_serializations():
     }
     summary = _jit_summary(counters)
     assert "threads=2" in summary
+    assert "crossings/step=4.0 sweep_calls=10" in summary
     assert "vector: dt=scalar sweep=64B" in summary
     assert "jit flag fallback: cc -O3 failed (1) (1x)" in summary
     assert "strips_threaded=6" in summary
