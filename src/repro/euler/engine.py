@@ -12,13 +12,14 @@ and the Runge-Kutta combine, whose pointwise bodies are the IR of its
 :class:`~repro.jit.kernels.KernelSpec` (the folded ``reconstruct ->
 riemann`` flux IR, the conversion, the combines), assembled from the
 ``emit_*`` definitions beside the allocating reference functions, and
-whose ghost fill is the boundary conditions' fill records.  A stage is
-executed by one of two executors of that same plan: the compiled
-``repro_jit_stage`` (:class:`~repro.jit.backend.JitBackend`, one
-crossing per stage) or :func:`repro.jit.numpy_eval.run_stage`, whose
-phase handlers are the methods here.  Either performs the identical
-sequence of rounded floating-point operations as the allocating seed
-path: results are bit-for-bit equal, only the allocator traffic is gone.
+whose ghost fill is the boundary conditions' fill records.  The stages
+of a step are executed by one of two executors of that same plan: the
+compiled ``repro_jit_step`` (:class:`~repro.jit.backend.JitBackend`, one
+crossing per step) or :func:`repro.jit.numpy_eval.run_stage`, stage by
+stage, whose phase handlers are the methods here.  Either performs the
+identical sequence of rounded floating-point operations as the
+allocating seed path: results are bit-for-bit equal, only the allocator
+traffic is gone.
 
 There is one engine and it has three annotations, none of which
 selects different code:
@@ -339,13 +340,11 @@ class StepEngine:
         target = ws.array("engine.primitive", self.grid_shape)
         maxima = ws.array("engine.dt_member_max", (self.batch,))
         for tile in self._dt_plan.tiles:
-            rows = slice(tile.start, tile.stop)
             # One group per member: the compiled reduction is the
             # per-member np.max below, exactly.
-            if backend is not None and backend.dt_strip(
-                self, u[rows], target[rows], maxima[rows]
-            ):
+            if backend is not None and backend.dt_strip(self, u, tile):
                 continue
+            rows = slice(tile.start, tile.stop)
             started = perf_counter()
             ev = ws.array("engine.ev", target[rows].shape[:-1])
             # Non-finite members are reported below, by member: the
@@ -514,29 +513,30 @@ class StepEngine:
 
     # -- driver interface -------------------------------------------------
 
-    def stage(self, v, u, k, out=None, dts=None, kind=None, reuse=False) -> None:
-        """One Runge-Kutta stage of the plan: ``k = L(v)`` and, with a
-        combine ``kind`` (:data:`repro.euler.rk.COMBINES`), the stage
+    def run_stages(self, u, k, stages, dts=None, reuse=False) -> None:
+        """Runge-Kutta stages of the plan, in order: per ``(kind, v,
+        out)`` of ``stages``, ``k = L(v)`` and, with a combine ``kind``
+        (:data:`repro.euler.rk.COMBINES`; None for none), the stage
         target ``out = combine(u, v, k, dts)``.
 
-        The compiled stage runs it in one crossing and returns the
-        primitive state's admissibility flags; the flags only detect —
-        the error raised is :func:`~repro.euler.state.validate_members`'
-        on the primitive buffer, the one the NumPy interpreter raises.
+        The compiled step runs them all in one crossing and returns the
+        admissibility flags of the stage that raised any; the flags only
+        detect — the error raised is
+        :func:`~repro.euler.state.validate_members`' on the primitive
+        buffer, the one the NumPy interpreter raises after the same
+        number of stage evaluations.
         """
         plan = self.stage_plan()
-        self.rhs_evaluations += 1
-        self.tiles_processed += plan.sweep_strips
         backend = self.backend
         if backend is not None:
-            convert = not (reuse and self._fresh_primitive)
-            flags = backend.stage(
-                self, plan, v, u, k, out, dts, convert,
-                rk.COMBINES.index(kind) + 1 if kind else 0,
-            )
-            if flags is not None:
+            fresh = reuse and self._fresh_primitive
+            ran = backend.step(self, plan, u, k, stages, dts, fresh)
+            if ran is not None:
+                flags, count = ran
+                self.rhs_evaluations += count
+                self.tiles_processed += count * plan.sweep_strips
+                self.primitive_conversions += count - fresh
                 self._fresh_primitive = False
-                self.primitive_conversions += convert
                 if flags:
                     state.validate_members(
                         self.workspace.array("engine.primitive", self.grid_shape),
@@ -547,24 +547,29 @@ class StepEngine:
                         " that validation accepts"
                     )
                 return
-        elif self.workers >= 2 and plan.team_strips:
-            # A team was asked for, but threads apply only to the
-            # compiled stage: the strips run serially, and say so.
-            self.serialized[NO_KERNEL] = (
-                self.serialized.get(NO_KERNEL, 0) + plan.team_strips
-            )
-        run_stage(plan, self, v, u, k, out, dts, kind, reuse)
+        for kind, v, out in stages:
+            self.rhs_evaluations += 1
+            self.tiles_processed += plan.sweep_strips
+            if backend is None and self.workers >= 2 and plan.team_strips:
+                # A team was asked for, but threads apply only to the
+                # compiled stage: the strips run serially, and say so.
+                self.serialized[NO_KERNEL] = (
+                    self.serialized.get(NO_KERNEL, 0) + plan.team_strips
+                )
+            run_stage(plan, self, v, u, k, out, dts, kind, reuse)
 
     def rhs(
         self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
     ) -> np.ndarray:
-        """Spatial operator L(U) over the stack, into ``out``: a bare stage."""
-        self.stage(u, u, out, reuse=use_cached_primitive)
+        """Spatial operator L(U) over the stack, into ``out``: a step of
+        one stage, with no combine."""
+        self.run_stages(u, out, [(None, u, None)], reuse=use_cached_primitive)
         return out
 
     def integrate(self, u: np.ndarray, dt) -> np.ndarray:
-        """Advance ``u`` in place by one Runge-Kutta step: one
-        :meth:`stage` per entry of the order's schedule.
+        """Advance ``u`` in place by one Runge-Kutta step: the order's
+        schedule of stages (:func:`repro.euler.rk.schedule_buffers`) run
+        by :meth:`run_stages`.
 
         ``dt`` is a scalar or a ``(B,)`` vector (any shape of B
         elements).  Every stage asks for the cached primitive
@@ -576,13 +581,11 @@ class StepEngine:
         dts = ws.array("engine.stage_dt", (self.batch,))
         dts[...] = np.asarray(dt, dtype=float).reshape(-1)
         k = ws.like("rk.k", u)
-
-        def stage(kind: str, v: np.ndarray, out: np.ndarray) -> None:
-            self.stage(v, u, k, out, dts, kind, reuse=True)
-
         booked = sum(self.seconds.values())
         started = perf_counter()
-        rk.run_schedule(self.config.rk_order, u, ws, stage)
+        self.run_stages(
+            u, k, rk.schedule_buffers(self.config.rk_order, u, ws), dts, reuse=True
+        )
         elapsed = perf_counter() - started
         self.seconds["rk"] += elapsed - (sum(self.seconds.values()) - booked)
         self.steps_taken += 1

@@ -45,7 +45,8 @@ def rk3_tvd_step(u: np.ndarray, dt: float, rhs: RhsFunction) -> np.ndarray:
 # failing stage leaves it untouched.  The combines are IR definitions
 # (one op per rounded operation of the allocating functions above, in
 # their order); :mod:`repro.jit` compiles them into the stage entry point
-# and :class:`~repro.jit.numpy_eval.NumpyProgram` interprets them.
+# — a whole schedule is one call of the step entry point — and
+# :class:`~repro.jit.numpy_eval.NumpyProgram` interprets them.
 
 SCHEDULES = {
     1: (("euler", "u", "u"),),
@@ -89,15 +90,17 @@ def schedule(order: int):
         ) from None
 
 
-def run_schedule(order: int, u: np.ndarray, work, stage) -> np.ndarray:
-    """One in-place step: ``stage(kind, source, target)`` per stage of the
-    order's schedule, stage buffers from ``work``.  Mutates ``u``."""
+def schedule_buffers(order: int, u: np.ndarray, work):
+    """The order's schedule over arrays: ``(kind, source, target)`` per
+    stage, ``u`` itself where the schedule names it and the stage buffers
+    from ``work``.  Running the stages in order is one in-place step."""
     buffers = {"u": u}
+    stages = []
     for kind, source, target in schedule(order):
         if target not in buffers:
             buffers[target] = work.like(f"rk.{target}", u)
-        stage(kind, buffers[source], buffers[target])
-    return u
+        stages.append((kind, buffers[source], buffers[target]))
+    return stages
 
 
 INTEGRATORS = {

@@ -20,6 +20,7 @@ round starts.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -41,18 +42,30 @@ class Workspace:
     purpose.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_arrays", "_asked")
 
     def __init__(self) -> None:
         self._arrays: Dict[_Key, np.ndarray] = {}
+        #: The same buffers under the keys as asked for — a repeated
+        #: request skips normalising shape and dtype (a hot path: the
+        #: engine asks per step, a NumPy program per strip).
+        self._asked: Dict[tuple, np.ndarray] = {}
 
     def array(self, name: str, shape: Sequence[int], dtype=float) -> np.ndarray:
         """The buffer registered under ``(name, shape, dtype)``, allocating once."""
+        asked = (name, shape, dtype)
+        try:
+            return self._asked[asked]
+        except (KeyError, TypeError):  # first asked so, or unhashable
+            pass
         key = (name, tuple(map(int, shape)), np.dtype(dtype).str)
         buffer = self._arrays.get(key)
         if buffer is None:
             buffer = np.empty(key[1], dtype=dtype)
             self._arrays[key] = buffer
+        if type(shape) is tuple:  # compares by value, unlike a generator
+            with suppress(TypeError):
+                self._asked[asked] = buffer
         return buffer
 
     def like(self, name: str, reference: np.ndarray) -> np.ndarray:

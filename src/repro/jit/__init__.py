@@ -102,7 +102,7 @@ JIT_ENV = "REPRO_JIT"
 
 #: Worker count of the strip team when the solver names none (see
 #: :class:`repro.jit.backend.JitBackend`).  Unset or 1 keeps the one
-#: crossing per stage; >= 2 runs each phase's strips on the
+#: crossing per RK step; >= 2 runs each phase's strips on the
 #: process-wide worker team (:mod:`repro.par.pool`) as GIL-releasing
 #: ctypes calls *iff* the dependence prover licensed the plan.
 THREADS_ENV = "REPRO_JIT_THREADS"

@@ -3,19 +3,22 @@
 A :class:`JitBackend` owns the compiled translation unit of one engine's
 specialization and serves:
 
-* :meth:`stage` — one whole Runge-Kutta stage from the engine's
-  :class:`~repro.jit.plan.StagePlan`: conversion with admissibility
-  flags, both sweeps strip by strip (window, ghost fill, flux,
-  difference, write or accumulate) and the RK combine, inside C.  The
-  plan is marshalled once per engine into the ``repro_stage`` struct the
-  generated ``repro_jit_stage`` reads (:data:`repro.jit.codegen.
-  STAGE_FIELDS`); a stage is then **one** ctypes crossing;
+* :meth:`step` — the stages of one Runge-Kutta step from the engine's
+  :class:`~repro.jit.plan.StagePlan`, each one conversion with
+  admissibility flags, both sweeps strip by strip (window, ghost fill,
+  flux, difference, write or accumulate) and the RK combine, inside C.
+  The plan is marshalled once per engine into the ``repro_stage`` struct
+  the generated entry points read (:data:`repro.jit.codegen.
+  STAGE_FIELDS`), and the schedule into an array of them — one per
+  stage, pointing at that stage's buffers — once per state-buffer set;
+  a serial step is then **one** ctypes crossing of ``repro_jit_step``
+  (a bare ``L(U)`` is a step of one stage);
 * :meth:`dt_strip` — the fused ``convert -> eigenvalue`` GetDT pass over
-  one strip of members;
+  one strip of members, its arguments bound the same way;
 * :meth:`sweep` — the flux-difference kernel over one padded strip, the
   unit the kernel-level differential tests hold against NumPy.
 
-:meth:`stage` returns ``None`` and :meth:`dt_strip` ``False`` when they
+:meth:`step` returns ``None`` and :meth:`dt_strip` ``False`` when they
 cannot serve the call — no compiler, a boundary condition without a
 fill record, unexpected dtype/layout — and the engine runs the same plan
 through :func:`repro.jit.numpy_eval.run_stage`.  Every fallback is
@@ -35,15 +38,15 @@ to ``jit_dt``.
 
 **Phases on the team.**  With two or more workers (``workers=`` of a
 :class:`~repro.par.solver.ParallelSolver2D`, else ``REPRO_JIT_THREADS``)
-a stage is one round of the process's worker team
-(:func:`repro.par.pool.shared_team`) *per phase*: every worker calls the
-same entry point for its share of the phase's strips — a pure C function
-called through :mod:`ctypes`, which releases the GIL, so strips
+each stage of a step is one round of the process's worker team
+(:func:`repro.par.pool.shared_team`) *per phase*: every worker calls
+``repro_jit_stage`` for its share of the phase's strips — a pure C
+function called through :mod:`ctypes`, which releases the GIL, so strips
 genuinely run in parallel — and the end of the round is the phase
 barrier.  The licence is the dependence prover's
 (:func:`repro.jit.plan.prove_stage`): every phase's strips independent,
 every cross-phase dependence between different strips behind a barrier.
-A failing or unavailable proof serialises the stage to the single
+A failing or unavailable proof serialises the step to the single
 crossing with a counted reason (:attr:`serialized`) — never silently.
 Strips write proven-disjoint rows from strip-private windows, one
 window set per *worker*, so the result is bit-for-bit serial
@@ -59,6 +62,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.euler.boundary import FILL_KINDS
+from repro.euler.rk import COMBINES
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
 from repro.jit.kernels import kernel_source, spec_from_config
@@ -66,8 +70,6 @@ from repro.jit.plan import StagePlan, prove_stage
 from repro.par.pool import shared_team
 
 __all__ = ["JitBackend"]
-
-_ALL_PHASES = sum(codegen.STAGE_PHASES.values())
 
 
 class _Stage(ctypes.Structure):
@@ -86,6 +88,49 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+class _Binding:
+    """The addresses of a list of arrays (None: address 0), holding every
+    array so no address it hands to C can dangle.  :meth:`update` looks
+    an address up only for an array that is not the one held — by
+    identity, which a solver's fresh ``u[None]`` view per step is not —
+    and says whether any address changed, i.e. whether what was
+    marshalled from them must be rewritten."""
+
+    def __init__(self, size: int):
+        self.arrays = [None] * size
+        self.addresses = [-1] * size  # nothing bound yet
+
+    def update(self, arrays) -> bool:
+        moved = False
+        for index, array in enumerate(arrays):
+            if array is self.arrays[index] and self.addresses[index] >= 0:
+                continue
+            self.arrays[index] = array
+            for earlier in range(index):  # an array listed twice: one look-up
+                if arrays[earlier] is array:
+                    address = self.addresses[earlier]
+                    break
+            else:
+                address = 0 if array is None else _ptr(array)
+            if address != self.addresses[index]:
+                self.addresses[index] = address
+                moved = True
+        return moved
+
+
+def _state_problem(engine, arrays) -> Optional[str]:
+    """Why the compiled kernels cannot take ``arrays`` as state buffers of
+    ``engine`` (None if they can)."""
+    for array in arrays:
+        if array.dtype != np.float64:
+            return "non-float64 state"
+        if not array.flags.c_contiguous:
+            return "non-contiguous state"
+        if array.shape != engine.grid_shape:
+            return "unexpected state shape"
+    return None
+
+
 class JitBackend:
     """Compiled-kernel server for one ``(config, ndim)`` engine."""
 
@@ -95,7 +140,10 @@ class JitBackend:
         self.config = config
         self.ndim = int(ndim)
         self.spec = spec_from_config(config, ndim)
-        #: Stage crossings, strips served by the compiled sweep, dt strips.
+        #: Crossings of the step program, of the stage program (a team's
+        #: rounds: one per worker and phase), strips served by the
+        #: compiled sweep, dt strips.
+        self.step_calls = 0
         self.stage_calls = 0
         self.sweep_calls = 0
         self.dt_calls = 0
@@ -113,10 +161,17 @@ class JitBackend:
         self._kernel: Optional[jit_compile.CompiledKernel] = None
         self._compile_failure: Optional[str] = None
         #: The engine's plan as marshalled for C: (plan, struct, its team
-        #: proof or None, what the struct points into), and per-worker
-        #: phase seconds.
+        #: proof or None, what the struct points into); per schedule (its
+        #: combine kinds) the stage array and its buffers' binding; the dt
+        #: pass's arguments per strip and their binding; per-worker phase
+        #: seconds and the stage a step stopped at, with their addresses.
         self._bound = None
+        self._steps: Dict[tuple, tuple] = {}
+        self._dt_args: Dict[int, tuple] = {}
+        self._dt_binding = _Binding(1)
         self._seconds = np.zeros((threads, 4))
+        self._flagged = ctypes.c_long(0)
+        self._out = (_ptr(self._seconds), ctypes.addressof(self._flagged))
 
     # -- kernel acquisition ---------------------------------------------
 
@@ -195,56 +250,97 @@ class JitBackend:
         if self.threads >= 2 and plan.team_strips:
             proof = prove_stage(self.spec, tuple(phase.layout for phase in plan.phases))
         self._bound = (plan, stage, proof, keep + [fill_states])
+        self._steps.clear()  # copies of the previous plan's struct
         return stage, proof
+
+    def _stage_array(self, stage, stages, u, k, dts):
+        """The schedule ``stages`` as an array of ``repro_stage`` — copies
+        of the plan's struct, each with its stage's combine and buffers —
+        made once per schedule; the buffer fields are rewritten only when
+        one of ``u``, ``k``, ``dts`` or a stage's source or target has
+        moved (see :class:`_Binding`)."""
+        kinds = tuple(kind for kind, _, _ in stages)
+        bound = self._steps.get(kinds)
+        if bound is None:
+            structs = (_Stage * len(stages))()
+            for index, kind in enumerate(kinds):
+                structs[index] = stage
+                structs[index].convert = 1
+                structs[index].combine = COMBINES.index(kind) + 1 if kind else 0
+            bound = self._steps[kinds] = (structs, _Binding(3 + 2 * len(stages)))
+        structs, binding = bound
+        if binding.update([u, k, dts] + [array for _, v, out in stages for array in (v, out)]):
+            addresses = binding.addresses
+            for index, struct in enumerate(structs):
+                struct.u, struct.k, struct.dt = addresses[:3]
+                struct.v, struct.out = addresses[3 + 2 * index : 5 + 2 * index]
+        return structs
 
     def _serialize(self, reason: str, strips: int) -> None:
         self.serialized[reason] = self.serialized.get(reason, 0) + strips
 
-    def stage(self, engine, plan: StagePlan, v, u, k, out, dts, convert: bool, combine: int):
-        """One RK stage in C: ``k = L(v)`` and, with ``combine`` (a
-        position in :data:`repro.euler.rk.COMBINES` + 1), the stage's
-        target ``out``.  Returns the admissibility flags of the primitive
-        state (nonzero: nothing past the conversion ran), or None when
-        the NumPy interpreter has to run the plan, counted by reason.
+    def step(self, engine, plan: StagePlan, u, k, stages, dts, fresh: bool):
+        """The ``stages`` of one RK step in C: per ``(kind, v, out)``,
+        ``k = L(v)`` and, with a combine ``kind`` of
+        :data:`repro.euler.rk.COMBINES` (None: no combine, no ``out``),
+        ``out = combine(u, v, k, dts)``.  With ``fresh`` the primitive
+        buffer already holds the first stage's conversion (the dt pass
+        left it), so that stage only flags it.
+
+        Returns ``(flags, ran)``: the admissibility flags of the stage
+        that raised any (0 if none did; nothing past that stage's
+        conversion ran) and the stages that ran, that one included — or
+        None when the NumPy interpreter has to run the plan, counted by
+        reason.  Serially the whole step is one crossing; with a licensed
+        team each stage is one round per phase.
         """
         kernel = self._ensure_kernel()
-        arrays = (v, u, k, out) if combine else (v, k)
-        reason = None
         if kernel is None:
             reason = self._compile_failure
-        elif plan.declined is not None:
-            reason = plan.declined
-        elif any(array.dtype != np.float64 for array in arrays):
-            reason = "non-float64 state"
-        elif not all(array.flags.c_contiguous for array in arrays):
-            reason = "non-contiguous state"
-        elif any(array.shape != engine.grid_shape for array in arrays):
-            reason = "unexpected state shape"
+        else:
+            arrays = {
+                id(array): array
+                for _, v, out in stages
+                for array in (v, out)
+                if array is not None
+            }
+            reason = plan.declined or _state_problem(engine, [u, k, *arrays.values()])
         if reason is not None:
-            self._fallback(reason, plan.sweep_strips)
+            self._fallback(reason, plan.sweep_strips * len(stages))
             if self.threads >= 2 and plan.team_strips:
-                self._serialize(f"no compiled kernel ({reason})", plan.team_strips)
+                self._serialize(
+                    f"no compiled kernel ({reason})", plan.team_strips * len(stages)
+                )
             return None
         stage, proof = self._bind(engine, plan)
-        stage.v, stage.u, stage.k = _ptr(v), _ptr(u), _ptr(k)
-        stage.out, stage.dt = (_ptr(out), _ptr(dts)) if combine else (0, 0)
-        stage.convert, stage.combine = int(convert), combine
-        seconds = self._seconds
-        seconds[...] = 0.0
+        structs = self._stage_array(stage, stages, u, k, dts)
+        structs[0].convert = int(not fresh)
         booked = engine.seconds
-        if proof is not None and not proof.licensed:
-            # Counted per stage, by the strips the team would have shared.
-            self._serialize(proof.reason or "DEP004: proof unavailable", plan.team_strips)
         if proof is not None and proof.licensed:
-            flags = self._team_stage(kernel, ctypes.addressof(stage), plan, combine, booked)
+            flags, ran = 0, 0
+            for struct in structs:
+                ran += 1
+                flags = self._team_stage(
+                    kernel, ctypes.addressof(struct), plan, struct.combine, booked
+                )
+                if flags:
+                    break
         else:
-            flags = kernel.stage(ctypes.addressof(stage), _ALL_PHASES, 0, 1, _ptr(seconds))
+            if proof is not None:
+                # Counted per stage, by the strips the team would have shared.
+                self._serialize(
+                    proof.reason or "DEP004: proof unavailable",
+                    plan.team_strips * len(stages),
+                )
+            seconds = self._seconds
+            seconds[0] = 0.0
+            flags = kernel.step(ctypes.addressof(structs), len(structs), *self._out)
+            ran = self._flagged.value + 1 if flags else len(structs)
             for phase, spent in zip(("convert", "bc", "jit_sweep", "rk"), seconds[0].tolist()):
                 booked[phase] += spent
-            self.stage_calls += 1
-        if not flags:
-            self.sweep_calls += plan.sweep_strips
-        return flags
+            self.step_calls += 1
+        self.sweep_calls += plan.sweep_strips * (ran - bool(flags))
+        return flags, ran
 
     # -- phases on the team -----------------------------------------------
 
@@ -342,58 +438,49 @@ class JitBackend:
         self.sweep_calls += 1
         return True
 
-    def dt_strip(
-        self,
-        engine,
-        u_strip: np.ndarray,
-        prim_strip: np.ndarray,
-        maxima_out: np.ndarray,
-    ) -> bool:
-        """Fused convert+GetDT over one strip; False = use NumPy.
+    def dt_strip(self, engine, u: np.ndarray, tile) -> bool:
+        """Fused convert+GetDT over the members ``[tile.start, tile.stop)``
+        of the state ``u``; False = use NumPy.
 
-        Writes the primitive conversion into ``prim_strip`` (kept fresh
-        for RK stage 1, exactly like the NumPy path) and one max per
-        group into ``maxima_out`` — one group per member of the strip.
+        Writes their primitive conversion into the engine's primitive
+        buffer (kept fresh for RK stage 1, exactly like the NumPy path)
+        and one max per member into its ``engine.dt_member_max``.  A
+        strip's arguments are made once per state buffer, bound like a
+        step's (:class:`_Binding`).
         """
         kernel = self._ensure_kernel()
         if kernel is None:
             return self._fallback(self._compile_failure)
-        nfields = self.spec.nfields
-        if (
-            u_strip.dtype != np.float64
-            or prim_strip.dtype != np.float64
-            or maxima_out.dtype != np.float64
-        ):
-            return self._fallback("non-float64 state")
-        if not (
-            u_strip.flags.c_contiguous
-            and prim_strip.flags.c_contiguous
-            and maxima_out.flags.c_contiguous
-        ):
-            return self._fallback("non-contiguous dt strip")
-        groups = maxima_out.shape[0] if maxima_out.ndim == 1 else 0
-        cells = u_strip.size // nfields
-        if (
-            u_strip.shape != prim_strip.shape
-            or u_strip.shape[-1] != nfields
-            or groups < 1
-            or cells % groups != 0
-        ):
-            return self._fallback("unexpected strip geometry")
-
+        reason = _state_problem(engine, (u,))
+        if reason is not None:
+            return self._fallback(reason)
+        if self._dt_binding.update((u,)):
+            self._dt_args.clear()
+        args = self._dt_args.get(tile.start)
+        if args is None:
+            args = self._dt_args[tile.start] = self._dt_strip_args(engine, tile)
         started = perf_counter()
-        kernel.dt(
-            _ptr(u_strip),
-            _ptr(prim_strip),
-            _ptr(maxima_out),
-            groups,
-            cells // groups,
-            float(self.config.gamma),
-            *(float(s) for s in engine.spacing),
-        )
+        kernel.dt(*args)
         engine.seconds["jit_dt"] += perf_counter() - started
         self.dt_calls += 1
         return True
+
+    def _dt_strip_args(self, engine, tile) -> tuple:
+        """``repro_jit_dt``'s arguments for one strip of members: one group
+        per member, so the compiled reduction is the per-member max."""
+        member = int(np.prod(engine.member_shape))  # doubles per member
+        prim = engine.workspace.array("engine.primitive", engine.grid_shape)
+        maxima = engine.workspace.array("engine.dt_member_max", (engine.batch,))
+        offset = tile.start * member * prim.itemsize
+        return (
+            self._dt_binding.addresses[0] + offset,
+            _ptr(prim) + offset,
+            _ptr(maxima) + tile.start * maxima.itemsize,
+            tile.cells,
+            member // self.spec.nfields,
+            float(self.config.gamma),
+            *(float(s) for s in engine.spacing),
+        )
 
     # -- observability ---------------------------------------------------
 
@@ -406,6 +493,7 @@ class JitBackend:
             # What the compiler reported for this kernel's two point
             # loops: bytes per vector, 0 = scalar, None = not reported.
             "vector": None if kernel is None else dict(kernel.vector),
+            "step_calls": self.step_calls,
             "stage_calls": self.stage_calls,
             "sweep_calls": self.sweep_calls,
             "dt_calls": self.dt_calls,

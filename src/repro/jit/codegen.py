@@ -25,7 +25,12 @@ One translation unit per specialization, containing:
   ``k`` (axis 0) or added transposed with the velocity swap undone
   (axis 1: ``k + d``, the one add ``np.add`` performs), then the
   stage's ``combine_*`` point function over ``u``, ``v``, ``k``.  The
-  strip loop is inside C: a stage is one crossing.
+  strip loop is inside C;
+* ``repro_jit_step`` — the *step program*: an array of ``repro_stage``
+  structs, one per stage of the RK schedule, run in order by
+  ``repro_jit_stage`` with every phase.  It stops at the first stage
+  whose admissibility flags are nonzero and names that stage; a serial
+  step is one crossing (plus the dt pass).
 
 The C is written so that the system compiler can run both point loops —
 the sweep's cross loop and the dt pass's cell loop — in SIMD lanes
@@ -398,6 +403,7 @@ FILL_RECORD_LONGS = 6
 #: Phase bits of ``repro_jit_stage``'s ``phases`` argument, and the order
 #: of its ``seconds`` output.
 STAGE_PHASES = {"convert": 1, "sweep0": 2, "sweep1": 4, "combine": 8}
+_ALL_PHASES = sum(STAGE_PHASES.values())
 
 #: Cells per chunk of the stage's convert phase (convert, then flag).
 CONVERT_CHUNK = 256
@@ -487,8 +493,8 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
     """``repro_jit_stage``: the phases of :mod:`repro.jit.plan` in C.
 
     One call runs the strips ``worker, worker + workers, ...`` of every
-    phase in ``phases`` (the serial engine asks for all phases as worker
-    0 of 1: one crossing per stage; a team asks phase by phase, the
+    phase in ``phases`` (``repro_jit_step`` asks for all phases as
+    worker 0 of 1, stage after stage; a team asks phase by phase, the
     round's end being the barrier).  It returns the admissibility flags
     of the primitive rows it converted — bit 0 non-finite, bit 1 density
     and bit 2 pressure below the floor; the flags only *detect*, and a
@@ -759,6 +765,23 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
         "        seconds[3] += now() - t0;",
         "    }",
         "    return flags;",
+        "}",
+        "",
+        "/* One Runge-Kutta step: the schedule's n stages in order, every phase,",
+        "   serially.  Stops at the first stage whose conversion flags the state,",
+        "   naming it in *flagged (n: every stage ran), and returns its flags. */",
+        "long repro_jit_step(const repro_stage* stages, long n, double* seconds,",
+        "                    long* flagged)",
+        "{",
+        "    for (long s = 0; s < n; ++s) {",
+        f"        const long flags = repro_jit_stage(stages + s, {_ALL_PHASES}, 0, 1, seconds);",
+        "        if (flags) {",
+        "            *flagged = s;",
+        "            return flags;",
+        "        }",
+        "    }",
+        "    *flagged = n;",
+        "    return 0;",
         "}",
     ]
     return lines

@@ -284,12 +284,15 @@ def toolchain() -> Toolchain:
 
 
 class CompiledKernel:
-    """A loaded specialization: the stage, sweep and dt entry points.
+    """A loaded specialization: the step, stage, sweep and dt entry points.
 
-    ``stage(plan, phases, worker, workers, seconds)`` runs the phases of
-    one Runge-Kutta stage from a ``repro_stage`` struct
-    (:data:`repro.jit.codegen.STAGE_FIELDS`) and returns the
-    admissibility flags; ``sweep(padded, out, scratch, cells, cross,
+    ``step(stages, n, seconds, flagged)`` runs the ``n`` stages of one
+    Runge-Kutta step from an array of ``repro_stage`` structs
+    (:data:`repro.jit.codegen.STAGE_FIELDS`), returning the admissibility
+    flags of the first stage that raised any and its index in
+    ``*flagged``; ``stage(plan, phases, worker, workers, seconds)`` runs
+    some phases of one stage for one worker of a team and returns the
+    flags; ``sweep(padded, out, scratch, cells, cross,
     gamma, dx)`` and ``dt(u, prim, group_max, groups, cells_per_group,
     gamma, *spacing)`` take C-contiguous float64 arrays; argument
     marshalling lives in :mod:`repro.jit.backend`.  :attr:`vector` is what the compiler
@@ -308,6 +311,9 @@ class CompiledKernel:
         self.vector = vector
         self._library = library
         double_p = ctypes.c_void_p  # addresses, see backend._ptr
+        self.step = library.repro_jit_step
+        self.step.restype = ctypes.c_long
+        self.step.argtypes = [double_p, ctypes.c_long, double_p, double_p]
         self.stage = library.repro_jit_stage
         self.stage.restype = ctypes.c_long
         self.stage.argtypes = [

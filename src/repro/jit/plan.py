@@ -16,7 +16,8 @@ and its ghost fill is data: a table of :class:`FillRecord` the boundary
 conditions *produce* (:func:`repro.euler.boundary.record_of`).  Two
 executors read the same plan: :class:`~repro.jit.backend.JitBackend`
 marshals it into the generated ``repro_jit_stage`` entry point — strip
-loop and strip-private windows inside C, one crossing per stage — and
+loop and strip-private windows inside C, a whole RK step of stages one
+crossing of ``repro_jit_step`` — and
 :func:`repro.jit.numpy_eval.run_stage` interprets it phase by phase
 through the engine's NumPy handlers.
 

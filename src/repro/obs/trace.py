@@ -28,7 +28,7 @@ bar; with ``watch=None`` the solvers skip this module entirely.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -88,9 +88,17 @@ class TraceRecord:
 
         ``kind`` discriminates step records from the diagnostic
         records of :mod:`repro.analysis.diag` in a shared JSONL file.
+        The result equals ``{"kind": "step", **dataclasses.asdict(self)}``
+        without ``asdict``'s recursive deep copy: every field is a scalar
+        but the two flat dicts, which are copied.
         """
         payload: Dict[str, object] = {"kind": "step"}
-        payload.update(asdict(self))
+        for name in _FIELD_NAMES:
+            payload[name] = getattr(self, name)
+        for name in _DICT_FIELDS:
+            value = payload[name]
+            if value is not None:
+                payload[name] = dict(value)
         return payload
 
     @classmethod
@@ -110,6 +118,12 @@ class TraceRecord:
                 f"trace record has unknown fields {sorted(unknown)}"
             )
         return cls(**payload)
+
+
+#: :class:`TraceRecord`'s fields in declaration order, and those holding
+#: a (flat) dict, which :meth:`TraceRecord.to_json` copies.
+_FIELD_NAMES = tuple(field.name for field in fields(TraceRecord))
+_DICT_FIELDS = ("phase_seconds", "jit_vector")
 
 
 class StepTrace:

@@ -66,10 +66,6 @@ class PriorityJobQueue:
     def full(self) -> bool:
         return self._size >= self.maxsize
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- producers ------------------------------------------------------
 
     def put_nowait(self, item: object, priority: int = 0) -> None:

@@ -6,8 +6,8 @@ submits land in the :class:`~repro.serve.queue.PriorityJobQueue`
 dispatcher pairs queued jobs — one, or up to ``batch_max``
 shape-compatible ones — with free shards of the
 :class:`~repro.serve.workers.ShardPool`, and one supervisor coroutine
-per dispatch reads the shard's event queue — the only channel a worker
-has — publishing ``steps`` records as progress events, enforcing the
+per dispatch reads the shard's events — its one pipe, read by the loop
+— publishing ``steps`` records as progress events, enforcing the
 deadline, and applying each terminal: cache a ``done`` result, ship a
 failure's forensic report to the client.  A job is dispatched once:
 every path is deterministic, so a second run could only reproduce the
@@ -245,17 +245,17 @@ class SimulationService:
         """Shepherd one dispatch — N >= 1 jobs on one shard — until every
         job has its terminal event.
 
-        Everything the worker says arrives on the shard's one queue, in
+        Everything the worker says arrives on the shard's one pipe, in
         the order it was said: ``steps`` messages are published record
-        by record, a terminal ends its job.  Both are matched against
-        ``pending``, so a message naming a job that is already settled
-        reaches nobody.  Each job keeps its own deadline timer and
-        terminal; only the *execution* is shared.  (A dispatch of
-        several carries no deadlines — ``batch_key`` refuses them: the
-        shard's cancel flag is dispatch-granular, so one job's deadline
-        would cancel its mates; an explicit client cancel of any member
-        does stop the whole dispatch, the documented trade for amortized
-        stepping.)
+        by record and a terminal ends its job — both matched against
+        ``pending``, so a message naming a settled job reaches nobody —
+        and ``died`` (the pipe's end of file) ends every pending job.
+        Each job keeps its own deadline timer and terminal; only the
+        *execution* is shared.  (A dispatch of several carries no
+        deadlines — ``batch_key`` refuses them: the shard's cancel flag
+        is dispatch-granular, so one job's deadline would cancel its
+        mates; an explicit client cancel of any member does stop the
+        whole dispatch, the documented trade for amortized stepping.)
 
         Whatever happens in here — worker death, a bug in terminal
         handling, an exception mid-send — the shard slot is released (or
@@ -265,11 +265,11 @@ class SimulationService:
         pending = {record.job_id: record for record in records}
         timers = []
         shard_died = False
+        loop = asyncio.get_running_loop()
         try:
             self.pool.send(
                 shard, [(record.job_id, record.spec) for record in records]
             )
-            loop = asyncio.get_running_loop()
             for record in records:
                 self._publish(record, {
                     "kind": "job", "event": "started", "job_id": record.job_id,
@@ -292,17 +292,11 @@ class SimulationService:
                     # no terminal will ever arrive — synthesize them.
                     shard_died = True
                     for job_id, record in pending.items():
-                        self._apply_terminal(record, {
-                            "event": "failed",
-                            "error": {
-                                "type": "ShardDied",
-                                "message": (
-                                    f"shard {shard} died"
-                                    f" (exitcode {event.get('exitcode')})"
-                                    f" while running {job_id}"
-                                ),
-                            },
-                        })
+                        self._apply_terminal(record, {"event": "failed", "error": {
+                            "type": "ShardDied",
+                            "message": f"shard {shard} died (exitcode"
+                            f" {event.get('exitcode')}) while running {job_id}",
+                        }})
                     pending.clear()
                 elif (
                     kind == "job"
@@ -320,12 +314,14 @@ class SimulationService:
                 timer.cancel()
             usable = True
             if shard_died:
-                usable = await self._respawn_shard(shard)
+                try:
+                    await loop.run_in_executor(None, self.pool.respawn, shard)
+                except Exception:  # noqa: BLE001 - a lost slot must not kill the task
+                    usable = False  # still dead: keep the slot out of the free pool
             if usable:
                 # Free the shard only after every terminal is fully
                 # processed, so a stale deadline/cancel flag can never
-                # leak onto the next dispatch.  (A dead shard that could
-                # not be respawned is NOT freed — its slot is retired.)
+                # leak onto the next dispatch.
                 self._free_shards.put_nowait(shard)
 
     def _fail_on_supervision_error(self, record: JobRecord, error: Exception) -> None:
@@ -343,15 +339,6 @@ class SimulationService:
             "job_id": record.job_id, "error": record.error,
         })
         self._finish(record)
-
-    async def _respawn_shard(self, shard: int) -> bool:
-        """Replace a dead shard's process; True if a fresh worker is up."""
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, self.pool.respawn, shard)
-        except Exception:  # noqa: BLE001 - a lost slot must not kill the task
-            return False  # still dead: keep the slot out of the free pool
-        return True
 
     def _apply_terminal(self, record: JobRecord, event: Dict[str, object]) -> None:
         kind = event["event"]

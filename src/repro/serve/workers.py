@@ -1,20 +1,23 @@
 """Shard pool: worker processes that execute jobs on the solver stack.
 
 Each *shard* is one long-lived worker process (``multiprocessing``
-spawn context — immune to the parent's event loop and thread state).
-The parent sends *dispatches* — always a list of one or more job wire
-dicts — down a per-shard queue; the worker runs each through the
-existing :class:`~repro.euler.engine.StepEngine`-backed solvers (or
+spawn context — immune to the parent's event loop and thread state)
+with one pipe each way.  The parent sends *dispatches* — always a list
+of one or more job wire dicts — down one; the worker runs each through
+the existing :class:`~repro.euler.engine.StepEngine`-backed solvers (or
 :class:`~repro.par.solver.ParallelSolver2D` when the job asks for
-intra-job workers) and reports everything on the shard's one event
-queue: ``shard`` events (``ready``/``stopped``; ``died`` is the parent
-pump's, for a process that exited silently), ``steps`` messages
-(``records``: ``[[job_id, record], ...]``, at most one per
+intra-job workers) and reports everything up the other: ``shard``
+events (``ready``/``stopped``; ``died`` is the parent's), ``steps``
+messages (``records``: ``[[job_id, record], ...]``, at most one per
 :data:`STREAM_INTERVAL_S`) and one ``job`` terminal
-(``done``/``failed``/``cancelled``) per job.  The queue is FIFO and the
-worker flushes its unsent records ahead of every terminal, so "a job's
-steps precede its terminal" holds by construction; a killed worker
-loses what it had not sent — at most the last interval's records.
+(``done``/``failed``/``cancelled``) per job.
+
+A message is one length-prefixed pickle (:data:`FRAME`), written whole
+and synchronously; the parent's event loop reads it.  A FIFO byte stream
+and a flush of unsent records ahead of every terminal make "a job's
+steps precede its terminal" hold by construction.  The parent closes
+its copies of the child's ends once the child runs, so a worker's death
+— inside a message too — is end of file on its event pipe: ``died``.
 
 Failure containment is the point of the process boundary: a job that
 blows up with a :class:`~repro.errors.PhysicsError` returns its
@@ -29,15 +32,18 @@ its own KeyboardInterrupt.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import multiprocessing as mp
 import os
+import pickle
+import select
 import signal
-import threading
+import struct
 import traceback
-from contextlib import ExitStack
-from queue import Empty
-from time import monotonic, perf_counter, time
+from contextlib import ExitStack, suppress
+from multiprocessing.connection import Connection
+from time import monotonic, perf_counter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -55,6 +61,10 @@ READY_TIMEOUT_S = 120.0
 #: and the client wake per message, not per step.
 STREAM_INTERVAL_S = 0.02
 
+#: The length prefix of one message on a shard's pipes: the byte count of
+#: the pickle that follows it.
+FRAME = struct.Struct("<Q")
+
 
 def state_digest(array: np.ndarray) -> str:
     """sha256 of an array's C-contiguous float64 bytes.
@@ -65,6 +75,31 @@ def state_digest(array: np.ndarray) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(array, dtype=np.float64).tobytes()
     ).hexdigest()
+
+
+def _send(fd: int, message) -> None:
+    """One message down the pipe ``fd``, whole (blocking)."""
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    data = memoryview(FRAME.pack(len(body)) + body)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from the pipe ``fd``; EOFError at end of file."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _receive(fd: int):
+    """One message from the pipe ``fd`` (blocking)."""
+    (size,) = FRAME.unpack(_read(fd, FRAME.size))
+    return pickle.loads(_read(fd, size))
 
 
 class _JobCancelled(Exception):
@@ -80,19 +115,24 @@ class _JobCancelled(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(shard, job_q, event_q, cancel_flag):
-    """Entry point of one shard process (top level: spawn-picklable)."""
+def _worker_main(shard, down: Connection, up: Connection, cancel_flag):
+    """Entry point of one shard process (top level: spawn-picklable);
+    ``down``/``up`` are its ends of the dispatch and event pipes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    event_q.put({"kind": "shard", "event": "ready", "shard": shard, "pid": os.getpid()})
-    while True:
-        # The cancel flag is NOT cleared here: the parent clears it in
-        # send() *before* enqueuing, so a cancel that lands right after
-        # the send is never lost to a worker-side clear racing it.
-        jobs = job_q.get()
-        if jobs is None:
-            break
-        _run_jobs(jobs, event_q, shard, cancel_flag)
-    event_q.put({"kind": "shard", "event": "stopped", "shard": shard})
+    put = functools.partial(_send, up.fileno())
+    try:
+        put({"kind": "shard", "event": "ready", "shard": shard, "pid": os.getpid()})
+        while True:
+            # The cancel flag is NOT cleared here: the parent clears it in
+            # send() *before* writing, so a cancel that lands right after
+            # the send is never lost to a worker-side clear racing it.
+            jobs = _receive(down.fileno())
+            if jobs is None:
+                break
+            _run_jobs(jobs, put, shard, cancel_flag)
+        put({"kind": "shard", "event": "stopped", "shard": shard})
+    except (EOFError, BrokenPipeError):
+        pass  # the parent is gone
 
 
 def _failed_event(error: BaseException) -> Dict[str, object]:
@@ -118,14 +158,15 @@ def _failed_event(error: BaseException) -> Dict[str, object]:
     return {"event": "failed", "error": info}
 
 
-def _run_jobs(jobs, event_q, shard, cancel_flag) -> None:
-    """Run one dispatch (a list of N >= 1 jobs); guarantees a terminal
-    event for every job, behind every step record of that job.
+def _run_jobs(jobs, put, shard, cancel_flag) -> None:
+    """Run one dispatch (a list of N >= 1 jobs), sending its events with
+    ``put``; guarantees a terminal event for every job, behind every
+    step record of that job.
 
     Step records leave in ``steps`` messages paced to one per
     :data:`STREAM_INTERVAL_S`, counted from the oldest record not yet
     sent; ``emit`` flushes what is left before it puts a terminal, so
-    on the one FIFO queue no record can trail its job's terminal.
+    on the one FIFO pipe no record can trail its job's terminal.
 
     Anything escaping :func:`_execute` — the shared cancel flag, the
     PhysicsError of a job running alone, a bug — terminal-izes every job
@@ -137,9 +178,10 @@ def _run_jobs(jobs, event_q, shard, cancel_flag) -> None:
     oldest = 0.0  # when the first of ``unsent`` was collected
 
     def flush() -> None:
-        if unsent:  # a copy: the queue pickles it later, on its feeder thread
-            event_q.put({"kind": "steps", "shard": shard, "records": unsent[:]})
-            unsent.clear()
+        nonlocal unsent
+        if unsent:
+            put({"kind": "steps", "shard": shard, "records": unsent})
+            unsent = []
 
     def stream(records) -> None:
         """Take one driver step's records; send once the oldest is due."""
@@ -154,7 +196,7 @@ def _run_jobs(jobs, event_q, shard, cancel_flag) -> None:
     def emit(job_id: str, event: Dict[str, object]) -> None:
         flush()
         done.add(job_id)
-        event_q.put({"kind": "job", "job_id": job_id, "shard": shard, **event})
+        put({"kind": "job", "job_id": job_id, "shard": shard, **event})
 
     try:
         with ExitStack() as cleanup:  # intra-job worker teams
@@ -194,8 +236,8 @@ def _execute(jobs, emit, stream, cancel_flag, cleanup) -> None:
     One difference is kept, selected by the member count: a job alone
     streams full :class:`~repro.obs.trace.TraceRecord`s, a member of
     N > 1 the reduced ``{step, time, dt, batched}`` record — recording
-    and serialising the full one costs ~107 us per 24x24 member against
-    ~3 us, which would add a third to a 16-member step.
+    and serialising the full one costs ~30 us per 24x24 member against
+    ~3 us, a tenth more on a 16-member step.
     """
     from repro.euler.solver import EulerEnsemble2D
     from repro.obs.trace import StepTrace
@@ -386,12 +428,12 @@ class ShardPool:
     """The parent-side handle on the worker processes.
 
     Lifecycle: ``start()`` (spawn + wait ready, blocking — call before
-    or via an executor from the event loop), ``bind(loop)`` (start the
-    pump threads that forward each shard's events into an
-    :class:`asyncio.Queue`), then ``send``/``cancel``/``events``;
-    ``shutdown()`` is idempotent and leaves no child process behind —
-    sentinel first, ``terminate()`` for stragglers, ``kill()`` as the
-    last resort.
+    or via an executor from the event loop), ``bind(loop)`` (from then on
+    the loop reads each shard's event pipe into an :class:`asyncio.Queue`;
+    unbound, :meth:`next_event` reads it), then ``send``/``cancel``/
+    ``events``; ``shutdown()`` is idempotent and leaves no child process
+    and no pipe behind — sentinel first, ``terminate()`` for stragglers,
+    ``kill()`` as the last resort.
     """
 
     def __init__(self, shards: int = 2, start_method: Optional[str] = None):
@@ -402,40 +444,58 @@ class ShardPool:
             start_method or os.environ.get("REPRO_SVC_START_METHOD", "spawn")
         )
         self._processes: List[mp.process.BaseProcess] = []
-        self._job_queues = []
-        self._event_queues = []
+        #: Per shard: the parent's end of the dispatch pipe and of the event
+        #: pipe (None once a loop reader took it), and the cancel flag.
+        self._down: List[Optional[int]] = []
+        self._up: List[Optional[int]] = []
         self._cancel_flags = []
-        self._pumps: List[threading.Thread] = []
         self._aqueues: List[asyncio.Queue] = []
+        self._readers: Dict[int, asyncio.Task] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_pumps = False
-        self._shutdown_done = False
+        self._stopping = False
         self.jobs_dispatched = [0] * shards
         self.respawns = 0
 
     # -- lifecycle ------------------------------------------------------
 
     def _spawn(self, shard: int):
-        """Fresh queues, cancel flag and (started) worker process for ``shard``."""
-        job_q = self._ctx.Queue()
-        event_q = self._ctx.Queue()
+        """A started worker for ``shard``, our ends of its pipes, its flag."""
+        down_read, down_write = os.pipe()
+        up_read, up_write = os.pipe()
+        ends = (Connection(down_read, writable=False), Connection(up_write, readable=False))
         cancel_flag = self._ctx.Event()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(shard, job_q, event_q, cancel_flag),
+            args=(shard, *ends, cancel_flag),
             name=f"repro-serve-shard-{shard}",
             daemon=True,
         )
-        process.start()
-        return process, job_q, event_q, cancel_flag
+        try:
+            process.start()
+        finally:
+            for end in ends:  # the child's now; its death is our end of file
+                end.close()
+        return process, down_write, up_read, cancel_flag
+
+    def _death_notice(self, shard: int) -> Dict[str, object]:
+        """The ``died`` event of a shard whose event pipe ended."""
+        process = self._processes[shard]
+        process.join(timeout=5.0)  # it is exiting: the exit code is near
+        return {"kind": "shard", "event": "died", "shard": shard, "exitcode": process.exitcode}
+
+    def _receive(self, shard: int, timeout: float) -> Dict[str, object]:
+        """An unbound shard's next event (a message comes whole: only its
+        start is waited for)."""
+        fd = self._up[shard]
+        if not select.select([fd], [], [], timeout)[0]:
+            raise ServiceError(f"no event from shard {shard} within {timeout}s")
+        try:
+            return _receive(fd)
+        except EOFError:
+            return self._death_notice(shard)
 
     def _await_ready(self, shard: int, timeout: float) -> None:
-        try:
-            event = self._event_queues[shard].get(timeout=timeout)
-        except Empty:
-            raise ServiceError(
-                f"shard {shard} did not report ready within {timeout}s"
-            ) from None
+        event = self._receive(shard, timeout)
         if event.get("event") != "ready":
             raise ServiceError(f"shard {shard} sent {event!r} before ready")
 
@@ -443,76 +503,48 @@ class ShardPool:
         """Spawn the shard processes (blocking; spawn re-imports numpy)."""
         if self._processes:
             raise ServiceError("shard pool already started")
-        for shard in range(self.shards):
-            process, job_q, event_q, cancel_flag = self._spawn(shard)
-            self._processes.append(process)
-            self._job_queues.append(job_q)
-            self._event_queues.append(event_q)
-            self._cancel_flags.append(cancel_flag)
+        spawned = zip(*(self._spawn(shard) for shard in range(self.shards)))
+        self._processes, self._down, self._up, self._cancel_flags = map(list, spawned)
         if wait_ready:
             for shard in range(self.shards):
                 self._await_ready(shard, timeout)
 
     def bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Start one pump thread per shard, forwarding events to
-        :meth:`events` queues on ``loop``."""
-        if self._pumps:
+        """Read every shard's events into :meth:`events` on ``loop``, from it."""
+        if self._loop is not None:
             raise ServiceError("shard pool already bound to a loop")
         self._loop = loop
         self._aqueues = [asyncio.Queue() for _ in range(self.shards)]
-        self._pumps = [
-            threading.Thread(
-                target=self._pump, args=(shard,),
-                name=f"repro-serve-pump-{shard}", daemon=True,
-            )
-            for shard in range(self.shards)
-        ]
-        for pump in self._pumps:
-            pump.start()
+        for shard in range(self.shards):
+            self._start_reader(shard)
 
-    def _pump(self, shard: int) -> None:
-        # Indexed lookups each round, not locals: respawn() swaps the
-        # shard's queues/process and starts a fresh pump thread.
-        dead_polls = 0
-        while not self._stop_pumps:
-            try:
-                event = self._event_queues[shard].get(timeout=0.2)
-            except Empty:
-                # Liveness watch: a worker killed mid-job (OOM, segfault)
-                # sends no terminal event; the supervisor would wait on
-                # its queue forever.  Two consecutive empty polls with a
-                # dead process (grace for the queue's feeder thread to
-                # flush its last events) => synthesize a death notice.
-                process = self._processes[shard]
-                if not process.is_alive():
-                    dead_polls += 1
-                    if dead_polls >= 2 and not self._stop_pumps:
-                        self._forward(shard, {
-                            "kind": "shard", "event": "died", "shard": shard,
-                            "exitcode": process.exitcode,
-                        })
-                        return
-                else:
-                    dead_polls = 0
-                continue
-            except (EOFError, OSError):
-                if not self._stop_pumps:
-                    self._forward(shard, {
-                        "kind": "shard", "event": "died", "shard": shard,
-                        "exitcode": None,
-                    })
-                return  # queue torn down under us
-            dead_polls = 0
-            if not self._forward(shard, event):
-                return
+    def _start_reader(self, shard: int) -> None:
+        self._readers[shard] = self._loop.create_task(
+            self._read_events(shard), name=f"repro-serve-events-{shard}"
+        )
 
-    def _forward(self, shard: int, event: Dict[str, object]) -> bool:
-        """Hand one event to the bound loop; False once the loop is gone."""
+    async def _read_events(self, shard: int) -> None:
+        """Each message of one shard's event pipe into its queue until end
+        of file — the worker's death, unless the pool is shutting down."""
+        if self._up[shard] is None:
+            return  # shut down before the loop came to it
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader()
+        pipe, self._up[shard] = open(self._up[shard], "rb", buffering=0), None
+        transport, _ = await loop.connect_read_pipe(
+            lambda: asyncio.StreamReaderProtocol(reader), pipe
+        )
+        queue = self._aqueues[shard]
         try:
-            self._loop.call_soon_threadsafe(self._aqueues[shard].put_nowait, event)
-        except RuntimeError:
-            return False  # loop closed; shutdown is in progress
-        return True
+            while True:
+                (size,) = FRAME.unpack(await reader.readexactly(FRAME.size))
+                queue.put_nowait(pickle.loads(await reader.readexactly(size)))
+        except asyncio.IncompleteReadError:
+            pass  # end of file, inside a message or not
+        finally:
+            transport.close()
+        if not self._stopping:
+            queue.put_nowait(await loop.run_in_executor(None, self._death_notice, shard))
 
     # -- job traffic ----------------------------------------------------
 
@@ -521,17 +553,10 @@ class ShardPool:
         return self._aqueues[shard]
 
     def next_event(self, shard: int, timeout: float = 60.0) -> Dict[str, object]:
-        """Blocking event read for *unbound* pools (tests, sync drivers).
-
-        Never mix with :meth:`bind` — the pump threads would race this
-        for the same queue.
-        """
-        try:
-            return self._event_queues[shard].get(timeout=timeout)
-        except Empty:
-            raise ServiceError(
-                f"no event from shard {shard} within {timeout}s"
-            ) from None
+        """Blocking event read for *unbound* pools (tests, sync drivers)."""
+        if self._loop is not None:
+            raise ServiceError("a bound pool's events are read by its loop")
+        return self._receive(shard, timeout)
 
     def send(self, shard: int, jobs) -> None:
         """Dispatch ``jobs`` — a list of one or more ``(job_id, spec)``
@@ -544,9 +569,10 @@ class ShardPool:
         dispatch-granular: :meth:`cancel` stops every job of the dispatch.
         """
         self._cancel_flags[shard].clear()
-        self._job_queues[shard].put([
-            {"job_id": job_id, "spec": spec.to_dict()} for job_id, spec in jobs
-        ])
+        with suppress(BrokenPipeError):  # a dead worker: its event pipe says so
+            _send(self._down[shard], [
+                {"job_id": job_id, "spec": spec.to_dict()} for job_id, spec in jobs
+            ])
         self.jobs_dispatched[shard] += len(jobs)
 
     def cancel(self, shard: int) -> None:
@@ -558,49 +584,41 @@ class ShardPool:
         return [process.is_alive() for process in self._processes]
 
     def respawn(self, shard: int, timeout: float = READY_TIMEOUT_S) -> None:
-        """Replace a dead shard's process with a fresh worker (blocking).
-
-        New queues and cancel flag too — the old ones may hold a feeder
-        thread wedged on the dead process.  If the pool is bound, a new
-        pump thread is started for the shard (the old one exited when it
-        reported the death); the shard's asyncio event queue is reused,
-        so :meth:`events` handles stay valid.
-        """
+        """Replace a dead shard's process, pipes and cancel flag (blocking);
+        a bound pool's loop reads the new pipe into the same queue."""
         old = self._processes[shard]
         if old.is_alive():
             raise ServiceError(f"shard {shard} is still alive; not respawning")
         old.join(timeout=1.0)
-        process, job_q, event_q, cancel_flag = self._spawn(shard)
-        for stale in (self._job_queues[shard], self._event_queues[shard]):
-            stale.cancel_join_thread()
-            stale.close()
-        self._processes[shard] = process
-        self._job_queues[shard] = job_q
-        self._event_queues[shard] = event_q
-        self._cancel_flags[shard] = cancel_flag
+        self._close_pipes(shard)
+        (
+            self._processes[shard], self._down[shard], self._up[shard],
+            self._cancel_flags[shard],
+        ) = self._spawn(shard)
         self.respawns += 1
         self._await_ready(shard, timeout)
         if self._loop is not None:
-            pump = threading.Thread(
-                target=self._pump, args=(shard,),
-                name=f"repro-serve-pump-{shard}", daemon=True,
-            )
-            self._pumps[shard] = pump
-            pump.start()
+            self._loop.call_soon_threadsafe(self._start_reader, shard)
 
     # -- teardown -------------------------------------------------------
 
+    def _close_pipes(self, shard: int) -> None:
+        """Close our ends of a shard's pipes (not one a loop reader took)."""
+        for fd in (self._down[shard], self._up[shard]):
+            if fd is not None:
+                os.close(fd)
+        self._down[shard] = self._up[shard] = None
+
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every shard without leaking processes (idempotent)."""
-        if self._shutdown_done:
+        """Stop every shard without leaking processes or pipes (idempotent)."""
+        if self._stopping:
             return
-        self._shutdown_done = True
-        self._stop_pumps = True
-        for job_q in self._job_queues:
-            try:
-                job_q.put_nowait(None)
-            except Exception:
-                pass
+        self._stopping = True
+        for shard, fd in enumerate(self._down):
+            with suppress(OSError):  # a dead worker reads nothing
+                _send(fd, None)
+            # With no reader left, a worker blocked on a full pipe exits.
+            self._close_pipes(shard)
         for process in self._processes:
             process.join(timeout=timeout)
             if process.is_alive():
@@ -609,11 +627,6 @@ class ShardPool:
             if process.is_alive():  # pragma: no cover - last resort
                 process.kill()
                 process.join(timeout=2.0)
-        for pump in self._pumps:
-            pump.join(timeout=2.0)
-        for queue in (*self._job_queues, *self._event_queues):
-            queue.cancel_join_thread()
-            queue.close()
 
     def __enter__(self) -> "ShardPool":
         return self

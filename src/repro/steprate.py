@@ -182,8 +182,9 @@ def measure_batch_steprate(
 def _jit_summary(counters: Dict[str, object]) -> str:
     """Lines making a degraded jit run visible from the CLI.
 
-    Reports worker threads, compiled crossings per step (stage + dt
-    calls; 4 for a serial RK3 step) next to the strips those served,
+    Reports worker threads, compiled crossings per step (step, stage
+    and dt calls; 2 for a serial step of any order, a team's stage
+    rounds instead of the step) next to the strips those served,
     threaded-strip counts and what the compiler reported for the
     kernel's sweep / dt loops (bytes per vector, ``scalar``, or ``not
     reported``), then every *counted reason* the
@@ -194,7 +195,7 @@ def _jit_summary(counters: Dict[str, object]) -> str:
     stats = counters.get("jit")
     if not isinstance(stats, dict):
         return ""
-    crossings = stats.get("stage_calls", 0) + stats.get("dt_calls", 0)
+    crossings = sum(stats.get(key, 0) for key in ("step_calls", "stage_calls", "dt_calls"))
     lines = [
         f"  jit: threads={stats.get('threads', 1)}"
         f" crossings/step={crossings / max(1, counters.get('steps', 0)):.1f}"

@@ -298,6 +298,20 @@ class TestWorkspace:
         assert a is not ws.array("x", (4, 4))
         assert a is not ws.array("x", (4, 3), dtype=np.float32)
 
+    def test_a_key_asked_for_in_any_spelling_is_one_buffer(self):
+        """Repeated requests skip normalising the key, but every spelling
+        of it — list, generator, NumPy integers, dtype object or string —
+        still finds the one buffer, and a new shape still gets its own."""
+        ws = Workspace()
+        a = ws.array("x", (4, 3))
+        spellings = (tuple, list, lambda s: (n for n in s), lambda s: (np.int64(s[0]), s[1]))
+        for spell in spellings:
+            for dtype in (float, np.float64, np.dtype("f8"), "f8"):
+                assert ws.array("x", spell((4, 3)), dtype) is a
+        assert ws.array("x", (n for n in (4, 4))).shape == (4, 4)
+        assert ws.array("x", (n for n in (4, 3))) is a
+        assert len(ws) == 2
+
     def test_like_and_cell_like(self, rng):
         ws = Workspace()
         reference = np.empty((5, 6, 4))

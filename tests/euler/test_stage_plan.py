@@ -9,7 +9,8 @@ smooth states and on the nasty-state corpus of
 then every executor raises the same error).  The rest pins what the plan
 promises beside the bits: the same :class:`PhysicsError` from both
 executors when a state goes bad in RK stage 2, ``u`` untouched; one
-crossing per stage; scratch per worker, not per strip; a boundary
+crossing per serial RK step (the step program), bound once per
+state-buffer set; scratch per worker, not per strip; a boundary
 condition without a fill record degrading loudly; phase seconds that
 still add up when they come from C.
 """
@@ -245,7 +246,12 @@ def test_a_state_going_bad_in_stage_2_raises_the_same_error_and_leaves_u(
         assert engine.rhs_evaluations == 2
         assert_same_bits(u, u0)
         if backend == "jit":
-            assert engine.counters()["jit"]["fallbacks"] == {}
+            stats = engine.counters()["jit"]
+            assert stats["fallbacks"] == {}
+            # the step program stopped at stage 2's conversion: one
+            # crossing, stage 1's sweeps the only ones served
+            assert stats["step_calls"] == (1 if workers == 1 else 0)
+            assert stats["sweep_calls"] == engine.stage_plan().sweep_strips
     for error in errors:
         assert error.details["what"] == what and error.batch_index == 1
     interpreted, compiled = errors
@@ -253,6 +259,170 @@ def test_a_state_going_bad_in_stage_2_raises_the_same_error_and_leaves_u(
     assert compiled.cells == interpreted.cells and len(compiled.cells[0]) == 2
     assert compiled.neighbourhood.origin == interpreted.neighbourhood.origin
     assert_same_bits(compiled.neighbourhood.values, interpreted.neighbourhood.values)
+
+
+# -- the step program: one crossing per RK step ---------------------------
+
+
+def seed_step(ndim, config, boundaries, primitive, dt=None):
+    """One member through one step of the allocating seed stepper."""
+    solver_class = EulerSolver1D if ndim == 1 else EulerSolver2D
+    solver = solver_class(primitive, *SPACING[ndim], boundaries, config, use_engine=False)
+    dt = solver.step(dt)
+    return solver.u, dt
+
+
+@needs_cc
+@settings(deadline=None, max_examples=60)
+@given(
+    rk_order=st.sampled_from((1, 2, 3)),
+    ndim=st.sampled_from((1, 2)),
+    members=st.sampled_from((1, 3)),
+    fresh=st.booleans(),
+    reconstruction=st.sampled_from(("pc", "tvd2", "weno3")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_one_crossing_step_equals_the_numpy_executor_and_the_seed_step(
+    rk_order, ndim, members, fresh, reconstruction, seed
+):
+    """A compiled step is one ``repro_jit_step`` crossing, bit for bit the
+    NumPy executor's stage-by-stage step and the allocating seed step.
+    ``fresh``: the step follows its dt pass, so RK stage 1 only flags the
+    conversion the pass left; stale: it follows a step of another state,
+    with a dt given, so stage 1 converts.  Either way the per-step
+    counters are the order's: one rhs evaluation and one strip set per
+    stage, one conversion per stage (stage 1's being the dt pass's)."""
+    config = SolverConfig(reconstruction=reconstruction, rk_order=rk_order)
+    nfields = ndim + 2
+    rng = np.random.default_rng(seed)
+    p = smooth(rng, (members,) + SHAPES[ndim], nfields)
+    u0 = state.conservative_from_primitive(p, GAMMA)
+    other = state.conservative_from_primitive(smooth(rng, p.shape[:-1], nfields), GAMMA)
+    boundaries = [
+        BoundarySet1D(Transmissive(), ReflectiveWall()) if ndim == 1 else all_transmissive_2d()
+        for _ in range(members)
+    ]
+    given_dts = 0.8 * StepEngine(
+        SHAPES[ndim] + (nfields,), SPACING[ndim], config, boundaries, backend="numpy"
+    ).compute_dt(u0)
+    results = []
+    for backend in ("numpy", "jit"):
+        engine = StepEngine(
+            SHAPES[ndim] + (nfields,), SPACING[ndim], config, boundaries,
+            backend=backend, workers=1,
+        )
+        u = u0.copy()
+        if fresh:
+            dts = engine.compute_dt(u).copy()
+        else:
+            engine.step(other.copy())
+            dts = given_dts
+        before = engine.counters()
+        engine.integrate(u, dts)
+        after = engine.counters()
+        plan = engine.stage_plan()
+        assert after["rhs_evaluations"] - before["rhs_evaluations"] == rk_order
+        assert after["primitive_conversions"] - before["primitive_conversions"] == rk_order - fresh
+        assert after["tiles"] - before["tiles"] == rk_order * plan.sweep_strips
+        if backend == "jit":
+            calls = [stats["jit"]["step_calls"] for stats in (before, after)]
+            assert calls == [int(not fresh), int(not fresh) + 1]
+            assert after["jit"]["stage_calls"] == 0 and after["jit"]["fallbacks"] == {}
+        results.append((u, dts))
+    (expected, dts), (actual, jit_dts) = results
+    assert_same_bits(actual, expected)
+    assert_same_bits(jit_dts, dts)
+    for index in range(members):
+        seed_u, seed_dt = seed_step(
+            ndim, config, boundaries[index], p[index], None if fresh else dts[index]
+        )
+        assert_same_bits(actual[index], seed_u)
+        assert seed_dt == dts[index]
+
+
+@needs_cc
+@pytest.mark.parametrize("ndim", (1, 2))
+@pytest.mark.parametrize("rk_order", (1, 2, 3))
+def test_a_serial_step_is_two_crossings_for_every_order(rk_order, ndim, monkeypatch):
+    """``step`` + ``dt``: two compiled crossings per serial RK step, with
+    the step's rhs evaluations, conversions and strips what they were
+    when every stage was a crossing of its own."""
+    import repro.jit
+
+    monkeypatch.delenv(repro.jit.THREADS_ENV, raising=False)
+    ghost = spec_from_config(SolverConfig(reconstruction="tvd2"), ndim).ghost_cells
+    row_bytes = tiling.jit_sweep_row_bytes(int(np.prod(SHAPES[ndim][1:])), ndim + 2, ghost)
+    config = SolverConfig(reconstruction="tvd2", rk_order=rk_order, tile_bytes=3 * row_bytes)
+    rng = np.random.default_rng(rk_order)
+    boundaries = (
+        BoundarySet1D(Transmissive(), Transmissive()) if ndim == 1 else all_transmissive_2d()
+    )
+    solver_class = EulerSolver1D if ndim == 1 else EulerSolver2D
+    with repro.jit.backend_override("jit"):
+        solver = solver_class(
+            smooth(rng, SHAPES[ndim], ndim + 2), *SPACING[ndim], boundaries, config
+        )
+    engine = solver.engine
+    solver.step()
+    before = engine.counters()
+    solver.step()
+    after = engine.counters()
+    delta = {
+        key: after["jit"][key] - before["jit"][key]
+        for key in ("step_calls", "stage_calls", "dt_calls")
+    }
+    assert delta == {"step_calls": 1, "stage_calls": 0, "dt_calls": 1}
+    strips = engine.stage_plan().sweep_strips
+    assert strips >= 2  # the strip loop is inside the one crossing
+    assert after["rhs_evaluations"] - before["rhs_evaluations"] == rk_order
+    assert after["primitive_conversions"] - before["primitive_conversions"] == rk_order
+    assert after["tiles"] - before["tiles"] == rk_order * strips + 1  # + the dt strip
+    assert after["jit"]["sweep_calls"] - before["jit"]["sweep_calls"] == rk_order * strips
+
+
+@needs_cc
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_step_on_another_array_rebinds_and_never_writes_through_a_stale_pointer(workers):
+    """The stage array is bound once per state-buffer set: a step on a
+    fresh array of the same shape rebinds to it (the original is not
+    written), a step on the original binds back, and while bound the
+    engine holds the array it points into — so no pointer can dangle.
+    Serial steps and a team's per-phase rounds read the same array."""
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(25)
+    shape = (9, 13)
+    config = SolverConfig(reconstruction="tvd2", tile_bytes=4000)
+    a0, b0 = (
+        state.conservative_from_primitive(smooth(rng, (3,) + shape, 4), GAMMA) for _ in range(2)
+    )
+    finals = []
+    for backend in ("numpy", "jit"):
+        engine = StepEngine(
+            shape + (4,), SPACING[2], config, [all_transmissive_2d()] * 3,
+            backend=backend, workers=workers,
+        )
+        a, b = a0.copy(), b0.copy()
+        engine.step(a)
+        a1 = a.copy()
+        engine.step(b)
+        assert_same_bits(a, a1)  # the step of b did not write a
+        b1 = b.copy()
+        held = weakref.ref(b)
+        del b
+        gc.collect()
+        assert (held() is not None) == (backend == "jit")  # bound: kept alive
+        engine.step(a)
+        gc.collect()
+        assert held() is None  # bound to a again: b is let go
+        finals.append((a, a1, b1))
+    for expected, actual in zip(*finals):
+        assert_same_bits(actual, expected)
+    stats = engine.counters()["jit"]
+    assert stats["fallbacks"] == {} and stats["serialized"] == {}
+    assert stats["step_calls"] == (3 if workers == 1 else 0)
+    assert (stats["strips_threaded"] > 0) == (workers == 2)
 
 
 # -- counted: crossings, scratch, fallbacks -------------------------------
@@ -263,7 +433,7 @@ def digest(u):
 
 
 @needs_cc
-def test_an_rk3_step_at_400x400_is_four_crossings_serial_and_threaded_on_a_team(monkeypatch):
+def test_an_rk3_step_at_400x400_is_two_crossings_serial_and_threaded_on_a_team(monkeypatch):
     from repro.euler import problems
     from repro.euler.solver import paper_benchmark_config
     from repro.par import ParallelSolver2D
@@ -277,7 +447,8 @@ def test_an_rk3_step_at_400x400_is_four_crossings_serial_and_threaded_on_a_team(
     before = serial.engine.counters()["jit"]
     serial.step()
     after = serial.engine.counters()["jit"]
-    assert after["stage_calls"] - before["stage_calls"] == 3
+    assert after["step_calls"] - before["step_calls"] == 1
+    assert after["stage_calls"] == 0
     assert after["dt_calls"] - before["dt_calls"] == 1
     assert after["fallbacks"] == {} and after["serialized"] == {}
     strips = serial.engine.stage_plan().sweep_strips

@@ -12,8 +12,8 @@ from repro.euler.rk import (
     rk1_step,
     rk2_tvd_step,
     rk3_tvd_step,
-    run_schedule,
     schedule,
+    schedule_buffers,
 )
 from repro.euler.solver import SolverConfig
 from repro.euler.timestep import get_dt, max_eigenvalue
@@ -121,12 +121,11 @@ class TestRungeKutta:
         k = work.like("k", u)
         dt = np.full((7, 1), 0.07)  # one clock per row, as the engine's members have
 
-        def stage(kind, source, target):
+        stages = schedule_buffers(order, u, work)
+        assert stages[-1][2] is u  # the last stage writes u in place
+        for kind, source, target in stages:
             np.matmul(source, matrix, out=k)
             numpy_program("combine", kind).run([u, source, k, dt], [target], work)
-
-        result = run_schedule(order, u, work, stage)
-        assert result is u  # mutates in place
         assert np.max(np.abs(u - expected)) == 0.0
 
     def test_into_registry_rejects_unknown_order(self):

@@ -233,3 +233,41 @@ class TestBackendTelemetry:
         vector = solver.engine.backend.stats()["vector"]
         assert set(vector) == {"sweep", "dt"} and record.jit_vector == vector
         assert TraceRecord.from_json(record.to_json()).jit_vector == vector
+
+
+def _records_of_three_runs():
+    """Step records of a 1-D run, a 2-D run and a 2-worker 2-D run."""
+    from repro.par import ParallelSolver2D
+
+    one_d, _ = problems.sod(n_cells=48)
+    two_d, _ = problems.sod_2d(nx=16, ny=8)
+    team = ParallelSolver2D.from_serial(problems.sod_2d(nx=16, ny=8)[0], workers=2)
+    records = []
+    with team:
+        for solver in (one_d, two_d, team):
+            trace = StepTrace()
+            solver.run(max_steps=3, watch=trace)
+            records += trace.records()
+    assert {r.workers for r in records} == {1, 2}
+    return records
+
+
+class TestToJson:
+    def test_field_copy_equals_the_deep_copy_it_replaced(self):
+        """``to_json`` builds the payload from the field names, copying only
+        the two dict fields: the same dict as ``{"kind": "step",
+        **asdict(r)}``, the same JSON text, the same record back, and no
+        payload shares a mutable field with its record."""
+        import json
+        from dataclasses import asdict
+
+        for record in _records_of_three_runs():
+            payload = record.to_json()
+            old = {"kind": "step", **asdict(record)}
+            assert payload == old
+            assert list(payload) == list(old)
+            assert json.dumps(payload) == json.dumps(old)
+            assert TraceRecord.from_json(payload) == record
+            for name in ("phase_seconds", "jit_vector"):
+                if payload[name] is not None:
+                    assert payload[name] is not getattr(record, name)
