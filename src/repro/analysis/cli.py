@@ -34,9 +34,10 @@ representative plan — ragged three-strip layouts, every fill kind —
 goes through :func:`repro.analysis.deps.prove_phases`: every phase's
 access map in bounds and strip-independent, every cross-phase
 dependence behind one of the plan's barriers.  Last it builds, verifies
-and schedules the two *standalone* IRs (the primitive conversion per
-field count, :func:`repro.jit.numpy_eval.numpy_program`): 232 specs +
-232 stage plans + 2 standalone IRs.
+and schedules the four *standalone* IRs (the primitive conversion per
+field count and the two flux differences,
+:func:`repro.jit.numpy_eval.numpy_program`): 232 specs + 232 stage
+plans + 4 standalone IRs.
 
 Output is a human-readable report, or JSONL (``--json``, one
 ``"kind": "diagnostic"`` object per line — the
@@ -320,9 +321,9 @@ def lint_stage_plan(spec, engine: DiagnosticEngine, barriers=None) -> None:
 
 def lint_numpy_kernels(engine: DiagnosticEngine) -> int:
     """Build, verify and schedule every standalone kernel IR — the
-    programs behind ``primitive_from_conservative(out=)``, the one
-    conversion the engine runs outside a fused program.  Findings land
-    in ``engine``; returns the number of kernels checked."""
+    conversion the engine runs outside a fused program and the two flux
+    differences.  Findings land in ``engine``; returns the number of
+    kernels checked."""
     from repro.jit.kernels import standalone_kernels
     from repro.jit.numpy_eval import numpy_program
 

@@ -2,24 +2,25 @@
 
 The paper attributes much of SaC's performance to compiler-managed
 memory reuse; the golden NumPy solver originally allocated ~10 fresh
-arrays per Runge-Kutta stage (integrator temporaries, padded sweep
-buffers, face fluxes, primitive round trips).  :class:`StepEngine`
-owns, per (grid shape, :class:`~repro.euler.solver.SolverConfig`), a
+arrays per Runge-Kutta stage.  :class:`StepEngine` owns, per (grid
+shape, :class:`~repro.euler.solver.SolverConfig`), a
 :class:`~repro.euler.workspace.Workspace` of preallocated buffers and
 advances the conservative state by running *one program per RK stage* —
 its :class:`~repro.jit.plan.StagePlan`: conversion, both strip sweeps
-and the Runge-Kutta combine, whose pointwise bodies are the IR of its
-:class:`~repro.jit.kernels.KernelSpec` (the folded ``reconstruct ->
-riemann`` flux IR, the conversion, the combines), assembled from the
-``emit_*`` definitions beside the allocating reference functions, and
-whose ghost fill is the boundary conditions' fill records.  The stages
-of a step are executed by one of two executors of that same plan: the
-compiled ``repro_jit_step`` (:class:`~repro.jit.backend.JitBackend`, one
-crossing per step) or :func:`repro.jit.numpy_eval.run_stage`, stage by
-stage, whose phase handlers are the methods here.  Either performs the
-identical sequence of rounded floating-point operations as the
-allocating seed path: results are bit-for-bit equal, only the allocator
-traffic is gone.
+and the Runge-Kutta combine, whose pointwise bodies are IR (the spec's
+folded ``reconstruct -> riemann`` flux program, the conversion, the flux
+differences, the combines, assembled from the ``emit_*`` definitions
+beside the allocating reference functions) and whose ghost fill is the
+boundary conditions' fill records.  Two executors walk that plan strip
+by strip, every sweep strip on a strip-private window of its rows plus
+``ghost_cells`` either side — no engine holds a whole-grid sweep
+buffer: the compiled ``repro_jit_step``
+(:class:`~repro.jit.backend.JitBackend`, one crossing per step) and
+:func:`repro.jit.numpy_eval.run_stage`, which fills the windows itself
+and calls the strip entries here (:meth:`StepEngine.primitive_into`,
+:meth:`StepEngine.sweep_axis0`).  Either performs the identical sequence
+of rounded floating-point operations as the allocating seed path:
+results are bit-for-bit equal, only the allocator traffic is gone.
 
 There is one engine and it has three annotations, none of which
 selects different code:
@@ -58,13 +59,12 @@ conversion/step/strip counts and the scratch footprint in bytes.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, PhysicsError
 from repro.euler import rk, state, tiling
-from repro.euler.boundary import apply_fill
 from repro.euler.reconstruction import stencil_views
 from repro.euler.timestep import max_eigenvalue
 from repro.euler.workspace import Workspace
@@ -75,9 +75,6 @@ __all__ = ["StepEngine", "PHASES"]
 
 #: Phase keys of the engine's wall-clock counters.
 PHASES = ("convert", "bc", "riemann", "difference", "rk", "dt")
-
-#: Field permutation of ``swap_velocity_axes`` for 4-field states.
-_SWAP_FIELDS = ((0, 0), (1, 2), (2, 1), (3, 3))
 
 #: Why a multi-strip plan ran serially on an engine with a team but no
 #: backend (the backend counts its own reasons, see ``JitBackend``).
@@ -110,9 +107,9 @@ class StepEngine:
     :func:`repro.euler.state.validate_members`, raising a member-local
     :class:`PhysicsError` carrying ``batch_index``.
 
-    **Layouts.**  Sweeps pad to ``(n + 2 ng, B, cross..., fields)`` —
-    the sweep axis out front, members next.  A member's slab
-    ``padded[:, b]`` therefore has exactly the one-member padded layout,
+    **Layouts.**  A sweep window is ``(rows + 2 ng, B, cross...,
+    fields)`` — the sweep axis out front, members next.  A member's slab
+    ``window[:, b]`` therefore has exactly the one-member padded layout,
     so per-member boundary sets (different geometry per member,
     piecewise :class:`~repro.euler.boundary.EdgeSpec` segments included)
     are plain per-member fill records.
@@ -188,7 +185,6 @@ class StepEngine:
         self.tiles_processed = 0
         #: Strips of the fused convert+eigenvalue dt passes alone.
         self.dt_fused_strips = 0
-        self._tile_plans: Dict[Tuple[int, ...], tiling.TilePlan] = {}
         self._plan = None
         self._fresh_primitive = False
         #: Team size and barrier kind, and — for an engine without a
@@ -250,66 +246,45 @@ class StepEngine:
 
     # -- the plan -------------------------------------------------------
 
-    def _sweep_plan(self, padded_shape: Tuple[int, ...]) -> tiling.TilePlan:
-        """The (cached) strip plan for a sweep over ``padded_shape``."""
-        if padded_shape not in self._tile_plans:
-            n_cells = padded_shape[0] - 2 * self.ghost_cells
-            cross = int(np.prod(padded_shape[1:-1], dtype=int))
-            backend = self.backend
-            if backend is not None and self._declined is None and backend.ready():
-                # The compiled sweep holds no per-ufunc intermediates, so
-                # strips grow to fill the same budget.  A backend that
-                # will serve no stage (kernel failed to build, plan
-                # declined) must not size them: the NumPy program's row
-                # size plans what the NumPy program runs.
-                row_bytes = tiling.jit_sweep_row_bytes(
-                    cross, padded_shape[-1], self.ghost_cells
-                )
-            else:
-                flux_program, _ = kernel_programs(self.spec)
-                row_bytes = tiling.sweep_row_bytes(
-                    cross, padded_shape[-1], flux_program, self.ghost_cells
-                )
-            self._tile_plans[padded_shape] = tiling.plan_tiles(
-                n_cells, row_bytes, self._strip_budget
-            )
-        return self._tile_plans[padded_shape]
-
     def stage_plan(self):
         """The engine's :class:`~repro.jit.plan.StagePlan`, built on first
-        use: the phases of one RK stage over this engine's strip plans
-        and its members' boundary fill records."""
+        use: the phases of one RK stage over its members' boundary fill
+        records and one strip plan per sweep axis, sized for the executor
+        that will run it."""
         if self._plan is None:
             from repro.jit.plan import build_stage_plan
 
-            shape, ng = self.member_shape, self.ghost_cells
-            padded = [(shape[0] + 2 * ng, self.batch) + shape[1:]]
-            if self.ndim == 2:
-                padded.append((shape[1] + 2 * ng, self.batch, shape[0], 4))
+            shape, ng, backend = self.member_shape, self.ghost_cells, self.backend
+            # The compiled sweep holds no per-ufunc intermediates, so its
+            # strips grow to fill the same budget.  A backend that will
+            # serve no stage (kernel failed to build, plan declined) must
+            # not size them: the NumPy program's row size plans what runs.
+            compiled = backend is not None and self._declined is None and backend.ready()
+            plans = []
+            for axis in range(self.ndim):
+                cross = self.batch * int(np.prod(shape[:-1])) // shape[axis]
+                if compiled:
+                    row_bytes = tiling.jit_sweep_row_bytes(cross, shape[-1], ng)
+                else:
+                    flux_program, _ = kernel_programs(self.spec)
+                    row_bytes = tiling.sweep_row_bytes(cross, shape[-1], flux_program, ng)
+                plans.append(tiling.plan_tiles(shape[axis], row_bytes, self._strip_budget))
             self._plan = build_stage_plan(
-                self.spec, shape, self.batch, self._fills, self._declined, self.spacing,
-                [self._sweep_plan(padded_shape) for padded_shape in padded],
+                self.spec, shape, self.batch, self._fills, self._declined, self.spacing, plans
             )
         return self._plan
 
     # -- primitive scratch and dt ----------------------------------------
 
-    def primitive_into(self, u: np.ndarray, reuse: bool = False) -> np.ndarray:
-        """Convert ``u`` to primitive variables in the engine's buffer.
-        With ``reuse=True`` a conversion freshly produced by
-        :meth:`compute_dt` is consumed instead of recomputed — one
-        conversion per RK stage, not two, as the counter verifies."""
-        target = self.workspace.array("engine.primitive", self.grid_shape)
-        fresh, self._fresh_primitive = self._fresh_primitive, False
-        if reuse and fresh:
-            return target
+    def primitive_into(self, u: np.ndarray, target: np.ndarray) -> None:
+        """One strip of the convert phase: the conversion IR from rows
+        ``u`` of a state into ``target``, their rows of the primitive
+        buffer."""
         started = perf_counter()
-        state.primitive_from_conservative(
-            u, self.config.gamma, out=target, work=self.workspace
+        numpy_program("convert", "primitive", u.shape[-1]).run(
+            field_views(u) + [self.config.gamma], field_views(target), self.workspace
         )
         self.seconds["convert"] += perf_counter() - started
-        self.primitive_conversions += 1
-        return target
 
     def validate(self, primitive: np.ndarray) -> None:
         """Raise an inadmissible stack's member-local :class:`PhysicsError`."""
@@ -378,19 +353,19 @@ class StepEngine:
         self.seconds["dt"] += perf_counter() - started
         return dt
 
-    # -- sweeps: the NumPy phase handlers ---------------------------------
+    # -- sweeps: the NumPy strip entry -----------------------------------
 
-    def riemann(self, padded: np.ndarray) -> np.ndarray:
-        """Riemann fluxes at the interior faces of a padded strip: the
-        spec's folded flux program over the strip's stencil views."""
+    def riemann(self, window: np.ndarray) -> np.ndarray:
+        """Riemann fluxes at the interior faces of a strip window: the
+        spec's folded flux program over the window's stencil views."""
         ng = self.ghost_cells
         flux = self.workspace.array(
-            "engine.flux", (padded.shape[0] - 2 * ng + 1,) + padded.shape[1:]
+            "engine.flux", (window.shape[0] - 2 * ng + 1,) + window.shape[1:]
         )
         flux_program, _ = kernel_programs(self.spec)
         started = perf_counter()
         flux_program.run(
-            [plane for view in stencil_views(padded, ng) for plane in field_views(view)]
+            [plane for view in stencil_views(window, ng) for plane in field_views(view)]
             + [self.config.gamma],
             field_views(flux),
             self.workspace,
@@ -398,118 +373,24 @@ class StepEngine:
         self.seconds["riemann"] += perf_counter() - started
         return flux
 
-    def _difference_into(
-        self, padded_strip: np.ndarray, spacing: float, target: np.ndarray
-    ) -> None:
-        """One strip's ``-(F[i+1] - F[i]) / spacing`` into ``target``: the
-        flux program interpreted (:meth:`riemann`) and three ufuncs."""
-        flux = self.riemann(padded_strip)
+    def sweep_axis0(self, window, spacing: float, targets, kind: str = "write") -> None:
+        """One sweep strip, either axis (``sweep_axis1`` is this method):
+        the flux program over a filled ``window`` (:meth:`riemann`), then
+        the flux difference IR of ``kind`` — ``"write"`` or
+        ``"accumulate"`` — per field into ``targets``, the strip's field
+        planes of ``k`` in sweep layout
+        (:func:`~repro.jit.numpy_eval.sweep_planes`)."""
+        flux = self.riemann(window)
         started = perf_counter()
-        np.subtract(flux[1:], flux[:-1], out=target)
-        np.negative(target, out=target)
-        np.divide(target, spacing, out=target)
+        program = numpy_program("difference", kind)
+        for target, plane in zip(targets, field_views(flux)):
+            faces = [plane[1:], plane[:-1], spacing]
+            program.run(
+                [target] + faces if kind == "accumulate" else faces, [target], self.workspace
+            )
         self.seconds["difference"] += perf_counter() - started
 
-    def _fill_ghosts(self, padded: np.ndarray, phase) -> None:
-        """Fill the ghost layers of a sweep from the phase's fill records:
-        ``padded[:, b]`` is one member's own padded array and its reverse
-        puts the high edge at the low end, so every record is one
-        :func:`~repro.euler.boundary.apply_fill` over its along-edge
-        segment; a foreign record runs its condition's own ``fill``."""
-        ng = self.ghost_cells
-        for record in phase.fills:
-            slab = padded[:, record.member]
-            if record.side:
-                slab = slab[::-1]
-            window = slab if slab.ndim == 2 else slab[:, record.start : record.stop]
-            if record.condition is not None:
-                record.condition.fill(window, ng)
-            else:
-                apply_fill(window, ng, record.kind, record.state)
-
-    def sweep_axis0(self, phase, primitive: np.ndarray, out: np.ndarray) -> None:
-        """Axis-0 sweep phase: pad, fill edges, flux, difference — *writes*
-        ``out``.
-
-        The whole reconstruct/riemann/difference chain runs strip by
-        strip: a strip owning output rows ``[start, stop)`` reads padded
-        rows ``[start, stop + 2 ng)`` — its window — and produces faces
-        ``[start, stop + 1)``.  Every kernel in the chain is elementwise
-        per face, so each strip's values are bit-for-bit the rows a
-        one-strip pass would produce (adjacent strips just recompute one
-        shared face).
-        """
-        ng, nx = self.ghost_cells, self.member_shape[0]
-        padded = self.workspace.array(
-            "engine.padded_x", (nx + 2 * ng, self.batch) + self.member_shape[1:]
-        )
-        started = perf_counter()
-        padded[ng : ng + nx] = primitive.swapaxes(0, 1)
-        self._fill_ghosts(padded, phase)
-        self.seconds["bc"] += perf_counter() - started
-        target = out.swapaxes(0, 1)
-        for tile in phase.tiles.tiles:
-            self._difference_into(
-                padded[tile.start : tile.stop + 2 * ng],
-                phase.spacing,
-                target[tile.start : tile.stop],
-            )
-
-    def sweep_axis1(self, phase, primitive: np.ndarray, out: np.ndarray) -> None:
-        """Axis-1 sweep phase — *accumulates* into ``out``.
-
-        The padded array is in sweep layout (axis 1 of the grid along its
-        axis 0, velocity fields swapped, see :meth:`orient_into`); a strip
-        of oriented rows ``[start, stop)`` is added back into the
-        global-layout ``out`` *columns* ``[..., start:stop, :]`` with the
-        swap undone, without materialising the un-oriented copy the seed
-        path makes.
-        """
-        ng, (nx, ny) = self.ghost_cells, self.member_shape[:2]
-        ws = self.workspace
-        padded = ws.array("engine.padded_y", (ny + 2 * ng, self.batch, nx, 4))
-        started = perf_counter()
-        self.orient_into(primitive, padded[ng : ng + ny])
-        self._fill_ghosts(padded, phase)
-        self.seconds["bc"] += perf_counter() - started
-        for tile in phase.tiles.tiles:
-            contribution = ws.array(
-                "engine.contribution_y", (tile.cells,) + padded.shape[1:]
-            )
-            self._difference_into(
-                padded[tile.start : tile.stop + 2 * ng], phase.spacing, contribution
-            )
-            started = perf_counter()
-            # (rows, B, nx, 4) viewed as (B, nx, rows, 4), like ``out``
-            transposed = contribution.transpose(1, 2, 0, 3)
-            columns = out[..., tile.start : tile.stop, :]
-            for field_out, field_src in _SWAP_FIELDS:
-                np.add(
-                    columns[..., field_out],
-                    transposed[..., field_src],
-                    out=columns[..., field_out],
-                )
-            self.seconds["difference"] += perf_counter() - started
-
-    @staticmethod
-    def orient_into(window: np.ndarray, target: np.ndarray) -> None:
-        """``target[j, b, i, f] = window[b, i, j, swap(f)]``: a ``(B, nx,
-        ny, 4)`` window in the y-sweep layout ``(ny, B, nx, 4)``."""
-        transposed = window.transpose(2, 0, 1, 3)
-        for field_out, field_src in _SWAP_FIELDS:
-            np.copyto(target[..., field_out], transposed[..., field_src])
-
-    def combine(self, phase, kind: str, u, v, k, dts, out) -> None:
-        """The stage's Runge-Kutta combine: the combine IR of ``kind``
-        interpreted strip by strip (elementwise, so the cut is free and
-        bounds the program's scratch), each member on its own ``dt``."""
-        program = numpy_program("combine", kind)
-        column = self.dt_column(dts)
-        for tile in phase.tiles.tiles:
-            rows = (slice(None), slice(tile.start, tile.stop))
-            program.run(
-                [u[rows], v[rows], k[rows], column], [out[rows]], self.workspace
-            )
+    sweep_axis1 = sweep_axis0
 
     # -- driver interface -------------------------------------------------
 
@@ -528,15 +409,14 @@ class StepEngine:
         """
         plan = self.stage_plan()
         backend = self.backend
+        fresh, self._fresh_primitive = reuse and self._fresh_primitive, False
         if backend is not None:
-            fresh = reuse and self._fresh_primitive
             ran = backend.step(self, plan, u, k, stages, dts, fresh)
             if ran is not None:
                 flags, count = ran
                 self.rhs_evaluations += count
                 self.tiles_processed += count * plan.sweep_strips
                 self.primitive_conversions += count - fresh
-                self._fresh_primitive = False
                 if flags:
                     state.validate_members(
                         self.workspace.array("engine.primitive", self.grid_shape),
@@ -549,6 +429,7 @@ class StepEngine:
                 return
         for kind, v, out in stages:
             self.rhs_evaluations += 1
+            self.primitive_conversions += not fresh
             self.tiles_processed += plan.sweep_strips
             if backend is None and self.workers >= 2 and plan.team_strips:
                 # A team was asked for, but threads apply only to the
@@ -556,7 +437,8 @@ class StepEngine:
                 self.serialized[NO_KERNEL] = (
                     self.serialized.get(NO_KERNEL, 0) + plan.team_strips
                 )
-            run_stage(plan, self, v, u, k, out, dts, kind, reuse)
+            run_stage(plan, self, v, u, k, out, dts, kind, fresh)
+            fresh = False
 
     def rhs(
         self, u: np.ndarray, out: np.ndarray, use_cached_primitive: bool = False
@@ -589,7 +471,6 @@ class StepEngine:
         elapsed = perf_counter() - started
         self.seconds["rk"] += elapsed - (sum(self.seconds.values()) - booked)
         self.steps_taken += 1
-        self._fresh_primitive = False
         return u
 
     def step(self, u: np.ndarray, dt=None):

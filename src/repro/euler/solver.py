@@ -577,6 +577,11 @@ class _GodunovSolver(_SoleMember):
             if use_engine
             else None
         )
+        if self.engine is None:  # refuse what the engine refuses (a mirror wider than its axis)
+            from repro.jit.kernels import spec_from_config
+            from repro.jit.plan import fill_tables
+
+            fill_tables(spec_from_config(self.config, len(self.spacing)), self.u.shape, [boundaries])
         self._init_clocks(1, watch)
 
     @property

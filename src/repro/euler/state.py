@@ -22,7 +22,6 @@ import numpy as np
 from repro.errors import Neighbourhood, PhysicsError
 from repro.euler.constants import FLOOR, GAMMA
 from repro.euler import eos
-from repro.jit.numpy_eval import field_views, numpy_program
 
 #: At most this many offending cells are listed in a PhysicsError.
 MAX_REPORTED_CELLS = 8
@@ -41,20 +40,9 @@ def ndim_of(state: np.ndarray) -> int:
     raise PhysicsError(f"state arrays must have 3 or 4 fields, got {nfields}")
 
 
-def primitive_from_conservative(
-    u: np.ndarray, gamma: float = GAMMA, out: np.ndarray = None, work=None
-) -> np.ndarray:
-    """Convert conservative ``(rho, rho*u[, rho*v], E)`` to primitive ``(rho, u[, v], p)``.
-
-    With ``out`` (which must not alias ``u``) the conversion is the
-    NumPy program of :func:`emit_primitive_from_conservative`, scratch
-    from ``work`` — the same rounded operations, bit-for-bit.  (The one
-    kernel kept standalone: Runge-Kutta stages 2 and 3 convert without
-    a dt pass to fold it into.)
-    """
+def primitive_from_conservative(u: np.ndarray, gamma: float = GAMMA) -> np.ndarray:
+    """Convert conservative ``(rho, rho*u[, rho*v], E)`` to primitive ``(rho, u[, v], p)``."""
     ndim = ndim_of(u)
-    if out is not None:
-        return _convert_into(u, gamma, out, work)
     rho = u[..., 0]
     p_out = np.empty_like(u)
     p_out[..., 0] = rho
@@ -90,13 +78,6 @@ def conservative_from_primitive(p: np.ndarray, gamma: float = GAMMA) -> np.ndarr
         u_out[..., 2] = rho * vy
         u_out[..., 3] = eos.total_energy(rho, vx * vx + vy * vy, p[..., 3], gamma)
     return u_out
-
-
-def _convert_into(u: np.ndarray, gamma: float, out: np.ndarray, work) -> np.ndarray:
-    """Run the primitive conversion's IR program over field views."""
-    program = numpy_program("convert", "primitive", u.shape[-1])
-    program.run(field_views(u) + [gamma], field_views(out), work)
-    return out
 
 
 def physical_flux(

@@ -5,10 +5,12 @@ One translation unit per specialization, containing:
 * ``flux_point`` — the straight-line per-face flux function (the whole
   ``reconstruct -> riemann`` chain for one face), inlined by the C
   compiler into ``flux_row``, one face row of it (the vectorised loop);
+* ``difference_point``/``accumulate_point`` — the flux difference IR
+  (:func:`repro.jit.kernels.build_difference_ir`, the program the NumPy
+  executor runs): ``-(fc - fp) / dx``, written or added to ``t``;
 * ``repro_jit_sweep`` — the strip sweep: for each face row, compute
   fluxes into one of two rolling row buffers (caller-provided scratch,
-  no allocation), then difference against the previous row exactly as
-  the NumPy path does (``d = f[j] - f[j-1]; d = -d; d = d / dx``);
+  no allocation), then ``difference_point`` against the previous row;
 * ``dt_point`` + ``repro_jit_dt`` — the fused per-cell
   convert+eigenvalue GetDT pass with a per-group NaN-propagating max
   reduction (group = one strip for the solo engine, one member for the
@@ -22,8 +24,8 @@ One translation unit per specialization, containing:
   (the strip's rows of the primitive state in sweep layout plus
   ``ghost_cells`` either side, ghost layers from the fill-record table)
   through the same ``flux_row`` skeleton, difference rows written into
-  ``k`` (axis 0) or added transposed with the velocity swap undone
-  (axis 1: ``k + d``, the one add ``np.add`` performs), then the
+  ``k`` (axis 0, ``difference_point``) or added transposed with the
+  velocity swap undone (axis 1, ``accumulate_point``), then the
   stage's ``combine_*`` point function over ``u``, ``v``, ``k``.  The
   strip loop is inside C;
 * ``repro_jit_step`` — the *step program*: an array of ``repro_stage``
@@ -265,6 +267,7 @@ def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
     doubles), so the map is independent of the cross extent.
     """
     from repro.analysis import deps
+    from repro.jit.kernels import build_difference_ir
 
     cells = deps.LinExpr.var("cells")
     j = deps.LinExpr.var("j")
@@ -322,7 +325,9 @@ def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
             "out": cells,
             "scratch": deps.LinExpr.of(2),
         },
-        opcodes=frozenset(op.opcode for op in flux_ir.ops),
+        opcodes=frozenset(
+            op.opcode for ir in (flux_ir, build_difference_ir("write")) for op in ir.ops
+        ),
         strip_bases={"padded": "start", "out": "start", "scratch": "zero"},
     )
 
@@ -410,14 +415,21 @@ CONVERT_CHUNK = 256
 
 
 def _sweep_kernel(nfields: int, stencil: int) -> List[str]:
-    """``flux_row`` (one face row of ``flux_point``, the vectorised
-    loop) and the standalone strip sweep built on it."""
+    """The flux difference point functions, ``flux_row`` (one face row
+    of ``flux_point``, the vectorised loop) and the standalone strip
+    sweep built on them."""
+    from repro.jit.kernels import build_difference_ir  # imports this module
+
+    lines: List[str] = []
+    for kind, name in (("write", "difference_point"), ("accumulate", "accumulate_point")):
+        lines.append("")
+        lines += _point_function(build_difference_ir(kind), name, {"out": "*out"}, "double* out")
     face_args = ", ".join(
         f"rows[(({k} * cross) + i) * {nfields} + {f}]"
         for k in range(stencil)
         for f in range(nfields)
     )
-    return [
+    return lines + [
         "",
         "/* Fluxes at one face row: rows points at its first stencil row. */",
         "static void flux_row(const double* restrict rows, double* restrict fcur,",
@@ -441,10 +453,7 @@ def _sweep_kernel(nfields: int, stencil: int) -> List[str]:
         "        if (j > 0) {",
         f"            double* target = out + (j - 1) * cross * {nfields};",
         f"            for (long m = 0; m < cross * {nfields}; ++m) {{",
-        "                double d = fcur[m] - fprev[m];",
-        "                d = -d;",
-        "                d = d / dx;",
-        "                target[m] = d;",
+        "                difference_point(fcur[m], fprev[m], dx, target + m);",
         "            }",
         "        }",
         "        double* rotate = fprev; fprev = fcur; fcur = rotate;",
@@ -625,7 +634,8 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
     def sweep_strip(axis: int) -> List[str]:
         """One strip's faces through ``flux_row``, difference rows into
         ``k``: written member by member (axis 0) or added transposed with
-        the velocity swap undone (axis 1)."""
+        the velocity swap undone (axis 1), one difference point per
+        element."""
         if axis == 0:
             cross, spacing = "B * st->ny", "st->dx"
             emit = [
@@ -634,10 +644,7 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
                 "                const double* fc = fcur + m * inner;",
                 "                const double* fp = fprev + m * inner;",
                 "                for (long c = 0; c < inner; ++c) {",
-                "                    double d = fc[c] - fp[c];",
-                "                    d = -d;",
-                "                    d = d / dx;",
-                "                    target[c] = d;",
+                "                    difference_point(fc[c], fp[c], dx, target + c);",
                 "                }",
                 "            }",
             ]
@@ -650,15 +657,14 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
                 f"                    const double* fp = fprev + (m * nx + i) * {F};",
                 f"                    double* target = k + m * member + i * inner + (s + j - 1) * {F};",
             ]
-            for f in range(F):
-                emit += [
-                    f"                    double d{f} = fc[{f}] - fp[{f}];",
-                    f"                    d{f} = -d{f};",
-                    f"                    d{f} = d{f} / dx;",
-                ]
-            emit += [
-                f"                    target[{swapped[f]}] = target[{swapped[f]}] + d{f};"
+            # every read before the first write: fc, fp may alias k for all C knows
+            emit += [f"                    double sum[{F}];"] + [
+                f"                    accumulate_point(target[{swapped[f]}], fc[{f}],"
+                f" fp[{f}], dx, sum + {f});"
                 for f in range(F)
+            ]
+            emit += [
+                f"                    target[{swapped[f]}] = sum[{f}];" for f in range(F)
             ]
             emit += ["                }", "            }"]
         return [

@@ -8,8 +8,7 @@ to the allocating reference functions:
 
 * the **flux kernel** — the whole per-face ``reconstruct -> riemann``
   chain from one stencil of primitive cells to one numerical flux
-  vector (the difference step follows it: three ufuncs on the NumPy
-  executor, the sweep skeleton of :mod:`repro.jit.codegen` in C);
+  vector (the flux difference follows it, :func:`build_difference_ir`);
 * the **dt kernel** — the fused per-cell ``convert -> eigenvalue``
   GetDT integrand, including the primitive conversion the engine keeps
   fresh for the first Runge-Kutta stage.
@@ -26,12 +25,12 @@ stencil the flux kernel carries the whole eigenvector projection
 (:func:`repro.euler.reconstruction.characteristic.
 emit_reconstruct_characteristic`).
 
-Beside the pair stand the two other pointwise bodies of a stage
+Beside the pair stand the other pointwise bodies of a stage
 (:mod:`repro.jit.plan`): the **standalone conversion**, which
-Runge-Kutta stages 2 and 3 run without a dt pass
-(:func:`repro.euler.state.primitive_from_conservative` with ``out=``),
-and the **combines** of the TVD-RK schedules
-(:func:`repro.euler.rk.emit_combine`).  Both are spec-independent; every
+Runge-Kutta stages 2 and 3 run without a dt pass, the **flux
+differences** a sweep writes (axis 0) or accumulates (axis 1) into
+``k``, and the **combines** of the TVD-RK schedules
+(:func:`repro.euler.rk.emit_combine`).  All are spec-independent; every
 translation unit carries them next to its flux and dt kernels.
 """
 
@@ -58,6 +57,8 @@ __all__ = [
     "standalone_kernels",
     "build_standalone_ir",
     "build_combine_ir",
+    "DIFFERENCES",
+    "build_difference_ir",
 ]
 
 
@@ -238,22 +239,32 @@ def kernel_source(spec: KernelSpec) -> str:
 # -- the standalone kernel -----------------------------------------------
 
 #: Parameters a program's caller binds to floats, not arrays.
-SCALAR_PARAMS = ("gamma", "sp0", "sp1")
+SCALAR_PARAMS = ("gamma", "sp0", "sp1", "dx")
+
+#: What a sweep does with its flux difference: sweep 0 writes ``k``,
+#: sweep 1 adds to it.
+DIFFERENCES = ("write", "accumulate")
 
 
 def standalone_kernels() -> List[Tuple]:
-    """Every ``(kind, *key)`` :func:`build_standalone_ir` builds: the
-    primitive conversion per field count."""
-    return [("convert", "primitive", nfields) for nfields in (3, 4)]
+    """Every ``(kind, *key)`` :func:`build_standalone_ir` builds ahead of
+    time: the primitive conversion per field count and the two flux
+    differences."""
+    return [("convert", "primitive", nfields) for nfields in (3, 4)] + [
+        ("difference", kind) for kind in DIFFERENCES
+    ]
 
 
 def build_standalone_ir(kind: str, *key) -> KernelIR:
     """The IR of a stage body that no spec's pair contains: the
     conversion ``("convert", "primitive", nfields)``, named
     ``convert_primitive_N`` — conservative ``q*`` fields and ``gamma`` in,
-    the primitive fields ``out0..`` out — or ``("combine", kind)``."""
+    the primitive fields ``out0..`` out — ``("difference", kind)`` or
+    ``("combine", kind)``."""
     if kind == "combine":
         return build_combine_ir(*key)
+    if kind == "difference":
+        return build_difference_ir(*key)
     if kind != "convert" or len(key) != 2 or key[0] != "primitive":
         raise ValueError(f"unknown standalone kernel {(kind, *key)!r}")
     nfields = key[1]
@@ -278,3 +289,19 @@ def build_combine_ir(kind: str) -> KernelIR:
     ir = b.finish()
     assert ir.ops[-1].name == ir.outputs[0][1]
     return ir
+
+
+def build_difference_ir(kind: str) -> KernelIR:
+    """The IR of a sweep's flux difference (:data:`DIFFERENCES`): per
+    element, the fluxes ``fc``/``fp`` at a cell's high and low face and
+    the sweep's spacing ``dx`` in, ``out = -(fc - fp) / dx`` out — or,
+    ``"accumulate"``, ``out = t + that`` for the stage's ``t``.  The
+    output is the last op, so ``out`` may alias ``t``."""
+    if kind not in DIFFERENCES:
+        raise ValueError(f"unknown flux difference {kind!r}; have {DIFFERENCES}")
+    b = IRBuilder(f"difference_{kind}")
+    t = b.param("t") if kind == "accumulate" else None
+    fc, fp, dx = (b.param(name) for name in ("fc", "fp", "dx"))
+    d = b.div(b.neg(b.sub(fc, fp)), dx)
+    b.output("out", d if t is None else b.add(t, d))
+    return b.finish()

@@ -25,14 +25,16 @@ chain beside it (DESIGN.md, "Single-source kernels").  The contract:
 A program is immutable once built: threads may share it, each running
 on its own workspace.
 
-:func:`run_stage` is the same executor one level up: it interprets a
+:func:`run_stage` is the same executor one level up: it walks a
 :class:`~repro.jit.plan.StagePlan` — the plan the compiled
-``repro_jit_stage`` runs inside C — phase by phase.
+``repro_jit_stage`` runs inside C — phase by phase and strip by strip,
+each sweep strip on a strip-private window (:func:`fill_window`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from time import perf_counter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +46,9 @@ __all__ = [
     "kernel_programs",
     "numpy_program",
     "field_views",
+    "sweep_planes",
+    "ghost_table",
+    "fill_window",
     "run_stage",
 ]
 
@@ -98,28 +103,97 @@ def numpy_program(kind: str, *key) -> "NumpyProgram":
     return NumpyProgram(ir, SCALAR_PARAMS)
 
 
-def run_stage(plan, handlers, v, u, k, out, dts, combine, reuse) -> None:
-    """Interpret one Runge-Kutta stage of ``plan``, phase by phase.
-
-    ``handlers`` (the engine) supplies one method per phase kind:
-    ``primitive_into`` + ``validate`` for the conversion and its
-    admissibility check, ``sweep_axis0``/``sweep_axis1`` for the strip
-    sweeps into ``k`` and ``combine`` for the stage's target ``out``
-    (``combine`` is a kind of :data:`repro.euler.rk.COMBINES`, or None
-    for a bare ``k = L(v)``; ``reuse`` lets the conversion consume one the
-    dt pass left fresh).  The phase order, the strips and the fill
-    records are the plan's — what the compiled stage reads.
-    """
-    primitive = None
+def run_stage(plan, engine, v, u, k, out, dts, combine, fresh) -> None:
+    """Interpret one Runge-Kutta stage of ``plan`` phase by phase and strip
+    by strip, as ``repro_jit_stage`` runs it in C: ``k = L(v)`` and, with
+    ``combine`` a kind of :data:`repro.euler.rk.COMBINES`, ``out =
+    combine(u, v, k, dts)``.  The conversion (the dt pass's when
+    ``fresh``) is validated over the whole primitive buffer; each sweep
+    strip's window is filled here and run by the engine's strip entry
+    (``sweep_axis0``, also named ``sweep_axis1``)."""
+    ws, ng = engine.workspace, plan.spec.ghost_cells
+    primitive = ws.array("engine.primitive", engine.grid_shape)
+    seconds = engine.seconds
     for phase in plan.phases:
         if phase.kind == "convert":
-            primitive = handlers.primitive_into(v, reuse=reuse)
-            handlers.validate(primitive)
+            if not fresh:
+                for s, e in phase.layout:
+                    engine.primitive_into(v[:, s:e], primitive[:, s:e])
+            engine.validate(primitive)
         elif phase.kind == "sweep":
-            sweep = handlers.sweep_axis1 if phase.axis else handlers.sweep_axis0
-            sweep(phase, primitive, k)
+            started = perf_counter()
+            sources = sweep_planes(primitive, phase.axis)
+            ghosts = ghost_table(ws, phase, sources, ng)
+            targets = sweep_planes(k, phase.axis)
+            seconds["bc"] += perf_counter() - started
+            sweep = engine.sweep_axis1 if phase.axis else engine.sweep_axis0
+            kind = "accumulate" if phase.axis else "write"
+            for s, e in phase.layout:
+                started = perf_counter()
+                window = ws.array("engine.window", (e - s + 2 * ng,) + ghosts.shape[2:])
+                fill_window(window, sources, ghosts, s, ng)
+                seconds["bc"] += perf_counter() - started
+                sweep(window, phase.spacing, [plane[s:e] for plane in targets], kind)
         elif combine is not None:
-            handlers.combine(phase, combine, u, v, k, dts, out)
+            program = numpy_program("combine", combine)
+            column = engine.dt_column(dts)
+            for s, e in phase.layout:
+                rows = (slice(None), slice(s, e))
+                program.run([u[rows], v[rows], k[rows], column], [out[rows]], ws)
+
+
+def sweep_planes(array: np.ndarray, axis: int) -> List[np.ndarray]:
+    """The field planes of a ``(B, cells..., F)`` stack in the sweep layout
+    of ``axis``, as views: the sweep axis first, members next — on axis 1
+    the grid transposed and ``u``, ``v`` exchanged."""
+    if axis == 0:
+        return [plane.swapaxes(0, 1) for plane in field_views(array)]
+    return [array[..., field].transpose(2, 0, 1) for field in (0, 2, 1, 3)]
+
+
+def ghost_table(work, phase, sources, ng: int) -> np.ndarray:
+    """One sweep's ghost layers from its fill records, in table order:
+    ``table[side]`` is an edge at the low end (the high edge reversed),
+    ghost rows ``[0, ng)`` then the interior rows they are filled from.
+    A record is one :func:`~repro.euler.boundary.apply_fill` on its
+    member's along-edge segment; a foreign one runs its condition's own
+    ``fill`` on the member's padded column along that segment.
+    (Imported here: :mod:`repro.euler` imports this module.)"""
+    from repro.euler.boundary import apply_fill
+
+    n, row = len(sources[0]), sources[0].shape[1:] + (len(sources),)
+    table = work.array("engine.ghosts", (2, 2 * ng) + row)
+    inner = min(n, ng)  # a copy reads one interior row, a mirror ng (fill_tables)
+    for field, plane in enumerate(sources):
+        table[0, ng : ng + inner, ..., field] = plane[:inner]
+        table[1, ng : ng + inner, ..., field] = plane[::-1][:inner]
+    for record in phase.fills:
+        along = (slice(record.start, record.stop),) if len(row) > 2 else ()
+        end = table[(record.side, slice(None), record.member) + along]
+        if record.condition is None:
+            apply_fill(end, ng, record.kind, record.state)
+            continue
+        member = slice(record.member, record.member + 1)
+        column = np.empty((n + 2 * ng, 1) + row[1:])
+        fill_window(column, [plane[:, member] for plane in sources], table[:, :, member], 0, ng)
+        column = column[(slice(None), 0) + along][:: -1 if record.side else 1]
+        record.condition.fill(column, ng)
+        end[:ng] = column[:ng]
+    return table
+
+
+def fill_window(window, sources, ghosts, s: int, ng: int) -> None:
+    """Padded rows ``[s, s + len(window))`` of a sweep: the primitive rows
+    on the grid from its :func:`sweep_planes`, the ghost layers off it
+    from its :func:`ghost_table`."""
+    n, e = len(sources[0]), s + len(window) - 2 * ng
+    lo, hi = max(s - ng, 0), min(e + ng, n)
+    for field, plane in enumerate(sources):
+        np.copyto(window[lo - s + ng : hi - s + ng, ..., field], plane[lo:hi])
+    if s < ng:  # low ghost layers: padded rows [s, ng)
+        window[: ng - s] = ghosts[0, s:ng]
+    if e + ng > n:  # high ghost layers: padded rows [n + ng, e + 2 ng)
+        window[n + ng - s :] = ghosts[1, ng - 1 :: -1][: e + ng - n]
 
 
 def field_views(array: np.ndarray) -> List[np.ndarray]:

@@ -5,21 +5,23 @@ A :class:`StagePlan` is the second IR level, above
 for one engine (spec x member shape x B x boundary sets x strip plans)::
 
     convert(+admissibility flags)
-      -> sweep 0  [strip: window + ghost fill -> flux -> difference -> write]
-      -> sweep 1  [strip: orient + ghost fill -> flux -> difference -> accumulate]
+      -> sweep 0  [strip: window + ghost rows -> flux -> difference -> write]
+      -> sweep 1  [strip: window + ghost rows -> flux -> difference -> accumulate]
       -> combine
 
 Its pointwise bodies are kernel IR written once (the conversion,
-:func:`repro.euler.state.emit_primitive_from_conservative`; the TVD-RK
-combines, :func:`repro.euler.rk.emit_combine`; the spec's flux program)
-and its ghost fill is data: a table of :class:`FillRecord` the boundary
-conditions *produce* (:func:`repro.euler.boundary.record_of`).  Two
-executors read the same plan: :class:`~repro.jit.backend.JitBackend`
-marshals it into the generated ``repro_jit_stage`` entry point — strip
-loop and strip-private windows inside C, a whole RK step of stages one
-crossing of ``repro_jit_step`` — and
-:func:`repro.jit.numpy_eval.run_stage` interprets it phase by phase
-through the engine's NumPy handlers.
+:func:`repro.euler.state.emit_primitive_from_conservative`; the spec's
+flux program; the flux differences,
+:func:`repro.jit.kernels.build_difference_ir`; the TVD-RK combines,
+:func:`repro.euler.rk.emit_combine`) and its ghost fill is data: a table
+of :class:`FillRecord` the boundary conditions *produce*
+(:func:`repro.euler.boundary.record_of`).  Two executors walk the same
+plan strip by strip, a sweep strip ``[s, e)`` on a strip-private window
+of the primitive rows ``[s - ng, e + ng)`` in sweep layout:
+:class:`~repro.jit.backend.JitBackend` marshals it into the generated
+``repro_jit_stage`` entry point — a whole RK step one crossing of
+``repro_jit_step`` — and :func:`repro.jit.numpy_eval.run_stage` runs
+the same bodies as NumPy programs.
 
 Every phase is cut along the strips of a tile plan (convert and combine
 along sweep 0's), so a phase is also a unit of team work: with two or
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.euler.boundary import EdgeSpec, record_of
 from repro.euler.tiling import TilePlan
 
@@ -137,7 +140,8 @@ def fill_tables(spec, member_shape: Sequence[int], boundaries):
     the compiled fill cannot serve them (None if it can).
 
     ``boundaries`` holds one ``BoundarySet1D``/``BoundarySet2D`` per
-    member.  A condition that offers no record becomes a foreign one.
+    member.  A condition that offers no record becomes a foreign one; a
+    mirror on an axis narrower than the ghost width is refused.
     """
     tables = []
     declined = None
@@ -159,9 +163,10 @@ def fill_tables(spec, member_shape: Sequence[int], boundaries):
                             " has no fill record"
                         )
                     elif kind == "mirror" and member_shape[axis] < spec.ghost_cells:
-                        # The mirror image would reach past the far edge.
-                        declined = declined or (
-                            "mirror fill on an axis narrower than its ghost width"
+                        raise ConfigurationError(  # its image would pass the far edge
+                            f"{type(condition).__name__} on axis {axis} mirrors {spec.ghost_cells}"
+                            f" ghost rows (the ghost width of {spec.reconstruction}) but the"
+                            f" axis has only {member_shape[axis]} cell(s)"
                         )
                     records.append(
                         FillRecord(
@@ -207,7 +212,7 @@ def phase_access_maps(spec, flux_ir=None):
     """
     from repro.analysis import deps
     from repro.euler.rk import COMBINES
-    from repro.jit.kernels import build_combine_ir, build_standalone_ir, kernel_irs
+    from repro.jit.kernels import DIFFERENCES, build_combine_ir, build_standalone_ir, kernel_irs
 
     cells = deps.LinExpr.var("cells")
     r = deps.LinExpr.var("r")
@@ -251,7 +256,7 @@ def phase_access_maps(spec, flux_ir=None):
                     kernel=f"stage_sweep{axis}_{spec.symbol()}",
                     accesses=tuple(accesses),
                     extents={"k": cells, "window": cells + 2 * ng},
-                    opcodes=opcodes(flux_ir),
+                    opcodes=opcodes(flux_ir, build_standalone_ir("difference", DIFFERENCES[axis])),
                     strip_bases={"window": "zero"},
                     axes={"prim": axis, "k": axis},
                 ),

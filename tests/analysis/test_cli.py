@@ -154,7 +154,7 @@ class TestJitMatrixLint:
         out = capsys.readouterr().out
         assert "jit kernel matrix: 232 spec(s) verified, 0 finding(s)" in out
         assert "jit stage plans: 232 plan(s) proved" in out and "barriers), 0 finding(s)" in out
-        assert "jit total: 232 specs + 232 stage plans + 2 standalone IRs" in out
+        assert "jit total: 232 specs + 232 stage plans + 4 standalone IRs" in out
         assert "0 error(s)" in out
 
     def test_stage_plan_lint_demands_every_phase_barrier(self):
@@ -292,8 +292,9 @@ class TestJitMatrixLint:
 
     def test_standalone_numpy_kernels_are_linted(self, capsys, monkeypatch):
         """``--jit`` also verifies the standalone IRs that remain beside
-        the 232 fused specs (the primitive conversion per field count):
-        clean today, and a broken emitter is named ahead of time."""
+        the 232 fused specs (the primitive conversion per field count and
+        the two flux differences): clean today, and a broken emitter is
+        named ahead of time."""
         from repro.analysis.cli import lint_numpy_kernels
         from repro.analysis.diag import DiagnosticEngine
         from repro.jit import kernels
@@ -301,9 +302,9 @@ class TestJitMatrixLint:
         assert main(["--jit"]) == 0
         out = capsys.readouterr().out
         count = len(kernels.standalone_kernels())
-        assert count == 2
+        assert count == 4
         assert "jit kernel matrix: 232 spec(s) verified, 0 finding(s)" in out
-        assert "numpy kernel programs: 2 standalone IR(s) verified, 0 finding(s)" in out
+        assert "numpy kernel programs: 4 standalone IR(s) verified, 0 finding(s)" in out
 
         def broken(b, fields, gm1):
             return [b.add(fields[0], "v_undefined")] * len(fields)

@@ -451,7 +451,9 @@ class TestCompileLayer:
         for _ in range(2):
             assert jit.step() == oracle.step()
         assert np.max(np.abs(jit.u - oracle.u)) == 0.0
-        assert jit.engine._tile_plans == oracle.engine._tile_plans
+        assert [phase.tiles for phase in jit.engine.stage_plan().sweeps] == [
+            phase.tiles for phase in oracle.engine.stage_plan().sweeps
+        ]
         assert jit.engine.counters()["tiles"] == oracle.engine.counters()["tiles"]
         stats = _jit_stats(jit)
         assert stats["sweep_calls"] == 0 and not stats["compiled"]

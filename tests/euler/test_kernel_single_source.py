@@ -63,7 +63,7 @@ from repro.jit import codegen
 from repro.jit import compile as jit_compile
 from repro.jit.ir import IRBuilder
 from repro.jit.kernels import SCALAR_PARAMS, build_dt_ir, build_flux_ir, spec_from_config
-from repro.jit.numpy_eval import NumpyProgram, field_views, kernel_programs
+from repro.jit.numpy_eval import NumpyProgram, field_views, kernel_programs, numpy_program
 
 GAMMA = 1.4
 LIMITERS = ("minmod", "superbee", "vanleer", "mc")
@@ -368,7 +368,9 @@ def test_conversions_in_place_equal_allocating(nfields, case):
         assert_same_bits(u_out, u)
         back = state.primitive_from_conservative(u_out, GAMMA)
         p_out = carve(case.shape, nfields, case.layout)
-        state.primitive_from_conservative(u_out, GAMMA, out=p_out, work=WORK)
+        numpy_program("convert", "primitive", nfields).run(
+            field_views(u_out) + [GAMMA], field_views(p_out), WORK
+        )
         assert_same_bits(p_out, back)
 
 
@@ -464,10 +466,11 @@ def test_no_kernel_entry_point_takes_out_or_work():
         reconstruct_component,
         reconstruct_characteristic,
         state.conservative_from_primitive,
+        state.primitive_from_conservative,
         max_eigenvalue,
         get_dt,
     ]
-    assert len(entry_points) == 13
+    assert len(entry_points) == 14
     for function in entry_points:
         assert not {"out", "work"} & set(inspect.signature(function).parameters), function
 
@@ -478,11 +481,12 @@ def test_no_kernel_entry_point_takes_out_or_work():
 def difference_into(engine, padded, spacing, target):
     """One padded strip through ``flux -> difference`` on the engine's
     executor: the compiled sweep kernel (the ``flux_row`` skeleton the
-    stage runs on its windows) or the interpreted flux program."""
+    stage runs on its windows) or the NumPy executor's strip entry: the
+    interpreted flux program and flux difference IR."""
     if engine.backend is not None:
         assert engine.backend.sweep(engine, padded, spacing, target)
     else:
-        engine._difference_into(padded, spacing, target)
+        engine.sweep_axis0(padded, spacing, field_views(target))
 
 
 def engine_pair(config, member_shape, spacing, members=1):
@@ -797,14 +801,18 @@ def test_planned_row_bytes_cover_what_a_strip_holds(
         np.random.default_rng(3), (rows + 2 * ghost,) + cross, nfields, "contiguous"
     )
     target = np.empty((rows,) + cross + (nfields,))
-    plan = engine._sweep_plan(padded.shape)
+    plan = engine.stage_plan().sweeps[0].tiles
     assert len(plan) == 1 and plan.strip_rows == rows
     with np.errstate(all="ignore"):
-        engine._difference_into(padded, 0.1, target)
+        engine.sweep_axis0(padded, 0.1, field_views(target))
     names = {key[0] for key in engine.workspace._arrays}
     flux_program, _ = kernel_programs(engine.spec)
+    difference = numpy_program("difference", "write")
     assert names == {"engine.flux"} | {
-        f"{flux_program.name}.{dtype}" for dtype, slots in flux_program.slots.items() if slots
+        f"{program.name}.{dtype}"
+        for program in (flux_program, difference)
+        for dtype, slots in program.slots.items()
+        if slots
     }
     held = engine.workspace.nbytes + padded.nbytes + target.nbytes
     assert plan.row_bytes == tiling.sweep_row_bytes(

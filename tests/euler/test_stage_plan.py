@@ -3,16 +3,17 @@
 One generated differential holds the whole lattice over the plan —
 compiled stage == NumPy-interpreted stage == allocating seed step at 0.0
 — on drawn (method tuple, RK order, 1-D / 2-D ragged shapes, B, strip
-budget, team size, uniform and piecewise edges of every fill kind), on
-smooth states and on the nasty-state corpus of
+budget, team size, uniform, piecewise and overlapping edges of every
+fill kind), on smooth states and on the nasty-state corpus of
 ``test_kernel_single_source.py`` (a nasty state may make a step *raise*:
 then every executor raises the same error).  The rest pins what the plan
 promises beside the bits: the same :class:`PhysicsError` from both
 executors when a state goes bad in RK stage 2, ``u`` untouched; one
 crossing per serial RK step (the step program), bound once per
 state-buffer set; scratch per worker, not per strip; a boundary
-condition without a fill record degrading loudly; phase seconds that
-still add up when they come from C.
+condition without a fill record degrading loudly; a mirror wider than
+its axis refused by every constructor; phase seconds that still add up
+when they come from C.
 """
 
 import hashlib
@@ -39,7 +40,13 @@ from repro.euler.boundary import (
 from repro.euler.engine import StepEngine
 from repro.euler.reconstruction import get_scheme
 from repro.euler.riemann import RIEMANN_SOLVERS
-from repro.euler.solver import EulerSolver1D, EulerSolver2D, SolverConfig
+from repro.euler.solver import (
+    EnsembleMember,
+    EulerEnsemble2D,
+    EulerSolver1D,
+    EulerSolver2D,
+    SolverConfig,
+)
 from repro.jit.plan import fill_tables
 from repro.jit.kernels import spec_from_config
 
@@ -75,8 +82,9 @@ draws = st.builds(
     # 0 is "no budget" (one strip)
     strip_rows=st.sampled_from((1, 3, 0)),
     workers=st.sampled_from((1, 2)),
-    # per member and edge: a uniform kind or the piecewise mix of all three
-    edges=st.lists(st.sampled_from("TWIP"), min_size=12, max_size=12),
+    # per member and edge: a uniform kind, the piecewise mix of all three
+    # or two overlapping segments
+    edges=st.lists(st.sampled_from("TWIPO"), min_size=12, max_size=12),
     seed=st.integers(0, 2**32 - 1),
     features=st.sets(
         st.sampled_from(("vacuum", "thin", "cold", "jump", "still", "nan", "inf")),
@@ -91,7 +99,10 @@ def condition(code, ndim):
 
 def edge_spec(code, ndim):
     """``P`` is inflow | wall | open along the edge, the wall's end left
-    to Python's slice semantics."""
+    to Python's slice semantics; ``O`` a wall on ``[0, 5)`` overlapped by
+    inflow from 3 on, the later segment winning ``[3, 5)``."""
+    if code == "O":
+        return EdgeSpec().add(0, 5, condition("W", ndim)).add(3, None, condition("I", ndim))
     if code != "P":
         return EdgeSpec.uniform(condition(code, ndim))
     return (
@@ -107,7 +118,7 @@ def boundary_sets(draw):
     sets = []
     for _ in range(draw.members):
         if draw.ndim == 1:
-            low, high = (next(codes).replace("P", "W") for _ in range(2))
+            low, high = (next(codes).replace("P", "W").replace("O", "I") for _ in range(2))
             # a bare condition on one end, a uniform EdgeSpec on the other
             sets.append(BoundarySet1D(condition(low, 1), edge_spec(high, 1)))
         else:
@@ -488,28 +499,47 @@ class Sponge(BoundaryCondition):
 def test_a_boundary_kind_without_a_fill_record_degrades_loudly(rng):
     """The plan runs on the NumPy executor through the condition's own
     ``fill`` — counted under a reason naming the class, equal at 0.0 to
-    the all-NumPy run — never a silently skipped ghost fill."""
+    the all-NumPy run and to the seed stepper member by member — never a
+    silently skipped ghost fill.  Three members, the sponge on member 1's
+    left edge only; then again on a strip plan whose first strip is
+    shorter than the ghost width, so the next strip's window still takes
+    a ghost row.  No whole-grid sweep buffer is held either way."""
     shape = (9, 13)
-    left = EdgeSpec().add(0, 4, ReflectiveWall()).add(4, None, Sponge())
-    boundaries = [
-        BoundarySet2D(left, *(EdgeSpec.uniform(Transmissive()) for _ in range(3)))
-    ]
-    config = SolverConfig(reconstruction="tvd2", tile_bytes=4000)
-    u0 = state.conservative_from_primitive(smooth(rng, (1,) + shape, 4), GAMMA)
-    engines = [
-        StepEngine(shape + (4,), SPACING[2], config, boundaries, backend=backend)
-        for backend in ("numpy", "jit")
-    ]
-    (expected, _), (actual, _) = (stepped(engine, u0) for engine in engines)
-    assert_same_bits(actual, expected)
-    stats = engines[1].counters()["jit"]
-    assert stats["stage_calls"] == 0
-    (reason, count), = stats["fallbacks"].items()
-    assert "Sponge" in reason and count > 0
-    # ... and it sized its strips for the NumPy program that ran
-    assert engines[1]._tile_plans == engines[0]._tile_plans
+    sponged = EdgeSpec().add(0, 4, ReflectiveWall()).add(4, None, Sponge())
+    rest = [EdgeSpec.uniform(Transmissive()) for _ in range(3)]
+    walled = BoundarySet2D(EdgeSpec.uniform(ReflectiveWall()), *rest)
+    boundaries = [walled, BoundarySet2D(sponged, *rest), walled]
+    p = smooth(rng, (3,) + shape, 4)
+    u0 = state.conservative_from_primitive(p, GAMMA)
+    for tile_bytes in (4000, 1):
+        config = SolverConfig(reconstruction="tvd2", tile_bytes=tile_bytes)
+        engines = [
+            StepEngine(shape + (4,), SPACING[2], config, boundaries, backend=backend)
+            for backend in ("numpy", "jit")
+        ]
+        (expected, _), (actual, _) = (stepped(engine, u0) for engine in engines)
+        assert_same_bits(actual, expected)
+        for index in range(3):
+            seed = EulerSolver2D(
+                p[index], *SPACING[2], boundaries[index], config, use_engine=False
+            )
+            seed.step()
+            seed.step()
+            assert_same_bits(expected[index], seed.u)
+        stats = engines[1].counters()["jit"]
+        assert stats["stage_calls"] == 0
+        (reason, count), = stats["fallbacks"].items()
+        assert "Sponge" in reason and count > 0
+        # ... and it sized its strips for the NumPy program that ran
+        sweeps = [[phase.tiles for phase in engine.stage_plan().sweeps] for engine in engines]
+        assert sweeps[1] == sweeps[0]
+        names = {key[0] for key in engines[0].workspace._arrays}
+        assert not [name for name in names if name.startswith(("engine.padded", "engine.contrib"))]
+    first = engines[0].stage_plan().sweeps[0].tiles.tiles[0]
+    assert first.cells < engines[0].ghost_cells
     # with the sponge gone the same edge is served, so the fill mattered
-    plain = [BoundarySet2D(EdgeSpec.uniform(ReflectiveWall()), *boundaries[0].for_axis(1), boundaries[0].top)]
+    plain = [walled] * 3
+    config = SolverConfig(reconstruction="tvd2", tile_bytes=4000)
     other = StepEngine(shape + (4,), SPACING[2], config, plain, backend="jit")
     assert np.max(np.abs(stepped(other, u0)[0] - expected)) > 0.0
 
@@ -530,15 +560,48 @@ def test_fill_tables_hold_one_record_per_segment_in_application_order():
     assert [(r.start, r.stop) for r in tables[1][:3]] == [(0, 3), (3, 7), (7, 9)]
     assert tables[0][0].state == INFLOW[2]
     # a mirror image must fit the axis it reflects
-    narrow, declined = fill_tables(
-        spec, (1, 13, 4), [BoundarySet2D(*(edge_spec("W", 2) for _ in range(4)))]
-    )
-    assert declined is not None and "narrower" in declined
+    with pytest.raises(ConfigurationError, match="axis 0 mirrors 2 ghost rows .* only 1 cell"):
+        fill_tables(spec, (1, 13, 4), [BoundarySet2D(*(edge_spec("W", 2) for _ in range(4)))])
     with pytest.raises(ConfigurationError, match="1-D"):
         fill_tables(
             spec_from_config(SolverConfig(), 1), (17, 3),
             [BoundarySet1D(edge_spec("P", 1), Transmissive())],
         )
+
+
+def test_a_mirror_wider_than_its_axis_is_refused_by_every_constructor():
+    """A ``(1, 8)`` grid under weno3 (two ghost rows) with reflective left
+    and right walls: the mirror along axis 0 would read ghost rows nothing
+    wrote.  The engine, a solo solver on it or on the seed stepper, and
+    an ensemble all refuse it when built, naming the axis, its extent and
+    the ghost width; with zero-gradient left and right edges the same
+    grid steps, engine and seed alike."""
+    p = smooth(np.random.default_rng(8), (1, 8), 4)
+    edges = {code: EdgeSpec.uniform(condition(code, 2)) for code in "TW"}
+    walls = BoundarySet2D(edges["W"], edges["W"], edges["T"], edges["T"])
+    config = SolverConfig()
+    members = [EnsembleMember(f"m{b}", walls, p) for b in range(2)]
+    tube = BoundarySet1D(ReflectiveWall(), Transmissive())
+    builders = [
+        lambda: StepEngine((1, 8, 4), SPACING[2], config, [walls]),
+        lambda: EulerSolver2D(p, *SPACING[2], walls, config),
+        lambda: EulerSolver2D(p, *SPACING[2], walls, config, use_engine=False),
+        lambda: EulerEnsemble2D(members, *SPACING[2], config),
+        lambda: EulerSolver1D(p[:, 0, [0, 1, 3]], *SPACING[1], tube, config),
+        lambda: EulerSolver1D(p[:, 0, [0, 1, 3]], *SPACING[1], tube, config, use_engine=False),
+    ]
+    message = r"axis 0 mirrors 2 ghost rows \(the ghost width of weno3\) but the axis has only 1 "
+    for build in builders:
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+    open_sides = BoundarySet2D(edges["T"], edges["T"], edges["W"], edges["W"])
+    stepped_states = []
+    for use_engine in (True, False):
+        solver = EulerSolver2D(p, *SPACING[2], open_sides, config, use_engine=use_engine)
+        for _ in range(2):
+            solver.step(1e-3)
+        stepped_states.append(solver.u)
+    assert_same_bits(*stepped_states)
 
 
 # -- seconds from C still add up ------------------------------------------

@@ -266,7 +266,7 @@ class TestNumpyStripPlan:
         engine = StepEngine(
             (grid, grid, 4), (0.1, 0.1), config, [all_transmissive_2d()], backend="numpy"
         )
-        plan = engine._sweep_plan((grid + 2 * engine.ghost_cells, 1, grid, 4))
+        plan = engine.stage_plan().sweeps[0].tiles
         assert (plan.row_bytes, len(plan)) == pin
         assert plan.tile_bytes == tiling.DEFAULT_TILE_BYTES
 
