@@ -14,11 +14,14 @@ is that proof engine for the reproduction, shared by two clients:
   of a tile plan touch disjoint output rows.  A passing
   :class:`StripProof` — and only a passing one — licenses the threaded
   strip dispatcher in :class:`repro.jit.backend.JitBackend`;
-* the with-loop checker (:mod:`repro.analysis.wl_check`): generator
-  boxes with *symbolic* bounds become :class:`LinExpr` boxes and
-  :func:`box_relation` delivers real verdicts (proven disjoint, proven
-  overlapping with a concrete witness) where the constant-only logic
-  used to bail.
+* the with-loop checker (:mod:`repro.analysis.wl_check`): every
+  generator is one :class:`LinExpr` box and :func:`box_relation`
+  decides every pair — a constant box is the zero-symbol case, decided
+  exactly; with symbols the verdict is proven disjoint, proven
+  overlapping with a concrete witness, or unknown.
+
+:mod:`repro.analysis.f90_races` writes Fortran subscripts as
+:class:`LinExpr` too, but keeps its own race test.
 
 Everything is affine: a :class:`LinExpr` is ``sum(coef * symbol) +
 const`` over integer symbols.  Comparisons are decided under the

@@ -200,9 +200,6 @@ class DiagnosticEngine:
 
     # -- output ---------------------------------------------------------
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [d.to_dict() for d in self.diagnostics]
-
     def format(self) -> str:
         """Multi-line report plus a severity summary line."""
         lines = [d.format() for d in self.diagnostics]

@@ -16,10 +16,12 @@ the two verdicts loop by loop:
   visible.
 
 The race test per array pair (write/write or write/read): subscripts
-are put in the affine form ``coef * loopvar + terms + const`` where
-``terms`` are loop-invariant symbols.  Two accesses may touch the
-same element in *different* iterations only if every dimension may be
-equal under ``i1 != i2``; one protected dimension (same coefficient,
+become :class:`~repro.analysis.deps.LinExpr` over the loop variable
+and the loop-invariant scalars — the prover's algebra, but not
+:mod:`repro.f90.depend`'s decision procedure, which this check must
+stay independent of.  Two accesses may touch the same element in
+*different* iterations only if every dimension may be equal under
+``i1 != i2``; one protected dimension (same coefficient,
 same terms, same constant, nonzero coefficient — or a constant offset
 not divisible by the coefficient) proves disjointness.  Scalars must
 be private (written before read, every iteration) or match a
@@ -30,8 +32,9 @@ reduction pattern; anything else is carried across iterations.  A
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.analysis.deps import LinExpr
 from repro.analysis.diag import DiagnosticEngine
 from repro.f90 import ast
 from repro.f90.depend import INTRINSIC_NAMES
@@ -298,9 +301,9 @@ def _dim_may_equal_across_iterations(
     second = _affine(two.index, var, varying_scalars)
     if first is None or second is None:
         return True
-    coef1, terms1, const1 = first
-    coef2, terms2, const2 = second
-    if terms1 != terms2:
+    coef1, coef2 = first.coef(var), second.coef(var)
+    rest1, rest2 = first.subst(var, 0), second.subst(var, 0)
+    if rest1.terms != rest2.terms:
         return True  # different invariant symbols — can't compare
     if coef1 != coef2:
         # e.g. A(i) vs A(2*i): equal whenever (coef1-coef2) divides
@@ -309,81 +312,42 @@ def _dim_may_equal_across_iterations(
     if coef1 == 0:
         # iteration-invariant on both sides: the same element every
         # iteration iff the constants agree
-        return const1 == const2
+        return rest1.const == rest2.const
     # same nonzero coefficient: i1 - i2 == (const2 - const1) / coef
-    delta = const2 - const1
+    delta = rest2.const - rest1.const
     return delta != 0 and delta % coef1 == 0
-
-
-#: affine form: (coefficient of the loop var, invariant term key, constant)
-_Affine = Tuple[int, Tuple[Tuple[str, int], ...], int]
 
 
 def _affine(
     expr: Optional[ast.Expr], var: str, varying_scalars: set
-) -> Optional[_Affine]:
+) -> Optional[LinExpr]:
+    """``expr`` over the loop variable and loop-invariant scalars."""
     if expr is None:
         return None
     if isinstance(expr, ast.IntLit):
-        return 0, (), expr.value
+        return LinExpr.of(expr.value)
     if isinstance(expr, ast.Ref) and not expr.has_parens:
-        if expr.name == var:
-            return 1, (), 0
-        if expr.name in varying_scalars:
+        if expr.name != var and expr.name in varying_scalars:
             return None  # value changes between iterations
-        return 0, ((expr.name, 1),), 0
-    if isinstance(expr, ast.UnOp):
+        return LinExpr.var(expr.name)
+    if isinstance(expr, ast.UnOp) and expr.op in ("+", "-"):
+        inner = _affine(expr.operand, var, varying_scalars)
+        if inner is None or expr.op == "+":
+            return inner
+        return -inner
+    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-", "*"):
+        left = _affine(expr.left, var, varying_scalars)
+        right = _affine(expr.right, var, varying_scalars)
+        if left is None or right is None:
+            return None
         if expr.op == "+":
-            return _affine(expr.operand, var, varying_scalars)
+            return left + right
         if expr.op == "-":
-            inner = _affine(expr.operand, var, varying_scalars)
-            if inner is None:
-                return None
-            coef, terms, const = inner
-            return -coef, _negate_terms(terms), -const
-        return None
-    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
-        left = _affine(expr.left, var, varying_scalars)
-        right = _affine(expr.right, var, varying_scalars)
-        if left is None or right is None:
-            return None
-        if expr.op == "-":
-            right = (-right[0], _negate_terms(right[1]), -right[2])
-        return (
-            left[0] + right[0],
-            _merge_terms(left[1], right[1]),
-            left[2] + right[2],
-        )
-    if isinstance(expr, ast.BinOp) and expr.op == "*":
-        left = _affine(expr.left, var, varying_scalars)
-        right = _affine(expr.right, var, varying_scalars)
-        if left is None or right is None:
-            return None
+            return left - right
         for scalar, other in ((left, right), (right, left)):
-            if scalar[0] == 0 and not scalar[1]:  # pure integer constant
-                factor = scalar[2]
-                return (
-                    factor * other[0],
-                    tuple((n, factor * c) for n, c in other[1]),
-                    factor * other[2],
-                )
-        return None
+            if scalar.is_const:  # pure integer constant
+                return other * scalar.const
     return None
-
-
-def _negate_terms(
-    terms: Tuple[Tuple[str, int], ...]
-) -> Tuple[Tuple[str, int], ...]:
-    return tuple((name, -coefficient) for name, coefficient in terms)
-
-
-def _merge_terms(
-    left: Tuple[Tuple[str, int], ...], right: Tuple[Tuple[str, int], ...]
-) -> Tuple[Tuple[str, int], ...]:
-    merged: Dict[str, int] = {}
-    for name, coefficient in left + right:
-        merged[name] = merged.get(name, 0) + coefficient
-    return tuple(sorted((n, c) for n, c in merged.items() if c != 0))
 
 
 def _is_plain(expr: Optional[ast.Expr], name: str) -> bool:

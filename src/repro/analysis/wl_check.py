@@ -3,15 +3,16 @@
 The paper's claim that the SaC compiler "may parallelise every
 with-loop" rests on partitions being *disjoint* (no two generators
 write the same cell) and *in bounds* (every write lands inside the
-result frame).  This checker proves both statically wherever the
-generator bounds are compile-time constants.  *Symbolic* bounds (a
-scalar ``int`` parameter like ``n`` in ``[0] <= [i] < [n]``) become
-affine :class:`~repro.analysis.deps.LinExpr` boxes and the shared
-dependence prover (:func:`repro.analysis.deps.box_relation`) delivers
-real verdicts — proven disjoint under the symbols-nonnegative
-assumption, or proven overlapping with a concrete witness — where the
-constant-only logic used to stay silent.  Anything still undecidable
-stays silent: zero false positives.
+result frame).  Each generator becomes one box with affine
+:class:`~repro.analysis.deps.LinExpr` sides — constants, defines and
+*symbols* (a scalar ``int`` parameter like ``n`` in
+``[0] <= [i] < [n]``) — and the shared dependence prover
+(:func:`repro.analysis.deps.box_relation`) decides every generator
+pair: a constant box is the zero-symbol case, decided exactly; with
+symbols a verdict is proven disjoint under the symbols-nonnegative
+assumption, or proven overlapping with a concrete witness.  The frame,
+body-offset and coverage checks read a box without symbols.  Anything
+undecidable stays silent: zero false positives.
 
 Codes:
 
@@ -39,7 +40,7 @@ Codes:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +52,8 @@ __all__ = ["check_with_loops"]
 
 SOURCE = "wl-check"
 
-#: (lower, upper) vectors of a half-open box, or None when symbolic
-Box = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+#: (lower, upper) integer vectors of a half-open box without symbols
+Corners = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def check_with_loops(
@@ -163,11 +164,12 @@ def _check_with_loop(
         _generator_box(generator, frame, consts)
         for generator in loop.generators
     ]
+    corners = [_corners(box) for box in boxes]
 
-    for generator, box in zip(loop.generators, boxes):
-        if box is None:
+    for generator, corner in zip(loop.generators, corners):
+        if corner is None:
             continue
-        lower, upper = box
+        lower, upper = corner
         if frame is not None:
             rank = len(lower)
             if rank > len(frame):
@@ -193,53 +195,24 @@ def _check_with_loop(
                     stage=stage,
                 )
         if not generator.vector_var:
-            _check_body_offsets(generator, box, where, engine, stage)
+            _check_offsets(
+                generator.index_vars, generator.body, corner, where, engine, stage
+            )
 
-    # pairwise disjointness: constant boxes use the exact integer
-    # check; a pair involving symbolic bounds goes to the shared
-    # dependence prover, whose verdicts hold for all nonnegative
-    # values of the size symbols.
-    count = len(boxes)
-    sym_boxes: List[Optional[deps.SymBox]] = [None] * count
-    if count > 1 and any(box is None for box in boxes):
-        sym_boxes = [
-            _sym_generator_box(generator, frame, consts) if box is None else None
-            for generator, box in zip(loop.generators, boxes)
-        ]
-    symbolic_pairs = 0
+    # pairwise disjointness: the shared dependence prover decides every
+    # pair — a constant pair exactly, a pair with symbols for all
+    # nonnegative values of the size symbols.
+    symbolic = False
     proven_pairs = 0
     total_pairs = 0
-    for first in range(count):
-        for second in range(first + 1, count):
+    for first in range(len(boxes)):
+        for second in range(first + 1, len(boxes)):
             total_pairs += 1
             one, two = boxes[first], boxes[second]
-            if one is not None and two is not None:
-                if len(one[0]) != len(two[0]):
-                    continue
-                if _boxes_overlap(one, two):
-                    engine.error(
-                        "SAC-WL002",
-                        f"generators {first + 1} and {second + 1} overlap: "
-                        f"{list(one[0])}..{list(one[1])} intersects "
-                        f"{list(two[0])}..{list(two[1])} "
-                        "(the partitions are not disjoint, so they cannot "
-                        "be run in parallel)",
-                        source=SOURCE,
-                        where=where,
-                        span=loop.generators[second].span,
-                        stage=stage,
-                    )
-                else:
-                    proven_pairs += 1
+            if one is None or two is None or len(one[0]) != len(two[0]):
                 continue
-            sym_one = sym_boxes[first] if one is None else _concrete_sym(one)
-            sym_two = sym_boxes[second] if two is None else _concrete_sym(two)
-            if sym_one is None or sym_two is None:
-                continue
-            if len(sym_one[0]) != len(sym_two[0]):
-                continue
-            verdict, witness = deps.box_relation(sym_one, sym_two)
-            symbolic_pairs += 1
+            symbolic = symbolic or None in (corners[first], corners[second])
+            verdict, witness = deps.box_relation(one, two)
             if verdict == "overlap":
                 at = ""
                 if witness:
@@ -251,8 +224,7 @@ def _check_with_loop(
                 engine.error(
                     "SAC-WL002",
                     f"generators {first + 1} and {second + 1} overlap{at}: "
-                    f"{_sym_box_text(sym_one)} intersects "
-                    f"{_sym_box_text(sym_two)} "
+                    f"{_box_text(one)} intersects {_box_text(two)} "
                     "(the partitions are not disjoint, so they cannot "
                     "be run in parallel)",
                     source=SOURCE,
@@ -262,7 +234,7 @@ def _check_with_loop(
                 )
             elif verdict == "disjoint":
                 proven_pairs += 1
-    if symbolic_pairs and proven_pairs == total_pairs:
+    if symbolic and proven_pairs == total_pairs:
         engine.note(
             "SAC-WL004",
             f"all {total_pairs} generator pair(s) proven disjoint with "
@@ -274,7 +246,7 @@ def _check_with_loop(
             stage=stage,
         )
 
-    _check_coverage(loop, frame, boxes, where, engine, stage)
+    _check_coverage(loop, frame, corners, where, engine, stage)
 
 
 def _frame_of(
@@ -298,100 +270,56 @@ def _frame_of(
     return None  # fold: no frame, bounds are explicit
 
 
-def _generator_box(
-    generator: ast.Generator,
-    frame: Optional[Tuple[int, ...]],
-    consts: Dict[str, np.ndarray],
-) -> Box:
-    rank = None if generator.vector_var else len(generator.index_vars)
-
-    def side(expr: Optional[ast.Expr]) -> Optional[np.ndarray]:
-        if expr is None:
-            return None
-        value = _const_eval(expr, consts)
-        if value is None:
-            return None
-        vector = np.atleast_1d(value)
-        if vector.ndim != 1 or not np.issubdtype(vector.dtype, np.integer):
-            return None
-        return vector
-
-    lower = side(generator.lower)
-    upper = side(generator.upper)
-    if generator.lower is not None and lower is None:
-        return None
-    if generator.upper is not None and upper is None:
-        return None
-    if upper is None and frame is None:
-        return None
-    if rank is None:
-        for candidate in (lower, upper):
-            if candidate is not None:
-                rank = len(candidate)
-                break
-        else:
-            rank = len(frame)  # type: ignore[arg-type]
-    if lower is None:
-        lower = np.zeros(rank, dtype=int)
-    if upper is None:
-        upper = np.asarray(frame[:rank], dtype=int)
-        inclusive_upper = False
-    else:
-        inclusive_upper = generator.upper_inclusive
-    if len(lower) != rank or len(upper) != rank:
-        return None
-    low = tuple(
-        int(v) + (0 if generator.lower_inclusive or generator.lower is None else 1)
-        for v in lower
-    )
-    high = tuple(int(v) + (1 if inclusive_upper else 0) for v in upper)
-    return low, high
-
-
 def _sym_scalar(
-    expr: ast.Expr, consts: Dict[str, np.ndarray]
+    expr: ast.Expr, name: Callable[[ast.Var], Optional[deps.LinExpr]]
 ) -> Optional[deps.LinExpr]:
-    """``expr`` as an affine expression over scalar ``int`` parameters.
+    """``expr`` as an affine expression; None when it is not one.
 
-    An unknown variable counts as a symbol only when the type checker
-    annotated it as a scalar ``int`` — an unannotated or non-scalar
-    name stays unprovable (None) rather than guessed.
+    ``name`` says what a variable means — a constant, a symbol, or
+    (None) something the expression cannot be affine in.
     """
     if isinstance(expr, ast.IntLit):
         return deps.LinExpr.of(expr.value)
     if isinstance(expr, ast.Var):
-        known = consts.get(expr.name)
-        if known is not None:
-            if known.ndim == 0 and np.issubdtype(known.dtype, np.integer):
-                return deps.LinExpr.of(int(known))
-            return None
-        sac_type = getattr(expr, "sac_type", None)
-        if (
-            sac_type is not None
-            and getattr(sac_type, "base", None) == "int"
-            and getattr(sac_type, "dims", None) == ()
-            and getattr(sac_type, "suffix", ()) == ()
-        ):
-            return deps.LinExpr.var(expr.name)
-        return None
+        return name(expr)
     if isinstance(expr, ast.UnOp) and expr.op == "-":
-        inner = _sym_scalar(expr.operand, consts)
+        inner = _sym_scalar(expr.operand, name)
         return None if inner is None else -inner
-    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
-        left = _sym_scalar(expr.left, consts)
-        right = _sym_scalar(expr.right, consts)
+    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-", "*"):
+        left = _sym_scalar(expr.left, name)
+        right = _sym_scalar(expr.right, name)
         if left is None or right is None:
             return None
-        return left + right if expr.op == "+" else left - right
-    if isinstance(expr, ast.BinOp) and expr.op == "*":
-        left = _sym_scalar(expr.left, consts)
-        right = _sym_scalar(expr.right, consts)
-        if left is None or right is None:
-            return None
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
         for scalar, other in ((left, right), (right, left)):
             if scalar.is_const:
                 return other * scalar.const
+    return None
+
+
+def _bound_name(
+    var: ast.Var, consts: Dict[str, np.ndarray]
+) -> Optional[deps.LinExpr]:
+    """A name in a generator bound: a define or constant is its value,
+    and an unknown name is a symbol only when the type checker annotated
+    it as a scalar ``int`` — an unannotated or non-scalar name stays
+    unprovable (None) rather than guessed."""
+    known = consts.get(var.name)
+    if known is not None:
+        if known.ndim == 0 and np.issubdtype(known.dtype, np.integer):
+            return deps.LinExpr.of(int(known))
         return None
+    sac_type = getattr(var, "sac_type", None)
+    if (
+        sac_type is not None
+        and getattr(sac_type, "base", None) == "int"
+        and getattr(sac_type, "dims", None) == ()
+        and getattr(sac_type, "suffix", ()) == ()
+    ):
+        return deps.LinExpr.var(var.name)
     return None
 
 
@@ -406,19 +334,22 @@ def _sym_bound(
             return None
         return tuple(deps.LinExpr.of(int(v)) for v in vector)
     if isinstance(expr, ast.ArrayLit):
-        elements = [_sym_scalar(e, consts) for e in expr.elements]
+        elements = [
+            _sym_scalar(e, lambda var: _bound_name(var, consts))
+            for e in expr.elements
+        ]
         if any(e is None for e in elements):
             return None
         return tuple(elements)  # type: ignore[arg-type]
     return None
 
 
-def _sym_generator_box(
+def _generator_box(
     generator: ast.Generator,
     frame: Optional[Tuple[int, ...]],
     consts: Dict[str, np.ndarray],
 ) -> Optional[deps.SymBox]:
-    """Like :func:`_generator_box` with affine sides; None = unprovable."""
+    """The generator's half-open box with affine sides; None = unprovable."""
     rank = None if generator.vector_var else len(generator.index_vars)
     lower = (
         _sym_bound(generator.lower, consts)
@@ -458,25 +389,20 @@ def _sym_generator_box(
     return low, high
 
 
-def _concrete_sym(
-    box: Tuple[Tuple[int, ...], Tuple[int, ...]]
-) -> deps.SymBox:
-    return (
-        tuple(deps.LinExpr.of(v) for v in box[0]),
-        tuple(deps.LinExpr.of(v) for v in box[1]),
-    )
+def _corners(box: Optional[deps.SymBox]) -> Optional[Corners]:
+    """The integer corners of a box without symbols, else None."""
+    if box is None or not all(side.is_const for side in box[0] + box[1]):
+        return None
+    return tuple(s.const for s in box[0]), tuple(s.const for s in box[1])
 
 
-def _sym_box_text(box: deps.SymBox) -> str:
+def _box_text(box: deps.SymBox) -> str:
     lowers = ", ".join(str(e) for e in box[0])
     uppers = ", ".join(str(e) for e in box[1])
     return f"[{lowers}]..[{uppers}]"
 
 
-def _boxes_overlap(
-    one: Tuple[Tuple[int, ...], Tuple[int, ...]],
-    two: Tuple[Tuple[int, ...], Tuple[int, ...]],
-) -> bool:
+def _boxes_overlap(one: Corners, two: Corners) -> bool:
     if _box_volume(one) == 0 or _box_volume(two) == 0:
         return False
     return all(
@@ -485,14 +411,14 @@ def _boxes_overlap(
     )
 
 
-def _box_volume(box: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> int:
+def _box_volume(box: Corners) -> int:
     return math.prod(max(0, hi - lo) for lo, hi in zip(box[0], box[1]))
 
 
 def _check_coverage(
     loop: ast.WithLoop,
     frame: Optional[Tuple[int, ...]],
-    boxes: List[Box],
+    boxes: List[Optional[Corners]],
     where: str,
     engine: DiagnosticEngine,
     stage: Optional[str],
@@ -565,20 +491,10 @@ def _check_set_comprehension(
     _check_offsets(comp.index_vars, comp.body, box, where, engine, stage)
 
 
-def _check_body_offsets(
-    generator: ast.Generator,
-    box: Tuple[Tuple[int, ...], Tuple[int, ...]],
-    where: str,
-    engine: DiagnosticEngine,
-    stage: Optional[str],
-) -> None:
-    _check_offsets(generator.index_vars, generator.body, box, where, engine, stage)
-
-
 def _check_offsets(
     index_vars: List[str],
     body: ast.Expr,
-    box: Tuple[Tuple[int, ...], Tuple[int, ...]],
+    box: Corners,
     where: str,
     engine: DiagnosticEngine,
     stage: Optional[str],
@@ -587,6 +503,11 @@ def _check_offsets(
     if _box_volume(box) == 0:
         return
     axis_of = {name: axis for axis, name in enumerate(index_vars)}
+
+    def index_var(var: ast.Var) -> Optional[deps.LinExpr]:
+        # a body index is affine in the generator's index variables only
+        return deps.LinExpr.var(var.name) if var.name in axis_of else None
+
     for node in ast.walk_expr(body):
         if not isinstance(node, ast.Index) or not isinstance(node.array, ast.Var):
             continue
@@ -598,14 +519,12 @@ def _check_offsets(
         for position, index_expr in enumerate(node.indices):
             if position >= len(extents):
                 break
-            affine = _affine_in(index_expr, axis_of)
+            affine = _sym_scalar(index_expr, index_var)
             if affine is None:
                 continue
-            coefficients, constant = affine
-            smallest = constant
-            largest = constant
-            for axis, coefficient in coefficients.items():
-                lo, hi = lower[axis], upper[axis] - 1
+            smallest = largest = affine.const
+            for name, coefficient in affine.terms:
+                lo, hi = lower[axis_of[name]], upper[axis_of[name]] - 1
                 smallest += min(coefficient * lo, coefficient * hi)
                 largest += max(coefficient * lo, coefficient * hi)
             if smallest < 0 or largest >= extents[position]:
@@ -619,52 +538,6 @@ def _check_offsets(
                     span=node.span,
                     stage=stage,
                 )
-
-
-def _affine_in(
-    expr: ast.Expr, axis_of: Dict[str, int]
-) -> Optional[Tuple[Dict[int, int], int]]:
-    """``expr`` as ``sum(coef[axis] * iv[axis]) + const`` over index vars.
-
-    Returns None when the expression involves anything but the
-    generator's index variables and integer literals.
-    """
-    if isinstance(expr, ast.IntLit):
-        return {}, expr.value
-    if isinstance(expr, ast.Var):
-        if expr.name in axis_of:
-            return {axis_of[expr.name]: 1}, 0
-        return None
-    if isinstance(expr, ast.UnOp) and expr.op == "-":
-        inner = _affine_in(expr.operand, axis_of)
-        if inner is None:
-            return None
-        coefficients, constant = inner
-        return {axis: -c for axis, c in coefficients.items()}, -constant
-    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
-        left = _affine_in(expr.left, axis_of)
-        right = _affine_in(expr.right, axis_of)
-        if left is None or right is None:
-            return None
-        sign = 1 if expr.op == "+" else -1
-        coefficients = dict(left[0])
-        for axis, coefficient in right[0].items():
-            coefficients[axis] = coefficients.get(axis, 0) + sign * coefficient
-        return coefficients, left[1] + sign * right[1]
-    if isinstance(expr, ast.BinOp) and expr.op == "*":
-        left = _affine_in(expr.left, axis_of)
-        right = _affine_in(expr.right, axis_of)
-        if left is None or right is None:
-            return None
-        for scalar, other in ((left, right), (right, left)):
-            if not scalar[0]:  # constant factor
-                factor = scalar[1]
-                return (
-                    {axis: factor * c for axis, c in other[0].items()},
-                    factor * other[1],
-                )
-        return None
-    return None
 
 
 # --------------------------------------------------------------------------

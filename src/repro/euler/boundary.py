@@ -113,10 +113,6 @@ class SupersonicInflow(BoundaryCondition):
         return ("constant", self.state)
 
 
-class FixedState(SupersonicInflow):
-    """Alias with a clearer name for Dirichlet tests."""
-
-
 @dataclass
 class EdgeSegment:
     """One boundary condition applied to a half-open index interval of an edge."""

@@ -153,9 +153,6 @@ class TwoChannelSetup:
     def dx(self) -> float:
         return self.domain_size / self.n_cells
 
-    def cell_centres(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dx
-
 
 def two_channel(
     n_cells: int = 400,

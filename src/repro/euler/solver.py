@@ -449,6 +449,9 @@ class _MemberDriver:
         """
         if t_end is None and max_steps is None:
             raise ConfigurationError("run() needs t_end and/or max_steps")
+        if t_end is not None and not np.isfinite(t_end):
+            # NaN never reaches the stop rule; infinity reaches it at once
+            raise ConfigurationError(f"run() needs a finite t_end, got {t_end}")
         for index in range(self.batch):
             if self.finished[index]:  # thaw
                 self.finished[index] = False

@@ -45,12 +45,6 @@ class _LineParser:
             return True
         return False
 
-    def accept_ident(self, text: str) -> bool:
-        if self.current.is_ident(text):
-            self.advance()
-            return True
-        return False
-
     def expect_op(self, text: str) -> Token:
         if not self.current.is_op(text):
             raise FortranSyntaxError(

@@ -8,7 +8,7 @@ explicit IMPLICIT statements.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import FortranSemanticError
 from repro.f90 import ast
@@ -46,12 +46,3 @@ def validate_program(program: ast.ProgramUnit) -> None:
                     f"module {module.name}: duplicate declaration of {decl.name}"
                 )
             seen.add(decl.name)
-
-
-def find_declaration(
-    name: str, decls: List[ast.VarDecl]
-) -> Optional[ast.VarDecl]:
-    for decl in decls:
-        if decl.name == name:
-            return decl
-    return None

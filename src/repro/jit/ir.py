@@ -89,9 +89,6 @@ class KernelIR:
     params: List[Tuple[str, Value]] = field(default_factory=list)
     outputs: List[Tuple[str, Value]] = field(default_factory=list)
 
-    def value_table(self) -> Dict[Value, Op]:
-        return {op.name: op for op in self.ops}
-
 
 class IRBuilder:
     """Builds :class:`KernelIR` one ufunc application at a time.

@@ -79,12 +79,6 @@ class ScalingResult:
     sac_regions_per_step: float
     fortran_regions_per_step: float
 
-    def sac_curve(self) -> List[Tuple[int, float]]:
-        return [(p.cores, p.sac_seconds) for p in self.points]
-
-    def fortran_curve(self) -> List[Tuple[int, float]]:
-        return [(p.cores, p.fortran_seconds) for p in self.points]
-
     def crossover_cores(self) -> Optional[int]:
         """Smallest core count at which SaC beats Fortran, if any."""
         for point in self.points:

@@ -129,18 +129,6 @@ def block_key(statements: Iterable[ast.Stmt]) -> Tuple:
 # --------------------------------------------------------------------------
 
 
-def bound_vars_of(expr: ast.Expr) -> Set[str]:
-    """Index variables bound anywhere inside ``expr``."""
-    bound: Set[str] = set()
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.WithLoop):
-            for generator in node.generators:
-                bound.update(generator.index_vars)
-        elif isinstance(node, ast.SetComprehension):
-            bound.update(node.index_vars)
-    return bound
-
-
 def free_vars(expr: ast.Expr, bound: Optional[Set[str]] = None) -> Set[str]:
     """Free variables of an expression (respects with-loop binders)."""
     bound = bound or set()

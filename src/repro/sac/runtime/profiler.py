@@ -102,10 +102,6 @@ class ExecutionTrace:
         return sum(region.work for region in self.regions)
 
     @property
-    def parallel_work(self) -> float:
-        return sum(region.work for region in self.regions if region.is_parallel)
-
-    @property
     def total_bytes(self) -> int:
         return sum(region.bytes_touched for region in self.regions)
 

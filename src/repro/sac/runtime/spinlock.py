@@ -16,7 +16,6 @@ overhead."  Two artefacts live here:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -164,10 +163,3 @@ class ForkJoinSyncModel:
         return outer_iterations * (
             self.inner_fork_cost + self.inner_per_thread_cost * threads
         )
-
-
-_worker_counter = itertools.count()
-
-
-def fresh_worker_name() -> str:
-    return f"sac-worker-{next(_worker_counter)}"

@@ -23,12 +23,6 @@ _DTYPE_TO_BASE = {
     np.dtype(np.bool_): "bool",
 }
 
-_BASE_TO_DTYPE = {
-    "double": np.float64,
-    "int": np.int64,
-    "bool": np.bool_,
-}
-
 
 def to_value(host: HostValue) -> np.ndarray:
     """Normalise a host value to a SaC runtime value (NumPy array).
@@ -65,10 +59,6 @@ def base_of(value) -> str:
         if dtype == known:
             return base
     raise SacRuntimeError(f"value has non-SaC dtype {dtype}")
-
-
-def dtype_of(base: str):
-    return _BASE_TO_DTYPE[base]
 
 
 def shape_of(value) -> Tuple[int, ...]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -143,16 +144,20 @@ class JobSpec:
     @staticmethod
     def _coerce(kind, name, value, optional=False):
         """``int(value)``/``float(value)`` with a ConfigurationError on
-        anything that does not convert (or None where not optional)."""
+        anything that does not convert, is not finite (the wire admits
+        NaN and Infinity) or is None where not optional."""
         if value is None and optional:
             return None
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            converted = kind(value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
                 f"{name} must be {'an int' if kind is int else 'a float'},"
                 f" got {value!r}"
             ) from None
+        if kind is float and not math.isfinite(converted):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        return converted
 
     # -- wire form ------------------------------------------------------
 

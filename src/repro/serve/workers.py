@@ -236,8 +236,8 @@ def _execute(jobs, emit, stream, cancel_flag, cleanup) -> None:
     One difference is kept, selected by the member count: a job alone
     streams full :class:`~repro.obs.trace.TraceRecord`s, a member of
     N > 1 the reduced ``{step, time, dt, batched}`` record — recording
-    and serialising the full one costs ~30 us per 24x24 member against
-    ~3 us, a tenth more on a 16-member step.
+    and serialising the full one costs ~58 us per 24x24 member against
+    ~0.6 us, ~0.9 ms more on a 16-member step of ~1.5 ms.
     """
     from repro.euler.solver import EulerEnsemble2D
     from repro.obs.trace import StepTrace

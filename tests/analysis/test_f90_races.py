@@ -1,6 +1,8 @@
 """The independent Fortran race checker and the autopar cross-check."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.f90_races import cross_check_autopar, find_races
 from repro.f90 import ast
@@ -242,3 +244,32 @@ class TestCrossCheck:
         autoparallelize(unit)
         engine = cross_check_autopar(unit)
         assert not engine.has_errors()
+
+
+def _affine_text(coefficient, offset):
+    return f"{coefficient}*I" + (f" + {offset}" if offset >= 0 else f" - {-offset}")
+
+
+class TestSoundnessByBruteForce:
+    @given(*(st.integers(-3, 3) for _ in range(4)))
+    def test_every_cross_iteration_collision_is_a_race(self, a, b, c, d):
+        """``A(a*I+b) = A(c*I+d) + 1`` over ``I = 1..8``: whenever two
+        different iterations touch one element, an array race is reported."""
+        loop, _ = _first_loop(
+            f"""
+            SUBROUTINE F(A)
+              REAL*8 A(100)
+              DO I = 1, 8
+                A({_affine_text(a, b)}) = A({_affine_text(c, d)}) + 1.D0
+              END DO
+            END
+            """
+        )
+        iterations = range(1, 9)
+        collides = any(
+            i1 != i2 and a * i1 + b in (a * i2 + b, c * i2 + d)
+            for i1 in iterations
+            for i2 in iterations
+        )
+        if collides:
+            assert ("A", "array") in [(r.variable, r.kind) for r in find_races(loop)]

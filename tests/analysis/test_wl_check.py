@@ -1,6 +1,10 @@
 """Seeded-bug tests for the with-loop disjointness/bounds checker."""
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.diag import Severity
 from repro.analysis.wl_check import check_with_loops
@@ -173,7 +177,7 @@ class TestDefines:
 
 class TestSymbolicDisjointness:
     """Symbolic bounds get real verdicts via the dependence prover
-    (repro.analysis.deps) where the constant-only logic used to bail."""
+    (repro.analysis.deps), the one that decides constant pairs too."""
 
     def test_adjacent_symbolic_halves_proven_disjoint(self):
         engine = _check(
@@ -248,3 +252,45 @@ class TestSymbolicDisjointness:
             typecheck=False,
         )
         assert engine.codes() == []
+
+
+@st.composite
+def constant_generators(draw):
+    """Two or three constant boxes of rank 1-2 inside [0, 8], empty and
+    inverted sides included."""
+    rank = draw(st.integers(1, 2))
+    corner = st.lists(st.integers(0, 8), min_size=rank, max_size=rank)
+    count = draw(st.integers(2, 3))
+    return rank, [(draw(corner), draw(corner)) for _ in range(count)]
+
+
+def _cells(lower, upper):
+    return set(itertools.product(*(range(lo, hi) for lo, hi in zip(lower, upper))))
+
+
+class TestConstantPairsByBruteForce:
+    @given(constant_generators())
+    def test_overlap_is_reported_iff_the_cell_sets_meet(self, drawn):
+        rank, boxes = drawn
+        index = ", ".join("ij"[:rank])
+        generators = "\n".join(
+            f"({lower} <= [{index}] < {upper}) : s;" for lower, upper in boxes
+        )
+        frame = [8] * rank
+        engine = _check(
+            f"""
+            double[{",".join("." * rank)}] f(double s) {{
+              return( with {{
+                {generators}
+              }} : genarray({frame}, 0.0) );
+            }}
+            """
+        )
+        assert "SAC-WL004" not in engine.codes()
+        reported = [d.message for d in engine.diagnostics if d.code == "SAC-WL002"]
+        for (a, one), (b, two) in itertools.combinations(enumerate(boxes), 2):
+            named = any(
+                message.startswith(f"generators {a + 1} and {b + 1} overlap")
+                for message in reported
+            )
+            assert named == bool(_cells(*one) & _cells(*two)), (one, two)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PhysicsError
+from repro.errors import ConfigurationError, PhysicsError
 from repro.euler import problems
 from repro.euler.boundary import (
     BoundarySet1D,
@@ -439,6 +439,14 @@ class TestOneRunLoop:
         solver = _tubes()[0]
         solver.run(max_steps=2)
         assert solver.step() > 0.0 and solver.steps == 3
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_a_non_finite_t_end_is_refused_by_every_driver(self, t_end):
+        """NaN never meets the stop rule and infinity meets it at once."""
+        for driver in (_tubes()[0], EulerEnsemble2D.from_solvers(_channels())):
+            with pytest.raises(ConfigurationError, match="finite t_end"):
+                driver.run(t_end=t_end, max_steps=3)
+            assert driver.step_counts == [0] * driver.batch
 
     def test_one_stop_rule_and_one_forensics_call_site(self):
         """Structural: under ``euler/`` and ``par/`` the stop rule and

@@ -71,6 +71,24 @@ def test_wrong_typed_scheduling_fields_rejected(field, value):
         JobSpec.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_end", float("nan")),
+        ("t_end", float("inf")),
+        ("deadline_s", float("nan")),
+        ("max_steps", float("inf")),
+    ],
+)
+def test_non_finite_stop_and_deadline_rejected(field, value):
+    """json.loads admits NaN and Infinity: a NaN t_end would never stop,
+    an infinite one would stop at once, and a NaN deadline fires at once."""
+    payload = {"problem": "sod", "problem_args": {"n_cells": 32}, "t_end": 0.1}
+    payload[field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        JobSpec.from_dict(payload)
+
+
 def test_problem_args_must_be_a_dict():
     with pytest.raises(ConfigurationError, match="problem_args"):
         JobSpec(problem="sod", problem_args=[("n_cells", 64)], t_end=0.1)

@@ -205,6 +205,19 @@ def test_wrong_typed_spec_fields_get_error_response(client):
     assert all(client.stats()["shards"]["alive"])
 
 
+def test_nan_t_end_is_refused_and_leaves_the_shards_free(client):
+    """``NaN`` is valid on the wire (json.loads admits it); admitted, the
+    job would never reach its stop rule and hold a shard for good."""
+    bad = {"problem": "sod", "problem_args": {"n_cells": 32}, "t_end": float("nan")}
+    for _ in range(3):  # more bad submits than shards
+        response = client.request("submit", spec=bad)
+        assert response["ok"] is False
+        assert response["error_type"] == "ConfigurationError"
+    assert client.ping()
+    assert client.run(sod_spec())["status"]["state"] == "done"
+    assert all(client.stats()["shards"]["alive"])
+
+
 def test_non_object_request_line_gets_error_response(handle):
     with socket.create_connection(("127.0.0.1", handle.port), timeout=30.0) as sock:
         reader = sock.makefile("rb")
