@@ -207,8 +207,8 @@ def solve(
     gamma: float = GAMMA,
 ) -> np.ndarray:
     """Exact primitive solution at positions ``x`` and time ``t > 0``."""
-    if t <= 0.0:
-        raise PhysicsError("exact Riemann sampling requires t > 0")
+    if not 0.0 < t < np.inf:  # NaN fails both comparisons
+        raise PhysicsError(f"exact Riemann sampling requires a finite t > 0, got {t}")
     star = solve_star_region(left, right, gamma)
     xi = (np.asarray(x, dtype=float) - x_diaphragm) / t
     return sample(star, left, right, xi, gamma)

@@ -452,6 +452,15 @@ class _MemberDriver:
         if t_end is not None and not np.isfinite(t_end):
             # NaN never reaches the stop rule; infinity reaches it at once
             raise ConfigurationError(f"run() needs a finite t_end, got {t_end}")
+        if max_steps is not None and (
+            isinstance(max_steps, bool)
+            or not isinstance(max_steps, (int, np.integer))
+            or max_steps < 0
+        ):
+            # NaN never reaches the stop rule; a fraction overshoots it
+            raise ConfigurationError(
+                f"run() needs an integer max_steps >= 0, got {max_steps!r}"
+            )
         for index in range(self.batch):
             if self.finished[index]:  # thaw
                 self.finished[index] = False

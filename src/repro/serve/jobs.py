@@ -123,10 +123,11 @@ class JobSpec:
         self.trace_every = self._coerce(int, "trace_every", self.trace_every)
         self.return_state = bool(self.return_state)
         if self.problem == "exact":
+            # a bool is an int and NaN <= 0 is false: each needs its own refusal
             t = self.problem_args.get("t")
-            if not isinstance(t, (int, float)) or t <= 0:
+            if isinstance(t, bool) or self._coerce(float, "problem_args['t']", t) <= 0:
                 raise ConfigurationError(
-                    "problem 'exact' needs problem_args['t'] > 0"
+                    f"problem 'exact' needs problem_args['t'] > 0, got {t!r}"
                 )
         elif self.t_end is None and self.max_steps is None:
             raise ConfigurationError(

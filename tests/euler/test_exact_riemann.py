@@ -134,6 +134,12 @@ class TestSampling:
         with pytest.raises(PhysicsError):
             er.solve(SOD_LEFT, SOD_RIGHT, np.array([0.0]), t=0.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_t_rejected(self, t):
+        """NaN <= 0 is false: a NaN t used to sample one constant state."""
+        with pytest.raises(PhysicsError, match="finite t > 0"):
+            er.solve(SOD_LEFT, SOD_RIGHT, np.array([0.0]), t=t)
+
     def test_solution_is_self_similar(self):
         x1 = np.linspace(-0.4, 0.4, 33)
         s1 = er.solve(SOD_LEFT, SOD_RIGHT, x1, t=0.1)

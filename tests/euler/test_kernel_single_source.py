@@ -40,9 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.jit
 from repro.analysis.jit_verify import verify_kernel
-from repro.errors import PhysicsError
 from repro.euler import state, tiling, timestep
 from repro.euler.boundary import all_transmissive_2d, transmissive_1d
 from repro.euler.engine import StepEngine
@@ -65,8 +63,8 @@ from repro.jit.ir import IRBuilder
 from repro.jit.kernels import SCALAR_PARAMS, build_dt_ir, build_flux_ir, spec_from_config
 from repro.jit.numpy_eval import NumpyProgram, field_views, kernel_programs, numpy_program
 
-GAMMA = 1.4
-LIMITERS = ("minmod", "superbee", "vanleer", "mc")
+from tests.euler.draws import GAMMA, LIMITERS, assert_same_bits, needs_cc, outcome, plant
+
 SCHEMES = (
     [("pc", "minmod"), ("tvd3", "minmod"), ("weno3", "minmod")]
     + [("tvd2", limiter) for limiter in LIMITERS]
@@ -82,8 +80,6 @@ COMPOSED = (
     + [("hllc", scheme, limiter, "characteristic", 2) for scheme, limiter in SCHEMES[1:]]
     + [(riemann, "weno3", "minmod", "characteristic", 1) for riemann in sorted(RIEMANN_SOLVERS)]
 )
-
-needs_cc = pytest.mark.skipif(not repro.jit.available(), reason="no C compiler on PATH")
 
 #: Shared on purpose: every example meets scratch left dirty by the last.
 WORK = Workspace()
@@ -124,65 +120,6 @@ def primitive(rng, shape, nfields, layout):
     p[..., 1:-1] = rng.normal(0.0, 1.0, shape + (nfields - 2,))
     p[..., -1] = rng.uniform(0.1, 3.0, shape)
     return p
-
-
-def plant(rng, features, *arrays):
-    """Plant each drawn feature at one cell, the same cell in every array."""
-    shape = arrays[0].shape[:-1]
-
-    def cell():
-        return tuple(int(rng.integers(0, extent)) for extent in shape)
-
-    if "flat" in features:  # zero differences: WENO under its epsilon
-        for array in arrays:
-            array[...] = array[cell()].copy()
-    if "peak" in features and shape[0] >= 3:  # a == -b exactly (van Leer's a + b)
-        row = int(rng.integers(1, shape[0] - 1))
-        level = float(rng.integers(-3, 4))
-        for array in arrays:
-            array[row - 1 : row + 2] = level
-            array[row] = level + 1.0
-    if "vacuum" in features:
-        at = cell()
-        for array in arrays:
-            array[at + (0,)] = array[at + (-1,)] = 1e-13
-    if "thin" in features:  # physical, but overshot by its neighbours' slopes
-        at = cell()
-        arrays[0][at + (0,)] *= 1e-3
-        arrays[0][at + (-1,)] *= 1e-4
-    if "cold" in features:  # p == 0 on both sides of a face: H - q2/2 at the 1e-14 clamp
-        row = int(rng.integers(0, shape[0]))
-        for array in arrays:
-            array[row : row + 2, ..., -1] = 0.0
-    if "jump" in features:
-        at = cell()
-        arrays[-1][at + (0,)] *= 1e3
-        arrays[-1][at + (-1,)] *= 1e6
-    if "still" in features:  # c == 0 and u == 0: every guarded denominator is 0
-        at = cell()
-        for array in arrays:
-            array[at + (slice(1, None),)] = 0.0
-    for feature, value in (("nan", np.nan), ("inf", np.inf)):
-        if feature in features:
-            arrays[0][cell() + (int(rng.integers(0, arrays[0].shape[-1])),)] = value
-
-
-def assert_same_bits(actual, expected):
-    """Equal at 0.0: NaN where NaN, else the same 64 bits (signed zeros too)."""
-    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
-    assert actual.shape == expected.shape
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(actual), nan)
-    assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
-
-
-def outcome(call):
-    """A call's value, or what its :class:`PhysicsError` says."""
-    try:
-        with np.errstate(all="ignore"):
-            return "value", call()
-    except PhysicsError as error:
-        return "error", error.cells, error.batch_index, str(error)
 
 
 # -- one emitter, one program: the fold taken apart ----------------------

@@ -1,41 +1,52 @@
-"""One engine, one run loop: generated coverage and error parity.
+"""One solver-level strategy holds the lattice; one run loop; error parity.
 
-There is a single :class:`~repro.euler.engine.StepEngine`; the member
-count B and the strip plan are annotations on it, not code paths.  The
-property test draws the method menu, B, the strip budget and ragged
-grid shapes and holds every member to the allocating seed path
-(``use_engine=False``) at 0.0.  The parity tests pin what a failure
-looks like from each driver: a solo blow-up reads exactly as it always
-did (no ``batch_index``), an ensemble blow-up stays member-local, and
+Every path a run can take — engine or seed, any strip budget, B members
+or one, NumPy executor or compiled C, serial or on a worker team — must
+leave each member on the bits (and the dts) of the allocating seed
+solver (``use_engine=False``) run on that member alone.  The property
+test draws the whole lattice at once: the method tuple and RK order, a
+ragged 1-D or 2-D shape, the strip budget, the executor, the driver (a
+solo solver, a stack of B members on one engine, or
+:class:`~repro.par.solver.ParallelSolver2D` with 1 or 2 workers on
+either barrier), per-member edges of every fill kind, smooth or nasty
+states (``draws.py``) and the stop (``t_end``, ``max_steps`` or both),
+and runs it through ``run()``.  Either every member ends equal to its
+seed run at 0.0, stopped where the stop rule says, or the member's path
+raises the :class:`PhysicsError` its seed run raises — member-local in
+a stack, global on a team — with ``u`` the seed's pre-step state and
+the stack's survivors still equal to theirs.  The example count comes
+from the hypothesis profile; the per-spec kernel matrix
+(``test_kernel_single_source.py``) is what stays exhaustive.
+
+The parity tests pin what a failure looks like from each driver: a solo
+blow-up reads exactly as it always did (no ``batch_index``), an
+ensemble blow-up stays member-local, and
 :class:`~repro.par.solver.ParallelSolver2D` raises the serial solver's.
 
-There is also a single run loop (``solver._MemberDriver``): a solver is
-an ensemble of one.  The one-loop tests run every stepper it drives —
+There is a single run loop (``solver._MemberDriver``): a solver is an
+ensemble of one.  The one-loop tests run every stepper it drives —
 engine solo, ensemble of one, seed, engine on a team, member k of B = 3 — to
 the same clamped ``t_end`` and hold them to the same dts and bits, and
-check that any driver can be run again.
+check that any driver can be run again and refuses a stop it can never
+meet.
 """
 
 import itertools
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import repro.jit
 from repro.errors import ConfigurationError, PhysicsError
-from repro.euler import problems
-from repro.euler.boundary import (
-    BoundarySet1D,
-    BoundarySet2D,
-    EdgeSpec,
-    ReflectiveWall,
-    Transmissive,
-)
+from repro.euler import problems, state
 from repro.euler.engine import StepEngine
 from repro.euler.solver import (
+    EnsembleMember,
     EulerEnsemble2D,
     EulerSolver1D,
     EulerSolver2D,
@@ -45,25 +56,85 @@ from repro.euler.solver import (
 from repro.par.solver import ParallelSolver2D
 from repro.serve import state_digest
 
+from tests.euler.draws import (
+    BACKENDS,
+    GAMMA,
+    SPACING,
+    assert_same_bits,
+    boundary_sets,
+    edge_codes,
+    methods,
+    plant,
+    smooth,
+    state_features,
+)
+
 #: A one-byte budget floors every plan at one-row (one-member) strips.
 ONE_ROW_TILE_BYTES = 1
 
-EDGES = {"open": Transmissive, "wall": ReflectiveWall}
+Lattice = namedtuple(
+    "Lattice",
+    "method shape tile_bytes backend driver members workers barrier edges"
+    " seed features steps stop max_steps",
+)
 
 
-def _smooth_random(rng, shape):
-    """A smooth-ish random primitive state of ``shape + (ndim + 2,)``."""
-    primitive = np.empty(shape + (len(shape) + 2,))
-    primitive[..., 0] = rng.uniform(1.0, 1.4, shape)
-    primitive[..., 1:-1] = rng.normal(0.0, 0.3, shape + (len(shape),))
-    primitive[..., -1] = rng.uniform(1.0, 1.4, shape)
-    return primitive
+#: (driver, ndim, members, workers, barrier), richest first: hypothesis
+#: favours the head of a sampled_from.
+DRIVERS = (
+    ("team", 2, 1, 2, "spin"),
+    ("stack", 2, 3, None, None),
+    ("team", 2, 1, 2, "forkjoin"),
+    ("stack", 1, 3, None, None),
+    ("team", 2, 1, 1, "spin"),
+    ("team", 2, 1, 1, "forkjoin"),
+    ("stack", 2, 1, None, None),
+    ("stack", 1, 1, None, None),
+    ("solo", 2, 1, None, None),
+    ("solo", 1, 1, None, None),
+)
+#: Every path a run can take: a driver, an executor, a strip budget and a
+#: stop, the driver varying fastest, so that the favoured head of the list
+#: holds every driver on the richest settings.
+PATHS = [
+    driver + (backend, tile_bytes, stop)
+    for stop in ("t_end", "both", "max_steps")
+    for tile_bytes in (ONE_ROW_TILE_BYTES, 0, None)
+    for backend in BACKENDS
+    for driver in DRIVERS
+]
 
 
-def _boundaries(ndim, kinds):
-    if ndim == 1:
-        return BoundarySet1D(low=EDGES[kinds[0]](), high=EDGES[kinds[1]]())
-    return BoundarySet2D(*(EdgeSpec.uniform(EDGES[kind]()) for kind in kinds))
+@st.composite
+def lattices(draw):
+    # Hypothesis varies the tail of an example's choices far more often
+    # than its head, so the path is drawn last, in one choice.
+    seed = draw(st.integers(0, 2**32 - 1))
+    edges = draw(edge_codes)
+    lengths = draw(st.tuples(st.integers(5, 19), st.integers(5, 11), st.integers(5, 11)))
+    method = draw(methods)
+    # a drawn t_end falls inside this step of the member that gets there last
+    steps = draw(st.integers(1, 3))
+    max_steps = draw(st.integers(1, 3))
+    nasty = draw(state_features)
+    state = draw(st.sampled_from(("smooth", "nasty")))
+    driver, ndim, members, workers, barrier, backend, tile_bytes, stop = draw(st.sampled_from(PATHS))
+    return Lattice(
+        method=method,
+        shape=lengths[1:] if ndim == 2 else lengths[:1],
+        tile_bytes=tile_bytes,
+        backend=backend,
+        driver=driver,
+        members=members,
+        workers=workers,
+        barrier=barrier,
+        edges=edges[: 2 * ndim * members],
+        seed=seed,
+        features=nasty if state == "nasty" else frozenset(),
+        steps=steps,
+        stop=stop,
+        max_steps=max_steps,
+    )
 
 
 def _seed_solver(primitive, spacing, boundaries, config):
@@ -71,65 +142,148 @@ def _seed_solver(primitive, spacing, boundaries, config):
     return cls(primitive, *spacing, boundaries, config, use_engine=False)
 
 
-configs = st.builds(
-    SolverConfig,
-    riemann=st.sampled_from(("rusanov", "hll", "hllc", "roe")),
-    reconstruction=st.sampled_from(("pc", "tvd2", "tvd3", "weno3")),
-    limiter=st.sampled_from(("minmod", "superbee", "vanleer", "mc")),
-    variables=st.sampled_from(("characteristic", "primitive", "conservative")),
-    rk_order=st.sampled_from((1, 2, 3)),
-    tile_bytes=st.sampled_from((0, ONE_ROW_TILE_BYTES, None)),
-)
-shapes = st.one_of(
-    st.tuples(st.integers(5, 19)),
-    st.tuples(st.integers(5, 11), st.integers(5, 11)),
-)
+Ran = namedtuple("Ran", "error u dts time steps")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    config=configs,
-    shape=shapes,
-    batch=st.sampled_from((1, 2, 3)),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_every_member_equals_the_seed_path(config, shape, batch, seed, data):
-    """riemann x reconstruction x limiter x variables x rk_order x B x
-    strip budget x ragged 1-D/2-D shapes: two engine steps of the whole
-    stack leave member b on the bits (and the dts) of the allocating
-    seed solver run on member b alone, boundaries differing per member."""
-    rng = np.random.default_rng(seed)
-    ndim = len(shape)
-    spacing = (0.01, 0.012)[:ndim]
-    kinds = [
-        data.draw(st.tuples(*[st.sampled_from(sorted(EDGES))] * (2 * ndim)))
-        for _ in range(batch)
-    ]
-    seeds = [
-        _seed_solver(
-            _smooth_random(rng, shape), spacing, _boundaries(ndim, kinds[b]), config
+def _ran_solo(solver, t_end, max_steps):
+    """What a run of a B = 1 solver left: its error (raised), state,
+    dts and clock."""
+    error = None
+    try:
+        solver.run(t_end=t_end, max_steps=max_steps)
+    except PhysicsError as raised:
+        error = raised
+    return Ran(error, solver.u.copy(), list(solver.dt_history[0]), solver.time, solver.steps)
+
+
+def _ran_stack(driver, t_end, max_steps):
+    """What a run of B stacked members left, member by member (an error
+    retires its member: the run itself returns)."""
+    result = driver.run(t_end=t_end, max_steps=max_steps)
+    return [
+        Ran(
+            member.error, driver.member_u(index), list(driver.dt_history[index]),
+            member.time, member.steps,
         )
-        for b in range(batch)
+        for index, member in enumerate(result.members)
     ]
-    engine = StepEngine(
-        shape + (ndim + 2,),
-        spacing,
-        config,
-        [_boundaries(ndim, kinds[b]) for b in range(batch)],
+
+
+def _drawn_t_end(seeds, steps):
+    """A ``t_end`` inside step ``steps`` of the seed run that gets there
+    last (every other member gets there in fewer); None if every member
+    fails before."""
+    ends = []
+    for solver in seeds:
+        ran = _ran_solo(solver, None, steps)
+        if ran.error is None:
+            ends.append(ran.time - 0.4 * ran.dts[-1])
+    return min(ends) if ends else None
+
+
+def _path(lattice, primitives, boundaries, config):
+    """The driver under test on the drawn executor."""
+    spacing = SPACING[len(lattice.shape)]
+    with repro.jit.backend_override(lattice.backend):
+        if lattice.driver == "team":
+            return ParallelSolver2D(
+                primitives[0], *spacing, boundaries[0], config,
+                workers=lattice.workers, barrier=lattice.barrier,
+            )
+        if lattice.driver == "solo":
+            cls = EulerSolver1D if len(spacing) == 1 else EulerSolver2D
+            return cls(primitives[0], *spacing, boundaries[0], config)
+        if len(spacing) == 1:
+            u = state.conservative_from_primitive(primitives, GAMMA)
+            return _Members1D(u, spacing, config, boundaries)
+        members = [
+            EnsembleMember(f"m{index}", edges, primitive)
+            for index, (edges, primitive) in enumerate(zip(boundaries, primitives))
+        ]
+        return EulerEnsemble2D(members, *spacing, config)
+
+
+def _pinned(driver, ndim, members, workers, barrier, backend):
+    """A smooth, three-step, RK3 draw on one-row strips stopped inside
+    its last step by ``t_end``: the paths hypothesis must not miss run
+    first, whatever the profile."""
+    return Lattice(
+        method=dict(riemann="hllc", reconstruction="tvd2", limiter="vanleer",
+                    variables="characteristic", rk_order=3),
+        shape=(9, 7)[:ndim], tile_bytes=ONE_ROW_TILE_BYTES, backend=backend,
+        driver=driver, members=members, workers=workers, barrier=barrier,
+        edges=list("PWTIOT" * 2)[: 2 * ndim * members], seed=1, features=frozenset(),
+        steps=3, stop="t_end", max_steps=3,
     )
-    u = np.stack([solver.u for solver in seeds])
-    assert engine.grid_shape == u.shape
-    for _ in range(2):
-        dts = engine.step(u).copy()
-        for b, solver in enumerate(seeds):
-            assert dts[b] == solver.step()
-    for b, solver in enumerate(seeds):
-        assert np.max(np.abs(u[b] - solver.u)) == 0.0, f"member {b} of {batch}"
-    counters = engine.counters()
-    assert counters["batch"] == batch
-    if config.tile_bytes == 0:  # a plan of one strip per sweep and dt pass
-        assert counters["tiles"] == 2 * (1 + config.rk_order * ndim)
+
+
+@settings(deadline=None)
+@given(lattice=lattices())
+@example(lattice=_pinned("team", 2, 1, 2, "forkjoin", BACKENDS[0]))  # threaded strips
+@example(lattice=_pinned("stack", 2, 3, None, None, "numpy"))  # member clocks, NumPy strips
+def test_every_member_equals_the_seed_path(lattice):
+    """method x RK order x ragged 1-D/2-D shape x strip budget x executor
+    x driver (solo, B-member stack, team of 1/2 on spin/fork-join) x
+    per-member edges x smooth/nasty state x stop: ``run()`` leaves every
+    member where its solo seed run leaves it, value or error."""
+    ndim, members = len(lattice.shape), lattice.members
+    spacing = SPACING[ndim]
+    config = SolverConfig(**lattice.method, tile_bytes=lattice.tile_bytes)
+    rng = np.random.default_rng(lattice.seed)
+    primitives = smooth(rng, (members,) + lattice.shape, ndim + 2)
+    plant(rng, lattice.features, primitives[members // 2])  # member 1 of 3
+    boundaries = boundary_sets(lattice.edges, members, ndim)
+
+    def seeds():
+        return [
+            _seed_solver(primitive, spacing, edges, config)
+            for primitive, edges in zip(primitives, boundaries)
+        ]
+
+    with np.errstate(all="ignore"):
+        t_end = _drawn_t_end(seeds(), lattice.steps) if lattice.stop != "max_steps" else None
+        max_steps = lattice.max_steps if lattice.stop != "t_end" or t_end is None else None
+        expected = [_ran_solo(solver, t_end, max_steps) for solver in seeds()]
+        path = _path(lattice, primitives, boundaries, config)
+        if lattice.driver == "team":
+            with path:
+                ran = [_ran_solo(path, t_end, max_steps)]
+            assert path.workers == lattice.workers
+        elif lattice.driver == "solo":
+            ran = [_ran_solo(path, t_end, max_steps)]
+        else:
+            ran = _ran_stack(path, t_end, max_steps)
+
+    failed = any(mine.error for mine in ran)
+    event(f"{lattice.driver} on {lattice.backend}: {'error' if failed else 'value'}")
+    stacked = lattice.driver == "stack"
+    for index, (mine, seed) in enumerate(zip(ran, expected)):
+        assert mine.dts == seed.dts, f"member {index} of {members}"
+        assert_same_bits(mine.u, seed.u)  # the pre-step state, if it failed
+        assert (mine.time, mine.steps) == (seed.time, seed.steps)
+        assert (mine.error is None) == (seed.error is None)
+        if seed.error is not None:
+            assert str(mine.error) == str(seed.error)
+            assert mine.error.cells == seed.error.cells
+            assert mine.error.batch_index == (index if stacked else None)
+        else:  # stopped where the stop rule says
+            assert len(mine.dts) == max_steps or mine.time == t_end
+
+    counters = path.engine.counters()
+    assert counters["batch"] == members
+    advanced = any(mine.dts for mine in ran)
+    if config.tile_bytes == 0 and not failed:
+        # a plan of one strip per sweep and dt pass
+        steps = max(len(mine.dts) for mine in ran)
+        assert counters["tiles"] == steps * (1 + config.rk_order * ndim)
+    if lattice.backend == "jit":
+        stats = counters["jit"]
+        assert stats["fallbacks"] == {}
+        assert (stats["sweep_calls"] > 0 and stats["dt_calls"] > 0) or not advanced
+        if lattice.driver == "team":
+            assert stats["serialized"] == {}
+            if lattice.tile_bytes == ONE_ROW_TILE_BYTES and advanced:
+                assert (stats["strips_threaded"] > 0) == (lattice.workers == 2)
 
 
 # -- error parity ------------------------------------------------------------
@@ -281,14 +435,18 @@ class TestParallelErrorsStayGlobal:
 class _Members1D(_MemberDriver):
     """The driver is dimension-generic: B 1-D members on one engine."""
 
-    def __init__(self, solvers):
-        self.config = solvers[0].config
-        self.u = np.stack([solver.u for solver in solvers])
-        self.engine = StepEngine(
-            self.u.shape[1:], solvers[0].spacing, self.config,
-            [solver.boundaries for solver in solvers],
+    def __init__(self, u, spacing, config, boundaries):
+        self.config = config
+        self.u = u
+        self.engine = StepEngine(u.shape[1:], spacing, config, boundaries)
+        self._init_clocks(len(boundaries), placeholder=self.engine.placeholder_member())
+
+    @classmethod
+    def of(cls, solvers):
+        return cls(
+            np.stack([solver.u for solver in solvers]), solvers[0].spacing,
+            solvers[0].config, [solver.boundaries for solver in solvers],
         )
-        self._init_clocks(len(solvers), placeholder=self.engine.placeholder_member())
 
     def step(self):
         return self._step_members(self._t_end)
@@ -342,9 +500,9 @@ class TestOneRunLoop:
         t_end = _clamped_t_end(_tubes()[0])
         reference = _solo_outcome(_tubes()[0], t_end)
         assert _solo_outcome(_seed_of(_tubes()[0]), t_end) == reference
-        assert _member_outcome(_Members1D(_tubes()[:1]), 0, t_end) == reference
+        assert _member_outcome(_Members1D.of(_tubes()[:1]), 0, t_end) == reference
         rotated = _tubes()[1:] + _tubes()[:1]  # sod is member 2 of B = 3
-        driver = _Members1D(rotated)
+        driver = _Members1D.of(rotated)
         assert _member_outcome(driver, 2, t_end) == reference
         # members stop on their own clocks: they took different step counts
         assert len(set(driver.step_counts)) > 1
@@ -446,6 +604,20 @@ class TestOneRunLoop:
         for driver in (_tubes()[0], EulerEnsemble2D.from_solvers(_channels())):
             with pytest.raises(ConfigurationError, match="finite t_end"):
                 driver.run(t_end=t_end, max_steps=3)
+            assert driver.step_counts == [0] * driver.batch
+
+    @pytest.mark.parametrize("max_steps", [float("nan"), 2.5, -1], ids=["nan", "fraction", "negative"])
+    def test_a_max_steps_that_is_no_step_count_is_refused_by_every_driver(self, max_steps):
+        """NaN never meets the stop rule (the run never returned) and 2.5
+        took 3 steps; the guard fails a run that steps at all."""
+
+        def guard(driver):
+            pytest.fail(f"run(max_steps={max_steps!r}) stepped")
+
+        drivers = (_tubes()[0], _channels()[0], EulerEnsemble2D.from_solvers(_channels()))
+        for driver in drivers:
+            with pytest.raises(ConfigurationError, match="integer max_steps"):
+                driver.run(max_steps=max_steps, callback=guard)
             assert driver.step_counts == [0] * driver.batch
 
     def test_one_stop_rule_and_one_forensics_call_site(self):

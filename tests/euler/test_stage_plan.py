@@ -5,7 +5,7 @@ compiled stage == NumPy-interpreted stage == allocating seed step at 0.0
 — on drawn (method tuple, RK order, 1-D / 2-D ragged shapes, B, strip
 budget, team size, uniform, piecewise and overlapping edges of every
 fill kind), on smooth states and on the nasty-state corpus of
-``test_kernel_single_source.py`` (a nasty state may make a step *raise*:
+``draws.py`` (a nasty state may make a step *raise*:
 then every executor raises the same error).  The rest pins what the plan
 promises beside the bits: the same :class:`PhysicsError` from both
 executors when a state goes bad in RK stage 2, ``u`` untouched; one
@@ -33,13 +33,11 @@ from repro.euler.boundary import (
     BoundarySet2D,
     EdgeSpec,
     ReflectiveWall,
-    SupersonicInflow,
     Transmissive,
     all_transmissive_2d,
 )
 from repro.euler.engine import StepEngine
 from repro.euler.reconstruction import get_scheme
-from repro.euler.riemann import RIEMANN_SOLVERS
 from repro.euler.solver import (
     EnsembleMember,
     EulerEnsemble2D,
@@ -50,88 +48,40 @@ from repro.euler.solver import (
 from repro.jit.plan import fill_tables
 from repro.jit.kernels import spec_from_config
 
-from tests.euler.test_kernel_single_source import (
-    LIMITERS,
+from tests.euler.draws import (
+    GAMMA,
+    INFLOW,
+    SPACING,
     assert_same_bits,
+    boundary_sets,
+    condition,
+    edge_codes,
+    edge_spec,
+    methods,
     needs_cc,
     outcome,
     plant,
+    smooth,
+    state_features,
 )
 
-GAMMA = 1.4
 SHAPES = {1: (17,), 2: (9, 13)}  # ragged: no strip height divides them
-SPACING = {1: (0.01,), 2: (0.01, 0.012)}
-INFLOW = {1: (1.2, 0.3, 1.1), 2: (1.2, 0.3, 0.1, 1.1)}  # sweep layout
 
-Draw = namedtuple(
-    "Draw",
-    "riemann reconstruction limiter variables rk_order ndim members strip_rows"
-    " workers edges seed features",
-)
+Draw = namedtuple("Draw", "method ndim members strip_rows workers edges seed features")
 
 draws = st.builds(
     Draw,
-    riemann=st.sampled_from(sorted(RIEMANN_SOLVERS)),
-    reconstruction=st.sampled_from(("pc", "tvd2", "tvd3", "weno3")),
-    limiter=st.sampled_from(LIMITERS),
-    variables=st.sampled_from(("primitive", "conservative", "characteristic")),
-    rk_order=st.sampled_from((1, 2, 3)),
+    method=methods,
     ndim=st.sampled_from((1, 2)),
     members=st.sampled_from((1, 3)),
     # rows per compiled strip: 1 and 3 cut 17 and 9 rows into >= 3 strips,
     # 0 is "no budget" (one strip)
     strip_rows=st.sampled_from((1, 3, 0)),
     workers=st.sampled_from((1, 2)),
-    # per member and edge: a uniform kind, the piecewise mix of all three
-    # or two overlapping segments
-    edges=st.lists(st.sampled_from("TWIPO"), min_size=12, max_size=12),
+    edges=edge_codes,
     seed=st.integers(0, 2**32 - 1),
-    features=st.sets(
-        st.sampled_from(("vacuum", "thin", "cold", "jump", "still", "nan", "inf")),
-        max_size=2,
-    ),
+    features=state_features,
 )
-
-
-def condition(code, ndim):
-    return {"T": Transmissive(), "W": ReflectiveWall(), "I": SupersonicInflow(INFLOW[ndim])}[code]
-
-
-def edge_spec(code, ndim):
-    """``P`` is inflow | wall | open along the edge, the wall's end left
-    to Python's slice semantics; ``O`` a wall on ``[0, 5)`` overlapped by
-    inflow from 3 on, the later segment winning ``[3, 5)``."""
-    if code == "O":
-        return EdgeSpec().add(0, 5, condition("W", ndim)).add(3, None, condition("I", ndim))
-    if code != "P":
-        return EdgeSpec.uniform(condition(code, ndim))
-    return (
-        EdgeSpec()
-        .add(0, 3, condition("I", ndim))
-        .add(3, -2, condition("W", ndim))
-        .add(-2, None, condition("T", ndim))
-    )
-
-
-def boundary_sets(draw):
-    codes = iter(draw.edges)
-    sets = []
-    for _ in range(draw.members):
-        if draw.ndim == 1:
-            low, high = (next(codes).replace("P", "W").replace("O", "I") for _ in range(2))
-            # a bare condition on one end, a uniform EdgeSpec on the other
-            sets.append(BoundarySet1D(condition(low, 1), edge_spec(high, 1)))
-        else:
-            sets.append(BoundarySet2D(*(edge_spec(next(codes), 2) for _ in range(4))))
-    return sets
-
-
-def smooth(rng, shape, nfields):
-    p = np.empty(shape + (nfields,))
-    p[..., 0] = rng.uniform(1.0, 1.4, shape)
-    p[..., 1:-1] = rng.normal(0.0, 0.3, shape + (nfields - 2,))
-    p[..., -1] = rng.uniform(1.0, 1.4, shape)
-    return p
 
 
 def engine_for(draw, config, boundaries, backend, workers=1):
@@ -163,22 +113,15 @@ def seed_member(draw, config, boundaries, primitive, steps=2):
 def test_compiled_stage_equals_interpreted_stage_equals_seed_step(draw):
     ndim, members = draw.ndim, draw.members
     nfields = ndim + 2
-    ghost = get_scheme(draw.reconstruction, draw.limiter).ghost_cells
+    ghost = get_scheme(draw.method["reconstruction"], draw.method["limiter"]).ghost_cells
     row_bytes = tiling.jit_sweep_row_bytes(
         members * int(np.prod(SHAPES[ndim][1:], dtype=int)), nfields, ghost
     )
-    config = SolverConfig(
-        riemann=draw.riemann,
-        reconstruction=draw.reconstruction,
-        limiter=draw.limiter,
-        variables=draw.variables,
-        rk_order=draw.rk_order,
-        tile_bytes=draw.strip_rows * row_bytes,
-    )
+    config = SolverConfig(**draw.method, tile_bytes=draw.strip_rows * row_bytes)
     rng = np.random.default_rng(draw.seed)
     p = smooth(rng, (members,) + SHAPES[ndim], nfields)
     plant(rng, draw.features, p[members // 2])  # member 1 of 3
-    boundaries = boundary_sets(draw)
+    boundaries = boundary_sets(draw.edges, members, ndim)
     with np.errstate(all="ignore"):
         u0 = state.conservative_from_primitive(p, GAMMA)
 

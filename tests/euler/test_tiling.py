@@ -1,55 +1,32 @@
-"""Cache blocking: plan geometry, budget resolution, and bit-identity.
+"""Cache blocking: plan geometry, budget resolution, and counters.
 
 The tiling layer's whole contract is that a tiled sweep performs the
 *identical rounded operations* as an untiled one — strips only change
-which rows a ufunc pass sees, never the arithmetic per element.  So the
-differential tests here assert exact equality (max-abs difference of
-0.0), across the full method menu, on odd/ragged grids whose strips do
-not divide evenly, and through :class:`~repro.par.solver.ParallelSolver2D`
-where the strips are what the worker team splits.  The plan tests pin the
-geometry invariants (full disjoint coverage, ragged tail, clamping), the
-config/env/default budget resolution, and the NumPy executor's row size
+which rows a ufunc pass sees, never the arithmetic per element.  That
+tiled == untiled (== seed) at 0.0, over the method menu, on ragged grids
+and on a worker team, is drawn by the lattice strategy
+(``test_single_path.py``, ``tile_bytes`` in {0, 1, None}).  The tests
+here pin the geometry invariants (full disjoint coverage, ragged tail,
+clamping), the config/env/default budget resolution, the strip counters
+of a one-strip and a many-strip plan, and the NumPy executor's row size
 on four method/grid pairs.
 """
 
-import itertools
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.euler import problems, tiling
-from repro.euler.boundary import all_transmissive_2d, transmissive_1d
-from repro.euler.solver import EulerSolver1D, EulerSolver2D, SolverConfig
-from repro.par import ParallelSolver2D
+from repro.euler import tiling
+from repro.euler.boundary import all_transmissive_2d
+from repro.euler.solver import EulerSolver2D, SolverConfig
 
-RECONSTRUCTIONS = ("pc", "tvd2", "tvd3", "weno3")
-RIEMANN_SOLVERS = ("rusanov", "hll", "hllc", "roe")
-LIMITERS = ("minmod", "superbee", "vanleer", "mc")
-#: Schemes whose stencil actually consults the limiter; pc and weno3
-#: ignore it, so sweeping limiters there would re-run identical cases.
-LIMITED_SCHEMES = ("tvd2", "tvd3")
+from tests.euler.draws import smooth
 
 #: A deliberately tiny budget: forces single-digit-row strips (often one
 #: row) on the test grids, so every sweep crosses many tile boundaries.
 TINY_TILE_BYTES = 2048
-
-
-def smooth_random_1d(rng, n):
-    primitive = np.empty((n, 3))
-    primitive[:, 0] = rng.uniform(1.0, 1.4, n)
-    primitive[:, 1] = rng.normal(0.0, 0.3, n)
-    primitive[:, 2] = rng.uniform(1.0, 1.4, n)
-    return primitive
-
-
-def smooth_random_2d(rng, nx, ny):
-    primitive = np.empty((nx, ny, 4))
-    primitive[..., 0] = rng.uniform(1.0, 1.4, (nx, ny))
-    primitive[..., 1] = rng.normal(0.0, 0.3, (nx, ny))
-    primitive[..., 2] = rng.normal(0.0, 0.3, (nx, ny))
-    primitive[..., 3] = rng.uniform(1.0, 1.4, (nx, ny))
-    return primitive
 
 
 class TestPlanTiles:
@@ -129,28 +106,8 @@ class TestResolveTileBytes:
             SolverConfig(tile_bytes=-4096)
 
 
-def _twin_1d(primitive, config):
-    """(tiled solver, untiled solver) from the same state and method."""
-    import dataclasses
-
-    tiled = EulerSolver1D(
-        primitive.copy(),
-        0.01,
-        transmissive_1d(),
-        dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
-    )
-    untiled = EulerSolver1D(
-        primitive.copy(),
-        0.01,
-        transmissive_1d(),
-        dataclasses.replace(config, tile_bytes=0),
-    )
-    return tiled, untiled
-
-
 def _twin_2d(primitive, config):
-    import dataclasses
-
+    """(tiled solver, untiled solver) from the same state and method."""
     tiled = EulerSolver2D(
         primitive.copy(),
         0.01,
@@ -168,58 +125,17 @@ def _twin_2d(primitive, config):
     return tiled, untiled
 
 
-class TestTiledBitForBitSweep:
-    """Every riemann x reconstruction x limiter, 1-D and 2-D, exact.
-
-    Grid sizes are odd primes-ish (17 cells, 9x13) so the tiny budget
-    produces ragged last strips along both axes, and two steps are taken
-    so the second step runs from tiled-produced state.
-    """
-
-    @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
-    @pytest.mark.parametrize("riemann", RIEMANN_SOLVERS)
-    def test_tiled_equals_untiled(self, reconstruction, riemann, rng):
-        limiters = LIMITERS if reconstruction in LIMITED_SCHEMES else ("minmod",)
-        prim_1d = smooth_random_1d(rng, 17)
-        prim_2d = smooth_random_2d(rng, 9, 13)
-        for limiter, variables in itertools.product(
-            limiters, ("characteristic", "primitive", "conservative")
-        ):
-            config = SolverConfig(
-                reconstruction=reconstruction,
-                riemann=riemann,
-                limiter=limiter,
-                variables=variables,
-                rk_order=3,
-            )
-            label = f"{reconstruction}/{riemann}/{limiter}/{variables}"
-
-            tiled, untiled = _twin_1d(prim_1d, config)
-            for _ in range(2):
-                assert tiled.step() == untiled.step()
-            assert np.max(np.abs(tiled.u - untiled.u)) == 0.0, f"1-D {label}"
-            assert tiled.tiles > 0
-
-            tiled, untiled = _twin_2d(prim_2d, config)
-            for _ in range(2):
-                assert tiled.step() == untiled.step()
-            assert np.max(np.abs(tiled.u - untiled.u)) == 0.0, f"2-D {label}"
-            # tile_bytes=0 is a plan of one strip: per RK3 step one dt
-            # pass and 3 stages x 2 sweeps; the tiny budget cuts many.
-            assert untiled.tiles == 2 * (1 + 3 * 2)
-            assert tiled.tiles > untiled.tiles
-
-
 class TestTiledCounters:
     def test_zero_budget_is_a_plan_of_one_strip(self, rng):
         """``tile_bytes=0`` selects no other code: exactly one strip per
         sweep and per dt pass; a tiny budget cuts many; same bits."""
-        tiled, untiled = _twin_2d(smooth_random_2d(rng, 9, 13), SolverConfig())
+        tiled, untiled = _twin_2d(smooth(rng, (9, 13), 4), SolverConfig())
         assert tiled.step() == untiled.step()
         assert np.max(np.abs(tiled.u - untiled.u)) == 0.0
         t, u = tiled.engine.counters(), untiled.engine.counters()
-        assert t["tile_bytes"] == TINY_TILE_BYTES
-        assert u["tile_bytes"] == 0
+        assert t["tile_bytes"] == tiled.tile_bytes == TINY_TILE_BYTES
+        assert u["tile_bytes"] == untiled.tile_bytes == 0
+        assert (t["tiles"], u["tiles"]) == (tiled.tiles, untiled.tiles)
         # one RK3 step: one dt pass, 3 stages x (x-sweep + y-sweep)
         assert u["dt_fused_strips"] == 1
         assert u["tiles"] == 1 + 3 * 2
@@ -233,7 +149,7 @@ class TestTiledCounters:
         assert t["primitive_conversions"] == u["primitive_conversions"] == 3
 
     def test_explicit_dt_skips_fusion(self, rng):
-        tiled, _ = _twin_2d(smooth_random_2d(rng, 9, 13), SolverConfig())
+        tiled, _ = _twin_2d(smooth(rng, (9, 13), 4), SolverConfig())
         tiled.step(dt=1e-4)
         counters = tiled.engine.counters()
         assert counters["dt_fused_strips"] == 0
@@ -269,63 +185,3 @@ class TestNumpyStripPlan:
         plan = engine.stage_plan().sweeps[0].tiles
         assert (plan.row_bytes, len(plan)) == pin
         assert plan.tile_bytes == tiling.DEFAULT_TILE_BYTES
-
-
-class TestTiledParallel:
-    def test_parallel_tiled_matches_serial_untiled(self, rng):
-        """Two workers on a ragged many-strip plan, exact.
-
-        A ~1-row strip budget cuts the 19- and 11-row sweeps into odd
-        strip counts, so the two workers' shares are uneven.
-        """
-        primitive = smooth_random_2d(rng, 19, 11)
-        config = SolverConfig(
-            reconstruction="tvd2", variables="primitive", rk_order=2
-        )
-        import dataclasses
-
-        parallel = ParallelSolver2D(
-            primitive.copy(),
-            0.01,
-            0.012,
-            all_transmissive_2d(),
-            dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
-            workers=2,
-        )
-        serial = EulerSolver2D(
-            primitive.copy(),
-            0.01,
-            0.012,
-            all_transmissive_2d(),
-            dataclasses.replace(config, tile_bytes=0),
-        )
-        try:
-            for _ in range(3):
-                assert parallel.step() == serial.step()
-            assert np.max(np.abs(parallel.u - serial.u)) == 0.0
-            assert parallel.tiles > 0
-            assert parallel.tile_bytes == TINY_TILE_BYTES
-        finally:
-            parallel.close()
-
-
-class TestTiledAcceptanceProblem:
-    def test_two_channel_tiled_exact(self):
-        import dataclasses
-
-        from repro.euler.solver import paper_benchmark_config
-
-        config = paper_benchmark_config()
-        tiled, _ = problems.two_channel(
-            n_cells=33,
-            h=16.0,
-            config=dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
-        )
-        untiled, _ = problems.two_channel(
-            n_cells=33, h=16.0, config=dataclasses.replace(config, tile_bytes=0)
-        )
-        tiled.run(max_steps=5)
-        untiled.run(max_steps=5)
-        assert np.max(np.abs(tiled.u - untiled.u)) == 0.0
-        assert tiled.time == untiled.time
-        assert tiled.tiles > 0

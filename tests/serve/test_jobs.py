@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
@@ -34,6 +36,16 @@ def test_exact_needs_positive_t():
     with pytest.raises(ConfigurationError, match="problem_args\\['t'\\]"):
         JobSpec(problem="exact", problem_args={"t": -0.5})
     JobSpec(problem="exact", problem_args={"t": 0.2})  # fine without t_end
+
+
+@pytest.mark.parametrize("wire_t", ["NaN", "Infinity", "true"])
+def test_exact_refuses_a_t_the_wire_admits_but_is_no_time(wire_t):
+    """``json.loads`` admits all three; NaN sampled one constant state,
+    Infinity came back as a ``time`` strict JSON cannot carry, and
+    ``true`` ran as ``t = 1.0``."""
+    payload = json.loads(f'{{"problem": "exact", "problem_args": {{"t": {wire_t}}}}}')
+    with pytest.raises(ConfigurationError, match="problem_args\\['t'\\]"):
+        JobSpec.from_dict(payload)
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,19 @@ def test_nan_t_end_is_refused_and_leaves_the_shards_free(client):
     assert all(client.stats()["shards"]["alive"])
 
 
+def test_nan_t_exact_job_is_refused_and_never_cached(client):
+    """An ``exact`` job with ``t: NaN`` used to come back ``done`` — every
+    sample one constant state, ``"time": NaN`` — and to be cached."""
+    cache = client.stats()["result_cache"]
+    bad = {"problem": "exact", "problem_args": {"base": "sod", "t": float("nan")}}
+    response = client.request("submit", spec=bad)
+    assert response["ok"] is False
+    assert response["error_type"] == "ConfigurationError"
+    assert client.ping()
+    after = client.stats()["result_cache"]
+    assert (after["entries"], after["misses"]) == (cache["entries"], cache["misses"])
+
+
 def test_non_object_request_line_gets_error_response(handle):
     with socket.create_connection(("127.0.0.1", handle.port), timeout=30.0) as sock:
         reader = sock.makefile("rb")
