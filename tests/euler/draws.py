@@ -28,6 +28,9 @@ from repro.euler.riemann import RIEMANN_SOLVERS
 GAMMA = 1.4
 LIMITERS = ("minmod", "superbee", "vanleer", "mc")
 RECONSTRUCTIONS = ("pc", "tvd2", "tvd3", "weno3")
+#: Schemes whose stencil consults the limiter; pc and weno3 ignore it.
+LIMITED_SCHEMES = ("tvd2", "tvd3")
+RIEMANN = tuple(sorted(RIEMANN_SOLVERS))
 VARIABLES = ("primitive", "conservative", "characteristic")
 
 HAVE_CC = repro.jit.available()
@@ -39,7 +42,7 @@ BACKENDS = ("jit", "numpy") if HAVE_CC else ("numpy",)
 #: A method tuple as :class:`~repro.euler.solver.SolverConfig` keywords.
 methods = st.fixed_dictionaries(
     {
-        "riemann": st.sampled_from(sorted(RIEMANN_SOLVERS)),
+        "riemann": st.sampled_from(RIEMANN),
         "reconstruction": st.sampled_from(RECONSTRUCTIONS),
         "limiter": st.sampled_from(LIMITERS),
         "variables": st.sampled_from(VARIABLES),

@@ -2,13 +2,15 @@
 
 The engine's whole claim is that its preallocated, ``out=``-driven
 stepping performs the *identical sequence of rounded floating-point
-operations* as the allocating seed solver.  Stepping is held to the
-seed at 0.0 by the lattice strategy (``test_single_path.py``); here the
-allocating ``rhs`` wrapper is, and the workspace tests pin the other
-half of the contract: engines share nothing with each other, and a
-warmed-up engine stops allocating.
+operations* as the allocating seed solver.  The lattice strategy
+(``test_single_path.py``) draws that at 0.0; the sweep here holds every
+Riemann solver x reconstruction x variables x RK order to it on one
+fixed state, and the paper problems and the allocating ``rhs`` wrapper
+too.  The workspace tests pin the other half of the contract: engines
+share nothing with each other, and a warmed-up engine stops allocating.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import repro.jit
 from repro.errors import ConfigurationError
+from repro.euler import problems
 from repro.euler.boundary import all_transmissive_2d, transmissive_1d
 from repro.euler.engine import PHASES, StepEngine
 from repro.euler.solver import (
@@ -24,10 +27,22 @@ from repro.euler.solver import (
     SolverConfig,
     _clamped_dt,
     _reached,
+    paper_benchmark_config,
 )
 from repro.euler.workspace import Workspace
 
-from tests.euler.draws import smooth
+from tests.euler.draws import RECONSTRUCTIONS, RIEMANN, VARIABLES, smooth
+
+RK_ORDERS = (1, 2, 3)
+
+
+def _twin_1d(primitive, config):
+    """(engine solver, seed solver) from the same initial condition."""
+    engine = EulerSolver1D(primitive.copy(), 0.01, transmissive_1d(), config)
+    seed = EulerSolver1D(
+        primitive.copy(), 0.01, transmissive_1d(), config, use_engine=False
+    )
+    return engine, seed
 
 
 def _twin_2d(primitive, config):
@@ -41,7 +56,61 @@ def _twin_2d(primitive, config):
     return engine, seed
 
 
+class TestBitForBitSweep:
+    """Property-style sweep over the full method menu, exact equality."""
+
+    @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
+    @pytest.mark.parametrize("riemann", RIEMANN)
+    def test_engine_equals_seed_on_random_states(
+        self, reconstruction, riemann, rng
+    ):
+        prim_1d = smooth(rng, (16,), 3)
+        prim_2d = smooth(rng, (8, 10), 4)
+        for variables, rk_order in itertools.product(VARIABLES, RK_ORDERS):
+            config = SolverConfig(
+                reconstruction=reconstruction,
+                riemann=riemann,
+                variables=variables,
+                rk_order=rk_order,
+            )
+            engine, seed = _twin_1d(prim_1d, config)
+            for _ in range(2):
+                dt_engine = engine.step()
+                dt_seed = seed.step()
+                assert dt_engine == dt_seed
+            assert np.max(np.abs(engine.u - seed.u)) == 0.0, (
+                f"1-D {reconstruction}/{riemann}/{variables}/rk{rk_order}"
+            )
+
+            engine, seed = _twin_2d(prim_2d, config)
+            for _ in range(2):
+                assert engine.step() == seed.step()
+            assert np.max(np.abs(engine.u - seed.u)) == 0.0, (
+                f"2-D {reconstruction}/{riemann}/{variables}/rk{rk_order}"
+            )
+
+
 class TestAcceptanceProblems:
+    """The paper problems reproduce the seed path exactly."""
+
+    def test_sod_2d_exact(self):
+        engine, _ = problems.sod_2d(nx=32, ny=12)
+        seed, _ = problems.sod_2d(nx=32, ny=12)
+        seed.engine = None  # seed path, same initial state
+        engine.run(max_steps=5)
+        seed.run(max_steps=5)
+        assert np.max(np.abs(engine.u - seed.u)) == 0.0
+        assert engine.time == seed.time
+
+    def test_two_channel_exact(self):
+        config = paper_benchmark_config()
+        engine, _ = problems.two_channel(n_cells=24, h=12.0, config=config)
+        seed, _ = problems.two_channel(n_cells=24, h=12.0, config=config)
+        seed.engine = None
+        engine.run(max_steps=5)
+        seed.run(max_steps=5)
+        assert np.max(np.abs(engine.u - seed.u)) == 0.0
+
     def test_rhs_wrapper_matches_seed(self, rng):
         """The public allocating ``rhs`` returns the seed values."""
         prim = smooth(rng, (8, 9), 4)

@@ -1,12 +1,14 @@
 """repro.jit: the machinery around the compiled kernels.
 
 The compile layer's whole contract is that a served strip performs the
-*identical rounded operations* as the NumPy path: ``max |jit - numpy|
-== 0.0`` over the method menu, 1-D and 2-D, on ragged many-strip
-plans, is drawn by the lattice strategy (``test_single_path.py``).  The
-tests here pin the machinery around that guarantee: the counter
-contract, backend resolution precedence, per-strip fallback counting,
-the IR verifier's diagnostic codes, and compile-failure degradation
+*identical rounded operations* as the NumPy path.  The lattice strategy
+(``test_single_path.py``) draws that at 0.0; the differential harness
+here mirrors ``test_tiling.py``: every riemann x reconstruction x
+limiter x variables combination, 1-D and 2-D, on ragged grids with a
+tiny tile budget, asserting ``max |jit - numpy| == 0.0`` exactly.  The
+rest pins the machinery around that guarantee: the counter contract,
+backend resolution precedence, per-strip fallback counting, the IR
+verifier's diagnostic codes, and compile-failure degradation
 (compilation problems may only cost speed, never correctness).
 
 All solver-building tests construct under ``backend_override`` — the
@@ -17,6 +19,7 @@ compiled-path assertions.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 
@@ -26,16 +29,34 @@ import pytest
 import repro.jit
 from repro.errors import AnalysisError, ConfigurationError
 from repro.euler import problems
-from repro.euler.boundary import all_transmissive_2d
-from repro.euler.solver import EulerSolver2D, SolverConfig
+from repro.euler.boundary import all_transmissive_2d, transmissive_1d
+from repro.euler.solver import EulerSolver1D, EulerSolver2D, SolverConfig
 from repro.jit import compile as jit_compile
 from repro.jit.codegen import generate_source
 from repro.jit.ir import IRBuilder, KernelIR, Op
 from repro.jit.kernels import build_dt_ir, build_flux_ir, spec_from_config
 
-from tests.euler.draws import HAVE_CC, needs_cc, smooth
+from tests.euler.draws import (
+    HAVE_CC,
+    LIMITED_SCHEMES,
+    LIMITERS,
+    RECONSTRUCTIONS,
+    RIEMANN,
+    VARIABLES,
+    needs_cc,
+    smooth,
+)
 
 TINY_TILE_BYTES = 2048
+
+
+def _twin_1d(primitive, config):
+    """(jit solver, numpy solver) from the same state and method."""
+    with repro.jit.backend_override("jit"):
+        jit = EulerSolver1D(primitive.copy(), 0.01, transmissive_1d(), config)
+    with repro.jit.backend_override("numpy"):
+        oracle = EulerSolver1D(primitive.copy(), 0.01, transmissive_1d(), config)
+    return jit, oracle
 
 
 def _twin_2d(primitive, config):
@@ -71,10 +92,83 @@ def _source(config, ndim):
 
 @needs_cc
 class TestCompiledBitForBit:
-    """jit == numpy at 0.0 over the method menu, strip budgets, B and a
-    team is drawn by the lattice strategy (``test_single_path.py``, which
-    also asserts every compiled step served with no fallback); what
-    stays here is the counter contract beside the bits."""
+    """Every riemann x reconstruction x limiter x variables, exact.
+
+    Grid sizes (17 cells, 9x13) with a tiny budget force ragged strips;
+    two steps mean the second runs from jit-produced state.  Every
+    combination is served by its compiled kernel — characteristic
+    variables with wide stencils included — with no fallback.
+    """
+
+    @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
+    @pytest.mark.parametrize("riemann", RIEMANN)
+    def test_jit_equals_numpy(self, reconstruction, riemann, rng):
+        limiters = LIMITERS if reconstruction in LIMITED_SCHEMES else ("minmod",)
+        prim_1d = smooth(rng, (17,), 3)
+        prim_2d = smooth(rng, (9, 13), 4)
+        for limiter, variables in itertools.product(limiters, VARIABLES):
+            config = SolverConfig(
+                reconstruction=reconstruction,
+                riemann=riemann,
+                limiter=limiter,
+                variables=variables,
+                rk_order=3,
+                tile_bytes=TINY_TILE_BYTES,
+            )
+            label = f"{reconstruction}/{riemann}/{limiter}/{variables}"
+
+            jit, oracle = _twin_1d(prim_1d, config)
+            for _ in range(2):
+                assert jit.step() == oracle.step()
+            assert np.max(np.abs(jit.u - oracle.u)) == 0.0, f"1-D {label}"
+
+            jit, oracle = _twin_2d(prim_2d, config)
+            for _ in range(2):
+                assert jit.step() == oracle.step()
+            assert np.max(np.abs(jit.u - oracle.u)) == 0.0, f"2-D {label}"
+            stats = _jit_stats(jit)
+            assert stats["sweep_calls"] > 0, f"not served: {label}"
+            assert stats["dt_calls"] > 0, f"dt not served: {label}"
+            assert stats["fallbacks"] == {}, f"unexpected fallback: {label}"
+
+    def test_untiled_sweeps_also_served(self, rng):
+        """tile_bytes=0 disables strip planning but not the backend:
+        the whole-grid sweep goes through the kernel in one call."""
+        config = SolverConfig(
+            reconstruction="weno3",
+            riemann="hllc",
+            variables="primitive",
+            tile_bytes=0,
+        )
+        jit, oracle = _twin_2d(smooth(rng, (9, 13), 4), config)
+        for _ in range(2):
+            assert jit.step() == oracle.step()
+        assert np.max(np.abs(jit.u - oracle.u)) == 0.0
+        assert _jit_stats(jit)["sweep_calls"] > 0
+
+    def test_batched_ensemble_served_and_exact(self, rng):
+        config = SolverConfig(
+            reconstruction="tvd2",
+            riemann="roe",
+            limiter="vanleer",
+            variables="primitive",
+            tile_bytes=TINY_TILE_BYTES,
+        )
+        machs = [1.5, 2.0, 2.5]
+        with repro.jit.backend_override("jit"):
+            jit, _ = problems.two_channel_ensemble(
+                machs, n_cells=16, h=8.0, config=config
+            )
+        with repro.jit.backend_override("numpy"):
+            oracle, _ = problems.two_channel_ensemble(
+                machs, n_cells=16, h=8.0, config=config
+            )
+        for _ in range(2):
+            jit.step()
+            oracle.step()
+        assert np.max(np.abs(jit.u - oracle.u)) == 0.0
+        stats = jit.engine.counters()["jit"]
+        assert stats["sweep_calls"] > 0 and stats["dt_calls"] > 0
 
     def test_counter_contract_preserved(self, rng):
         """The jit path books the same logical counters as the NumPy

@@ -2,17 +2,19 @@
 
 The threaded dispatcher may only run behind a passing dependence proof
 (:mod:`repro.analysis.deps`), and its one correctness contract is
-``max |threaded - serial| == 0.0`` — drawn across the method menu, strip
-budgets and both barriers by the lattice strategy
-(``test_single_path.py``, ``ParallelSolver2D`` with 1 or 2 workers).
-Here: that the strips really run threaded, and the licensing machinery —
-a denied or crashing proof serializes every strip with a counted reason
-(visible in counters, steprate and the step trace), and
-``REPRO_JIT_THREADS`` parsing rejects nonsense.
+``max |threaded - serial| == 0.0`` — drawn by the lattice strategy
+(``test_single_path.py``) and enforced here across the full riemann x
+reconstruction x limiter x variables matrix.  The rest pins that the
+strips really run threaded, and the licensing machinery: a denied or
+crashing proof serializes every strip with a counted reason (visible in
+counters, steprate and the step trace), and ``REPRO_JIT_THREADS``
+parsing rejects nonsense.
 
 Thread count binds at backend construction (like the backend itself),
 so every test sets the environment *before* building solvers.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -20,11 +22,20 @@ import pytest
 import repro.jit
 from repro.analysis import deps
 from repro.errors import ConfigurationError
+from repro.euler import problems
 from repro.euler.boundary import all_transmissive_2d
 from repro.euler.solver import EulerSolver2D, SolverConfig
 from repro.jit.plan import prove_stage
 
-from tests.euler.draws import needs_cc, smooth
+from tests.euler.draws import (
+    LIMITED_SCHEMES,
+    LIMITERS,
+    RECONSTRUCTIONS,
+    RIEMANN,
+    VARIABLES,
+    needs_cc,
+    smooth,
+)
 from tests.euler.test_jit import TINY_TILE_BYTES, _jit_stats
 
 
@@ -62,6 +73,36 @@ class TestResolveThreads:
 
 @needs_cc
 class TestThreadedBitIdentity:
+    """max |threaded - serial| == 0.0 across the whole method matrix.
+
+    Tiny grids (9x13) with a tiny tile budget force ragged multi-strip
+    plans; two steps mean the second runs from threaded-produced state.
+    """
+
+    @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
+    @pytest.mark.parametrize("riemann", RIEMANN)
+    def test_threaded_equals_serial(
+        self, reconstruction, riemann, rng, monkeypatch
+    ):
+        limiters = LIMITERS if reconstruction in LIMITED_SCHEMES else ("minmod",)
+        prim = smooth(rng, (9, 13), 4)
+        for limiter, variables in itertools.product(limiters, VARIABLES):
+            config = SolverConfig(
+                reconstruction=reconstruction,
+                riemann=riemann,
+                limiter=limiter,
+                variables=variables,
+                rk_order=3,
+                tile_bytes=TINY_TILE_BYTES,
+            )
+            threaded, serial = _twin_threaded_2d(prim, config, monkeypatch)
+            for _ in range(2):
+                assert threaded.step() == serial.step()
+            label = f"{reconstruction}/{riemann}/{limiter}/{variables}"
+            assert (
+                np.max(np.abs(threaded.u - serial.u)) == 0.0
+            ), f"threaded != serial for {label}"
+
     def test_threaded_strips_actually_threaded(self, rng, monkeypatch):
         prim = smooth(rng, (24, 16), 4)
         for variables in ("primitive", "characteristic"):
@@ -81,6 +122,33 @@ class TestThreadedBitIdentity:
             assert stats["serialized"] == {}
             assert stats["fallbacks"] == {}
             assert _jit_stats(serial)["strips_threaded"] == 0
+
+    def test_batched_ensemble_threaded_exact(self, monkeypatch):
+        """The batch engine hands the x-sweep a non-contiguous target;
+        the threaded path must route it through scratch bit-exactly."""
+        config = SolverConfig(
+            reconstruction="tvd2",
+            riemann="roe",
+            limiter="vanleer",
+            variables="primitive",
+            tile_bytes=TINY_TILE_BYTES,
+        )
+        machs = [1.5, 2.0, 2.5]
+        monkeypatch.delenv(repro.jit.THREADS_ENV, raising=False)
+        with repro.jit.backend_override("jit"):
+            serial, _ = problems.two_channel_ensemble(
+                machs, n_cells=16, h=8.0, config=config
+            )
+        monkeypatch.setenv(repro.jit.THREADS_ENV, "2")
+        with repro.jit.backend_override("jit"):
+            threaded, _ = problems.two_channel_ensemble(
+                machs, n_cells=16, h=8.0, config=config
+            )
+        for _ in range(2):
+            threaded.step()
+            serial.step()
+        assert np.max(np.abs(threaded.u - serial.u)) == 0.0
+        assert threaded.engine.counters()["jit"]["strips_threaded"] > 0
 
 
 @needs_cc

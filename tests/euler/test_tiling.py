@@ -2,27 +2,36 @@
 
 The tiling layer's whole contract is that a tiled sweep performs the
 *identical rounded operations* as an untiled one — strips only change
-which rows a ufunc pass sees, never the arithmetic per element.  That
-tiled == untiled (== seed) at 0.0, over the method menu, on ragged grids
-and on a worker team, is drawn by the lattice strategy
-(``test_single_path.py``, ``tile_bytes`` in {0, 1, None}).  The tests
-here pin the geometry invariants (full disjoint coverage, ragged tail,
-clamping), the config/env/default budget resolution, the strip counters
-of a one-strip and a many-strip plan, and the NumPy executor's row size
-on four method/grid pairs.
+which rows a ufunc pass sees, never the arithmetic per element.  The
+lattice strategy (``test_single_path.py``, ``tile_bytes`` in {0, 1,
+None}) draws tiled == untiled (== seed) at 0.0; the differential tests
+here assert it over the full method menu, on odd/ragged grids whose
+strips do not divide evenly, and through
+:class:`~repro.par.solver.ParallelSolver2D` where the strips are what
+the worker team splits.  The rest pin the geometry invariants (full
+disjoint coverage, ragged tail, clamping), the config/env/default budget
+resolution, the strip counters of a one-strip and a many-strip plan, and
+the NumPy executor's row size on four method/grid pairs.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.euler import tiling
-from repro.euler.boundary import all_transmissive_2d
-from repro.euler.solver import EulerSolver2D, SolverConfig
+from repro.euler import problems, tiling
+from repro.euler.boundary import all_transmissive_2d, transmissive_1d
+from repro.euler.solver import (
+    EulerSolver1D,
+    EulerSolver2D,
+    SolverConfig,
+    paper_benchmark_config,
+)
+from repro.par import ParallelSolver2D
 
-from tests.euler.draws import smooth
+from tests.euler.draws import LIMITED_SCHEMES, LIMITERS, RECONSTRUCTIONS, RIEMANN, smooth
 
 #: A deliberately tiny budget: forces single-digit-row strips (often one
 #: row) on the test grids, so every sweep crosses many tile boundaries.
@@ -106,8 +115,24 @@ class TestResolveTileBytes:
             SolverConfig(tile_bytes=-4096)
 
 
-def _twin_2d(primitive, config):
+def _twin_1d(primitive, config):
     """(tiled solver, untiled solver) from the same state and method."""
+    tiled = EulerSolver1D(
+        primitive.copy(),
+        0.01,
+        transmissive_1d(),
+        dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
+    )
+    untiled = EulerSolver1D(
+        primitive.copy(),
+        0.01,
+        transmissive_1d(),
+        dataclasses.replace(config, tile_bytes=0),
+    )
+    return tiled, untiled
+
+
+def _twin_2d(primitive, config):
     tiled = EulerSolver2D(
         primitive.copy(),
         0.01,
@@ -123,6 +148,48 @@ def _twin_2d(primitive, config):
         dataclasses.replace(config, tile_bytes=0),
     )
     return tiled, untiled
+
+
+class TestTiledBitForBitSweep:
+    """Every riemann x reconstruction x limiter, 1-D and 2-D, exact.
+
+    Grid sizes are odd primes-ish (17 cells, 9x13) so the tiny budget
+    produces ragged last strips along both axes, and two steps are taken
+    so the second step runs from tiled-produced state.
+    """
+
+    @pytest.mark.parametrize("reconstruction", RECONSTRUCTIONS)
+    @pytest.mark.parametrize("riemann", RIEMANN)
+    def test_tiled_equals_untiled(self, reconstruction, riemann, rng):
+        limiters = LIMITERS if reconstruction in LIMITED_SCHEMES else ("minmod",)
+        prim_1d = smooth(rng, (17,), 3)
+        prim_2d = smooth(rng, (9, 13), 4)
+        for limiter, variables in itertools.product(
+            limiters, ("characteristic", "primitive", "conservative")
+        ):
+            config = SolverConfig(
+                reconstruction=reconstruction,
+                riemann=riemann,
+                limiter=limiter,
+                variables=variables,
+                rk_order=3,
+            )
+            label = f"{reconstruction}/{riemann}/{limiter}/{variables}"
+
+            tiled, untiled = _twin_1d(prim_1d, config)
+            for _ in range(2):
+                assert tiled.step() == untiled.step()
+            assert np.max(np.abs(tiled.u - untiled.u)) == 0.0, f"1-D {label}"
+            assert tiled.tiles > 0
+
+            tiled, untiled = _twin_2d(prim_2d, config)
+            for _ in range(2):
+                assert tiled.step() == untiled.step()
+            assert np.max(np.abs(tiled.u - untiled.u)) == 0.0, f"2-D {label}"
+            # tile_bytes=0 is a plan of one strip: per RK3 step one dt
+            # pass and 3 stages x 2 sweeps; the tiny budget cuts many.
+            assert untiled.tiles == 2 * (1 + 3 * 2)
+            assert tiled.tiles > untiled.tiles
 
 
 class TestTiledCounters:
@@ -185,3 +252,57 @@ class TestNumpyStripPlan:
         plan = engine.stage_plan().sweeps[0].tiles
         assert (plan.row_bytes, len(plan)) == pin
         assert plan.tile_bytes == tiling.DEFAULT_TILE_BYTES
+
+
+class TestTiledParallel:
+    def test_parallel_tiled_matches_serial_untiled(self, rng):
+        """Two workers on a ragged many-strip plan, exact.
+
+        A ~1-row strip budget cuts the 19- and 11-row sweeps into odd
+        strip counts, so the two workers' shares are uneven.
+        """
+        primitive = smooth(rng, (19, 11), 4)
+        config = SolverConfig(
+            reconstruction="tvd2", variables="primitive", rk_order=2
+        )
+        parallel = ParallelSolver2D(
+            primitive.copy(),
+            0.01,
+            0.012,
+            all_transmissive_2d(),
+            dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
+            workers=2,
+        )
+        serial = EulerSolver2D(
+            primitive.copy(),
+            0.01,
+            0.012,
+            all_transmissive_2d(),
+            dataclasses.replace(config, tile_bytes=0),
+        )
+        try:
+            for _ in range(3):
+                assert parallel.step() == serial.step()
+            assert np.max(np.abs(parallel.u - serial.u)) == 0.0
+            assert parallel.tiles > 0
+            assert parallel.tile_bytes == TINY_TILE_BYTES
+        finally:
+            parallel.close()
+
+
+class TestTiledAcceptanceProblem:
+    def test_two_channel_tiled_exact(self):
+        config = paper_benchmark_config()
+        tiled, _ = problems.two_channel(
+            n_cells=33,
+            h=16.0,
+            config=dataclasses.replace(config, tile_bytes=TINY_TILE_BYTES),
+        )
+        untiled, _ = problems.two_channel(
+            n_cells=33, h=16.0, config=dataclasses.replace(config, tile_bytes=0)
+        )
+        tiled.run(max_steps=5)
+        untiled.run(max_steps=5)
+        assert np.max(np.abs(tiled.u - untiled.u)) == 0.0
+        assert tiled.time == untiled.time
+        assert tiled.tiles > 0
