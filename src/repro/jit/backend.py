@@ -205,7 +205,9 @@ class JitBackend:
         """``plan`` as the ``repro_stage`` struct and its team proof (None
         with nothing to overlap), made once per engine.  Scratch is one
         window set per *worker* — the largest strip window of either
-        sweep plus two flux rows — whatever the strip count."""
+        sweep plus two flux rows — whatever the strip count; an axis-1
+        window holds one pencil (:data:`repro.jit.codegen.PENCIL` rows of
+        grid axis 0), not the whole strip."""
         if self._bound is not None and self._bound[0] is plan:
             return self._bound[1:3]
         nfields = self.spec.nfields
@@ -236,7 +238,7 @@ class JitBackend:
             setattr(stage, f"nfills{axis}", len(phase.fills))
             setattr(stage, f"fills{axis}", _ptr(fills))
             setattr(stage, ("dx", "dy")[axis], phase.spacing)
-            cross = plan.batch * (ny if axis == 0 else nx) * nfields
+            cross = plan.batch * (ny if axis == 0 else min(nx, codegen.PENCIL)) * nfields
             window = max(window, (phase.tiles.strip_rows + 2 * ghost) * cross)
             flux = max(flux, 2 * cross)
         fill_states = np.array(states or [(0.0,) * nfields], dtype=float)
@@ -501,6 +503,8 @@ class JitBackend:
             "threads": self.threads,
             "strips_threaded": self.strips_threaded,
             "serialized": dict(self.serialized),
+            # Grid-axis-0 cells per pencil of an axis-1 sweep strip.
+            "pencil": codegen.PENCIL if self.ndim == 2 else None,
         }
         snapshot.update(jit_compile.compile_stats())
         return snapshot

@@ -25,7 +25,8 @@ One translation unit per specialization, containing:
   ``ghost_cells`` either side, ghost layers from the fill-record table)
   through the same ``flux_row`` skeleton, difference rows written into
   ``k`` (axis 0, ``difference_point``) or added transposed with the
-  velocity swap undone (axis 1, ``accumulate_point``), then the
+  velocity swap undone (axis 1, ``accumulate_point``; a strip there runs
+  as pencils of :data:`PENCIL` grid rows, each with its own window), then the
   stage's ``combine_*`` point function over ``u``, ``v``, ``k``.  The
   strip loop is inside C;
 * ``repro_jit_step`` — the *step program*: an array of ``repro_stage``
@@ -413,6 +414,16 @@ _ALL_PHASES = sum(STAGE_PHASES.values())
 #: Cells per chunk of the stage's convert phase (convert, then flag).
 CONVERT_CHUNK = 256
 
+#: Cells of grid axis 0 per *pencil* of an axis-1 sweep strip, per member.
+#: Axis 1 runs transposed: a window row gathers one cell from every row
+#: of the grid (``ny * F`` doubles apart) and the difference is added
+#: back at that stride.  Over the whole of axis 0 each cell is then on a
+#: page of its own; a strip runs as pencils of this many rows instead, so
+#: a pencil's gather and accumulate revisit the same few pages row after
+#: row.  8, 16 and 32 measured alike at 400x400, 64 and up gained nothing
+#: (EXPERIMENTS "SR (cont.) — pencils on axis 1").
+PENCIL = 16
+
 
 def _sweep_kernel(nfields: int, stencil: int) -> List[str]:
     """The flux difference point functions, ``flux_row`` (one face row
@@ -573,18 +584,19 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
 
     # The window of one sweep strip: rows [s - ng, e + ng) of the primitive
     # state in sweep layout (on axis 1 the grid transposed, u and v
-    # exchanged), ghost layers from the fill table.
+    # exchanged) over the cells [c0, c1) across them, ghost layers from
+    # the fill records, each clipped to [c0, c1).
     copy_cell = " ".join(
         f"dst[{f}] = src[{'i1' if f == 1 else 'i2' if f == 2 else f}];" for f in range(F)
     )
     lines += [
         "",
         "static void fill_window(const repro_stage* st, double* restrict window,",
-        "                        long s, long e, long axis)",
+        "                        long s, long e, long c0, long c1, long axis)",
         "{",
         "    const long B = st->members, ng = st->ng, rows = e - s + 2 * ng;",
         f"    const long inner = st->ny * {F}, member = st->nx * inner;",
-        "    const long n = axis ? st->ny : st->nx, edge = axis ? st->nx : st->ny;",
+        "    const long n = axis ? st->ny : st->nx, edge = c1 - c0;",
         "    /* primitive strides along the sweep axis and along the edge */",
         f"    const long along = axis ? {F} : inner, across = axis ? inner : {F};",
         "    const long i1 = axis ? 2 : 1, i2 = axis ? 1 : 2;",
@@ -594,7 +606,7 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
         "        const long g = s + w - ng;",
         "        if (g < 0 || g >= n) continue;",
         "        for (long m = 0; m < B; ++m) {",
-        "            const double* from = st->prim + m * member + g * along;",
+        "            const double* from = st->prim + m * member + g * along + c0 * across;",
         f"            double* to = window + (w * B + m) * edge * {F};",
         "            for (long c = 0; c < edge; ++c) {",
         "                const double* src = from + c * across;",
@@ -606,6 +618,7 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
         "    for (long r = 0; r < nfills; ++r) {",
         f"        const long* rec = fills + r * {FILL_RECORD_LONGS};",
         "        const long m = rec[0], high = rec[1], kind = rec[4];",
+        "        const long lo = rec[2] > c0 ? rec[2] : c0, hi = rec[3] < c1 ? rec[3] : c1;",
         f"        const double* state = st->fill_states + rec[5] * {F};",
         "        for (long layer = 0; layer < ng; ++layer) {",
         "            const long w = (high ? n + 2 * ng - 1 - layer : layer) - s;",
@@ -616,9 +629,9 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
         "                : (high ? n - 1 : 0);",
         "            const double* from = st->prim + m * member + g * along;",
         f"            double* to = window + (w * B + m) * edge * {F};",
-        "            for (long c = rec[2]; c < rec[3]; ++c) {",
+        "            for (long c = lo; c < hi; ++c) {",
         "                const double* src = from + c * across;",
-        f"                double* dst = to + c * {F};",
+        f"                double* dst = to + (c - c0) * {F};",
         f"                if (kind == {constant}) {{",
         "                    " + " ".join(f"dst[{f}] = state[{f}];" for f in range(F)),
         "                } else {",
@@ -633,11 +646,11 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
 
     def sweep_strip(axis: int) -> List[str]:
         """One strip's faces through ``flux_row``, difference rows into
-        ``k``: written member by member (axis 0) or added transposed with
-        the velocity swap undone (axis 1), one difference point per
-        element."""
+        ``k``: written member by member (axis 0) or, on the pencil of
+        grid rows ``[c0, c1)``, added transposed with the velocity swap
+        undone (axis 1), one difference point per element."""
         if axis == 0:
-            cross, spacing = "B * st->ny", "st->dx"
+            cross, spacing, pencil = "B * st->ny", "st->dx", ""
             emit = [
                 "            for (long m = 0; m < B; ++m) {",
                 "                double* restrict target = k + m * member + (s + j - 1) * inner;",
@@ -649,13 +662,14 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
                 "            }",
             ]
         else:
-            cross, spacing = "B * nx", "st->dy"
+            cross, spacing, pencil = "B * (c1 - c0)", "st->dy", ", long c0, long c1"
             emit = [
                 "            for (long m = 0; m < B; ++m) {",
-                "                for (long i = 0; i < nx; ++i) {",
-                f"                    const double* fc = fcur + (m * nx + i) * {F};",
-                f"                    const double* fp = fprev + (m * nx + i) * {F};",
-                f"                    double* target = k + m * member + i * inner + (s + j - 1) * {F};",
+                "                for (long i = 0; i < c1 - c0; ++i) {",
+                f"                    const double* fc = fcur + (m * (c1 - c0) + i) * {F};",
+                f"                    const double* fp = fprev + (m * (c1 - c0) + i) * {F};",
+                "                    double* target = k + m * member + (c0 + i) * inner"
+                f" + (s + j - 1) * {F};",
             ]
             # every read before the first write: fc, fp may alias k for all C knows
             emit += [f"                    double sum[{F}];"] + [
@@ -670,10 +684,10 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
         return [
             "",
             f"static void sweep_strip{axis}(const repro_stage* st, const double* restrict window,",
-            "                         double* restrict flux_rows, long s, long e)",
+            f"                         double* restrict flux_rows, long s, long e{pencil})",
             "{",
-            "    const long B = st->members, nx = st->nx;",
-            f"    const long inner = st->ny * {F}, member = nx * inner;",
+            "    const long B = st->members;",
+            f"    const long inner = st->ny * {F}, member = st->nx * inner;",
             f"    const long cross = {cross};",
             "    double* k = st->k;",
             f"    const double dx = {spacing}, gamma = st->gamma;",
@@ -718,16 +732,38 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
 
     def sweep_phase(axis: int) -> List[str]:
         bit = STAGE_PHASES[f"sweep{axis}"]
-        return [
+        head = [
             f"    if (phases & {bit}) {{",
             f"        for (long t = worker; t < st->nstrips{axis}; t += workers) {{",
             f"            const long s = st->strips{axis}[2 * t], e = st->strips{axis}[2 * t + 1];",
             "            const double t0 = now();",
-            f"            fill_window(st, window, s, e, {axis});",
-            "            const double t1 = now();",
-            f"            sweep_strip{axis}(st, window, flux_rows, s, e);",
-            "            seconds[1] += t1 - t0;",
-            "            seconds[2] += now() - t1;",
+        ]
+        if axis == 0:
+            return head + [
+                "            fill_window(st, window, s, e, 0, st->ny, 0);",
+                "            const double t1 = now();",
+                "            sweep_strip0(st, window, flux_rows, s, e);",
+                "            seconds[1] += t1 - t0;",
+                "            seconds[2] += now() - t1;",
+                "        }",
+                "    }",
+            ]
+        # Pencil by pencil, each window filled then swept while it is
+        # warm.  Three clock reads per strip, as on axis 0: the first
+        # pencil's fill, scaled by the cells, stands for the strip's.
+        return head + [
+            f"            const long first = st->nx < {PENCIL} ? st->nx : {PENCIL};",
+            "            double t1 = t0;",
+            f"            for (long c0 = 0; c0 < st->nx; c0 += {PENCIL}) {{",
+            f"                const long c1 = st->nx - c0 < {PENCIL} ? st->nx : c0 + {PENCIL};",
+            "                fill_window(st, window, s, e, c0, c1, 1);",
+            "                if (c0 == 0) t1 = now();",
+            "                sweep_strip1(st, window, flux_rows, s, e, c0, c1);",
+            "            }",
+            "            const double spent = now() - t0;",
+            "            const double fill = (t1 - t0) * (double)st->nx / (double)first;",
+            "            seconds[1] += fill < spent ? fill : spent;",
+            "            seconds[2] += fill < spent ? spent - fill : 0.0;",
             "        }",
             "    }",
         ]

@@ -185,7 +185,8 @@ def _jit_summary(counters: Dict[str, object]) -> str:
     Reports worker threads, compiled crossings per step (step, stage
     and dt calls; 2 for a serial step of any order, a team's stage
     rounds instead of the step) next to the strips those served,
-    threaded-strip counts and what the compiler reported for the
+    threaded-strip counts, the pencil width of the axis-1 sweep
+    (``None`` in 1-D) and what the compiler reported for the
     kernel's sweep / dt loops (bytes per vector, ``scalar``, or ``not
     reported``), then every *counted reason* the
     backend served strips outside the fast path: NumPy
@@ -201,6 +202,7 @@ def _jit_summary(counters: Dict[str, object]) -> str:
         f" crossings/step={crossings / max(1, counters.get('steps', 0)):.1f}"
         f" sweep_calls={stats.get('sweep_calls', 0)}"
         f" strips_threaded={stats.get('strips_threaded', 0)}"
+        f" pencil={stats.get('pencil')}"
     ]
     vector = stats.get("vector")
     if vector is not None:

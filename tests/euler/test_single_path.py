@@ -53,6 +53,7 @@ from repro.euler.solver import (
     SolverConfig,
     _MemberDriver,
 )
+from repro.jit.codegen import PENCIL
 from repro.par.solver import ParallelSolver2D
 from repro.serve import state_digest
 
@@ -221,6 +222,9 @@ def _pinned(driver, ndim, members, workers, barrier, backend):
 @given(lattice=lattices())
 @example(lattice=_pinned("team", 2, 1, 2, "forkjoin", BACKENDS[0]))  # threaded strips
 @example(lattice=_pinned("stack", 2, 3, None, None, "numpy"))  # member clocks, NumPy strips
+@example(  # compiled axis-1 strips across two pencils and a ragged one
+    lattice=_pinned("stack", 2, 3, None, None, BACKENDS[0])._replace(shape=(2 * PENCIL + 3, 7))
+)
 def test_every_member_equals_the_seed_path(lattice):
     """method x RK order x ragged 1-D/2-D shape x strip budget x executor
     x driver (solo, B-member stack, team of 1/2 on spin/fork-join) x

@@ -45,10 +45,12 @@ from repro.euler.solver import (
     EulerSolver2D,
     SolverConfig,
 )
+from repro.jit.codegen import PENCIL
 from repro.jit.plan import fill_tables
 from repro.jit.kernels import spec_from_config
 
 from tests.euler.draws import (
+    EDGE_CODES,
     GAMMA,
     INFLOW,
     SPACING,
@@ -97,9 +99,9 @@ def stepped(engine, u0, steps=2):
     return u, np.array(dts)
 
 
-def seed_member(draw, config, boundaries, primitive, steps=2):
+def seed_member(ndim, config, boundaries, primitive, steps=2):
     """One member through the allocating seed stepper."""
-    if draw.ndim == 1:
+    if ndim == 1:
         solver = EulerSolver1D(primitive, *SPACING[1], boundaries, config, use_engine=False)
     else:
         solver = EulerSolver2D(primitive, *SPACING[2], boundaries, config, use_engine=False)
@@ -138,16 +140,87 @@ def test_compiled_stage_equals_interpreted_stage_equals_seed_step(draw):
     if results[0][0] == "error":
         assert results[0] == results[1]
         index = results[0][2]
-        seed = outcome(lambda: seed_member(draw, config, boundaries[index], p[index]))
+        seed = outcome(lambda: seed_member(ndim, config, boundaries[index], p[index]))
         assert seed[0] == "error" and (seed[1], seed[3]) == (results[0][1], results[0][3])
         return
     for mine, theirs in zip(results[0][1], results[1][1]):
         assert_same_bits(theirs, mine)
     for index in range(members):
-        seed = outcome(lambda: seed_member(draw, config, boundaries[index], p[index]))
+        seed = outcome(lambda: seed_member(ndim, config, boundaries[index], p[index]))
         assert seed[0] == "value"
         assert_same_bits(results[1][1][0][index], seed[1][0])
         assert_same_bits(results[1][1][1][:, index], seed[1][1])
+
+
+# -- pencils: the axis-1 sweep in blocks of grid rows ---------------------
+
+#: Two whole pencils and a ragged one of 3 cells along grid axis 0.
+PENCIL_SHAPE = (2 * PENCIL + 3, 7)
+
+#: Two cuts of an axis-1 edge, at least one strictly inside a pencil.
+pencil_cuts = (
+    st.lists(st.integers(1, PENCIL_SHAPE[0] - 1), min_size=2, max_size=2, unique=True)
+    .map(sorted)
+    .filter(lambda cuts: any(cut % PENCIL for cut in cuts))
+)
+
+
+def piecewise(cuts, kinds):
+    """A 2-D edge of the conditions ``kinds`` in order, cut at ``cuts``."""
+    spec = EdgeSpec()
+    for start, stop, kind in zip([0] + cuts, cuts + [None], kinds):
+        spec = spec.add(start, stop, condition(kind, 2))
+    return spec
+
+
+@needs_cc
+@settings(deadline=None)
+@given(
+    method=methods,
+    cuts=pencil_cuts,
+    kinds=st.permutations("IWT"),
+    edges=st.lists(st.sampled_from(EDGE_CODES), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pencil_crossing_sweeps_equal_the_numpy_executor_and_the_seed(
+    method, cuts, kinds, edges, seed
+):
+    """The compiled axis-1 sweep runs each strip as pencils of
+    :data:`~repro.jit.codegen.PENCIL` grid rows: on a grid two pencils
+    and a ragged one wide, B = 3, one-row strips and a team of 2, with
+    both axis-1 edges piecewise (inflow, wall and open in drawn order,
+    cut inside a pencil, so a fill record is clipped at a pencil edge),
+    two steps equal the NumPy executor and each member's seed run at
+    0.0."""
+    members = 3
+    low, high = (piecewise(cuts, order) for order in (kinds, kinds[::-1]))
+    boundaries = [
+        BoundarySet2D(edge_spec(edges[2 * b], 2), edge_spec(edges[2 * b + 1], 2), low, high)
+        for b in range(members)
+    ]
+    rng = np.random.default_rng(seed)
+    p = smooth(rng, (members,) + PENCIL_SHAPE, 4)
+    u0 = state.conservative_from_primitive(p, GAMMA)
+    # one-row strips on the team; the NumPy executor's default strips
+    # are the same bits (the differential above) at a tenth of the time
+    engines = [
+        StepEngine(
+            PENCIL_SHAPE + (4,), SPACING[2], SolverConfig(**method, tile_bytes=tile_bytes),
+            boundaries, backend=backend, workers=workers,
+        )
+        for backend, tile_bytes, workers in (("numpy", None, 1), ("jit", 1, 2))
+    ]
+    results = [outcome(lambda: stepped(engine, u0)) for engine in engines]
+    assert results[0][0] == results[1][0] == "value"
+    for mine, theirs in zip(results[0][1], results[1][1]):
+        assert_same_bits(theirs, mine)
+    stats = engines[1].counters()["jit"]
+    assert stats["fallbacks"] == {} and stats["serialized"] == {}
+    assert stats["strips_threaded"] > 0 and stats["pencil"] == PENCIL
+    for index in range(members):
+        seed_u, seed_dts = seed_member(2, SolverConfig(**method), boundaries[index], p[index])
+        assert_same_bits(results[1][1][0][index], seed_u)
+        assert_same_bits(results[1][1][1][:, index], seed_dts)
 
 
 # -- error parity ---------------------------------------------------------
@@ -428,6 +501,11 @@ def test_an_rk3_step_at_400x400_is_two_crossings_serial_and_threaded_on_a_team(m
         )
         assert scratch.shape[0] == 2
         assert team.engine.scratch_bytes == serial.engine.scratch_bytes + scratch[0].nbytes
+        # an axis-1 window holds one pencil: a worker's window set is no
+        # larger than a whole-row window of the tallest strip and two
+        # whole flux rows
+        rows = max(phase.tiles.strip_rows for phase in team.engine.stage_plan().sweeps)
+        assert scratch[0].size <= (rows + 2 * team.engine.ghost_cells + 2) * 400 * 4
 
 
 class Sponge(BoundaryCondition):

@@ -82,6 +82,7 @@ def test_jit_summary_surfaces_fallbacks_and_serializations():
             "dt_calls": 2,
             "sweep_calls": 10,
             "strips_threaded": 6,
+            "pencil": 16,
             "vector": {"sweep": 64, "dt": 0},
             "fallbacks": {"non-float64 state": 3},
             "serialized": {"DEP002: seeded overlap": 4},
@@ -93,7 +94,7 @@ def test_jit_summary_surfaces_fallbacks_and_serializations():
     assert "crossings/step=4.0 sweep_calls=10" in summary
     assert "vector: dt=scalar sweep=64B" in summary
     assert "jit flag fallback: cc -O3 failed (1) (1x)" in summary
-    assert "strips_threaded=6" in summary
+    assert "strips_threaded=6 pencil=16" in summary
     assert "jit fallback (3 strip(s)): non-float64 state" in summary
     assert "jit serialized (4 strip(s)): DEP002: seeded overlap" in summary
 
