@@ -133,8 +133,10 @@ def _observe_vector(
     spec, flux_ir, dt_ir, engine: DiagnosticEngine, build: bool
 ) -> Dict[str, object]:
     """Build ``spec``'s kernel and classify what the compiler reported
-    for its sweep and dt loops (the ``jit-kernel`` JSONL record).  A
-    spec with findings is not built (``build=False``): not observed."""
+    for its sweep and dt loops, and its cell-row loop where forms are
+    hoisted (the ``jit-kernel`` JSONL record; a spec without cell rows
+    has no ``cell`` key).  A spec with findings is not built
+    (``build=False``): not observed."""
     import repro.jit
     from repro.jit import codegen
     from repro.jit import compile as jit_compile
@@ -473,10 +475,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 {
                     f"{loop} {record[loop]} B"
                     for record in kernel_records
-                    for loop in ("sweep", "dt")
-                    if record[loop]
+                    for loop in ("sweep", "dt", "cell")
+                    if record.get(loop)
                 }
             )
+            cell_rows = sum("cell" in record for record in kernel_records)
             checked.append(
                 "jit vector build: "
                 + ", ".join(
@@ -484,6 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     for verdict in ("vectorised", "scalar", "not-observed")
                 )
                 + (f" ({', '.join(widths)})" if widths else "")
+                + f"; {cell_rows} with a cell-row loop"
             )
             checked.append(
                 f"jit stage plans: {verified} plan(s) proved (bodies, fills,"

@@ -42,9 +42,13 @@ How it works
   loops in SIMD lanes, every lane the same IEEE operation on the same
   operands — contraction off so no multiply+add becomes an FMA with
   different rounding, and no value-changing flag admitted
-  (:func:`repro.jit.codegen.check_value_neutral`).  Whether the loops
-  of a given kernel were vectorised, and how wide, is read back from
-  the compiler and published (``stats()["vector"]``).  The shared
+  (:func:`repro.jit.codegen.check_value_neutral`).  Where the stencil
+  is two cells the C runs the flux program split into a per-cell and a
+  per-face program (:mod:`repro.jit.hoist`), so a cell's share of the
+  flux is computed once per cell row, not once per face (the same ops,
+  so the same bits; ``stats()["hoisted"]`` counts the values per cell).
+  Whether the loops of a given kernel were vectorised, and how wide, is
+  read back from the compiler and published (``stats()["vector"]``).  The shared
   object is cached under ``sha256(source, compiler, flags, target)`` —
   the object depends on who built it for which CPU, not on the source
   alone — and loaded through :mod:`ctypes`.  First use compiles; later

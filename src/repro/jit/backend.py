@@ -65,7 +65,7 @@ from repro.euler.boundary import FILL_KINDS
 from repro.euler.rk import COMBINES
 from repro.jit import codegen
 from repro.jit import compile as jit_compile
-from repro.jit.kernels import kernel_source, spec_from_config
+from repro.jit.kernels import flux_split, kernel_source, spec_from_config
 from repro.jit.plan import StagePlan, prove_stage
 from repro.par.pool import shared_team
 
@@ -205,9 +205,11 @@ class JitBackend:
         """``plan`` as the ``repro_stage`` struct and its team proof (None
         with nothing to overlap), made once per engine.  Scratch is one
         window set per *worker* — the largest strip window of either
-        sweep plus two flux rows — whatever the strip count; an axis-1
-        window holds one pencil (:data:`repro.jit.codegen.PENCIL` rows of
-        grid axis 0), not the whole strip."""
+        sweep, two flux rows and ``2 * ghost_cells`` cell rows of the
+        hoisted forms (:func:`repro.jit.kernels.flux_split`) — whatever
+        the strip count; an axis-1 window holds one pencil
+        (:data:`repro.jit.codegen.PENCIL` rows of grid axis 0), not the
+        whole strip."""
         if self._bound is not None and self._bound[0] is plan:
             return self._bound[1:3]
         nfields = self.spec.nfields
@@ -238,9 +240,9 @@ class JitBackend:
             setattr(stage, f"nfills{axis}", len(phase.fills))
             setattr(stage, f"fills{axis}", _ptr(fills))
             setattr(stage, ("dx", "dy")[axis], phase.spacing)
-            cross = plan.batch * (ny if axis == 0 else min(nx, codegen.PENCIL)) * nfields
-            window = max(window, (phase.tiles.strip_rows + 2 * ghost) * cross)
-            flux = max(flux, 2 * cross)
+            cross = plan.batch * (ny if axis == 0 else min(nx, codegen.PENCIL))
+            window = max(window, (phase.tiles.strip_rows + 2 * ghost) * cross * nfields)
+            flux = max(flux, self._row_doubles() * cross)
         fill_states = np.array(states or [(0.0,) * nfields], dtype=float)
         scratch = engine.workspace.array("jit.stage_scratch", (self.threads, window + flux))
         stage.fill_states = _ptr(fill_states)
@@ -277,6 +279,12 @@ class JitBackend:
                 struct.u, struct.k, struct.dt = addresses[:3]
                 struct.v, struct.out = addresses[3 + 2 * index : 5 + 2 * index]
         return structs
+
+    def _row_doubles(self) -> int:
+        """Doubles per cell across of a sweep's scratch after its window:
+        two flux rows and the ``2 * ghost_cells`` rolling cell rows."""
+        spec = self.spec
+        return 2 * spec.nfields + 2 * spec.ghost_cells * flux_split(spec).forms
 
     def _serialize(self, reason: str, strips: int) -> None:
         self.serialized[reason] = self.serialized.get(reason, 0) + strips
@@ -407,7 +415,8 @@ class JitBackend:
 
         ``padded`` is ``(cells + 2 ng, cross..., F)`` in sweep layout;
         ``out`` receives the ``cells`` difference rows.  The stage runs
-        the same ``flux_row`` skeleton on its strip windows.
+        the same ``cell_row``/``face_row`` skeleton on its strip windows;
+        the scratch holds two flux rows and the rolling cell rows.
         """
         kernel = self._ensure_kernel()
         if kernel is None:
@@ -426,7 +435,7 @@ class JitBackend:
             return self._fallback("unexpected strip geometry")
         cross = padded.size // (padded.shape[0] * nfields)
         started = perf_counter()
-        scratch = engine.workspace.array("jit.flux_rows", (2, cross, nfields))
+        scratch = engine.workspace.array("jit.flux_rows", (self._row_doubles(), cross))
         kernel.sweep(
             _ptr(padded),
             _ptr(out),
@@ -492,8 +501,9 @@ class JitBackend:
         snapshot: Dict[str, object] = {
             "spec": self.spec.label(),
             "compiled": kernel is not None,
-            # What the compiler reported for this kernel's two point
-            # loops: bytes per vector, 0 = scalar, None = not reported.
+            # What the compiler reported for this kernel's point loops
+            # (sweep, dt, and cell where forms are hoisted): bytes per
+            # vector, 0 = scalar, None = not reported.
             "vector": None if kernel is None else dict(kernel.vector),
             "step_calls": self.step_calls,
             "stage_calls": self.stage_calls,
@@ -505,6 +515,9 @@ class JitBackend:
             "serialized": dict(self.serialized),
             # Grid-axis-0 cells per pencil of an axis-1 sweep strip.
             "pencil": codegen.PENCIL if self.ndim == 2 else None,
+            # Values per cell the sweep computes once per cell row instead
+            # of once per face (0: nothing hoisted, today's face loop).
+            "hoisted": flux_split(self.spec).forms,
         }
         snapshot.update(jit_compile.compile_stats())
         return snapshot

@@ -2,15 +2,21 @@
 
 One translation unit per specialization, containing:
 
-* ``flux_point`` — the straight-line per-face flux function (the whole
-  ``reconstruct -> riemann`` chain for one face), inlined by the C
-  compiler into ``flux_row``, one face row of it (the vectorised loop);
+* ``face_point`` — the straight-line per-face flux function (the whole
+  ``reconstruct -> riemann`` chain for one face: the face program of
+  :func:`repro.jit.hoist.split_flux`), inlined by the C compiler into
+  ``face_row``, one face row of it (the vectorised loop).  Where the
+  stencil is two cells, ``cell_point`` (the cell program) beside it is
+  inlined into ``cell_row``, which computes each cell's hoisted values
+  once per window row into one of ``2 * ghost_cells`` rolling *cell
+  rows* that ``face_row`` reads; there is one flux body either way;
 * ``difference_point``/``accumulate_point`` — the flux difference IR
   (:func:`repro.jit.kernels.build_difference_ir`, the program the NumPy
   executor runs): ``-(fc - fp) / dx``, written or added to ``t``;
-* ``repro_jit_sweep`` — the strip sweep: for each face row, compute
-  fluxes into one of two rolling row buffers (caller-provided scratch,
-  no allocation), then ``difference_point`` against the previous row;
+* ``repro_jit_sweep`` — the strip sweep: for each face row, the cell
+  row it newly reaches, then fluxes into one of two rolling row buffers
+  (caller-provided scratch, no allocation), then ``difference_point``
+  against the previous row;
 * ``dt_point`` + ``repro_jit_dt`` — the fused per-cell
   convert+eigenvalue GetDT pass with a per-group NaN-propagating max
   reduction (group = one strip for the solo engine, one member for the
@@ -23,21 +29,22 @@ One translation unit per specialization, containing:
   the state, then per sweep axis and strip a strip-private *window*
   (the strip's rows of the primitive state in sweep layout plus
   ``ghost_cells`` either side, ghost layers from the fill-record table)
-  through the same ``flux_row`` skeleton, difference rows written into
-  ``k`` (axis 0, ``difference_point``) or added transposed with the
-  velocity swap undone (axis 1, ``accumulate_point``; a strip there runs
-  as pencils of :data:`PENCIL` grid rows, each with its own window), then the
-  stage's ``combine_*`` point function over ``u``, ``v``, ``k``.  The
-  strip loop is inside C;
+  through the same ``cell_row``/``face_row`` skeleton, difference rows
+  written into ``k`` (axis 0, ``difference_point``) or added transposed
+  with the velocity swap undone (axis 1, ``accumulate_point``; a strip
+  there runs as pencils of :data:`PENCIL` grid rows, each with its own
+  window), then the stage's ``combine_*`` point function over ``u``,
+  ``v``, ``k``.  The strip loop is inside C;
 * ``repro_jit_step`` — the *step program*: an array of ``repro_stage``
   structs, one per stage of the RK schedule, run in order by
   ``repro_jit_stage`` with every phase.  It stops at the first stage
   whose admissibility flags are nonzero and names that stage; a serial
   step is one crossing (plus the dt pass).
 
-The C is written so that the system compiler can run both point loops —
-the sweep's cross loop and the dt pass's cell loop — in SIMD lanes
-under :data:`CFLAGS` (the *vector build*; no intrinsics, one text):
+The C is written so that the system compiler can run the point loops —
+the sweep's cross loop, the cell-row loop and the dt pass's cell loop —
+in SIMD lanes under :data:`CFLAGS` (the *vector build*; no intrinsics,
+one text):
 the array-of-structs ``padded[((j+k)*cross+i)*F+f]`` reads become
 interleaved load groups and every ``select``/``nmin``/``nmax``/``nsign``
 ternary a blend.  Whether that happened for a given kernel is read back
@@ -57,6 +64,9 @@ Bit-identity ground rules baked in here:
   ``np.sign``;
 * constants are emitted as C99 hex-float literals, so the compiled
   value is the exact Python double the NumPy path multiplies by;
+* a cell row holds, per hoisted form, the op tree the face program no
+  longer computes, evaluated on the same window value — the double the
+  unsplit flux program computes there (:mod:`repro.jit.hoist`);
 * the max reduction runs left to right from the first element, chunk
   after chunk in cell order — ``max`` is order-independent for the
   reduction NumPy performs (``np.max`` over the strip), and NaNs poison
@@ -66,8 +76,9 @@ Bit-identity ground rules baked in here:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.jit.hoist import FluxSplit, split_flux
 from repro.jit.ir import BOOL, KernelIR, Op
 
 if TYPE_CHECKING:  # annotations only: repro.jit.kernels imports this module
@@ -79,6 +90,7 @@ __all__ = [
     "FORBIDDEN_CFLAGS",
     "check_value_neutral",
     "SWEEP_CROSS_LOOP",
+    "CELL_ROW_LOOP",
     "DT_CELL_LOOP",
     "LOWERED_OPCODES",
     "STAGE_FIELDS",
@@ -159,12 +171,14 @@ def check_value_neutral(flags) -> None:
 check_value_neutral(CFLAGS)
 check_value_neutral(REFERENCE_CFLAGS)
 
-#: The two loops the vector build is about, as emitted: the cross loop of
-#: the sweep (``flux_point`` per face) and the cell loop of the dt pass
-#: (``dt_point`` per cell of a chunk).  :mod:`repro.jit.compile` finds
-#: these lines in a source to read the compiler's vectorisation report
-#: for exactly them.
+#: The loops the vector build is about, as emitted: the cross loop of the
+#: sweep (``face_point`` per face), the cross loop of a cell row
+#: (``cell_point`` per cell; only where forms are hoisted) and the cell
+#: loop of the dt pass (``dt_point`` per cell of a chunk).
+#: :mod:`repro.jit.compile` finds these lines in a source to read the
+#: compiler's vectorisation report for exactly them.
 SWEEP_CROSS_LOOP = "    for (long i = 0; i < cross; ++i) {"
+CELL_ROW_LOOP = "    for (long i = 0; i < cross; ++i) {  /* cell rows */"
 DT_CELL_LOOP = "            for (long c = 0; c < n; ++c) {  /* dt cells */"
 
 #: Cells per chunk of the dt pass: ``dt_point`` fills a stack buffer of
@@ -257,15 +271,18 @@ def _point_function(
     return lines
 
 
-def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
+def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR, forms: Optional[int] = None):
     """The machine-readable access map of the sweep kernel.
 
     Derived from the same geometry :func:`generate_source` emits — the
     face loop ``j in [0, cells]`` reading the ``2 * ghost_cells``
     padded stencil rows ``j + k``, writing output row ``j - 1`` for
-    ``j >= 1``, with the two rolling flux-row buffers in strip-private
-    scratch.  Rows are the unit (one row = ``cross * nfields``
-    doubles), so the map is independent of the cross extent.
+    ``j >= 1``, with the two rolling flux-row buffers and, when ``forms``
+    values per cell are hoisted (default: as :func:`repro.jit.hoist.
+    split_flux` finds for ``flux_ir``), the ``2 * ghost_cells`` rolling
+    cell rows in strip-private scratch.  Rows are the unit (one row =
+    ``cross * nfields`` doubles), so the map is independent of the cross
+    extent.
     """
     from repro.analysis import deps
     from repro.jit.kernels import build_difference_ir
@@ -274,6 +291,8 @@ def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
     j = deps.LinExpr.var("j")
     zero = deps.LinExpr.of(0)
     stencil = 2 * spec.ghost_cells
+    if forms is None:
+        forms = split_flux(flux_ir, stencil).forms
     accesses = [
         deps.Access(
             "padded", "read", j + k, "j", zero, cells + 1, scope="shared"
@@ -281,32 +300,19 @@ def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
         for k in range(stencil)
     ]
     # The rolling buffers: every iteration writes one of two scratch
-    # rows and reads the other back for the difference.  The rotation
-    # is not affine in j, but both rows stay inside [0, 2) and the
-    # buffer is strip-private, which is all the prover needs.
-    for row in range(2):
-        accesses.append(
-            deps.Access(
-                "scratch",
-                "write",
-                deps.LinExpr.of(row),
-                "j",
-                zero,
-                cells + 1,
-                scope="strip",
-            )
-        )
-        accesses.append(
-            deps.Access(
-                "scratch",
-                "read",
-                deps.LinExpr.of(row),
-                "j",
-                zero,
-                cells + 1,
-                scope="strip",
-            )
-        )
+    # rows and reads the other back for the difference, and writes one
+    # cell row and reads all of them.  The rotation is not affine in j,
+    # but every row stays inside its strip-private buffer, which is all
+    # the prover needs.
+    rolling = [("scratch", 2)] + ([("cells", stencil)] if forms else [])
+    for array, slots in rolling:
+        for row in range(slots):
+            for mode in ("write", "read"):
+                accesses.append(
+                    deps.Access(
+                        array, mode, deps.LinExpr.of(row), "j", zero, cells + 1, scope="strip"
+                    )
+                )
     accesses.append(
         deps.Access(
             "out",
@@ -321,15 +327,13 @@ def sweep_access_map(spec: KernelSpec, flux_ir: KernelIR):
     return deps.AccessMap(
         kernel=f"sweep_{spec.symbol()}",
         accesses=tuple(accesses),
-        extents={
-            "padded": cells + stencil,
-            "out": cells,
-            "scratch": deps.LinExpr.of(2),
-        },
+        extents={"padded": cells + stencil, "out": cells}
+        | {array: deps.LinExpr.of(slots) for array, slots in rolling},
         opcodes=frozenset(
             op.opcode for ir in (flux_ir, build_difference_ir("write")) for op in ir.ops
         ),
-        strip_bases={"padded": "start", "out": "start", "scratch": "zero"},
+        strip_bases={"padded": "start", "out": "start"}
+        | {array: "zero" for array, _ in rolling},
     )
 
 
@@ -425,31 +429,109 @@ CONVERT_CHUNK = 256
 PENCIL = 16
 
 
-def _sweep_kernel(nfields: int, stencil: int) -> List[str]:
-    """The flux difference point functions, ``flux_row`` (one face row
-    of ``flux_point``, the vectorised loop) and the standalone strip
-    sweep built on them."""
+def _cell_row(split: FluxSplit, nfields: int) -> List[str]:
+    """``cell_point`` (the cell program) and ``cell_row``, its loop over
+    one window row into that row's cell row: form ``m`` of cell ``i`` at
+    ``crow[m * cross + i]``.  Nothing when nothing is hoisted."""
+    if split.cell is None:
+        return []
+    stores = {f"h{m}": f"h[{m} * stride]" for m in range(split.forms)}
+    fields = {f"cell{f}": f"row[i * {nfields} + {f}]" for f in range(nfields)}
+    args = ", ".join(fields.get(c_name, c_name) for c_name, _ in split.cell.params)
+    return (
+        [""]
+        + _point_function(split.cell, "cell_point", stores, "double* restrict h, long stride")
+        + [
+            "",
+            "/* One store stream per form, a run-time stride apart: the pragmas say",
+            "   they never overlap, so no alias check can keep the loop scalar. */",
+            "static void cell_row(const double* restrict row, double* restrict crow,",
+            "                     long cross, double gamma)",
+            "{",
+            "    #pragma GCC ivdep",
+            "    #pragma clang loop vectorize(assume_safety)",
+            CELL_ROW_LOOP,
+            f"        cell_point({args}, crow + i, cross);",
+            "    }",
+            "}",
+        ]
+    )
+
+
+def _face_row(split: FluxSplit, nfields: int, stencil: int) -> List[str]:
+    """``face_row``: ``face_point`` (the face program) over one face row
+    — the vectorised loop — from the raw stencil rows and, when forms are
+    hoisted, their cell rows."""
+    forms = split.forms
+    args = {
+        f"c{k}_{f}": f"rows[(({k} * cross) + i) * {nfields} + {f}]"
+        for k in range(stencil)
+        for f in range(nfields)
+    }
+    args.update(
+        {f"h{k}_{m}": f"h{k}[{m} * cross + i]" for k in range(stencil) for m in range(forms)}
+    )
+    face_args = ", ".join(args.get(c_name, c_name) for c_name, _ in split.face.params)
+    if forms:
+        head = [
+            "/* Fluxes at face row j: rows points at its first stencil row, and the",
+            f"   cell row of window row w is slot w % {stencil} of crows. */",
+            "static void face_row(const double* restrict rows, const double* restrict crows,",
+            "                     long j, double* restrict fcur, long cross, double gamma)",
+            "{",
+        ] + [
+            f"    const double* h{k} = crows + ((j + {k}) % {stencil}) * {forms} * cross;"
+            for k in range(stencil)
+        ]
+    else:
+        head = [
+            "/* Fluxes at one face row: rows points at its first stencil row. */",
+            "static void face_row(const double* restrict rows, double* restrict fcur,",
+            "                     long cross, double gamma)",
+            "{",
+        ]
+    return (
+        [""]
+        + head
+        + [SWEEP_CROSS_LOOP, f"        face_point({face_args}, fcur + i * {nfields});", "    }", "}"]
+    )
+
+
+def _face_loop(split: FluxSplit, nfields: int, stencil: int, window: str, base: str):
+    """The rolling cell rows of a face loop over ``window``: the lines
+    before the loop (cell rows of window rows ``0 .. stencil - 2``, in
+    scratch after the two flux rows at ``base``), the first line of face
+    ``j`` (the cell row of window row ``j + stencil - 1``) and face
+    ``j``'s ``face_row`` call."""
+    row = f"{window} + j * cross * {nfields}"
+    if split.cell is None:
+        return [], [], f"face_row({row}, fcur, cross, gamma);"
+
+    def cells(w: str) -> str:
+        return (
+            f"cell_row({window} + ({w}) * cross * {nfields},"
+            f" crows + (({w}) % {stencil}) * {split.forms} * cross, cross, gamma);"
+        )
+
+    before = [
+        f"    double* crows = {base} + 2 * cross * {nfields};",
+        f"    for (long w = 0; w < {stencil - 1}; ++w) {cells('w')}",
+    ]
+    return before, [f"        {cells(f'j + {stencil - 1}')}"], f"face_row({row}, crows, j, fcur, cross, gamma);"
+
+
+def _sweep_kernel(split: FluxSplit, nfields: int, stencil: int) -> List[str]:
+    """The flux difference point functions, the cell and face rows and
+    the standalone strip sweep built on them."""
     from repro.jit.kernels import build_difference_ir  # imports this module
 
     lines: List[str] = []
     for kind, name in (("write", "difference_point"), ("accumulate", "accumulate_point")):
         lines.append("")
         lines += _point_function(build_difference_ir(kind), name, {"out": "*out"}, "double* out")
-    face_args = ", ".join(
-        f"rows[(({k} * cross) + i) * {nfields} + {f}]"
-        for k in range(stencil)
-        for f in range(nfields)
-    )
+    lines += _cell_row(split, nfields) + _face_row(split, nfields, stencil)
+    before, first, face = _face_loop(split, nfields, stencil, "padded", "scratch")
     return lines + [
-        "",
-        "/* Fluxes at one face row: rows points at its first stencil row. */",
-        "static void flux_row(const double* restrict rows, double* restrict fcur,",
-        "                     long cross, double gamma)",
-        "{",
-        SWEEP_CROSS_LOOP,
-        f"        flux_point({face_args}, gamma, fcur + i * {nfields});",
-        "    }",
-        "}",
         "",
         "void repro_jit_sweep(const double* restrict padded,",
         "                     double* restrict out,",
@@ -459,8 +541,10 @@ def _sweep_kernel(nfields: int, stencil: int) -> List[str]:
         "{",
         "    double* fprev = scratch;",
         f"    double* fcur = scratch + cross * {nfields};",
+        *before,
         "    for (long j = 0; j <= cells; ++j) {",
-        f"        flux_row(padded + j * cross * {nfields}, fcur, cross, gamma);",
+        *first,
+        f"        {face}",
         "        if (j > 0) {",
         f"            double* target = out + (j - 1) * cross * {nfields};",
         f"            for (long m = 0; m < cross * {nfields}; ++m) {{",
@@ -509,7 +593,7 @@ def _dt_kernel(nfields: int, ndim: int) -> List[str]:
     ]
 
 
-def _stage_program(spec: "KernelSpec") -> List[str]:
+def _stage_program(spec: "KernelSpec", split: FluxSplit) -> List[str]:
     """``repro_jit_stage``: the phases of :mod:`repro.jit.plan` in C.
 
     One call runs the strips ``worker, worker + workers, ...`` of every
@@ -645,7 +729,7 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
     ]
 
     def sweep_strip(axis: int) -> List[str]:
-        """One strip's faces through ``flux_row``, difference rows into
+        """One strip's faces through ``face_row``, difference rows into
         ``k``: written member by member (axis 0) or, on the pencil of
         grid rows ``[c0, c1)``, added transposed with the velocity swap
         undone (axis 1), one difference point per element."""
@@ -681,6 +765,7 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
                 f"                    target[{swapped[f]}] = sum[{f}];" for f in range(F)
             ]
             emit += ["                }", "            }"]
+        before, first, face = _face_loop(split, F, 2 * spec.ghost_cells, "window", "flux_rows")
         return [
             "",
             f"static void sweep_strip{axis}(const repro_stage* st, const double* restrict window,",
@@ -693,8 +778,10 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
             f"    const double dx = {spacing}, gamma = st->gamma;",
             "    double* fprev = flux_rows;",
             f"    double* fcur = flux_rows + cross * {F};",
+            *before,
             "    for (long j = 0; j <= e - s; ++j) {",
-            f"        flux_row(window + j * cross * {F}, fcur, cross, gamma);",
+            *first,
+            f"        {face}",
             "        if (j > 0) {",
             *emit,
             "        }",
@@ -830,10 +917,13 @@ def _stage_program(spec: "KernelSpec") -> List[str]:
 
 
 def generate_source(
-    spec: KernelSpec, flux_ir: KernelIR, dt_ir: KernelIR
+    spec: KernelSpec, flux_ir: KernelIR, dt_ir: KernelIR, split: Optional[FluxSplit] = None
 ) -> str:
     """The complete C translation unit for one specialization: the flux
     and dt kernels of the IR pair and the stage program around them.
+    The flux kernel is ``split`` (default: :func:`repro.jit.hoist.
+    split_flux` of ``flux_ir``), so there is one flux body per unit:
+    ``face_point``, with ``cell_point`` beside it when forms are hoisted.
 
     The header embeds the kernels' and the stage phases' access maps
     (JSON) so the cached
@@ -844,12 +934,15 @@ def generate_source(
     from repro.jit.plan import phase_access_maps
 
     nfields = spec.nfields
+    stencil = 2 * spec.ghost_cells
+    split = split if split is not None else split_flux(flux_ir, stencil)
     access_maps = json.dumps(
         {
-            "sweep": sweep_access_map(spec, flux_ir).to_dict(),
+            "sweep": sweep_access_map(spec, flux_ir, split.forms).to_dict(),
             "dt": dt_access_map(spec, dt_ir).to_dict(),
             "stage": {
-                name: amap.to_dict() for name, amap in phase_access_maps(spec, flux_ir)
+                name: amap.to_dict()
+                for name, amap in phase_access_maps(spec, flux_ir, split.forms)
             },
         },
         sort_keys=True,
@@ -861,9 +954,9 @@ def generate_source(
     ]
     flux_stores = {f"flux{f}": f"flux[{f}]" for f in range(nfields)}
     lines += _point_function(
-        flux_ir, "flux_point", flux_stores, "double* restrict flux"
+        split.face, "face_point", flux_stores, "double* restrict flux"
     )
-    lines += _sweep_kernel(nfields, 2 * spec.ghost_cells)
+    lines += _sweep_kernel(split, nfields, stencil)
 
     dt_stores = {f"prim{f}": f"prim[{f}]" for f in range(nfields)}
     dt_stores["ev"] = "*ev"
@@ -872,5 +965,5 @@ def generate_source(
         dt_ir, "dt_point", dt_stores, "double* restrict prim, double* restrict ev"
     )
     lines += _dt_kernel(nfields, spec.ndim)
-    lines += _stage_program(spec)
+    lines += _stage_program(spec, split)
     return "\n".join(lines) + "\n"

@@ -26,11 +26,13 @@ together; a warm cache turns "compile on first use" into one ``dlopen``.
 
 **The vector report.**  Every build asks the compiler which loops it
 vectorised (``-fopt-info-vec-optimized`` for gcc, ``-Rpass=
-loop-vectorize`` for clang) and keeps, for the sweep's cross loop and
-the dt pass's cell loop of *this* kernel, the vector width in bytes:
-``{"sweep": 64, "dt": 64}``; ``0`` means compiled but scalar, ``None``
-that this compiler does not say.  It is stored in the sidecar, read back
-on a disk hit, and published as :attr:`CompiledKernel.vector`.
+loop-vectorize`` for clang) and keeps, for the sweep's cross loop, the
+dt pass's cell loop and — where forms are hoisted — the cell-row loop of
+*this* kernel, the vector width in bytes: ``{"sweep": 64, "dt": 64}``,
+plus ``"cell": 64`` for a kernel with cell rows; ``0`` means compiled
+but scalar, ``None`` that this compiler does not say.  It is stored in
+the sidecar, read back on a disk hit, and published as
+:attr:`CompiledKernel.vector`.
 
 The cache directory is ``REPRO_JIT_CACHE`` or
 ``~/.cache/repro-jit``.  A cached entry that will not load is unlinked
@@ -61,6 +63,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.jit.codegen import (
+    CELL_ROW_LOOP,
     CFLAGS,
     DT_CELL_LOOP,
     REFERENCE_CFLAGS,
@@ -296,8 +299,9 @@ class CompiledKernel:
     gamma, dx)`` and ``dt(u, prim, group_max, groups, cells_per_group,
     gamma, *spacing)`` take C-contiguous float64 arrays; argument
     marshalling lives in :mod:`repro.jit.backend`.  :attr:`vector` is what the compiler
-    reported for this object's two point loops, in bytes per vector:
-    ``{"sweep": 64, "dt": 64}``; 0 = scalar, None = not reported.
+    reported for this object's point loops, in bytes per vector:
+    ``{"sweep": 64, "dt": 64}`` (and ``"cell"`` with cell rows); 0 =
+    scalar, None = not reported.
     """
 
     def __init__(
@@ -426,7 +430,10 @@ def _read_sidecar(shared_object: Path) -> Optional[Dict[str, Optional[int]]]:
     it is missing or not what :func:`_build` writes."""
     try:
         report = json.loads(shared_object.with_suffix(".vec").read_text())
-        return {loop: report[loop] for loop in ("sweep", "dt")}
+        vector = {loop: report[loop] for loop in ("sweep", "dt")}
+        if "cell" in report:
+            vector["cell"] = report["cell"]
+        return vector
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -434,18 +441,22 @@ def _read_sidecar(shared_object: Path) -> Optional[Dict[str, Optional[int]]]:
 def _vector_report(
     chain: Toolchain, source: str, diagnostics: str
 ) -> Dict[str, Optional[int]]:
-    """Widest vector (bytes) the compiler reports for each of the two
-    point loops of ``source``; 0 if it reports none for that line."""
+    """Widest vector (bytes) the compiler reports for each point loop of
+    ``source``; 0 if it reports none for that line.  The cell-row loop is
+    a key only where the source has one."""
     family = chain.family
+    loops = [("sweep", SWEEP_CROSS_LOOP), ("dt", DT_CELL_LOOP)]
+    lines = source.split("\n")
+    if CELL_ROW_LOOP in lines:
+        loops.append(("cell", CELL_ROW_LOOP))
     if family is None:
-        return {"sweep": None, "dt": None}
+        return {loop: None for loop, _ in loops}
     _, pattern, unit = _VECTOR_REPORTS[family]
     widths: Dict[int, int] = {}
     for line, width in pattern.findall(diagnostics):
         widths[int(line)] = max(widths.get(int(line), 0), unit * int(width))
-    lines = source.split("\n")
     report: Dict[str, Optional[int]] = {}
-    for loop, header in (("sweep", SWEEP_CROSS_LOOP), ("dt", DT_CELL_LOOP)):
+    for loop, header in loops:
         # A source without the loop has nothing to observe.
         report[loop] = (
             widths.get(lines.index(header) + 1, 0) if header in lines else None

@@ -198,3 +198,7 @@ class IRBuilder:
     def select(self, cond, a, b) -> Value:
         """``cond ? a : b`` — mirrors masked ``np.copyto``."""
         return self._emit("select", (cond, a, b), F64)
+
+    def apply(self, opcode: str, *args) -> Value:
+        """Any computing opcode by name (an IR pass re-emitting ops)."""
+        return self._emit(opcode, args, OPCODES[opcode][2])

@@ -18,7 +18,11 @@ verifies it once per process, and a strip is executed either by the C
 generated from it (:func:`kernel_source`, :class:`~repro.jit.backend.
 JitBackend`) or by :class:`~repro.jit.numpy_eval.NumpyProgram` over the
 same two IRs (:func:`~repro.jit.numpy_eval.kernel_programs`, the
-engine's NumPy arm).  ``characteristic`` variables with ``pc``'s
+engine's NumPy arm).  The C runs the flux program split into a per-cell
+and a per-face program where the stencil is two cells
+(:func:`flux_split`, :mod:`repro.jit.hoist`): the same ops, so the same
+bits, with each cell's share computed once instead of once per face.
+``characteristic`` variables with ``pc``'s
 one-cell stencil normalise to the bit-identical ``primitive`` kernel,
 decided in :func:`spec_from_config` and nowhere else; with a wide
 stencil the flux kernel carries the whole eigenvector projection
@@ -44,6 +48,7 @@ from repro.euler import rk, state, timestep
 from repro.euler.reconstruction import characteristic, get_scheme, get_scheme_emitter
 from repro.euler.riemann import get_riemann_emitter
 from repro.jit import codegen
+from repro.jit.hoist import FluxSplit, split_flux
 from repro.jit.ir import IRBuilder, KernelIR
 
 __all__ = [
@@ -52,6 +57,7 @@ __all__ = [
     "build_flux_ir",
     "build_dt_ir",
     "kernel_irs",
+    "flux_split",
     "kernel_source",
     "SCALAR_PARAMS",
     "standalone_kernels",
@@ -230,10 +236,26 @@ def kernel_irs(spec: KernelSpec) -> Tuple[KernelIR, KernelIR]:
 
 
 @lru_cache(maxsize=None)
+def flux_split(spec: KernelSpec) -> FluxSplit:
+    """The flux program of :func:`kernel_irs` as the compiled sweep runs
+    it — cell program and face program (:func:`repro.jit.hoist.
+    split_flux`) — split and verified once per process.  A spec wider
+    than two cells is not analysed: its face program is the flux program."""
+    from repro.analysis.jit_verify import verify_kernel
+
+    split = split_flux(kernel_irs(spec)[0], 2 * spec.ghost_cells)
+    if split.cell is not None:
+        for ir in (split.cell, split.face):
+            verify_kernel(ir, spec.label())
+    return split
+
+
+@lru_cache(maxsize=None)
 def kernel_source(spec: KernelSpec) -> str:
-    """The C text generated from :func:`kernel_irs`, printed once per
-    process (:func:`repro.jit.compile.load_kernel` keys on it)."""
-    return codegen.generate_source(spec, *kernel_irs(spec))
+    """The C text generated from :func:`kernel_irs` and :func:`flux_split`,
+    printed once per process (:func:`repro.jit.compile.load_kernel` keys
+    on it)."""
+    return codegen.generate_source(spec, *kernel_irs(spec), flux_split(spec))
 
 
 # -- the standalone kernel -----------------------------------------------

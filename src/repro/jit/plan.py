@@ -198,7 +198,7 @@ def build_stage_plan(
 # -- what the team may do: access maps and their proof -------------------
 
 
-def phase_access_maps(spec, flux_ir=None):
+def phase_access_maps(spec, flux_ir=None, forms=None):
     """``[(phase name, AccessMap)]`` of a stage of ``spec``, in order.
 
     Rows are the unit, along the grid axis the phase's strips cut
@@ -208,11 +208,22 @@ def phase_access_maps(spec, flux_ir=None):
     *neighbouring* convert strip wrote — and writes (sweep 1: adds to)
     its own rows of ``k``.  The combine's target is named ``u``: it *is*
     ``u`` in an order's last stage, the worst aliasing there is.  Windows
-    and flux rows are strip-private scratch, one set per worker.
+    and flux rows are strip-private scratch, one set per worker, and so
+    are a sweep's ``2 * ghost_cells`` rolling cell rows when ``forms``
+    values per cell are hoisted (default: as the spec's
+    :func:`~repro.jit.kernels.flux_split`, or :func:`~repro.jit.hoist.
+    split_flux` of a given ``flux_ir``, finds).
     """
     from repro.analysis import deps
     from repro.euler.rk import COMBINES
-    from repro.jit.kernels import DIFFERENCES, build_combine_ir, build_standalone_ir, kernel_irs
+    from repro.jit.hoist import split_flux
+    from repro.jit.kernels import (
+        DIFFERENCES,
+        build_combine_ir,
+        build_standalone_ir,
+        flux_split,
+        kernel_irs,
+    )
 
     cells = deps.LinExpr.var("cells")
     r = deps.LinExpr.var("r")
@@ -226,7 +237,10 @@ def phase_access_maps(spec, flux_ir=None):
         return frozenset(op.opcode for ir in irs for op in ir.ops)
 
     convert_ir = build_standalone_ir("convert", "primitive", spec.nfields)
-    flux_ir = flux_ir if flux_ir is not None else kernel_irs(spec)[0]
+    if flux_ir is None:
+        flux_ir, forms = kernel_irs(spec)[0], flux_split(spec).forms
+    elif forms is None:
+        forms = split_flux(flux_ir, 2 * ng).forms
     maps = [
         (
             "convert",
@@ -247,6 +261,13 @@ def phase_access_maps(spec, flux_ir=None):
             rows("window", "read", upper=cells + 2 * ng, scope="strip"),
             rows("k", "write"),
         ]
+        if forms:
+            # the rolling cell rows: slots [0, 2 ng), each written and read
+            accesses += [
+                rows("cells", mode, deps.LinExpr.of(slot), upper=cells + 1, scope="strip")
+                for slot in range(2 * ng)
+                for mode in ("write", "read")
+            ]
         if axis == 1:
             accesses.append(rows("k", "read"))  # the accumulate
         maps.append(
@@ -255,9 +276,10 @@ def phase_access_maps(spec, flux_ir=None):
                 deps.AccessMap(
                     kernel=f"stage_sweep{axis}_{spec.symbol()}",
                     accesses=tuple(accesses),
-                    extents={"k": cells, "window": cells + 2 * ng},
+                    extents={"k": cells, "window": cells + 2 * ng}
+                    | ({"cells": deps.LinExpr.of(2 * ng)} if forms else {}),
                     opcodes=opcodes(flux_ir, build_standalone_ir("difference", DIFFERENCES[axis])),
-                    strip_bases={"window": "zero"},
+                    strip_bases={"window": "zero"} | ({"cells": "zero"} if forms else {}),
                     axes={"prim": axis, "k": axis},
                 ),
             )

@@ -186,8 +186,9 @@ def _jit_summary(counters: Dict[str, object]) -> str:
     and dt calls; 2 for a serial step of any order, a team's stage
     rounds instead of the step) next to the strips those served,
     threaded-strip counts, the pencil width of the axis-1 sweep
-    (``None`` in 1-D) and what the compiler reported for the
-    kernel's sweep / dt loops (bytes per vector, ``scalar``, or ``not
+    (``None`` in 1-D), the values per cell hoisted into cell rows (0:
+    none) and what the compiler reported for the kernel's sweep / dt /
+    cell-row loops (bytes per vector, ``scalar``, or ``not
     reported``), then every *counted reason* the
     backend served strips outside the fast path: NumPy
     fallbacks, proof-failure serializations and rejected compiler
@@ -203,6 +204,7 @@ def _jit_summary(counters: Dict[str, object]) -> str:
         f" sweep_calls={stats.get('sweep_calls', 0)}"
         f" strips_threaded={stats.get('strips_threaded', 0)}"
         f" pencil={stats.get('pencil')}"
+        f" hoisted={stats.get('hoisted')}"
     ]
     vector = stats.get("vector")
     if vector is not None:

@@ -268,6 +268,11 @@ class TestJitMatrixLint:
         for kernel in kernels:
             assert kernel["vector"] == "vectorised", kernel
             assert kernel["sweep"] >= 16 and kernel["dt"] >= 16, kernel
+            # cell rows exactly where the stencil is two cells, in lanes too
+            if "/pc/" in kernel["spec"]:
+                assert kernel["cell"] >= 16, kernel
+            else:
+                assert "cell" not in kernel, kernel
 
     def test_scalar_kernel_fails_the_lint(self, monkeypatch, capsys):
         """Where the compiler reports and a loop is not in the report,
@@ -289,6 +294,36 @@ class TestJitMatrixLint:
         assert {record["vector"] for record in records} == {"scalar"}
         assert main(["--jit"]) == 1
         assert "0 vectorised, 232 scalar, 0 not-observed" in capsys.readouterr().out
+
+    def test_a_scalar_cell_row_loop_fails_the_lint(self, monkeypatch, tmp_path):
+        """A kernel whose cell-row loop the compiler leaves scalar (here a
+        volatile access in its body) fails the lint with JIT-VEC001
+        naming that loop, though its sweep and dt loops vectorise."""
+        import repro.jit
+        from repro.analysis.cli import _observe_vector
+        from repro.analysis.diag import DiagnosticEngine
+        from repro.euler.solver import SolverConfig
+        from repro.jit import codegen
+        from repro.jit import compile as jit_compile
+        from repro.jit.kernels import kernel_irs, spec_from_config
+
+        if not repro.jit.available() or jit_compile.toolchain().family is None:
+            pytest.skip("no compiler vectorisation report to read")
+        monkeypatch.setenv(jit_compile.CACHE_ENV, str(tmp_path / "cache"))
+        real = codegen.generate_source
+        sink = codegen.CELL_ROW_LOOP + "\n volatile double sink = 0.0; (void)sink;"
+        monkeypatch.setattr(
+            codegen,
+            "generate_source",
+            lambda *args: real(*args).replace(codegen.CELL_ROW_LOOP, sink),
+        )
+        spec = spec_from_config(SolverConfig(reconstruction="pc"), 2)
+        engine = DiagnosticEngine()
+        record = _observe_vector(spec, *kernel_irs(spec), engine, build=True)
+        assert record["vector"] == "scalar" and record["cell"] == 0
+        assert record["sweep"] and record["dt"]
+        assert engine.codes() == ["JIT-VEC001"]
+        assert "reports no vectorised cell loop" in engine.diagnostics[0].message
 
     def test_standalone_numpy_kernels_are_linted(self, capsys, monkeypatch):
         """``--jit`` also verifies the standalone IRs that remain beside

@@ -617,11 +617,11 @@ class TestCompileLayer:
         monkeypatch.setattr(jit_compile, "_LOADED", {})
         source = _source(SolverConfig(reconstruction="pc", riemann="rusanov"), 2)
         built = jit_compile.load_kernel(source, 2)
-        assert set(built.vector) == {"sweep", "dt"}
+        assert set(built.vector) == {"sweep", "dt", "cell"}  # pc: cell rows
         sidecar = built.path.with_suffix(".vec")
         assert json.loads(sidecar.read_text()) == built.vector
         if jit_compile.toolchain().family is None:
-            assert built.vector == {"sweep": None, "dt": None}
+            assert built.vector == {"sweep": None, "dt": None, "cell": None}
         else:
             assert all(isinstance(width, int) for width in built.vector.values())
 

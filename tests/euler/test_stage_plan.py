@@ -502,10 +502,12 @@ def test_an_rk3_step_at_400x400_is_two_crossings_serial_and_threaded_on_a_team(m
         assert scratch.shape[0] == 2
         assert team.engine.scratch_bytes == serial.engine.scratch_bytes + scratch[0].nbytes
         # an axis-1 window holds one pencil: a worker's window set is no
-        # larger than a whole-row window of the tallest strip and two
-        # whole flux rows
+        # larger than a whole-row window of the tallest strip, two whole
+        # flux rows and the 2 ng rolling cell rows of the hoisted forms
         rows = max(phase.tiles.strip_rows for phase in team.engine.stage_plan().sweeps)
-        assert scratch[0].size <= (rows + 2 * team.engine.ghost_cells + 2) * 400 * 4
+        ng = team.engine.ghost_cells
+        cell_rows = 2 * ng * stats["hoisted"] * 400
+        assert scratch[0].size <= (rows + 2 * ng + 2) * 400 * 4 + cell_rows
 
 
 class Sponge(BoundaryCondition):
