@@ -172,6 +172,8 @@ def two_channel(
     diagonal, which is what makes the flow diagonal-symmetric (a
     property the tests exploit).
     """
+    if n_cells < 1:
+        raise ConfigurationError(f"two_channel needs n_cells >= 1, got {n_cells}")
     if mach <= 1.0:
         raise ConfigurationError(f"shock Mach number must exceed 1, got {mach}")
     if exit_start is None:

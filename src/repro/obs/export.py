@@ -1,9 +1,9 @@
 """JSONL round-trip for trace records and lint diagnostics.
 
 One JSON object per line — the format every log pipeline and `jq`
-one-liner understands, and what CI uploads next to the ``BENCH_*.json``
-records so a regression's telemetry is attached to the run that
-produced it.  Step records (``"kind": "step"``) and static-analysis
+one-liner understands: a traced run's step records export to it, and
+the lint reports CI uploads next to the ``BENCH_*.json`` records are
+written in it.  Step records (``"kind": "step"``) and static-analysis
 diagnostics (``"kind": "diagnostic"``, from
 :class:`repro.analysis.diag.DiagnosticEngine`) share the schema, so
 one file can carry both and consumers dispatch on ``kind``.

@@ -7,7 +7,7 @@ kernel-assisted fork/join per parallel region.  ``repro.perf.machine``
 models that difference analytically; this module makes it *executable*:
 the same worker team can be driven by
 
-* ``"forkjoin"`` (alias ``"condvar"``, the default) — :class:`CondBarrier`,
+* ``"forkjoin"`` (the default) — :class:`CondBarrier`,
   a condition-variable barrier that puts waiters to sleep in the kernel
   and wakes them on release, the fork/join idiom, or
 * ``"spin"`` — :class:`repro.sac.runtime.spinlock.SpinBarrier` (busy-wait
@@ -118,16 +118,16 @@ class CondBarrier:
 #: What a team synchronises with unless told otherwise.
 DEFAULT_BARRIER = "forkjoin"
 
-#: Barrier factories by name; "forkjoin" and "condvar" are synonyms.
+#: Barrier factories by name, one name per kind: :func:`shared_team`
+#: keys its teams on the name.
 BARRIER_KINDS = {
     "spin": lambda parties: SpinBarrier(parties, max_spins=POOL_MAX_SPINS),
     "forkjoin": CondBarrier,
-    "condvar": CondBarrier,
 }
 
 
 def make_barrier(kind: str, parties: int):
-    """A fresh barrier of the named kind (``spin``/``forkjoin``/``condvar``)."""
+    """A fresh barrier of the named kind (``spin``/``forkjoin``)."""
     try:
         factory = BARRIER_KINDS[kind]
     except KeyError:

@@ -19,7 +19,6 @@ from repro.perf.scaling import (
     format_scaling_table,
     measure_fortran_trace,
     measure_sac_trace,
-    run_scaling,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "format_scaling_table",
     "measure_fortran_trace",
     "measure_sac_trace",
-    "run_scaling",
 ]

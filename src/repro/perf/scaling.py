@@ -266,7 +266,7 @@ class MeasuredScalingResult:
         for point in self.points:
             by_barrier.setdefault(point.barrier, {})[point.workers] = point.seconds
         spin = by_barrier.get("spin", {})
-        forkjoin = by_barrier.get("forkjoin", by_barrier.get("condvar", {}))
+        forkjoin = by_barrier.get("forkjoin", {})
         workers = sorted(set(spin) | set(forkjoin))
         threaded = {p.workers: p.strips_threaded for p in self.points}
         points = [
@@ -385,22 +385,6 @@ def figure4_measured(
     return MeasuredScalingResult(
         grid=grid, steps=steps, points=points, serial_seconds=serial_seconds
     )
-
-
-def run_scaling(mode: str = "modeled", **kwargs):
-    """Dispatch between the modeled replay and the measured runtime.
-
-    ``mode="modeled"`` forwards to :func:`figure4_experiment` (simulated
-    16-core Opteron), ``mode="measured"`` to :func:`figure4_measured`
-    (real threads on the host).  Both results render through
-    :func:`format_scaling_table` — measured results via
-    ``to_scaling_result()``.
-    """
-    if mode == "modeled":
-        return figure4_experiment(**kwargs)
-    if mode == "measured":
-        return figure4_measured(**kwargs)
-    raise ConfigurationError(f"mode must be modeled or measured, got {mode!r}")
 
 
 def format_measured_table(result: MeasuredScalingResult) -> str:

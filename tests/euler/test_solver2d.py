@@ -39,6 +39,35 @@ class TestSetup:
         with pytest.raises(ConfigurationError):
             problems.two_channel(n_cells=16, h=8.0, exit_start=12.0)
 
+    @pytest.mark.parametrize("n_cells", [0, -3])
+    def test_empty_grid_rejected(self, n_cells):
+        with pytest.raises(ConfigurationError, match="n_cells"):
+            problems.two_channel(n_cells=n_cells, h=8.0)
+        with pytest.raises(ConfigurationError, match="n_cells"):
+            problems.two_channel_ensemble([2.0, 2.5], n_cells=n_cells, h=8.0)
+
+    def test_empty_grid_job_fails_as_a_configuration_error(self):
+        """A service job reports the refusal, not a ZeroDivisionError."""
+        from contextlib import ExitStack
+
+        from repro.serve.jobs import JobSpec
+        from repro.serve.workers import _execute
+
+        spec = JobSpec(problem="two_channel", problem_args={"n_cells": 0}, max_steps=1)
+        events = []
+        with ExitStack() as cleanup:
+            _execute(
+                [{"job_id": "empty", "spec": spec.to_dict()}],
+                lambda job_id, event: events.append((job_id, event)),
+                lambda records: None,
+                None,
+                cleanup,
+            )
+        [(job_id, event)] = events
+        assert job_id == "empty" and event["event"] == "failed"
+        assert event["error"]["type"] == "ConfigurationError"
+        assert "n_cells" in event["error"]["message"]
+
     def test_initial_state_quiescent(self):
         solver, setup = problems.two_channel(n_cells=16, h=8.0)
         prim = solver.primitive

@@ -159,8 +159,8 @@ class TestJsonl:
 
     def test_retired_halo_fields_still_load(self, tmp_path):
         """Exports written while ``repro.par`` copied halos (old spool
-        files, the committed BENCH_steprate_trace.jsonl) read back as
-        the same records without the two retired keys."""
+        files and trace exports) read back as the same records without
+        the two retired keys."""
         import json
 
         payload = _record(3).to_json()

@@ -87,8 +87,11 @@ class TestBarriers:
         with pytest.raises(ConfigurationError):
             make_barrier("mutex", 2)
 
-    def test_condvar_alias(self):
-        assert isinstance(make_barrier("condvar", 2), CondBarrier)
+    def test_condvar_is_not_a_second_name(self):
+        """One name per kind: ``shared_team`` keys on the name, so an
+        alias would build a second team of the same kind."""
+        with pytest.raises(ConfigurationError, match="forkjoin.*spin"):
+            make_barrier("condvar", 2)
 
     @pytest.mark.parametrize("cls", [SpinBarrier, CondBarrier])
     def test_abort_releases_a_waiter(self, cls):

@@ -75,6 +75,8 @@ def test_cached_resubmit_is_identical(client):
     spec = sod_spec(problem_args={"n_cells": 48})
     cold = client.run(spec)
     assert cold["status"]["cached"] is False
+    dispatched = sum(client.stats()["shards"]["dispatched"])
+    assert dispatched >= 1
     warm = client.run(spec)
     assert warm["status"]["cached"] is True
     # Verbatim payload: same digest, same state, bit for bit.
@@ -82,6 +84,8 @@ def test_cached_resubmit_is_identical(client):
     # Scheduling-only differences still hit the same entry.
     rescheduled = client.run(sod_spec(problem_args={"n_cells": 48}, priority=7))
     assert rescheduled["status"]["cached"] is True
+    # A hit does no work: no shard was sent either job.
+    assert sum(client.stats()["shards"]["dispatched"]) == dispatched
 
 
 def test_status_endpoint(client):

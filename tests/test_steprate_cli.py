@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro.jit
 from repro.steprate import _phase_table, main, measure_steprate
@@ -103,3 +104,44 @@ def test_jit_summary_silent_without_backend():
     from repro.steprate import _jit_summary
 
     assert _jit_summary({"backend": "numpy"}) == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", "12", "--steps", "0"],
+        ["--grid", "0", "--steps", "1"],
+        ["--grid", "12", "--steps", "0", "--batch", "2"],
+    ],
+)
+def test_cli_refuses_an_empty_run(argv, capsys):
+    """No steps or no cells: a usage error (exit 2), not a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_seed_baseline_prints_and_gates_the_seed_difference(
+    monkeypatch, capsys
+):
+    """``--seed-baseline`` prints max |tiled - seed| and exits 1 unless it
+    is 0.0, even when the tiled and untiled states agree."""
+    import repro.steprate
+
+    argv = ["--grid", "12", "--steps", "1", "--backend", "numpy", "--seed-baseline"]
+    assert main(argv) == 0
+    assert "max |tiled - seed| = 0.0" in capsys.readouterr().out
+
+    measured = repro.steprate.measure_steprate
+
+    def drifted(**kwargs):
+        result = measured(**kwargs)
+        result["max_abs_difference_tiled_vs_seed"] = 2.0**-52
+        return result
+
+    monkeypatch.setattr(repro.steprate, "measure_steprate", drifted)
+    assert main(argv) == 1
+    printed = capsys.readouterr().out
+    assert "max |tiled - untiled| = 0.0" in printed
+    assert f"max |tiled - seed| = {2.0**-52}" in printed
