@@ -12,8 +12,10 @@ nesting multiplies team-management churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.sac.runtime.spinlock import ForkJoinSyncModel
+if TYPE_CHECKING:
+    from repro.perf.machine import ForkJoinSyncModel
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,9 @@ class OpenMPSettings:
         return cls(schedule="STATIC", nested=True, dynamic=False)
 
     def sync_model(self) -> ForkJoinSyncModel:
+        # Imported here: repro.perf imports repro.f90 (perf.scaling).
+        from repro.perf.machine import ForkJoinSyncModel
+
         fork = 8.0e-6
         per_thread = 3.0e-6
         if self.schedule.upper() == "DYNAMIC":

@@ -2,7 +2,7 @@
 
 ``repro.perf`` *models* the paper's 16-core Opteron; this package
 *executes* the 2-D Euler solver on real worker threads: one persistent
-team per process with pluggable spin vs fork/join barriers
+team per process whose one barrier spins or sleeps by kind
 (:mod:`repro.par.pool`), and :class:`ParallelSolver2D`, the serial
 solver whose engine runs each sweep's strip plan on that team.  See
 DESIGN.md §3 and the measured mode of ``repro.perf.scaling``.
@@ -11,8 +11,8 @@ DESIGN.md §3 and the measured mode of ``repro.perf.scaling``.
 from repro.par.pool import (
     BARRIER_KINDS,
     DEFAULT_BARRIER,
+    Barrier,
     BarrierAborted,
-    CondBarrier,
     WorkerPool,
     close_team,
     make_barrier,
@@ -23,8 +23,8 @@ from repro.par.solver import ParallelSolver2D
 __all__ = [
     "BARRIER_KINDS",
     "DEFAULT_BARRIER",
+    "Barrier",
     "BarrierAborted",
-    "CondBarrier",
     "WorkerPool",
     "close_team",
     "make_barrier",

@@ -1,19 +1,18 @@
-"""The one worker team: a persistent pool with pluggable barriers.
+"""The one worker team: a persistent pool and its one barrier.
 
 The paper's Fig. 4 asymmetry is a *synchronisation* story: SaC keeps a
 flat team of pthreads alive for the whole run and synchronises them by
 spinning on shared memory, while the auto-parallelised Fortran pays a
 kernel-assisted fork/join per parallel region.  ``repro.perf.machine``
-models that difference analytically; this module makes it *executable*:
-the same worker team can be driven by
-
-* ``"forkjoin"`` (the default) — :class:`CondBarrier`,
-  a condition-variable barrier that puts waiters to sleep in the kernel
-  and wakes them on release, the fork/join idiom, or
-* ``"spin"`` — :class:`repro.sac.runtime.spinlock.SpinBarrier` (busy-wait
-  on a generation counter, no kernel sleep).  A *Python* busy-wait holds
-  the GIL for its switch interval and so starves the thread doing the
-  step's serial part: selectable for the F4b experiment, nobody's default.
+models that difference analytically; this module makes it *executable*
+with one :class:`Barrier` whose kind is only the length of its spin
+phase (:data:`BARRIER_KINDS`): ``"forkjoin"`` (the default) sleeps on a
+condition variable at once, the fork/join idiom; ``"spin"`` first polls
+shared memory for :data:`SPIN_PHASE` polls, so every wait inside a round
+is a busy-wait while an idle team still goes to sleep.  A *Python*
+busy-wait holds the GIL for its switch interval and so starves the
+thread doing the step's serial part: ``spin`` is selectable for the F4b
+experiment, nobody's default.
 
 This is the only place that creates threads for Euler steps: the
 compiled stage releases the GIL, and ``JitBackend`` runs each phase of a
@@ -32,109 +31,114 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sac.runtime.spinlock import BarrierAborted, SpinBarrier
 
 __all__ = [
     "BarrierAborted",
-    "CondBarrier",
+    "Barrier",
     "WorkerPool",
     "make_barrier",
     "shared_team",
     "close_team",
     "BARRIER_KINDS",
     "DEFAULT_BARRIER",
+    "SPIN_PHASE",
 ]
 
-#: Spin budget for pool barriers.  Generous: a worker may legitimately
-#: spin through a sibling's whole share of a sweep; 10M (the scheduler
-#: default) can be exceeded on large grids or oversubscribed hosts.
-POOL_MAX_SPINS = 200_000_000
+
+class BarrierAborted(RuntimeError):
+    """Raised by an aborted barrier so peers unwind instead of deadlocking."""
 
 
-class CondBarrier:
-    """A reusable condition-variable barrier (kernel-assisted fork/join).
+class Barrier:
+    """A reusable barrier that spins, then sleeps.
 
-    Same interface as :class:`SpinBarrier` (``wait``/``abort``), but
-    waiters sleep on a condvar — each release is a trip through the
-    kernel scheduler, the cost the paper blames for Fortran's
-    degradation ("added overhead of communication between the threads").
+    A waiter that is not the last to arrive polls the generation counter
+    up to ``spins`` times without the lock (SaC's shared-memory idiom),
+    then sleeps on the condition variable until the last arrival bumps
+    the generation and wakes everyone (kernel-assisted fork/join, the
+    cost the paper blames for Fortran's degradation).  ``spins=0`` is a
+    plain condvar barrier.
+
+    :meth:`abort` releases the waiters and poisons the barrier: every
+    released or later :meth:`wait` raises :class:`BarrierAborted`, except
+    a wait whose generation was already released when the abort landed.
+    ``wait_seconds`` sums the time spent in :meth:`wait` (telemetry for
+    :mod:`repro.obs`).
     """
 
-    def __init__(self, parties: int):
+    def __init__(self, parties: int, spins: int = 0):
         if parties < 1:
             raise ValueError("a barrier needs at least one party")
         self.parties = parties
+        self.spins = spins
         self._count = parties
         self._generation = 0
-        self._aborted = False
         self._abort_generation: Optional[int] = None
         self._cond = threading.Condition()
         self.wait_seconds = 0.0
 
     def wait(self) -> int:
-        """Sleep until all parties arrive; returns the generation passed."""
+        """Wait until all parties arrive; returns the generation passed."""
         started = perf_counter()
-        try:
-            return self._wait()
-        finally:
-            elapsed = perf_counter() - started
-            with self._cond:
-                self.wait_seconds += elapsed
-
-    def _wait(self) -> int:
         with self._cond:
-            if self._aborted:
-                raise BarrierAborted("condvar barrier aborted")
+            if self._abort_generation is not None:
+                raise BarrierAborted("barrier aborted")
             generation = self._generation
             self._count -= 1
             if self._count == 0:
                 self._count = self.parties
                 self._generation += 1
                 self._cond.notify_all()
-                return generation
-            while self._generation == generation and not self._aborted:
-                self._cond.wait()
-            # Same post-release rule as SpinBarrier: an abort that lands
-            # *after* this generation already completed must not turn the
-            # successful wait into a spurious BarrierAborted.
-            if (
-                self._aborted
-                and self._abort_generation is not None
-                and self._abort_generation <= generation
-            ):
-                raise BarrierAborted("condvar barrier aborted")
+            else:
+                if self.spins:
+                    self._cond.release()
+                    try:
+                        for _ in range(self.spins):
+                            if self._generation != generation:
+                                break
+                    finally:
+                        self._cond.acquire()
+                while self._generation == generation:
+                    self._cond.wait()
+            self.wait_seconds += perf_counter() - started
+            aborted = self._abort_generation
+            if aborted is not None and aborted <= generation:
+                raise BarrierAborted("barrier aborted")
             return generation
 
     def abort(self) -> None:
-        """Poison the barrier and wake anyone currently sleeping."""
+        """Poison the barrier and release everyone waiting on it."""
         with self._cond:
-            if self._aborted:
-                return
-            self._aborted = True
-            self._abort_generation = self._generation
-            self._cond.notify_all()
+            if self._abort_generation is None:
+                self._abort_generation = self._generation
+                self._count = self.parties
+                self._generation += 1
+                self._cond.notify_all()
 
 
 #: What a team synchronises with unless told otherwise.
 DEFAULT_BARRIER = "forkjoin"
 
-#: Barrier factories by name, one name per kind: :func:`shared_team`
-#: keys its teams on the name.
-BARRIER_KINDS = {
-    "spin": lambda parties: SpinBarrier(parties, max_spins=POOL_MAX_SPINS),
-    "forkjoin": CondBarrier,
-}
+#: Polls of the ``spin`` kind before it sleeps: 0.5-0.6 s on a 2-vCPU
+#: Xeon, far above the longest wait inside a 400x400 team round
+#: (EXPERIMENTS, F4b "one barrier"), yet short enough that an idle team soon
+#: stops burning a core.
+SPIN_PHASE = 1 << 23
+
+#: Spin-phase length by barrier kind, one name per kind:
+#: :func:`shared_team` keys its teams on the name.
+BARRIER_KINDS = {"spin": SPIN_PHASE, "forkjoin": 0}
 
 
-def make_barrier(kind: str, parties: int):
+def make_barrier(kind: str, parties: int) -> Barrier:
     """A fresh barrier of the named kind (``spin``/``forkjoin``)."""
     try:
-        factory = BARRIER_KINDS[kind]
+        spins = BARRIER_KINDS[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown barrier kind {kind!r} (have {sorted(BARRIER_KINDS)})"
         ) from None
-    return factory(parties)
+    return Barrier(parties, spins)
 
 
 class WorkerPool:
@@ -145,14 +149,12 @@ class WorkerPool:
     callable receiving the worker index — releases the team through a
     start barrier, executes index 0 itself, and passes a completion
     barrier once every worker has finished.  Only ``workers - 1``
-    threads exist.  All barriers (including the one handed out via
-    :meth:`team_barrier` for use *inside* a task) are of the configured
-    kind, so a round synchronises either entirely by spinning or
-    entirely through the kernel.  Rounds take turns (one lock), so
-    callers on different threads may share a team.
+    threads exist.  Both barriers are of the configured kind.  Rounds
+    take turns (one lock), so callers on different threads may share a
+    team.
 
-    A worker that raises aborts all registered barriers so its siblings
-    unwind instead of deadlocking; the first error is re-raised from
+    A worker that raises aborts both barriers so its siblings unwind
+    instead of deadlocking; the first error is re-raised from
     :meth:`run` and the pool is left unusable (``broken``, ``closed``).
     """
 
@@ -163,8 +165,6 @@ class WorkerPool:
         self.barrier_kind = barrier
         self._start = make_barrier(barrier, workers)
         self._done = make_barrier(barrier, workers)
-        self._team_barriers: List[object] = [self._start, self._done]
-        self._team: Optional[object] = None
         self._task: Optional[Callable[[int], None]] = None
         self._errors: List[BaseException] = []
         self._error_lock = threading.Lock()
@@ -200,7 +200,7 @@ class WorkerPool:
         """Stop and join the team (idempotent).
 
         Robust against an interrupt landing *inside* the shutdown
-        handshake (KeyboardInterrupt while spinning in the release
+        handshake (KeyboardInterrupt while waiting in the release
         barrier): the barriers are poisoned so the workers unwind, the
         threads are joined either way, and the interrupt propagates.
         """
@@ -223,30 +223,13 @@ class WorkerPool:
 
     # -- running tasks -------------------------------------------------
 
-    def team_barrier(self):
-        """The pool's worker-only barrier for synchronising *inside* a task.
-
-        One reusable (generational) barrier is shared by every caller:
-        all workers pass the same sequence of sync points per round, so
-        distinct call sites can share it safely and the registry of
-        abortable barriers stays bounded.  It is registered with the
-        pool so a failing worker aborts it along with the start/done
-        pair.
-        """
-        if self._team is None:
-            self._team = make_barrier(self.barrier_kind, self.workers)
-            self._team_barriers.append(self._team)
-        return self._team
-
     @property
     def barrier_wait_seconds(self) -> float:
-        """Wall-clock seconds spent waiting in this pool's barriers,
-        summed over the start/done pair and the team barrier (telemetry
-        for :mod:`repro.obs`)."""
-        return sum(
-            getattr(barrier, "wait_seconds", 0.0)
-            for barrier in self._team_barriers
-        )
+        """Wall-clock seconds spent waiting at the round-ending barrier
+        (telemetry for :mod:`repro.obs`).  The start barrier's waits are
+        the team idling through the caller's serial work between rounds,
+        not synchronisation, and are not booked."""
+        return self._done.wait_seconds
 
     def run(self, task: Callable[[int], None]) -> None:
         """Execute ``task(worker_index)`` on every worker; block until done.
@@ -278,8 +261,8 @@ class WorkerPool:
                 raise self._errors[0]
 
     def _abort_all(self) -> None:
-        for barrier in self._team_barriers:
-            barrier.abort()
+        self._start.abort()
+        self._done.abort()
 
     def _worker_loop(self, index: int) -> None:
         """Round loop for workers 1..N-1 (index 0 lives on the caller)."""
@@ -292,8 +275,6 @@ class WorkerPool:
                 return
             try:
                 self._task(index)
-            except BarrierAborted:
-                pass  # a sibling failed first; its error is the one to report
             except BaseException as error:  # noqa: BLE001 - reported from run()
                 with self._error_lock:
                     self._errors.append(error)

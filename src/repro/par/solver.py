@@ -91,9 +91,11 @@ class ParallelSolver2D(EulerSolver2D):
         """:meth:`EulerSolver2D.run`; an interrupt tears the team down.
 
         A :class:`KeyboardInterrupt` (or a barrier poisoned by one) must
-        not leave workers waiting — with ``spin``, burning a core.  One
+        not leave workers waiting on a team nobody will drive again.  One
         *inside* a round already shuts the team down (broken round);
-        this covers those that land between rounds, the team idle.
+        this covers those that land between rounds, the team idle.  An
+        idle team costs no core either way: a ``spin`` worker busy-waits
+        for the barrier's spin phase (about a second), then sleeps.
         """
         try:
             return super().run(t_end, max_steps, callback, watch)

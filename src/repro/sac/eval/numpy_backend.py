@@ -11,7 +11,8 @@ matters.
 
 Every array operation and with-loop execution is recorded in an
 :class:`ExecutionTrace`; the multithreaded scheduler really does run
-chunks on a worker team synchronised by spin barriers.
+chunks on the process's fork/join worker team
+(:func:`repro.par.pool.shared_team`).
 
 Batched values
 --------------

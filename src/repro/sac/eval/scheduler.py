@@ -123,7 +123,7 @@ class WithLoopScheduler:
         if len(chunks) <= 1 or not self._round.acquire(blocking=False):
             evaluate_chunk(lower, upper)
             return 1
-        # Imported here: par.pool takes its spin barrier from sac.runtime.
+        # Imported here: importing repro.par pulls in the Euler solver stack.
         from repro.par.pool import shared_team
 
         try:

@@ -1,18 +1,8 @@
-"""Runtime support: profiling traces and the pthread-style sync models."""
+"""Runtime support: profiling traces."""
 
 from repro.sac.runtime.profiler import ExecutionTrace, Region
-from repro.sac.runtime.spinlock import (
-    BarrierAborted,
-    ForkJoinSyncModel,
-    SpinBarrier,
-    SpinSyncModel,
-)
 
 __all__ = [
     "ExecutionTrace",
     "Region",
-    "BarrierAborted",
-    "ForkJoinSyncModel",
-    "SpinBarrier",
-    "SpinSyncModel",
 ]

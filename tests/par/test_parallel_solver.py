@@ -10,6 +10,8 @@ team may never do silently: fall back, or run serially without a
 counted reason.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.euler.boundary import (
 from repro.euler.solver import EulerSolver2D, SolverConfig
 from repro.jit import compile as jit_compile
 from repro.par import ParallelSolver2D
+from repro.par.pool import BARRIER_KINDS, close_team
 
 from tests.euler.draws import needs_cc
 
@@ -173,6 +176,28 @@ def test_unphysical_state_raises_instead_of_deadlocking(barrier):
         # raised on the calling thread, off the team: nothing to unwind
         parallel.u[...] = healthy
         assert parallel.step(1e-3) == 1e-3
+
+
+@needs_cc
+def test_an_idle_spin_team_steps_like_serial(monkeypatch):
+    """A ``spin`` team idle past its spin phase sleeps, then still runs
+    the next step's strips.  Under a spin budget the idle worker died in
+    the start barrier and every later round returned without running its
+    strips: step 2 read 2.4 off serial, no error raised, nothing counted."""
+    monkeypatch.setitem(BARRIER_KINDS, "spin", 10_000)
+    close_team(2, "spin")  # the team below takes the shortened phase
+    serial, _ = problems.two_channel(n_cells=32, h=16.0, config=PAPER_BENCH)
+    with repro.jit.backend_override("jit"):
+        parallel = ParallelSolver2D.from_serial(serial, workers=2, barrier="spin")
+    with parallel:
+        dt = parallel.step()
+        assert serial.step(dt) == dt
+        np.testing.assert_array_equal(parallel.u, serial.u)
+        time.sleep(0.5)  # far past 10 000 polls
+        dt = parallel.step()
+        assert serial.step(dt) == dt
+        np.testing.assert_array_equal(parallel.u, serial.u)
+        assert parallel.engine.counters()["jit"]["strips_threaded"] > 0
 
 
 # -- never silently serial, never silently NumPy ---------------------------------

@@ -1,13 +1,20 @@
-"""Worker pool and barrier flavours."""
+"""Worker pool and the one barrier, on both kinds."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.par.pool import BarrierAborted, CondBarrier, WorkerPool, make_barrier
-from repro.sac.runtime.spinlock import SpinBarrier
+from repro.par.pool import (
+    BARRIER_KINDS,
+    Barrier,
+    BarrierAborted,
+    WorkerPool,
+    make_barrier,
+)
 
 BARRIERS = ["spin", "forkjoin"]
 
@@ -22,35 +29,16 @@ class TestWorkerPool:
             assert hits.tolist() == [3, 3, 3, 3]
             assert pool.rounds == 3
 
-    def test_team_barrier_keeps_phases_ordered(self, kind):
-        with WorkerPool(3, barrier=kind) as pool:
-            team = pool.team_barrier()
-            log = []
-            lock = threading.Lock()
-
-            def task(index):
-                with lock:
-                    log.append(("a", index))
-                team.wait()
-                with lock:
-                    log.append(("b", index))
-
-            pool.run(task)
-        phases = [phase for phase, _ in log]
-        assert phases[:3] == ["a"] * 3 and phases[3:] == ["b"] * 3
-
     def test_worker_error_propagates_and_breaks_pool(self, kind):
         pool = WorkerPool(3, barrier=kind)
-        team = pool.team_barrier()
 
         def task(index):
             if index == 1:
                 raise ValueError("boom")
-            team.wait()  # would deadlock without abort support
 
         with pytest.raises(ValueError, match="boom"):
             pool.run(task)
-        assert pool.broken
+        assert pool.broken and pool.closed
         with pytest.raises(ConfigurationError):
             pool.run(lambda index: None)
 
@@ -60,26 +48,71 @@ class TestWorkerPool:
         pool.shutdown()
         pool.shutdown()
 
-    def test_team_barrier_is_reused_not_leaked(self, kind):
-        """team_barrier() per round used to append a fresh barrier to
-        the abort registry forever; a long run grew it without bound."""
-        with WorkerPool(2, barrier=kind) as pool:
-            team = pool.team_barrier()
-
-            def task(index):
-                pool.team_barrier().wait()
-
-            for _ in range(25):
-                pool.run(task)
-                assert pool.team_barrier() is team
-            # registry stays bounded: start + done + the one team barrier
-            assert len(pool._team_barriers) == 3
-
     def test_barrier_wait_seconds_property(self, kind):
         with WorkerPool(2, barrier=kind) as pool:
-            team = pool.team_barrier()
-            pool.run(lambda index: team.wait())
+            pool.run(lambda index: time.sleep(0.01 * index))
             assert pool.barrier_wait_seconds > 0.0
+
+    def test_idle_time_between_rounds_is_not_barrier_wait(self, kind):
+        """The workers' wait at the start barrier is the caller's serial
+        work between rounds; booking it made one empty round after 1 s
+        of serial work read ~1 s of synchronisation."""
+        with WorkerPool(2, barrier=kind) as pool:
+            pool.run(lambda index: None)
+            time.sleep(1.0)  # the master's serial work
+            waited = pool.barrier_wait_seconds
+            pool.run(lambda index: None)
+            pool.run(lambda index: None)  # the first round's worker bookings land
+            assert pool.barrier_wait_seconds - waited < 0.5
+
+
+def _drive(pool, task, rounds):
+    """``rounds`` rounds of ``task`` from a driver thread, bounded in
+    time: a lost wake-up hangs a round instead of failing it."""
+    driver = threading.Thread(
+        target=lambda: [pool.run(task) for _ in range(rounds)], daemon=True
+    )
+    driver.start()
+    driver.join(timeout=30.0)
+    if driver.is_alive():
+        pool._abort_all()  # unwind the hung round so the pool can shut down
+        pytest.fail("a round never finished")
+
+
+def test_an_idle_spin_team_still_runs_every_worker(monkeypatch):
+    """A ``spin`` team left idle past its spin phase sleeps and wakes for
+    the next round.  With a spin budget instead, the idle worker raised
+    from the start barrier, died, and every later round returned without
+    running anyone but the caller."""
+    monkeypatch.setitem(BARRIER_KINDS, "spin", 10_000)
+    with WorkerPool(2, barrier="spin") as pool:
+        hits = [0, 0]
+
+        def task(index):
+            hits[index] += 1
+
+        _drive(pool, task, 1)
+        time.sleep(0.5)  # far past 10 000 polls
+        _drive(pool, task, 1)
+        assert hits == [2, 2]
+        assert not pool.broken
+
+
+def test_spin_to_sleep_handover_loses_no_round(monkeypatch):
+    """A spin phase short enough that waits keep crossing from polling
+    into the condvar sleep, on more workers than cores and a short
+    switch interval: a wake-up lost in that handover deadlocks a round
+    (bounded in time by ``_drive``) or skips a worker's share."""
+    monkeypatch.setitem(BARRIER_KINDS, "spin", 50)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkerPool(4, barrier="spin") as pool:
+            hits = np.zeros(4, dtype=int)
+            _drive(pool, lambda index: hits.__setitem__(index, hits[index] + 1), 1000)
+            assert hits.tolist() == [1000] * 4
+    finally:
+        sys.setswitchinterval(switch)
 
 
 class TestBarriers:
@@ -93,9 +126,9 @@ class TestBarriers:
         with pytest.raises(ConfigurationError, match="forkjoin.*spin"):
             make_barrier("condvar", 2)
 
-    @pytest.mark.parametrize("cls", [SpinBarrier, CondBarrier])
-    def test_abort_releases_a_waiter(self, cls):
-        barrier = cls(2)
+    @pytest.mark.parametrize("kind", BARRIERS)
+    def test_abort_releases_a_waiter(self, kind):
+        barrier = make_barrier(kind, 2)
         failures = []
 
         def waiter():
@@ -135,33 +168,21 @@ class TestBarriers:
         barrier.wait()
         assert barrier.wait_seconds > 0.0
 
-    def test_spin_budget_overrun_aborts_the_barrier(self):
-        """A budget overrun must poison the barrier, not just raise.
-
-        On the seed code the overrunning waiter left its arrival count
-        behind; a sibling arriving later was counted as the missing
-        party and its wait returned "successfully" against a barrier
-        that had already failed.
-        """
-        barrier = SpinBarrier(2, max_spins=10_000)
-        with pytest.raises(RuntimeError, match="spin budget"):
-            barrier.wait()
-        with pytest.raises(BarrierAborted):
-            barrier.wait()
-
-    def test_abort_after_release_does_not_poison_completed_wait(self):
+    @pytest.mark.parametrize("kind", BARRIERS)
+    def test_abort_after_release_does_not_poison_completed_wait(self, kind):
         """The post-release race: an abort landing between the
         generation bump and a released waiter's aborted-check must not
         turn that already-successful wait into a BarrierAborted."""
 
-        class RacySpinBarrier(SpinBarrier):
-            """Injects abort() at the exact moment a spinning waiter
-            first observes the generation bump."""
+        class RacyBarrier(Barrier):
+            """Injects abort() at the exact moment a waiter first
+            observes the generation bump (polling it in the spin phase,
+            or re-checking it on waking from the condvar)."""
 
-            def __init__(self, parties):
+            def __init__(self, parties, spins):
                 self._gen_value = 0
                 self._raced = True  # disarmed while __init__ runs
-                super().__init__(parties)
+                super().__init__(parties, spins)
                 self._raced = False
 
             @property
@@ -176,18 +197,18 @@ class TestBarriers:
             def _generation(self, value):
                 self._gen_value = value
 
-        barrier = RacySpinBarrier(2)
+        barrier = RacyBarrier(2, BARRIER_KINDS[kind])
         outcome = []
 
-        def spinner():
+        def waiter():
             try:
                 outcome.append(("ok", barrier.wait()))
             except BarrierAborted:
                 outcome.append(("aborted", None))
 
-        thread = threading.Thread(target=spinner, daemon=True)
+        thread = threading.Thread(target=waiter, daemon=True)
         thread.start()
-        while barrier._count == 2:  # until the spinner has arrived
+        while barrier._count == 2:  # until the waiter has arrived
             pass
         barrier.wait()  # last arrival releases generation 0
         thread.join(timeout=10.0)

@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.perf.machine import (
+    ForkJoinSyncModel,
     MachineModel,
+    SpinSyncModel,
     TimeBreakdown,
     fortran_runtime,
     sac_runtime,
 )
 from repro.sac.runtime.profiler import ExecutionTrace, Region
-from repro.sac.runtime.spinlock import ForkJoinSyncModel, SpinSyncModel
 
 
 def make_trace(*regions):

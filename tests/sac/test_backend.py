@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import SacRuntimeError
+from repro.par.pool import Barrier, make_barrier
 from repro.sac.interp import Interpreter
 from repro.sac.eval.numpy_backend import Batched, NumpyEvaluator
 from repro.sac.eval.scheduler import (
@@ -18,7 +19,6 @@ from repro.sac.eval.scheduler import (
 )
 from repro.sac.parser import parse_module
 from repro.sac.runtime.profiler import ExecutionTrace
-from repro.sac.runtime.spinlock import SpinBarrier
 
 
 def both(source, function, *args, defines=None):
@@ -298,7 +298,7 @@ class TestScheduler:
     def test_spin_barrier(self):
         import threading
 
-        barrier = SpinBarrier(4)
+        barrier = make_barrier("spin", 4)
         counter = {"n": 0}
         lock = threading.Lock()
 
@@ -317,7 +317,7 @@ class TestScheduler:
 
     def test_spin_barrier_needs_parties(self):
         with pytest.raises(ValueError):
-            SpinBarrier(0)
+            Barrier(0)
 
 
 class TestBatched:
